@@ -100,7 +100,10 @@ let clear t =
 let find_locked t key nl =
   match Hashtbl.find_opt t.table key with
   | None -> None
-  | Some l -> List.find_opt (fun e -> e.e_netlist = nl) !l
+  | Some l ->
+    (* the physical test first: a client re-presenting the very netlist
+       it compiled skips the structural walk over the whole circuit *)
+    List.find_opt (fun e -> e.e_netlist == nl || e.e_netlist = nl) !l
 
 (* The one entry-removal critical section (lock held): unlink, count
    down and count the eviction as a single indivisible unit, so the

@@ -504,6 +504,11 @@ let write_word t comp w v =
          its consumers once, not once per word *)
       if t.last_marked <> comp then begin
         mark_comp t comp;
+        (* a written dff no longer holds what its driver latched (a
+           campaign's SEU), so its own cluster must re-latch at the next
+           tick even if the driver is unchanged *)
+        let j = t.dff_of_comp.(comp) in
+        if j >= 0 then mark_bit t.dff_dirty (j / t.prog.Kernel.dffs_per_cluster);
         t.last_marked <- comp
       end
     end

@@ -193,14 +193,13 @@ let validate t =
   with Bad m -> Error m
 
 (* A human label for diagnostics: kind, index, and the first attached
-   [Graph.label] names when present. *)
+   [Graph.label] names when present.  Built by concatenation, not
+   [Printf]: a fault campaign names every verdict through here. *)
 let describe t i =
-  let base =
-    Printf.sprintf "%s#%d" (component_name t.components.(i)) i
-  in
+  let base = component_name t.components.(i) ^ "#" ^ string_of_int i in
   match t.names.(i) with
   | [] -> base
-  | nms -> Printf.sprintf "%s(%s)" base (String.concat "," nms)
+  | nms -> base ^ "(" ^ String.concat "," nms ^ ")"
 
 (* Statistics ----------------------------------------------------------- *)
 

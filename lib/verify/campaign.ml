@@ -10,8 +10,9 @@
    loop runs on {!Compiled_wide} (61 faults per pass, the default) or on
    a K-word {!Slab} (62*K - 1 faults per pass, [~engine:(`Slab k)]).
    Fault lists larger than one engine pass chunk over
-   {!Sharded.run_tasks}, so the peak rate is (lanes - 1) x domains
-   faults per settle pass.
+   {!Scheduler.run_tasks} or {!Sharded.run_tasks}, so the peak rate is
+   (lanes - 1) x domains faults per settle pass, and chunks drop their
+   detected faults part-way (see "Fault dropping" below).
 
    Every fault is classified against the golden lane:
    - detected: an observable output diverged (with detection latency),
@@ -29,6 +30,7 @@ module Sharded = Hydra_engine.Sharded
 module Scheduler = Hydra_engine.Scheduler
 module Cache = Hydra_engine.Cache
 module Resilience = Hydra_engine.Resilience
+module Simd = Hydra_engine.Simd
 
 type fault =
   | Stuck_at of { site : int; value : bool }
@@ -61,11 +63,13 @@ type report = {
 let site_of = function
   | Stuck_at { site; _ } | Seu { site; _ } | Intermittent { site; _ } -> site
 
+(* One name per verdict, tens of thousands per campaign: built by
+   concatenation rather than [Printf]. *)
 let fault_name nl fault =
   let d = Netlist.describe nl (site_of fault) in
   match fault with
-  | Stuck_at { value; _ } -> Printf.sprintf "%s stuck-at-%d" d (Bool.to_int value)
-  | Seu { at_cycle; _ } -> Printf.sprintf "%s seu@%d" d at_cycle
+  | Stuck_at { value; _ } -> d ^ if value then " stuck-at-1" else " stuck-at-0"
+  | Seu { at_cycle; _ } -> d ^ " seu@" ^ string_of_int at_cycle
   | Intermittent { rate; seed; _ } ->
     Printf.sprintf "%s intermittent(rate=%g,seed=%d)" d rate seed
 
@@ -129,7 +133,13 @@ let random_stimulus ~seed ~cycles nl =
    force masks are accumulated in a [pending] (one 62-bit word per
    engine word) and installed all at once; intermittent faults then
    mutate their pending's flip masks per cycle and call [o_sync_flips]
-   (a no-op on engines that share the arrays by reference). *)
+   (a no-op on engines that share the arrays by reference).
+
+   A chunk writes every state site (dffs and constants) before its
+   first settle, and an ungated settle recomputes every other component
+   from those, the inputs and the forces, so [o_reset] only has work on
+   a gated engine: there it re-marks every block dirty, so no block
+   keeps a value computed for the previous chunk. *)
 type pending = { p_site : int; p0 : int array; p1 : int array; pf : int array }
 
 type ops = {
@@ -148,7 +158,7 @@ let wide_ops sim =
   let installed = ref [||] in
   {
     o_words = 1;
-    o_reset = (fun () -> W.reset sim);
+    o_reset = ignore;
     o_settle = (fun () -> W.settle sim);
     o_tick = (fun () -> W.tick sim);
     o_poke = (fun site _ v -> W.poke sim site v);
@@ -176,7 +186,7 @@ let wide_ops sim =
 let slab_ops sim =
   {
     o_words = Slab.k sim;
-    o_reset = (fun () -> Slab.reset sim);
+    o_reset = (if Slab.gated sim then fun () -> Slab.reset sim else ignore);
     o_settle = (fun () -> Slab.settle sim);
     o_tick = (fun () -> Slab.tick sim);
     o_poke = (fun site w v -> Slab.poke_word sim site w v);
@@ -193,6 +203,90 @@ let slab_ops sim =
     o_sync_flips = (fun _ -> ());
     o_clear = (fun () -> Slab.clear_forces sim);
   }
+
+(* Fault dropping.  A chunk whose undetected lanes fall to half its
+   starting lanes (or fewer) stops at that cycle boundary instead of
+   simulating every lane to the end of the window; its detected lanes
+   are classified there, and the survivors move to the next round,
+   where survivors sharing a stop cycle are packed into full chunks
+   that resume from the migrated state.  The state that carries across
+   a cycle boundary lives in the dffs and — because a flip mask on a
+   site nothing re-drives accumulates — the constants; every other
+   component is recomputed by the next settle. *)
+
+(* A chunk's work order: caller fault [j_faults.(k)] rides lane k+1.
+   The chunk starts at cycle [j_start] with every state site at the
+   golden word [j_golden] (a sign-extended lane-0 bit) except, per lane,
+   the state sites listed in [j_diff]: round 0 starts at cycle 0 from
+   the power-up words with no differences, later rounds resume dropped
+   chunks' survivors. *)
+type job = {
+  j_faults : int array;
+  j_start : int;
+  j_golden : int array;
+  j_diff : int array array;
+}
+
+(* An undetected lane of a dropped chunk: its fault, the last cycle
+   simulated, the golden state after it (shared by the chunk's
+   survivors) and the state sites where this lane differs. *)
+type survivor = {
+  s_fault : int;
+  s_stop : int;
+  s_golden : int array;
+  s_diff : int array;
+}
+
+(* Bit position of a power of two. *)
+let log2 x =
+  let x = ref x and n = ref 0 in
+  if !x lsr 32 <> 0 then (x := !x lsr 32; n := 32);
+  if !x lsr 16 <> 0 then (x := !x lsr 16; n := !n + 16);
+  if !x lsr 8 <> 0 then (x := !x lsr 8; n := !n + 8);
+  if !x lsr 4 <> 0 then (x := !x lsr 4; n := !n + 4);
+  if !x lsr 2 <> 0 then (x := !x lsr 2; n := !n + 2);
+  if !x lsr 1 <> 0 then n := !n + 1;
+  !n
+
+(* [f k] for every set bit of engine word [w] of a lane mask, where
+   lane [k] of a chunk is global lane [k + 1]: cost O(set bits). *)
+let iter_lanes f w x =
+  let x = ref x in
+  while !x <> 0 do
+    let low = !x land - !x in
+    f ((w * W.lanes) + log2 low - 1);
+    x := !x lxor low
+  done
+
+(* Survivors sharing a stop cycle, in caller fault order, packed
+   [per_chunk] to a job. *)
+let pack ~per_chunk survivors =
+  let a = Array.of_list survivors in
+  Array.stable_sort
+    (fun x y ->
+      let c = Int.compare x.s_stop y.s_stop in
+      if c <> 0 then c else Int.compare x.s_fault y.s_fault)
+    a;
+  let n = Array.length a in
+  let jobs = ref [] and i = ref 0 in
+  while !i < n do
+    let s0 = a.(!i) in
+    let j = ref (!i + 1) in
+    while !j < n && !j - !i < per_chunk && a.(!j).s_stop = s0.s_stop do
+      incr j
+    done;
+    let group = Array.sub a !i (!j - !i) in
+    jobs :=
+      {
+        j_faults = Array.map (fun s -> s.s_fault) group;
+        j_start = s0.s_stop + 1;
+        j_golden = s0.s_golden;
+        j_diff = Array.map (fun s -> s.s_diff) group;
+      }
+      :: !jobs;
+    i := !j
+  done;
+  Array.of_list (List.rev !jobs)
 
 let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     ?(gating = false) ?(status_outputs = []) ?deadline ?retry ?admission ?chaos
@@ -261,14 +355,39 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
          nl.Netlist.outputs)
   in
   let dffs = Array.of_list (dff_sites nl) in
+  let state_sites =
+    let consts = ref [] in
+    Array.iteri
+      (fun i c ->
+        match c with Netlist.Constant _ -> consts := i :: !consts | _ -> ())
+      nl.Netlist.components;
+    Array.append dffs (Array.of_list (List.rev !consts))
+  in
+  let power_up =
+    Array.map
+      (fun site ->
+        match nl.Netlist.components.(site) with
+        | Netlist.Dffc b | Netlist.Constant b -> -Bool.to_int b
+        | _ -> assert false)
+      state_sites
+  in
+  (* a status flag must be sampled over the whole window on every lane,
+     detected or not, so status campaigns never drop *)
+  let droppable = status_sites = [||] in
   let faults_arr = Array.of_list faults in
   let nfaults = Array.length faults_arr in
   let results = Array.make (max nfaults 1) None in
-  let run_chunk ops lo hi =
-    (* fault lo+k rides global lane k+1 — word (k+1)/62, bit (k+1) mod
-       62 — while word 0 bit 0 stays golden *)
+  let emit fi classification status =
+    let fault = faults_arr.(fi) in
+    results.(fi) <-
+      Some { fault; name = fault_name nl fault; classification; status }
+  in
+  let run_chunk ops job =
+    (* fault j_faults.(k) rides global lane k+1 — word (k+1)/62, bit
+       (k+1) mod 62 — while word 0 bit 0 stays golden *)
     let words = ops.o_words in
-    let count = hi - lo in
+    let lane_faults = job.j_faults in
+    let count = Array.length lane_faults in
     let word_of k = (k + 1) / W.lanes in
     let bit_of k = 1 lsl ((k + 1) mod W.lanes) in
     let live = Array.make words 0 in
@@ -277,35 +396,66 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     done;
     ops.o_clear ();
     ops.o_reset ();
+    let start = job.j_start in
+    (* migrated state: golden words on every state site, then each
+       lane's own differing bits *)
+    Array.iteri
+      (fun i g ->
+        let site = state_sites.(i) in
+        for w = 0 to words - 1 do
+          ops.o_poke site w g
+        done)
+      job.j_golden;
+    Array.iteri
+      (fun k diff ->
+        let wk = word_of k and bit = bit_of k in
+        Array.iter
+          (fun i ->
+            let site = state_sites.(i) in
+            ops.o_poke site wk (ops.o_peek site wk lxor bit))
+          diff)
+      job.j_diff;
     let pendings = ref [] and seus = ref [] and inters = ref [] in
+    let pending site =
+      {
+        p_site = site;
+        p0 = Array.make words 0;
+        p1 = Array.make words 0;
+        pf = Array.make words 0;
+      }
+    in
+    (* stuck-at faults on one site (adjacent in [all_stuck_at] order)
+       share one force record: their lanes are disjoint *)
+    let last_stuck = ref None in
     for k = 0 to count - 1 do
       let wk = word_of k and bit = bit_of k in
-      match faults_arr.(lo + k) with
+      match faults_arr.(lane_faults.(k)) with
       | Stuck_at { site; value } ->
         let p =
-          {
-            p_site = site;
-            p0 = Array.make words 0;
-            p1 = Array.make words 0;
-            pf = Array.make words 0;
-          }
+          match !last_stuck with
+          | Some p when p.p_site = site -> p
+          | _ ->
+            let p = pending site in
+            pendings := p :: !pendings;
+            last_stuck := Some p;
+            p
         in
-        if value then p.p1.(wk) <- bit else p.p0.(wk) <- bit;
-        pendings := p :: !pendings
-      | Seu { site; at_cycle } -> seus := (at_cycle, site, wk, bit) :: !seus
+        if value then p.p1.(wk) <- p.p1.(wk) lor bit
+        else p.p0.(wk) <- p.p0.(wk) lor bit
+      | Seu { site; at_cycle } ->
+        (* an upset before [start] is already in the migrated state *)
+        if at_cycle >= start then seus := (at_cycle, site, wk, bit) :: !seus
       | Intermittent { site; rate; seed } ->
-        let p =
-          {
-            p_site = site;
-            p0 = Array.make words 0;
-            p1 = Array.make words 0;
-            pf = Array.make words 0;
-          }
-        in
+        let p = pending site in
         pendings := p :: !pendings;
         (* seeded per fault, not per chunk, so results are independent of
-           how faults land on chunks and members *)
-        inters := (p, wk, bit, rate, Random.State.make [| seed; site |]) :: !inters
+           how faults land on chunks and members; a resumed chunk replays
+           the draws of the cycles already simulated *)
+        let st = Random.State.make [| seed; site |] in
+        for _ = 1 to start do
+          ignore (Random.State.float st 1.0)
+        done;
+        inters := (p, wk, bit, rate, st) :: !inters
     done;
     let pendings = Array.of_list (List.rev !pendings) in
     ops.o_install pendings;
@@ -313,18 +463,21 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     let det_cycle = Array.make (max count 1) (-1) in
     let det_out = Array.make (max count 1) "" in
     let undet = Array.copy live in
+    let n_undet = ref count in
     let status_acc = Array.make_matrix (max (Array.length status_sites) 1) words 0 in
-    for cycle = 0 to cycles - 1 do
+    let stop = ref (-1) and cycle = ref start in
+    while !cycle < cycles && !stop < 0 do
+      let c = !cycle in
       for i = 0 to Array.length streams - 1 do
         let site, svs = streams.(i) in
-        let v = svs.(cycle) in
+        let v = svs.(c) in
         for w = 0 to words - 1 do
           ops.o_poke site w v
         done
       done;
       List.iter
-        (fun (c, site, wk, bit) ->
-          if c = cycle then ops.o_poke site wk (ops.o_peek site wk lxor bit))
+        (fun (at, site, wk, bit) ->
+          if at = c then ops.o_poke site wk (ops.o_peek site wk lxor bit))
         seus;
       if inters <> [] then begin
         List.iter
@@ -334,7 +487,7 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         ops.o_sync_flips pendings
       end;
       ops.o_settle ();
-      (if Array.exists (fun m -> m <> 0) undet then
+      (if !n_undet > 0 then
          for o = 0 to Array.length compare_sites - 1 do
            let oname, osite = compare_sites.(o) in
            (* golden is word 0, bit 0, sign-extended across every word:
@@ -343,12 +496,12 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
            for w = 0 to words - 1 do
              let diff = (ops.o_peek osite w lxor gext) land undet.(w) in
              if diff <> 0 then begin
-               for k = 0 to count - 1 do
-                 if word_of k = w && diff land bit_of k <> 0 then begin
-                   det_cycle.(k) <- cycle;
-                   det_out.(k) <- oname
-                 end
-               done;
+               iter_lanes
+                 (fun k ->
+                   det_cycle.(k) <- c;
+                   det_out.(k) <- oname;
+                   decr n_undet)
+                 w diff;
                undet.(w) <- undet.(w) land lnot diff
              end
            done
@@ -359,49 +512,92 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
           status_acc.(si).(w) <- status_acc.(si).(w) lor ops.o_peek ssite w
         done
       done;
-      ops.o_tick ()
+      ops.o_tick ();
+      (* drop at half: at most half the starting lanes still undetected *)
+      if droppable && c + 1 < cycles && 2 * !n_undet <= count then stop := c;
+      cycle := c + 1
     done;
-    (* latent: some dff's final state differs from the golden lane even
-       though no output ever did.  Only the final state counts — an upset
-       that the circuit heals (e.g. an ECC reload) is masked. *)
-    let state_diff = Array.make words 0 in
-    Array.iter
-      (fun site ->
-        let gext = -(ops.o_peek site 0 land 1) in
-        for w = 0 to words - 1 do
-          state_diff.(w) <-
-            state_diff.(w) lor ((ops.o_peek site w lxor gext) land live.(w))
-        done)
-      dffs;
+    let status_of wk bit =
+      Array.to_list
+        (Array.mapi
+           (fun si (sname, _) -> (sname, status_acc.(si).(wk) land bit <> 0))
+           status_sites)
+    in
     for k = 0 to count - 1 do
-      let wk = word_of k and bit = bit_of k in
-      let fault = faults_arr.(lo + k) in
-      let classification =
-        if det_cycle.(k) >= 0 then
-          let injection =
-            match fault with
-            | Seu { at_cycle; _ } -> at_cycle
-            | Stuck_at _ | Intermittent _ -> 0
-          in
-          Detected
-            {
-              latency = det_cycle.(k) - injection;
-              cycle = det_cycle.(k);
-              output = det_out.(k);
-            }
-        else if state_diff.(wk) land bit <> 0 then Latent
-        else Masked
-      in
-      let status =
-        Array.to_list
-          (Array.mapi
-             (fun si (sname, _) -> (sname, status_acc.(si).(wk) land bit <> 0))
-             status_sites)
-      in
-      results.(lo + k) <-
-        Some { fault; name = fault_name nl fault; classification; status }
+      if det_cycle.(k) >= 0 then begin
+        let fi = lane_faults.(k) in
+        let injection =
+          match faults_arr.(fi) with
+          | Seu { at_cycle; _ } -> at_cycle
+          | Stuck_at _ | Intermittent _ -> 0
+        in
+        emit fi
+          (Detected
+             {
+               latency = det_cycle.(k) - injection;
+               cycle = det_cycle.(k);
+               output = det_out.(k);
+             })
+          (status_of (word_of k) (bit_of k))
+      end
     done;
-    ops.o_clear ()
+    let survivors =
+      if !stop >= 0 then begin
+        (* dropped: hand the undetected lanes' state to the next round *)
+        let golden = Array.make (Array.length state_sites) 0 in
+        let diffs = Array.make count [] in
+        Array.iteri
+          (fun i site ->
+            let gext = -(ops.o_peek site 0 land 1) in
+            golden.(i) <- gext;
+            for w = 0 to words - 1 do
+              iter_lanes
+                (fun k -> diffs.(k) <- i :: diffs.(k))
+                w
+                ((ops.o_peek site w lxor gext) land undet.(w))
+            done)
+          state_sites;
+        let acc = ref [] in
+        for k = count - 1 downto 0 do
+          if det_cycle.(k) < 0 then
+            acc :=
+              {
+                s_fault = lane_faults.(k);
+                s_stop = !stop;
+                s_golden = golden;
+                s_diff = Array.of_list diffs.(k);
+              }
+              :: !acc
+        done;
+        !acc
+      end
+      else begin
+        (* latent: some dff's final state differs from the golden lane
+           even though no output ever did.  Only the final state counts —
+           an upset that the circuit heals (e.g. an ECC reload) is
+           masked. *)
+        let state_diff = Array.make words 0 in
+        Array.iter
+          (fun site ->
+            let gext = -(ops.o_peek site 0 land 1) in
+            for w = 0 to words - 1 do
+              state_diff.(w) <-
+                state_diff.(w) lor ((ops.o_peek site w lxor gext) land live.(w))
+            done)
+          dffs;
+        for k = 0 to count - 1 do
+          if det_cycle.(k) < 0 then begin
+            let wk = word_of k and bit = bit_of k in
+            emit lane_faults.(k)
+              (if state_diff.(wk) land bit <> 0 then Latent else Masked)
+              (status_of wk bit)
+          end
+        done;
+        []
+      end
+    in
+    ops.o_clear ();
+    survivors
   in
   (match engine with
   | `Slab k when k < 1 -> invalid_arg "Campaign.run: slab k must be >= 1"
@@ -453,18 +649,44 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         Scheduler.chunking ~reserved:1 ~lanes:(W.lanes * engine_words) nfaults
       in
       let nchunks = ch.Scheduler.count in
-      let chunk_bounds = ch.Scheduler.bounds in
+      (* round 0 covers the caller's list in order; each later round
+         packs the previous round's survivors.  Chunk task ids run on
+         across rounds, so every chunk rolls its own chaos fate. *)
+      let first_task = ref 0 in
+      let rounds exec =
+        let rec go jobs =
+          let n = Array.length jobs in
+          if n > 0 then begin
+            let out = Array.make n [] in
+            exec n (fun ops c -> out.(c) <- run_chunk ops jobs.(c));
+            first_task := !first_task + n;
+            go
+              (pack ~per_chunk:ch.Scheduler.per_chunk
+                 (List.concat (Array.to_list out)))
+          end
+        in
+        go
+          (Array.init nchunks (fun c ->
+               let lo, hi = ch.Scheduler.bounds c in
+               {
+                 j_faults = Array.init (hi - lo) (fun k -> lo + k);
+                 j_start = 0;
+                 j_golden = power_up;
+                 j_diff = [||];
+               }))
+      in
       (* dress a chunk body with the resilience wrappers: a chaos
          injection point at entry (each retry re-rolls its fate), a
          chunk-boundary deadline check, and — when no scheduler carries
-         the retry policy natively — a local backoff-and-rerun loop
-         (chunks recompute their result slice from reset, so a rerun is
-         bit-identical) *)
+         the retry policy natively — a local backoff-and-rerun loop (a
+         chunk recomputes its result slice from its job alone, so a
+         rerun is bit-identical) *)
       let dress body ~member c =
         check_deadline ();
+        let task = !first_task + c in
         let attempt_body () =
           (match chaos with
-          | Some p -> Chaos.inject p ~label:"campaign" ~task:c ()
+          | Some p -> Chaos.inject p ~label:"campaign" ~task ()
           | None -> ());
           body ~member c
         in
@@ -476,27 +698,40 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
             with e
               when attempt < pol.Resilience.max_attempts
                    && pol.Resilience.transient e ->
-              Unix.sleepf (Resilience.backoff pol ~attempt ~seed:(0xca3 + c));
+              Unix.sleepf (Resilience.backoff pol ~attempt ~seed:(0xca3 + task));
               check_deadline ();
               go (attempt + 1)
           in
           go 1
       in
+      (* one round's chunks as tasks on the scheduler's team, or on a
+         sharded driver's members *)
+      let fan_out run_direct replica_ops n task =
+        let body ~member c = task (replica_ops member) c in
+        match scheduler with
+        | Some sch ->
+          Scheduler.run_tasks sch ~name:"campaign" ?deadline:(sched_deadline ())
+            ?retry n (dress body)
+        | None -> run_direct n (dress body)
+      in
       (* engines always compile with the identity passes (force sites
          are caller-netlist component indices); [?cache] serves warm
-         replicas *)
+         replicas.  Slab engines run the vectorized C kernels wherever
+         the build has a vector path. *)
       let wide_base () =
         match cache with
         | Some c -> Cache.wide c ~optimize:false ~relayout:false ~fuse:false nl
         | None -> W.create ~optimize:false ~relayout:false ~fuse:false nl
       in
       let slab_base k =
+        let simd = Simd.vectorized () in
         match cache with
         | Some c ->
-          Cache.slab c ~k ~gating ~optimize:false ~relayout:false ~fuse:false
-            nl
+          Cache.slab c ~k ~gating ~simd ~optimize:false ~relayout:false
+            ~fuse:false nl
         | None ->
-          Slab.create ~k ~gating ~optimize:false ~relayout:false ~fuse:false nl
+          Slab.create ~k ~gating ~simd ~optimize:false ~relayout:false
+            ~fuse:false nl
       in
       let run_sharded sh =
         if Sharded.netlist sh <> nl then
@@ -504,19 +739,15 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
             "Campaign.run: sharded engine compiled from a different netlist \
              (build it with ~optimize:false ~relayout:false ~fuse:false on \
              the campaign netlist)";
-        let body ~member c =
-          let lo, hi = chunk_bounds c in
-          run_chunk (wide_ops (Sharded.replica sh member)) lo hi
-        in
-        match scheduler with
-        | Some sch ->
-          if Scheduler.pool sch != Sharded.pool sh then
-            invalid_arg
-              "Campaign.run: ?scheduler and ?sharded must share one pool \
-               (Sharded.of_base ~pool:(Scheduler.pool sch))";
-          Scheduler.run_tasks sch ~name:"campaign" ?deadline:(sched_deadline ())
-            ?retry nchunks (dress body)
-        | None -> Sharded.run_tasks sh nchunks (dress body)
+        (match scheduler with
+        | Some sch when Scheduler.pool sch != Sharded.pool sh ->
+          invalid_arg
+            "Campaign.run: ?scheduler and ?sharded must share one pool \
+             (Sharded.of_base ~pool:(Scheduler.pool sch))"
+        | _ -> ());
+        rounds
+          (fan_out (Sharded.run_tasks sh) (fun m ->
+               wide_ops (Sharded.replica sh m)))
       in
       match (engine, sharded) with
       | `Slab _, Some _ ->
@@ -527,32 +758,30 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         if nchunks > 0 then begin
           let base = slab_base k in
           let module SSh = Sharded.Slab_sharded in
-          let body ssh ~member c =
-            let lo, hi = chunk_bounds c in
-            run_chunk (slab_ops (SSh.replica ssh member)) lo hi
+          let ssh =
+            match scheduler with
+            | Some sch -> SSh.of_base ~pool:(Scheduler.pool sch) base
+            | None -> SSh.of_base ?domains base
+          in
+          let go () =
+            rounds
+              (fan_out (SSh.run_tasks ssh) (fun m ->
+                   slab_ops (SSh.replica ssh m)))
           in
           match scheduler with
-          | Some sch ->
-            let ssh = SSh.of_base ~pool:(Scheduler.pool sch) base in
-            Scheduler.run_tasks sch ~name:"campaign"
-              ?deadline:(sched_deadline ()) ?retry nchunks (dress (body ssh))
-          | None ->
-            let ssh = SSh.of_base ?domains base in
-            Fun.protect
-              ~finally:(fun () -> SSh.shutdown ssh)
-              (fun () -> SSh.run_tasks ssh nchunks (dress (body ssh)))
+          | Some _ -> go ()
+          | None -> Fun.protect ~finally:(fun () -> SSh.shutdown ssh) go
         end
       | `Wide, Some sh -> run_sharded sh
       | `Wide, None ->
         if Option.is_none scheduler && Option.is_none domains && nchunks <= 1
         then begin
           if nchunks = 1 then begin
-            let sim = wide_base () in
-            let body ~member:_ c =
-              let lo, hi = chunk_bounds c in
-              run_chunk (wide_ops sim) lo hi
-            in
-            dress body ~member:0 0
+            let ops = wide_ops (wide_base ()) in
+            rounds (fun n task ->
+                for c = 0 to n - 1 do
+                  dress (fun ~member:_ c -> task ops c) ~member:0 c
+                done)
           end
         end
         else if nchunks > 0 then begin
@@ -570,7 +799,7 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     List.init nfaults (fun i ->
         match results.(i) with
         | Some v -> v
-        | None -> assert false (* every chunk writes its slice *))
+        | None -> assert false (* every fault is classified by some round *))
   in
   let count p =
     List.length (List.filter (fun v -> p v.classification) verdicts)
@@ -641,47 +870,81 @@ let summary_string r =
     (100.0 *. coverage_ratio r)
     r.latent r.masked
 
+(* Both reports are rendered into one [Buffer]: a dense campaign has
+   tens of thousands of verdicts, and a [String.concat] over a list of
+   them builds the list and copies every byte once more. *)
 let to_string r =
-  String.concat "\n"
-    (summary_string r :: List.map (fun v -> "  " ^ verdict_to_string v) r.verdicts)
+  let buf = Buffer.create (64 * (r.total + 1)) in
+  Buffer.add_string buf (summary_string r);
+  List.iter
+    (fun v ->
+      Buffer.add_string buf "\n  ";
+      Buffer.add_string buf (verdict_to_string v))
+    r.verdicts;
+  Buffer.contents buf
 
-(* JSON: the [hydra faults --json] contract, pinned by a test. *)
+(* JSON: the [hydra faults --json] contract, pinned by a test.  Verdicts
+   are written straight into the report's buffer, without a [Printf]
+   format or an intermediate string per verdict. *)
 
 let js = Hydra_analyze.Diagnostic.json_string
 
+let add_verdict_json buf v =
+  let add = Buffer.add_string buf in
+  let int i = add (string_of_int i) in
+  add "{\"name\":";
+  add (js v.name);
+  (match v.fault with
+  | Stuck_at { site; value } ->
+    add ",\"model\":\"stuck_at\",\"site\":";
+    int site;
+    add (if value then ",\"value\":1" else ",\"value\":0")
+  | Seu { site; at_cycle } ->
+    add ",\"model\":\"seu\",\"site\":";
+    int site;
+    add ",\"at_cycle\":";
+    int at_cycle
+  | Intermittent { site; rate; seed } ->
+    Printf.bprintf buf
+      ",\"model\":\"intermittent\",\"site\":%d,\"rate\":%g,\"seed\":%d" site
+      rate seed);
+  (match v.classification with
+  | Detected { latency; cycle; output } ->
+    add ",\"class\":\"detected\",\"latency\":";
+    int latency;
+    add ",\"cycle\":";
+    int cycle;
+    add ",\"output\":";
+    add (js output)
+  | Latent -> add ",\"class\":\"latent\""
+  | Masked -> add ",\"class\":\"masked\"");
+  if v.status <> [] then begin
+    add ",\"status\":{";
+    List.iteri
+      (fun i (n, b) ->
+        if i > 0 then add ",";
+        add (js n);
+        add ":";
+        add (string_of_bool b))
+      v.status;
+    add "}"
+  end;
+  add "}"
+
 let verdict_to_json v =
-  let model =
-    match v.fault with
-    | Stuck_at { site; value } ->
-      Printf.sprintf "\"model\":\"stuck_at\",\"site\":%d,\"value\":%d" site
-        (Bool.to_int value)
-    | Seu { site; at_cycle } ->
-      Printf.sprintf "\"model\":\"seu\",\"site\":%d,\"at_cycle\":%d" site
-        at_cycle
-    | Intermittent { site; rate; seed } ->
-      Printf.sprintf "\"model\":\"intermittent\",\"site\":%d,\"rate\":%g,\"seed\":%d"
-        site rate seed
-  in
-  let cls =
-    match v.classification with
-    | Detected { latency; cycle; output } ->
-      Printf.sprintf "\"class\":\"detected\",\"latency\":%d,\"cycle\":%d,\"output\":%s"
-        latency cycle (js output)
-    | Latent -> "\"class\":\"latent\""
-    | Masked -> "\"class\":\"masked\""
-  in
-  let status =
-    if v.status = [] then ""
-    else
-      ",\"status\":{"
-      ^ String.concat ","
-          (List.map (fun (n, b) -> Printf.sprintf "%s:%b" (js n) b) v.status)
-      ^ "}"
-  in
-  Printf.sprintf "{\"name\":%s,%s,%s%s}" (js v.name) model cls status
+  let buf = Buffer.create 128 in
+  add_verdict_json buf v;
+  Buffer.contents buf
 
 let to_json r =
-  Printf.sprintf
-    "{\"version\":1,\"total\":%d,\"detected\":%d,\"latent\":%d,\"masked\":%d,\"cycles\":%d,\"verdicts\":[%s]}"
-    r.total r.detected r.latent r.masked r.cycles
-    (String.concat "," (List.map verdict_to_json r.verdicts))
+  let buf = Buffer.create (128 * (r.total + 1)) in
+  Printf.bprintf buf
+    "{\"version\":1,\"total\":%d,\"detected\":%d,\"latent\":%d,\"masked\":%d,\"cycles\":%d,\"verdicts\":["
+    r.total r.detected r.latent r.masked r.cycles;
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_verdict_json buf v)
+    r.verdicts;
+  Buffer.add_string buf "]}";
+  Buffer.contents buf

@@ -2,8 +2,11 @@
     {!Hydra_engine.Compiled_wide} runs the golden circuit while lanes
     1..61 each run a distinct fault injected at runtime through per-lane
     force masks — no per-fault netlist rewriting or recompilation.
-    Fault lists larger than one word chunk over
-    {!Hydra_engine.Sharded.run_tasks}. *)
+    Fault lists larger than one engine pass chunk over
+    {!Hydra_engine.Scheduler.run_tasks} or
+    {!Hydra_engine.Sharded.run_tasks}, and a chunk stops once half its
+    faults are detected, its survivors packed into fuller chunks that
+    resume from their migrated state. *)
 
 type fault =
   | Stuck_at of { site : int; value : bool }
@@ -127,7 +130,15 @@ val run :
     activity gating — force installs mark the affected blocks, so
     verdicts stay bit-identical while a mostly-quiescent circuit under
     a local fault simulates much faster.  Verdicts are identical to the
-    wide engine's — only the packing changes.
+    wide engine's — only the packing changes.  Slab engines run the
+    vectorized C kernels ({!Hydra_engine.Simd}) when the build has a
+    vector path.
+
+    Fault dropping: without [status_outputs], a chunk stops at the first
+    cycle boundary where at most half of its faults are still
+    undetected; the survivors' state moves to fuller chunks that resume
+    at the next cycle.  Verdicts are identical to running each fault
+    alone.  With [status_outputs], every lane runs the whole window.
 
     Resilience knobs: [?deadline] bounds the whole campaign in
     wall-clock seconds, enforced at chunk boundaries

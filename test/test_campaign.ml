@@ -12,6 +12,7 @@ module W = Hydra_engine.Compiled_wide
 module Sharded = Hydra_engine.Sharded
 module Fault = Hydra_verify.Fault
 module C = Hydra_verify.Campaign
+module Chaos = Hydra_verify.Chaos
 module Lint = Hydra_analyze.Lint
 module D = Hydra_analyze.Diagnostic
 
@@ -52,6 +53,21 @@ let classification_of report fault =
   v.C.classification
 
 let is_detected = function C.Detected _ -> true | C.Latent | C.Masked -> false
+
+(* A 4x4 Wallace multiplier with registered product bits: sequential,
+   and most stuck-at faults show within two cycles, so chunks drop. *)
+let wallace4 () =
+  let module Wl = Hydra_circuits.Wallace.Make (G) in
+  let xs = List.init 4 (fun i -> G.input (Printf.sprintf "x%d" i)) in
+  let ys = List.init 4 (fun i -> G.input (Printf.sprintf "y%d" i)) in
+  N.of_graph
+    ~outputs:
+      (List.mapi (fun i p -> (Printf.sprintf "p%d" i, G.dff p)) (Wl.multw xs ys))
+
+(* Every verdict of a many-fault campaign equals the fault's single-fault
+   {!C.replay}: a single-fault run never drops or compacts. *)
+let matches_replay report =
+  List.for_all (fun v -> C.replay report v.C.fault = v) report.C.verdicts
 
 let check_cov_equal name (a : Fault.coverage) (b : Fault.coverage) =
   check_int (name ^ ": total") a.Fault.total b.Fault.total;
@@ -547,4 +563,169 @@ let suite =
               (C.run ~sharded:sh ~engine:(`Slab 2) nl ~faults ~stimulus:[]
                  ~cycles:1));
         Sharded.shutdown sh);
+    (* ---- fault dropping and lane compaction ---- *)
+    qc ~count:100 "campaign: dropping and compaction match single-fault replay"
+      QCheck2.Gen.(
+        quad Test_analyze.gen_nodes (int_bound 1000) (int_bound 6)
+          (int_range 2 12))
+      (fun (nodes, seed, flavor, cycles) ->
+        (* a trailing dff keeps every generated circuit sequential *)
+        let nl =
+          Test_analyze.random_netlist (nodes @ [ (Test_analyze.Rdff, seed, 0) ])
+        in
+        let st = Random.State.make [| seed |] in
+        let sites =
+          Array.of_list
+            (List.filter
+               (fun i ->
+                 match nl.N.components.(i) with N.Outport _ -> false | _ -> true)
+               (List.init (N.size nl) Fun.id))
+        in
+        let dffs = Array.of_list (C.dff_sites nl) in
+        let pick a = a.(Random.State.int st (Array.length a)) in
+        let faults =
+          C.all_stuck_at nl
+          @ List.init 20 (fun _ ->
+                C.Seu { site = pick dffs; at_cycle = Random.State.int st (cycles + 1) })
+          @ List.init 8 (fun i ->
+                C.Intermittent { site = pick sites; rate = 0.5; seed = seed + i })
+        in
+        (* repeated, so the list spans several wide chunks *)
+        let faults = faults @ faults in
+        let stimulus = C.random_stimulus ~seed ~cycles nl in
+        let engine, gating =
+          [| (`Wide, false); (`Slab 1, false); (`Slab 1, true); (`Slab 2, false);
+             (`Slab 2, true); (`Slab 4, false); (`Slab 4, true) |].(flavor)
+        in
+        matches_replay (C.run ~engine ~gating nl ~faults ~stimulus ~cycles));
+    tc "campaign: gated SEU on a dff with a quiet driver re-latches" (fun () ->
+        (* x never changes, so a gated tick latches d only if the upset
+           itself marked d's cluster dirty; unread, the healed upset is
+           masked on every engine *)
+        let x = G.input "x" in
+        let d = G.dff x in
+        let nl = N.of_graph ~outputs:[ ("y", G.or2 x (G.and2 d G.zero)) ] in
+        let faults = [ C.Seu { site = List.hd (C.dff_sites nl); at_cycle = 2 } ] in
+        let stimulus = [ ("x", [ false; false; false; false ]) ] in
+        List.iter
+          (fun (engine, gating) ->
+            let r = C.run ~engine ~gating nl ~faults ~stimulus ~cycles:4 in
+            check_string "masked" "masked"
+              (C.class_string (List.hd r.C.verdicts).C.classification))
+          [ (`Wide, false); (`Slab 1, false); (`Slab 1, true); (`Slab 2, true) ]);
+    tc "campaign: word and chunk boundaries under compaction (k=2)" (fun () ->
+        let nl = wallace4 () in
+        let all = Array.of_list (C.all_stuck_at nl) in
+        check_bool "at least 124 faults" true (Array.length all >= 124);
+        let stimulus = C.random_stimulus ~seed:5 ~cycles:8 nl in
+        (* 61/62 straddle slab word 0 -> 1, 123/124 the one-chunk limit *)
+        List.iter
+          (fun count ->
+            let faults = Array.to_list (Array.sub all 0 count) in
+            let r = C.run ~engine:(`Slab 2) nl ~faults ~stimulus ~cycles:8 in
+            check_bool (Printf.sprintf "%d faults match replay" count) true
+              (matches_replay r))
+          [ 61; 62; 123; 124 ]);
+    tc "campaign: intermittent flips on a constant survive compaction" (fun () ->
+        (* nothing re-drives a constant, so its flips accumulate: the
+           constant's state must migrate with the lane *)
+        let nl = ripple 8 in
+        let const =
+          List.find
+            (fun i -> match nl.N.components.(i) with N.Constant _ -> true | _ -> false)
+            (List.init (N.size nl) Fun.id)
+        in
+        let stimulus = C.random_stimulus ~seed:3 ~cycles:16 nl in
+        let faults =
+          C.all_stuck_at nl
+          @ List.init 4 (fun s -> C.Intermittent { site = const; rate = 0.5; seed = s })
+        in
+        let r = C.run ~engine:(`Slab 1) nl ~faults ~stimulus ~cycles:16 in
+        check_bool "verdicts match replay" true (matches_replay r));
+    tc "campaign: status outputs keep every lane to the end of the window"
+      (fun () ->
+        (* y shows a stuck-at-1 on the and gate at once; [late] asserts
+           three cycles later on the same lane, so a dropping chunk would
+           miss it *)
+        let x = G.input "x" in
+        let y = G.and2 x x in
+        let nl =
+          N.of_graph ~outputs:[ ("y", y); ("late", G.dff (G.dff (G.dff y))) ]
+        in
+        let gate =
+          List.find
+            (fun i -> nl.N.components.(i) = N.And2c)
+            (List.init (N.size nl) Fun.id)
+        in
+        let fault = C.Stuck_at { site = gate; value = true } in
+        let r =
+          C.run ~engine:(`Slab 2) ~status_outputs:[ "late" ] nl
+            ~faults:(List.init 100 (fun _ -> fault))
+            ~stimulus:[ ("x", List.init 6 (fun _ -> false)) ]
+            ~cycles:6
+        in
+        List.iter
+          (fun v ->
+            check_bool "detected at cycle 0" true
+              (v.C.classification
+              = C.Detected { latency = 0; cycle = 0; output = "y" });
+            check_bool "late flag sampled after detection" true
+              (List.assoc "late" v.C.status))
+          r.C.verdicts;
+        check_bool "matches replay" true (C.replay r fault = List.hd r.C.verdicts));
+    tc "campaign: retry + chaos through compaction is bit-identical" (fun () ->
+        let nl = wallace4 () in
+        let faults = C.all_stuck_at nl in
+        let stimulus = C.random_stimulus ~seed:8 ~cycles:8 nl in
+        let run ?scheduler ?retry ?chaos () =
+          C.run ?scheduler ?retry ?chaos ~engine:(`Slab 1) nl ~faults ~stimulus
+            ~cycles:8
+        in
+        let clean = run () in
+        (* a zero delay at every chunk attempt counts the chunks run: more
+           than round 0's proves later rounds ran on compacted survivors *)
+        let counter =
+          Chaos.plan ~seed:1 ~delay_rate:1.0 ~exn_rate:0.0 ~max_delay:0.0 ()
+        in
+        ignore (run ~chaos:counter ());
+        let round0 = (List.length faults + 60) / 61 in
+        check_bool "later rounds ran" true
+          ((Chaos.injected counter).Chaos.delays > round0);
+        let retry =
+          Hydra_engine.Resilience.retry ~max_attempts:8 ~base_delay:0.0005 ()
+        in
+        let storm seed =
+          Chaos.plan ~seed ~delay_rate:0.1 ~exn_rate:0.3 ~max_delay:0.001 ()
+        in
+        let direct = run ~retry ~chaos:(storm 11) () in
+        check_bool "direct retries bit-identical" true
+          (clean.C.verdicts = direct.C.verdicts);
+        let sch = Hydra_engine.Scheduler.create ~domains:2 () in
+        let scheduled =
+          Fun.protect
+            ~finally:(fun () -> Hydra_engine.Scheduler.shutdown sch)
+            (fun () -> run ~scheduler:sch ~retry ~chaos:(storm 12) ())
+        in
+        check_bool "scheduler retries bit-identical" true
+          (clean.C.verdicts = scheduled.C.verdicts));
+    tc "campaign: to_json is the header plus every verdict_to_json" (fun () ->
+        let nl = ripple 8 in
+        let stimulus = C.random_stimulus ~seed:4 ~cycles:6 nl in
+        let r =
+          C.run nl
+            ~faults:(C.all_stuck_at nl @ C.all_stuck_at nl)
+            ~stimulus ~cycles:6
+        in
+        check_bool "several chunks" true (r.C.total > 61);
+        check_string "json"
+          (Printf.sprintf
+             "{\"version\":1,\"total\":%d,\"detected\":%d,\"latent\":%d,\"masked\":%d,\"cycles\":%d,\"verdicts\":[%s]}"
+             r.C.total r.C.detected r.C.latent r.C.masked r.C.cycles
+             (String.concat "," (List.map C.verdict_to_json r.C.verdicts)))
+          (C.to_json r);
+        check_string "text"
+          (String.concat "\n"
+             (C.summary_string r
+             :: List.map (fun v -> "  " ^ C.verdict_to_string v) r.C.verdicts))
+          (C.to_string r));
   ]
