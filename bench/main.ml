@@ -1789,7 +1789,7 @@ let smoke () =
     Compiled.settle scalar;
     List.iter
       (fun (name, _) ->
-        if Wide.output_lane wide name 7 <> Compiled.output scalar name then
+        if Hydra_engine.Slab.output_lane wide name 7 <> Compiled.output scalar name then
           failwith ("smoke: lane mismatch on " ^ name))
       nl.N.outputs;
     Wide.tick wide;
@@ -1813,7 +1813,7 @@ let smoke () =
   let reference = Wide.create nl in
   Array.iteri
     (fun b inputs ->
-      if got.(b) <> Wide.run_packed reference ~inputs ~cycles:4 then
+      if got.(b) <> Hydra_engine.Slab.run_packed reference ~inputs ~cycles:4 then
         failwith (Printf.sprintf "smoke: sharded batch %d diverges" b))
     batches;
   print_endline "  sharded/wide batch agreement: ok";

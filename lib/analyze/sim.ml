@@ -179,3 +179,14 @@ let packed_outputs t =
    every component, not just ports, to compare analysis verdicts against
    what the lanes actually did. *)
 let packed_value t i = t.values.(i)
+
+(* Overwrite component [i]'s word: a flip flop's held state (what the
+   next settle reads), any other component's current word — an input
+   keeps it until re-driven, a gate or constant is recomputed by the
+   next settle. *)
+let packed_poke t i w =
+  let w = w land P.lane_mask in
+  t.values.(i) <- w;
+  match t.nl.Netlist.components.(i) with
+  | Netlist.Dffc _ -> t.state.(i) <- w
+  | _ -> ()

@@ -45,3 +45,8 @@ val packed_value : packed -> int -> int
 (** Settled word of component [i] (any component, not just a port) —
     {!Dataflow.crosscheck} compares per-component analysis verdicts
     against simulated lane words. *)
+
+val packed_poke : packed -> int -> int -> unit
+(** [packed_poke t i w] overwrites component [i]'s word (masked to 62
+    lanes): a flip flop's held state, an input's driven word; a gate or
+    constant is recomputed by the next {!packed_settle}. *)

@@ -5,9 +5,9 @@
    vectors simultaneously — the classic trick for fast exhaustive or
    random testing of combinational logic (paper section 4.2 argues
    simulation is the practical workhorse; this makes it 62x wider per
-   gate operation).  The same lane layout is shared by the sequential
-   wide engine ({!Hydra_engine.Compiled_wide}), which reuses the helpers
-   below. *)
+   gate operation).  The same lane layout is every word of the
+   sequential slab engine ({!Hydra_engine.Slab}), which reuses the
+   helpers below. *)
 
 type t = int
 

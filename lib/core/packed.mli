@@ -1,8 +1,8 @@
 (** Bit-parallel combinational semantics: a signal is a machine word
     carrying {!lanes} independent simulation runs, so one pass of a
     circuit evaluates it on up to 62 input vectors at once.  The lane
-    layout and helpers here are shared with the sequential wide engine
-    ({!Hydra_engine.Compiled_wide}). *)
+    layout and helpers here are shared with every word of the sequential
+    slab engine ({!Hydra_engine.Slab}). *)
 
 include Signal_intf.COMB with type t = int
 

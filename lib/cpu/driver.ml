@@ -214,8 +214,8 @@ let final_registers result =
   regs
 
 (* Multi-program mode: run many machine-language programs at once on the
-   gate-level system netlist, 62 programs per wide pass, passes sharded
-   across domains ({!Hydra_engine.Sharded}).  Each lane gets the exact
+   gate-level system netlist, 62 programs per pass of a k = 1 slab,
+   passes sharded across domains ({!Hydra_engine.Sharded}).  Each lane gets the exact
    input schedule [run_structural] would generate for its program — DMA
    load at addresses 0.., a start pulse at t = program length, then free
    running — so lanes with different program lengths start (and halt)
@@ -263,7 +263,7 @@ let program_stimulus ?(mem_bits = 6) ?(max_cycles = 2000) program =
 type batch_result = { halted : bool; cycles : int; pc : int }
 
 let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
-  let module W = Hydra_engine.Compiled_wide in
+  let module Slab = Hydra_engine.Slab in
   let module Sh = Hydra_engine.Sharded in
   let module P = Hydra_core.Packed in
   let nprog = Array.length programs in
@@ -275,11 +275,17 @@ let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
     progs;
   let sh, owned =
     match sharded with
+    | Some sh when Sh.k sh <> 1 ->
+      invalid_arg
+        (Printf.sprintf
+           "Driver.run_many: ?sharded engine has k=%d words per signal; \
+            programs are packed 62 to a pass and need k=1"
+           (Sh.k sh))
     | Some sh -> (sh, false)
     | None -> (Sh.create ?domains (system_netlist ~mem_bits ()), true)
   in
   let results = Array.make nprog { halted = false; cycles = 0; pc = 0 } in
-  let lanes = W.lanes in
+  let lanes = P.lanes in
   let npasses = (nprog + lanes - 1) / lanes in
   Sh.dispatch sh npasses (fun sim p ->
       let base = p * lanes in
@@ -287,7 +293,7 @@ let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
       let lens = Array.init count (fun l -> Array.length progs.(base + l)) in
       let max_len = Array.fold_left max 0 lens in
       let limit = max_len + max_cycles in
-      W.reset sim;
+      Slab.reset sim;
       let halted_mask = ref 0 in
       let all = (1 lsl count) - 1 in
       let t = ref 0 in
@@ -298,13 +304,13 @@ let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
           if t0 = lens.(l) then start_w := !start_w lor (1 lsl l);
           if t0 < lens.(l) then dma_w := !dma_w lor (1 lsl l)
         done;
-        W.set_input sim "start" !start_w;
-        W.set_input sim "dma" !dma_w;
+        Slab.set_input sim "start" !start_w;
+        Slab.set_input sim "dma" !dma_w;
         (* dma address: the address is [t0] in every still-loading lane
            and 0 elsewhere, so a bit of [da] is the active mask or 0 *)
         List.iteri
           (fun i b ->
-            W.set_input sim (Printf.sprintf "da%d" i) (if b then !dma_w else 0))
+            Slab.set_input sim (Printf.sprintf "da%d" i) (if b then !dma_w else 0))
           (word_of_int t0);
         (* dma data: lane [l] carries its own program's word [t0] *)
         let dd_words = Array.make Isa.word_size 0 in
@@ -316,14 +322,14 @@ let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
               (word_of_int progs.(base + l).(t0))
         done;
         Array.iteri
-          (fun i w -> W.set_input sim (Printf.sprintf "dd%d" i) w)
+          (fun i w -> Slab.set_input sim (Printf.sprintf "dd%d" i) w)
           dd_words;
-        W.settle sim;
-        let newly = W.output sim "halted" land lnot !halted_mask land all in
+        Slab.settle sim;
+        let newly = Slab.output sim "halted" land lnot !halted_mask land all in
         if newly <> 0 then begin
           let pc_bits =
             List.init Isa.word_size (fun i ->
-                W.output sim (Printf.sprintf "pc%d" i))
+                Slab.output sim (Printf.sprintf "pc%d" i))
           in
           for l = 0 to count - 1 do
             if newly land (1 lsl l) <> 0 then begin
@@ -336,7 +342,7 @@ let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
           done;
           halted_mask := !halted_mask lor newly
         end;
-        W.tick sim;
+        Slab.tick sim;
         incr t
       done;
       for l = 0 to count - 1 do

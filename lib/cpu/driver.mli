@@ -90,8 +90,10 @@ val run_many :
     program [k] rides in lane [k mod 62] of sharded job [k / 62], each
     lane driven with exactly the DMA-load / start-pulse schedule
     {!run_structural} would generate for it, so N programs cost
-    ceil(N/62) wide simulations spread over the domains.  [?sharded]
+    ceil(N/62) 62-lane simulations spread over the domains.  [?sharded]
     reuses an engine already created from [system_netlist ~mem_bits]
-    (and is not shut down); otherwise one is created with [?domains]
-    and shut down on return.  [cycles] and [halted] of result [k] match
+    (and is not shut down) — it must be a k = 1 engine
+    ([Sharded.create], or [Sharded.of_base] of a [Compiled_wide]),
+    otherwise [Invalid_argument]; without it one is created with
+    [?domains] and shut down on return.  [cycles] and [halted] of result [k] match
     {!run_structural} on program [k]. *)

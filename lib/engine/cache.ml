@@ -9,14 +9,14 @@
    index-permuted twins land in separate entries of the same bucket.  A
    collision therefore costs a duplicate entry, never a wrong program.
 
-   Engine flavors ("wide", "slab:…") cache one pristine exemplar engine
-   per key and hand out {!Compiled_wide.replicate}/{!Slab.replicate}
-   copies — fresh power-up value state over the shared compiled arrays —
-   so a warm hit skips compilation *and* the per-engine derived metadata
-   (slab consumer unions, scaled kernels).  The underlying program is
-   cached under its own "program" flavor and shared across flavors, so a
-   wide hit after a slab miss still reuses nothing it shouldn't and a
-   [compile]-then-[wide] sequence compiles once.
+   Engine flavors ("slab:…") cache one pristine exemplar engine per key
+   and hand out {!Slab.replicate} copies — fresh power-up value state
+   over the shared compiled arrays — so a warm hit skips compilation
+   *and* the per-engine derived metadata (slab consumer unions, scaled
+   kernels).  [wide] is the k = 1 ungated OCaml-kernel slab flavor.  The
+   underlying program is cached under its own "program" flavor and
+   shared across flavors, so a [compile]-then-[wide] sequence compiles
+   once.
 
    Everything is guarded by one mutex; compilation itself runs outside
    it (two threads racing on the same cold key may both compile — the
@@ -35,10 +35,7 @@ type key = {
   tuning : Kernel.tuning;
 }
 
-type payload =
-  | Program of Kernel.program
-  | Wide of Compiled_wide.t
-  | Slab of Slab.t
+type payload = Program of Kernel.program | Slab of Slab.t
 
 type entry = {
   e_netlist : Netlist.t;  (* as presented, pre-pass: the identity *)
@@ -186,19 +183,7 @@ let compile t ?(optimize = false) ?(relayout = true) ?(fuse = true)
         Program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k nl))
   with
   | Program p -> p
-  | Wide _ | Slab _ -> assert false
-
-let wide t ?(optimize = false) ?(relayout = true) ?(fuse = true)
-    ?(certify = false) ?(tuning = Kernel.default_tuning) nl =
-  let key = mk_key ~flavor:"wide" ~optimize ~relayout ~fuse ~k:1 ~tuning nl in
-  match
-    get t key nl (fun () ->
-        Wide
-          (Compiled_wide.of_program
-             (compile t ~optimize ~relayout ~fuse ~certify ~tuning ~k:1 nl)))
-  with
-  | Wide w -> Compiled_wide.replicate w
-  | Program _ | Slab _ -> assert false
+  | Slab _ -> assert false
 
 let slab t ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
     ?(relayout = true) ?(fuse = true) ?(certify = false)
@@ -215,7 +200,10 @@ let slab t ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
              (compile t ~optimize ~relayout ~fuse ~certify ~tuning ~k nl)))
   with
   | Slab s -> Slab.replicate s
-  | Program _ | Wide _ -> assert false
+  | Program _ -> assert false
+
+let wide t ?optimize ?relayout ?fuse ?certify ?tuning nl =
+  slab t ~k:1 ?optimize ?relayout ?fuse ?certify ?tuning nl
 
 (* One process-wide cache for clients without their own plumbing
    (Fault.generate_tests, the CLI).  Created at module init, so no

@@ -16,7 +16,7 @@
 
     Engine flavors cache one pristine exemplar per key and return
     replicas (fresh power-up value state over the shared compiled
-    arrays), so a warm {!wide}/{!slab} hit skips both compilation and
+    arrays), so a warm {!slab} (or {!wide}) hit skips both compilation and
     the per-engine derived metadata.  Eviction is LRU with hit, miss and
     eviction counters; all operations are mutex-guarded and safe to call
     from scheduler task bodies on any domain (compilation itself runs
@@ -54,12 +54,13 @@ val wide :
   ?certify:bool ->
   ?tuning:Kernel.tuning ->
   Hydra_netlist.Netlist.t ->
-  Compiled_wide.t
-(** As {!Compiled_wide.create} (same defaults), through the cache: a
-    replica of the cached exemplar, at power-up, safe to run
-    concurrently with every other replica.  The underlying program is
-    cached under the "program" flavor and shared with {!compile} and
-    {!slab} calls using the same flags, so each counts its own
+  Slab.t
+(** The 62-lane engine ({!Compiled_wide.create}, same defaults) through
+    the cache: [slab ~k:1] ungated without SIMD, so it shares that
+    flavor's entries.  A replica of the cached exemplar, at power-up,
+    safe to run concurrently with every other replica.  The underlying
+    program is cached under the "program" flavor and shared with
+    {!compile} calls using the same flags, so each counts its own
     hit/miss. *)
 
 val slab :

@@ -1,91 +1,11 @@
-(* Word-parallel (62-lane) levelized compiled simulator.
+(* The wide engine is the k = 1 slab; see compiled_wide.mli. *)
 
-   Every net holds a machine word carrying [Packed.lanes] = 62 independent
-   simulation lanes, so one pass over the gate arrays advances 62 test
-   vectors / stimulus streams at once: gates become [land]/[lor]/[lxor]/
-   [lnot] on whole words and the dff latch phase copies words.  This
-   generalizes the combinational {!Hydra_core.Packed} semantics to
-   sequential circuits — the full section-5/6 processors run 62 programs
-   per pass.
+type t = Slab.t
 
-   Throughput levers over the scalar {!Compiled} engine:
+let lanes = Slab.lanes_per_word
 
-   - The per-gate variant dispatch of [Compiled.eval_component] is
-     replaced by pre-split per-op index arrays: at compile time each
-     levelized rank is split into one flat (dst, src) array per gate
-     kind, and [settle] runs one tight branch-free loop per kind per
-     rank.  The inner loops contain no matches and no polymorphism — just
-     unsafe int-array reads, a logical op, and a write.
-
-   - A rank-major, fanout-clustered memory re-layout
-     ({!Hydra_netlist.Layout.rank_major}, on by default) renumbers the
-     netlist so each rank's per-kind destination ranges are contiguous
-     and gates reading the same driver sit on the same cache lines.
-
-   - Fused kernels for the common 2-level patterns the netlists are full
-     of: and-or ([x = (a&b) | (c&d)] — mux and carry-select shapes),
-     or-and ([x = (a&b) | c] — the carry chain), and xor chains
-     ([x = a ^ b ^ c] — full-adder sums).  When the inner gate feeds only
-     the outer one (fanout 1) it is evaluated inside the outer gate's
-     loop and never written to memory, saving a store and a reload per
-     fused gate per pass.
-
-   - Independent lane-batches chunk over {!Hydra_parallel.Pool}
-     ({!run_vectors} / {!run_batches}): each domain simulates its own
-     {!replicate} of the engine (sharing the immutable compiled arrays,
-     owning its value state), so batch-level parallelism composes with
-     lane-level packing and there are no barriers inside a batch — unlike
-     {!Parallel_sim}'s per-level barriers, which only pay off on very
-     wide ranks.  {!Sharded} scales this pattern with persistent
-     per-domain replicas and a work queue.
-
-   The compile-time pipeline (pre-passes, levelize, fusion planning,
-   per-kind index splitting) lives in {!Kernel} and is shared with the
-   multi-word {!Slab} engine; this module owns only the 1-word-per-signal
-   runtime state and hot loops. *)
-
-module Netlist = Hydra_netlist.Netlist
-module Levelize = Hydra_netlist.Levelize
-module Packed = Hydra_core.Packed
-module Pool = Hydra_parallel.Pool
-
-let lanes = Packed.lanes
-let lane_mask = Packed.lane_mask
-
-(* A per-lane value override applied at one component's kernel output
-   during [settle] (fault injection, see {!Hydra_verify.Campaign}): lanes
-   set in [force0] are driven to 0, lanes in [force1] to 1, lanes in
-   [flip] are inverted, in that order.  The words are mutable so a
-   campaign can re-seed per-cycle (intermittent) faults without
-   re-registering. *)
-type force = {
-  f_site : int;
-  mutable force0 : int;
-  mutable force1 : int;
-  mutable flip : int;
-}
-
-type t = {
-  prog : Kernel.program;
-  consts : (int * int) array;  (* component index, broadcast word *)
-  dff_init_w : int array;  (* broadcast power-up words *)
-  values : int array;
-  dff_next : int array;
-  mutable cycle : int;
-  mutable force_slots : force array array;
-      (* slot 0 applies before rank 0, slot [l + 1] after rank [l]'s
-         kernels; [[||]] when no forces are registered (the hot path) *)
-}
-
-let apply_initial t =
-  Array.iter (fun (i, w) -> Array.unsafe_set t.values i w) t.consts;
-  Array.iteri
-    (fun j i -> Array.unsafe_set t.values i t.dff_init_w.(j))
-    t.prog.Kernel.dffs
-
-(* Hot arrays get a cache line of slack at the end so replicas allocated
-   back to back never share a line across domains. *)
-let pad = 8
+let create ?optimize ?relayout ?fuse ?certify ?tuning nl =
+  Slab.create ~k:1 ?optimize ?relayout ?fuse ?certify ?tuning nl
 
 let of_program prog =
   if prog.Kernel.k <> 1 then
@@ -93,313 +13,11 @@ let of_program prog =
       (Printf.sprintf
          "Compiled_wide.of_program: program compiled for k=%d, need k=1"
          prog.Kernel.k);
-  let t =
-    {
-      prog;
-      consts = Array.map (fun (i, b) -> (i, Packed.broadcast b)) prog.Kernel.consts;
-      dff_init_w = Array.map Packed.broadcast prog.Kernel.dff_init;
-      values = Array.make (Kernel.size prog + pad) 0;
-      dff_next = Array.make (Array.length prog.Kernel.dffs + pad) 0;
-      cycle = 0;
-      force_slots = [||];
-    }
-  in
-  apply_initial t;
-  t
+  Slab.of_program prog
 
-let create ?(optimize = false) ?(relayout = true) ?(fuse = true)
-    ?(certify = false) ?(tuning = Kernel.default_tuning) netlist =
-  of_program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k:1 netlist)
-
-let program t = t.prog
-
-(* A fresh engine over the same compiled circuit: shares every immutable
-   compiled array, owns its own (padded) value state.  Safe to run in
-   another domain concurrently with the original. *)
-let replicate t =
-  let r =
-    {
-      t with
-      values = Array.make (Array.length t.values) 0;
-      dff_next = Array.make (Array.length t.dff_next) 0;
-      cycle = 0;
-      force_slots = [||];  (* replicas start unforced *)
-    }
-  in
-  apply_initial r;
-  r
-
-let reset t =
-  Array.fill t.values 0 (Array.length t.values) 0;
-  apply_initial t;
-  t.cycle <- 0
-
-let set_input t name w =
-  match Hashtbl.find_opt t.prog.Kernel.input_index name with
-  | Some i -> t.values.(i) <- w land lane_mask
-  | None -> invalid_arg ("Compiled_wide.set_input: unknown input " ^ name)
-
-let set_input_bool t name b = set_input t name (Packed.broadcast b)
-
-let set_input_lane t name lane b =
-  match Hashtbl.find_opt t.prog.Kernel.input_index name with
-  | Some i -> t.values.(i) <- Packed.set_lane t.values.(i) lane b
-  | None -> invalid_arg ("Compiled_wide.set_input_lane: unknown input " ^ name)
-
-(* Group forces by the rank at which the forced value must exist so that
-   every consumer — which is always at a strictly higher rank — reads the
-   overridden word: gates and outports right after their own rank's
-   kernels, inputs/dffs/constants before rank 0.  Fused engines are
-   rejected because a consumed inner gate's word is never materialized,
-   so a force on (or through) it would be silently lost. *)
-let set_forces t forces =
-  if t.prog.Kernel.fused > 0 then
-    invalid_arg "Compiled_wide.set_forces: requires an engine built with ~fuse:false";
-  let slots = Array.make (Kernel.n_force_slots t.prog) [] in
-  Array.iter
-    (fun f ->
-      let slot = Kernel.force_slot ~what:"Compiled_wide.set_forces" t.prog f.f_site in
-      slots.(slot) <- f :: slots.(slot))
-    forces;
-  t.force_slots <- Array.map (fun l -> Array.of_list (List.rev l)) slots
-
-let clear_forces t = t.force_slots <- [||]
-
-let apply_forces values slot =
-  for j = 0 to Array.length slot - 1 do
-    let f = Array.unsafe_get slot j in
-    let w = Array.unsafe_get values f.f_site in
-    Array.unsafe_set values f.f_site
-      ((((w land lnot f.force0) lor f.force1) lxor f.flip) land lane_mask)
-  done
-
-(* The hot path: one branch-free loop per gate kind per block.  Blocks
-   are the compile-time L1/L2 tiles of a rank ({!Kernel.tuning}); running
-   every kind's loop over one block before moving to the next re-walks a
-   cache-hot tile instead of streaming the whole rank per kind. *)
-let run_block values (k : Kernel.kernel) =
-  let dst = k.inv_dst and src = k.inv_src in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (lnot (Array.unsafe_get values (Array.unsafe_get src j)) land lane_mask)
-  done;
-  let dst = k.and_dst and s0 = k.and_s0 and s1 = k.and_s1 in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get s0 j)
-      land Array.unsafe_get values (Array.unsafe_get s1 j))
-  done;
-  let dst = k.or_dst and s0 = k.or_s0 and s1 = k.or_s1 in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get s0 j)
-      lor Array.unsafe_get values (Array.unsafe_get s1 j))
-  done;
-  let dst = k.xor_dst and s0 = k.xor_s0 and s1 = k.xor_s1 in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get s0 j)
-      lxor Array.unsafe_get values (Array.unsafe_get s1 j))
-  done;
-  let dst = k.andor_dst and a = k.andor_a and b = k.andor_b
-  and c = k.andor_c and d = k.andor_d in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get a j)
-       land Array.unsafe_get values (Array.unsafe_get b j)
-      lor (Array.unsafe_get values (Array.unsafe_get c j)
-          land Array.unsafe_get values (Array.unsafe_get d j)))
-  done;
-  let dst = k.orand_dst and a = k.orand_a and b = k.orand_b
-  and c = k.orand_c in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get a j)
-       land Array.unsafe_get values (Array.unsafe_get b j)
-      lor Array.unsafe_get values (Array.unsafe_get c j))
-  done;
-  let dst = k.xor3_dst and a = k.xor3_a and b = k.xor3_b and c = k.xor3_c in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get a j)
-      lxor Array.unsafe_get values (Array.unsafe_get b j)
-      lxor Array.unsafe_get values (Array.unsafe_get c j))
-  done;
-  let dst = k.out_dst and src = k.out_src in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get src j))
-  done
-
-let settle t =
-  let values = t.values in
-  let blocks = t.prog.Kernel.blocks in
-  let rfb = t.prog.Kernel.rank_first_block in
-  let slots = t.force_slots in
-  let forced = Array.length slots > 0 in
-  if forced then apply_forces values (Array.unsafe_get slots 0);
-  for lvl = 0 to Array.length rfb - 2 do
-    for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
-      run_block values (Array.unsafe_get blocks b)
-    done;
-    if forced then apply_forces values (Array.unsafe_get slots (lvl + 1))
-  done
-
-let tick t =
-  let values = t.values and next = t.dff_next in
-  let dffs = t.prog.Kernel.dffs and src = t.prog.Kernel.dff_src in
-  for j = 0 to Array.length dffs - 1 do
-    Array.unsafe_set next j
-      (Array.unsafe_get values (Array.unsafe_get src j))
-  done;
-  for j = 0 to Array.length dffs - 1 do
-    Array.unsafe_set values (Array.unsafe_get dffs j) (Array.unsafe_get next j)
-  done;
-  t.cycle <- t.cycle + 1
-
-let step t =
-  settle t;
-  tick t
-
-let output t name =
-  match Hashtbl.find_opt t.prog.Kernel.output_index name with
-  | Some i -> t.values.(i)
-  | None -> invalid_arg ("Compiled_wide.output: unknown output " ^ name)
-
-let output_lane t name lane = Packed.lane (output t name) lane
-
-let outputs t =
-  List.map (fun (s, i) -> (s, t.values.(i))) t.prog.Kernel.netlist.Netlist.outputs
-
-let peek t i = t.values.(i)
-let poke t i w = t.values.(i) <- w land lane_mask
-let cycle t = t.cycle
-let netlist t = t.prog.Kernel.netlist
-let critical_path t = t.prog.Kernel.levels.Levelize.critical_path
-let fused_gates t = t.prog.Kernel.fused
-
-(* Word-indexed aliases, the {!Engine_intf.S} view of this engine: one
-   word per signal, so the only valid word index is 0. *)
-let words _ = 1
-
-let check_word what w =
-  if w <> 0 then
-    invalid_arg
-      (Printf.sprintf "%s: word index %d out of range (engine has 1 word)"
-         what w)
-
-let set_input_word t name w v =
-  check_word "Compiled_wide.set_input_word" w;
-  set_input t name v
-
-let output_word t name w =
-  check_word "Compiled_wide.output_word" w;
-  output t name
-
-let peek_word t i w =
-  check_word "Compiled_wide.peek_word" w;
-  peek t i
-
-let poke_word t i w v =
-  check_word "Compiled_wide.poke_word" w;
-  poke t i v
-
-(* Whole packed simulation, the word analogue of [Compiled.run]: every
-   input stream is a packed word per cycle (shorter streams padded with
-   0), output rows are packed words. *)
-let run_packed t ~inputs ~cycles =
-  reset t;
-  let rows = ref [] in
-  for c = 0 to cycles - 1 do
-    List.iter
-      (fun (name, vals) ->
-        let value = match List.nth_opt vals c with Some w -> w | None -> 0 in
-        set_input t name value)
-      inputs;
-    settle t;
-    rows := outputs t :: !rows;
-    tick t
-  done;
-  List.rev !rows
-
-(* Batched combinational testbench: vector [k] (one bool per declared
-   input, in port-list order) rides in lane [k mod 62] of pass [k / 62];
-   each pass is reset / set inputs / settle / read outputs.  Passes are
-   independent, so with a pool they chunk across domains, each on its own
-   replica. *)
-let run_vectors ?pool t vectors =
-  let nvec = Array.length vectors in
-  let in_ports = Array.of_list (netlist t).Netlist.inputs in
-  let out_ports = Array.of_list (netlist t).Netlist.outputs in
-  let nin = Array.length in_ports and nout = Array.length out_ports in
-  Array.iter
-    (fun v ->
-      if Array.length v <> nin then
-        invalid_arg "Compiled_wide.run_vectors: vector arity mismatch")
-    vectors;
-  let results = Array.make nvec [||] in
-  let npasses = (nvec + lanes - 1) / lanes in
-  let run_pass sim p =
-    let base = p * lanes in
-    let count = min lanes (nvec - base) in
-    reset sim;
-    for j = 0 to nin - 1 do
-      let w = ref 0 in
-      for l = 0 to count - 1 do
-        if vectors.(base + l).(j) then w := !w lor (1 lsl l)
-      done;
-      sim.values.(snd in_ports.(j)) <- !w
-    done;
-    settle sim;
-    let out_words = Array.map (fun (_, i) -> sim.values.(i)) out_ports in
-    for l = 0 to count - 1 do
-      results.(base + l) <-
-        Array.init nout (fun j -> Packed.lane out_words.(j) l)
-    done
-  in
-  (match pool with
-  | Some pool when npasses > 1 && Pool.size pool > 1 ->
-    (* ~4 chunks per domain for load balance; each chunk gets a replica *)
-    let nchunks = min npasses (4 * Pool.size pool) in
-    Pool.parallel_for ~chunk:1 pool 0 nchunks (fun c ->
-        let sim = replicate t in
-        let lo = c * npasses / nchunks and hi = (c + 1) * npasses / nchunks in
-        for p = lo to hi - 1 do
-          run_pass sim p
-        done)
-  | _ ->
-    for p = 0 to npasses - 1 do
-      run_pass t p
-    done);
-  results
-
-(* Independent sequential lane-batches over the pool: each batch is a
-   full packed stimulus set (cf. [run_packed]); batches run concurrently,
-   one replica per chunk, no barriers inside a batch.  {!Sharded} provides
-   the same operation with persistent per-domain replicas. *)
-let run_batches ?pool t ~batches ~cycles =
-  let n = Array.length batches in
-  let results = Array.make n [] in
-  let run_one sim b = results.(b) <- run_packed sim ~inputs:batches.(b) ~cycles in
-  (match pool with
-  | Some pool when n > 1 && Pool.size pool > 1 ->
-    let nchunks = min n (4 * Pool.size pool) in
-    Pool.parallel_for ~chunk:1 pool 0 nchunks (fun c ->
-        let sim = replicate t in
-        let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-        for b = lo to hi - 1 do
-          run_one sim b
-        done)
-  | _ ->
-    for b = 0 to n - 1 do
-      run_one t b
-    done);
-  results
+let reset = Slab.reset
+let set_input = Slab.set_input
+let settle = Slab.settle
+let tick = Slab.tick
+let step = Slab.step
+let output = Slab.output

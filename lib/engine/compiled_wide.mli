@@ -1,167 +1,27 @@
-(** Word-parallel (62-lane) levelized compiled simulator: every net holds
-    a machine word of {!lanes} independent simulation lanes, so one pass
-    over the gate arrays advances 62 stimulus streams at once — the
-    sequential generalization of {!Hydra_core.Packed}.  The inner loop is
-    branch-free: each levelized rank is pre-split into per-gate-kind
-    index arrays at compile time, the netlist is re-laid-out rank-major
-    so those loops sweep the value array near-sequentially, and common
-    2-level patterns (and-or, or-and, xor chains) run as fused kernels. *)
+(** The 62-lane "wide" engine: a {!Slab} with one word per signal.
 
-type t
+    Only a name for the k = 1 configuration — ungated, OCaml kernels —
+    kept for existing callers; everything else about the engine
+    (forces, replicas, packed runs) is {!Slab}'s, applied to the same
+    value. *)
+
+type t = Slab.t
 
 val lanes : int
 (** 62, see {!Hydra_core.Packed.lanes}. *)
 
-val lane_mask : int
-
-val create : ?optimize:bool -> ?relayout:bool -> ?fuse:bool ->
-  ?certify:bool -> ?tuning:Kernel.tuning -> Hydra_netlist.Netlist.t -> t
-(** Raises {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
-    circuit.  [~optimize:true] (default false) runs the
-    {!Hydra_netlist.Optimize} pre-pass before compilation.
-    [~relayout] (default true) applies the
-    {!Hydra_netlist.Layout.rank_major} memory re-layout.  [~fuse]
-    (default true) absorbs fanout-1 inner gates into fused and-or /
-    or-and / xor-chain kernels.  [~certify:true] (default false)
-    translation-validates each pre-pass run with
-    {!Hydra_analyze.Certify} — packed-random I/O equivalence for the
-    optimizer, a complete permutation proof for the re-layout — and
-    raises {!Hydra_analyze.Certify.Certification_failed} on a lie.
-    [~tuning] (default {!Kernel.default_tuning}) sizes the rank blocks
-    ({!Kernel.tuning}); it never changes what is computed. *)
+val create :
+  ?optimize:bool -> ?relayout:bool -> ?fuse:bool -> ?certify:bool ->
+  ?tuning:Kernel.tuning -> Hydra_netlist.Netlist.t -> t
+(** [Slab.create ~k:1] with the same compile defaults. *)
 
 val of_program : Kernel.program -> t
-(** Build an engine over an already-compiled {!Kernel.program} (from
-    {!Kernel.compile}, {!Kernel.patch} or {!Cache}), skipping every
-    compile-time pass: only the per-instance value state is allocated.
-    Requires a program compiled with [k = 1]. *)
-
-val program : t -> Kernel.program
-(** The shared compiled program this engine runs. *)
-
-val replicate : t -> t
-(** A fresh engine over the same compiled circuit: shares the immutable
-    compiled arrays, owns its own value state (at power-up), padded so
-    replicas never share a cache line.  Safe to run concurrently with the
-    original in another domain. *)
+(** {!Slab.of_program} on a program compiled with [k = 1]; raises
+    [Invalid_argument] otherwise. *)
 
 val reset : t -> unit
-(** Restore power-up values in every lane. *)
-
 val set_input : t -> string -> int -> unit
-(** Set an input's packed word (lane [l] = bit [l]; masked to
-    {!lane_mask}). *)
-
-val set_input_bool : t -> string -> bool -> unit
-(** Broadcast one value to every lane. *)
-
-val set_input_lane : t -> string -> int -> bool -> unit
-(** Set one lane of an input, leaving the others unchanged. *)
-
 val settle : t -> unit
-(** Evaluate the combinational logic for the current cycle (all lanes). *)
-
 val tick : t -> unit
-(** Latch every dff from its settled input (word copies) and advance the
-    clock. *)
-
 val step : t -> unit
-(** [settle] then [tick]. *)
-
 val output : t -> string -> int
-(** An output's packed word. *)
-
-val output_lane : t -> string -> int -> bool
-val outputs : t -> (string * int) list
-
-val peek : t -> int -> int
-(** Current packed word of a component (post-optimize, post-relayout
-    index — see {!netlist}).  The word of a gate absorbed into a fused
-    kernel (fanout-1 inner gate, see {!fused_gates}) is never written and
-    reads as stale; every other component is exact. *)
-
-val poke : t -> int -> int -> unit
-(** Set the packed word of a component directly by its (post-optimize,
-    post-relayout) index — the hashtable-free counterpart of
-    {!set_input} for hot loops that resolved {!netlist} port indices up
-    front.  Only meaningful on inputs and dffs: a poked gate output is
-    overwritten by the next {!settle}. *)
-
-type force = {
-  f_site : int;  (** component index in {!netlist} *)
-  mutable force0 : int;  (** lanes driven to 0 *)
-  mutable force1 : int;  (** lanes driven to 1 (wins over [force0]) *)
-  mutable flip : int;  (** lanes inverted, after the stuck masks *)
-}
-(** A per-lane value override applied at one component's output during
-    every {!settle} — the runtime fault-injection hook used by
-    {!Hydra_verify.Campaign}.  The mask words are mutable so a campaign
-    can re-seed per-cycle (intermittent) faults without re-registering. *)
-
-val set_forces : t -> force array -> unit
-(** Replace the registered force set.  Forces apply at the rank boundary
-    where the forced component's word becomes visible to its readers:
-    before rank 0 for inputs, dffs and constants; right after the
-    component's own rank for gates and outports.  Raises [Invalid_argument]
-    on an engine built with fused kernels (a consumed inner gate's word is
-    never materialized, so its force would be lost — build with
-    [~fuse:false]) or on an out-of-range site. *)
-
-val clear_forces : t -> unit
-(** Drop all forces, restoring the zero-overhead hot path. *)
-
-val cycle : t -> int
-val critical_path : t -> int
-
-val words : t -> int
-(** Words per signal — always 1 here; the {!Engine_intf.S} view of this
-    engine.  {!Slab} generalizes to K. *)
-
-val set_input_word : t -> string -> int -> int -> unit
-(** [set_input_word t name w v]: word-indexed {!set_input}; the word
-    index [w] must be 0 (raises a descriptive [Invalid_argument]
-    otherwise). *)
-
-val output_word : t -> string -> int -> int
-(** Word-indexed {!output}; the word index must be 0. *)
-
-val peek_word : t -> int -> int -> int
-(** Word-indexed {!peek}; the word index must be 0. *)
-
-val poke_word : t -> int -> int -> int -> unit
-(** Word-indexed {!poke}; the word index must be 0. *)
-
-val fused_gates : t -> int
-(** Number of gates evaluated inside fused kernels rather than stored —
-    array traffic saved per pass. *)
-
-val netlist : t -> Hydra_netlist.Netlist.t
-(** The netlist actually compiled — post-[~optimize], post-[~relayout]:
-    component indices (as used by {!peek}) refer to this netlist. *)
-
-val run_packed :
-  t -> inputs:(string * int list) list -> cycles:int -> (string * int) list list
-(** Whole packed simulation, the word analogue of {!Compiled.run}: per
-    input, one packed word per cycle (shorter streams padded with 0);
-    returns one packed output row per cycle. *)
-
-val run_vectors :
-  ?pool:Hydra_parallel.Pool.t -> t -> bool array array -> bool array array
-(** Batched combinational testbench: row [k] of the argument is one test
-    vector (one bool per declared input, in port-list order); row [k] of
-    the result is the settled outputs (port-list order).  Vectors are
-    packed 62 per pass; with [?pool], passes chunk across domains, each
-    chunk simulating its own {!replicate} — no barriers inside a chunk.
-    {!Sharded.run_vectors} is the persistent-replica version. *)
-
-val run_batches :
-  ?pool:Hydra_parallel.Pool.t ->
-  t ->
-  batches:(string * int list) list array ->
-  cycles:int ->
-  (string * int) list list array
-(** Independent sequential lane-batches: element [b] of the result is
-    [run_packed] of [batches.(b)].  With [?pool], batches chunk across
-    domains (one replica per chunk) — batch-level parallelism composing
-    with lane-level packing.  {!Sharded.run_batches} is the
-    persistent-replica version. *)

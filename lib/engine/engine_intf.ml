@@ -1,8 +1,8 @@
-(* The word-indexed face shared by the compiled word-parallel engines.
+(* The word-indexed face of a word-parallel engine.
 
-   {!Compiled_wide} (1 word per signal, 62 lanes) and {!Slab} (K words,
-   62*K lanes) expose the same operations once the word index is explicit;
-   this signature is what the engine-polymorphic entry points
+   {!Slab} (K words per signal, 62*K lanes) and the reference packed
+   simulator below expose the same operations once the word index is
+   explicit; this signature is what the engine-polymorphic entry points
    ({!Testbench.run_batched} [?engine], {!Hydra_verify.Equiv}'s
    engine-vs-engine checks, the shared test battery) program against.
    Values of type [(module S)] are runtime handles — [Slab.engine] bakes
@@ -12,7 +12,7 @@ module type S = sig
   type t
 
   val name : string
-  (** Display name for reports ("wide", "slab(k=8)", ...). *)
+  (** Display name for reports ("slab(k=8)", "oracle", ...). *)
 
   val create :
     ?optimize:bool ->
@@ -46,15 +46,77 @@ module type S = sig
   val netlist : t -> Hydra_netlist.Netlist.t
 end
 
-(* {!Compiled_wide} as an engine handle (words = 1). *)
-let wide : (module S) =
+(* {!Hydra_analyze.Sim}'s packed 62-lane simulator as an engine handle
+   (words = 1).  It interprets the netlist as given and shares no code
+   with {!Kernel} — no pre-passes, no re-layout, no fused or blocked
+   kernels — so it is the independent reference the compiled engines
+   are checked against.  [create] ignores the compile flags. *)
+let oracle : (module S) =
   (module struct
-    include Compiled_wide
+    module Sim = Hydra_analyze.Sim
+    module Netlist = Hydra_netlist.Netlist
+    module P = Hydra_core.Packed
 
-    let name = "wide"
+    type t = { sim : Sim.packed; nl : Netlist.t; mutable cycle : int }
 
-    (* Re-bind create without the ?tuning parameter so the module keeps
-       matching [S] — the handle always compiles with default tuning. *)
-    let create ?optimize ?relayout ?fuse ?certify nl =
-      Compiled_wide.create ?optimize ?relayout ?fuse ?certify nl
+    let name = "oracle"
+
+    let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ nl =
+      { sim = Sim.packed_create nl; nl; cycle = 0 }
+
+    let words _ = 1
+    let replicate t = create t.nl
+
+    let reset t =
+      Sim.packed_reset t.sim;
+      t.cycle <- 0
+
+    let check_word what w =
+      if w <> 0 then
+        invalid_arg
+          (Printf.sprintf "%s: word index %d out of range (engine has 1 word)"
+             what w)
+
+    let set_input_word t name w v =
+      check_word "oracle.set_input_word" w;
+      Sim.packed_set_input t.sim name v
+
+    let set_input_lane t name lane b =
+      if lane < 0 || lane >= P.lanes then
+        invalid_arg
+          (Printf.sprintf
+             "oracle.set_input_lane: lane %d out of range (engine has %d lanes)"
+             lane P.lanes);
+      match List.assoc_opt name t.nl.Netlist.inputs with
+      | Some i ->
+        Sim.packed_set_input t.sim name
+          (P.set_lane (Sim.packed_value t.sim i) lane b)
+      | None -> invalid_arg ("oracle.set_input_lane: unknown input " ^ name)
+
+    let settle t = Sim.packed_settle t.sim
+
+    let tick t =
+      Sim.packed_tick t.sim;
+      t.cycle <- t.cycle + 1
+
+    let step t =
+      settle t;
+      tick t
+
+    let output_word t name w =
+      check_word "oracle.output_word" w;
+      Sim.packed_output t.sim name
+
+    let output_lane t name lane = P.lane (Sim.packed_output t.sim name) lane
+
+    let peek_word t i w =
+      check_word "oracle.peek_word" w;
+      Sim.packed_value t.sim i
+
+    let poke_word t i w v =
+      check_word "oracle.poke_word" w;
+      Sim.packed_poke t.sim i v
+
+    let cycle t = t.cycle
+    let netlist t = t.nl
   end)

@@ -1,8 +1,7 @@
-(* Shared compile-time plumbing of the word-parallel engines: pre-pass,
+(* Compile-time plumbing of the word-parallel engine: pre-pass,
    levelize, fusion planning and per-op index-array splitting.  See the
-   interface for the contract; {!Compiled_wide} and {!Slab} both compile
-   through here, so the two engines always agree on layout, fusion and
-   force-slot placement. *)
+   interface for the contract; {!Slab} compiles through here at every K,
+   so all widths agree on layout, fusion and force-slot placement. *)
 
 module Netlist = Hydra_netlist.Netlist
 module Levelize = Hydra_netlist.Levelize

@@ -1,9 +1,9 @@
-(** Shared compile-time plumbing of the word-parallel engines.
+(** Compile-time plumbing of the word-parallel engine.
 
-    {!Compiled_wide} (one 62-lane word per signal) and {!Slab} (K
-    consecutive words per signal) run the same branch-free per-op loops
-    over the same pre-split index arrays; this module is the common
-    front end that builds them.  [compile] runs the optional
+    {!Slab} (K consecutive 62-lane words per signal; k = 1 is the
+    62-lane {!Compiled_wide}) runs branch-free per-op loops over
+    pre-split index arrays; this module is the front end that builds
+    them.  [compile] runs the optional
     [?optimize]/[?relayout] pre-passes (optionally translation-validated
     by {!Hydra_analyze.Certify}), levelizes, plans kernel fusion, and
     splits every rank into flat per-gate-kind (dst, src) index arrays.

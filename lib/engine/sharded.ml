@@ -2,23 +2,20 @@
    by core count.
 
    The paper's synchronous model (section 4.3) makes every gate within a
-   levelized rank independent; {!Compiled_wide} exploits that within one
-   machine word (62 lanes per pass) and {!Slab} within K consecutive
-   words (62*K lanes).  This module adds the second parallelism axis —
-   domains — the only way that composes instead of fighting:
-   *batch-level* sharding.  Per-rank fork-join ({!Parallel_sim}) pays two
-   barriers per rank per cycle; sharding pays one synchronization per
-   *job*.
-
-   Architecture (engine-polymorphic via {!Make}):
+   levelized rank independent; {!Slab} exploits that within K
+   consecutive machine words (62*K lanes per pass).  This module adds
+   the second parallelism axis — domains — the only way that composes
+   instead of fighting: *batch-level* sharding.  Per-rank fork-join
+   ({!Parallel_sim}) pays two barriers per rank per cycle; sharding pays
+   one synchronization per *job*.
 
    - One base engine is compiled once; every domain owns a private
-     [replicate] — separate (cache-line padded) value/dff state over the
-     shared immutable compiled index arrays.  Replicas are created once
-     at {!of_base} and reused for the sharded engine's whole lifetime, so
-     steady-state jobs allocate nothing per batch (the
-     transient-replica-per-chunk of {!Compiled_wide.run_batches} was
-     measurably slower than a single instance).
+     [Slab.replicate] — separate (cache-line padded) value/dff state over
+     the shared immutable compiled index arrays.  Replicas are created
+     once at {!of_base} and reused for the sharded engine's whole
+     lifetime, so steady-state jobs allocate nothing per batch (a
+     transient replica per chunk was measurably slower than a single
+     instance).
 
    - Work arrives as an array of independent lane-batches.  Pool members
      run in {!Hydra_parallel.Pool.run_team} mode — one long-lived body
@@ -27,231 +24,151 @@
      its whole batch undisturbed, claims the next, and the only join is
      when the queue is empty.
 
-   Peak independent simulations per settle pass: [62 x words x domains].
-   The top-level values specialize {!Make} to {!Compiled_wide} (the
-   historical interface); [Make (Slab)] — predefined as {!Slab_sharded} —
-   shards the multi-word slab engine the same way. *)
+   Peak independent simulations per settle pass: [62 x k x domains]. *)
 
-module W = Compiled_wide
 module Pool = Hydra_parallel.Pool
 module Netlist = Hydra_netlist.Netlist
 module Packed = Hydra_core.Packed
 
-(* What {!Make} needs from an engine: creation is *not* included (engine
-   families differ in their configuration surface — Slab has ?k/?gating —
-   so the base engine is built by the caller and handed to [of_base]). *)
-module type ENGINE = sig
-  type t
+type t = {
+  pool : Pool.t;
+  owns_pool : bool;
+  replicas : Slab.t array;  (* one per pool member; [replicas.(0)] is the base *)
+}
 
-  val words : t -> int
-  val replicate : t -> t
-  val reset : t -> unit
-  val set_input : t -> string -> int -> unit
-  val set_input_word : t -> string -> int -> int -> unit
-  val settle : t -> unit
-  val step : t -> unit
-  val output_word : t -> string -> int -> int
-  val peek : t -> int -> int
-  val poke : t -> int -> int -> unit
-  val netlist : t -> Netlist.t
-
-  val run_packed :
-    t -> inputs:(string * int list) list -> cycles:int -> (string * int) list list
-end
-
-module type S = sig
-  type engine
-  type t
-
-  val of_base : ?domains:int -> ?pool:Pool.t -> engine -> t
-  val pool : t -> Pool.t
-  val domains : t -> int
-  val base : t -> engine
-  val replica : t -> int -> engine
-  val netlist : t -> Netlist.t
-  val lanes : t -> int
-  val run_tasks : t -> int -> (member:int -> int -> unit) -> unit
-  val dispatch : t -> int -> (engine -> int -> unit) -> unit
-
-  val run_batches :
-    t ->
-    batches:(string * int list) list array ->
-    cycles:int ->
-    (string * int) list list array
-
-  val run_vectors : t -> bool array array -> bool array array
-  val step_batches : t -> batches:int -> cycles:int -> int
-  val shutdown : t -> unit
-end
-
-module Make (E : ENGINE) = struct
-  type engine = E.t
-
-  type t = {
-    pool : Pool.t;
-    owns_pool : bool;
-    replicas : E.t array;  (* one per pool member; [replicas.(0)] is the base *)
-  }
-
-  let of_base ?domains ?pool base =
-    let pool, owns_pool =
-      match pool with
-      | Some p -> (p, false)
-      | None -> (Pool.create ?domains (), true)
-    in
-    let replicas =
-      Array.init (Pool.size pool) (fun i ->
-          if i = 0 then base else E.replicate base)
-    in
-    { pool; owns_pool; replicas }
-
-  let pool t = t.pool
-  let domains t = Pool.size t.pool
-  let base t = t.replicas.(0)
-  let replica t m = t.replicas.(m)
-  let netlist t = E.netlist t.replicas.(0)
-  let lanes t = Packed.lanes * E.words t.replicas.(0)
-  let shutdown t = if t.owns_pool then Pool.shutdown t.pool
-
-  (* The scheduling core: run [f ~member job] for every [0 <= job < n].
-     Members drain jobs from one atomic counter — synchronization at
-     batch granularity only — and each call sees the member index, so
-     callers can keep per-member state of their own (e.g. a second
-     engine's replicas) aligned with ours. *)
-  let run_tasks t n f =
-    if n <= 0 then ()
-    else if domains t = 1 || n = 1 then
-      for job = 0 to n - 1 do
-        f ~member:0 job
-      done
-    else begin
-      let next = Atomic.make 0 in
-      Pool.run_team t.pool (fun member ->
-          let rec drain () =
-            let job = Atomic.fetch_and_add next 1 in
-            if job < n then begin
-              f ~member job;
-              drain ()
-            end
-          in
-          drain ())
-    end
-
-  (* [dispatch t n f] runs [f sim job] for every job on some private
-     replica — the common case where only the engine matters. *)
-  let dispatch t n f =
-    run_tasks t n (fun ~member job -> f t.replicas.(member) job)
-
-  (* Independent sequential lane-batches on persistent replicas: element
-     [b] of the result is [run_packed] of [batches.(b)]. *)
-  let run_batches t ~batches ~cycles =
-    let n = Array.length batches in
-    let results = Array.make n [] in
-    dispatch t n (fun sim b ->
-        results.(b) <- E.run_packed sim ~inputs:batches.(b) ~cycles);
-    results
-
-  (* Batched combinational testbench across lanes *and* domains: vector
-     [v] rides word [(v mod lanes) / 62], bit [v mod 62] of pass
-     [v / lanes]; passes are the sharded jobs. *)
-  let run_vectors t vectors =
-    let nvec = Array.length vectors in
-    let nl = netlist t in
-    let in_ports = Array.of_list nl.Netlist.inputs in
-    let out_ports = Array.of_list nl.Netlist.outputs in
-    let nin = Array.length in_ports and nout = Array.length out_ports in
-    Array.iter
-      (fun v ->
-        if Array.length v <> nin then
-          invalid_arg "Sharded.run_vectors: vector arity mismatch")
-      vectors;
-    let words = E.words t.replicas.(0) in
-    let per_pass = lanes t in
-    let results = Array.make nvec [||] in
-    let ch = Scheduler.chunking ~lanes:per_pass nvec in
-    dispatch t ch.Scheduler.count (fun sim p ->
-        let bse, hi = ch.Scheduler.bounds p in
-        let count = hi - bse in
-        E.reset sim;
-        for j = 0 to nin - 1 do
-          let name = fst in_ports.(j) in
-          for w = 0 to words - 1 do
-            let word = ref 0 in
-            let lo = w * Packed.lanes in
-            let hi = min (lo + Packed.lanes) count in
-            for l = lo to hi - 1 do
-              if vectors.(bse + l).(j) then word := !word lor (1 lsl (l - lo))
-            done;
-            E.set_input_word sim name w !word
-          done
-        done;
-        E.settle sim;
-        let out_words =
-          Array.map
-            (fun (name, _) -> Array.init words (E.output_word sim name))
-            out_ports
-        in
-        for l = 0 to count - 1 do
-          let w = l / Packed.lanes and bit = l mod Packed.lanes in
-          results.(bse + l) <-
-            Array.init nout (fun j -> Packed.lane out_words.(j).(w) bit)
-        done);
-    results
-
-  (* Raw stepping throughput — the benchmark workload: every job resets
-     its replica, drives one packed word per input, then settles/ticks
-     [cycles] times.  No outputs are materialized (a checksum defeats
-     dead-code elimination), so this measures exactly what a single
-     engine's step-loop measures, times [62 x words x domains]
-     independent simulations. *)
-  let step_batches t ~batches ~cycles =
-    let nl = netlist t in
-    (* port indices resolved once — no per-batch name lookups in the
-       measured loop *)
-    let in_idx = Array.of_list (List.map snd nl.Netlist.inputs) in
-    let out_idx = Array.of_list (List.map snd nl.Netlist.outputs) in
-    let sum = Atomic.make 0 in
-    dispatch t batches (fun sim b ->
-        E.reset sim;
-        Array.iteri
-          (fun j i -> E.poke sim i (b * 0x9e3779b9 + (j * 0x85ebca77)))
-          in_idx;
-        for _ = 1 to cycles do
-          E.step sim
-        done;
-        let local =
-          Array.fold_left (fun acc i -> acc lxor E.peek sim i) 0 out_idx
-        in
-        ignore (Atomic.fetch_and_add sum (local land 0xff)));
-    Atomic.get sum
-end
-
-(* The multi-word slab engine, sharded: 62 x k x domains lanes. *)
-module Slab_sharded = Make (Slab)
-
-(* ------------------------------------------------------------------ *)
-(* The historical wide-engine interface: {!Make} specialized to
-   {!Compiled_wide}, plus netlist-level [create].                      *)
-
-module Wide_sharded = Make (W)
-
-type t = Wide_sharded.t
-
-let lanes = W.lanes
+let of_base ?domains ?pool base =
+  let pool, owns_pool =
+    match pool with
+    | Some p -> (p, false)
+    | None -> (Pool.create ?domains (), true)
+  in
+  let replicas =
+    Array.init (Pool.size pool) (fun i ->
+        if i = 0 then base else Slab.replicate base)
+  in
+  { pool; owns_pool; replicas }
 
 let create ?optimize ?relayout ?fuse ?certify ?domains ?pool netlist =
-  Wide_sharded.of_base ?domains ?pool
-    (W.create ?optimize ?relayout ?fuse ?certify netlist)
+  of_base ?domains ?pool
+    (Slab.create ~k:1 ?optimize ?relayout ?fuse ?certify netlist)
 
-let of_base = Wide_sharded.of_base
-let pool = Wide_sharded.pool
-let domains = Wide_sharded.domains
-let base = Wide_sharded.base
-let replica = Wide_sharded.replica
-let netlist = Wide_sharded.netlist
-let shutdown = Wide_sharded.shutdown
-let run_tasks = Wide_sharded.run_tasks
-let dispatch = Wide_sharded.dispatch
-let run_batches = Wide_sharded.run_batches
-let run_vectors = Wide_sharded.run_vectors
-let step_batches = Wide_sharded.step_batches
+let pool t = t.pool
+let domains t = Pool.size t.pool
+let base t = t.replicas.(0)
+let replica t m = t.replicas.(m)
+let netlist t = Slab.netlist t.replicas.(0)
+let k t = Slab.k t.replicas.(0)
+let lanes t = Slab.lanes t.replicas.(0)
+let shutdown t = if t.owns_pool then Pool.shutdown t.pool
+
+(* The scheduling core: run [f ~member job] for every [0 <= job < n].
+   Members drain jobs from one atomic counter — synchronization at
+   batch granularity only — and each call sees the member index, so
+   callers can keep per-member state of their own (e.g. a second
+   engine's replicas) aligned with ours. *)
+let run_tasks t n f =
+  if n <= 0 then ()
+  else if domains t = 1 || n = 1 then
+    for job = 0 to n - 1 do
+      f ~member:0 job
+    done
+  else begin
+    let next = Atomic.make 0 in
+    Pool.run_team t.pool (fun member ->
+        let rec drain () =
+          let job = Atomic.fetch_and_add next 1 in
+          if job < n then begin
+            f ~member job;
+            drain ()
+          end
+        in
+        drain ())
+  end
+
+(* [dispatch t n f] runs [f sim job] for every job on some private
+   replica — the common case where only the engine matters. *)
+let dispatch t n f =
+  run_tasks t n (fun ~member job -> f t.replicas.(member) job)
+
+(* Independent sequential lane-batches on persistent replicas: element
+   [b] of the result is [run_packed] of [batches.(b)]. *)
+let run_batches t ~batches ~cycles =
+  let n = Array.length batches in
+  let results = Array.make n [] in
+  dispatch t n (fun sim b ->
+      results.(b) <- Slab.run_packed sim ~inputs:batches.(b) ~cycles);
+  results
+
+(* Batched combinational testbench across lanes *and* domains: vector
+   [v] rides word [(v mod lanes) / 62], bit [v mod 62] of pass
+   [v / lanes]; passes are the sharded jobs. *)
+let run_vectors t vectors =
+  let nvec = Array.length vectors in
+  let nl = netlist t in
+  let in_ports = Array.of_list nl.Netlist.inputs in
+  let out_ports = Array.of_list nl.Netlist.outputs in
+  let nin = Array.length in_ports and nout = Array.length out_ports in
+  Array.iter
+    (fun v ->
+      if Array.length v <> nin then
+        invalid_arg "Sharded.run_vectors: vector arity mismatch")
+    vectors;
+  let words = Slab.k t.replicas.(0) in
+  let per_pass = lanes t in
+  let results = Array.make nvec [||] in
+  let ch = Scheduler.chunking ~lanes:per_pass nvec in
+  dispatch t ch.Scheduler.count (fun sim p ->
+      let bse, hi = ch.Scheduler.bounds p in
+      let count = hi - bse in
+      Slab.reset sim;
+      for j = 0 to nin - 1 do
+        let name = fst in_ports.(j) in
+        for w = 0 to words - 1 do
+          let word = ref 0 in
+          let lo = w * Packed.lanes in
+          let hi = min (lo + Packed.lanes) count in
+          for l = lo to hi - 1 do
+            if vectors.(bse + l).(j) then word := !word lor (1 lsl (l - lo))
+          done;
+          Slab.set_input_word sim name w !word
+        done
+      done;
+      Slab.settle sim;
+      let out_words =
+        Array.map
+          (fun (name, _) -> Array.init words (Slab.output_word sim name))
+          out_ports
+      in
+      for l = 0 to count - 1 do
+        let w = l / Packed.lanes and bit = l mod Packed.lanes in
+        results.(bse + l) <-
+          Array.init nout (fun j -> Packed.lane out_words.(j).(w) bit)
+      done);
+  results
+
+(* Raw stepping throughput — the benchmark workload: every job resets
+   its replica, drives one packed word per input, then settles/ticks
+   [cycles] times.  No outputs are materialized (a checksum defeats
+   dead-code elimination), so this measures exactly what a single
+   engine's step-loop measures, times [62 x words x domains]
+   independent simulations. *)
+let step_batches t ~batches ~cycles =
+  let nl = netlist t in
+  (* port indices resolved once — no per-batch name lookups in the
+     measured loop *)
+  let in_idx = Array.of_list (List.map snd nl.Netlist.inputs) in
+  let out_idx = Array.of_list (List.map snd nl.Netlist.outputs) in
+  let sum = Atomic.make 0 in
+  dispatch t batches (fun sim b ->
+      Slab.reset sim;
+      Array.iteri
+        (fun j i -> Slab.poke sim i (b * 0x9e3779b9 + (j * 0x85ebca77)))
+        in_idx;
+      for _ = 1 to cycles do
+        Slab.step sim
+      done;
+      let local =
+        Array.fold_left (fun acc i -> acc lxor Slab.peek sim i) 0 out_idx
+      in
+      ignore (Atomic.fetch_and_add sum (local land 0xff)));
+  Atomic.get sum

@@ -1,133 +1,15 @@
-(** Domain-sharded word-parallel simulation: a lane-packed engine
-    multiplied by core count.
+(** Domain-sharded word-parallel simulation: a {!Slab} engine multiplied
+    by core count.
 
     Each pool member owns a private, persistent replica of a base engine
     (shared immutable compiled arrays, cache-line padded private state)
     and drains independent lane-batches from an atomic work queue in
     {!Hydra_parallel.Pool.run_team} mode — no per-cycle or per-level
     barriers, synchronization at batch granularity only.  Peak
-    parallelism: [62 x words x domains] independent simulations per
-    settle pass.
-
-    The sharding machinery is engine-polymorphic: {!Make} builds a
-    sharded driver for any module matching {!ENGINE} ({!Compiled_wide}
-    and {!Slab} both do).  The top-level values are the historical
-    wide-engine specialization; {!Slab_sharded} shards the multi-word
-    slab engine. *)
-
-(** What {!Make} needs from an engine.  Creation is deliberately not
-    part of the signature — engine families differ in their
-    configuration surface (e.g. {!Slab}'s [?k]/[?gating]) — so the base
-    engine is built by the caller and handed to [of_base]; replicas are
-    derived from it. *)
-module type ENGINE = sig
-  type t
-
-  val words : t -> int
-  val replicate : t -> t
-  val reset : t -> unit
-  val set_input : t -> string -> int -> unit
-  val set_input_word : t -> string -> int -> int -> unit
-  val settle : t -> unit
-  val step : t -> unit
-  val output_word : t -> string -> int -> int
-  val peek : t -> int -> int
-  val poke : t -> int -> int -> unit
-  val netlist : t -> Hydra_netlist.Netlist.t
-
-  val run_packed :
-    t ->
-    inputs:(string * int list) list ->
-    cycles:int ->
-    (string * int) list list
-end
-
-(** A sharded driver over engine type [engine]. *)
-module type S = sig
-  type engine
-  type t
-
-  val of_base : ?domains:int -> ?pool:Hydra_parallel.Pool.t -> engine -> t
-  (** Wrap a compiled base engine: replica 0 {e is} the base; members
-      1..n-1 get private [replicate]s.  [?pool] shares an existing pool
-      (not shut down by {!shutdown}); otherwise a pool of [?domains]
-      (default {!Hydra_parallel.Pool.default_domains}) is created and
-      owned. *)
-
-  val pool : t -> Hydra_parallel.Pool.t
-  (** The pool the replicas are aligned with — hand it to
-      {!Scheduler.of_pool} to drive this engine's members from a job
-      graph. *)
-
-  val domains : t -> int
-  (** Pool size = replica count. *)
-
-  val base : t -> engine
-  (** Replica 0 — usable directly as an ordinary engine between sharded
-      jobs (never concurrently with one). *)
-
-  val replica : t -> int -> engine
-  (** [replica t m] is member [m]'s private engine. *)
-
-  val netlist : t -> Hydra_netlist.Netlist.t
-
-  val lanes : t -> int
-  (** Total lanes per job: [62 x words] of the base engine. *)
-
-  val run_tasks : t -> int -> (member:int -> int -> unit) -> unit
-  (** [run_tasks t n f] runs [f ~member job] for every [0 <= job < n]:
-      members drain jobs from one atomic counter, each passing its
-      member index so callers can keep their own per-member state (a
-      second engine's replicas, accumulators) race-free.  [f] must be
-      safe to run concurrently for distinct members; jobs are claimed in
-      order but finish in any order.  Returns when all jobs are done
-      (the only barrier). *)
-
-  val dispatch : t -> int -> (engine -> int -> unit) -> unit
-  (** [dispatch t n f] runs [f sim job] for every job on the claiming
-      member's private replica — {!run_tasks} specialized to the common
-      case. *)
-
-  val run_batches :
-    t ->
-    batches:(string * int list) list array ->
-    cycles:int ->
-    (string * int) list list array
-  (** Independent sequential lane-batches on persistent replicas:
-      element [b] of the result is the engine's [run_packed] of
-      [batches.(b)]. *)
-
-  val run_vectors : t -> bool array array -> bool array array
-  (** Batched combinational testbench across lanes and domains:
-      [lanes t]-vector passes are the sharded jobs. *)
-
-  val step_batches : t -> batches:int -> cycles:int -> int
-  (** Raw stepping throughput for benchmarks: [batches] independent
-      jobs, each reset + one packed input word per port + [cycles]
-      steps, no per-cycle output materialization.  Returns an output
-      checksum (so the work cannot be optimized away). *)
-
-  val shutdown : t -> unit
-  (** Shut down the owned pool (a shared [?pool] is left running).  The
-      sharded engine must not be used afterwards. *)
-end
-
-module Make (E : ENGINE) : S with type engine = E.t
-
-module Slab_sharded : S with type engine = Slab.t
-(** The multi-word {!Slab} engine, sharded: [62 x k x domains] lanes. *)
-
-(** {1 The wide specialization}
-
-    {!Make} applied to {!Compiled_wide}, with a netlist-level [create]
-    for compatibility: this is the interface the rest of the tree
-    ({!Hydra_verify.Equiv}, {!Hydra_verify.Campaign}, {!Testbench},
-    benches) programs against. *)
+    parallelism: [62 x k x domains] independent simulations per settle
+    pass, for a base engine of any [k]. *)
 
 type t
-
-val lanes : int
-(** {!Compiled_wide.lanes} = 62. *)
 
 val create :
   ?optimize:bool ->
@@ -138,28 +20,76 @@ val create :
   ?pool:Hydra_parallel.Pool.t ->
   Hydra_netlist.Netlist.t ->
   t
-(** Compile once, replicate per pool member.  [?optimize] / [?relayout] /
-    [?fuse] / [?certify] as in {!Compiled_wide.create} (the base engine
-    is compiled — and its pre-passes certified — once; replicas share
-    it).  Pool options as in {!S.of_base}. *)
+(** Compile once at k = 1 (the 62-lane configuration, as
+    {!Compiled_wide.create}), replicate per pool member.  [?optimize] /
+    [?relayout] / [?fuse] / [?certify] as in {!Slab.create} (the base
+    engine is compiled — and its pre-passes certified — once; replicas
+    share it).  Pool options as in {!of_base}. *)
 
-val of_base : ?domains:int -> ?pool:Hydra_parallel.Pool.t -> Compiled_wide.t -> t
-(** Wrap an already-compiled wide engine (see {!S.of_base}). *)
+val of_base : ?domains:int -> ?pool:Hydra_parallel.Pool.t -> Slab.t -> t
+(** Wrap a compiled base engine of any [k]: replica 0 {e is} the base;
+    members 1..n-1 get private {!Slab.replicate}s.  [?pool] shares an
+    existing pool (not shut down by {!shutdown}); otherwise a pool of
+    [?domains] (default {!Hydra_parallel.Pool.default_domains}) is
+    created and owned. *)
 
 val pool : t -> Hydra_parallel.Pool.t
+(** The pool the replicas are aligned with — hand it to
+    {!Scheduler.of_pool} to drive this engine's members from a job
+    graph. *)
+
 val domains : t -> int
-val base : t -> Compiled_wide.t
-val replica : t -> int -> Compiled_wide.t
+(** Pool size = replica count. *)
+
+val base : t -> Slab.t
+(** Replica 0 — usable directly as an ordinary engine between sharded
+    jobs (never concurrently with one). *)
+
+val replica : t -> int -> Slab.t
+(** [replica t m] is member [m]'s private engine. *)
+
 val netlist : t -> Hydra_netlist.Netlist.t
+
+val k : t -> int
+(** Words per signal of the base engine. *)
+
+val lanes : t -> int
+(** Total lanes per job: [62 x k]. *)
+
 val run_tasks : t -> int -> (member:int -> int -> unit) -> unit
-val dispatch : t -> int -> (Compiled_wide.t -> int -> unit) -> unit
+(** [run_tasks t n f] runs [f ~member job] for every [0 <= job < n]:
+    members drain jobs from one atomic counter, each passing its member
+    index so callers can keep their own per-member state (a second
+    engine's replicas, accumulators) race-free.  [f] must be safe to run
+    concurrently for distinct members; jobs are claimed in order but
+    finish in any order.  Returns when all jobs are done (the only
+    barrier). *)
+
+val dispatch : t -> int -> (Slab.t -> int -> unit) -> unit
+(** [dispatch t n f] runs [f sim job] for every job on the claiming
+    member's private replica — {!run_tasks} specialized to the common
+    case. *)
 
 val run_batches :
   t ->
   batches:(string * int list) list array ->
   cycles:int ->
   (string * int) list list array
+(** Independent sequential lane-batches on persistent replicas: element
+    [b] of the result is {!Slab.run_packed} of [batches.(b)]. *)
 
 val run_vectors : t -> bool array array -> bool array array
+(** Batched combinational testbench across lanes and domains: row [v] of
+    the argument is one test vector (one bool per declared input, in
+    port-list order), row [v] of the result its settled outputs.
+    {!lanes}-vector passes are the sharded jobs. *)
+
 val step_batches : t -> batches:int -> cycles:int -> int
+(** Raw stepping throughput for benchmarks: [batches] independent jobs,
+    each reset + one packed input word per port + [cycles] steps, no
+    per-cycle output materialization.  Returns an output checksum (so
+    the work cannot be optimized away). *)
+
 val shutdown : t -> unit
+(** Shut down the owned pool (a shared [?pool] is left running).  The
+    sharded engine must not be used afterwards. *)

@@ -1,18 +1,19 @@
 (* Multi-word slab simulator: K consecutive 62-lane words per signal in
-   one flat int array.
+   one flat int array.  This is the only word-parallel runtime; the
+   62-lane "wide" engine is its k = 1 instance ({!Compiled_wide}).
 
-   {!Compiled_wide} is bounded at 62 lanes because each signal is one
-   tagged int; here signal [i] owns words [i*k .. i*k + k - 1] of the
-   slab, and every kernel loop runs its gate over the whole K-word run
-   before moving on — 62*K lanes per settle pass, with the per-gate
-   dst/src index loads (the bottleneck of the wide engine) amortized K
-   ways and the K value words streaming from consecutive addresses.  The
-   compile pipeline is {!Kernel}, shared with {!Compiled_wide}; the only
-   compile-time addition is pre-scaling every index array by [k] so the
-   hot loops never multiply.
+   One tagged int carries 62 lanes; here signal [i] owns words
+   [i*k .. i*k + k - 1] of the slab, and every kernel loop runs its gate
+   over the whole K-word run before moving on — 62*K lanes per settle
+   pass, with the per-gate dst/src index loads (the bottleneck at
+   k = 1) amortized K ways and the K value words streaming from
+   consecutive addresses.  The compile pipeline is {!Kernel}; the only
+   addition here is pre-scaling every index array by [k] so the hot
+   loops never multiply (at k = 1 the program's arrays are used as
+   they are).
 
-   Inner loops come in four flavors picked at [settle] time: an exact
-   copy of the wide engine's 1-word loops for [k = 1], a 4-way unrolled
+   Inner loops come in four flavors picked at [settle] time: plain
+   1-word loops for [k = 1], a 4-way unrolled
    walk when [4 | k] (the intended operating points k = 4/8/16), a
    generic [for w] loop otherwise, and — with [~simd:true] — the
    {!Simd} C stubs, which run each block from a flat descriptor array
@@ -93,7 +94,7 @@ type t = {
       (* [prog.blocks] with every index pre-scaled by [k] *)
   simd_desc : int array array;
       (* per block: the flat descriptor {!Simd.settle_block} runs;
-         [[||]] placeholders when [not simd] *)
+         empty when [not simd] *)
   consts_s : (int * int) array;  (* scaled base index, broadcast word *)
   dffs_s : int array;  (* scaled dff bases *)
   dff_src_s : int array;  (* scaled driver bases *)
@@ -249,8 +250,7 @@ let apply_initial t =
       done)
     t.dffs_s
 
-(* Cache-line slack so replicas allocated back to back never share a
-   line across domains (cf. {!Compiled_wide}). *)
+(* Cache-line slack at the end of the hot arrays (see [fresh]). *)
 let pad = 8
 
 (* Per block, the sorted union of its gates' consumer blocks (resp. dff
@@ -380,63 +380,92 @@ let simd_descriptor k (kn : Kernel.kernel) =
   assert (!pos = len);
   d
 
+(* Fresh per-instance state over [t]'s compiled arrays: a power-up
+   value slab, and (gated engines only; empty otherwise) every block and
+   dff cluster dirty with the hot/detect adaptation cleared.  Hot arrays
+   are padded so instances allocated back to back never share a cache
+   line across domains. *)
+let fresh t =
+  let nb = if t.gating then Array.length t.prog.Kernel.blocks else 0 in
+  let nc = if t.gating then t.prog.Kernel.n_dff_clusters else 0 in
+  let r =
+    {
+      t with
+      values = Array.make ((Kernel.size t.prog * t.k) + pad) 0;
+      dff_next = Array.make ((Array.length t.prog.Kernel.dffs * t.k) + pad) 0;
+      block_dirty = bitset_make nb;
+      dff_dirty = bitset_make nc;
+      cluster_scratch = Array.make nc 0;
+      block_mode = Array.make nb 0;
+      block_streak = Array.make nb 0;
+      cycle = 0;
+      force_slots = [||];
+      last_marked = -1;
+    }
+  in
+  bitset_fill r.block_dirty nb;
+  bitset_fill r.dff_dirty nc;
+  apply_initial r;
+  r
+
 (* Build an engine over an already-compiled program (the slab's K is the
-   program's k): no compile-time pass re-runs, only the per-instance
-   value state plus the gating/simd metadata derived from [prog]. *)
+   program's k): no compile-time pass re-runs.  At k = 1 the scaled
+   indices are the program's own arrays, shared rather than copied, and
+   the consumer maps and their unions are built only for a gated
+   engine — an ungated one never reads them. *)
 let of_program ?(gating = false) ?(simd = false) prog =
   let k = prog.Kernel.k in
-  let consumers = Kernel.consumer_blocks prog in
-  let dff_sinks = Kernel.dff_sink_clusters prog in
-  let nblocks = Array.length prog.Kernel.blocks in
-  let blocks_s = Array.map (scale_kernel k) prog.Kernel.blocks in
-  let t =
+  let scale a = if k = 1 then a else Array.map (fun i -> i * k) a in
+  let blocks_s =
+    if k = 1 then prog.Kernel.blocks
+    else Array.map (scale_kernel k) prog.Kernel.blocks
+  in
+  let nblocks = Array.length blocks_s in
+  let ncl = prog.Kernel.n_dff_clusters in
+  let consumers = if gating then Kernel.consumer_blocks prog else [||] in
+  let dff_sinks = if gating then Kernel.dff_sink_clusters prog else [||] in
+  let unions union universe per_comp =
+    if gating then Array.map mask_of_union (union universe prog per_comp)
+    else [||]
+  in
+  fresh
     {
       prog;
       k;
       gating;
       simd;
       blocks_s;
-      simd_desc =
-        (if simd then Array.map (simd_descriptor k) blocks_s
-         else Array.make nblocks [||]);
+      simd_desc = (if simd then Array.map (simd_descriptor k) blocks_s else [||]);
       consts_s =
         Array.map (fun (i, b) -> (i * k, Packed.broadcast b)) prog.Kernel.consts;
-      dffs_s = Array.map (fun i -> i * k) prog.Kernel.dffs;
-      dff_src_s = Array.map (fun i -> i * k) prog.Kernel.dff_src;
+      dffs_s = scale prog.Kernel.dffs;
+      dff_src_s = scale prog.Kernel.dff_src;
       dff_init_w = Array.map Packed.broadcast prog.Kernel.dff_init;
       consumers;
       dff_sinks;
-      comp_owner = Kernel.comp_block prog;
+      comp_owner = (if gating then Kernel.comp_block prog else [||]);
       dff_of_comp =
-        (let a = Array.make (Kernel.size prog) (-1) in
-         Array.iteri (fun j comp -> a.(comp) <- j) prog.Kernel.dffs;
-         a);
-      block_consumers =
-        Array.map mask_of_union (block_union nblocks prog consumers);
-      block_dff_sinks =
-        Array.map mask_of_union
-          (block_union prog.Kernel.n_dff_clusters prog dff_sinks);
-      cluster_consumers =
-        Array.map mask_of_union (cluster_union nblocks prog consumers);
-      cluster_sinks =
-        Array.map mask_of_union
-          (cluster_union prog.Kernel.n_dff_clusters prog dff_sinks);
-      values = Array.make ((Kernel.size prog * k) + pad) 0;
-      dff_next = Array.make ((Array.length prog.Kernel.dffs * k) + pad) 0;
-      block_dirty = bitset_make nblocks;
-      dff_dirty = bitset_make prog.Kernel.n_dff_clusters;
-      cluster_scratch = Array.make (max 1 prog.Kernel.n_dff_clusters) 0;
-      block_mode = Array.make nblocks 0;
-      block_streak = Array.make nblocks 0;
+        (if gating then begin
+           let a = Array.make (Kernel.size prog) (-1) in
+           Array.iteri (fun j comp -> a.(comp) <- j) prog.Kernel.dffs;
+           a
+         end
+         else [||]);
+      block_consumers = unions block_union nblocks consumers;
+      block_dff_sinks = unions block_union ncl dff_sinks;
+      cluster_consumers = unions cluster_union nblocks consumers;
+      cluster_sinks = unions cluster_union ncl dff_sinks;
+      values = [||];
+      dff_next = [||];
+      block_dirty = [||];
+      dff_dirty = [||];
+      cluster_scratch = [||];
+      block_mode = [||];
+      block_streak = [||];
       cycle = 0;
       force_slots = [||];
       last_marked = -1;
     }
-  in
-  bitset_fill t.block_dirty nblocks;
-  bitset_fill t.dff_dirty prog.Kernel.n_dff_clusters;
-  apply_initial t;
-  t
 
 let create ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
     ?(relayout = true) ?(fuse = true) ?(certify = false)
@@ -445,27 +474,7 @@ let create ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
   of_program ~gating ~simd
     (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k netlist)
 
-let replicate t =
-  let nblocks = Array.length t.prog.Kernel.blocks in
-  let r =
-    {
-      t with
-      values = Array.make (Array.length t.values) 0;
-      dff_next = Array.make (Array.length t.dff_next) 0;
-      block_dirty = bitset_make nblocks;
-      dff_dirty = bitset_make t.prog.Kernel.n_dff_clusters;
-      cluster_scratch = Array.make (Array.length t.cluster_scratch) 0;
-      block_mode = Array.make nblocks 0;
-      block_streak = Array.make nblocks 0;
-      cycle = 0;
-      force_slots = [||];
-      last_marked = -1;
-    }
-  in
-  bitset_fill r.block_dirty nblocks;
-  bitset_fill r.dff_dirty t.prog.Kernel.n_dff_clusters;
-  apply_initial r;
-  r
+let replicate = fresh
 
 (* Note the hot/detect adaptation state deliberately survives [reset]:
    it is a performance cache over the workload's toggle pattern, cannot
@@ -474,8 +483,10 @@ let replicate t =
 let reset t =
   Array.fill t.values 0 (Array.length t.values) 0;
   apply_initial t;
-  bitset_fill t.block_dirty (Array.length t.prog.Kernel.blocks);
-  bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters;
+  if t.gating then begin
+    bitset_fill t.block_dirty (Array.length t.prog.Kernel.blocks);
+    bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters
+  end;
   t.cycle <- 0;
   t.last_marked <- -1
 
@@ -687,7 +698,7 @@ let apply_forces_detect t slot =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Ungated settle, k = 1: the wide engine's loops verbatim (scaled
+(* Ungated settle, k = 1: one word per gate, no inner word loop (scaled
    indices are the plain indices).                                     *)
 
 let settle_block_k1 values (kn : Kernel.kernel) =
@@ -1363,6 +1374,19 @@ let tick_gated t =
 
 let tick t =
   if t.gating then tick_gated t
+  else if t.k = 1 then begin
+    (* one word per dff: the index arithmetic of the K-word loops below
+       would cost ~3x here *)
+    let values = t.values and next = t.dff_next in
+    let dffs = t.dffs_s and src = t.dff_src_s in
+    for j = 0 to Array.length dffs - 1 do
+      Array.unsafe_set next j (Array.unsafe_get values (Array.unsafe_get src j))
+    done;
+    for j = 0 to Array.length dffs - 1 do
+      Array.unsafe_set values (Array.unsafe_get dffs j) (Array.unsafe_get next j)
+    done;
+    t.cycle <- t.cycle + 1
+  end
   else begin
     let values = t.values and next = t.dff_next and k = t.k in
     let km1 = k - 1 in

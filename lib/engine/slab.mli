@@ -1,14 +1,18 @@
-(** Multi-word slab simulator: the {!Compiled_wide} hot loops widened to
-    K words per signal, breaking the 62-lane ceiling of one tagged int.
+(** Multi-word slab simulator — the word-parallel runtime: levelized,
+    compiled, K words per signal, breaking the 62-lane ceiling of one
+    tagged int.
 
     Every signal owns [k] consecutive 62-lane words in one flat int-array
     slab, so a single settle pass advances [62 * k] independent
-    simulation lanes — 496 lanes at the default [k = 8], 992 at
-    [k = 16] — while the per-gate index traffic (the dst/src loads that
-    bound {!Compiled_wide}) is amortized over the whole K-word run.  The
-    compile pipeline ({!Kernel}) is shared with {!Compiled_wide}, so
-    layout, fusion and force-slot placement are identical; the slab
-    engine only scales the index arrays by [k] at creation.
+    simulation lanes — 62 at [k = 1] (the "wide" engine,
+    {!Compiled_wide}), 496 at the default [k = 8], 992 at [k = 16] —
+    while the per-gate index traffic (the dst/src loads that bound the
+    k = 1 pass) is amortized over the whole K-word run.  Each levelized
+    rank is pre-split at compile time ({!Kernel}) into per-gate-kind
+    index arrays, so the inner loops are branch-free; the netlist is
+    re-laid-out rank-major, and common 2-level patterns (and-or, or-and,
+    xor chains) run as fused kernels.  The engine only scales the index
+    arrays by [k] at creation.
 
     Since PR 7 the shared pipeline tiles each levelized rank into
     {e blocks} of roughly [Kernel.tuning.block_words] slab words
@@ -71,9 +75,14 @@ val create :
     portable scalar C otherwise).  [?tuning] (default
     {!Kernel.default_tuning}) sizes rank blocks and dff clusters and
     sets the gating adaptation constants; see {!Kernel.tuning_of_spec}
-    for the ["block-words=3072,hot-after=4"] string form.  The
-    remaining options are {!Compiled_wide.create}'s, compiled through
-    the shared {!Kernel} pipeline.  Raises
+    for the ["block-words=3072,hot-after=4"] string form.  The compile
+    options go to {!Kernel.compile}: [~optimize:true] (default false)
+    runs the {!Hydra_netlist.Optimize} pre-pass, [~relayout] (default
+    true) the {!Hydra_netlist.Layout.rank_major} re-layout, [~fuse]
+    (default true) absorbs fanout-1 inner gates into fused kernels, and
+    [~certify:true] (default false) translation-validates each pre-pass
+    with {!Hydra_analyze.Certify} (raising
+    {!Hydra_analyze.Certify.Certification_failed} on a lie).  Raises
     {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
     circuit. *)
 
@@ -81,7 +90,8 @@ val of_program : ?gating:bool -> ?simd:bool -> Kernel.program -> t
 (** Build an engine over an already-compiled {!Kernel.program} (from
     {!Kernel.compile}, {!Kernel.patch} or {!Cache}), skipping every
     compile-time pass; the slab's K is the program's [k].  Only the
-    per-instance value state and the gating/simd metadata are built. *)
+    per-instance value state and the metadata the chosen flavor reads
+    (gating maps, SIMD descriptors) are built. *)
 
 val program : t -> Kernel.program
 (** The shared compiled program this engine runs. *)
@@ -108,7 +118,8 @@ val replicate : t -> t
 val reset : t -> unit
 
 val set_input : t -> string -> int -> unit
-(** Set word 0 of an input ({!Compiled_wide.set_input} drop-in). *)
+(** Set word 0 of an input (lane [l] = bit [l]; masked to
+    {!lane_mask}). *)
 
 val set_input_word : t -> string -> int -> int -> unit
 (** [set_input_word t name w v]: set word [w] (0-based, [< k]) of an
@@ -133,18 +144,24 @@ val output_lane : t -> string -> int -> bool
 (** Global lane of an output, [0 <= lane < 62 * k]. *)
 
 val outputs : t -> (string * int) list
-(** Word-0 view of every output ({!Compiled_wide.outputs} drop-in). *)
+(** Word-0 view of every output. *)
 
 val peek : t -> int -> int
-(** Word 0 of a component (post-optimize, post-relayout index); same
-    staleness caveat for fused inner gates as {!Compiled_wide.peek}. *)
+(** Word 0 of a component by its post-optimize, post-relayout index
+    (see {!netlist}).  The word of a gate absorbed into a fused kernel
+    (see {!fused_gates}) is never written and reads as stale; every
+    other component is exact. *)
 
 val peek_word : t -> int -> int -> int
 val poke : t -> int -> int -> unit
 val poke_word : t -> int -> int -> int -> unit
-(** [poke_word t i w v].  On a gated engine pokes are change-detected and
-    mark the reader blocks (and dff sink clusters) dirty, so they
-    compose with gating. *)
+(** [poke_word t i w v] sets word [w] of a component by index — the
+    hashtable-free counterpart of {!set_input_word} for hot loops that
+    resolved {!netlist} port indices up front.  Only meaningful on
+    inputs and dffs (a poked gate output is overwritten by the next
+    {!settle}).  On a gated engine pokes are change-detected and mark
+    the reader blocks (and dff sink clusters) dirty, so they compose
+    with gating. *)
 
 type force = {
   f_site : int;  (** component index in {!netlist} *)
@@ -152,12 +169,17 @@ type force = {
   force1 : int array;  (** per word: lanes driven to 1 (wins) *)
   flip : int array;  (** per word: lanes inverted, after the stuck masks *)
 }
-(** The K-word generalization of {!Compiled_wide.force}: each mask is one
-    word per slab word (length [k]).  The arrays are mutable in place so
-    a campaign can re-seed per-cycle faults without re-registering. *)
+(** A per-lane value override applied at one component's output during
+    every {!settle} — the runtime fault-injection hook used by
+    {!Hydra_verify.Campaign}.  Each mask is one word per slab word
+    (length [k]).  The arrays are mutable in place so a campaign can
+    re-seed per-cycle faults without re-registering. *)
 
 val set_forces : t -> force array -> unit
-(** As {!Compiled_wide.set_forces}.  Composes with gating: installing,
+(** Replace the registered force set.  Forces apply at the rank boundary
+    where the forced component's word becomes visible to its readers:
+    before rank 0 for inputs, dffs and constants; right after the
+    component's own rank for gates and outports.  Composes with gating: installing,
     replacing or clearing forces marks every affected site's own block,
     its dff cluster (for forced register outputs) and its consumer
     blocks dirty — for the {e old} force set as well as the new one, so
@@ -177,10 +199,10 @@ val netlist : t -> Hydra_netlist.Netlist.t
 
 val run_packed :
   t -> inputs:(string * int list) list -> cycles:int -> (string * int) list list
-(** {!Compiled_wide.run_packed} drop-in: each packed input word is
-    broadcast to all [k] words (so every word simulates the same 62
-    streams) and rows report word 0 — bit-identical to the wide engine on
-    the same stimulus, whatever [k] and gating. *)
+(** Whole packed simulation from power-up: per input, one packed word per
+    cycle (shorter streams padded with 0), broadcast to all [k] words (so
+    every word simulates the same 62 streams); returns one row of word-0
+    outputs per cycle — the same rows whatever [k] and gating. *)
 
 val run_vectors : t -> bool array array -> bool array array
 (** Batched combinational testbench, [62 * k] vectors per settle pass:

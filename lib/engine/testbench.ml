@@ -154,12 +154,12 @@ let run ?(engine = `Compiled) ~cycles ~stimuli ~expectations netlist =
    cost ceil(N/lanes) sequential runs.  Cases may drive different ports;
    a port no case drives in some lane simply stays 0 there, exactly as in
    a scalar run.  The chunk runner is a functor over {!Engine_intf.S} so
-   the same checking code serves {!Compiled_wide} (the default, 62 cases
-   per chunk) and any [?engine] handle such as {!Slab.engine} (62*K cases
-   per chunk).  With [?sharded], the 62-case chunks become sharded jobs
-   on the wide engine's persistent per-domain replicas; with
-   [?scheduler], they become tasks of one job on the scheduler's team
-   (per-member replicas aligned by member index). *)
+   the same checking code serves the default 62-lane engine
+   ([Slab.engine 1], 62 cases per chunk) and any [?engine] handle such
+   as [Slab.engine 8] (62*K cases per chunk).  With [?sharded], the
+   chunks become sharded jobs on its persistent per-domain replicas;
+   with [?scheduler], they become tasks of one job on the scheduler's
+   team (per-member replicas aligned by member index). *)
 let run_batched ?scheduler ?sharded ?engine ?deadline ~cycles ~cases netlist =
   let ncases = Array.length cases in
   (* deadline enforcement at chunk boundaries: scheduler paths delegate
@@ -285,14 +285,14 @@ let run_batched ?scheduler ?sharded ?engine ?deadline ~cycles ~cases netlist =
         "Testbench.run_batched: ?scheduler and ?sharded must share one pool"
     | _ -> ());
     let module C = Run (struct
-      include Compiled_wide
+      include Slab
 
-      let name = "wide"
+      let name = "sharded"
 
       let create ?optimize ?relayout ?fuse ?certify nl =
-        Compiled_wide.create ?optimize ?relayout ?fuse ?certify nl
+        Slab.create ~k:(Sharded.k sh) ?optimize ?relayout ?fuse ?certify nl
     end) in
-    let ch = Scheduler.chunking ~lanes:Sharded.lanes ncases in
+    let ch = Scheduler.chunking ~lanes:(Sharded.lanes sh) ncases in
     (match scheduler with
     | Some sch ->
       Scheduler.run_tasks sch ~name:"testbench" ?deadline ch.Scheduler.count
@@ -302,7 +302,7 @@ let run_batched ?scheduler ?sharded ?engine ?deadline ~cycles ~cases netlist =
           check_deadline ();
           C.chunk sim c))
   | None, eng ->
-    let (module E) = Option.value eng ~default:Engine_intf.wide in
+    let (module E) = Option.value eng ~default:(Slab.engine 1) in
     let module C = Run (E) in
     let sim = E.create netlist in
     let lanes = Hydra_core.Packed.lanes * E.words sim in

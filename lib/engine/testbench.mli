@@ -52,12 +52,12 @@ val run_batched :
     lane-packed engine: with [L] lanes per chunk, case [k] rides in lane
     [k mod L] of run [k / L], so N cases cost ceil(N/L) simulations.
     Cases may drive different ports (undriven ports hold 0 in that lane,
-    as in a scalar run).  The engine defaults to {!Compiled_wide}
-    (L = 62); pass [?engine] (e.g. [Slab.engine 8], L = 62*K) to batch
-    wider.  With [?sharded] — which must have been created from the same
-    netlist, and is mutually exclusive with [?engine] — the 62-case
-    chunks become sharded jobs on the wide engine's persistent
-    per-domain replicas.  With [?scheduler], chunks run as tasks of one
+    as in a scalar run).  The engine defaults to the 62-lane
+    [Slab.engine 1] (L = 62); pass [?engine] (e.g. [Slab.engine 8],
+    L = 62*K) to batch wider.  With [?sharded] — which must have been
+    created from the same netlist, and is mutually exclusive with
+    [?engine] — the chunks ([L = Sharded.lanes]) become sharded jobs on
+    its persistent per-domain replicas.  With [?scheduler], chunks run as tasks of one
     job on the scheduler's team: alone it shards the default (or
     [?engine]) simulation over per-member replicas; combined with
     [?sharded] the two must share one pool ([Scheduler.pool] physically

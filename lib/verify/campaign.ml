@@ -5,12 +5,10 @@
    engine speed: lane 0 of a word-parallel engine runs the golden
    circuit while every other lane runs a distinct fault, injected at
    runtime through per-lane force masks instead of per-fault netlist
-   rewriting and recompilation.  The campaign core addresses the engine
-   through a small word-indexed ops record, so the same classification
-   loop runs on {!Compiled_wide} (61 faults per pass, the default) or on
-   a K-word {!Slab} (62*K - 1 faults per pass, [~engine:(`Slab k)]).
-   Fault lists larger than one engine pass chunk over
-   {!Scheduler.run_tasks} or {!Sharded.run_tasks}, so the peak rate is
+   rewriting and recompilation.  The engine is a K-word {!Slab}: 61
+   faults per pass at the default k = 1 ([`Wide]), 62*K - 1 with
+   [~engine:(`Slab k)].  Fault lists larger than one engine pass chunk
+   over {!Scheduler.run_tasks} or {!Sharded.run_tasks}, so the peak rate is
    (lanes - 1) x domains faults per settle pass, and chunks drop their
    detected faults part-way (see "Fault dropping" below).
 
@@ -24,7 +22,7 @@
    netlist unchanged. *)
 
 module Netlist = Hydra_netlist.Netlist
-module W = Hydra_engine.Compiled_wide
+module Packed = Hydra_core.Packed
 module Slab = Hydra_engine.Slab
 module Sharded = Hydra_engine.Sharded
 module Scheduler = Hydra_engine.Scheduler
@@ -129,81 +127,6 @@ let random_stimulus ~seed ~cycles nl =
     (fun (name, _) -> (name, List.init cycles (fun _ -> Random.State.bool st)))
     nl.Netlist.inputs
 
-(* The word-indexed face the classification loop drives.  A fault's
-   force masks are accumulated in a [pending] (one 62-bit word per
-   engine word) and installed all at once; intermittent faults then
-   mutate their pending's flip masks per cycle and call [o_sync_flips]
-   (a no-op on engines that share the arrays by reference).
-
-   A chunk writes every state site (dffs and constants) before its
-   first settle, and an ungated settle recomputes every other component
-   from those, the inputs and the forces, so [o_reset] only has work on
-   a gated engine: there it re-marks every block dirty, so no block
-   keeps a value computed for the previous chunk. *)
-type pending = { p_site : int; p0 : int array; p1 : int array; pf : int array }
-
-type ops = {
-  o_words : int;
-  o_reset : unit -> unit;
-  o_settle : unit -> unit;
-  o_tick : unit -> unit;
-  o_poke : int -> int -> int -> unit;  (* site, word, packed value *)
-  o_peek : int -> int -> int;  (* site, word *)
-  o_install : pending array -> unit;
-  o_sync_flips : pending array -> unit;
-  o_clear : unit -> unit;
-}
-
-let wide_ops sim =
-  let installed = ref [||] in
-  {
-    o_words = 1;
-    o_reset = ignore;
-    o_settle = (fun () -> W.settle sim);
-    o_tick = (fun () -> W.tick sim);
-    o_poke = (fun site _ v -> W.poke sim site v);
-    o_peek = (fun site _ -> W.peek sim site);
-    o_install =
-      (fun ps ->
-        installed :=
-          Array.map
-            (fun p ->
-              {
-                W.f_site = p.p_site;
-                force0 = p.p0.(0);
-                force1 = p.p1.(0);
-                flip = p.pf.(0);
-              })
-            ps;
-        W.set_forces sim !installed);
-    (* the wide force masks are plain ints, so flip updates are copied
-       through to the installed records *)
-    o_sync_flips =
-      (fun ps -> Array.iteri (fun i p -> !installed.(i).W.flip <- p.pf.(0)) ps);
-    o_clear = (fun () -> W.clear_forces sim);
-  }
-
-let slab_ops sim =
-  {
-    o_words = Slab.k sim;
-    o_reset = (if Slab.gated sim then fun () -> Slab.reset sim else ignore);
-    o_settle = (fun () -> Slab.settle sim);
-    o_tick = (fun () -> Slab.tick sim);
-    o_poke = (fun site w v -> Slab.poke_word sim site w v);
-    o_peek = (fun site w -> Slab.peek_word sim site w);
-    o_install =
-      (fun ps ->
-        Slab.set_forces sim
-          (Array.map
-             (fun p ->
-               { Slab.f_site = p.p_site; force0 = p.p0; force1 = p.p1; flip = p.pf })
-             ps));
-    (* the slab keeps the caller's mask arrays by reference: pending flip
-       mutations are already live *)
-    o_sync_flips = (fun _ -> ());
-    o_clear = (fun () -> Slab.clear_forces sim);
-  }
-
 (* Fault dropping.  A chunk whose undetected lanes fall to half its
    starting lanes (or fewer) stops at that cycle boundary instead of
    simulating every lane to the end of the window; its detected lanes
@@ -254,7 +177,7 @@ let iter_lanes f w x =
   let x = ref x in
   while !x <> 0 do
     let low = !x land - !x in
-    f ((w * W.lanes) + log2 low - 1);
+    f ((w * Packed.lanes) + log2 low - 1);
     x := !x lxor low
   done
 
@@ -334,7 +257,7 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
            | None -> ()
            | Some bits ->
              List.iteri
-               (fun c b -> if c < cycles && b then words.(c) <- W.lane_mask)
+               (fun c b -> if c < cycles && b then words.(c) <- Packed.lane_mask)
                bits);
            (site, words))
          nl.Netlist.inputs)
@@ -382,20 +305,25 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     results.(fi) <-
       Some { fault; name = fault_name nl fault; classification; status }
   in
-  let run_chunk ops job =
+  let run_chunk sim job =
     (* fault j_faults.(k) rides global lane k+1 — word (k+1)/62, bit
        (k+1) mod 62 — while word 0 bit 0 stays golden *)
-    let words = ops.o_words in
+    let words = Slab.k sim in
     let lane_faults = job.j_faults in
     let count = Array.length lane_faults in
-    let word_of k = (k + 1) / W.lanes in
-    let bit_of k = 1 lsl ((k + 1) mod W.lanes) in
+    let word_of k = (k + 1) / Packed.lanes in
+    let bit_of k = 1 lsl ((k + 1) mod Packed.lanes) in
     let live = Array.make words 0 in
     for k = 0 to count - 1 do
       live.(word_of k) <- live.(word_of k) lor bit_of k
     done;
-    ops.o_clear ();
-    ops.o_reset ();
+    Slab.clear_forces sim;
+    (* a chunk writes every state site (dffs and constants) before its
+       first settle, and an ungated settle recomputes every other
+       component from those, the inputs and the forces; only a gated
+       engine needs its blocks re-marked dirty, so none keeps a value
+       computed for the previous chunk *)
+    if Slab.gated sim then Slab.reset sim;
     let start = job.j_start in
     (* migrated state: golden words on every state site, then each
        lane's own differing bits *)
@@ -403,7 +331,7 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       (fun i g ->
         let site = state_sites.(i) in
         for w = 0 to words - 1 do
-          ops.o_poke site w g
+          Slab.poke_word sim site w g
         done)
       job.j_golden;
     Array.iteri
@@ -412,16 +340,19 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         Array.iter
           (fun i ->
             let site = state_sites.(i) in
-            ops.o_poke site wk (ops.o_peek site wk lxor bit))
+            Slab.poke_word sim site wk (Slab.peek_word sim site wk lxor bit))
           diff)
       job.j_diff;
-    let pendings = ref [] and seus = ref [] and inters = ref [] in
-    let pending site =
+    (* a fault's masks accumulate in a force record (one word per engine
+       word) installed once; the slab keeps the arrays by reference, so
+       an intermittent fault re-seeds its flip mask per cycle in place *)
+    let forces = ref [] and seus = ref [] and inters = ref [] in
+    let force site =
       {
-        p_site = site;
-        p0 = Array.make words 0;
-        p1 = Array.make words 0;
-        pf = Array.make words 0;
+        Slab.f_site = site;
+        force0 = Array.make words 0;
+        force1 = Array.make words 0;
+        flip = Array.make words 0;
       }
     in
     (* stuck-at faults on one site (adjacent in [all_stuck_at] order)
@@ -433,21 +364,21 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       | Stuck_at { site; value } ->
         let p =
           match !last_stuck with
-          | Some p when p.p_site = site -> p
+          | Some p when p.Slab.f_site = site -> p
           | _ ->
-            let p = pending site in
-            pendings := p :: !pendings;
+            let p = force site in
+            forces := p :: !forces;
             last_stuck := Some p;
             p
         in
-        if value then p.p1.(wk) <- p.p1.(wk) lor bit
-        else p.p0.(wk) <- p.p0.(wk) lor bit
+        if value then p.Slab.force1.(wk) <- p.Slab.force1.(wk) lor bit
+        else p.Slab.force0.(wk) <- p.Slab.force0.(wk) lor bit
       | Seu { site; at_cycle } ->
         (* an upset before [start] is already in the migrated state *)
         if at_cycle >= start then seus := (at_cycle, site, wk, bit) :: !seus
       | Intermittent { site; rate; seed } ->
-        let p = pending site in
-        pendings := p :: !pendings;
+        let p = force site in
+        forces := p :: !forces;
         (* seeded per fault, not per chunk, so results are independent of
            how faults land on chunks and members; a resumed chunk replays
            the draws of the cycles already simulated *)
@@ -457,8 +388,7 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         done;
         inters := (p, wk, bit, rate, st) :: !inters
     done;
-    let pendings = Array.of_list (List.rev !pendings) in
-    ops.o_install pendings;
+    Slab.set_forces sim (Array.of_list (List.rev !forces));
     let seus = !seus and inters = !inters in
     let det_cycle = Array.make (max count 1) (-1) in
     let det_out = Array.make (max count 1) "" in
@@ -472,29 +402,26 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         let site, svs = streams.(i) in
         let v = svs.(c) in
         for w = 0 to words - 1 do
-          ops.o_poke site w v
+          Slab.poke_word sim site w v
         done
       done;
       List.iter
         (fun (at, site, wk, bit) ->
-          if at = c then ops.o_poke site wk (ops.o_peek site wk lxor bit))
+          if at = c then Slab.poke_word sim site wk (Slab.peek_word sim site wk lxor bit))
         seus;
-      if inters <> [] then begin
-        List.iter
-          (fun (p, wk, bit, rate, st) ->
-            p.pf.(wk) <- (if Random.State.float st 1.0 < rate then bit else 0))
-          inters;
-        ops.o_sync_flips pendings
-      end;
-      ops.o_settle ();
+      List.iter
+        (fun (p, wk, bit, rate, st) ->
+          p.Slab.flip.(wk) <- (if Random.State.float st 1.0 < rate then bit else 0))
+        inters;
+      Slab.settle sim;
       (if !n_undet > 0 then
          for o = 0 to Array.length compare_sites - 1 do
            let oname, osite = compare_sites.(o) in
            (* golden is word 0, bit 0, sign-extended across every word:
               set bits = lanes that differ from the golden lane *)
-           let gext = -(ops.o_peek osite 0 land 1) in
+           let gext = -(Slab.peek_word sim osite 0 land 1) in
            for w = 0 to words - 1 do
-             let diff = (ops.o_peek osite w lxor gext) land undet.(w) in
+             let diff = (Slab.peek_word sim osite w lxor gext) land undet.(w) in
              if diff <> 0 then begin
                iter_lanes
                  (fun k ->
@@ -509,10 +436,10 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       for si = 0 to Array.length status_sites - 1 do
         let ssite = snd status_sites.(si) in
         for w = 0 to words - 1 do
-          status_acc.(si).(w) <- status_acc.(si).(w) lor ops.o_peek ssite w
+          status_acc.(si).(w) <- status_acc.(si).(w) lor Slab.peek_word sim ssite w
         done
       done;
-      ops.o_tick ();
+      Slab.tick sim;
       (* drop at half: at most half the starting lanes still undetected *)
       if droppable && c + 1 < cycles && 2 * !n_undet <= count then stop := c;
       cycle := c + 1
@@ -548,13 +475,13 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         let diffs = Array.make count [] in
         Array.iteri
           (fun i site ->
-            let gext = -(ops.o_peek site 0 land 1) in
+            let gext = -(Slab.peek_word sim site 0 land 1) in
             golden.(i) <- gext;
             for w = 0 to words - 1 do
               iter_lanes
                 (fun k -> diffs.(k) <- i :: diffs.(k))
                 w
-                ((ops.o_peek site w lxor gext) land undet.(w))
+                ((Slab.peek_word sim site w lxor gext) land undet.(w))
             done)
           state_sites;
         let acc = ref [] in
@@ -579,10 +506,10 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         let state_diff = Array.make words 0 in
         Array.iter
           (fun site ->
-            let gext = -(ops.o_peek site 0 land 1) in
+            let gext = -(Slab.peek_word sim site 0 land 1) in
             for w = 0 to words - 1 do
               state_diff.(w) <-
-                state_diff.(w) lor ((ops.o_peek site w lxor gext) land live.(w))
+                state_diff.(w) lor ((Slab.peek_word sim site w lxor gext) land live.(w))
             done)
           dffs;
         for k = 0 to count - 1 do
@@ -596,18 +523,30 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         []
       end
     in
-    ops.o_clear ();
+    Slab.clear_forces sim;
     survivors
   in
-  (match engine with
-  | `Slab k when k < 1 -> invalid_arg "Campaign.run: slab k must be >= 1"
+  let k =
+    match engine with
+    | `Wide -> 1
+    | `Slab k when k < 1 -> invalid_arg "Campaign.run: slab k must be >= 1"
+    | `Slab k -> k
+  in
+  (match sharded with
+  | Some sh when Sharded.k sh <> k ->
+    invalid_arg
+      (Printf.sprintf
+         "Campaign.run: ?sharded engine has k=%d words per signal but \
+          ~engine asks for k=%d"
+         (Sharded.k sh) k)
   | _ -> ());
   (* Resilience knobs.  The deadline is a wall budget over the whole
      campaign; scheduler runs carry it (and the retry policy) on the
      job, direct runs enforce it at chunk boundaries with a local
-     retry loop.  The admission controller may degrade a slab request
-     to fewer words (fewer faults per pass, same results) before it
-     would shed the campaign outright. *)
+     retry loop.  The admission controller may degrade a request to
+     fewer words (fewer faults per pass, same results) before it would
+     shed the campaign outright; a caller's [?sharded] engine keeps its
+     own words. *)
   let t0 = Resilience.now () in
   let check_deadline () =
     match deadline with
@@ -624,18 +563,15 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     match admission with
     | None -> None
     | Some a -> (
-      let want =
-        W.lanes * (match engine with `Wide -> 1 | `Slab k -> k)
-      in
-      match Resilience.acquire a ~lanes:want with
+      match Resilience.acquire a ~lanes:(Packed.lanes * k) with
       | `Granted g -> Some (a, g)
       | `Shed -> raise (Resilience.Shed { job = "campaign"; priority = 0 }))
   in
-  let engine =
-    match (acquired, engine) with
-    | Some (_, g), `Slab k when g < W.lanes * k ->
-      `Slab (max 1 (g / W.lanes))  (* degraded, not rejected *)
-    | _ -> engine
+  let k =
+    match (acquired, sharded) with
+    | Some (_, g), None when g < Packed.lanes * k ->
+      max 1 (g / Packed.lanes)  (* degraded, not rejected *)
+    | _ -> k
   in
   Fun.protect
     ~finally:(fun () ->
@@ -643,11 +579,8 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       | Some (a, g) -> Resilience.release a ~lanes:g
       | None -> ())
     (fun () ->
-      let engine_words = match engine with `Wide -> 1 | `Slab k -> k in
       (* lane 0 of every chunk is the golden run, hence [~reserved:1] *)
-      let ch =
-        Scheduler.chunking ~reserved:1 ~lanes:(W.lanes * engine_words) nfaults
-      in
+      let ch = Scheduler.chunking ~reserved:1 ~lanes:(Packed.lanes * k) nfaults in
       let nchunks = ch.Scheduler.count in
       (* round 0 covers the caller's list in order; each later round
          packs the previous round's survivors.  Chunk task ids run on
@@ -658,7 +591,7 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
           let n = Array.length jobs in
           if n > 0 then begin
             let out = Array.make n [] in
-            exec n (fun ops c -> out.(c) <- run_chunk ops jobs.(c));
+            exec n (fun sim c -> out.(c) <- run_chunk sim jobs.(c));
             first_task := !first_task + n;
             go
               (pack ~per_chunk:ch.Scheduler.per_chunk
@@ -706,33 +639,6 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       in
       (* one round's chunks as tasks on the scheduler's team, or on a
          sharded driver's members *)
-      let fan_out run_direct replica_ops n task =
-        let body ~member c = task (replica_ops member) c in
-        match scheduler with
-        | Some sch ->
-          Scheduler.run_tasks sch ~name:"campaign" ?deadline:(sched_deadline ())
-            ?retry n (dress body)
-        | None -> run_direct n (dress body)
-      in
-      (* engines always compile with the identity passes (force sites
-         are caller-netlist component indices); [?cache] serves warm
-         replicas.  Slab engines run the vectorized C kernels wherever
-         the build has a vector path. *)
-      let wide_base () =
-        match cache with
-        | Some c -> Cache.wide c ~optimize:false ~relayout:false ~fuse:false nl
-        | None -> W.create ~optimize:false ~relayout:false ~fuse:false nl
-      in
-      let slab_base k =
-        let simd = Simd.vectorized () in
-        match cache with
-        | Some c ->
-          Cache.slab c ~k ~gating ~simd ~optimize:false ~relayout:false
-            ~fuse:false nl
-        | None ->
-          Slab.create ~k ~gating ~simd ~optimize:false ~relayout:false
-            ~fuse:false nl
-      in
       let run_sharded sh =
         if Sharded.netlist sh <> nl then
           invalid_arg
@@ -745,52 +651,48 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
             "Campaign.run: ?scheduler and ?sharded must share one pool \
              (Sharded.of_base ~pool:(Scheduler.pool sch))"
         | _ -> ());
-        rounds
-          (fan_out (Sharded.run_tasks sh) (fun m ->
-               wide_ops (Sharded.replica sh m)))
-      in
-      match (engine, sharded) with
-      | `Slab _, Some _ ->
-        invalid_arg
-          "Campaign.run: ?sharded reuses a wide engine; pass ?domains with \
-           ~engine:(`Slab k) instead"
-      | `Slab k, None ->
-        if nchunks > 0 then begin
-          let base = slab_base k in
-          let module SSh = Sharded.Slab_sharded in
-          let ssh =
+        rounds (fun n task ->
+            let body ~member c = task (Sharded.replica sh member) c in
             match scheduler with
-            | Some sch -> SSh.of_base ~pool:(Scheduler.pool sch) base
-            | None -> SSh.of_base ?domains base
-          in
-          let go () =
-            rounds
-              (fan_out (SSh.run_tasks ssh) (fun m ->
-                   slab_ops (SSh.replica ssh m)))
-          in
-          match scheduler with
-          | Some _ -> go ()
-          | None -> Fun.protect ~finally:(fun () -> SSh.shutdown ssh) go
-        end
-      | `Wide, Some sh -> run_sharded sh
-      | `Wide, None ->
+            | Some sch ->
+              Scheduler.run_tasks sch ~name:"campaign"
+                ?deadline:(sched_deadline ()) ?retry n (dress body)
+            | None -> Sharded.run_tasks sh n (dress body))
+      in
+      (* engines always compile with the identity passes (force sites
+         are caller-netlist component indices); [?cache] serves warm
+         replicas.  Multi-word engines run the vectorized C kernels
+         wherever the build has a vector path; at k = 1 the OCaml loops
+         are faster. *)
+      let base () =
+        let simd = k > 1 && Simd.vectorized () in
+        match cache with
+        | Some c ->
+          Cache.slab c ~k ~gating ~simd ~optimize:false ~relayout:false
+            ~fuse:false nl
+        | None ->
+          Slab.create ~k ~gating ~simd ~optimize:false ~relayout:false
+            ~fuse:false nl
+      in
+      match sharded with
+      | Some sh -> run_sharded sh
+      | None ->
         if Option.is_none scheduler && Option.is_none domains && nchunks <= 1
         then begin
           if nchunks = 1 then begin
-            let ops = wide_ops (wide_base ()) in
+            let sim = base () in
             rounds (fun n task ->
                 for c = 0 to n - 1 do
-                  dress (fun ~member:_ c -> task ops c) ~member:0 c
+                  dress (fun ~member:_ c -> task sim c) ~member:0 c
                 done)
           end
         end
         else if nchunks > 0 then begin
           match scheduler with
           | Some sch ->
-            run_sharded
-              (Sharded.of_base ~pool:(Scheduler.pool sch) (wide_base ()))
+            run_sharded (Sharded.of_base ~pool:(Scheduler.pool sch) (base ()))
           | None ->
-            let sh = Sharded.of_base ?domains (wide_base ()) in
+            let sh = Sharded.of_base ?domains (base ()) in
             Fun.protect
               ~finally:(fun () -> Sharded.shutdown sh)
               (fun () -> run_sharded sh)

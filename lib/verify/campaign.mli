@@ -1,7 +1,8 @@
 (** Lane-parallel fault-injection campaigns: lane 0 of a
-    {!Hydra_engine.Compiled_wide} runs the golden circuit while lanes
-    1..61 each run a distinct fault injected at runtime through per-lane
-    force masks — no per-fault netlist rewriting or recompilation.
+    {!Hydra_engine.Slab} runs the golden circuit while every other lane
+    (61 per engine word) runs a distinct fault injected at runtime
+    through per-lane force masks — no per-fault netlist rewriting or
+    recompilation.
     Fault lists larger than one engine pass chunk over
     {!Hydra_engine.Scheduler.run_tasks} or
     {!Hydra_engine.Sharded.run_tasks}, and a chunk stops once half its
@@ -104,18 +105,16 @@ val run :
     are excluded from the divergence comparison and instead sampled as
     ever-asserted per lane into {!verdict.status}.
 
-    With the default [~engine:`Wide], at most 61 faults run per engine
-    pass; larger lists chunk over a sharded engine — [?sharded] reuses
-    one (it must be compiled from exactly this netlist with
-    [~optimize:false ~relayout:false ~fuse:false]; registered forces are
-    cleared), otherwise one is created with [?domains] and shut down
-    afterwards.  A single-chunk run without [?sharded]/[?domains] stays
-    inline on one wide engine.
-
-    With [~engine:(`Slab k)] the campaign runs on a K-word
-    {!Hydra_engine.Slab}: [62*k - 1] faults per engine pass (so a whole
-    [all_stuck_at] list often fits in one), chunked over a slab-sharded
-    driver built with [?domains].
+    The engine is a {!Hydra_engine.Slab} of [k] words: [k = 1] with the
+    default [~engine:`Wide], [k] with [~engine:(`Slab k)], so [62*k - 1]
+    faults run per engine pass (a whole [all_stuck_at] list often fits
+    in one).  Larger lists chunk over a sharded engine — [?sharded]
+    reuses one (it must be compiled from exactly this netlist with
+    [~optimize:false ~relayout:false ~fuse:false] and have the requested
+    [k], else [Invalid_argument]; registered forces are cleared),
+    otherwise one is created with [?domains] and shut down afterwards.
+    A single-chunk run without [?sharded]/[?domains]/[?scheduler] stays
+    inline on one engine.
 
     With [?scheduler] (mutually exclusive with [?domains]) the chunks
     run as tasks of one job on the scheduler's shared team instead of a
@@ -124,15 +123,14 @@ val run :
     line up.  With [?cache] the campaign engines come from the
     compiled-circuit cache (identity-pass flavors), so repeated
     campaigns on the same netlist skip recompilation.  Verdicts are
-    bit-identical in every mode.  [?sharded] is wide-only and rejected
-    in combination with [`Slab].  [~gating:true] (slab-only; rejected
-    with [`Wide]) runs the campaign engines with cluster-granular
-    activity gating — force installs mark the affected blocks, so
-    verdicts stay bit-identical while a mostly-quiescent circuit under
-    a local fault simulates much faster.  Verdicts are identical to the
-    wide engine's — only the packing changes.  Slab engines run the
-    vectorized C kernels ({!Hydra_engine.Simd}) when the build has a
-    vector path.
+    bit-identical in every mode.  [~gating:true] (rejected with
+    [`Wide]; use [`Slab 1]) runs the campaign engines with
+    cluster-granular activity gating — force installs mark the affected
+    blocks, so verdicts stay bit-identical while a mostly-quiescent
+    circuit under a local fault simulates much faster.  Verdicts are the
+    same at every [k] — only the packing changes.  Engines with [k > 1]
+    run the vectorized C kernels ({!Hydra_engine.Simd}) when the build
+    has a vector path; at [k = 1] the OCaml kernels are faster.
 
     Fault dropping: without [status_outputs], a chunk stops at the first
     cycle boundary where at most half of its faults are still
@@ -149,10 +147,11 @@ val run :
     their verdict slice from reset, so retried runs stay bit-identical);
     with [?scheduler] the policy rides on the job and attempts are
     journaled in its trail.  [?admission] reserves the engine's lane
-    demand against a shared budget: an over-budget [`Slab k] request is
-    {e degraded} to fewer slab words (same verdicts, smaller passes)
-    rather than rejected, and only a budget with less than one word
-    free sheds the campaign ({!Hydra_engine.Resilience.Shed}).
+    demand against a shared budget: an over-budget request is
+    {e degraded} to fewer slab words (same verdicts, smaller passes;
+    a caller's [?sharded] engine keeps its own) rather than rejected,
+    and only a budget with less than one word free sheds the campaign
+    ({!Hydra_engine.Resilience.Shed}).
     [?chaos] dresses every chunk with a seeded {!Chaos} injection point
     — the soak-test harness.
 

@@ -149,7 +149,7 @@ let packed_random ?(trials = 1000) ~inputs c1 c2 =
   go trials
 
 (* Sequential random equivalence of two netlists with the same port
-   names, run on the wide engine: every pass drives 62 random stimulus
+   names, run on the 62-lane engine: every pass drives 62 random stimulus
    streams into both circuits simultaneously and compares every output
    word every cycle — ~60x fewer simulator passes than lane-at-a-time
    sampling.  This is the workhorse check for optimized-vs-original
@@ -160,7 +160,7 @@ type seq_result =
 
 let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
     ?(seed = 0x5eed) ?(domains = 1) ?deadline nl1 nl2 =
-  let module W = Hydra_engine.Compiled_wide in
+  let module Slab = Hydra_engine.Slab in
   let module Sh = Hydra_engine.Sharded in
   let module Scheduler = Hydra_engine.Scheduler in
   let module Cache = Hydra_engine.Cache in
@@ -197,10 +197,10 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
     <> List.sort compare (List.map fst nl2.Netlist.outputs)
   then invalid_arg "Equiv.wide_random_netlists: output ports differ";
   (* both sides' replicas are kept member-aligned by hand through the
-     fan-out's ~member index; [?cache] serves warm default-flavor wide
-     engines (same compile flags as W.create's defaults) *)
+     fan-out's ~member index; [?cache] serves warm 62-lane engines (the
+     default compile flags) *)
   let mk nl =
-    match cache with Some c -> Cache.wide c nl | None -> W.create nl
+    match cache with Some c -> Cache.wide c nl | None -> Slab.create ~k:1 nl
   in
   let base1 = mk nl1 in
   let base2 = mk nl2 in
@@ -218,8 +218,8 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
     (* an independent RNG per pass: the stimulus of pass [p] does not
        depend on which member runs it or in what order *)
     let st = Random.State.make [| seed; pass; cycles |] in
-    W.reset s1;
-    W.reset s2;
+    Slab.reset s1;
+    Slab.reset s2;
     (* record the stimulus so a mismatch can report the failing lane's
        input streams up to the failing cycle *)
     let history = ref [] in
@@ -229,14 +229,14 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
         history := row :: !history;
         List.iter
           (fun (name, w) ->
-            W.set_input s1 name w;
-            W.set_input s2 name w)
+            Slab.set_input s1 name w;
+            Slab.set_input s2 name w)
           row;
-        W.settle s1;
-        W.settle s2;
+        Slab.settle s1;
+        Slab.settle s2;
         List.iter
           (fun name ->
-            let w1 = W.output s1 name and w2 = W.output s2 name in
+            let w1 = Slab.output s1 name and w2 = Slab.output s2 name in
             if w1 <> w2 then begin
               let diff = w1 lxor w2 in
               let rec first_lane l =
@@ -258,13 +258,13 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
               raise Exit
             end)
           out_names;
-        W.tick s1;
-        W.tick s2
+        Slab.tick s1;
+        Slab.tick s2
       done
     with Exit -> ()
   in
   let replicas base n =
-    Array.init n (fun i -> if i = 0 then base else W.replicate base)
+    Array.init n (fun i -> if i = 0 then base else Slab.replicate base)
   in
   (match scheduler with
   | Some sch ->
@@ -289,7 +289,7 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
 (* Engine-vs-engine sequential random equivalence: the same check as
    {!wide_random_netlists}, but each side runs on an arbitrary
    {!Hydra_engine.Engine_intf.S} handle, so a K-word {!Hydra_engine.Slab}
-   can be cross-checked against the 1-word wide engine (or any two
+   can be cross-checked against the 1-word reference oracle (or any two
    engines against each other).  The stimulus cube is materialized up
    front per pass — [max words1 words2] packed words per input per cycle
    — and an engine with fewer words consumes it in multiple reset+replay
@@ -403,21 +403,21 @@ let engine_random_netlists ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
    with Exit -> ());
   !result
 
-(* The acceptance check for the slab engine: K-word slab vs the 1-word
-   wide engine on the same netlist. *)
+(* The acceptance check for the slab engine: K-word slab vs the 62-lane
+   packed oracle ({!Hydra_engine.Engine_intf.oracle}), which shares no
+   code with the compiled kernels, on the same netlist. *)
 let slab_vs_wide ?passes ?cycles ?seed ?(k = 8) ?gating ?simd ?tuning nl =
   engine_random_netlists ?passes ?cycles ?seed
     (Hydra_engine.Slab.engine ?gating ?simd ?tuning k)
-    Hydra_engine.Engine_intf.wide nl nl
+    Hydra_engine.Engine_intf.oracle nl nl
 
 let seq_equivalent = function Seq_equivalent -> true | Seq_mismatch _ -> false
 
 (* Translation validation for {!Hydra_engine.Kernel.patch}: run the
-   patched program (wide at k = 1, slab otherwise) against an
-   independent fresh full compile of its own netlist and wrap the
-   verdict as a {!Hydra_analyze.Certify.outcome} — the same contract as
-   the compile-time pass certificates, applied to an incremental
-   recompile. *)
+   patched program against an independent fresh full compile of its own
+   netlist and wrap the verdict as a {!Hydra_analyze.Certify.outcome} —
+   the same contract as the compile-time pass certificates, applied to
+   an incremental recompile. *)
 let certify_patch ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
     (prog : Hydra_engine.Kernel.program) =
   let module K = Hydra_engine.Kernel in
@@ -430,28 +430,18 @@ let certify_patch ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
       { transform; failure = C.Invalid { which = "patched"; reason } }
   | Ok () -> (
     let patched : (module Hydra_engine.Engine_intf.S) =
-      if prog.K.k = 1 then
-        (module struct
-          include Hydra_engine.Compiled_wide
+      (module struct
+        include Hydra_engine.Slab
 
-          let name = "patched"
+        let name = "patched"
 
-          let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ _ =
-            Hydra_engine.Compiled_wide.of_program prog
-        end)
-      else
-        (module struct
-          include Hydra_engine.Slab
-
-          let name = "patched"
-
-          let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ _ =
-            Hydra_engine.Slab.of_program prog
-        end)
+        let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ _ =
+          Hydra_engine.Slab.of_program prog
+      end)
     in
     match
       engine_random_netlists ~passes ~cycles ~seed patched
-        Hydra_engine.Engine_intf.wide nl nl
+        (Hydra_engine.Slab.engine 1) nl nl
     with
     | Seq_equivalent ->
       C.Certified

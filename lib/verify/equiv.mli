@@ -51,7 +51,7 @@ val packed_random : ?trials:int -> inputs:int -> circuit -> circuit -> result
     circuit evaluation, so [trials] vectors cost ceil(trials/62)
     passes. *)
 
-(** {1 Sequential netlist equivalence on the wide engine} *)
+(** {1 Sequential netlist equivalence on the 62-lane engine} *)
 
 type seq_result =
   | Seq_equivalent
@@ -75,7 +75,8 @@ val wide_random_netlists :
   Hydra_netlist.Netlist.t ->
   seq_result
 (** Random sequential equivalence of two netlists with the same port
-    names, on {!Hydra_engine.Compiled_wide}: each of [passes] (default 8)
+    names, on the 62-lane engine ([Slab] at k = 1): each of [passes]
+    (default 8)
     passes drives 62 random stimulus streams for [cycles] (default 32)
     cycles into both circuits and compares every output word every cycle
     — dffs included, ~60x fewer simulator passes than lane-at-a-time
@@ -88,7 +89,7 @@ val wide_random_netlists :
     count.  With [?scheduler] (which overrides [?domains]) the passes
     run as tasks of one job on the scheduler's shared team, with both
     sides' replicas member-aligned; with [?cache] the two base engines
-    come from the compiled-circuit cache (default wide flavor).  The
+    come from the compiled-circuit cache ({!Hydra_engine.Cache.wide}).  The
     result is identical in every mode.  [?deadline] bounds the whole
     sweep in wall-clock seconds, enforced between passes:
     {!Hydra_engine.Resilience.Deadline_exceeded} past it (with
@@ -111,8 +112,8 @@ val engine_random_netlists :
   seq_result
 (** Random sequential equivalence with each side on an arbitrary
     word-parallel engine handle — {!wide_random_netlists} generalized so
-    a K-word {!Hydra_engine.Slab} can be cross-checked against the wide
-    engine (or any two engines against each other).  Each of [passes]
+    a K-word {!Hydra_engine.Slab} can be cross-checked against the
+    reference oracle (or any two engines against each other).  Each of [passes]
     (default 4) passes materializes a stimulus cube of
     [max words1 words2] packed words per input per cycle for [cycles]
     (default 32) cycles; an engine with fewer words consumes it in
@@ -137,8 +138,10 @@ val slab_vs_wide :
 (** [slab_vs_wide nl]: {!engine_random_netlists} of the same netlist on
     {!Hydra_engine.Slab} ([?k] words, default 8, with [?gating], [?simd]
     and [?tuning] as in {!Hydra_engine.Slab.create}) versus
-    {!Hydra_engine.Compiled_wide} — the acceptance check that every slab
-    word of every flavor simulates exactly the wide semantics. *)
+    {!Hydra_engine.Engine_intf.oracle}, the packed reference simulator
+    that shares no code with the compiled kernels — the acceptance check
+    that every slab word of every flavor simulates exactly the 62-lane
+    semantics. *)
 
 val seq_equivalent : seq_result -> bool
 
@@ -150,8 +153,8 @@ val certify_patch :
   Hydra_analyze.Certify.outcome
 (** Translation-validate an incrementally patched program (the output of
     {!Hydra_engine.Kernel.patch}): validate its netlist, then run the
-    patched kernel — wide at [k = 1], slab otherwise — against an
-    independent fresh full compile of the same netlist with
+    patched kernel (a {!Hydra_engine.Slab} of the program's [k]) against
+    an independent fresh full compile of the same netlist at [k = 1] with
     {!engine_random_netlists} ([?passes] default 4, [?cycles] default
     32).  [Certified] names the checks performed; a behavioural
     divergence is [Refuted] with a replayable counterexample, exactly

@@ -151,7 +151,7 @@ let generate_tests ?(seed = 42) ?(target = 1.0) ?(batch = 16) ?(max_vectors = 51
     (* one persistent scheduler + per-member replica set for every batch
        when the fault list needs chunking anyway; small circuits stay on
        the inline (cache-warm) fast path *)
-    if total > Hydra_engine.Compiled_wide.lanes - 1 then begin
+    if total > Hydra_core.Packed.lanes - 1 then begin
       let sch = Hydra_engine.Scheduler.create () in
       let base =
         Hydra_engine.Cache.wide cache ~optimize:false ~relayout:false

@@ -424,7 +424,7 @@ let suite =
         let w =
           Hydra_engine.Compiled_wide.create ~optimize:true ~certify:true nl
         in
-        ignore (Hydra_engine.Compiled_wide.critical_path w));
+        ignore (Hydra_engine.Slab.critical_path w));
     tc "equiv: invalid generated netlist is reported as such" (fun () ->
         match
           Hydra_verify.Equiv.wide_random_netlists ~passes:1 ~cycles:2

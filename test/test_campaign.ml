@@ -9,6 +9,7 @@ open Util
 module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module W = Hydra_engine.Compiled_wide
+module Slab = Hydra_engine.Slab
 module Sharded = Hydra_engine.Sharded
 module Fault = Hydra_verify.Fault
 module C = Hydra_verify.Campaign
@@ -99,32 +100,30 @@ let suite =
           (Fault.all_faults nl));
     tc "campaign: set_forces rejects fused engines and bad sites" (fun () ->
         let nl = ripple 8 in
+        let force site =
+          { Slab.f_site = site; force0 = [| 0 |]; force1 = [| 2 |]; flip = [| 0 |] }
+        in
         let fused = W.create nl in
         Alcotest.check_raises "fused"
           (Invalid_argument
-             "Compiled_wide.set_forces: requires an engine built with \
-              ~fuse:false")
-          (fun () -> W.set_forces fused [| { W.f_site = 1; force0 = 0; force1 = 2; flip = 0 } |]);
+             "Slab.set_forces: requires an engine built with ~fuse:false")
+          (fun () -> Slab.set_forces fused [| force 1 |]);
         let sim = W.create ~optimize:false ~relayout:false ~fuse:false nl in
         let n = N.size nl in
         Alcotest.check_raises "site range"
           (Invalid_argument
              (Printf.sprintf
-                "Compiled_wide.set_forces: force site %d out of range (netlist \
-                 has %d components)"
+                "Slab.set_forces: force site %d out of range (netlist has %d \
+                 components)"
                 n n))
-          (fun () ->
-            W.set_forces sim
-              [| { W.f_site = n; force0 = 0; force1 = 2; flip = 0 } |]);
+          (fun () -> Slab.set_forces sim [| force n |]);
         Alcotest.check_raises "negative site"
           (Invalid_argument
              (Printf.sprintf
-                "Compiled_wide.set_forces: force site -1 out of range (netlist \
-                 has %d components)"
+                "Slab.set_forces: force site -1 out of range (netlist has %d \
+                 components)"
                 n))
-          (fun () ->
-            W.set_forces sim
-              [| { W.f_site = -1; force0 = 0; force1 = 0; flip = 1 } |]));
+          (fun () -> Slab.set_forces sim [| force (-1) |]));
     (* ---- coverage bit-identity ---- *)
     tc "campaign: coverage bit-identical to recompile loop (combinational)"
       (fun () ->
@@ -393,13 +392,13 @@ let suite =
             if !first_halt < 0 && cycle < cycles then begin
               List.iter
                 (fun (port, bits) ->
-                  W.set_input_bool sim port
+                  Slab.set_input_bool sim port
                     (match List.nth_opt bits cycle with
                     | Some b -> b
                     | None -> false))
                 stimulus;
               W.settle sim;
-              if W.output_lane sim "halted" 0 then first_halt := cycle;
+              if Slab.output_lane sim "halted" 0 then first_halt := cycle;
               W.tick sim
             end)
           (List.init cycles Fun.id);
@@ -554,15 +553,36 @@ let suite =
         let sh =
           Sharded.create ~optimize:false ~relayout:false ~fuse:false nl
         in
-        Alcotest.check_raises "sharded + slab"
+        Alcotest.check_raises "sharded k=1 + slab k=2"
           (Invalid_argument
-             "Campaign.run: ?sharded reuses a wide engine; pass ?domains with \
-              ~engine:(`Slab k) instead")
+             "Campaign.run: ?sharded engine has k=1 words per signal but \
+              ~engine asks for k=2")
           (fun () ->
             ignore
               (C.run ~sharded:sh ~engine:(`Slab 2) nl ~faults ~stimulus:[]
                  ~cycles:1));
-        Sharded.shutdown sh);
+        Sharded.shutdown sh;
+        (* a k=2 sharded engine serves a `Slab 2 campaign, not the
+           default 62-lane one *)
+        let sh2 =
+          Sharded.of_base ~domains:1
+            (Slab.create ~k:2 ~optimize:false ~relayout:false ~fuse:false nl)
+        in
+        Fun.protect
+          ~finally:(fun () -> Sharded.shutdown sh2)
+          (fun () ->
+            Alcotest.check_raises "sharded k=2 + wide"
+              (Invalid_argument
+                 "Campaign.run: ?sharded engine has k=2 words per signal but \
+                  ~engine asks for k=1")
+              (fun () ->
+                ignore (C.run ~sharded:sh2 nl ~faults ~stimulus:[] ~cycles:1));
+            let faults = C.all_stuck_at nl in
+            let stimulus = C.random_stimulus ~seed:4 ~cycles:6 nl in
+            check_bool "sharded k=2 = fresh k=2" true
+              ((C.run ~sharded:sh2 ~engine:(`Slab 2) nl ~faults ~stimulus
+                  ~cycles:6).C.verdicts
+              = (C.run ~engine:(`Slab 2) nl ~faults ~stimulus ~cycles:6).C.verdicts)));
     (* ---- fault dropping and lane compaction ---- *)
     qc ~count:100 "campaign: dropping and compaction match single-fault replay"
       QCheck2.Gen.(

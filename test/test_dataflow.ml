@@ -85,7 +85,7 @@ let gen_ternary = QCheck2.Gen.oneofl [ T.F; T.T; T.X ]
 
 (* 62 random lanes for the wide engine *)
 let random_word rs =
-  Int64.to_int (Random.State.int64 rs Int64.max_int) land Wide.lane_mask
+  Int64.to_int (Random.State.int64 rs Int64.max_int) land Hydra_core.Packed.lane_mask
 
 (* Drive an un-optimized, un-relayouted, un-fused wide engine (so peek
    indices are netlist component indices) with random inputs and verify
@@ -106,8 +106,8 @@ let wide_falsify ?(cycles = 16) ?(seed = 0xbead) df =
     Wide.settle w;
     List.iter
       (fun (i, b) ->
-        let want = if b then Wide.lane_mask else 0 in
-        if Wide.peek w i <> want then
+        let want = if b then Hydra_core.Packed.lane_mask else 0 in
+        if Hydra_engine.Slab.peek w i <> want then
           Alcotest.failf "component %d claimed constant %b, toggled at cycle %d"
             i b cycle)
       consts;
@@ -115,10 +115,10 @@ let wide_falsify ?(cycles = 16) ?(seed = 0xbead) df =
       (fun cls ->
         match cls with
         | rep :: rest ->
-          let v = Wide.peek w rep in
+          let v = Hydra_engine.Slab.peek w rep in
           List.iter
             (fun j ->
-              if Wide.peek w j <> v then
+              if Hydra_engine.Slab.peek w j <> v then
                 Alcotest.failf
                   "class members %d and %d differ at cycle %d" rep j cycle)
             rest

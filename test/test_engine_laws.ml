@@ -1,5 +1,5 @@
 (* A shared law battery over every simulation engine: the scalar
-   {!Compiled}, the 62-lane {!Compiled_wide} and the K-word {!Slab} in
+   {!Compiled}, the 62-lane {!Compiled_wide} view and the K-word {!Slab} in
    all its flavors — ungated, cluster-gated, simd, tiny rank blocks,
    twitchy hot/detect adaptation — are all driven through one
    lane-level adapter, so each law — poke/peek round-trip,
@@ -66,28 +66,28 @@ module Wide_adapter : LANE_ENGINE = struct
   let name = "wide"
   let create nl = W.create ~optimize:false ~relayout:false ~fuse:false nl
   let lanes _ = W.lanes
-  let set_input_lane = W.set_input_lane
+  let set_input_lane = Slab.set_input_lane
   let reset = W.reset
   let settle = W.settle
   let step = W.step
   let output_lane t n l = P.lane (W.output t n) l
-  let peek_lane t i l = P.lane (W.peek t i) l
-  let poke_lane t i l v = W.poke t i (P.set_lane (W.peek t i) l v)
-  let cycle = W.cycle
+  let peek_lane t i l = P.lane (Slab.peek t i) l
+  let poke_lane t i l v = Slab.poke t i (P.set_lane (Slab.peek t i) l v)
+  let cycle = Slab.cycle
   let has_forces = true
 
   let set_force t ~site ~value =
-    W.set_forces t
+    Slab.set_forces t
       [|
         {
-          W.f_site = site;
-          force0 = (if value then 0 else W.lane_mask);
-          force1 = (if value then W.lane_mask else 0);
-          flip = 0;
+          Slab.f_site = site;
+          force0 = [| (if value then 0 else P.lane_mask) |];
+          force1 = [| (if value then P.lane_mask else 0) |];
+          flip = [| 0 |];
         };
       |]
 
-  let clear_forces = W.clear_forces
+  let clear_forces = Slab.clear_forces
 end
 
 module Slab_adapter (K : sig

@@ -299,11 +299,11 @@ let cache_tests =
             (fun (name, _) -> (name, [ 0x2a; 0x15; 0x3f ]))
             nl.N.inputs
         in
-        let expect = Wide.run_packed fresh ~inputs ~cycles:3 in
+        let expect = Hydra_engine.Slab.run_packed fresh ~inputs ~cycles:3 in
         check_bool "replica 1 identical" true
-          (Wide.run_packed w1 ~inputs ~cycles:3 = expect);
+          (Hydra_engine.Slab.run_packed w1 ~inputs ~cycles:3 = expect);
         check_bool "replica 2 identical" true
-          (Wide.run_packed w2 ~inputs ~cycles:3 = expect));
+          (Hydra_engine.Slab.run_packed w2 ~inputs ~cycles:3 = expect));
     tc "distinct flags and flavors get distinct entries" (fun () ->
         let cache = Cache.create () in
         let nl = ripple_netlist 4 in

@@ -1,4 +1,4 @@
-(* Tests for the domain-sharded wide engine (Sharded) and the code that
+(* Tests for the domain-sharded engine (Sharded) and the code that
    was rewired onto it: every sharded result must be bit-identical to the
    sequential wide engine (and hence, via Test_wide, to the scalar and
    stream semantics), regardless of the domain count; and the rank-major
@@ -29,7 +29,7 @@ let gen_batches ~batches ~cycles st =
                 Random.State.bits st
                 lor (Random.State.bits st lsl 30)
                 lor (Random.State.bits st lsl 60)
-                land Wide.lane_mask) ))
+                land Hydra_core.Packed.lane_mask) ))
         [ "a"; "b"; "c" ])
 
 let suite =
@@ -46,7 +46,7 @@ let suite =
           Array.map
             (fun inputs ->
               Wide.reset wide;
-              Wide.run_packed wide ~inputs ~cycles:9)
+              Hydra_engine.Slab.run_packed wide ~inputs ~cycles:9)
             batches
         in
         List.for_all
@@ -210,6 +210,19 @@ let suite =
         let spin = Asm.assemble "loop: jump loop[R0]\n" in
         let results = Driver.run_many ~max_cycles:40 [| spin |] in
         check_bool "not halted" false results.(0).Driver.halted);
+    tc "run_many rejects a multi-word sharded engine" (fun () ->
+        let sh =
+          Sharded.of_base ~domains:1
+            (Hydra_engine.Slab.create ~k:2 (Driver.system_netlist ~mem_bits:6 ()))
+        in
+        Fun.protect
+          ~finally:(fun () -> Sharded.shutdown sh)
+          (fun () ->
+            Alcotest.check_raises "k=2"
+              (Invalid_argument
+                 "Driver.run_many: ?sharded engine has k=2 words per signal; \
+                  programs are packed 62 to a pass and need k=1")
+              (fun () -> ignore (Driver.run_many ~sharded:sh [| [ 0 ] |]))));
     (* the re-layout is a pure index permutation *)
     qc ~count:30 "rank_major_permutation is a valid permutation"
       (Test_wide.gen_nodes Test_wide.all_ops)
@@ -244,7 +257,7 @@ let suite =
                          lane_rows)) ))
             [ "a"; "b"; "c" ]
         in
-        let run sim = Wide.run_packed sim ~inputs:packed_inputs ~cycles in
+        let run sim = Hydra_engine.Slab.run_packed sim ~inputs:packed_inputs ~cycles in
         let plain = run (Wide.create ~relayout:false ~fuse:false nl) in
         run (Wide.create nl) = plain
         && run (Wide.create ~relayout:true ~fuse:false nl) = plain

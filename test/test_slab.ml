@@ -26,7 +26,7 @@ let random_word st =
   Random.State.bits st
   lor (Random.State.bits st lsl 30)
   lor (Random.State.bits st lsl 60)
-  land Wide.lane_mask
+  land Hydra_core.Packed.lane_mask
 
 (* Output list of the compiled netlist *)
 let outputs_of (nl : N.t) = nl.N.outputs
@@ -89,7 +89,7 @@ let suite =
                          lane_rows)) ))
             [ "a"; "b"; "c" ]
         in
-        let expect = Wide.run_packed (Wide.create nl) ~inputs ~cycles in
+        let expect = Slab.run_packed (Wide.create nl) ~inputs ~cycles in
         List.for_all
           (fun k ->
             Slab.run_packed (Slab.create ~k nl) ~inputs ~cycles = expect
@@ -165,9 +165,9 @@ let suite =
             Slab.tick plain)
           schedule;
         (* both CPUs halted on every lane *)
-        check_int "halted (gated)" Wide.lane_mask
+        check_int "halted (gated)" Slab.lane_mask
           (Slab.output_word gated "halted" 0);
-        check_int "halted word 1" Wide.lane_mask
+        check_int "halted word 1" Slab.lane_mask
           (Slab.output_word gated "halted" 1));
     tc "repeated gated settles are stable and cheap-path exact" (fun () ->
         let a = G.input "a" and b = G.input "b" in
@@ -283,8 +283,8 @@ let suite =
               flip = [| 0; mask |];
             };
           |];
-        Wide.set_forces wide_forced
-          [| { Wide.f_site = site; force0 = 0; force1 = 0; flip = mask } |];
+        Slab.set_forces wide_forced
+          [| { Slab.f_site = site; force0 = [| 0 |]; force1 = [| 0 |]; flip = [| mask |] } |];
         let st = Random.State.make [| 0xf0 |] in
         let ok = ref true in
         for _ = 0 to 5 do
@@ -469,11 +469,10 @@ let suite =
              "Slab.peek_word: word index -1 out of range (engine has 2 words)")
           (fun () -> ignore (Slab.peek_word s 0 (-1)));
         let w = Wide.create nl in
-        Alcotest.check_raises "wide word alias"
+        Alcotest.check_raises "wide engine: one word"
           (Invalid_argument
-             "Compiled_wide.peek_word: word index 1 out of range (engine has \
-              1 word)")
-          (fun () -> ignore (Wide.peek_word w 0 1)));
+             "Slab.peek_word: word index 1 out of range (engine has 1 words)")
+          (fun () -> ignore (Slab.peek_word w 0 1)));
     (* ---- the engine-polymorphic entry points, slab-instantiated ---- *)
     tc "Slab_sharded: run_batches / run_vectors / step_batches match wide"
       (fun () ->
@@ -483,7 +482,6 @@ let suite =
               (Test_wide.Rxor, 2, 4); (Test_wide.Rdff, 5, 5);
               (Test_wide.Ror, 4, 6) ]
         in
-        let module SSh = Sharded.Slab_sharded in
         let st = Random.State.make [| 0x51ab5 |] in
         let batches =
           Array.init 7 (fun _ ->
@@ -493,23 +491,23 @@ let suite =
                 [ "a"; "b"; "c" ])
         in
         let wsh = Sharded.create ~domains:2 nl in
-        let ssh = SSh.of_base ~domains:2 (Slab.create ~k:3 nl) in
-        check_int "lanes" (3 * Wide.lanes) (SSh.lanes ssh);
+        let ssh = Sharded.of_base ~domains:2 (Slab.create ~k:3 nl) in
+        check_int "lanes" (3 * Wide.lanes) (Sharded.lanes ssh);
         let wb = Sharded.run_batches wsh ~batches ~cycles:9 in
-        let sb = SSh.run_batches ssh ~batches ~cycles:9 in
+        let sb = Sharded.run_batches ssh ~batches ~cycles:9 in
         check_bool "run_batches agree" true (wb = sb);
         let vectors =
           Array.init 200 (fun _ -> Array.init 3 (fun _ -> Random.State.bool st))
         in
         check_bool "run_vectors agree" true
-          (Sharded.run_vectors wsh vectors = SSh.run_vectors ssh vectors);
+          (Sharded.run_vectors wsh vectors = Sharded.run_vectors ssh vectors);
         (* step_batches pokes/peeks word 0, so the checksum is engine
            independent *)
         check_int "step_batches checksum"
           (Sharded.step_batches wsh ~batches:12 ~cycles:20)
-          (SSh.step_batches ssh ~batches:12 ~cycles:20);
+          (Sharded.step_batches ssh ~batches:12 ~cycles:20);
         Sharded.shutdown wsh;
-        SSh.shutdown ssh);
+        Sharded.shutdown ssh);
     tc "testbench run_batched ?engine slab = default engine" (fun () ->
         let x = G.input "x" and en = G.input "en" in
         let q = G.dff (G.xor2 x (G.and2 en (G.input "y"))) in
@@ -578,17 +576,17 @@ let suite =
         in
         (match
            Equiv.engine_random_netlists ~passes:1 ~cycles:4
-             (Slab.engine 4) Hydra_engine.Engine_intf.wide (mk false) (mk true)
+             (Slab.engine 4) Hydra_engine.Engine_intf.oracle (mk false) (mk true)
          with
         | Equiv.Seq_mismatch { output = "q"; cycle = 0; inputs } ->
           check_int "two stimulus streams" 2 (List.length inputs)
         | Equiv.Seq_mismatch _ -> Alcotest.fail "unexpected mismatch shape"
         | Equiv.Seq_equivalent -> Alcotest.fail "mismatch not found");
-        (* and the symmetric orientation, wide first *)
-        check_bool "wide vs slab" false
+        (* and the symmetric orientation, oracle first *)
+        check_bool "oracle vs slab" false
           (Equiv.seq_equivalent
              (Equiv.engine_random_netlists ~passes:1 ~cycles:4
-                Hydra_engine.Engine_intf.wide (Slab.engine ~gating:true 3)
+                Hydra_engine.Engine_intf.oracle (Slab.engine ~gating:true 3)
                 (mk false) (mk true))));
     tc "adaptive gating: hot, quiescent and re-activated phases match ungated"
       (fun () ->

@@ -1,4 +1,4 @@
-(* Tests for the word-parallel wide engine (Compiled_wide) and its
+(* Tests for the 62-lane wide engine (Compiled_wide, a k = 1 Slab) and its
    surrounding toolkit: every lane of a wide run must agree bit-for-bit
    with a scalar Compiled run and with the stream semantics — on random
    combinational and dff-heavy circuits, under the ?optimize pre-pass,
@@ -12,6 +12,8 @@ module N = Hydra_netlist.Netlist
 module Packed = Hydra_core.Packed
 module Compiled = Hydra_engine.Compiled
 module Wide = Hydra_engine.Compiled_wide
+module Slab = Hydra_engine.Slab
+module Sharded = Hydra_engine.Sharded
 module Testbench = Hydra_engine.Testbench
 module Equiv = Hydra_verify.Equiv
 
@@ -93,7 +95,7 @@ let wide_lane_rows ?optimize nodes lane_rows =
         ))
       [ "a"; "b"; "c" ]
   in
-  let rows = Wide.(run_packed (create ?optimize nl)) ~inputs:packed_inputs ~cycles in
+  let rows = Slab.run_packed (Wide.create ?optimize nl) ~inputs:packed_inputs ~cycles in
   List.init (List.length lane_rows) (fun l ->
       List.map (List.map (fun (_, w) -> Packed.lane w l)) rows)
 
@@ -218,7 +220,7 @@ let suite =
               List.iter
                 (fun (port, v) ->
                   Compiled.set_input sim port v;
-                  Wide.set_input_lane wide port l v)
+                  Slab.set_input_lane wide port l v)
                 (List.nth sched t))
             (List.combine scalars schedules);
           Wide.settle wide;
@@ -242,7 +244,7 @@ let suite =
             check_bool
               (Printf.sprintf "lane %d halted" l)
               true
-              (Wide.output_lane wide "halted" l))
+              (Slab.output_lane wide "halted" l))
           lanes_n);
     (* batched combinational testbench *)
     tc "run_vectors = scalar settle, with and without pool" (fun () ->
@@ -261,7 +263,7 @@ let suite =
           Array.init 200 (fun _ -> Array.init 16 (fun _ -> Random.State.bool st))
         in
         let wide = Wide.create nl in
-        let got = Wide.run_vectors wide vectors in
+        let got = Slab.run_vectors wide vectors in
         let scalar = Compiled.create nl in
         let in_names = List.map fst nl.N.inputs in
         Array.iteri
@@ -274,9 +276,9 @@ let suite =
             in
             if got.(k) <> expect then Alcotest.failf "vector %d diverges" k)
           vectors;
-        let pool = Hydra_parallel.Pool.create ~domains:4 () in
-        let got_pooled = Wide.run_vectors ~pool wide vectors in
-        Hydra_parallel.Pool.shutdown pool;
+        let sh = Sharded.of_base ~domains:4 wide in
+        let got_pooled = Sharded.run_vectors sh vectors in
+        Sharded.shutdown sh;
         check_bool "pooled = sequential" true (got_pooled = got));
     tc "testbench run_batched = scalar run per case" (fun () ->
         let x = G.input "x" and en = G.input "en" in
@@ -353,12 +355,12 @@ let suite =
         let nl = N.of_graph ~outputs:[ ("y", G.inv a) ] in
         let sim = Wide.create nl in
         Wide.set_input sim "a" 0;
-        Wide.set_input_lane sim "a" 3 true;
-        Wide.set_input_lane sim "a" 61 true;
+        Slab.set_input_lane sim "a" 3 true;
+        Slab.set_input_lane sim "a" 61 true;
         Wide.settle sim;
-        check_bool "lane 3" false (Wide.output_lane sim "y" 3);
-        check_bool "lane 61" false (Wide.output_lane sim "y" 61);
-        check_bool "lane 0" true (Wide.output_lane sim "y" 0);
-        check_int "word" (Wide.lane_mask land lnot ((1 lsl 3) lor (1 lsl 61)))
+        check_bool "lane 3" false (Slab.output_lane sim "y" 3);
+        check_bool "lane 61" false (Slab.output_lane sim "y" 61);
+        check_bool "lane 0" true (Slab.output_lane sim "y" 0);
+        check_int "word" (Packed.lane_mask land lnot ((1 lsl 3) lor (1 lsl 61)))
           (Wide.output sim "y"));
   ]
