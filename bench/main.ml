@@ -1047,7 +1047,7 @@ let e21 ?(min_time = 0.2) () =
         List.mapi (fun i w -> if i = n_addr then 1 + (k mod 10) else w) program)
   in
   let sys_nl = Driver.system_netlist ~mem_bits:6 () in
-  row "  cpu system: %d sum-loop programs, %d per wide pass\n" nprogs
+  row "  cpu system: %d sum-loop programs, one per lane of %d-lane replicas\n" nprogs
     Wide.lanes;
   List.iter
     (fun d ->

@@ -214,12 +214,13 @@ let final_registers result =
   regs
 
 (* Multi-program mode: run many machine-language programs at once on the
-   gate-level system netlist, 62 programs per pass of a k = 1 slab,
-   passes sharded across domains ({!Hydra_engine.Sharded}).  Each lane gets the exact
-   input schedule [run_structural] would generate for its program — DMA
-   load at addresses 0.., a start pulse at t = program length, then free
-   running — so lanes with different program lengths start (and halt)
-   independently. *)
+   gate-level system netlist, one program per lane of a k = 1 slab
+   ({!Hydra_engine.Sharded} replicas, one stream per domain).  Each lane
+   keeps its own clock and gets the exact input schedule [run_structural]
+   would generate for its program — DMA load at addresses 0.., a start
+   pulse at clock = program length, then free running — and the moment
+   its program halts or runs out of cycles the lane is reset and takes
+   the next program, so no lane idles while programs remain. *)
 
 let system_netlist ?(mem_bits = 6) () =
   let module G = Hydra_core.Graph in
@@ -284,71 +285,99 @@ let run_many ?(mem_bits = 6) ?(max_cycles = 2000) ?sharded ?domains programs =
     | Some sh -> (sh, false)
     | None -> (Sh.create ?domains (system_netlist ~mem_bits ()), true)
   in
+  (* port component indices, resolved once: the cycle loop pokes and
+     peeks by index *)
+  let nl = Sh.netlist sh in
+  let port name =
+    match List.assoc_opt name (nl.Hydra_netlist.Netlist.inputs @ nl.outputs) with
+    | Some i -> i
+    | None -> invalid_arg ("Driver.run_many: ?sharded engine has no port " ^ name)
+  in
+  let bus prefix =
+    Array.init Isa.word_size (fun i -> port (Printf.sprintf "%s%d" prefix i))
+  in
+  let start_i = port "start" and dma_i = port "dma" and halted_i = port "halted" in
+  let da_i = bus "da" and dd_i = bus "dd" and pc_i = bus "pc" in
+  (* bus port [i] carries bit [top - i] of a word (Bitvec order) *)
+  let top = Isa.word_size - 1 in
   let results = Array.make nprog { halted = false; cycles = 0; pc = 0 } in
   let lanes = P.lanes in
-  let npasses = (nprog + lanes - 1) / lanes in
-  Sh.dispatch sh npasses (fun sim p ->
-      let base = p * lanes in
-      let count = min lanes (nprog - base) in
-      let lens = Array.init count (fun l -> Array.length progs.(base + l)) in
-      let max_len = Array.fold_left max 0 lens in
-      let limit = max_len + max_cycles in
+  let next = Atomic.make 0 in
+  let streams = min (Sh.domains sh) ((nprog + lanes - 1) / lanes) in
+  Sh.dispatch sh streams (fun sim _ ->
       Slab.reset sim;
-      let halted_mask = ref 0 in
-      let all = (1 lsl count) - 1 in
-      let t = ref 0 in
-      while !halted_mask <> all && !t < limit do
-        let t0 = !t in
-        let start_w = ref 0 and dma_w = ref 0 in
-        for l = 0 to count - 1 do
-          if t0 = lens.(l) then start_w := !start_w lor (1 lsl l);
-          if t0 < lens.(l) then dma_w := !dma_w lor (1 lsl l)
-        done;
-        Slab.set_input sim "start" !start_w;
-        Slab.set_input sim "dma" !dma_w;
-        (* dma address: the address is [t0] in every still-loading lane
-           and 0 elsewhere, so a bit of [da] is the active mask or 0 *)
-        List.iteri
-          (fun i b ->
-            Slab.set_input sim (Printf.sprintf "da%d" i) (if b then !dma_w else 0))
-          (word_of_int t0);
-        (* dma data: lane [l] carries its own program's word [t0] *)
-        let dd_words = Array.make Isa.word_size 0 in
-        for l = 0 to count - 1 do
-          if t0 < lens.(l) then
-            List.iteri
-              (fun i b ->
-                if b then dd_words.(i) <- dd_words.(i) lor (1 lsl l))
-              (word_of_int progs.(base + l).(t0))
-        done;
-        Array.iteri
-          (fun i w -> Slab.set_input sim (Printf.sprintf "dd%d" i) w)
-          dd_words;
-        Slab.settle sim;
-        let newly = Slab.output sim "halted" land lnot !halted_mask land all in
-        if newly <> 0 then begin
-          let pc_bits =
-            List.init Isa.word_size (fun i ->
-                Slab.output sim (Printf.sprintf "pc%d" i))
-          in
-          for l = 0 to count - 1 do
-            if newly land (1 lsl l) <> 0 then begin
-              let pc =
-                Bitvec.to_int (List.map (fun w -> P.lane w l) pc_bits)
-              in
-              results.(base + l) <-
-                { halted = true; cycles = t0 - lens.(l); pc }
-            end
-          done;
-          halted_mask := !halted_mask lor newly
-        end;
-        Slab.tick sim;
-        incr t
+      let owner = Array.make lanes 0 in
+      let clock = Array.make lanes 0 in
+      let busy = ref 0 in
+      let da = Array.make Isa.word_size 0 and dd = Array.make Isa.word_size 0 in
+      (* lane [l] takes the next unclaimed program, or goes idle *)
+      let claim l =
+        let p = Atomic.fetch_and_add next 1 in
+        if p >= nprog then busy := !busy land lnot (1 lsl l)
+        else begin
+          owner.(l) <- p;
+          clock.(l) <- 0;
+          busy := !busy lor (1 lsl l)
+        end
+      in
+      for l = 0 to lanes - 1 do
+        claim l
       done;
-      for l = 0 to count - 1 do
-        if !halted_mask land (1 lsl l) = 0 then
-          results.(base + l) <-
-            { halted = false; cycles = max 0 (!t - 1 - lens.(l)); pc = 0 }
+      while !busy <> 0 do
+        let start_w = ref 0 and dma_w = ref 0 in
+        Array.fill da 0 Isa.word_size 0;
+        Array.fill dd 0 Isa.word_size 0;
+        for l = 0 to lanes - 1 do
+          let bit = 1 lsl l in
+          if !busy land bit <> 0 then begin
+            let c = clock.(l) and pr = progs.(owner.(l)) in
+            let len = Array.length pr in
+            if c < len then begin
+              (* DMA: address [c], data the program's word [c] *)
+              dma_w := !dma_w lor bit;
+              let w = pr.(c) in
+              for i = 0 to top do
+                if (c lsr (top - i)) land 1 <> 0 then da.(i) <- da.(i) lor bit;
+                if (w lsr (top - i)) land 1 <> 0 then dd.(i) <- dd.(i) lor bit
+              done
+            end
+            else if c = len then start_w := !start_w lor bit
+          end
+        done;
+        Slab.poke sim start_i !start_w;
+        Slab.poke sim dma_i !dma_w;
+        for i = 0 to top do
+          Slab.poke sim da_i.(i) da.(i);
+          Slab.poke sim dd_i.(i) dd.(i)
+        done;
+        Slab.settle sim;
+        let halted_w = Slab.peek sim halted_i in
+        let finished = ref 0 in
+        for l = 0 to lanes - 1 do
+          let bit = 1 lsl l in
+          if !busy land bit <> 0 then begin
+            let c = clock.(l) in
+            let len = Array.length progs.(owner.(l)) in
+            let halted = halted_w land bit <> 0 in
+            if halted || c + 1 >= len + max_cycles then begin
+              let pc = ref 0 in
+              if halted then
+                for i = 0 to top do
+                  pc := (!pc lsl 1) lor ((Slab.peek sim pc_i.(i) lsr l) land 1)
+                done;
+              results.(owner.(l)) <- { halted; cycles = max 0 (c - len); pc = !pc };
+              finished := !finished lor bit
+            end
+            else clock.(l) <- c + 1
+          end
+        done;
+        Slab.tick sim;
+        if !finished <> 0 then begin
+          Slab.reset_lanes sim ~word:0 !finished;
+          for l = 0 to lanes - 1 do
+            if !finished land (1 lsl l) <> 0 then claim l
+          done
+        end
       done);
   if owned then Sh.shutdown sh;
   results

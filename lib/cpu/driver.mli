@@ -86,14 +86,19 @@ val run_many :
   ?domains:int ->
   int list array ->
   batch_result array
-(** Run many machine-language programs at once on {!system_netlist}:
-    program [k] rides in lane [k mod 62] of sharded job [k / 62], each
-    lane driven with exactly the DMA-load / start-pulse schedule
-    {!run_structural} would generate for it, so N programs cost
-    ceil(N/62) 62-lane simulations spread over the domains.  [?sharded]
-    reuses an engine already created from [system_netlist ~mem_bits]
-    (and is not shut down) — it must be a k = 1 engine
+(** Run many machine-language programs at once on {!system_netlist},
+    one program per lane of a 62-lane k = 1 replica, one stream per
+    domain (at most ceil(N/62) streams).  Each lane keeps its own clock
+    and is driven with exactly the DMA-load / start-pulse schedule
+    {!run_structural} would generate for its program; when the program
+    halts or has run [max_cycles] cycles past its load, the lane is
+    reset and takes the next unclaimed program, so N programs cost about
+    their total cycle count / 62 settle passes instead of waiting on the
+    slowest program of a batch.  Lanes never interact, so results do not
+    depend on lane placement, program order or domain count.
+    [?sharded] reuses an engine already created from [system_netlist
+    ~mem_bits] (and is not shut down) — it must be a k = 1 engine
     ([Sharded.create], or [Sharded.of_base] of a [Compiled_wide]),
     otherwise [Invalid_argument]; without it one is created with
-    [?domains] and shut down on return.  [cycles] and [halted] of result [k] match
-    {!run_structural} on program [k]. *)
+    [?domains] and shut down on return.  [cycles] and [halted] of result
+    [k] match {!run_structural} on program [k]. *)

@@ -526,6 +526,21 @@ let write_word t comp w v =
   end
   else t.values.(idx) <- v
 
+(* [reset] restricted to the [mask] lanes of word [word]: inputs to 0,
+   dffs to their power-up bit, every other lane untouched.  Writes go
+   through [write_word], so a gated engine marks the readers (and own
+   cluster) of each changed component; gate lanes follow at the next
+   [settle]. *)
+let reset_lanes t ~word mask =
+  check_word "Slab.reset_lanes" t word;
+  let keep = lnot mask in
+  let clear comp init =
+    let idx = (comp * t.k) + word in
+    write_word t comp word ((t.values.(idx) land keep) lor (init land mask))
+  in
+  List.iter (fun (_, comp) -> clear comp 0) t.prog.Kernel.netlist.Netlist.inputs;
+  Array.iteri (fun j comp -> clear comp t.dff_init_w.(j)) t.prog.Kernel.dffs
+
 let input_comp what t name =
   match Hashtbl.find_opt t.prog.Kernel.input_index name with
   | Some i -> i

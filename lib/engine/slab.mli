@@ -117,6 +117,14 @@ val replicate : t -> t
 
 val reset : t -> unit
 
+val reset_lanes : t -> word:int -> int -> unit
+(** [reset_lanes t ~word mask] is {!reset} restricted to the lanes set in
+    [mask] of word [word]: those lanes of every input return to 0 and of
+    every dff to its power-up bit; all other lanes keep their values.
+    Gate outputs in the reset lanes follow at the next {!settle}.  On a
+    gated engine the writes mark their readers like {!poke}.  Raises
+    [Invalid_argument] unless [0 <= word < k]. *)
+
 val set_input : t -> string -> int -> unit
 (** Set word 0 of an input (lane [l] = bit [l]; masked to
     {!lane_mask}). *)

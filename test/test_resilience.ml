@@ -475,26 +475,30 @@ let backstop_tests =
       QCheck2.Gen.(pair (int_range 2 4) (int_range 1 6))
       (fun (ring, extra) ->
         let sch = Scheduler.create ~domains:2 () in
-        let _driver =
-          Scheduler.submit ~name:"driver" sch ~tasks:1 (fun ~member:_ _ ->
-              let jobs =
-                List.init ring (fun i ->
-                    Scheduler.submit
-                      ~name:(Printf.sprintf "ring%d" i)
-                      sch ~tasks:1
-                      (fun ~member:_ _ -> ()))
-              in
-              (* close the ring: each depends on the next, last on first *)
-              let rec link = function
-                | a :: (b :: _ as rest) ->
-                  Scheduler.depend sch ~job:a ~on:[ b ];
-                  link rest
-                | [ last ] ->
-                  Scheduler.depend sch ~job:last ~on:[ List.hd jobs ]
-                | [] -> ()
-              in
-              link jobs)
+        (* the ring jobs also depend on the driver job, so the second
+           member cannot claim one before [link] closes the ring:
+           [depend] is only defined before a job's first claim *)
+        let driver = ref None in
+        let body ~member:_ _ =
+          let jobs =
+            List.init ring (fun i ->
+                Scheduler.submit
+                  ~name:(Printf.sprintf "ring%d" i)
+                  ~deps:(Option.to_list !driver)
+                  sch ~tasks:1
+                  (fun ~member:_ _ -> ()))
+          in
+          (* close the ring: each depends on the next, last on first *)
+          let rec link = function
+            | a :: (b :: _ as rest) ->
+              Scheduler.depend sch ~job:a ~on:[ b ];
+              link rest
+            | [ last ] -> Scheduler.depend sch ~job:last ~on:[ List.hd jobs ]
+            | [] -> ()
+          in
+          link jobs
         in
+        driver := Some (Scheduler.submit ~name:"driver" sch ~tasks:1 body);
         let tripped =
           match Scheduler.run sch with
           | () -> false

@@ -210,6 +210,84 @@ let suite =
         let spin = Asm.assemble "loop: jump loop[R0]\n" in
         let results = Driver.run_many ~max_cycles:40 [| spin |] in
         check_bool "not halted" false results.(0).Driver.halted);
+    tc "run_many: a non-halting program's cycles ignore its batch" (fun () ->
+        let module Asm = Hydra_cpu.Asm in
+        let spin = Asm.assemble "loop: jump loop[R0]\n" in
+        (* a 24-word neighbour: the sum loop padded with data words *)
+        let long =
+          let p = Asm.assemble Test_wide.sum_loop_src in
+          p @ List.init (24 - List.length p) (fun _ -> 0)
+        in
+        let results = Driver.run_many ~max_cycles:40 [| spin; long |] in
+        List.iteri
+          (fun k p ->
+            let alone = Driver.run_structural ~max_cycles:40 ~collect_trace:false p in
+            check_bool (Printf.sprintf "program %d halted" k) alone.Driver.halted
+              results.(k).Driver.halted;
+            check_int (Printf.sprintf "program %d cycles" k) alone.Driver.cycles
+              results.(k).Driver.cycles)
+          [ spin; long ];
+        check_bool "spin not halted" false results.(0).Driver.halted;
+        check_int "spin cycles = max_cycles - 1" 39 results.(0).Driver.cycles);
+    tc "run_many refills lanes: same results at any domain count and order"
+      (fun () ->
+        let module Asm = Hydra_cpu.Asm in
+        let sum = Asm.assemble Test_wide.sum_loop_src in
+        let n_addr = List.length sum - 2 in
+        let sum_to n = List.mapi (fun i w -> if i = n_addr then n else w) sum in
+        let straight k =
+          Asm.assemble
+            (String.concat ""
+               (List.init
+                  (1 + (k mod 6))
+                  (fun i ->
+                    Printf.sprintf "ldval R%d,%d[R0]\nadd R%d,R%d,R%d\n" (1 + i)
+                      (k * 7 + i) (2 + i) (1 + i) (1 + i))
+               @ [ "halt\n" ]))
+        in
+        let spin = Asm.assemble "loop: jump loop[R0]\n" in
+        (* 160 programs of mixed lengths and run times: straight-line code,
+           sum 1..n for n in 1..31, and one spin that runs out of cycles *)
+        let programs =
+          Array.init 160 (fun k ->
+              if k = 77 then spin
+              else if k mod 2 = 0 then straight k
+              else sum_to (1 + (k / 2 mod 31)))
+        in
+        let run ?domains progs = Driver.run_many ~max_cycles:500 ?domains progs in
+        let expect = run ~domains:1 programs in
+        List.iter
+          (fun domains ->
+            check_bool
+              (Printf.sprintf "%d domains = 1 domain" domains)
+              true
+              (run ~domains programs = expect))
+          [ 2; 3 ];
+        let st = Random.State.make [| 0x9e7 |] in
+        let perm = Array.init 160 Fun.id in
+        for i = 159 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- t
+        done;
+        let permuted = run ~domains:2 (Array.map (fun i -> programs.(i)) perm) in
+        Array.iteri
+          (fun j i ->
+            check_bool (Printf.sprintf "permuted program %d" i) true
+              (permuted.(j) = expect.(i)))
+          perm;
+        check_bool "spin did not halt" false expect.(77).Driver.halted;
+        List.iter
+          (fun k ->
+            let scalar =
+              Driver.run_structural ~max_cycles:500 ~collect_trace:false programs.(k)
+            in
+            check_bool (Printf.sprintf "program %d halted" k) scalar.Driver.halted
+              expect.(k).Driver.halted;
+            check_int (Printf.sprintf "program %d cycles" k) scalar.Driver.cycles
+              expect.(k).Driver.cycles)
+          [ 0; 5; 61; 77; 124; 159 ]);
     tc "run_many rejects a multi-word sharded engine" (fun () ->
         let sh =
           Sharded.of_base ~domains:1

@@ -63,8 +63,54 @@ let words_independent ~k ~gating nodes =
   done;
   !ok
 
+(* Run [nodes] a few random cycles on an engine and on a twin driven
+   identically, reset a random lane mask of one word on the first, and
+   settle both plus a power-up engine: every component's masked lanes
+   must match the power-up engine and its other lanes the twin.  Fusion
+   is off so every component's word is written by settle. *)
+let reset_lanes_law ~k ~gating nodes =
+  let nl = Test_wide.netlist_of nodes in
+  let mk () = Slab.create ~k ~gating ~fuse:false nl in
+  let slab = mk () and twin = mk () and fresh = mk () in
+  let st = Random.State.make [| 0x2e5e7; k; Bool.to_int gating; List.length nodes |] in
+  for _cycle = 1 to 1 + Random.State.int st 6 do
+    List.iter
+      (fun name ->
+        for w = 0 to k - 1 do
+          let v = random_word st in
+          Slab.set_input_word slab name w v;
+          Slab.set_input_word twin name w v
+        done)
+      [ "a"; "b"; "c" ];
+    Slab.step slab;
+    Slab.step twin
+  done;
+  let word = Random.State.int st k and mask = random_word st in
+  Slab.reset_lanes slab ~word mask;
+  List.iter Slab.settle [ slab; twin; fresh ];
+  let ok = ref true in
+  for i = 0 to Array.length (Slab.netlist slab).N.components - 1 do
+    for w = 0 to k - 1 do
+      let m = if w = word then mask else 0 in
+      let v = Slab.peek_word slab i w in
+      if
+        v land m <> Slab.peek_word fresh i w land m
+        || v land lnot m <> Slab.peek_word twin i w land lnot m
+      then ok := false
+    done
+  done;
+  !ok
+
 let suite =
   [
+    qc ~count:25 "reset_lanes = power-up in masked lanes, rest untouched"
+      (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
+      (fun nodes ->
+        List.for_all
+          (fun k ->
+            reset_lanes_law ~k ~gating:false nodes
+            && reset_lanes_law ~k ~gating:true nodes)
+          [ 1; 2 ]);
     qc ~count:25 "slab words = independent wide engines (all k, gating)"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
@@ -468,6 +514,14 @@ let suite =
           (Invalid_argument
              "Slab.peek_word: word index -1 out of range (engine has 2 words)")
           (fun () -> ignore (Slab.peek_word s 0 (-1)));
+        Alcotest.check_raises "reset_lanes"
+          (Invalid_argument
+             "Slab.reset_lanes: word index 2 out of range (engine has 2 words)")
+          (fun () -> Slab.reset_lanes s ~word:2 1);
+        Alcotest.check_raises "reset_lanes negative"
+          (Invalid_argument
+             "Slab.reset_lanes: word index -1 out of range (engine has 2 words)")
+          (fun () -> Slab.reset_lanes s ~word:(-1) 1);
         let w = Wide.create nl in
         Alcotest.check_raises "wide engine: one word"
           (Invalid_argument
