@@ -1181,7 +1181,76 @@ let e23 ?(min_time = 0.2) () =
   record ~section:"campaign" ~lanes:Wide.lanes ~name:"cpu seu sweep"
     ~value:cpu_rate ~unit_:"faults/s" ();
   row "  %-36s %10.1f faults/s  (%d detected, %d latent, %d masked)\n"
-    "cpu seu campaign" cpu_rate cr.C.detected cr.C.latent cr.C.masked
+    "cpu seu campaign" cpu_rate cr.C.detected cr.C.latent cr.C.masked;
+  (* The cpu-seu-gated workload's request shape: a 24-word straight-line
+     program (4 ldval, 9 register ops, 2 stores, 1 load, halt), SEUs in
+     every dff at two cycles, one in each half of a 60-cycle window after
+     the program loads, a 300-cycle run limit, on a k=4 slab over a
+     2-domain scheduler — gated and ungated.  Per request: wall time and
+     the engine cycles simulated ([chunk_cycles]). *)
+  let module Isa = Hydra_cpu.Isa in
+  let module Scheduler = Hydra_engine.Scheduler in
+  let straight_line st =
+    let reg () = 1 + Random.State.int st 15 in
+    let ops = [| Isa.Add; Sub; Inc; Land; Lor; Lxor; Cmplt; Cmpeq; Cmpgt |] in
+    Isa.encode_program
+      (List.init 4 (fun i ->
+           Isa.Rx (Isa.Ldval, i + 1, 0, Random.State.int st 0x10000))
+      @ List.init 9 (fun _ ->
+            let op = ops.(Random.State.int st (Array.length ops)) in
+            let d = reg () in
+            let a = reg () in
+            Isa.Rrr (op, d, a, reg ()))
+      @ List.init 2 (fun j -> Isa.Rx (Isa.Store, reg (), 0, 48 + j))
+      @ [ Isa.Rx (Isa.Load, reg (), 0, 48 + Random.State.int st 2);
+          Isa.Rrr (Isa.Halt, 0, 0, 0) ])
+  in
+  let requests =
+    List.init 8 (fun i ->
+        let st = Random.State.make [| 0x5e; i |] in
+        let program = straight_line st in
+        let len = List.length program in
+        let c1 = len + Random.State.int st 30 in
+        let c2 = len + 30 + Random.State.int st 30 in
+        let stimulus, cycles =
+          Driver.program_stimulus ~mem_bits:6 ~max_cycles:300 program
+        in
+        let faults =
+          List.concat_map
+            (fun at_cycle -> List.map (fun site -> C.Seu { site; at_cycle }) dffs)
+            [ c1; c2 ]
+        in
+        (faults, stimulus, cycles))
+  in
+  let k = 4 in
+  let sch = Scheduler.create ~domains:2 () in
+  let cache = Hydra_engine.Cache.create () in
+  List.iter
+    (fun gating ->
+      let request (faults, stimulus, cycles) =
+        C.run ~scheduler:sch ~cache ~engine:(`Slab k) ~gating sys_nl ~faults
+          ~stimulus ~cycles
+      in
+      ignore (request (List.hd requests));
+      let t0 = Unix.gettimeofday () in
+      let work =
+        List.fold_left (fun acc r -> acc + (request r).C.chunk_cycles) 0 requests
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      let n = float_of_int (List.length requests) in
+      let flavor = if gating then "gated" else "ungated" in
+      row "  %-36s %10.1f ms/request  %6.0f chunk-cycles/request\n"
+        (Printf.sprintf "cpu seu request, k=%d %s" k flavor)
+        (1000.0 *. wall /. n) (float_of_int work /. n);
+      record ~section:"campaign" ~domains:2 ~lanes:(62 * k)
+        ~name:(Printf.sprintf "cpu seu request k=%d %s" k flavor)
+        ~value:(1000.0 *. wall /. n) ~unit_:"ms" ~wall_s:wall ~warmup:1 ();
+      record ~section:"campaign" ~lanes:(62 * k)
+        ~name:(Printf.sprintf "cpu seu request k=%d %s chunk-cycles" k flavor)
+        ~value:(float_of_int work /. n) ~unit_:"cycles" ~wall_s:wall ~warmup:1
+        ())
+    [ true; false ];
+  Scheduler.shutdown sch
 
 (* E24 ------------------------------------------------------------------ *)
 

@@ -350,7 +350,9 @@ let faults_cmd =
       & info [ "rate" ] ~doc:"intermittent per-cycle flip probability")
   in
   let at =
-    Arg.(value & opt int 0 & info [ "at" ] ~doc:"SEU injection cycle")
+    Arg.(
+      value & opt int 0
+      & info [ "at" ] ~doc:"SEU injection cycle (0 or later)")
   in
   let max_faults =
     Arg.(
@@ -420,6 +422,10 @@ let faults_cmd =
     if targets = [] then begin
       prerr_endline
         "faults: no targets (name circuits/files, or use --all / --smoke)";
+      exit 2
+    end;
+    if at < 0 then begin
+      Printf.eprintf "faults: --at %d: the SEU cycle must be 0 or later\n" at;
       exit 2
     end;
     let model = if smoke then `All else model in

@@ -9,8 +9,9 @@
    faults per pass at the default k = 1 ([`Wide]), 62*K - 1 with
    [~engine:(`Slab k)].  Fault lists larger than one engine pass chunk
    over {!Scheduler.run_tasks} or {!Sharded.run_tasks}, so the peak rate is
-   (lanes - 1) x domains faults per settle pass, and chunks drop their
-   detected faults part-way (see "Fault dropping" below).
+   (lanes - 1) x domains faults per settle pass.  A chunk starts at its
+   first upset and drops its faults part-way once their verdicts are
+   final (see "Fault dropping" below).
 
    Every fault is classified against the golden lane:
    - detected: an observable output diverged (with detection latency),
@@ -56,6 +57,7 @@ type report = {
   latent : int;
   masked : int;
   verdicts : verdict list;
+  chunk_cycles : int;
 }
 
 let site_of = function
@@ -127,22 +129,36 @@ let random_stimulus ~seed ~cycles nl =
     (fun (name, _) -> (name, List.init cycles (fun _ -> Random.State.bool st)))
     nl.Netlist.inputs
 
-(* Fault dropping.  A chunk whose undetected lanes fall to half its
+(* Fault dropping.  A lane is resolved once its verdict is final:
+   - detected: an output diverged from the golden lane's;
+   - reconverged: an SEU lane past its upset whose every state site
+     again equals the golden lane's — with no force on the lane, it is
+     the golden run from then on;
+   - fixed point: the inputs stay constant to the end of the window and
+     neither the golden lane nor the lane latches a change at this tick,
+     with no intermittent fault or upset still to come — every later
+     cycle repeats this one.
+   The last two, like every lane still unresolved at the end of the
+   window, take their verdict from the state (latent or masked) in one
+   function, [resolve].  A chunk whose unresolved lanes fall to half its
    starting lanes (or fewer) stops at that cycle boundary instead of
-   simulating every lane to the end of the window; its detected lanes
-   are classified there, and the survivors move to the next round,
-   where survivors sharing a stop cycle are packed into full chunks
-   that resume from the migrated state.  The state that carries across
-   a cycle boundary lives in the dffs and — because a flip mask on a
-   site nothing re-drives accumulates — the constants; every other
-   component is recomputed by the next settle. *)
+   simulating on to the end of the window, and the survivors move to the
+   next round, where survivors sharing a stop cycle are packed into full
+   chunks that resume from the migrated state.  The state that carries
+   across a cycle boundary lives in the dffs and — because a flip mask
+   on a site nothing re-drives accumulates — the constants; every other
+   component is recomputed by the next settle.
+
+   Round 0 skips the fault-free prefix too: a chunk of SEUs starts at
+   its earliest upset, from golden snapshots that one shared prefix run
+   takes before the round. *)
 
 (* A chunk's work order: caller fault [j_faults.(k)] rides lane k+1.
    The chunk starts at cycle [j_start] with every state site at the
    golden word [j_golden] (a sign-extended lane-0 bit) except, per lane,
-   the state sites listed in [j_diff]: round 0 starts at cycle 0 from
-   the power-up words with no differences, later rounds resume dropped
-   chunks' survivors. *)
+   the state sites listed in [j_diff]: round 0 starts at the chunk's
+   first injection cycle from a golden snapshot with no differences,
+   later rounds resume dropped chunks' survivors. *)
 type job = {
   j_faults : int array;
   j_start : int;
@@ -234,6 +250,10 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       match (f, nl.Netlist.components.(site)) with
       | _, Netlist.Outport _ ->
         invalid_arg "Campaign.run: cannot fault an outport"
+      | Seu { at_cycle; _ }, _ when at_cycle < 0 ->
+        invalid_arg
+          (Printf.sprintf "Campaign.run: SEU at cycle %d is before cycle 0"
+             at_cycle)
       | Seu _, Netlist.Dffc _ -> ()
       | Seu _, _ ->
         invalid_arg
@@ -295,15 +315,72 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       state_sites
   in
   (* a status flag must be sampled over the whole window on every lane,
-     detected or not, so status campaigns never drop *)
+     detected or not, so status campaigns never drop, resolve early or
+     skip the prefix *)
   let droppable = status_sites = [||] in
   let faults_arr = Array.of_list faults in
   let nfaults = Array.length faults_arr in
   let results = Array.make (max nfaults 1) None in
+  let chunk_cycles = ref 0 in
   let emit fi classification status =
     let fault = faults_arr.(fi) in
     results.(fi) <-
       Some { fault; name = fault_name nl fault; classification; status }
+  in
+  let ndffs = Array.length dffs and nstate = Array.length state_sites in
+  let dff_inputs = Array.map (fun d -> nl.Netlist.fanin.(d).(0)) dffs in
+  (* the first cycle from which every input word stays constant to the
+     end of the window *)
+  let const_from =
+    Array.fold_left
+      (fun acc (_, svs) ->
+        let c = ref (cycles - 1) in
+        while !c > 0 && svs.(!c - 1) = svs.(cycles - 1) do
+          decr c
+        done;
+        max acc !c)
+      0 streams
+  in
+  let drive sim c =
+    for i = 0 to Array.length streams - 1 do
+      let site, svs = streams.(i) in
+      let v = svs.(c) in
+      for w = 0 to Slab.k sim - 1 do
+        Slab.poke_word sim site w v
+      done
+    done
+  in
+  (* every state site at the golden word [golden.(i)], no forces.  An
+     ungated settle recomputes every other component from the state,
+     the inputs and the forces; only a gated engine needs its blocks
+     re-marked dirty, so none keeps a value computed for an earlier
+     run *)
+  let load sim golden =
+    Slab.clear_forces sim;
+    if Slab.gated sim then Slab.reset sim;
+    Array.iteri
+      (fun i g ->
+        for w = 0 to Slab.k sim - 1 do
+          Slab.poke_word sim state_sites.(i) w g
+        done)
+      golden
+  in
+  (* The shared fault-free prefix: the golden state at the top of every
+     cycle [c] with [needed.(c)], from power-up to cycle [last]. *)
+  let golden_prefix sim needed snaps last =
+    load sim power_up;
+    let snap c =
+      if needed.(c) then
+        snaps.(c) <-
+          Array.map (fun site -> -(Slab.peek_word sim site 0 land 1)) state_sites
+    in
+    for c = 0 to last - 1 do
+      snap c;
+      drive sim c;
+      Slab.settle sim;
+      Slab.tick sim
+    done;
+    snap last
   in
   let run_chunk sim job =
     (* fault j_faults.(k) rides global lane k+1 — word (k+1)/62, bit
@@ -317,23 +394,10 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     for k = 0 to count - 1 do
       live.(word_of k) <- live.(word_of k) lor bit_of k
     done;
-    Slab.clear_forces sim;
-    (* a chunk writes every state site (dffs and constants) before its
-       first settle, and an ungated settle recomputes every other
-       component from those, the inputs and the forces; only a gated
-       engine needs its blocks re-marked dirty, so none keeps a value
-       computed for the previous chunk *)
-    if Slab.gated sim then Slab.reset sim;
     let start = job.j_start in
     (* migrated state: golden words on every state site, then each
        lane's own differing bits *)
-    Array.iteri
-      (fun i g ->
-        let site = state_sites.(i) in
-        for w = 0 to words - 1 do
-          Slab.poke_word sim site w g
-        done)
-      job.j_golden;
+    load sim job.j_golden;
     Array.iteri
       (fun k diff ->
         let wk = word_of k and bit = bit_of k in
@@ -355,6 +419,11 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         flip = Array.make words 0;
       }
     in
+    (* per word: SEU lanes, those whose upset is still to fire inside the
+       window, and intermittent lanes *)
+    let seu_lanes = Array.make words 0 in
+    let pending = Array.make words 0 in
+    let inter_lanes = Array.make words 0 in
     (* stuck-at faults on one site (adjacent in [all_stuck_at] order)
        share one force record: their lanes are disjoint *)
     let last_stuck = ref None in
@@ -374,9 +443,15 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         if value then p.Slab.force1.(wk) <- p.Slab.force1.(wk) lor bit
         else p.Slab.force0.(wk) <- p.Slab.force0.(wk) lor bit
       | Seu { site; at_cycle } ->
-        (* an upset before [start] is already in the migrated state *)
-        if at_cycle >= start then seus := (at_cycle, site, wk, bit) :: !seus
+        seu_lanes.(wk) <- seu_lanes.(wk) lor bit;
+        (* an upset before [start] is already in the migrated state, one
+           past the window never fires *)
+        if at_cycle >= start && at_cycle < cycles then begin
+          seus := (at_cycle, site, wk, bit) :: !seus;
+          pending.(wk) <- pending.(wk) lor bit
+        end
       | Intermittent { site; rate; seed } ->
+        inter_lanes.(wk) <- inter_lanes.(wk) lor bit;
         let p = force site in
         forces := p :: !forces;
         (* seeded per fault, not per chunk, so results are independent of
@@ -390,46 +465,107 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     done;
     Slab.set_forces sim (Array.of_list (List.rev !forces));
     let seus = !seus and inters = !inters in
-    let det_cycle = Array.make (max count 1) (-1) in
-    let det_out = Array.make (max count 1) "" in
-    let undet = Array.copy live in
-    let n_undet = ref count in
+    let injection k =
+      match faults_arr.(lane_faults.(k)) with
+      | Seu { at_cycle; _ } -> at_cycle
+      | Stuck_at _ | Intermittent _ -> 0
+    in
+    let verdict = Array.make (max count 1) None in
+    let unres = Array.copy live in
+    let n_unres = ref count in
     let status_acc = Array.make_matrix (max (Array.length status_sites) 1) words 0 in
+    (* [search wit n w m bits] is the set of lanes in [m] (engine word
+       [w]) for which [bits i w] has a set bit at some state site
+       [i < n].  [wit] remembers, per global lane, the site that last
+       showed one: it is tried first, and the sweep over the sites stops
+       once every lane of [m] is found, so a lane that stays different
+       costs one probe per call and only a lane that shows nothing costs
+       a full sweep. *)
+    let search wit n w m bits =
+      let found = ref 0 in
+      iter_lanes
+        (fun k ->
+          let i = wit.(k + 1) in
+          if i < n then found := !found lor (bits i w land bit_of k))
+        w m;
+      let rest = ref (m land lnot !found) and i = ref 0 in
+      while !rest <> 0 && !i < n do
+        let x = bits !i w land !rest in
+        if x <> 0 then begin
+          iter_lanes (fun k -> wit.(k + 1) <- !i) w x;
+          found := !found lor x;
+          rest := !rest lxor x
+        end;
+        incr i
+      done;
+      !found
+    in
+    (* lanes whose state site [i] differs from the golden lane's *)
+    let differs i w =
+      let site = state_sites.(i) in
+      Slab.peek_word sim site w lxor -(Slab.peek_word sim site 0 land 1)
+    in
+    (* after a settle: lanes whose dff [i] latches a new value at the tick *)
+    let latches i w =
+      Slab.peek_word sim dffs.(i) w lxor Slab.peek_word sim dff_inputs.(i) w
+    in
+    (* witnesses by global lane, the golden lane's at index 0 *)
+    let diff_wit = Array.make (Packed.lanes * words) 0 in
+    let latch_wit = Array.make (Packed.lanes * words) 0 in
+    (* The one verdict of an undetected lane whose outputs can no longer
+       diverge from the golden lane's — at the end of the window, or
+       earlier by reconvergence or a fixed point: latent if some dff's
+       state differs from the golden lane's, masked otherwise.  Only the
+       state counts — an upset that the circuit heals (e.g. an ECC
+       reload) is masked. *)
+    let resolve w mask =
+      let m = mask land unres.(w) in
+      if m <> 0 then begin
+        let latent = search diff_wit ndffs w m differs in
+        iter_lanes
+          (fun k ->
+            verdict.(k) <-
+              Some (if latent land bit_of k <> 0 then Latent else Masked);
+            decr n_unres)
+          w m;
+        unres.(w) <- unres.(w) lxor m
+      end
+    in
+    let fixed = Array.make words 0 in
     let stop = ref (-1) and cycle = ref start in
     while !cycle < cycles && !stop < 0 do
       let c = !cycle in
-      for i = 0 to Array.length streams - 1 do
-        let site, svs = streams.(i) in
-        let v = svs.(c) in
-        for w = 0 to words - 1 do
-          Slab.poke_word sim site w v
-        done
-      done;
+      drive sim c;
       List.iter
         (fun (at, site, wk, bit) ->
-          if at = c then Slab.poke_word sim site wk (Slab.peek_word sim site wk lxor bit))
+          if at = c then begin
+            Slab.poke_word sim site wk (Slab.peek_word sim site wk lxor bit);
+            pending.(wk) <- pending.(wk) lxor bit
+          end)
         seus;
       List.iter
         (fun (p, wk, bit, rate, st) ->
           p.Slab.flip.(wk) <- (if Random.State.float st 1.0 < rate then bit else 0))
         inters;
       Slab.settle sim;
-      (if !n_undet > 0 then
+      (if !n_unres > 0 then
          for o = 0 to Array.length compare_sites - 1 do
            let oname, osite = compare_sites.(o) in
            (* golden is word 0, bit 0, sign-extended across every word:
               set bits = lanes that differ from the golden lane *)
            let gext = -(Slab.peek_word sim osite 0 land 1) in
            for w = 0 to words - 1 do
-             let diff = (Slab.peek_word sim osite w lxor gext) land undet.(w) in
+             let diff = (Slab.peek_word sim osite w lxor gext) land unres.(w) in
              if diff <> 0 then begin
                iter_lanes
                  (fun k ->
-                   det_cycle.(k) <- c;
-                   det_out.(k) <- oname;
-                   decr n_undet)
+                   verdict.(k) <-
+                     Some
+                       (Detected
+                          { latency = c - injection k; cycle = c; output = oname });
+                   decr n_unres)
                  w diff;
-               undet.(w) <- undet.(w) land lnot diff
+               unres.(w) <- unres.(w) lxor diff
              end
            done
          done);
@@ -439,11 +575,39 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
           status_acc.(si).(w) <- status_acc.(si).(w) lor Slab.peek_word sim ssite w
         done
       done;
+      (* fixed point: the inputs stay constant to the end of the window
+         and neither the golden lane nor the lane latches a change, so
+         every later cycle repeats this one; an intermittent or a pending
+         upset could still break it *)
+      Array.fill fixed 0 words 0;
+      if droppable && c >= const_from && c + 1 < cycles
+         && search latch_wit ndffs 0 1 latches = 0
+      then
+        for w = 0 to words - 1 do
+          let m = unres.(w) land lnot (pending.(w) lor inter_lanes.(w)) in
+          fixed.(w) <- m land lnot (search latch_wit ndffs w m latches)
+        done;
       Slab.tick sim;
-      (* drop at half: at most half the starting lanes still undetected *)
-      if droppable && c + 1 < cycles && 2 * !n_undet <= count then stop := c;
+      (* reconverged: a fired upset whose every state site again equals
+         the golden lane's, so the lane is the golden run from here on *)
+      for w = 0 to words - 1 do
+        let r =
+          if droppable then unres.(w) land seu_lanes.(w) land lnot pending.(w)
+          else 0
+        in
+        resolve w
+          (fixed.(w) lor (r land lnot (search diff_wit nstate w r differs)))
+      done;
+      (* drop at half: at most half the starting lanes still unresolved *)
+      if droppable && c + 1 < cycles && 2 * !n_unres <= count then stop := c;
       cycle := c + 1
     done;
+    (* end of the window: every lane still unresolved gets its verdict
+       from the final state *)
+    if !stop < 0 then
+      for w = 0 to words - 1 do
+        resolve w (-1)
+      done;
     let status_of wk bit =
       Array.to_list
         (Array.mapi
@@ -451,26 +615,13 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
            status_sites)
     in
     for k = 0 to count - 1 do
-      if det_cycle.(k) >= 0 then begin
-        let fi = lane_faults.(k) in
-        let injection =
-          match faults_arr.(fi) with
-          | Seu { at_cycle; _ } -> at_cycle
-          | Stuck_at _ | Intermittent _ -> 0
-        in
-        emit fi
-          (Detected
-             {
-               latency = det_cycle.(k) - injection;
-               cycle = det_cycle.(k);
-               output = det_out.(k);
-             })
-          (status_of (word_of k) (bit_of k))
-      end
+      match verdict.(k) with
+      | Some cls -> emit lane_faults.(k) cls (status_of (word_of k) (bit_of k))
+      | None -> ()
     done;
     let survivors =
-      if !stop >= 0 then begin
-        (* dropped: hand the undetected lanes' state to the next round *)
+      if !n_unres > 0 then begin
+        (* dropped: hand the unresolved lanes' state to the next round *)
         let golden = Array.make (Array.length state_sites) 0 in
         let diffs = Array.make count [] in
         Array.iteri
@@ -481,12 +632,12 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
               iter_lanes
                 (fun k -> diffs.(k) <- i :: diffs.(k))
                 w
-                ((Slab.peek_word sim site w lxor gext) land undet.(w))
+                ((Slab.peek_word sim site w lxor gext) land unres.(w))
             done)
           state_sites;
         let acc = ref [] in
         for k = count - 1 downto 0 do
-          if det_cycle.(k) < 0 then
+          if Option.is_none verdict.(k) then
             acc :=
               {
                 s_fault = lane_faults.(k);
@@ -498,33 +649,10 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
         done;
         !acc
       end
-      else begin
-        (* latent: some dff's final state differs from the golden lane
-           even though no output ever did.  Only the final state counts —
-           an upset that the circuit heals (e.g. an ECC reload) is
-           masked. *)
-        let state_diff = Array.make words 0 in
-        Array.iter
-          (fun site ->
-            let gext = -(Slab.peek_word sim site 0 land 1) in
-            for w = 0 to words - 1 do
-              state_diff.(w) <-
-                state_diff.(w) lor ((Slab.peek_word sim site w lxor gext) land live.(w))
-            done)
-          dffs;
-        for k = 0 to count - 1 do
-          if det_cycle.(k) < 0 then begin
-            let wk = word_of k and bit = bit_of k in
-            emit lane_faults.(k)
-              (if state_diff.(wk) land bit <> 0 then Latent else Masked)
-              (status_of wk bit)
-          end
-        done;
-        []
-      end
+      else []
     in
     Slab.clear_forces sim;
-    survivors
+    (survivors, !cycle - start)
   in
   let k =
     match engine with
@@ -582,29 +710,57 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       (* lane 0 of every chunk is the golden run, hence [~reserved:1] *)
       let ch = Scheduler.chunking ~reserved:1 ~lanes:(Packed.lanes * k) nfaults in
       let nchunks = ch.Scheduler.count in
-      (* round 0 covers the caller's list in order; each later round
-         packs the previous round's survivors.  Chunk task ids run on
-         across rounds, so every chunk rolls its own chaos fate. *)
+      (* round 0 covers the caller's list in order, after the golden
+         prefix task when some chunk starts past cycle 0; each later
+         round packs the previous round's survivors.  Task ids run on
+         across the prefix and the rounds, so every task rolls its own
+         chaos fate. *)
       let first_task = ref 0 in
       let rounds exec =
         let rec go jobs =
           let n = Array.length jobs in
           if n > 0 then begin
-            let out = Array.make n [] in
+            let out = Array.make n ([], 0) in
             exec n (fun sim c -> out.(c) <- run_chunk sim jobs.(c));
             first_task := !first_task + n;
+            Array.iter (fun (_, cs) -> chunk_cycles := !chunk_cycles + cs) out;
             go
               (pack ~per_chunk:ch.Scheduler.per_chunk
-                 (List.concat (Array.to_list out)))
+                 (List.concat_map fst (Array.to_list out)))
           end
         in
+        (* a round-0 chunk starts at its earliest injection cycle, from
+           the golden state there: one shared prefix task simulates the
+           fault-free run up to the latest such cycle *)
+        let starts =
+          Array.init nchunks (fun c ->
+              let lo, hi = ch.Scheduler.bounds c in
+              let s = ref (if droppable then max_int else 0) in
+              for fi = lo to hi - 1 do
+                s :=
+                  min !s
+                    (match faults_arr.(fi) with
+                    | Seu { at_cycle; _ } -> min at_cycle (cycles - 1)
+                    | Stuck_at _ | Intermittent _ -> 0)
+              done;
+              max 0 !s)
+        in
+        let last = Array.fold_left max 0 starts in
+        let snaps = Array.make (last + 1) power_up in
+        if last > 0 then begin
+          let needed = Array.make (last + 1) false in
+          Array.iter (fun s -> needed.(s) <- true) starts;
+          exec 1 (fun sim _ -> golden_prefix sim needed snaps last);
+          first_task := !first_task + 1;
+          chunk_cycles := !chunk_cycles + last
+        end;
         go
           (Array.init nchunks (fun c ->
                let lo, hi = ch.Scheduler.bounds c in
                {
                  j_faults = Array.init (hi - lo) (fun k -> lo + k);
-                 j_start = 0;
-                 j_golden = power_up;
+                 j_start = starts.(c);
+                 j_golden = snaps.(starts.(c));
                  j_diff = [||];
                }))
       in
@@ -715,6 +871,7 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     latent = count (function Latent -> true | _ -> false);
     masked = count (function Masked -> true | _ -> false);
     verdicts;
+    chunk_cycles = !chunk_cycles;
   }
 
 let replay report fault =

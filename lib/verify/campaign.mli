@@ -5,9 +5,10 @@
     recompilation.
     Fault lists larger than one engine pass chunk over
     {!Hydra_engine.Scheduler.run_tasks} or
-    {!Hydra_engine.Sharded.run_tasks}, and a chunk stops once half its
-    faults are detected, its survivors packed into fuller chunks that
-    resume from their migrated state. *)
+    {!Hydra_engine.Sharded.run_tasks}; a chunk of SEUs starts at its
+    first upset, and a chunk stops once half its faults have a final
+    verdict, its survivors packed into fuller chunks that resume from
+    their migrated state. *)
 
 type fault =
   | Stuck_at of { site : int; value : bool }
@@ -15,7 +16,8 @@ type fault =
   | Seu of { site : int; at_cycle : int }
       (** single-event upset: the dff's state bit is flipped just before
           the settle of [at_cycle] (scheduled past the run window, it
-          never fires and classifies masked) *)
+          never fires and classifies masked; a negative [at_cycle] is
+          rejected) *)
   | Intermittent of { site : int; rate : float; seed : int }
       (** each cycle, with probability [rate], the output is inverted
           for that whole cycle; the coin stream is seeded per fault so
@@ -49,6 +51,9 @@ type report = {
   latent : int;
   masked : int;
   verdicts : verdict list;  (** in the caller's fault order *)
+  chunk_cycles : int;
+      (** engine cycles simulated: every chunk's cycles over all rounds
+          plus the shared golden prefix (not part of {!to_json}) *)
 }
 
 val site_of : fault -> int
@@ -132,11 +137,20 @@ val run :
     run the vectorized C kernels ({!Hydra_engine.Simd}) when the build
     has a vector path; at [k = 1] the OCaml kernels are faster.
 
-    Fault dropping: without [status_outputs], a chunk stops at the first
-    cycle boundary where at most half of its faults are still
-    undetected; the survivors' state moves to fuller chunks that resume
-    at the next cycle.  Verdicts are identical to running each fault
-    alone.  With [status_outputs], every lane runs the whole window.
+    Fault dropping: without [status_outputs], a lane's verdict is final
+    once it is detected, once an SEU lane's whole state again equals the
+    golden lane's (masked), or at a fixed point — the inputs constant to
+    the end of the window, neither the golden lane nor the lane latching
+    a change, and no intermittent fault or upset still to come.  The last
+    two take the end-of-window verdict from the state (latent if a dff
+    differs from the golden lane, else masked).  A chunk stops at the
+    first cycle boundary where at most half of its faults are still
+    unresolved; the survivors' state moves to fuller chunks that resume
+    at the next cycle.  A chunk of SEUs starts at its earliest upset,
+    from golden state snapshots that one shared fault-free prefix run
+    takes first ({!report.chunk_cycles} counts both).  Verdicts are
+    identical to running each fault alone.  With [status_outputs], every
+    lane runs the whole window from cycle 0.
 
     Resilience knobs: [?deadline] bounds the whole campaign in
     wall-clock seconds, enforced at chunk boundaries
@@ -152,13 +166,13 @@ val run :
     a caller's [?sharded] engine keeps its own) rather than rejected,
     and only a budget with less than one word free sheds the campaign
     ({!Hydra_engine.Resilience.Shed}).
-    [?chaos] dresses every chunk with a seeded {!Chaos} injection point
-    — the soak-test harness.
+    [?chaos] dresses every chunk (and the prefix task) with a seeded
+    {!Chaos} injection point — the soak-test harness.
 
     Raises [Invalid_argument] on an invalid netlist, an out-of-range or
-    outport fault site, an SEU site that is not a dff, an intermittent
-    rate outside [0,1], or stimulus/status names not matching the
-    netlist's ports. *)
+    outport fault site, an SEU site that is not a dff or an SEU before
+    cycle 0, an intermittent rate outside [0,1], or stimulus/status
+    names not matching the netlist's ports. *)
 
 val replay : report -> fault -> verdict
 (** Re-run one fault alone against the report's recorded stimulus and

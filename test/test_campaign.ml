@@ -15,6 +15,7 @@ module Fault = Hydra_verify.Fault
 module C = Hydra_verify.Campaign
 module Chaos = Hydra_verify.Chaos
 module Lint = Hydra_analyze.Lint
+module Sim = Hydra_analyze.Sim
 module D = Hydra_analyze.Diagnostic
 
 let fig1 () =
@@ -69,6 +70,90 @@ let wallace4 () =
    {!C.replay}: a single-fault run never drops or compacts. *)
 let matches_replay report =
   List.for_all (fun v -> C.replay report v.C.fault = v) report.C.verdicts
+
+(* An independent classifier on {!Sim}'s packed reference interpreter,
+   which shares no code with the slab engines or the campaign's
+   resolution rules: the faulty circuit runs beside the golden one for
+   the whole window.  An SEU flips the dff's held word with
+   [packed_poke]; a stuck-at fault rewrites the netlist with
+   {!Fault.inject}.  Intermittent faults have no reference here. *)
+let reference nl ~stimulus ~cycles fault =
+  let golden = Sim.packed_create nl in
+  let faulty, injected, upset =
+    match fault with
+    | C.Stuck_at { site; value } ->
+      (Sim.packed_create (Fault.inject nl { Fault.site; stuck = value }), 0, None)
+    | C.Seu { site; at_cycle } -> (Sim.packed_create nl, at_cycle, Some site)
+    | C.Intermittent _ -> invalid_arg "reference: no intermittent model"
+  in
+  let input name c =
+    match List.assoc_opt name stimulus with
+    | Some bits when List.nth_opt bits c = Some true -> Hydra_core.Packed.lane_mask
+    | _ -> 0
+  in
+  let rec go c =
+    if c = cycles then begin
+      (* settle once more so each dff's word is its final held state *)
+      Sim.packed_settle golden;
+      Sim.packed_settle faulty;
+      if
+        List.exists
+          (fun d -> Sim.packed_value golden d land 1 <> Sim.packed_value faulty d land 1)
+          (C.dff_sites nl)
+      then C.Latent
+      else C.Masked
+    end
+    else begin
+      List.iter
+        (fun (name, _) ->
+          Sim.packed_set_input golden name (input name c);
+          Sim.packed_set_input faulty name (input name c))
+        nl.N.inputs;
+      (match upset with
+      | Some site when c = injected ->
+        (* a settle exposes the held word, then the flip overwrites it *)
+        Sim.packed_settle faulty;
+        Sim.packed_poke faulty site (lnot (Sim.packed_value faulty site))
+      | _ -> ());
+      Sim.packed_settle golden;
+      Sim.packed_settle faulty;
+      match
+        List.find_opt
+          (fun (name, _) ->
+            Sim.packed_output golden name land 1 <> Sim.packed_output faulty name land 1)
+          nl.N.outputs
+      with
+      | Some (output, _) -> C.Detected { latency = c - injected; cycle = c; output }
+      | None ->
+        Sim.packed_tick golden;
+        Sim.packed_tick faulty;
+        go (c + 1)
+    end
+  in
+  go 0
+
+(* Every verdict equals the reference classifier's (memoized per distinct
+   fault); intermittent verdicts fall back to {!C.replay}. *)
+let matches_reference report =
+  let memo = Hashtbl.create 64 in
+  List.for_all
+    (fun v ->
+      match v.C.fault with
+      | C.Intermittent _ -> C.replay report v.C.fault = v
+      | f ->
+        let expect =
+          match Hashtbl.find_opt memo f with
+          | Some e -> e
+          | None ->
+            let e =
+              reference report.C.netlist ~stimulus:report.C.stimulus
+                ~cycles:report.C.cycles f
+            in
+            Hashtbl.add memo f e;
+            e
+        in
+        v.C.classification = expect)
+    report.C.verdicts
 
 let check_cov_equal name (a : Fault.coverage) (b : Fault.coverage) =
   check_int (name ^ ": total") a.Fault.total b.Fault.total;
@@ -584,7 +669,8 @@ let suite =
                   ~cycles:6).C.verdicts
               = (C.run ~engine:(`Slab 2) nl ~faults ~stimulus ~cycles:6).C.verdicts)));
     (* ---- fault dropping and lane compaction ---- *)
-    qc ~count:100 "campaign: dropping and compaction match single-fault replay"
+    qc ~count:100
+      "campaign: dropping and compaction match an independent reference"
       QCheck2.Gen.(
         quad Test_analyze.gen_nodes (int_bound 1000) (int_bound 6)
           (int_range 2 12))
@@ -601,23 +687,170 @@ let suite =
                  match nl.N.components.(i) with N.Outport _ -> false | _ -> true)
                (List.init (N.size nl) Fun.id))
         in
-        let dffs = Array.of_list (C.dff_sites nl) in
+        let dffs = C.dff_sites nl in
+        let dffa = Array.of_list dffs in
         let pick a = a.(Random.State.int st (Array.length a)) in
-        let faults =
+        let mixed =
           C.all_stuck_at nl
           @ List.init 20 (fun _ ->
-                C.Seu { site = pick dffs; at_cycle = Random.State.int st (cycles + 1) })
+                C.Seu { site = pick dffa; at_cycle = Random.State.int st (cycles + 1) })
           @ List.init 8 (fun i ->
                 C.Intermittent { site = pick sites; rate = 0.5; seed = seed + i })
         in
         (* repeated, so the list spans several wide chunks *)
-        let faults = faults @ faults in
-        let stimulus = C.random_stimulus ~seed ~cycles nl in
+        let mixed = mixed @ mixed in
+        (* every dff upset at every cycle, injection-cycle-major and
+           repeated past two k=4 chunks: later chunks start from the
+           golden prefix at their first upset *)
+        let sweep =
+          List.concat_map
+            (fun at_cycle -> List.map (fun site -> C.Seu { site; at_cycle }) dffs)
+            (List.init (cycles + 1) Fun.id)
+        in
+        let reps = 1 + (500 / List.length sweep) in
+        let sweep = List.concat_map (fun f -> List.init reps (fun _ -> f)) sweep in
+        (* each input holds its value from a random cycle on (to the end
+           of the window when that cycle is [cycles]), so fixed points
+           are reached part-way through *)
+        let stimulus =
+          List.map
+            (fun (name, bits) ->
+              let a = Array.of_list bits and hold = Random.State.int st (cycles + 1) in
+              (name, List.init cycles (fun c -> a.(min c hold))))
+            (C.random_stimulus ~seed ~cycles nl)
+        in
         let engine, gating =
           [| (`Wide, false); (`Slab 1, false); (`Slab 1, true); (`Slab 2, false);
              (`Slab 2, true); (`Slab 4, false); (`Slab 4, true) |].(flavor)
         in
-        matches_replay (C.run ~engine ~gating nl ~faults ~stimulus ~cycles));
+        List.for_all
+          (fun faults ->
+            matches_reference (C.run ~engine ~gating nl ~faults ~stimulus ~cycles))
+          [ mixed; sweep ]);
+    (* ---- early resolution: one regression per soundness edge ---- *)
+    tc "campaign: a fixed-point lane waits while the golden lane still moves"
+      (fun () ->
+        (* a 2-bit counter counts while the self-holding [stop] register
+           is 0, and y reads count = 3.  Upsetting [stop] at cycle 0
+           freezes the lane's counter: the lane latches nothing from then
+           on, but the golden lane is still counting toward the read that
+           exposes the upset at cycle 3 *)
+        let stop = G.feedback (fun q -> G.dff q) in
+        let run = G.inv stop in
+        let c0 = G.feedback (fun q -> G.dff (G.xor2 q run)) in
+        let c1 = G.feedback (fun q -> G.dff (G.xor2 q (G.and2 c0 run))) in
+        let nl = N.of_graph ~outputs:[ ("y", G.and2 c1 c0) ] in
+        let stop_site =
+          List.find (fun d -> nl.N.fanin.(d).(0) = d) (C.dff_sites nl)
+        in
+        let fault = C.Seu { site = stop_site; at_cycle = 0 } in
+        List.iter
+          (fun (engine, gating) ->
+            let r = C.run ~engine ~gating nl ~faults:[ fault ] ~stimulus:[] ~cycles:6 in
+            check_bool "detected at cycle 3" true
+              ((List.hd r.C.verdicts).C.classification
+              = C.Detected { latency = 3; cycle = 3; output = "y" }))
+          [ (`Wide, false); (`Slab 2, true) ]);
+    tc "campaign: a late input pulse after a constant stretch still detects"
+      (fun () ->
+        (* the upset self-holding register is read only while x is high:
+           x is low for cycles 0-7, pulses at 8, and is low again at 9 *)
+        let x = G.input "x" in
+        let r = G.feedback (fun q -> G.dff q) in
+        let nl = N.of_graph ~outputs:[ ("y", G.and2 x r) ] in
+        let fault = C.Seu { site = List.hd (C.dff_sites nl); at_cycle = 1 } in
+        let stimulus = [ ("x", List.init 10 (fun c -> c = 8)) ] in
+        List.iter
+          (fun (engine, gating) ->
+            let r = C.run ~engine ~gating nl ~faults:[ fault ] ~stimulus ~cycles:10 in
+            check_bool "detected by the pulse" true
+              ((List.hd r.C.verdicts).C.classification
+              = C.Detected { latency = 7; cycle = 8; output = "y" }))
+          [ (`Wide, false); (`Slab 2, true) ]);
+    tc "campaign: an SEU overwritten next cycle resolves masked and stops"
+      (fun () ->
+        (* d reloads from a toggling input every cycle and nothing reads
+           it: an upset at cycle 2 is gone after that cycle's tick, so the
+           chunk (after a 2-cycle golden prefix) stops at once *)
+        let x = G.input "x" in
+        let d = G.dff x in
+        let nl = N.of_graph ~outputs:[ ("y", G.or2 x (G.and2 d G.zero)) ] in
+        let fault = C.Seu { site = List.hd (C.dff_sites nl); at_cycle = 2 } in
+        let stimulus = [ ("x", List.init 10 (fun c -> c mod 2 = 1)) ] in
+        List.iter
+          (fun (engine, gating) ->
+            let r = C.run ~engine ~gating nl ~faults:[ fault ] ~stimulus ~cycles:10 in
+            check_string "masked" "masked"
+              (C.class_string (List.hd r.C.verdicts).C.classification);
+            check_int "prefix 2 + one chunk cycle" 3 r.C.chunk_cycles)
+          [ (`Wide, false); (`Slab 1, true); (`Slab 2, false) ]);
+    tc "campaign: a stuck constant is judged by the dffs alone" (fun () ->
+        (* y = x whatever the constants do.  zero stuck-at-1 sets the
+           unread register r: latent.  one stuck-at-0 changes only the
+           constant's own word: masked, as at the end of the window *)
+        let x = G.input "x" in
+        let r = G.feedback (fun q -> G.dff (G.or2 q G.zero)) in
+        let nl =
+          N.of_graph ~outputs:[ ("y", G.or2 x (G.and2 x (G.and2 r G.one))) ]
+        in
+        let const b =
+          List.find
+            (fun i -> nl.N.components.(i) = N.Constant b)
+            (List.init (N.size nl) Fun.id)
+        in
+        let sa1_zero = C.Stuck_at { site = const false; value = true } in
+        let sa0_one = C.Stuck_at { site = const true; value = false } in
+        let stimulus = [ ("x", List.init 8 (fun _ -> false)) ] in
+        List.iter
+          (fun (engine, gating) ->
+            let r =
+              C.run ~engine ~gating nl ~faults:[ sa1_zero; sa0_one ] ~stimulus
+                ~cycles:8
+            in
+            check_bool "zero stuck-at-1 latent" true
+              (classification_of r sa1_zero = C.Latent);
+            check_bool "one stuck-at-0 masked" true
+              (classification_of r sa0_one = C.Masked);
+            check_bool "matches the reference" true (matches_reference r);
+            check_bool "resolved before the end of the window" true
+              (r.C.chunk_cycles < 8))
+          [ (`Wide, false); (`Slab 1, true); (`Slab 2, false) ]);
+    tc "campaign: intermittent lanes are never resolved early" (fun () ->
+        (* x is held low and nothing latches, so every lane sits at a
+           fixed point from cycle 0 — yet each coin stream flips the and
+           gate (and y) at some later cycle *)
+        let x = G.input "x" in
+        let nl = N.of_graph ~outputs:[ ("y", G.and2 x x) ] in
+        let gate =
+          List.find (fun i -> nl.N.components.(i) = N.And2c) (List.init (N.size nl) Fun.id)
+        in
+        let faults =
+          List.init 40 (fun seed -> C.Intermittent { site = gate; rate = 0.5; seed })
+        in
+        let stimulus = [ ("x", List.init 16 (fun _ -> false)) ] in
+        List.iter
+          (fun (engine, gating) ->
+            let r = C.run ~engine ~gating nl ~faults ~stimulus ~cycles:16 in
+            let cycles =
+              List.map
+                (fun v ->
+                  match v.C.classification with
+                  | C.Detected { cycle; _ } -> cycle
+                  | c -> Alcotest.fail ("intermittent lane " ^ C.class_string c))
+                r.C.verdicts
+            in
+            check_bool "some first flips come late" true
+              (List.exists (fun c -> c >= 2) cycles))
+          [ (`Wide, false); (`Slab 1, true) ]);
+    tc "campaign: negative SEU cycles are rejected" (fun () ->
+        let nl = two_stage () in
+        Alcotest.check_raises "at_cycle -5"
+          (Invalid_argument "Campaign.run: SEU at cycle -5 is before cycle 0")
+          (fun () ->
+            ignore
+              (C.run nl
+                 ~faults:[ C.Seu { site = List.hd (C.dff_sites nl); at_cycle = -5 } ]
+                 ~stimulus:[] ~cycles:4)));
     tc "campaign: gated SEU on a dff with a quiet driver re-latches" (fun () ->
         (* x never changes, so a gated tick latches d only if the upset
            itself marked d's cluster dirty; unread, the healed upset is
