@@ -39,23 +39,26 @@ let host_cores = Domain.recommended_domain_count ()
 
 let results :
     (string * string * float * string * int option * int option * int option
-    * float option * int option)
+    * float option * int option * (float * int) option)
     list ref =
   ref []
 
 (* [?wall_s] is the wall-clock spent producing the row and [?warmup] the
    number of warm-up iterations discarded before measuring — new rows
    must stamp both (the E27 convention extending [host_cores] from PR 5)
-   so single-core CI numbers are interpretable. *)
-let record ?domains ?lanes ?host_cores:hc ?wall_s ?warmup ~section:sec ~name
-    ~value ~unit_ () =
+   so single-core CI numbers are interpretable.  A row whose [value] is
+   the median of repeated samples carries [?spread:(iqr, n)]. *)
+let record ?domains ?lanes ?host_cores:hc ?wall_s ?warmup ?spread ~section:sec
+    ~name ~value ~unit_ () =
   let hc =
     match (hc, domains) with
     | (Some _ as h), _ -> h
     | None, Some _ -> Some host_cores
     | None, None -> None
   in
-  results := (sec, name, value, unit_, domains, lanes, hc, wall_s, warmup) :: !results
+  results :=
+    (sec, name, value, unit_, domains, lanes, hc, wall_s, warmup, spread)
+    :: !results
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -80,7 +83,7 @@ let write_json path =
   Printf.fprintf oc "{\n  \"results\": [\n";
   let rows = List.rev !results in
   List.iteri
-    (fun i (sec, name, value, unit_, domains, lanes, hc, wall_s, warmup) ->
+    (fun i (sec, name, value, unit_, domains, lanes, hc, wall_s, warmup, spread) ->
       let opt key = function
         | None -> ""
         | Some v -> Printf.sprintf ", \"%s\": %d" key v
@@ -90,8 +93,9 @@ let write_json path =
         | Some v -> Printf.sprintf ", \"%s\": %.6g" key v
       in
       Printf.fprintf oc
-        "    {\"section\": \"%s\", \"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"%s%s%s%s%s}%s\n"
+        "    {\"section\": \"%s\", \"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"%s%s%s%s%s%s%s}%s\n"
         (json_escape sec) (json_escape name) value (json_escape unit_)
+        (optf "iqr" (Option.map fst spread)) (opt "n" (Option.map snd spread))
         (opt "domains" domains) (opt "lanes" lanes) (opt "host_cores" hc)
         (optf "wall_s" wall_s) (opt "warmup" warmup)
         (if i = List.length rows - 1 then "" else ","))
@@ -124,6 +128,19 @@ let time_per_run ?(min_time = 0.2) f =
     elapsed := Unix.gettimeofday () -. t0
   done;
   !elapsed /. float_of_int !n
+
+(* Median and interquartile range of a sample (linear interpolation
+   between order statistics). *)
+let median_iqr xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  let q p =
+    let x = p *. float_of_int (Array.length a - 1) in
+    let i = int_of_float x in
+    let j = min (i + 1) (Array.length a - 1) in
+    a.(i) +. ((x -. float_of_int i) *. (a.(j) -. a.(i)))
+  in
+  (q 0.5, q 0.75 -. q 0.25)
 
 (* Bechamel helper: run the given tests, print ns/run per test. *)
 let bechamel_run tests =
@@ -1186,8 +1203,12 @@ let e23 ?(min_time = 0.2) () =
      program (4 ldval, 9 register ops, 2 stores, 1 load, halt), SEUs in
      every dff at two cycles, one in each half of a 60-cycle window after
      the program loads, a 300-cycle run limit, on a k=4 slab over a
-     2-domain scheduler — gated and ungated.  Per request: wall time and
-     the engine cycles simulated ([chunk_cycles]). *)
+     2-domain scheduler — gated and ungated.  Each of 10 samples runs all
+     8 requests in both flavors, alternating them per request (and which
+     goes first per sample) so host drift hits both alike, timed on
+     Bechamel's monotonic clock.  Rows: median ms/request with its IQR,
+     the engine cycles simulated per request ([chunk_cycles]), and the
+     median of the 10 paired gated/ungated ratios. *)
   let module Isa = Hydra_cpu.Isa in
   let module Scheduler = Hydra_engine.Scheduler in
   let straight_line st =
@@ -1225,31 +1246,55 @@ let e23 ?(min_time = 0.2) () =
   let k = 4 in
   let sch = Scheduler.create ~domains:2 () in
   let cache = Hydra_engine.Cache.create () in
-  List.iter
-    (fun gating ->
-      let request (faults, stimulus, cycles) =
-        C.run ~scheduler:sch ~cache ~engine:(`Slab k) ~gating sys_nl ~faults
-          ~stimulus ~cycles
-      in
-      ignore (request (List.hd requests));
-      let t0 = Unix.gettimeofday () in
-      let work =
-        List.fold_left (fun acc r -> acc + (request r).C.chunk_cycles) 0 requests
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      let n = float_of_int (List.length requests) in
+  let request gating (faults, stimulus, cycles) =
+    C.run ~scheduler:sch ~cache ~engine:(`Slab k) ~gating sys_nl ~faults
+      ~stimulus ~cycles
+  in
+  let now () = Bechamel.Toolkit.Monotonic_clock.get () in
+  let flavors = [| true; false |] and nsamples = 10 in
+  Array.iter (fun gating -> ignore (request gating (List.hd requests))) flavors;
+  let n = float_of_int (List.length requests) in
+  let ms = Array.make_matrix 2 nsamples 0.0 and work = Array.make 2 0 in
+  let t_start = now () in
+  for s = 0 to nsamples - 1 do
+    List.iter
+      (fun r ->
+        List.iter
+          (fun f ->
+            let t0 = now () in
+            let rep = request flavors.(f) r in
+            ms.(f).(s) <- ms.(f).(s) +. ((now () -. t0) /. 1e6 /. n);
+            if s = 0 then work.(f) <- work.(f) + rep.C.chunk_cycles)
+          (if s land 1 = 0 then [ 0; 1 ] else [ 1; 0 ]))
+      requests
+  done;
+  let wall = (now () -. t_start) /. 1e9 in
+  Array.iteri
+    (fun f gating ->
+      let med, iqr = median_iqr ms.(f) in
       let flavor = if gating then "gated" else "ungated" in
-      row "  %-36s %10.1f ms/request  %6.0f chunk-cycles/request\n"
+      let per_req = float_of_int work.(f) /. n in
+      row "  %-36s %10.1f ms/request (IQR %.1f, n=%d)  %6.0f chunk-cycles/request\n"
         (Printf.sprintf "cpu seu request, k=%d %s" k flavor)
-        (1000.0 *. wall /. n) (float_of_int work /. n);
+        med iqr nsamples per_req;
       record ~section:"campaign" ~domains:2 ~lanes:(62 * k)
         ~name:(Printf.sprintf "cpu seu request k=%d %s" k flavor)
-        ~value:(1000.0 *. wall /. n) ~unit_:"ms" ~wall_s:wall ~warmup:1 ();
+        ~value:med ~unit_:"ms" ~spread:(iqr, nsamples) ~wall_s:wall ~warmup:1
+        ();
       record ~section:"campaign" ~lanes:(62 * k)
         ~name:(Printf.sprintf "cpu seu request k=%d %s chunk-cycles" k flavor)
-        ~value:(float_of_int work /. n) ~unit_:"cycles" ~wall_s:wall ~warmup:1
-        ())
-    [ true; false ];
+        ~value:per_req ~unit_:"cycles" ~wall_s:wall ~warmup:1 ())
+    flavors;
+  let ratio, ratio_iqr =
+    median_iqr (Array.init nsamples (fun s -> ms.(0).(s) /. ms.(1).(s)))
+  in
+  row "  %-36s %10.3f x (IQR %.3f, n=%d)\n"
+    (Printf.sprintf "cpu seu request, k=%d gated/ungated" k)
+    ratio ratio_iqr nsamples;
+  record ~section:"campaign" ~domains:2 ~lanes:(62 * k)
+    ~name:(Printf.sprintf "cpu seu request k=%d gated/ungated" k)
+    ~value:ratio ~unit_:"x" ~spread:(ratio_iqr, nsamples) ~wall_s:wall
+    ~warmup:1 ();
   Scheduler.shutdown sch
 
 (* E24 ------------------------------------------------------------------ *)
@@ -2044,7 +2089,7 @@ let scan_baseline path =
    with End_of_file -> close_in ic);
   !rows
 
-let pinned_row (sec, _, _, unit_, _, _, _, _, _) =
+let pinned_row (sec, _, _, unit_, _, _, _, _, _, _) =
   (sec = "E20" || sec = "E24" || sec = "E28")
   && String.length unit_ >= 2
   && String.sub unit_ (String.length unit_ - 2) 2 = "/s"
@@ -2053,7 +2098,7 @@ let compare_baseline path =
   let base = scan_baseline path in
   let compared = ref 0 and regressions = ref [] in
   List.iter
-    (fun ((sec, name, value, _, domains, _, _, _, _) as r) ->
+    (fun ((sec, name, value, _, domains, _, _, _, _, _) as r) ->
       if pinned_row r then
         match
           List.find_opt

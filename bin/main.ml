@@ -39,7 +39,17 @@ let inputs prefix n = List.init n (fun i -> G.input (Printf.sprintf "%s%d" prefi
 let adder_outputs (cout, sums) =
   ("cout", cout) :: List.mapi (fun i s -> (Printf.sprintf "s%d" i, s)) sums
 
-let circuit_of_name name =
+(* A malformed circuit spec (unknown name, non-numeric or non-positive
+   size, a size the generator rejects) is a usage error: a message and
+   exit 2, from every subcommand that takes one. *)
+let bad_circuit name fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "hydra: circuit %S: %s\n" name m;
+      exit 2)
+    fmt
+
+let build_circuit name =
   let module A = Hydra_circuits.Arith.Make (G) in
   let module M = Hydra_circuits.Mux.Make (G) in
   let module R = Hydra_circuits.Regs.Make (G) in
@@ -53,7 +63,12 @@ let circuit_of_name name =
     | None -> (s, None)
   in
   let base, param = int_param name in
-  let p default = match param with Some s -> int_of_string s | None -> default in
+  let size s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> n
+    | _ -> bad_circuit name "size %S is not a positive integer" s
+  in
+  let p default = match param with Some s -> size s | None -> default in
   match base with
   | "fig1" ->
     let a = G.input "a" and b = G.input "b" in
@@ -97,8 +112,8 @@ let circuit_of_name name =
       match param with
       | Some s -> (
           match String.split_on_char 'x' s with
-          | [ a; b ] -> (int_of_string a, int_of_string b)
-          | _ -> failwith "sorter:<n>x<w>")
+          | [ a; b ] -> (size a, size b)
+          | _ -> bad_circuit name "expected sorter:<n>x<w>")
       | None -> (4, 4)
     in
     let words = List.init n (fun i -> inputs (Printf.sprintf "w%d_" i) w) in
@@ -156,18 +171,27 @@ let circuit_of_name name =
             (fun i s -> (Printf.sprintf "r%d" i, s))
             outs.Sys_g.dp.Sys_g.D.r)
   | _ ->
-    failwith
-      (Printf.sprintf
-         "unknown circuit %S (try fig1, mux1, ripple:8, cla-sklansky:16, \
-          alu:16, regfile1:4, sorter:4x4, secded, wallace:16, cpu:6)"
-         name)
+    bad_circuit name
+      "unknown circuit (try fig1, mux1, ripple:8, cla-sklansky:16, alu:16, \
+       regfile1:4, sorter:4x4, secded, wallace:16, cpu:6)"
+
+let circuit_of_name name =
+  try build_circuit name with Invalid_argument m -> bad_circuit name "%s" m
 
 (* ---- asm ---- *)
+
+(* Assemble a source file; a source error is reported as FILE:LINE and
+   exits 2. *)
+let assemble_file file =
+  try Hydra_cpu.Asm.assemble (read_file file)
+  with Hydra_cpu.Asm.Error { line; message } ->
+    Printf.eprintf "%s:%d: %s\n" file line message;
+    exit 2
 
 let asm_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    let words = Hydra_cpu.Asm.assemble (read_file file) in
+    let words = assemble_file file in
     List.iter (fun w -> Printf.printf "%04x\n" w) words
   in
   Cmd.v (Cmd.info "asm" ~doc:"Assemble a source file to hex words")
@@ -180,9 +204,15 @@ let dis_cmd =
   let run file =
     let words =
       read_file file |> String.split_on_char '\n'
-      |> List.filter_map (fun l ->
-             let l = String.trim l in
-             if l = "" then None else Some (int_of_string ("0x" ^ l)))
+      |> List.mapi (fun i l -> (i + 1, String.trim l))
+      |> List.filter_map (fun (line, l) ->
+             if l = "" then None
+             else
+               match int_of_string_opt ("0x" ^ l) with
+               | Some w -> Some w
+               | None ->
+                 Printf.eprintf "%s:%d: not a hex word: %S\n" file line l;
+                 exit 2)
     in
     print_string (Hydra_cpu.Asm.disassemble words)
   in
@@ -211,7 +241,7 @@ let run_cmd =
     Arg.(value & opt int 20000 & info [ "max-cycles" ] ~doc:"cycle budget")
   in
   let run file trace behavioural mem_bits max_cycles =
-    let program = Hydra_cpu.Asm.assemble (read_file file) in
+    let program = assemble_file file in
     let res =
       if behavioural then
         Hydra_cpu.Driver.run_behavioural ~max_cycles ~collect_trace:trace
@@ -428,6 +458,15 @@ let faults_cmd =
       Printf.eprintf "faults: --at %d: the SEU cycle must be 0 or later\n" at;
       exit 2
     end;
+    if cycles < 1 then begin
+      Printf.eprintf "faults: --cycles %d: must be at least 1\n" cycles;
+      exit 2
+    end;
+    (match max_faults with
+    | Some n when n < 0 ->
+      Printf.eprintf "faults: --max-faults %d: must be 0 or more\n" n;
+      exit 2
+    | _ -> ());
     let model = if smoke then `All else model in
     let cycles = if smoke then 16 else cycles in
     let max_faults = if smoke then Some 61 else max_faults in
@@ -966,6 +1005,11 @@ let equiv_cmd =
     end;
     if List.exists (fun k -> k < 1) ks then begin
       prerr_endline "equiv: --k values must be >= 1";
+      exit 2
+    end;
+    if passes < 1 || cycles < 1 then begin
+      Printf.eprintf "equiv: --passes %d --cycles %d: both must be at least 1\n"
+        passes cycles;
       exit 2
     end;
     let passes = if smoke then 1 else passes in

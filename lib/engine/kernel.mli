@@ -53,7 +53,8 @@ type kernel = {
     per-block hot/detect adaptation: a block that changes on
     [hot_after] consecutive detect runs goes hot (plain kernels,
     conservative consumer marking) for [probe_period] runs before being
-    re-probed with change detection. *)
+    re-probed with change detection; [probe_period] also bounds how many
+    settles a busy gated slab sweeps dense before it measures again. *)
 type tuning = {
   block_words : int;  (** cache target in value words, default 3072 *)
   block_gates : int;  (** explicit gates per block; 0 (default) derives *)

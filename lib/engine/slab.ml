@@ -63,6 +63,19 @@
    skip — at block, not rank, granularity, so the active cone of a
    mostly-idle wide rank re-runs only its own tiles.
 
+   Hot blocks still pay the bitset walk, and detecting blocks the OCaml
+   change-detecting loops, on cycles where nothing can be skipped — a
+   CPU running a program under hundreds of SEU lanes dirties nearly
+   every block every cycle.  So a gated settle that ran at least 7/8 of
+   the blocks makes the engine {e dense} for the next
+   [tuning.probe_period] settles: each runs the ungated sweep (the SIMD
+   stubs under [~simd]), then clears every block bit and marks every
+   dff cluster, and [tick] latches ungated while more dense settles
+   remain.  The tick before the next gated settle is the gated one, so
+   that settle starts from exact roots (changed dffs plus writes) and
+   measures again.  The settle after [fresh]/[reset] does not count:
+   its bitset is full by construction.
+
    Forces compose with gating: [settle] applies force masks at the
    usual rank-boundary slots with change detection, marking the forced
    site's consumer blocks and dff sink clusters exactly like any other
@@ -137,6 +150,11 @@ type t = {
       (* last component [write_word] marked, or -1; consecutive writes
          to the k words of one component mark its consumers once.
          Invalidated wherever dirty bits are consumed (settle, tick). *)
+  mutable dense : int;
+      (* gated engines: settles left to run as the ungated sweep *)
+  mutable unmeasured : bool;
+      (* the next gated settle follows [fresh]/[reset]: its full bitset
+         says nothing about activity, so it never enters dense mode *)
 }
 
 let k t = t.k
@@ -144,6 +162,7 @@ let words t = t.k
 let program t = t.prog
 let lanes t = lanes_per_word * t.k
 let gated t = t.gating
+let dense_next t = t.dense > 0
 let simd t = t.simd
 
 (* --- int-word bitsets: 32 bits per word so the shift/mask never meets
@@ -401,6 +420,8 @@ let fresh t =
       cycle = 0;
       force_slots = [||];
       last_marked = -1;
+      dense = 0;
+      unmeasured = true;
     }
   in
   bitset_fill r.block_dirty nb;
@@ -465,6 +486,8 @@ let of_program ?(gating = false) ?(simd = false) prog =
       cycle = 0;
       force_slots = [||];
       last_marked = -1;
+      dense = 0;
+      unmeasured = true;
     }
 
 let create ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
@@ -476,10 +499,11 @@ let create ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
 
 let replicate = fresh
 
-(* Note the hot/detect adaptation state deliberately survives [reset]:
-   it is a performance cache over the workload's toggle pattern, cannot
-   affect simulated values (hot is conservative), and a reset-step loop
-   re-running the same stimulus is exactly where staying hot pays. *)
+(* Note the hot/detect adaptation state and the dense countdown
+   deliberately survive [reset]: they are a performance cache over the
+   workload's toggle pattern, cannot affect simulated values (hot and
+   dense are conservative), and a reset-step loop re-running the same
+   stimulus is exactly where staying hot pays. *)
 let reset t =
   Array.fill t.values 0 (Array.length t.values) 0;
   apply_initial t;
@@ -488,7 +512,8 @@ let reset t =
     bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters
   end;
   t.cycle <- 0;
-  t.last_marked <- -1
+  t.last_marked <- -1;
+  t.unmeasured <- true
 
 (* Every change-detected mutation marks through here: the blocks whose
    kernels read the component, and the dff clusters that latch it. *)
@@ -504,11 +529,12 @@ let check_word what t w =
          what w t.k)
 
 (* Every mutation funnels through here: masked write + (when gating)
-   change detection and consumer marking. *)
+   change detection and consumer marking — skipped while the next
+   settle is dense, which re-marks everything itself. *)
 let write_word t comp w v =
   let v = v land lane_mask in
   let idx = (comp * t.k) + w in
-  if t.gating then begin
+  if t.gating && t.dense = 0 then begin
     if t.values.(idx) <> v then begin
       t.values.(idx) <- v;
       (* the k word-writes of one component arrive back to back; mark
@@ -1242,13 +1268,32 @@ let run_plain_block t (kn : Kernel.kernel) b =
   else if t.k land 3 = 0 then settle_block_quad t.values t.k kn
   else settle_block_gen t.values t.k kn
 
+(* The ungated rank sweep: every block through the plain kernels, plain
+   force slots at the rank boundaries.  An ungated engine settles with
+   it, and so does a gated one while it sweeps dense. *)
+let sweep t =
+  let blocks = t.blocks_s in
+  let rfb = t.prog.Kernel.rank_first_block in
+  let slots = t.force_slots in
+  let forced = Array.length slots > 0 in
+  if forced then apply_forces t (Array.unsafe_get slots 0);
+  for lvl = 0 to Array.length rfb - 2 do
+    for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
+      run_plain_block t (Array.unsafe_get blocks b) b
+    done;
+    if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
+  done
+
 (* Gated settle: run only dirty blocks, ascending (consumer blocks are
    always at strictly higher ranks, so one sweep reaches the whole
    active cone); hot blocks take the fast ungated loops and mark their
    whole consumer union, detecting blocks pay for precision and drive
    the mode transitions.  Forces are applied at the same rank-boundary
    slots as the ungated engine, change-detected.  A fully-quiescent
-   unforced engine exits after one scan of the bitset words. *)
+   unforced engine exits after one scan of the bitset words.  A settle
+   that ran at least 7/8 of the blocks switches the engine to dense
+   sweeps for the next [tuning.probe_period] settles (see [settle]),
+   unless its bitset was full by construction after [fresh]/[reset]. *)
 let settle_gated t =
   t.last_marked <- -1;
   let dirty = t.block_dirty in
@@ -1260,6 +1305,7 @@ let settle_gated t =
     let modes = t.block_mode and streaks = t.block_streak in
     let hot_after = t.prog.Kernel.tuning.Kernel.hot_after in
     let probe_period = t.prog.Kernel.tuning.Kernel.probe_period in
+    let ran = ref 0 in
     if forced then begin
       mark_force_own t;
       apply_forces_detect t (Array.unsafe_get slots 0)
@@ -1268,6 +1314,7 @@ let settle_gated t =
       for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
         if bit_test dirty b then begin
           bit_clear dirty b;
+          incr ran;
           let kn : Kernel.kernel = Array.unsafe_get blocks b in
           let mode = Array.unsafe_get modes b in
           if mode > 0 then begin
@@ -1292,40 +1339,25 @@ let settle_gated t =
         end
       done;
       if forced then apply_forces_detect t (Array.unsafe_get slots (lvl + 1))
-    done
+    done;
+    if !ran * 8 >= Array.length blocks * 7 && not t.unmeasured then
+      t.dense <- probe_period;
+    t.unmeasured <- false
   end
 
+(* A dense settle is the ungated sweep; it leaves every gate exact, so it
+   clears every block bit and marks every dff cluster for the gated tick
+   that precedes the next measured settle. *)
 let settle t =
-  if t.gating then settle_gated t
-  else begin
-    let values = t.values and k = t.k in
-    let blocks = t.blocks_s in
-    let rfb = t.prog.Kernel.rank_first_block in
-    let slots = t.force_slots in
-    let forced = Array.length slots > 0 in
-    if forced then apply_forces t (Array.unsafe_get slots 0);
-    for lvl = 0 to Array.length rfb - 2 do
-      let b0 = Array.unsafe_get rfb lvl
-      and b1 = Array.unsafe_get rfb (lvl + 1) - 1 in
-      if t.simd then
-        for b = b0 to b1 do
-          Simd.settle_block values t.simd_desc.(b)
-        done
-      else if k = 1 then
-        for b = b0 to b1 do
-          settle_block_k1 values (Array.unsafe_get blocks b)
-        done
-      else if k land 3 = 0 then
-        for b = b0 to b1 do
-          settle_block_quad values k (Array.unsafe_get blocks b)
-        done
-      else
-        for b = b0 to b1 do
-          settle_block_gen values k (Array.unsafe_get blocks b)
-        done;
-      if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
-    done
+  if not t.gating then sweep t
+  else if t.dense > 0 then begin
+    t.dense <- t.dense - 1;
+    t.unmeasured <- false;
+    sweep t;
+    Array.fill t.block_dirty 0 (Array.length t.block_dirty) 0;
+    bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters
   end
+  else settle_gated t
 
 (* Gated tick: latch only dirty dff clusters.  The dirty bits are
    snapshotted (and cleared) up front, then the staged copy runs in two
@@ -1387,8 +1419,10 @@ let tick_gated t =
   done;
   t.cycle <- t.cycle + 1
 
+(* While dense settles remain, a gated engine latches ungated: the next
+   settle runs every block whatever the tick marks. *)
 let tick t =
-  if t.gating then tick_gated t
+  if t.gating && t.dense = 0 then tick_gated t
   else if t.k = 1 then begin
     (* one word per dff: the index arithmetic of the K-word loops below
        would cost ~3x here *)

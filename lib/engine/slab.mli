@@ -38,8 +38,15 @@
     with conservative consumer marking (re-probing with detection
     periodically), so a high-toggle circuit pays only the bitset
     scan — a few percent — rather than a per-gate change-detection
-    tax.  The hot/detect state is a performance cache: it cannot
-    affect simulated values and deliberately survives {!reset}.
+    tax.  When a whole settle is busy — it ran at least 7/8 of the
+    blocks — gating cannot skip anything, so the engine runs its next
+    [Kernel.tuning.probe_period] settles {e dense}: the ungated sweep
+    and latch loop (the SIMD stubs under [~simd]), then one gated,
+    change-detecting settle that measures again.  The settle right
+    after {!create}/{!reset} never counts, so an idle engine stays on
+    the skipping path.  The hot/detect state and the dense countdown
+    are a performance cache: they cannot affect simulated values and
+    deliberately survive {!reset}.
     Unlike the rank-granular PR 5 design, {!set_forces} now composes
     with gating: force edits mark the affected sites' own blocks, dff
     clusters and consumers, and a gated settle applies force slots
@@ -70,7 +77,9 @@ val create :
   t
 (** [?k] (default 8, must be >= 1) words per signal — [62 * k] lanes per
     settle pass.  [?gating] (default false) enables cluster-granular
-    activity gating.  [?simd] (default false) runs blocks through the C
+    activity gating, which sweeps dense (ungated) for
+    [tuning.probe_period] settles after a settle that ran at least 7/8
+    of the blocks.  [?simd] (default false) runs blocks through the C
     stubs ({!Simd} — vectorized when the build host supports it,
     portable scalar C otherwise).  [?tuning] (default
     {!Kernel.default_tuning}) sizes rank blocks and dff clusters and
@@ -104,6 +113,10 @@ val lanes : t -> int
 (** [62 * k]: independent lanes per settle pass. *)
 
 val gated : t -> bool
+
+val dense_next : t -> bool
+(** Diagnostic: whether the next {!settle} of this gated engine runs as
+    a dense (ungated) sweep.  Always false on an ungated engine. *)
 
 val simd : t -> bool
 (** Whether this engine runs its blocks through the {!Simd} C stubs

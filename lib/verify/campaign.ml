@@ -234,6 +234,9 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
   | Some _, Some _ ->
     invalid_arg "Campaign.run: pass either ?scheduler or ?domains, not both"
   | _ -> ());
+  if cycles < 0 then
+    invalid_arg
+      (Printf.sprintf "Campaign.run: ~cycles %d is negative" cycles);
   (match engine with
   | `Wide when gating ->
     invalid_arg "Campaign.run: ?gating requires ~engine:(`Slab k)"

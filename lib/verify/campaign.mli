@@ -105,6 +105,7 @@ val run :
 (** Simulate every fault against the golden lane under [stimulus]
     (per-port bool streams; missing ports idle at false, short streams
     pad with false) for [cycles] cycles from power-up, and classify.
+    Raises [Invalid_argument] on a negative [cycles].
 
     Outputs named in [status_outputs] (e.g. an ECC [single]-error flag)
     are excluded from the divergence comparison and instead sampled as

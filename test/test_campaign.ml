@@ -850,7 +850,10 @@ let suite =
             ignore
               (C.run nl
                  ~faults:[ C.Seu { site = List.hd (C.dff_sites nl); at_cycle = -5 } ]
-                 ~stimulus:[] ~cycles:4)));
+                 ~stimulus:[] ~cycles:4));
+        Alcotest.check_raises "cycles -3"
+          (Invalid_argument "Campaign.run: ~cycles -3 is negative")
+          (fun () -> ignore (C.run nl ~faults:[] ~stimulus:[] ~cycles:(-3))));
     tc "campaign: gated SEU on a dff with a quiet driver re-latches" (fun () ->
         (* x never changes, so a gated tick latches d only if the upset
            itself marked d's cluster dirty; unread, the healed upset is

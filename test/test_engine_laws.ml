@@ -391,6 +391,127 @@ let cross_engine_lane0 () =
       (module Slab2gs_adapter);
     ]
 
+(* A gated slab and an ungated one of the same flavor, driven in lockstep
+   through alternating busy and held-input phases — with force edits, SEU
+   pokes, lane resets and input writes between settle and tick — agree
+   on every output and dff word every cycle, whatever the gated engine's
+   switches into and out of dense sweeps.  Returns (agree, went dense,
+   gated again). *)
+let dense_switch_law ~k ~simd ~tuning ~seed nl =
+  let mk gating =
+    Slab.create ~k ~gating ~simd ~tuning ~optimize:false ~relayout:false
+      ~fuse:false nl
+  in
+  let g = mk true and u = mk false in
+  let both f =
+    f g;
+    f u
+  in
+  let st = Random.State.make [| seed; k; Bool.to_int simd |] in
+  let word () =
+    Random.State.bits st lxor (Random.State.bits st lsl 31) land Slab.lane_mask
+  in
+  let sparse () = word () land word () land word () in
+  let comps = nl.N.components in
+  let pick p =
+    Array.of_list
+      (List.filter (fun i -> p comps.(i)) (List.init (Array.length comps) Fun.id))
+  in
+  let dffs = pick (function N.Dffc _ -> true | _ -> false) in
+  let sites =
+    pick (function
+      | N.Invc | N.And2c | N.Or2c | N.Xor2c | N.Dffc _ -> true
+      | _ -> false)
+  in
+  let any a = a.(Random.State.int st (Array.length a)) in
+  let ok = ref true and dense = ref false and regated = ref false in
+  let agree () =
+    for w = 0 to k - 1 do
+      List.iter
+        (fun o -> if Slab.output_word g o w <> Slab.output_word u o w then ok := false)
+        (out_names nl);
+      Array.iter
+        (fun d -> if Slab.peek_word g d w <> Slab.peek_word u d w then ok := false)
+        dffs
+    done
+  in
+  for phase = 0 to 5 do
+    for _ = 1 to 6 do
+      if phase land 1 = 0 then
+        List.iter
+          (fun name ->
+            for w = 0 to k - 1 do
+              let v = word () in
+              both (fun s -> Slab.set_input_word s name w v)
+            done)
+          (in_names nl);
+      both Slab.settle;
+      agree ();
+      (match Random.State.int st 6 with
+      | 0 when sites <> [||] ->
+        let f =
+          {
+            Slab.f_site = any sites;
+            force0 = Array.init k (fun _ -> sparse ());
+            force1 = Array.init k (fun _ -> sparse ());
+            flip = Array.init k (fun _ -> sparse ());
+          }
+        in
+        both (fun s -> Slab.set_forces s [| f |])
+      | 1 -> both Slab.clear_forces
+      | 2 when dffs <> [||] ->
+        let d = any dffs and w = Random.State.int st k in
+        let v = Slab.peek_word u d w lxor (1 lsl Random.State.int st P.lanes) in
+        both (fun s -> Slab.poke_word s d w v)
+      | 3 ->
+        let w = Random.State.int st k and m = word () in
+        both (fun s -> Slab.reset_lanes s ~word:w m)
+      | 4 ->
+        let name = any (Array.of_list (in_names nl)) in
+        let w = Random.State.int st k and v = word () in
+        both (fun s -> Slab.set_input_word s name w v)
+      | _ -> ());
+      if Slab.dense_next g then dense := true else if !dense then regated := true;
+      both Slab.tick;
+      agree ()
+    done
+  done;
+  (!ok, !dense, !regated)
+
+(* the flavors the law runs: k in {1, 4} x simd x (default, twitchy) *)
+let dense_flavors =
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun simd ->
+          List.map (fun tuning -> (k, simd, tuning)) [ Kernel.default_tuning; twitchy ])
+        [ false; true ])
+    [ 1; 4 ]
+
+let dense_switch_tests =
+  [
+    qc ~count:30 "gated slab = ungated slab across dense switches"
+      QCheck2.Gen.(pair (Test_wide.gen_nodes Test_wide.dff_heavy_ops) nat)
+      (fun (nodes, seed) ->
+        let nl = Test_wide.netlist_of nodes in
+        List.for_all
+          (fun (k, simd, tuning) ->
+            let ok, _, _ = dense_switch_law ~k ~simd ~tuning ~seed nl in
+            ok)
+          dense_flavors);
+    tc "the dense-switch law enters and leaves dense mode" (fun () ->
+        List.iter
+          (fun (k, simd, tuning) ->
+            let ok, dense, regated =
+              dense_switch_law ~k ~simd ~tuning ~seed:5 (seq_nl ())
+            in
+            let what = Printf.sprintf "k=%d simd=%b tuned=%b" k simd (tuning == twitchy) in
+            check_bool (what ^ ": agree") true ok;
+            check_bool (what ^ ": went dense") true dense;
+            if tuning == twitchy then check_bool (what ^ ": gated again") true regated)
+          dense_flavors);
+  ]
+
 module Scalar_laws = Laws (Scalar_adapter)
 module Wide_laws = Laws (Wide_adapter)
 module Slab1_laws = Laws (Slab1_adapter)
@@ -406,3 +527,4 @@ let suite =
   @ Slab4g_laws.tests @ Slab2b_laws.tests @ Slab3gb_laws.tests
   @ Slab4s_laws.tests @ Slab2gs_laws.tests
   @ [ tc "lane 0 agrees across engines" cross_engine_lane0 ]
+  @ dense_switch_tests

@@ -688,4 +688,91 @@ let suite =
         phase 90 true;
         phase 40 false;
         phase 90 true);
+    tc "dense mode: a fresh or reset gated engine with held inputs stays gated"
+      (fun () ->
+        let s = Slab.create ~k:4 ~gating:true ~fuse:false (Test_wide.cpu_netlist ()) in
+        let owner = Kernel.comp_block (Slab.program s) in
+        let comps = (Slab.netlist s).N.components in
+        let is_gate = function
+          | N.Invc | N.And2c | N.Or2c | N.Xor2c -> true
+          | _ -> false
+        in
+        let gate =
+          Option.get
+            (List.find_opt
+               (fun i -> is_gate comps.(i) && owner.(i) >= 0)
+               (List.init (Array.length comps) Fun.id))
+        in
+        let held what =
+          for cyc = 1 to 40 do
+            Slab.settle s;
+            check_bool (Printf.sprintf "%s: dense after settle %d" what cyc) false
+              (Slab.dense_next s);
+            Slab.tick s
+          done;
+          (* a skipping settle leaves a poked gate word alone (only its
+             readers re-run); a dense sweep would recompute it *)
+          Slab.settle s;
+          let v = Slab.peek_word s gate 1 lxor 1 in
+          Slab.poke_word s gate 1 v;
+          Slab.settle s;
+          check_int (what ^ ": the poked gate's block was skipped") v
+            (Slab.peek_word s gate 1)
+        in
+        held "fresh";
+        Slab.reset s;
+        held "reset");
+    tc "dense mode: busy inputs go dense, quiet ones are gated again in time"
+      (fun () ->
+        let module Wl = Hydra_circuits.Wallace.Make (G) in
+        let word n = List.init 8 (fun i -> G.input (Printf.sprintf "%s%d" n i)) in
+        let nl =
+          N.of_graph
+            ~outputs:
+              (List.mapi
+                 (fun i p -> (Printf.sprintf "p%d" i, p))
+                 (Wl.multw (word "x") (word "y")))
+        in
+        let probe_period = 6 and k = 4 in
+        let tuning =
+          { Kernel.default_tuning with Kernel.block_gates = 16; probe_period }
+        in
+        let gated = Slab.create ~k ~gating:true ~tuning nl in
+        let plain = Slab.create ~k nl in
+        let st = Random.State.make [| 0xde75e |] in
+        let cycle busy =
+          if busy then
+            List.iter
+              (fun (name, _) ->
+                for w = 0 to k - 1 do
+                  let v = random_word st in
+                  Slab.set_input_word gated name w v;
+                  Slab.set_input_word plain name w v
+                done)
+              nl.N.inputs;
+          Slab.settle gated;
+          Slab.settle plain;
+          List.iter
+            (fun (out, _) ->
+              for w = 0 to k - 1 do
+                check_int out (Slab.output_word plain out w)
+                  (Slab.output_word gated out w)
+              done)
+            (outputs_of nl);
+          Slab.tick gated;
+          Slab.tick plain
+        in
+        let saw_dense = ref false in
+        for _ = 1 to 20 do
+          cycle true;
+          if Slab.dense_next gated then saw_dense := true
+        done;
+        check_bool "busy inputs go dense" true !saw_dense;
+        for i = 1 to 3 * probe_period do
+          cycle false;
+          if i > probe_period then
+            check_bool
+              (Printf.sprintf "gated again by quiet settle %d" i)
+              false (Slab.dense_next gated)
+        done);
   ]
