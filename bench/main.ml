@@ -971,7 +971,9 @@ let e20 ?(min_time = 0.2) () =
        materialization, so a 1-domain run matches the single wide
        instance instead of trailing it *)
     let module Sharded = Hydra_engine.Sharded in
-    let sh = Sharded.create ~pool nl in
+    let sh =
+      Sharded.create ~scheduler:(Hydra_engine.Scheduler.of_pool pool) nl
+    in
     let nbatches = 4 * Sharded.domains sh in
     let t_batched =
       time_per_run ~min_time (fun () ->
@@ -1101,7 +1103,7 @@ let e23 ?(min_time = 0.2) () =
   section "E23" "fault campaigns: lane-parallel grading vs recompile loop";
   let module C = Hydra_verify.Campaign in
   let module Fault = Hydra_verify.Fault in
-  let module Sharded = Hydra_engine.Sharded in
+  let module Scheduler = Hydra_engine.Scheduler in
   let nl = wallace_netlist 64 in
   let st = N.stats nl in
   let faults = C.all_stuck_at nl in
@@ -1113,14 +1115,15 @@ let e23 ?(min_time = 0.2) () =
   let stimulus, cycles = C.stimulus_of_vectors nl vectors in
   row "  wallace64: %d components, %d stuck-at faults, %d test vectors\n"
     st.N.total nfaults nvectors;
-  let sh = Sharded.create ~optimize:false ~relayout:false ~fuse:false nl in
+  let scheduler = Scheduler.create () in
+  let cache = Hydra_engine.Cache.create () in
   let report = ref None in
   let t_campaign =
     time_per_run ~min_time (fun () ->
-        report := Some (C.run ~sharded:sh nl ~faults ~stimulus ~cycles))
+        report := Some (C.run ~scheduler ~cache nl ~faults ~stimulus ~cycles))
   in
-  let sh_domains = Sharded.domains sh in
-  Sharded.shutdown sh;
+  let sh_domains = Scheduler.domains scheduler in
+  Scheduler.shutdown scheduler;
   let r = Option.get !report in
   row "  campaign verdicts: %d detected, %d latent, %d masked (%.1f%% coverage)\n"
     r.C.detected r.C.latent r.C.masked
@@ -1675,7 +1678,7 @@ let e27 ?(min_time = 0.2) () =
     List.iter
       (fun (_, nl) ->
         ignore (Cache.compile cache nl);
-        ignore (Cache.wide cache nl);
+        ignore (Cache.slab cache ~k:1 nl);
         ignore (Cache.slab cache ~k:4 nl))
       catalogue
   in

@@ -433,9 +433,6 @@ let faults_cmd =
   let run targets all smoke json model cycles seed rate at max_faults domains
       status verbose deadline retries max_lanes =
     let module R = Hydra_engine.Resilience in
-    let retry =
-      Option.map (fun n -> R.retry ~max_attempts:(max 1 (n + 1)) ()) retries
-    in
     let admission =
       Option.map
         (fun n ->
@@ -467,6 +464,28 @@ let faults_cmd =
       Printf.eprintf "faults: --max-faults %d: must be 0 or more\n" n;
       exit 2
     | _ -> ());
+    if not (rate >= 0.0 && rate <= 1.0) then begin
+      Printf.eprintf "faults: --rate %g: must be a probability in [0,1]\n" rate;
+      exit 2
+    end;
+    (match domains with
+    | Some n when n < 1 ->
+      Printf.eprintf "faults: --domains %d: must be at least 1\n" n;
+      exit 2
+    | _ -> ());
+    (match retries with
+    | Some n when n < 0 ->
+      Printf.eprintf "faults: --retries %d: must be 0 or more\n" n;
+      exit 2
+    | _ -> ());
+    (match deadline with
+    | Some d when not (d > 0.0) ->
+      Printf.eprintf "faults: --deadline %g: must be more than 0 seconds\n" d;
+      exit 2
+    | _ -> ());
+    let retry =
+      Option.map (fun n -> R.retry ~max_attempts:(n + 1) ()) retries
+    in
     let model = if smoke then `All else model in
     let cycles = if smoke then 16 else cycles in
     let max_faults = if smoke then Some 61 else max_faults in
@@ -497,16 +516,17 @@ let faults_cmd =
           in
           let truncated = List.length faults < total in
           let stimulus = C.random_stimulus ~seed ~cycles nl in
+          let t0 = R.now () in
           let report =
             match
               C.run ?domains ~status_outputs:status ?deadline ?retry
                 ?admission nl ~faults ~stimulus ~cycles
             with
             | r -> r
-            | exception R.Deadline_exceeded { elapsed; _ } ->
+            | exception R.Deadline_exceeded _ ->
               Printf.eprintf
                 "faults: %s: deadline of %.3g s exceeded after %.3f s\n"
-                target (Option.value deadline ~default:0.0) elapsed;
+                target (Option.value deadline ~default:0.0) (R.now () -. t0);
               exit 1
             | exception R.Shed _ ->
               Printf.eprintf

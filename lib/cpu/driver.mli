@@ -98,7 +98,11 @@ val run_many :
     depend on lane placement, program order or domain count.
     [?sharded] reuses an engine already created from [system_netlist
     ~mem_bits] (and is not shut down) — it must be a k = 1 engine
-    ([Sharded.create], or [Sharded.of_base] of a [Compiled_wide]),
-    otherwise [Invalid_argument]; without it one is created with
-    [?domains] and shut down on return.  [cycles] and [halted] of result
-    [k] match {!run_structural} on program [k]. *)
+    ([Sharded.create], or [Sharded.of_base] of a [Slab.create ~k:1];
+    the workload benchmark still passes the equivalent
+    [Compiled_wide.of_program], which remains only for it), otherwise
+    [Invalid_argument]; without it one is created with [?domains] and
+    shut down on return.  Either way the streams are one
+    {!Hydra_engine.Sharded.dispatch} job on the engine's scheduler.
+    [cycles] and [halted] of result [k] match {!run_structural} on
+    program [k]. *)

@@ -57,7 +57,9 @@ val wide :
   Slab.t
 (** The 62-lane engine ({!Compiled_wide.create}, same defaults) through
     the cache: [slab ~k:1] ungated without SIMD, so it shares that
-    flavor's entries.  A replica of the cached exemplar, at power-up,
+    flavor's entries.  No library code calls it (use [slab ~k:1]); it
+    remains only for the workload benchmark ([bench/workloads/]) until
+    that benchmark moves to [slab ~k:1].  A replica of the cached exemplar, at power-up,
     safe to run concurrently with every other replica.  The underlying
     program is cached under the "program" flavor and shared with
     {!compile} calls using the same flags, so each counts its own

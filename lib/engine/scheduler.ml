@@ -1,5 +1,6 @@
 (* Unified job-graph scheduler: the one fan-out layer every tool chunks
-   through (Campaign, Equiv, Fault, Testbench, bench).
+   through (Campaign, Equiv, Fault, Testbench, Sharded, bench), and the
+   only caller of [Pool.run_team].
 
    A scheduler owns (or borrows) one {!Pool} domain team.  Clients
    submit jobs — a name, a priority, dependencies, a task count and a
@@ -8,8 +9,8 @@
    ready job, so independent jobs interleave on one set of domains
    instead of each spinning up its own pool.  [member] indexes the
    claiming team member (0 .. domains-1), which is how engine clients
-   pick a per-member replica: replicas built over [pool t] line up with
-   the member indices handed to bodies.
+   pick a per-member replica: one replica per member, indexed by the
+   [member] handed to bodies.
 
    Scheduling state lives behind one mutex; bodies and progress
    callbacks always run outside it (so a callback may safely re-enter
@@ -618,9 +619,14 @@ let run t =
   Mutex.unlock t.m;
   match stuck with Some w -> raise (Dependency_cycle w) | None -> ()
 
-let run_tasks t ?name ?priority ?deadline ?retry ?lanes n body =
+let run_tasks t ?(name = "job") ?priority ?deadline ?retry ?lanes n body =
+  (match deadline with
+  | Some d when d <= 0.0 ->
+    (* a budget already spent: time the job out before it claims a task *)
+    raise (Resilience.Deadline_exceeded { job = name; elapsed = 0.0 })
+  | _ -> ());
   if n > 0 then begin
-    let j = submit t ?name ?priority ?deadline ?retry ?lanes ~tasks:n body in
+    let j = submit t ~name ?priority ?deadline ?retry ?lanes ~tasks:n body in
     run t;
     match j.state with
     | Done -> ()

@@ -1,11 +1,12 @@
 (** Unified job-graph scheduler over one shared {!Hydra_parallel.Pool}
     domain team.
 
-    Every fan-out client in the repo — {!Hydra_verify.Campaign},
-    {!Hydra_verify.Equiv}, {!Hydra_verify.Fault},
-    {!Testbench.run_batched} and the bench harness — used to hand-roll
-    its own chunking over [Sharded.run_tasks]/[Pool]; this module is the
-    one substrate they all drain through.  Jobs carry a priority,
+    The one fan-out substrate of the engine library: every client —
+    {!Hydra_verify.Campaign}, {!Hydra_verify.Equiv},
+    {!Hydra_verify.Fault}, {!Testbench.run_batched}, {!Sharded} and the
+    bench harness — runs its chunks as {!run_tasks} jobs, and this is
+    the only module that drives {!Hydra_parallel.Pool.run_team}.  Jobs
+    carry a priority,
     dependencies, a cancellation handle and an optional progress
     callback; {!run} executes the whole graph on the team, each member
     claiming tasks from the highest-priority ready job, so independent
@@ -15,8 +16,8 @@
 
     The [member] index passed to every task body identifies the claiming
     team member (0 .. {!domains} - 1): engine clients build one replica
-    per member over {!pool} (e.g. [Sharded.of_base ~pool]) and index
-    replicas by it — the member indices line up by construction.
+    per member (e.g. [Sharded.of_base ~scheduler]) and index replicas by
+    it.
 
     Resilience: jobs may carry a [?deadline] (wall-clock budget from
     submission; expiry at a chunk boundary moves the job to the terminal
@@ -193,12 +194,14 @@ val run_tasks :
   (member:int -> int -> unit) ->
   unit
 (** [run_tasks t n body] = submit one job of [n] tasks, {!run}, and
-    re-raise the job's failure (if any) in the caller — the drop-in
-    replacement for [Sharded.run_tasks]-style fan-out.  A {!Timed_out}
-    job raises {!Resilience.Deadline_exceeded}; a job shed by the
-    admission controller raises {!Resilience.Shed}.  Note that {!run}
-    drains {e all} pending jobs, so other submissions ride along on the
-    same team. *)
+    re-raise the job's failure (if any) in the caller — the fan-out
+    every engine client uses.  A {!Timed_out} job raises
+    {!Resilience.Deadline_exceeded}, and so does a [?deadline <= 0] — a
+    budget already spent — before any task is claimed (where {!submit}
+    rejects it as [Invalid_argument]), so clients pass what is left of
+    a larger budget directly.  A job shed by the admission controller
+    raises {!Resilience.Shed}.  Note that {!run} drains {e all} pending
+    jobs, so other submissions ride along on the same team. *)
 
 val shutdown : t -> unit
 (** Join the pool iff this scheduler owns it ({!create}); a borrowed

@@ -156,24 +156,12 @@ let run ?(engine = `Compiled) ~cycles ~stimuli ~expectations netlist =
    a scalar run.  The chunk runner is a functor over {!Engine_intf.S} so
    the same checking code serves the default 62-lane engine
    ([Slab.engine 1], 62 cases per chunk) and any [?engine] handle such
-   as [Slab.engine 8] (62*K cases per chunk).  With [?sharded], the
-   chunks become sharded jobs on its persistent per-domain replicas;
-   with [?scheduler], they become tasks of one job on the scheduler's
-   team (per-member replicas aligned by member index). *)
-let run_batched ?scheduler ?sharded ?engine ?deadline ~cycles ~cases netlist =
+   as [Slab.engine 8] (62*K cases per chunk).  The chunks are the
+   tasks of one scheduler job — on [?scheduler]'s team, one engine
+   replica per member, or on a private one-member scheduler — so the
+   job carries the [?deadline]. *)
+let run_batched ?scheduler ?engine ?deadline ~cycles ~cases netlist =
   let ncases = Array.length cases in
-  (* deadline enforcement at chunk boundaries: scheduler paths delegate
-     to the job deadline (same semantics), direct paths check between
-     chunks and raise the same exception *)
-  let t0 = Resilience.now () in
-  let check_deadline () =
-    match deadline with
-    | Some d when Resilience.now () -. t0 > d ->
-      raise
-        (Resilience.Deadline_exceeded
-           { job = "testbench"; elapsed = Resilience.now () -. t0 })
-    | _ -> ()
-  in
   let out_names = List.map fst netlist.Netlist.outputs in
   let reports = Array.make ncases { cycles_run = 0; failures = []; observed = [] } in
   let module Run (E : Engine_intf.S) = struct
@@ -275,51 +263,23 @@ let run_batched ?scheduler ?sharded ?engine ?deadline ~cycles ~cases netlist =
           }
       done
   end in
-  (match (sharded, engine) with
-  | Some _, Some _ ->
-    invalid_arg "Testbench.run_batched: pass either ?sharded or ?engine, not both"
-  | Some sh, None ->
-    (match scheduler with
-    | Some sch when Scheduler.pool sch != Sharded.pool sh ->
-      invalid_arg
-        "Testbench.run_batched: ?scheduler and ?sharded must share one pool"
-    | _ -> ());
-    let module C = Run (struct
-      include Slab
-
-      let name = "sharded"
-
-      let create ?optimize ?relayout ?fuse ?certify nl =
-        Slab.create ~k:(Sharded.k sh) ?optimize ?relayout ?fuse ?certify nl
-    end) in
-    let ch = Scheduler.chunking ~lanes:(Sharded.lanes sh) ncases in
-    (match scheduler with
-    | Some sch ->
-      Scheduler.run_tasks sch ~name:"testbench" ?deadline ch.Scheduler.count
-        (fun ~member c -> C.chunk (Sharded.replica sh member) c)
-    | None ->
-      Sharded.dispatch sh ch.Scheduler.count (fun sim c ->
-          check_deadline ();
-          C.chunk sim c))
-  | None, eng ->
-    let (module E) = Option.value eng ~default:(Slab.engine 1) in
-    let module C = Run (E) in
-    let sim = E.create netlist in
-    let lanes = Hydra_core.Packed.lanes * E.words sim in
-    let ch = Scheduler.chunking ~lanes ncases in
-    (match scheduler with
-    | Some sch when Scheduler.domains sch > 1 && ch.Scheduler.count > 1 ->
-      let sims =
-        Array.init (Scheduler.domains sch) (fun i ->
-            if i = 0 then sim else E.replicate sim)
-      in
-      Scheduler.run_tasks sch ~name:"testbench" ?deadline ch.Scheduler.count
-        (fun ~member c -> C.chunk sims.(member) c)
-    | _ ->
-      for c = 0 to ch.Scheduler.count - 1 do
-        check_deadline ();
-        C.chunk sim c
-      done));
+  let (module E) = Option.value engine ~default:(Slab.engine 1) in
+  let module C = Run (E) in
+  let sim = E.create netlist in
+  let ch = Scheduler.chunking ~lanes:(Hydra_core.Packed.lanes * E.words sim) ncases in
+  let run sch =
+    let sims =
+      Array.init (Scheduler.domains sch) (fun i ->
+          if i = 0 then sim else E.replicate sim)
+    in
+    Scheduler.run_tasks sch ~name:"testbench" ?deadline ch.Scheduler.count
+      (fun ~member c -> C.chunk sims.(member) c)
+  in
+  (match scheduler with
+  | Some sch -> run sch
+  | None ->
+    let sch = Scheduler.create ~domains:1 () in
+    Fun.protect ~finally:(fun () -> Scheduler.shutdown sch) (fun () -> run sch));
   reports
 
 let report_string r =

@@ -41,7 +41,6 @@ val run :
 
 val run_batched :
   ?scheduler:Scheduler.t ->
-  ?sharded:Sharded.t ->
   ?engine:(module Engine_intf.S) ->
   ?deadline:float ->
   cycles:int ->
@@ -54,22 +53,16 @@ val run_batched :
     Cases may drive different ports (undriven ports hold 0 in that lane,
     as in a scalar run).  The engine defaults to the 62-lane
     [Slab.engine 1] (L = 62); pass [?engine] (e.g. [Slab.engine 8],
-    L = 62*K) to batch wider.  With [?sharded] — which must have been
-    created from the same netlist, and is mutually exclusive with
-    [?engine] — the chunks ([L = Sharded.lanes]) become sharded jobs on
-    its persistent per-domain replicas.  With [?scheduler], chunks run as tasks of one
-    job on the scheduler's team: alone it shards the default (or
-    [?engine]) simulation over per-member replicas; combined with
-    [?sharded] the two must share one pool ([Scheduler.pool] physically
-    equal to [Sharded.pool], e.g. [Sharded.of_base ~pool:(Scheduler.pool
-    sch)]) so member indices line up — otherwise [Invalid_argument].
-    Results are bit-identical in every mode.  Report [k] matches what
-    {!run} would return for case [k] on the compiled engine.
+    L = 62*K) to batch wider.  The chunks are the tasks of one
+    {!Scheduler} job: with [?scheduler], on its shared team, each member
+    on its own replica of the engine; otherwise on a private one-member
+    scheduler.  Results are bit-identical in every mode.  Report [k]
+    matches what {!run} would return for case [k] on the compiled
+    engine.
 
-    [?deadline] bounds the whole batch in wall-clock seconds, enforced
-    at chunk boundaries: past it, {!Resilience.Deadline_exceeded} is
-    raised (scheduler modes time out the underlying job, which is the
-    same exception to the caller). *)
+    [?deadline] bounds the whole batch in wall-clock seconds: the job
+    carries it and times out at a chunk boundary, raising
+    {!Resilience.Deadline_exceeded}. *)
 
 val report_string : report -> string
 (** "PASS (...)" or the failure list plus ASCII waveforms. *)

@@ -9,7 +9,7 @@
    - [parallel_for]: "evaluate these N independent things on all cores"
      with a barrier at the end — fine-grained, used per rank or per chunk.
    - [run_team]: "run one long-lived task body per pool member" — the
-     substrate for domain-sharded engines ({!Hydra_engine.Sharded}), where
+     substrate of the job scheduler ({!Hydra_engine.Scheduler}), where
      each member owns private simulator state and drains a shared work
      queue until it is empty, synchronizing only when the whole team
      finishes.

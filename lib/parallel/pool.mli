@@ -24,9 +24,10 @@ val parallel_for : ?chunk:int -> t -> int -> int -> (int -> unit) -> unit
 val run_team : t -> (int -> unit) -> unit
 (** [run_team t f] runs [f member] once for every [0 <= member < size t],
     all concurrently; the caller takes one membership.  This is the
-    long-running-task mode used by {!Hydra_engine.Sharded}: each body
-    typically owns private state (indexed by its membership) and drains a
-    shared work queue, and the only synchronization is the final join.
+    long-running-task mode {!Hydra_engine.Scheduler} runs its team in
+    (the engine library's only caller): each body owns private state
+    (indexed by its membership) and drains a shared work queue, and the
+    only synchronization is the final join.
     [f] must be safe to run concurrently for distinct memberships; a fast
     member may execute more than one membership sequentially.  The first
     exception raised (if any) is re-raised in the caller after the

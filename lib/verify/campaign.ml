@@ -8,10 +8,10 @@
    rewriting and recompilation.  The engine is a K-word {!Slab}: 61
    faults per pass at the default k = 1 ([`Wide]), 62*K - 1 with
    [~engine:(`Slab k)].  Fault lists larger than one engine pass chunk
-   over {!Scheduler.run_tasks} or {!Sharded.run_tasks}, so the peak rate is
-   (lanes - 1) x domains faults per settle pass.  A chunk starts at its
-   first upset and drops its faults part-way once their verdicts are
-   final (see "Fault dropping" below).
+   over {!Scheduler.run_tasks}, so the peak rate is (lanes - 1) x
+   domains faults per settle pass.  A chunk starts at its first upset
+   and drops its faults part-way once their verdicts are final (see
+   "Fault dropping" below).
 
    Every fault is classified against the golden lane:
    - detected: an observable output diverged (with detection latency),
@@ -227,7 +227,7 @@ let pack ~per_chunk survivors =
   done;
   Array.of_list (List.rev !jobs)
 
-let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
+let run ?scheduler ?cache ?domains ?(engine = `Wide)
     ?(gating = false) ?(status_outputs = []) ?deadline ?retry ?admission ?chaos
     nl ~faults ~stimulus ~cycles =
   (match (scheduler, domains) with
@@ -663,32 +663,14 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
     | `Slab k when k < 1 -> invalid_arg "Campaign.run: slab k must be >= 1"
     | `Slab k -> k
   in
-  (match sharded with
-  | Some sh when Sharded.k sh <> k ->
-    invalid_arg
-      (Printf.sprintf
-         "Campaign.run: ?sharded engine has k=%d words per signal but \
-          ~engine asks for k=%d"
-         (Sharded.k sh) k)
-  | _ -> ());
   (* Resilience knobs.  The deadline is a wall budget over the whole
-     campaign; scheduler runs carry it (and the retry policy) on the
-     job, direct runs enforce it at chunk boundaries with a local
-     retry loop.  The admission controller may degrade a request to
-     fewer words (fewer faults per pass, same results) before it would
-     shed the campaign outright; a caller's [?sharded] engine keeps its
-     own words. *)
+     campaign: each round's job carries what is left of it, and the
+     retry policy rides on the job.  The admission controller may
+     degrade a request to fewer words (fewer faults per pass, same
+     results) before it would shed the campaign outright. *)
   let t0 = Resilience.now () in
-  let check_deadline () =
-    match deadline with
-    | Some d when Resilience.now () -. t0 > d ->
-      raise
-        (Resilience.Deadline_exceeded
-           { job = "campaign"; elapsed = Resilience.now () -. t0 })
-    | _ -> ()
-  in
-  let sched_deadline () =
-    Option.map (fun d -> Float.max 0.001 (d -. (Resilience.now () -. t0))) deadline
+  let remaining () =
+    Option.map (fun d -> d -. (Resilience.now () -. t0)) deadline
   in
   let acquired =
     match admission with
@@ -699,8 +681,8 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
       | `Shed -> raise (Resilience.Shed { job = "campaign"; priority = 0 }))
   in
   let k =
-    match (acquired, sharded) with
-    | Some (_, g), None when g < Packed.lanes * k ->
+    match acquired with
+    | Some (_, g) when g < Packed.lanes * k ->
       max 1 (g / Packed.lanes)  (* degraded, not rejected *)
     | _ -> k
   in
@@ -767,57 +749,6 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
                  j_diff = [||];
                }))
       in
-      (* dress a chunk body with the resilience wrappers: a chaos
-         injection point at entry (each retry re-rolls its fate), a
-         chunk-boundary deadline check, and — when no scheduler carries
-         the retry policy natively — a local backoff-and-rerun loop (a
-         chunk recomputes its result slice from its job alone, so a
-         rerun is bit-identical) *)
-      let dress body ~member c =
-        check_deadline ();
-        let task = !first_task + c in
-        let attempt_body () =
-          (match chaos with
-          | Some p -> Chaos.inject p ~label:"campaign" ~task ()
-          | None -> ());
-          body ~member c
-        in
-        match (scheduler, retry) with
-        | Some _, _ | None, None -> attempt_body ()
-        | None, Some pol ->
-          let rec go attempt =
-            try attempt_body ()
-            with e
-              when attempt < pol.Resilience.max_attempts
-                   && pol.Resilience.transient e ->
-              Unix.sleepf (Resilience.backoff pol ~attempt ~seed:(0xca3 + task));
-              check_deadline ();
-              go (attempt + 1)
-          in
-          go 1
-      in
-      (* one round's chunks as tasks on the scheduler's team, or on a
-         sharded driver's members *)
-      let run_sharded sh =
-        if Sharded.netlist sh <> nl then
-          invalid_arg
-            "Campaign.run: sharded engine compiled from a different netlist \
-             (build it with ~optimize:false ~relayout:false ~fuse:false on \
-             the campaign netlist)";
-        (match scheduler with
-        | Some sch when Scheduler.pool sch != Sharded.pool sh ->
-          invalid_arg
-            "Campaign.run: ?scheduler and ?sharded must share one pool \
-             (Sharded.of_base ~pool:(Scheduler.pool sch))"
-        | _ -> ());
-        rounds (fun n task ->
-            let body ~member c = task (Sharded.replica sh member) c in
-            match scheduler with
-            | Some sch ->
-              Scheduler.run_tasks sch ~name:"campaign"
-                ?deadline:(sched_deadline ()) ?retry n (dress body)
-            | None -> Sharded.run_tasks sh n (dress body))
-      in
       (* engines always compile with the identity passes (force sites
          are caller-netlist component indices); [?cache] serves warm
          replicas.  Multi-word engines run the vectorized C kernels
@@ -833,29 +764,31 @@ let run ?scheduler ?cache ?sharded ?domains ?(engine = `Wide)
           Slab.create ~k ~gating ~simd ~optimize:false ~relayout:false
             ~fuse:false nl
       in
-      match sharded with
-      | Some sh -> run_sharded sh
-      | None ->
-        if Option.is_none scheduler && Option.is_none domains && nchunks <= 1
-        then begin
-          if nchunks = 1 then begin
-            let sim = base () in
-            rounds (fun n task ->
-                for c = 0 to n - 1 do
-                  dress (fun ~member:_ c -> task sim c) ~member:0 c
-                done)
-          end
-        end
-        else if nchunks > 0 then begin
-          match scheduler with
-          | Some sch ->
-            run_sharded (Sharded.of_base ~pool:(Scheduler.pool sch) (base ()))
-          | None ->
-            let sh = Sharded.of_base ?domains (base ()) in
-            Fun.protect
-              ~finally:(fun () -> Sharded.shutdown sh)
-              (fun () -> run_sharded sh)
-        end);
+      (* each round is one job on the team, its chunks running on the
+         claiming member's replica; a chaos injection point dresses
+         every chunk (a retry re-rolls its fate, and a chunk recomputes
+         its result slice from its job alone, so a rerun is
+         bit-identical) *)
+      let on_team sch =
+        let sh = Sharded.of_base ~scheduler:sch (base ()) in
+        rounds (fun n task ->
+            Scheduler.run_tasks sch ~name:"campaign" ?deadline:(remaining ())
+              ?retry n (fun ~member c ->
+                (match chaos with
+                | Some p ->
+                  Chaos.inject p ~label:"campaign" ~task:(!first_task + c) ()
+                | None -> ());
+                task (Sharded.replica sh member) c))
+      in
+      if nchunks > 0 then
+        match scheduler with
+        | Some sch -> on_team sch
+        | None ->
+          let domains = if nchunks = 1 then Some 1 else domains in
+          let sch = Scheduler.create ?domains () in
+          Fun.protect
+            ~finally:(fun () -> Scheduler.shutdown sch)
+            (fun () -> on_team sch));
   let verdicts =
     List.init nfaults (fun i ->
         match results.(i) with

@@ -4,8 +4,7 @@
     through per-lane force masks — no per-fault netlist rewriting or
     recompilation.
     Fault lists larger than one engine pass chunk over
-    {!Hydra_engine.Scheduler.run_tasks} or
-    {!Hydra_engine.Sharded.run_tasks}; a chunk of SEUs starts at its
+    {!Hydra_engine.Scheduler.run_tasks}; a chunk of SEUs starts at its
     first upset, and a chunk stops once half its faults have a final
     verdict, its survivors packed into fuller chunks that resume from
     their migrated state. *)
@@ -88,7 +87,6 @@ val random_stimulus :
 val run :
   ?scheduler:Hydra_engine.Scheduler.t ->
   ?cache:Hydra_engine.Cache.t ->
-  ?sharded:Hydra_engine.Sharded.t ->
   ?domains:int ->
   ?engine:[ `Wide | `Slab of int ] ->
   ?gating:bool ->
@@ -114,19 +112,12 @@ val run :
     The engine is a {!Hydra_engine.Slab} of [k] words: [k = 1] with the
     default [~engine:`Wide], [k] with [~engine:(`Slab k)], so [62*k - 1]
     faults run per engine pass (a whole [all_stuck_at] list often fits
-    in one).  Larger lists chunk over a sharded engine — [?sharded]
-    reuses one (it must be compiled from exactly this netlist with
-    [~optimize:false ~relayout:false ~fuse:false] and have the requested
-    [k], else [Invalid_argument]; registered forces are cleared),
-    otherwise one is created with [?domains] and shut down afterwards.
-    A single-chunk run without [?sharded]/[?domains]/[?scheduler] stays
-    inline on one engine.
-
-    With [?scheduler] (mutually exclusive with [?domains]) the chunks
-    run as tasks of one job on the scheduler's shared team instead of a
-    private pool; combined with [?sharded] the two must share one pool
-    ([Sharded.of_base ~pool:(Scheduler.pool sch)]) so member indices
-    line up.  With [?cache] the campaign engines come from the
+    in one).  Each round of chunks is one {!Hydra_engine.Scheduler}
+    job: on [?scheduler]'s shared team (mutually exclusive with
+    [?domains]), otherwise on a private scheduler of [?domains] members
+    (one member when the list fits one chunk), shut down afterwards.
+    Every member runs its chunks on its own replica of the campaign
+    engine.  With [?cache] the campaign engines come from the
     compiled-circuit cache (identity-pass flavors), so repeated
     campaigns on the same netlist skip recompilation.  Verdicts are
     bit-identical in every mode.  [~gating:true] (rejected with
@@ -154,19 +145,17 @@ val run :
     lane runs the whole window from cycle 0.
 
     Resilience knobs: [?deadline] bounds the whole campaign in
-    wall-clock seconds, enforced at chunk boundaries
-    ({!Hydra_engine.Resilience.Deadline_exceeded} past it — with
-    [?scheduler] the job itself carries the remaining budget and times
-    out identically).  [?retry] re-runs chunks whose body raised a
-    transient exception after a deterministic backoff (chunks recompute
-    their verdict slice from reset, so retried runs stay bit-identical);
-    with [?scheduler] the policy rides on the job and attempts are
-    journaled in its trail.  [?admission] reserves the engine's lane
+    wall-clock seconds: each round's job carries the remaining budget
+    and times out at a chunk boundary
+    ({!Hydra_engine.Resilience.Deadline_exceeded}).  [?retry] rides on
+    the job: chunks whose body raised a transient exception re-run after
+    a deterministic backoff (chunks recompute their verdict slice from
+    reset, so retried runs stay bit-identical), every attempt journaled
+    in the job's trail.  [?admission] reserves the engine's lane
     demand against a shared budget: an over-budget request is
-    {e degraded} to fewer slab words (same verdicts, smaller passes;
-    a caller's [?sharded] engine keeps its own) rather than rejected,
-    and only a budget with less than one word free sheds the campaign
-    ({!Hydra_engine.Resilience.Shed}).
+    {e degraded} to fewer slab words (same verdicts, smaller passes)
+    rather than rejected, and only a budget with less than one word
+    free sheds the campaign ({!Hydra_engine.Resilience.Shed}).
     [?chaos] dresses every chunk (and the prefix task) with a seeded
     {!Chaos} injection point — the soak-test harness.
 

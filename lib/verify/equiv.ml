@@ -161,21 +161,9 @@ type seq_result =
 let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
     ?(seed = 0x5eed) ?(domains = 1) ?deadline nl1 nl2 =
   let module Slab = Hydra_engine.Slab in
-  let module Sh = Hydra_engine.Sharded in
   let module Scheduler = Hydra_engine.Scheduler in
   let module Cache = Hydra_engine.Cache in
-  let module R = Hydra_engine.Resilience in
   let module P = Hydra_core.Packed in
-  (* the deadline bounds the whole sweep, enforced between passes (a
-     pass is the natural chunk); scheduler runs put it on the job *)
-  let t0 = R.now () in
-  let check_deadline () =
-    match deadline with
-    | Some d when R.now () -. t0 > d ->
-      raise
-        (R.Deadline_exceeded { job = "equiv"; elapsed = R.now () -. t0 })
-    | _ -> ()
-  in
   (* Certify the inputs before simulating them, so a falsified run means
      "the engines disagree" and never "the generator emitted a malformed
      netlist that the engines mis-indexed". *)
@@ -200,7 +188,7 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
      fan-out's ~member index; [?cache] serves warm 62-lane engines (the
      default compile flags) *)
   let mk nl =
-    match cache with Some c -> Cache.wide c nl | None -> Slab.create ~k:1 nl
+    match cache with Some c -> Cache.slab c ~k:1 nl | None -> Slab.create ~k:1 nl
   in
   let base1 = mk nl1 in
   let base2 = mk nl2 in
@@ -266,22 +254,19 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
   let replicas base n =
     Array.init n (fun i -> if i = 0 then base else Slab.replicate base)
   in
-  (match scheduler with
-  | Some sch ->
+  let run sch =
     let n = Scheduler.domains sch in
     let sims1 = replicas base1 n and sims2 = replicas base2 n in
     Scheduler.run_tasks sch ~name:"equiv" ?deadline passes
       (fun ~member pass ->
         if pass < Atomic.get best then
           run_pass sims1.(member) sims2.(member) pass)
+  in
+  (match scheduler with
+  | Some sch -> run sch
   | None ->
-    let sh = Sh.of_base ~domains base1 in
-    let sims2 = replicas base2 (Sh.domains sh) in
-    Sh.run_tasks sh passes (fun ~member pass ->
-        check_deadline ();
-        if pass < Atomic.get best then
-          run_pass (Sh.replica sh member) sims2.(member) pass);
-    Sh.shutdown sh);
+    let sch = Scheduler.create ~domains () in
+    Fun.protect ~finally:(fun () -> Scheduler.shutdown sch) (fun () -> run sch));
   match Atomic.get best with
   | p when p < max_int -> results.(p)
   | _ -> Seq_equivalent

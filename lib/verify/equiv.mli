@@ -81,19 +81,16 @@ val wide_random_netlists :
     cycles into both circuits and compares every output word every cycle
     — dffs included, ~60x fewer simulator passes than lane-at-a-time
     sampling.  The workhorse check for optimized-vs-original netlists.
-    With [?domains] > 1 (default 1), passes become
-    {!Hydra_engine.Sharded} jobs running concurrently, each on its own
-    pair of engine replicas; every pass seeds its own RNG from
+    The passes are the tasks of one {!Hydra_engine.Scheduler} job, each
+    on its own pair of engine replicas: on [?scheduler]'s shared team
+    (which overrides [?domains]), otherwise on a private scheduler of
+    [?domains] (default 1) members.  Every pass seeds its own RNG from
     ([seed], pass index), so the stimulus — and the reported mismatch,
-    always the lowest-index failing pass — is the same at any domain
-    count.  With [?scheduler] (which overrides [?domains]) the passes
-    run as tasks of one job on the scheduler's shared team, with both
-    sides' replicas member-aligned; with [?cache] the two base engines
-    come from the compiled-circuit cache ({!Hydra_engine.Cache.wide}).  The
-    result is identical in every mode.  [?deadline] bounds the whole
-    sweep in wall-clock seconds, enforced between passes:
-    {!Hydra_engine.Resilience.Deadline_exceeded} past it (with
-    [?scheduler], the job times out to the same exception).
+    always the lowest-index failing pass — is the same at any team size.
+    With [?cache] the two base engines come from the compiled-circuit
+    cache ([Cache.slab ~k:1]).  [?deadline] bounds the whole sweep in
+    wall-clock seconds: the job carries it and times out between passes
+    with {!Hydra_engine.Resilience.Deadline_exceeded}.
 
     Both netlists are validated ({!Hydra_analyze.Certify.validate})
     before any engine touches them; a malformed one raises

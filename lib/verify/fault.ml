@@ -104,11 +104,11 @@ let campaign_fault { site; stuck } = Campaign.Stuck_at { site; value = stuck }
    same trajectory, and "some output row differs" is exactly the
    campaign's Detected class (Latent state-only divergence is invisible
    to the old loop too). *)
-let coverage_of_faults ?scheduler ?cache ?sharded ?(cycles_per_vector = 1) nl
-    ~vectors faults =
+let coverage_of_faults ?scheduler ?cache ?(cycles_per_vector = 1) nl ~vectors
+    faults =
   let stimulus, cycles = Campaign.stimulus_of_vectors ~cycles_per_vector nl vectors in
   let report =
-    Campaign.run ?scheduler ?cache ?sharded nl
+    Campaign.run ?scheduler ?cache nl
       ~faults:(List.map campaign_fault faults) ~stimulus ~cycles
   in
   let undetected =
@@ -147,27 +147,15 @@ let generate_tests ?(seed = 42) ?(target = 1.0) ?(batch = 16) ?(max_vectors = 51
   (* every batch's campaign engine comes from the process-wide compiled-
      circuit cache: the first batch compiles, the rest replicate *)
   let cache = Hydra_engine.Cache.shared () in
-  let scheduler, sharded =
-    (* one persistent scheduler + per-member replica set for every batch
-       when the fault list needs chunking anyway; small circuits stay on
-       the inline (cache-warm) fast path *)
-    if total > Hydra_core.Packed.lanes - 1 then begin
-      let sch = Hydra_engine.Scheduler.create () in
-      let base =
-        Hydra_engine.Cache.wide cache ~optimize:false ~relayout:false
-          ~fuse:false nl
-      in
-      ( Some sch,
-        Some
-          (Hydra_engine.Sharded.of_base
-             ~pool:(Hydra_engine.Scheduler.pool sch)
-             base) )
-    end
-    else (None, None)
+  (* one persistent scheduler for every batch when the fault list needs
+     chunking anyway; small circuits stay on a one-member team *)
+  let scheduler =
+    if total > Hydra_core.Packed.lanes - 1 then
+      Some (Hydra_engine.Scheduler.create ())
+    else None
   in
   let grade vectors faults =
-    coverage_of_faults ?scheduler ~cache ?sharded ?cycles_per_vector nl
-      ~vectors faults
+    coverage_of_faults ?scheduler ~cache ?cycles_per_vector nl ~vectors faults
   in
   let finish vectors undetected =
     (vectors, { total; detected = total - List.length undetected; undetected })

@@ -10,7 +10,7 @@ module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module W = Hydra_engine.Compiled_wide
 module Slab = Hydra_engine.Slab
-module Sharded = Hydra_engine.Sharded
+module Scheduler = Hydra_engine.Scheduler
 module Fault = Hydra_verify.Fault
 module C = Hydra_verify.Campaign
 module Chaos = Hydra_verify.Chaos
@@ -230,31 +230,21 @@ let suite =
         check_cov_equal "two_stage"
           (Fault.coverage_recompile nl ~vectors ~cycles_per_vector:2)
           (Fault.coverage nl ~vectors ~cycles_per_vector:2));
-    tc "campaign: sharded reuse matches one-shot runs" (fun () ->
+    tc "campaign: scheduler reuse matches one-shot runs" (fun () ->
         let nl = ripple 8 in
-        let sh = Sharded.create ~optimize:false ~relayout:false ~fuse:false nl in
+        let sch = Scheduler.create ~domains:2 () in
         Fun.protect
-          ~finally:(fun () -> Sharded.shutdown sh)
+          ~finally:(fun () -> Scheduler.shutdown sch)
           (fun () ->
             let faults = C.all_stuck_at nl in
             let stimulus = C.random_stimulus ~seed:11 ~cycles:20 nl in
             let once = C.run nl ~faults ~stimulus ~cycles:20 in
-            let shared1 = C.run ~sharded:sh nl ~faults ~stimulus ~cycles:20 in
-            let shared2 = C.run ~sharded:sh nl ~faults ~stimulus ~cycles:20 in
+            let shared1 = C.run ~scheduler:sch nl ~faults ~stimulus ~cycles:20 in
+            let shared2 = C.run ~scheduler:sch nl ~faults ~stimulus ~cycles:20 in
             check_bool "first shared run" true
               (once.C.verdicts = shared1.C.verdicts);
-            check_bool "second shared run (replica state cleared)" true
-              (once.C.verdicts = shared2.C.verdicts);
-            Alcotest.check_raises "foreign netlist rejected"
-              (Invalid_argument
-                 "Campaign.run: sharded engine compiled from a different \
-                  netlist (build it with ~optimize:false ~relayout:false \
-                  ~fuse:false on the campaign netlist)")
-              (fun () ->
-                ignore
-                  (C.run ~sharded:sh (fig1 ())
-                     ~faults:[ C.Stuck_at { site = 1; value = true } ]
-                     ~stimulus:[] ~cycles:1))));
+            check_bool "second shared run (scheduler reused)" true
+              (once.C.verdicts = shared2.C.verdicts)));
     (* ---- generate_tests: cycles_per_vector threading (the old bug) ---- *)
     tc "campaign: generate_tests threads cycles_per_vector" (fun () ->
         let nl = two_stage () in
@@ -635,37 +625,16 @@ let suite =
           (Invalid_argument "Campaign.run: ?gating requires ~engine:(`Slab k)")
           (fun () ->
             ignore (C.run ~gating:true nl ~faults ~stimulus:[] ~cycles:1));
-        let sh =
-          Sharded.create ~optimize:false ~relayout:false ~fuse:false nl
-        in
-        Alcotest.check_raises "sharded k=1 + slab k=2"
-          (Invalid_argument
-             "Campaign.run: ?sharded engine has k=1 words per signal but \
-              ~engine asks for k=2")
-          (fun () ->
-            ignore
-              (C.run ~sharded:sh ~engine:(`Slab 2) nl ~faults ~stimulus:[]
-                 ~cycles:1));
-        Sharded.shutdown sh;
-        (* a k=2 sharded engine serves a `Slab 2 campaign, not the
-           default 62-lane one *)
-        let sh2 =
-          Sharded.of_base ~domains:1
-            (Slab.create ~k:2 ~optimize:false ~relayout:false ~fuse:false nl)
-        in
+        (* a shared scheduler serves a `Slab 2 campaign like a private
+           one *)
+        let sch = Scheduler.create ~domains:1 () in
         Fun.protect
-          ~finally:(fun () -> Sharded.shutdown sh2)
+          ~finally:(fun () -> Scheduler.shutdown sch)
           (fun () ->
-            Alcotest.check_raises "sharded k=2 + wide"
-              (Invalid_argument
-                 "Campaign.run: ?sharded engine has k=2 words per signal but \
-                  ~engine asks for k=1")
-              (fun () ->
-                ignore (C.run ~sharded:sh2 nl ~faults ~stimulus:[] ~cycles:1));
             let faults = C.all_stuck_at nl in
             let stimulus = C.random_stimulus ~seed:4 ~cycles:6 nl in
-            check_bool "sharded k=2 = fresh k=2" true
-              ((C.run ~sharded:sh2 ~engine:(`Slab 2) nl ~faults ~stimulus
+            check_bool "scheduler k=2 = fresh k=2" true
+              ((C.run ~scheduler:sch ~engine:(`Slab 2) nl ~faults ~stimulus
                   ~cycles:6).C.verdicts
               = (C.run ~engine:(`Slab 2) nl ~faults ~stimulus ~cycles:6).C.verdicts)));
     (* ---- fault dropping and lane compaction ---- *)

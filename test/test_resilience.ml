@@ -80,6 +80,23 @@ let deadline_tests =
           check_string "job name" "budgeted" job;
           check_bool "elapsed sane" true (elapsed >= 0.03));
         Scheduler.shutdown sch);
+    tc "run_tasks with a spent budget claims no task" (fun () ->
+        let sch = Scheduler.create ~domains:2 () in
+        let ran = Atomic.make 0 in
+        List.iter
+          (fun d ->
+            match
+              Scheduler.run_tasks sch ~name:"spent" ~deadline:d 8
+                (fun ~member:_ _ -> Atomic.incr ran)
+            with
+            | () -> Alcotest.failf "deadline %g did not fire" d
+            | exception Resilience.Deadline_exceeded { job; _ } ->
+              check_string "job name" "spent" job)
+          [ 0.0; -1.0 ];
+        check_int "body never ran" 0 (Atomic.get ran);
+        Scheduler.run_tasks sch 5 (fun ~member:_ _ -> Atomic.incr ran);
+        check_int "scheduler reusable" 5 (Atomic.get ran);
+        Scheduler.shutdown sch);
     tc "testbench and equiv deadlines: generous passes, expired raises"
       (fun () ->
         let module Testbench = Hydra_engine.Testbench in
@@ -658,6 +675,20 @@ let chaos_tests =
         Scheduler.shutdown sch;
         check_bool "verdicts bit-identical through the storm" true
           (clean.Campaign.verdicts = stormy.Campaign.verdicts);
+        (* the private-scheduler path carries retry the same way *)
+        List.iter
+          (fun domains ->
+            let private_ =
+              Campaign.run ~domains
+                ~retry:(Resilience.retry ~max_attempts:8 ~base_delay:0.001 ())
+                ~chaos:(Chaos.plan ~seed:99 ~exn_rate:0.25 ())
+                nl ~faults ~stimulus ~cycles:10
+            in
+            check_bool
+              (Printf.sprintf "private %d-member storm bit-identical" domains)
+              true
+              (clean.Campaign.verdicts = private_.Campaign.verdicts))
+          [ 1; 3 ];
         check_int "totals match" clean.Campaign.total stormy.Campaign.total);
     tc "chaos replay: same seed, same storm" (fun () ->
         let run_once () =

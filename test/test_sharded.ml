@@ -89,7 +89,7 @@ let suite =
             in
             if got.(k) <> expect then Alcotest.failf "vector %d diverges" k)
           vectors);
-    tc "run_tasks covers every job once, members in range" (fun () ->
+    tc "dispatch covers every job once, on member replicas" (fun () ->
         List.iter
           (fun domains ->
             let a = G.input "a" in
@@ -97,14 +97,19 @@ let suite =
             let sh = Sharded.create ~domains nl in
             let n = 500 in
             let hits = Array.make n 0 in
-            let bad_member = Atomic.make false in
-            Sharded.run_tasks sh n (fun ~member job ->
-                if member < 0 || member >= Sharded.domains sh then
-                  Atomic.set bad_member true;
+            let bad_replica = Atomic.make false in
+            Sharded.dispatch sh n (fun sim job ->
+                if
+                  not
+                    (List.exists
+                       (fun m -> Sharded.replica sh m == sim)
+                       (List.init (Sharded.domains sh) Fun.id))
+                then Atomic.set bad_replica true;
                 (* jobs are distributed disjointly, so no lock is needed *)
                 hits.(job) <- hits.(job) + 1);
             Sharded.shutdown sh;
-            check_bool "members in range" false (Atomic.get bad_member);
+            check_bool "every job on a member's replica" false
+              (Atomic.get bad_replica);
             check_bool
               (Printf.sprintf "all jobs once (%d domains)" domains)
               true
@@ -126,7 +131,7 @@ let suite =
         let reference = run 1 in
         check_int "2 domains" reference (run 2);
         check_int "4 domains" reference (run 4));
-    tc "testbench run_batched ~sharded = sequential" (fun () ->
+    tc "testbench run_batched ~scheduler = sequential" (fun () ->
         let x = G.input "x" and en = G.input "en" in
         let q = G.dff (G.xor2 x (G.and2 en (G.input "y"))) in
         let nl =
@@ -149,14 +154,14 @@ let suite =
         in
         let cases = Array.init 300 case in
         let sequential = Testbench.run_batched ~cycles:8 ~cases nl in
-        let sh = Sharded.create ~domains:3 nl in
-        let sharded = Testbench.run_batched ~sharded:sh ~cycles:8 ~cases nl in
-        Sharded.shutdown sh;
+        let sch = Hydra_engine.Scheduler.create ~domains:3 () in
+        let shared = Testbench.run_batched ~scheduler:sch ~cycles:8 ~cases nl in
+        Hydra_engine.Scheduler.shutdown sch;
         Array.iteri
           (fun k r ->
             if r <> sequential.(k) then Alcotest.failf "case %d differs" k)
-          sharded;
-        check_bool "case 5 failed" false (Testbench.passed sharded.(5)));
+          shared;
+        check_bool "case 5 failed" false (Testbench.passed shared.(5)));
     (* parallel falsification must stay deterministic: same verdict and
        same counterexample as the 1-domain run, on both an equivalent and
        an inequivalent pair *)

@@ -599,16 +599,7 @@ let suite =
                   Alcotest.failf "case %d differs (k=%d gating=%b)" i k gating)
               got)
           [ (1, false); (4, false); (3, true) ];
-        check_bool "case 70 failed" false (Testbench.passed reference.(70));
-        let sh = Sharded.create nl in
-        Alcotest.check_raises "sharded + engine"
-          (Invalid_argument
-             "Testbench.run_batched: pass either ?sharded or ?engine, not both")
-          (fun () ->
-            ignore
-              (Testbench.run_batched ~sharded:sh ~engine:(Slab.engine 2)
-                 ~cycles:1 ~cases nl));
-        Sharded.shutdown sh);
+        check_bool "case 70 failed" false (Testbench.passed reference.(70)));
     qc ~count:10 "Equiv.slab_vs_wide holds on random netlists (k, gating)"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
