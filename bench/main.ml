@@ -1437,8 +1437,9 @@ let e24 ?(min_time = 0.2) () =
 
 (* E25 ------------------------------------------------------------------ *)
 
-(* Rank-blocked kernels, cluster-granular gating and the C/simd backend.
-   Four measurements:
+(* Rank-blocked kernels, cluster-granular gating and the C block kernel.
+   Three measurements, stamped with the kernel backend this build
+   probed (avx2/neon/scalar-c):
 
    - wallace64 at k=16 (a slab too large for L2) swept over block sizes,
      against the unblocked one-block-per-rank baseline — the cache
@@ -1448,9 +1449,7 @@ let e24 ?(min_time = 0.2) () =
      hot mode is cheaper than the old rank-scoped one);
    - the gating win on the quiescent CPU system, where a settled gated
      cycle reduces to two bitset scans (acceptance: > 4.5x over the
-     ungated slab);
-   - the simd backend vs the pure-OCaml kernels at the same geometry,
-     stamped with the flavor this build probed (avx2/neon/scalar-c).
+     ungated slab).
 
    [--tuning SPEC] adds a custom-geometry row to the sweep. *)
 let cli_tuning : Hydra_engine.Kernel.tuning option ref = ref None
@@ -1475,8 +1474,8 @@ let e25 ?(min_time = 0.2) () =
   row "  wallace64: %d gates at k=%d — %.1f MB of slab per settle\n"
     st.N.gates kk
     (float_of_int (N.size nl * kk * 8) /. 1e6);
-  let sample ?tuning ?(simd = false) ?(k = kk) name =
-    let slab = Slab.create ~k ?tuning ~simd nl in
+  let sample ?tuning name =
+    let slab = Slab.create ~k:kk ?tuning nl in
     let t =
       time_per_run ~min_time (fun () ->
           Slab.reset slab;
@@ -1484,7 +1483,6 @@ let e25 ?(min_time = 0.2) () =
             Slab.step slab
           done)
     in
-    let lanes = Wide.lanes * k in
     let rate = gates *. float_of_int (cycles * lanes) /. t in
     record ~section:"E25" ~lanes ~name ~value:rate ~unit_:"gate-evals/s" ();
     (name, rate, t)
@@ -1515,17 +1513,6 @@ let e25 ?(min_time = 0.2) () =
     row "  %-44s %12.3g gate-evals/s  (%4.2fx)\n"
       ("--tuning " ^ Kernel.tuning_to_spec tuning)
       rate (rate /. base_rate));
-  (* simd backend at the default geometry, k=16 and k=8 *)
-  let _, ml16, _ = sample "wallace64 k=16 pure-OCaml" in
-  let _, c16, _ = sample ~simd:true "wallace64 k=16 simd" in
-  row "  %-44s %12.3g gate-evals/s  (%4.2fx vs OCaml)\n"
-    (Printf.sprintf "simd k=16 (%s)" (Simd.flavor ())) c16 (c16 /. ml16);
-  let _, ml8, _ = sample ~k:8 "wallace64 k=8 pure-OCaml" in
-  let _, c8, _ = sample ~k:8 ~simd:true "wallace64 k=8 simd" in
-  row "  %-44s %12.3g gate-evals/s  (%4.2fx vs OCaml)\n"
-    (Printf.sprintf "simd k=8 (%s)" (Simd.flavor ())) c8 (c8 /. ml8);
-  record ~section:"E25" ~lanes ~name:"simd speedup vs pure OCaml (k=16)"
-    ~value:(c16 /. ml16) ~unit_:"x" ();
   (* cluster-gating overhead, high-toggle worst case at equal lanes *)
   let in_names = List.map fst nl.N.inputs in
   let rst = Random.State.make [| 0x25; kk |] in
@@ -1934,28 +1921,27 @@ let smoke () =
         failwith (Printf.sprintf "smoke: sharded batch %d diverges" b))
     batches;
   print_endline "  sharded/wide batch agreement: ok";
-  (* slab engine: every k=4 flavor — plain, cluster-gated, simd, tiny
-     rank blocks — must match the wide engine on every word of every
-     output *)
+  (* slab engine: every k=4 flavor — plain, cluster-gated, gated with
+     tiny rank blocks — must match the wide engine on every word of
+     every output *)
   let module Slab = Hydra_engine.Slab in
   let module Kernel = Hydra_engine.Kernel in
   let tiny = { Kernel.default_tuning with Kernel.block_gates = 4 } in
   List.iter
-    (fun (label, gating, simd, tuning) ->
-      match Equiv.slab_vs_wide ~passes:1 ~cycles:4 ~k:4 ~gating ~simd ?tuning nl with
+    (fun (label, gating, tuning) ->
+      match Equiv.slab_vs_wide ~passes:1 ~cycles:4 ~k:4 ~gating ?tuning nl with
       | Equiv.Seq_equivalent -> ()
       | Equiv.Seq_mismatch { output; cycle; _ } ->
         failwith
           (Printf.sprintf "smoke: slab (%s) diverges from wide at %s, cycle %d"
              label output cycle))
     [
-      ("plain", false, false, None);
-      ("gated", true, false, None);
-      ("simd", false, true, None);
-      ("gated simd tiny-blocks", true, true, Some tiny);
+      ("plain", false, None);
+      ("gated", true, None);
+      ("gated tiny-blocks", true, Some tiny);
     ];
   Printf.printf
-    "  slab/wide agreement (k=4: plain, gated, simd [%s], tiny blocks): ok\n"
+    "  slab/wide agreement (k=4: plain, gated, gated tiny blocks; %s kernel): ok\n"
     (Hydra_engine.Simd.flavor ());
   record ~section:"smoke" ~name:"simd backend (2=avx2, 1=neon, 0=scalar-c)"
     ~value:

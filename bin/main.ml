@@ -998,14 +998,6 @@ let equiv_cmd =
       & info [ "smoke" ]
           ~doc:"quick sweep (the CI job): one pass of 8 cycles")
   in
-  let simd =
-    Arg.(
-      value & flag
-      & info [ "simd" ]
-          ~doc:
-            "also check the C-stub kernels (vectorized where the build \
-             supports it, scalar C elsewhere)")
-  in
   let tuning =
     Arg.(
       value
@@ -1015,7 +1007,7 @@ let equiv_cmd =
             "kernel tuning spec, e.g. block-words=1024,block-gates=0,\
              hot-after=4,probe-period=128 (unset keys keep defaults)")
   in
-  let run targets all ks passes cycles smoke simd tuning =
+  let run targets all ks passes cycles smoke tuning =
     let targets = (if all then lint_catalogue else []) @ targets in
     if targets = [] then begin
       prerr_endline
@@ -1043,7 +1035,6 @@ let equiv_cmd =
           prerr_endline ("equiv: " ^ msg);
           exit 2)
     in
-    let simds = if simd then [ false; true ] else [ false ] in
     let failed = ref false in
     List.iter
       (fun target ->
@@ -1054,22 +1045,14 @@ let equiv_cmd =
           (fun k ->
             List.iter
               (fun gating ->
-                List.iter
-                  (fun simd ->
-                    incr nconfigs;
-                    match
-                      E.slab_vs_wide ~passes ~cycles ~k ~gating ~simd ?tuning
-                        nl
-                    with
-                    | E.Seq_equivalent -> ()
-                    | E.Seq_mismatch { output; cycle; _ } ->
-                      bad :=
-                        ( Printf.sprintf "k=%d%s%s" k
-                            (if gating then " gated" else "")
-                            (if simd then " simd" else ""),
-                          output, cycle )
-                        :: !bad)
-                  simds)
+                incr nconfigs;
+                match E.slab_vs_wide ~passes ~cycles ~k ~gating ?tuning nl with
+                | E.Seq_equivalent -> ()
+                | E.Seq_mismatch { output; cycle; _ } ->
+                  bad :=
+                    ( Printf.sprintf "k=%d%s" k (if gating then " gated" else ""),
+                      output, cycle )
+                    :: !bad)
               [ false; true ])
           ks;
         if !bad = [] then
@@ -1093,8 +1076,7 @@ let equiv_cmd =
          "Check the slab engine against the wide engine on named circuits \
           or saved netlist files (random sequential stimulus, every word, \
           gated and ungated); exits 1 on any mismatch")
-    Term.(const run $ targets $ all $ ks $ passes $ cycles $ smoke $ simd
-          $ tuning)
+    Term.(const run $ targets $ all $ ks $ passes $ cycles $ smoke $ tuning)
 
 (* ---- algo ---- *)
 

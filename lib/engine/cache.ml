@@ -185,18 +185,15 @@ let compile t ?(optimize = false) ?(relayout = true) ?(fuse = true)
   | Program p -> p
   | Slab _ -> assert false
 
-let slab t ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
-    ?(relayout = true) ?(fuse = true) ?(certify = false)
-    ?(tuning = Kernel.default_tuning) nl =
+let slab t ?(k = 8) ?(gating = false) ?(optimize = false) ?(relayout = true)
+    ?(fuse = true) ?(certify = false) ?(tuning = Kernel.default_tuning) nl =
   if k < 1 then invalid_arg "Cache.slab: k must be >= 1";
-  let flavor =
-    Printf.sprintf "slab:g%ds%d" (Bool.to_int gating) (Bool.to_int simd)
-  in
+  let flavor = Printf.sprintf "slab:g%d" (Bool.to_int gating) in
   let key = mk_key ~flavor ~optimize ~relayout ~fuse ~k ~tuning nl in
   match
     get t key nl (fun () ->
         Slab
-          (Slab.of_program ~gating ~simd
+          (Slab.of_program ~gating
              (compile t ~optimize ~relayout ~fuse ~certify ~tuning ~k nl)))
   with
   | Slab s -> Slab.replicate s

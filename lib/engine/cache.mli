@@ -56,8 +56,8 @@ val wide :
   Hydra_netlist.Netlist.t ->
   Slab.t
 (** The 62-lane engine ({!Compiled_wide.create}, same defaults) through
-    the cache: [slab ~k:1] ungated without SIMD, so it shares that
-    flavor's entries.  No library code calls it (use [slab ~k:1]); it
+    the cache: [slab ~k:1] ungated, so it shares that flavor's
+    entries.  No library code calls it (use [slab ~k:1]); it
     remains only for the workload benchmark ([bench/workloads/]) until
     that benchmark moves to [slab ~k:1].  A replica of the cached exemplar, at power-up,
     safe to run concurrently with every other replica.  The underlying
@@ -69,7 +69,6 @@ val slab :
   t ->
   ?k:int ->
   ?gating:bool ->
-  ?simd:bool ->
   ?optimize:bool ->
   ?relayout:bool ->
   ?fuse:bool ->
@@ -77,8 +76,8 @@ val slab :
   ?tuning:Kernel.tuning ->
   Hydra_netlist.Netlist.t ->
   Slab.t
-(** As {!Slab.create} (same defaults), through the cache; [gating] and
-    [simd] select distinct flavors (they change the exemplar's derived
+(** As {!Slab.create} (same defaults), through the cache; [gating]
+    selects a distinct flavor (it changes the exemplar's derived
     metadata, not the program). *)
 
 val stats : t -> stats

@@ -1,11 +1,12 @@
-/* C kernels for the Slab engine's ~simd:true flavor.
+/* The C block kernel of the Slab engine: every ungated block runs here.
  *
  * hydra_settle_block(values, desc) evaluates one compiled block of the
  * shared Kernel program directly over the OCaml int-array slab.  The
  * descriptor is a flat OCaml int array: [k | n_inv n_and n_or n_xor
  * n_andor n_orand n_xor3 n_out | per-kind (dst, src...) tuples], with
  * every index pre-scaled by k, so a gate's K words live at consecutive
- * addresses and the inner w-loops vectorize.
+ * addresses and the inner w-loops vectorize.  Slab range-checks every
+ * index when it builds the descriptor; the stub trusts them.
  *
  * All arithmetic runs on the tagged representation (t = 2v + 1):
  *   - and/or preserve the tag:   (2a+1) & (2b+1) = 2(a&b) + 1
@@ -19,7 +20,8 @@
  * releases the domain lock ([@@noalloc] on the OCaml side), so the
  * arrays cannot move while it runs.  Vector paths are compile-time
  * gated: -mavx2 comes from the dune probe rule (which requires the
- * host to both compile and *run* AVX2), NEON is baseline on aarch64.
+ * host to both compile and *run* AVX2), NEON is baseline on aarch64;
+ * HYDRA_SIMD=off at build time selects the portable scalar C.
  */
 
 #include <caml/mlvalues.h>
@@ -44,11 +46,13 @@ CAMLprim value hydra_simd_kind(value unit)
   return Val_long(HYDRA_SIMD_KIND);
 }
 
-CAMLprim value hydra_settle_block(value v_values, value v_desc)
+/* The block kernel body, as a function of k.  Always inlined, so each
+ * call site in hydra_settle_block is its own specialisation: with the
+ * literal k = 1 the compiler drops the vector loops and the tail loops
+ * collapse to one word per gate. */
+static inline __attribute__((always_inline)) void
+settle_block_k(value *vals, const value *d, const long k)
 {
-  value *vals = Op_val(v_values);
-  const value *d = Op_val(v_desc);
-  const long k = Long_val(d[0]);
   const value *p = d + 9;
   long n, j, w;
 
@@ -229,6 +233,16 @@ CAMLprim value hydra_settle_block(value v_values, value v_desc)
     for (; w < k; w++)
       dst[w] = src[w];
   }
+}
 
+CAMLprim value hydra_settle_block(value v_values, value v_desc)
+{
+  value *vals = Op_val(v_values);
+  const value *d = Op_val(v_desc);
+  const long k = Long_val(d[0]);
+  if (k == 1)
+    settle_block_k(vals, d, 1);
+  else
+    settle_block_k(vals, d, k);
   return Val_unit;
 }

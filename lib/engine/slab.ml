@@ -8,18 +8,16 @@
    pass, with the per-gate dst/src index loads (the bottleneck at
    k = 1) amortized K ways and the K value words streaming from
    consecutive addresses.  The compile pipeline is {!Kernel}; the only
-   addition here is pre-scaling every index array by [k] so the hot
-   loops never multiply (at k = 1 the program's arrays are used as
-   they are).
+   addition here is pre-scaling every index by [k] so the hot loops
+   never multiply.
 
-   Inner loops come in four flavors picked at [settle] time: plain
-   1-word loops for [k = 1], a 4-way unrolled
-   walk when [4 | k] (the intended operating points k = 4/8/16), a
-   generic [for w] loop otherwise, and — with [~simd:true] — the
-   {!Simd} C stubs, which run each block from a flat descriptor array
-   with AVX2/NEON vector loads when the build enabled them (tagged ints
-   vectorize directly: and/or preserve the tag, xor re-ors it, inv
-   masks against [lane_mask lsl 1]).
+   Every ungated block runs through one kernel, the {!Simd} C stub,
+   from a flat per-block descriptor built (and bounds-checked) at
+   create time.  The stub specialises k = 1 and uses AVX2/NEON vector
+   loads when the build enabled them (tagged ints vectorize directly:
+   and/or preserve the tag, xor re-ors it, inv masks against
+   [lane_mask lsl 1]); only the gated, change-detecting block loop
+   stays in OCaml.
 
    The units of both iteration and gating are the compile-time rank
    {e blocks} of {!Kernel.program}: every levelized rank is tiled into
@@ -68,12 +66,11 @@
    CPU running a program under hundreds of SEU lanes dirties nearly
    every block every cycle.  So a gated settle that ran at least 7/8 of
    the blocks makes the engine {e dense} for the next
-   [tuning.probe_period] settles: each runs the ungated sweep (the SIMD
-   stubs under [~simd]), then clears every block bit and marks every
-   dff cluster, and [tick] latches ungated while more dense settles
-   remain.  The tick before the next gated settle is the gated one, so
-   that settle starts from exact roots (changed dffs plus writes) and
-   measures again.  The settle after [fresh]/[reset] does not count:
+   [tuning.probe_period] settles: each runs the ungated sweep, then
+   clears every block bit and marks every dff cluster, and [tick]
+   latches ungated while more dense settles remain.  The tick before
+   the next gated settle is the gated one, so that settle starts from
+   exact roots (changed dffs plus writes) and measures again.  The settle after [fresh]/[reset] does not count:
    its bitset is full by construction.
 
    Forces compose with gating: [settle] applies force masks at the
@@ -102,12 +99,11 @@ type t = {
   prog : Kernel.program;
   k : int;
   gating : bool;
-  simd : bool;
-  blocks_s : Kernel.kernel array;
-      (* [prog.blocks] with every index pre-scaled by [k] *)
   simd_desc : int array array;
-      (* per block: the flat descriptor {!Simd.settle_block} runs;
-         empty when [not simd] *)
+      (* per block: the flat descriptor {!Simd.settle_block} runs *)
+  blocks_s : Kernel.kernel array;
+      (* gated engines: [prog.blocks] with every index pre-scaled by [k],
+         for [settle_block_detect]; empty otherwise *)
   consts_s : (int * int) array;  (* scaled base index, broadcast word *)
   dffs_s : int array;  (* scaled dff bases *)
   dff_src_s : int array;  (* scaled driver bases *)
@@ -163,7 +159,6 @@ let program t = t.prog
 let lanes t = lanes_per_word * t.k
 let gated t = t.gating
 let dense_next t = t.dense > 0
-let simd t = t.simd
 
 (* --- int-word bitsets: 32 bits per word so the shift/mask never meets
    OCaml's 63-bit int edge, [i lsr 5] / [i land 31] indexing --- *)
@@ -312,91 +307,58 @@ let cluster_union universe (prog : Kernel.program) per_comp =
       done;
       Array.of_list !out)
 
+(* A block's gate kinds in {!Simd} stub order: name, destination
+   indices, source index arrays. *)
+let kinds (kn : Kernel.kernel) =
+  [|
+    ("inv", kn.inv_dst, [| kn.inv_src |]);
+    ("and", kn.and_dst, [| kn.and_s0; kn.and_s1 |]);
+    ("or", kn.or_dst, [| kn.or_s0; kn.or_s1 |]);
+    ("xor", kn.xor_dst, [| kn.xor_s0; kn.xor_s1 |]);
+    ("andor", kn.andor_dst, [| kn.andor_a; kn.andor_b; kn.andor_c; kn.andor_d |]);
+    ("orand", kn.orand_dst, [| kn.orand_a; kn.orand_b; kn.orand_c |]);
+    ("xor3", kn.xor3_dst, [| kn.xor3_a; kn.xor3_b; kn.xor3_c |]);
+    ("out", kn.out_dst, [| kn.out_src |]);
+  |]
+
+(* [Kernel.program] is a public record and the kernels write through its
+   indices unchecked, so every index is range-checked once, here. *)
+let check_index prog what i =
+  let size = Kernel.size prog in
+  if i < 0 || i >= size then
+    invalid_arg
+      (Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)" what i
+         size)
+
 (* The flat block descriptor the {!Simd} C stub walks: [k] then the
    eight kind counts, then (dst, src...) index tuples per kind in stub
-   order, every index pre-scaled by [k]. *)
-let simd_descriptor k (kn : Kernel.kernel) =
-  let n_inv = Array.length kn.inv_dst
-  and n_and = Array.length kn.and_dst
-  and n_or = Array.length kn.or_dst
-  and n_xor = Array.length kn.xor_dst
-  and n_andor = Array.length kn.andor_dst
-  and n_orand = Array.length kn.orand_dst
-  and n_xor3 = Array.length kn.xor3_dst
-  and n_out = Array.length kn.out_dst in
+   order, every index checked and pre-scaled by [k]. *)
+let simd_descriptor prog b (kn : Kernel.kernel) =
+  let k = prog.Kernel.k in
+  let kinds = kinds kn in
   let len =
-    9
-    + (2 * (n_inv + n_out))
-    + (3 * (n_and + n_or + n_xor))
-    + (5 * n_andor)
-    + (4 * (n_orand + n_xor3))
+    Array.fold_left
+      (fun n (_, dst, srcs) -> n + (Array.length dst * (1 + Array.length srcs)))
+      9 kinds
   in
   let d = Array.make len 0 in
   d.(0) <- k;
-  d.(1) <- n_inv;
-  d.(2) <- n_and;
-  d.(3) <- n_or;
-  d.(4) <- n_xor;
-  d.(5) <- n_andor;
-  d.(6) <- n_orand;
-  d.(7) <- n_xor3;
-  d.(8) <- n_out;
   let pos = ref 9 in
-  let push v =
-    d.(!pos) <- v;
-    incr pos
-  in
   Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.inv_src.(j))
-    kn.inv_dst;
-  Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.and_s0.(j);
-      push kn.and_s1.(j))
-    kn.and_dst;
-  Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.or_s0.(j);
-      push kn.or_s1.(j))
-    kn.or_dst;
-  Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.xor_s0.(j);
-      push kn.xor_s1.(j))
-    kn.xor_dst;
-  Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.andor_a.(j);
-      push kn.andor_b.(j);
-      push kn.andor_c.(j);
-      push kn.andor_d.(j))
-    kn.andor_dst;
-  Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.orand_a.(j);
-      push kn.orand_b.(j);
-      push kn.orand_c.(j))
-    kn.orand_dst;
-  Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.xor3_a.(j);
-      push kn.xor3_b.(j);
-      push kn.xor3_c.(j))
-    kn.xor3_dst;
-  Array.iteri
-    (fun j dst ->
-      push dst;
-      push kn.out_src.(j))
-    kn.out_dst;
-  assert (!pos = len);
+    (fun x (name, dst, srcs) ->
+      d.(x + 1) <- Array.length dst;
+      let what = Printf.sprintf "block %d %s gate" b name in
+      let push i =
+        check_index prog what i;
+        d.(!pos) <- i * k;
+        incr pos
+      in
+      Array.iteri
+        (fun j i ->
+          push i;
+          Array.iter (fun src -> push src.(j)) srcs)
+        dst)
+    kinds;
   d
 
 (* Fresh per-instance state over [t]'s compiled arrays: a power-up
@@ -430,18 +392,25 @@ let fresh t =
   r
 
 (* Build an engine over an already-compiled program (the slab's K is the
-   program's k): no compile-time pass re-runs.  At k = 1 the scaled
-   indices are the program's own arrays, shared rather than copied, and
-   the consumer maps and their unions are built only for a gated
-   engine — an ungated one never reads them. *)
-let of_program ?(gating = false) ?(simd = false) prog =
+   program's k): no compile-time pass re-runs.  The block descriptors
+   are built, and every index of the program range-checked, here once;
+   replicas share them.  At k = 1 the scaled dff indices are the
+   program's own arrays, shared rather than copied, and the scaled
+   kernels, the consumer maps and their unions are built only for a
+   gated engine — an ungated one never reads them. *)
+let of_program ?(gating = false) prog =
   let k = prog.Kernel.k in
+  let simd_desc = Array.mapi (simd_descriptor prog) prog.Kernel.blocks in
+  Array.iter (fun (i, _) -> check_index prog "consts" i) prog.Kernel.consts;
+  Array.iter (check_index prog "dffs") prog.Kernel.dffs;
+  Array.iter (check_index prog "dff_src") prog.Kernel.dff_src;
   let scale a = if k = 1 then a else Array.map (fun i -> i * k) a in
   let blocks_s =
-    if k = 1 then prog.Kernel.blocks
+    if not gating then [||]
+    else if k = 1 then prog.Kernel.blocks
     else Array.map (scale_kernel k) prog.Kernel.blocks
   in
-  let nblocks = Array.length blocks_s in
+  let nblocks = Array.length prog.Kernel.blocks in
   let ncl = prog.Kernel.n_dff_clusters in
   let consumers = if gating then Kernel.consumer_blocks prog else [||] in
   let dff_sinks = if gating then Kernel.dff_sink_clusters prog else [||] in
@@ -454,9 +423,8 @@ let of_program ?(gating = false) ?(simd = false) prog =
       prog;
       k;
       gating;
-      simd;
+      simd_desc;
       blocks_s;
-      simd_desc = (if simd then Array.map (simd_descriptor k) blocks_s else [||]);
       consts_s =
         Array.map (fun (i, b) -> (i * k, Packed.broadcast b)) prog.Kernel.consts;
       dffs_s = scale prog.Kernel.dffs;
@@ -490,11 +458,10 @@ let of_program ?(gating = false) ?(simd = false) prog =
       unmeasured = true;
     }
 
-let create ?(k = 8) ?(gating = false) ?(simd = false) ?(optimize = false)
-    ?(relayout = true) ?(fuse = true) ?(certify = false)
-    ?(tuning = Kernel.default_tuning) netlist =
+let create ?(k = 8) ?(gating = false) ?(optimize = false) ?(relayout = true)
+    ?(fuse = true) ?(certify = false) ?(tuning = Kernel.default_tuning) netlist =
   if k < 1 then invalid_arg "Slab.create: k must be >= 1";
-  of_program ~gating ~simd
+  of_program ~gating
     (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k netlist)
 
 let replicate = fresh
@@ -739,363 +706,9 @@ let apply_forces_detect t slot =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Ungated settle, k = 1: one word per gate, no inner word loop (scaled
-   indices are the plain indices).                                     *)
-
-let settle_block_k1 values (kn : Kernel.kernel) =
-  let dst = kn.inv_dst and src = kn.inv_src in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (lnot (Array.unsafe_get values (Array.unsafe_get src j)) land lane_mask)
-  done;
-  let dst = kn.and_dst and s0 = kn.and_s0 and s1 = kn.and_s1 in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get s0 j)
-      land Array.unsafe_get values (Array.unsafe_get s1 j))
-  done;
-  let dst = kn.or_dst and s0 = kn.or_s0 and s1 = kn.or_s1 in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get s0 j)
-      lor Array.unsafe_get values (Array.unsafe_get s1 j))
-  done;
-  let dst = kn.xor_dst and s0 = kn.xor_s0 and s1 = kn.xor_s1 in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get s0 j)
-      lxor Array.unsafe_get values (Array.unsafe_get s1 j))
-  done;
-  let dst = kn.andor_dst and a = kn.andor_a and b = kn.andor_b
-  and c = kn.andor_c and d = kn.andor_d in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get a j)
-       land Array.unsafe_get values (Array.unsafe_get b j)
-      lor (Array.unsafe_get values (Array.unsafe_get c j)
-          land Array.unsafe_get values (Array.unsafe_get d j)))
-  done;
-  let dst = kn.orand_dst and a = kn.orand_a and b = kn.orand_b
-  and c = kn.orand_c in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get a j)
-       land Array.unsafe_get values (Array.unsafe_get b j)
-      lor Array.unsafe_get values (Array.unsafe_get c j))
-  done;
-  let dst = kn.xor3_dst and a = kn.xor3_a and b = kn.xor3_b and c = kn.xor3_c in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get a j)
-      lxor Array.unsafe_get values (Array.unsafe_get b j)
-      lxor Array.unsafe_get values (Array.unsafe_get c j))
-  done;
-  let dst = kn.out_dst and src = kn.out_src in
-  for j = 0 to Array.length dst - 1 do
-    Array.unsafe_set values
-      (Array.unsafe_get dst j)
-      (Array.unsafe_get values (Array.unsafe_get src j))
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Ungated settle, 4 | k: each gate walks its K-word run 4 words per
-   iteration — the index loads happen once per gate, the word traffic
-   streams.                                                            *)
-
-let settle_block_quad values k (kn : Kernel.kernel) =
-  let dst = kn.inv_dst and src = kn.inv_src in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q)
-        (lnot (Array.unsafe_get values (s + q)) land lane_mask);
-      Array.unsafe_set values (d + q + 1)
-        (lnot (Array.unsafe_get values (s + q + 1)) land lane_mask);
-      Array.unsafe_set values (d + q + 2)
-        (lnot (Array.unsafe_get values (s + q + 2)) land lane_mask);
-      Array.unsafe_set values (d + q + 3)
-        (lnot (Array.unsafe_get values (s + q + 3)) land lane_mask);
-      w := q + 4
-    done
-  done;
-  let dst = kn.and_dst and s0 = kn.and_s0 and s1 = kn.and_s1 in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q)
-        (Array.unsafe_get values (a + q) land Array.unsafe_get values (b + q));
-      Array.unsafe_set values (d + q + 1)
-        (Array.unsafe_get values (a + q + 1)
-        land Array.unsafe_get values (b + q + 1));
-      Array.unsafe_set values (d + q + 2)
-        (Array.unsafe_get values (a + q + 2)
-        land Array.unsafe_get values (b + q + 2));
-      Array.unsafe_set values (d + q + 3)
-        (Array.unsafe_get values (a + q + 3)
-        land Array.unsafe_get values (b + q + 3));
-      w := q + 4
-    done
-  done;
-  let dst = kn.or_dst and s0 = kn.or_s0 and s1 = kn.or_s1 in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q)
-        (Array.unsafe_get values (a + q) lor Array.unsafe_get values (b + q));
-      Array.unsafe_set values (d + q + 1)
-        (Array.unsafe_get values (a + q + 1)
-        lor Array.unsafe_get values (b + q + 1));
-      Array.unsafe_set values (d + q + 2)
-        (Array.unsafe_get values (a + q + 2)
-        lor Array.unsafe_get values (b + q + 2));
-      Array.unsafe_set values (d + q + 3)
-        (Array.unsafe_get values (a + q + 3)
-        lor Array.unsafe_get values (b + q + 3));
-      w := q + 4
-    done
-  done;
-  let dst = kn.xor_dst and s0 = kn.xor_s0 and s1 = kn.xor_s1 in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q)
-        (Array.unsafe_get values (a + q) lxor Array.unsafe_get values (b + q));
-      Array.unsafe_set values (d + q + 1)
-        (Array.unsafe_get values (a + q + 1)
-        lxor Array.unsafe_get values (b + q + 1));
-      Array.unsafe_set values (d + q + 2)
-        (Array.unsafe_get values (a + q + 2)
-        lxor Array.unsafe_get values (b + q + 2));
-      Array.unsafe_set values (d + q + 3)
-        (Array.unsafe_get values (a + q + 3)
-        lxor Array.unsafe_get values (b + q + 3));
-      w := q + 4
-    done
-  done;
-  let dst = kn.andor_dst and a = kn.andor_a and b = kn.andor_b
-  and c = kn.andor_c and d4 = kn.andor_d in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j
-    and pd = Array.unsafe_get d4 j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q)
-        (Array.unsafe_get values (pa + q)
-         land Array.unsafe_get values (pb + q)
-        lor (Array.unsafe_get values (pc + q)
-            land Array.unsafe_get values (pd + q)));
-      Array.unsafe_set values (d + q + 1)
-        (Array.unsafe_get values (pa + q + 1)
-         land Array.unsafe_get values (pb + q + 1)
-        lor (Array.unsafe_get values (pc + q + 1)
-            land Array.unsafe_get values (pd + q + 1)));
-      Array.unsafe_set values (d + q + 2)
-        (Array.unsafe_get values (pa + q + 2)
-         land Array.unsafe_get values (pb + q + 2)
-        lor (Array.unsafe_get values (pc + q + 2)
-            land Array.unsafe_get values (pd + q + 2)));
-      Array.unsafe_set values (d + q + 3)
-        (Array.unsafe_get values (pa + q + 3)
-         land Array.unsafe_get values (pb + q + 3)
-        lor (Array.unsafe_get values (pc + q + 3)
-            land Array.unsafe_get values (pd + q + 3)));
-      w := q + 4
-    done
-  done;
-  let dst = kn.orand_dst and a = kn.orand_a and b = kn.orand_b
-  and c = kn.orand_c in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q)
-        (Array.unsafe_get values (pa + q)
-         land Array.unsafe_get values (pb + q)
-        lor Array.unsafe_get values (pc + q));
-      Array.unsafe_set values (d + q + 1)
-        (Array.unsafe_get values (pa + q + 1)
-         land Array.unsafe_get values (pb + q + 1)
-        lor Array.unsafe_get values (pc + q + 1));
-      Array.unsafe_set values (d + q + 2)
-        (Array.unsafe_get values (pa + q + 2)
-         land Array.unsafe_get values (pb + q + 2)
-        lor Array.unsafe_get values (pc + q + 2));
-      Array.unsafe_set values (d + q + 3)
-        (Array.unsafe_get values (pa + q + 3)
-         land Array.unsafe_get values (pb + q + 3)
-        lor Array.unsafe_get values (pc + q + 3));
-      w := q + 4
-    done
-  done;
-  let dst = kn.xor3_dst and a = kn.xor3_a and b = kn.xor3_b and c = kn.xor3_c in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q)
-        (Array.unsafe_get values (pa + q)
-        lxor Array.unsafe_get values (pb + q)
-        lxor Array.unsafe_get values (pc + q));
-      Array.unsafe_set values (d + q + 1)
-        (Array.unsafe_get values (pa + q + 1)
-        lxor Array.unsafe_get values (pb + q + 1)
-        lxor Array.unsafe_get values (pc + q + 1));
-      Array.unsafe_set values (d + q + 2)
-        (Array.unsafe_get values (pa + q + 2)
-        lxor Array.unsafe_get values (pb + q + 2)
-        lxor Array.unsafe_get values (pc + q + 2));
-      Array.unsafe_set values (d + q + 3)
-        (Array.unsafe_get values (pa + q + 3)
-        lxor Array.unsafe_get values (pb + q + 3)
-        lxor Array.unsafe_get values (pc + q + 3));
-      w := q + 4
-    done
-  done;
-  let dst = kn.out_dst and src = kn.out_src in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-    let w = ref 0 in
-    while !w < k do
-      let q = !w in
-      Array.unsafe_set values (d + q) (Array.unsafe_get values (s + q));
-      Array.unsafe_set values (d + q + 1) (Array.unsafe_get values (s + q + 1));
-      Array.unsafe_set values (d + q + 2) (Array.unsafe_get values (s + q + 2));
-      Array.unsafe_set values (d + q + 3) (Array.unsafe_get values (s + q + 3));
-      w := q + 4
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Ungated settle, any k: plain [for w] inner loops.                   *)
-
-let settle_block_gen values k (kn : Kernel.kernel) =
-  let km1 = k - 1 in
-  let dst = kn.inv_dst and src = kn.inv_src in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w)
-        (lnot (Array.unsafe_get values (s + w)) land lane_mask)
-    done
-  done;
-  let dst = kn.and_dst and s0 = kn.and_s0 and s1 = kn.and_s1 in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w)
-        (Array.unsafe_get values (a + w) land Array.unsafe_get values (b + w))
-    done
-  done;
-  let dst = kn.or_dst and s0 = kn.or_s0 and s1 = kn.or_s1 in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w)
-        (Array.unsafe_get values (a + w) lor Array.unsafe_get values (b + w))
-    done
-  done;
-  let dst = kn.xor_dst and s0 = kn.xor_s0 and s1 = kn.xor_s1 in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w)
-        (Array.unsafe_get values (a + w) lxor Array.unsafe_get values (b + w))
-    done
-  done;
-  let dst = kn.andor_dst and a = kn.andor_a and b = kn.andor_b
-  and c = kn.andor_c and d4 = kn.andor_d in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j
-    and pd = Array.unsafe_get d4 j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w)
-        (Array.unsafe_get values (pa + w)
-         land Array.unsafe_get values (pb + w)
-        lor (Array.unsafe_get values (pc + w)
-            land Array.unsafe_get values (pd + w)))
-    done
-  done;
-  let dst = kn.orand_dst and a = kn.orand_a and b = kn.orand_b
-  and c = kn.orand_c in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w)
-        (Array.unsafe_get values (pa + w)
-         land Array.unsafe_get values (pb + w)
-        lor Array.unsafe_get values (pc + w))
-    done
-  done;
-  let dst = kn.xor3_dst and a = kn.xor3_a and b = kn.xor3_b and c = kn.xor3_c in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w)
-        (Array.unsafe_get values (pa + w)
-        lxor Array.unsafe_get values (pb + w)
-        lxor Array.unsafe_get values (pc + w))
-    done
-  done;
-  let dst = kn.out_dst and src = kn.out_src in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w) (Array.unsafe_get values (s + w))
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Gated settle, detecting run: change-detect each gate's K-word result
    and mark its reader blocks and dff sink clusters.  Slightly more work
-   per evaluated gate than the ungated loops (one extra load and an xor
+   per evaluated gate than the ungated kernel (one extra load and an xor
    per word) — the payoff is the blocks never entered.  Returns whether
    any gate in the block changed, feeding the hot/detect adaptation.   *)
 
@@ -1104,189 +717,180 @@ let settle_block_detect t (kn : Kernel.kernel) (pk : Kernel.kernel) =
   let km1 = k - 1 in
   let changed = ref false in
   let dst = kn.inv_dst and src = kn.inv_src and dst_u = pk.inv_dst in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-        let diff = ref 0 in
-        for w = 0 to km1 do
-          let old = Array.unsafe_get values (d + w) in
-          let nv = lnot (Array.unsafe_get values (s + w)) land lane_mask in
-          diff := !diff lor (old lxor nv);
-          Array.unsafe_set values (d + w) nv
-        done;
-        if !diff <> 0 then begin
-          changed := true;
-          mark_comp t (Array.unsafe_get dst_u j)
-        end
-      done;
-      let dst = kn.and_dst and s0 = kn.and_s0 and s1 = kn.and_s1
-      and dst_u = pk.and_dst in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j
-        and a = Array.unsafe_get s0 j
-        and b = Array.unsafe_get s1 j in
-        let diff = ref 0 in
-        for w = 0 to km1 do
-          let old = Array.unsafe_get values (d + w) in
-          let nv =
-            Array.unsafe_get values (a + w) land Array.unsafe_get values (b + w)
-          in
-          diff := !diff lor (old lxor nv);
-          Array.unsafe_set values (d + w) nv
-        done;
-        if !diff <> 0 then begin
-          changed := true;
-          mark_comp t (Array.unsafe_get dst_u j)
-        end
-      done;
-      let dst = kn.or_dst and s0 = kn.or_s0 and s1 = kn.or_s1
-      and dst_u = pk.or_dst in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j
-        and a = Array.unsafe_get s0 j
-        and b = Array.unsafe_get s1 j in
-        let diff = ref 0 in
-        for w = 0 to km1 do
-          let old = Array.unsafe_get values (d + w) in
-          let nv =
-            Array.unsafe_get values (a + w) lor Array.unsafe_get values (b + w)
-          in
-          diff := !diff lor (old lxor nv);
-          Array.unsafe_set values (d + w) nv
-        done;
-        if !diff <> 0 then begin
-          changed := true;
-          mark_comp t (Array.unsafe_get dst_u j)
-        end
-      done;
-      let dst = kn.xor_dst and s0 = kn.xor_s0 and s1 = kn.xor_s1
-      and dst_u = pk.xor_dst in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j
-        and a = Array.unsafe_get s0 j
-        and b = Array.unsafe_get s1 j in
-        let diff = ref 0 in
-        for w = 0 to km1 do
-          let old = Array.unsafe_get values (d + w) in
-          let nv =
-            Array.unsafe_get values (a + w) lxor Array.unsafe_get values (b + w)
-          in
-          diff := !diff lor (old lxor nv);
-          Array.unsafe_set values (d + w) nv
-        done;
-        if !diff <> 0 then begin
-          changed := true;
-          mark_comp t (Array.unsafe_get dst_u j)
-        end
-      done;
-      let dst = kn.andor_dst and a = kn.andor_a and b = kn.andor_b
-      and c = kn.andor_c and d4 = kn.andor_d and dst_u = pk.andor_dst in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j
-        and pa = Array.unsafe_get a j
-        and pb = Array.unsafe_get b j
-        and pc = Array.unsafe_get c j
-        and pd = Array.unsafe_get d4 j in
-        let diff = ref 0 in
-        for w = 0 to km1 do
-          let old = Array.unsafe_get values (d + w) in
-          let nv =
-            Array.unsafe_get values (pa + w)
-             land Array.unsafe_get values (pb + w)
-            lor (Array.unsafe_get values (pc + w)
-                land Array.unsafe_get values (pd + w))
-          in
-          diff := !diff lor (old lxor nv);
-          Array.unsafe_set values (d + w) nv
-        done;
-        if !diff <> 0 then begin
-          changed := true;
-          mark_comp t (Array.unsafe_get dst_u j)
-        end
-      done;
-      let dst = kn.orand_dst and a = kn.orand_a and b = kn.orand_b
-      and c = kn.orand_c and dst_u = pk.orand_dst in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j
-        and pa = Array.unsafe_get a j
-        and pb = Array.unsafe_get b j
-        and pc = Array.unsafe_get c j in
-        let diff = ref 0 in
-        for w = 0 to km1 do
-          let old = Array.unsafe_get values (d + w) in
-          let nv =
-            Array.unsafe_get values (pa + w)
-             land Array.unsafe_get values (pb + w)
-            lor Array.unsafe_get values (pc + w)
-          in
-          diff := !diff lor (old lxor nv);
-          Array.unsafe_set values (d + w) nv
-        done;
-        if !diff <> 0 then begin
-          changed := true;
-          mark_comp t (Array.unsafe_get dst_u j)
-        end
-      done;
-      let dst = kn.xor3_dst and a = kn.xor3_a and b = kn.xor3_b
-      and c = kn.xor3_c and dst_u = pk.xor3_dst in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j
-        and pa = Array.unsafe_get a j
-        and pb = Array.unsafe_get b j
-        and pc = Array.unsafe_get c j in
-        let diff = ref 0 in
-        for w = 0 to km1 do
-          let old = Array.unsafe_get values (d + w) in
-          let nv =
-            Array.unsafe_get values (pa + w)
-            lxor Array.unsafe_get values (pb + w)
-            lxor Array.unsafe_get values (pc + w)
-          in
-          diff := !diff lor (old lxor nv);
-          Array.unsafe_set values (d + w) nv
-        done;
-        if !diff <> 0 then begin
-          changed := true;
-          mark_comp t (Array.unsafe_get dst_u j)
-        end
-      done;
-      (* outports have no consumer ranks: plain copies, no detection *)
-      let dst = kn.out_dst and src = kn.out_src in
-      for j = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-        for w = 0 to km1 do
-          Array.unsafe_set values (d + w) (Array.unsafe_get values (s + w))
-        done
-      done;
-      !changed
-
-(* One block through the plain (undetected) kernels: the C stub when
-   the engine was created with [~simd:true], else the k-dispatched
-   OCaml loops. *)
-let run_plain_block t (kn : Kernel.kernel) b =
-  if t.simd then Simd.settle_block t.values t.simd_desc.(b)
-  else if t.k = 1 then settle_block_k1 t.values kn
-  else if t.k land 3 = 0 then settle_block_quad t.values t.k kn
-  else settle_block_gen t.values t.k kn
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
+    let diff = ref 0 in
+    for w = 0 to km1 do
+      let old = Array.unsafe_get values (d + w) in
+      let nv = lnot (Array.unsafe_get values (s + w)) land lane_mask in
+      diff := !diff lor (old lxor nv);
+      Array.unsafe_set values (d + w) nv
+    done;
+    if !diff <> 0 then begin
+      changed := true;
+      mark_comp t (Array.unsafe_get dst_u j)
+    end
+  done;
+  let dst = kn.and_dst and s0 = kn.and_s0 and s1 = kn.and_s1
+  and dst_u = pk.and_dst in
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j
+    and a = Array.unsafe_get s0 j
+    and b = Array.unsafe_get s1 j in
+    let diff = ref 0 in
+    for w = 0 to km1 do
+      let old = Array.unsafe_get values (d + w) in
+      let nv =
+        Array.unsafe_get values (a + w) land Array.unsafe_get values (b + w)
+      in
+      diff := !diff lor (old lxor nv);
+      Array.unsafe_set values (d + w) nv
+    done;
+    if !diff <> 0 then begin
+      changed := true;
+      mark_comp t (Array.unsafe_get dst_u j)
+    end
+  done;
+  let dst = kn.or_dst and s0 = kn.or_s0 and s1 = kn.or_s1
+  and dst_u = pk.or_dst in
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j
+    and a = Array.unsafe_get s0 j
+    and b = Array.unsafe_get s1 j in
+    let diff = ref 0 in
+    for w = 0 to km1 do
+      let old = Array.unsafe_get values (d + w) in
+      let nv =
+        Array.unsafe_get values (a + w) lor Array.unsafe_get values (b + w)
+      in
+      diff := !diff lor (old lxor nv);
+      Array.unsafe_set values (d + w) nv
+    done;
+    if !diff <> 0 then begin
+      changed := true;
+      mark_comp t (Array.unsafe_get dst_u j)
+    end
+  done;
+  let dst = kn.xor_dst and s0 = kn.xor_s0 and s1 = kn.xor_s1
+  and dst_u = pk.xor_dst in
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j
+    and a = Array.unsafe_get s0 j
+    and b = Array.unsafe_get s1 j in
+    let diff = ref 0 in
+    for w = 0 to km1 do
+      let old = Array.unsafe_get values (d + w) in
+      let nv =
+        Array.unsafe_get values (a + w) lxor Array.unsafe_get values (b + w)
+      in
+      diff := !diff lor (old lxor nv);
+      Array.unsafe_set values (d + w) nv
+    done;
+    if !diff <> 0 then begin
+      changed := true;
+      mark_comp t (Array.unsafe_get dst_u j)
+    end
+  done;
+  let dst = kn.andor_dst and a = kn.andor_a and b = kn.andor_b
+  and c = kn.andor_c and d4 = kn.andor_d and dst_u = pk.andor_dst in
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j
+    and pa = Array.unsafe_get a j
+    and pb = Array.unsafe_get b j
+    and pc = Array.unsafe_get c j
+    and pd = Array.unsafe_get d4 j in
+    let diff = ref 0 in
+    for w = 0 to km1 do
+      let old = Array.unsafe_get values (d + w) in
+      let nv =
+        Array.unsafe_get values (pa + w)
+         land Array.unsafe_get values (pb + w)
+        lor (Array.unsafe_get values (pc + w)
+            land Array.unsafe_get values (pd + w))
+      in
+      diff := !diff lor (old lxor nv);
+      Array.unsafe_set values (d + w) nv
+    done;
+    if !diff <> 0 then begin
+      changed := true;
+      mark_comp t (Array.unsafe_get dst_u j)
+    end
+  done;
+  let dst = kn.orand_dst and a = kn.orand_a and b = kn.orand_b
+  and c = kn.orand_c and dst_u = pk.orand_dst in
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j
+    and pa = Array.unsafe_get a j
+    and pb = Array.unsafe_get b j
+    and pc = Array.unsafe_get c j in
+    let diff = ref 0 in
+    for w = 0 to km1 do
+      let old = Array.unsafe_get values (d + w) in
+      let nv =
+        Array.unsafe_get values (pa + w)
+         land Array.unsafe_get values (pb + w)
+        lor Array.unsafe_get values (pc + w)
+      in
+      diff := !diff lor (old lxor nv);
+      Array.unsafe_set values (d + w) nv
+    done;
+    if !diff <> 0 then begin
+      changed := true;
+      mark_comp t (Array.unsafe_get dst_u j)
+    end
+  done;
+  let dst = kn.xor3_dst and a = kn.xor3_a and b = kn.xor3_b
+  and c = kn.xor3_c and dst_u = pk.xor3_dst in
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j
+    and pa = Array.unsafe_get a j
+    and pb = Array.unsafe_get b j
+    and pc = Array.unsafe_get c j in
+    let diff = ref 0 in
+    for w = 0 to km1 do
+      let old = Array.unsafe_get values (d + w) in
+      let nv =
+        Array.unsafe_get values (pa + w)
+        lxor Array.unsafe_get values (pb + w)
+        lxor Array.unsafe_get values (pc + w)
+      in
+      diff := !diff lor (old lxor nv);
+      Array.unsafe_set values (d + w) nv
+    done;
+    if !diff <> 0 then begin
+      changed := true;
+      mark_comp t (Array.unsafe_get dst_u j)
+    end
+  done;
+  (* outports have no consumer ranks: plain copies, no detection *)
+  let dst = kn.out_dst and src = kn.out_src in
+  for j = 0 to Array.length dst - 1 do
+    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
+    for w = 0 to km1 do
+      Array.unsafe_set values (d + w) (Array.unsafe_get values (s + w))
+    done
+  done;
+  !changed
 
 (* The ungated rank sweep: every block through the plain kernels, plain
    force slots at the rank boundaries.  An ungated engine settles with
    it, and so does a gated one while it sweeps dense. *)
 let sweep t =
-  let blocks = t.blocks_s in
+  let values = t.values and desc = t.simd_desc in
   let rfb = t.prog.Kernel.rank_first_block in
   let slots = t.force_slots in
   let forced = Array.length slots > 0 in
   if forced then apply_forces t (Array.unsafe_get slots 0);
   for lvl = 0 to Array.length rfb - 2 do
     for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
-      run_plain_block t (Array.unsafe_get blocks b) b
+      Simd.settle_block values (Array.unsafe_get desc b)
     done;
     if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
   done
 
 (* Gated settle: run only dirty blocks, ascending (consumer blocks are
    always at strictly higher ranks, so one sweep reaches the whole
-   active cone); hot blocks take the fast ungated loops and mark their
+   active cone); hot blocks take the ungated C kernel and mark their
    whole consumer union, detecting blocks pay for precision and drive
    the mode transitions.  Forces are applied at the same rank-boundary
    slots as the ungated engine, change-detected.  A fully-quiescent
@@ -1301,6 +905,7 @@ let settle_gated t =
   let forced = Array.length slots > 0 in
   if forced || any_bit dirty then begin
     let blocks = t.blocks_s and pblocks = t.prog.Kernel.blocks in
+    let desc = t.simd_desc in
     let rfb = t.prog.Kernel.rank_first_block in
     let modes = t.block_mode and streaks = t.block_streak in
     let hot_after = t.prog.Kernel.tuning.Kernel.hot_after in
@@ -1315,7 +920,6 @@ let settle_gated t =
         if bit_test dirty b then begin
           bit_clear dirty b;
           incr ran;
-          let kn : Kernel.kernel = Array.unsafe_get blocks b in
           let mode = Array.unsafe_get modes b in
           if mode > 0 then begin
             Array.unsafe_set modes b (mode - 1);
@@ -1323,11 +927,14 @@ let settle_gated t =
                probe run re-arms a recently-hot block, instead of
                paying [hot_after] detect-mode runs per probe *)
             if mode = 1 then Array.unsafe_set streaks b (hot_after - 1);
-            run_plain_block t kn b;
+            Simd.settle_block t.values (Array.unsafe_get desc b);
             or_mask dirty (Array.unsafe_get t.block_consumers b);
             or_mask t.dff_dirty (Array.unsafe_get t.block_dff_sinks b)
           end
-          else if settle_block_detect t kn (Array.unsafe_get pblocks b) then begin
+          else if
+            settle_block_detect t (Array.unsafe_get blocks b)
+              (Array.unsafe_get pblocks b)
+          then begin
             let s = Array.unsafe_get streaks b + 1 in
             if s >= hot_after then begin
               Array.unsafe_set streaks b 0;
@@ -1522,23 +1129,21 @@ let run_vectors t vectors =
   done;
   results
 
-let engine ?(gating = false) ?(simd = false) ?tuning kk : (module Engine_intf.S)
-    =
+let engine ?(gating = false) ?tuning kk : (module Engine_intf.S) =
   if kk < 1 then invalid_arg "Slab.engine: k must be >= 1";
   (module struct
     type nonrec t = t
 
     let name =
-      Printf.sprintf "slab(k=%d%s%s%s)" kk
+      Printf.sprintf "slab(k=%d%s%s)" kk
         (if gating then ",gated" else "")
-        (if simd then ",simd" else "")
         (match tuning with
         | Some tu when tu <> Kernel.default_tuning ->
           "," ^ Kernel.tuning_to_spec tu
         | _ -> "")
 
     let create ?optimize ?relayout ?fuse ?certify nl =
-      create ~k:kk ~gating ~simd ?tuning ?optimize ?relayout ?fuse ?certify nl
+      create ~k:kk ~gating ?tuning ?optimize ?relayout ?fuse ?certify nl
 
     let words = words
     let replicate = replicate

@@ -41,7 +41,7 @@
     tax.  When a whole settle is busy — it ran at least 7/8 of the
     blocks — gating cannot skip anything, so the engine runs its next
     [Kernel.tuning.probe_period] settles {e dense}: the ungated sweep
-    and latch loop (the SIMD stubs under [~simd]), then one gated,
+    and latch loop, then one gated,
     change-detecting settle that measures again.  The settle right
     after {!create}/{!reset} never counts, so an idle engine stays on
     the skipping path.  The hot/detect state and the dense countdown
@@ -52,10 +52,11 @@
     clusters and consumers, and a gated settle applies force slots
     with change detection.
 
-    [~simd:true] swaps the portable OCaml block kernels for the C
-    stubs in {!Simd} (AVX2 / NEON when the build host supports them,
-    portable scalar C otherwise) — same block geometry, same results,
-    available on every build. *)
+    Every ungated block — the whole sweep of an ungated engine, a dense
+    sweep, a hot block — runs through one kernel, the C stub
+    {!Simd.settle_block} (AVX2 / NEON when the build host supports
+    them, portable scalar C otherwise, specialised at k = 1); only the
+    gated engine's change-detecting block loop is OCaml. *)
 
 type t
 
@@ -67,7 +68,6 @@ val lane_mask : int
 val create :
   ?k:int ->
   ?gating:bool ->
-  ?simd:bool ->
   ?optimize:bool ->
   ?relayout:bool ->
   ?fuse:bool ->
@@ -79,9 +79,7 @@ val create :
     settle pass.  [?gating] (default false) enables cluster-granular
     activity gating, which sweeps dense (ungated) for
     [tuning.probe_period] settles after a settle that ran at least 7/8
-    of the blocks.  [?simd] (default false) runs blocks through the C
-    stubs ({!Simd} — vectorized when the build host supports it,
-    portable scalar C otherwise).  [?tuning] (default
+    of the blocks.  [?tuning] (default
     {!Kernel.default_tuning}) sizes rank blocks and dff clusters and
     sets the gating adaptation constants; see {!Kernel.tuning_of_spec}
     for the ["block-words=3072,hot-after=4"] string form.  The compile
@@ -95,12 +93,15 @@ val create :
     {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
     circuit. *)
 
-val of_program : ?gating:bool -> ?simd:bool -> Kernel.program -> t
+val of_program : ?gating:bool -> Kernel.program -> t
 (** Build an engine over an already-compiled {!Kernel.program} (from
     {!Kernel.compile}, {!Kernel.patch} or {!Cache}), skipping every
     compile-time pass; the slab's K is the program's [k].  Only the
-    per-instance value state and the metadata the chosen flavor reads
-    (gating maps, SIMD descriptors) are built. *)
+    per-instance value state, the block descriptors and the metadata
+    the chosen flavor reads (gating maps) are built.  Every block
+    kernel index and every [consts], [dffs] and [dff_src] entry must lie
+    in [[0, Kernel.size prog)]; otherwise raises [Invalid_argument]
+    naming the block, the gate kind and the index. *)
 
 val program : t -> Kernel.program
 (** The shared compiled program this engine runs. *)
@@ -117,11 +118,6 @@ val gated : t -> bool
 val dense_next : t -> bool
 (** Diagnostic: whether the next {!settle} of this gated engine runs as
     a dense (ungated) sweep.  Always false on an ungated engine. *)
-
-val simd : t -> bool
-(** Whether this engine runs its blocks through the {!Simd} C stubs
-    (regardless of whether that build vectorized — see
-    {!Simd.flavor}). *)
 
 val replicate : t -> t
 (** Fresh engine over the same compiled circuit: shares the immutable
@@ -230,11 +226,10 @@ val run_vectors : t -> bool array array -> bool array array
     vector [j] of a pass rides word [j / 62], bit [j mod 62]. *)
 
 val engine :
-  ?gating:bool -> ?simd:bool -> ?tuning:Kernel.tuning -> int ->
-  (module Engine_intf.S)
-(** [engine ?gating ?simd ?tuning k]: this engine as a first-class
+  ?gating:bool -> ?tuning:Kernel.tuning -> int -> (module Engine_intf.S)
+(** [engine ?gating ?tuning k]: this engine as a first-class
     {!Engine_intf.S} with the whole flavor baked into [create] — the
     handle {!Testbench}/{!Equiv} entry points take.  The handle's
-    [name] spells the flavor out: ["slab(k=8,gated,simd)"], with a
+    [name] spells the flavor out: ["slab(k=8,gated)"], with a
     non-default tuning appended as its {!Kernel.tuning_to_spec}
     string. *)

@@ -29,7 +29,6 @@ module Sharded = Hydra_engine.Sharded
 module Scheduler = Hydra_engine.Scheduler
 module Cache = Hydra_engine.Cache
 module Resilience = Hydra_engine.Resilience
-module Simd = Hydra_engine.Simd
 
 type fault =
   | Stuck_at of { site : int; value : bool }
@@ -751,18 +750,13 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
       in
       (* engines always compile with the identity passes (force sites
          are caller-netlist component indices); [?cache] serves warm
-         replicas.  Multi-word engines run the vectorized C kernels
-         wherever the build has a vector path; at k = 1 the OCaml loops
-         are faster. *)
+         replicas *)
       let base () =
-        let simd = k > 1 && Simd.vectorized () in
         match cache with
         | Some c ->
-          Cache.slab c ~k ~gating ~simd ~optimize:false ~relayout:false
-            ~fuse:false nl
+          Cache.slab c ~k ~gating ~optimize:false ~relayout:false ~fuse:false nl
         | None ->
-          Slab.create ~k ~gating ~simd ~optimize:false ~relayout:false
-            ~fuse:false nl
+          Slab.create ~k ~gating ~optimize:false ~relayout:false ~fuse:false nl
       in
       (* each round is one job on the team, its chunks running on the
          claiming member's replica; a chaos injection point dresses

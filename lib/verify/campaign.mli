@@ -125,9 +125,9 @@ val run :
     cluster-granular activity gating — force installs mark the affected
     blocks, so verdicts stay bit-identical while a mostly-quiescent
     circuit under a local fault simulates much faster.  Verdicts are the
-    same at every [k] — only the packing changes.  Engines with [k > 1]
-    run the vectorized C kernels ({!Hydra_engine.Simd}) when the build
-    has a vector path; at [k = 1] the OCaml kernels are faster.
+    same at every [k] — only the packing changes.  Every engine runs its
+    ungated blocks through the C kernel ({!Hydra_engine.Simd}),
+    vectorized when the build has a vector path.
 
     Fault dropping: without [status_outputs], a lane's verdict is final
     once it is detected, once an SEU lane's whole state again equals the

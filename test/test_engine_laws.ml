@@ -1,6 +1,6 @@
 (* A shared law battery over every simulation engine: the scalar
    {!Compiled}, the 62-lane {!Compiled_wide} view and the K-word {!Slab} in
-   all its flavors — ungated, cluster-gated, simd, tiny rank blocks,
+   all its flavors — ungated at several k, cluster-gated, tiny rank blocks,
    twitchy hot/detect adaptation — are all driven through one
    lane-level adapter, so each law — poke/peek round-trip,
    reset-to-power-up, settle idempotence, step determinism across
@@ -93,19 +93,17 @@ end
 module Slab_adapter (K : sig
   val k : int
   val gating : bool
-  val simd : bool
   val tuning : Kernel.tuning
 end) : LANE_ENGINE = struct
   type t = Slab.t
 
   let name =
-    Printf.sprintf "slab(k=%d%s%s%s)" K.k
+    Printf.sprintf "slab(k=%d%s%s)" K.k
       (if K.gating then ",gated" else "")
-      (if K.simd then ",simd" else "")
       (if K.tuning <> Kernel.default_tuning then ",tuned" else "")
 
   let create nl =
-    Slab.create ~k:K.k ~gating:K.gating ~simd:K.simd ~tuning:K.tuning
+    Slab.create ~k:K.k ~gating:K.gating ~tuning:K.tuning
       ~optimize:false ~relayout:false ~fuse:false nl
 
   let lanes = Slab.lanes
@@ -153,56 +151,49 @@ let twitchy =
 module Slab1_adapter = Slab_adapter (struct
   let k = 1
   let gating = false
-  let simd = false
   let tuning = Kernel.default_tuning
 end)
 
 module Slab3_adapter = Slab_adapter (struct
   let k = 3
   let gating = false
-  let simd = false
   let tuning = Kernel.default_tuning
 end)
 
 module Slab4_adapter = Slab_adapter (struct
   let k = 4
   let gating = false
-  let simd = false
   let tuning = Kernel.default_tuning
 end)
 
 module Slab4g_adapter = Slab_adapter (struct
   let k = 4
   let gating = true
-  let simd = false
   let tuning = Kernel.default_tuning
 end)
 
 module Slab2b_adapter = Slab_adapter (struct
   let k = 2
   let gating = false
-  let simd = false
   let tuning = tiny_blocks
 end)
 
 module Slab3gb_adapter = Slab_adapter (struct
   let k = 3
   let gating = true
-  let simd = false
   let tuning = twitchy
 end)
 
-module Slab4s_adapter = Slab_adapter (struct
-  let k = 4
+(* k = 5: one AVX2 vector body plus a one-word tail per gate *)
+module Slab5_adapter = Slab_adapter (struct
+  let k = 5
   let gating = false
-  let simd = true
   let tuning = Kernel.default_tuning
 end)
 
-module Slab2gs_adapter = Slab_adapter (struct
+module Slab2gb_adapter = Slab_adapter (struct
   let k = 2
   let gating = true
-  let simd = true
   let tuning = tiny_blocks
 end)
 
@@ -387,8 +378,8 @@ let cross_engine_lane0 () =
       (module Slab4g_adapter);
       (module Slab2b_adapter);
       (module Slab3gb_adapter);
-      (module Slab4s_adapter);
-      (module Slab2gs_adapter);
+      (module Slab5_adapter);
+      (module Slab2gb_adapter);
     ]
 
 (* A gated slab and an ungated one of the same flavor, driven in lockstep
@@ -397,9 +388,9 @@ let cross_engine_lane0 () =
    on every output and dff word every cycle, whatever the gated engine's
    switches into and out of dense sweeps.  Returns (agree, went dense,
    gated again). *)
-let dense_switch_law ~k ~simd ~tuning ~seed nl =
+let dense_switch_law ~k ~tuning ~seed nl =
   let mk gating =
-    Slab.create ~k ~gating ~simd ~tuning ~optimize:false ~relayout:false
+    Slab.create ~k ~gating ~tuning ~optimize:false ~relayout:false
       ~fuse:false nl
   in
   let g = mk true and u = mk false in
@@ -407,7 +398,7 @@ let dense_switch_law ~k ~simd ~tuning ~seed nl =
     f g;
     f u
   in
-  let st = Random.State.make [| seed; k; Bool.to_int simd |] in
+  let st = Random.State.make [| seed; k |] in
   let word () =
     Random.State.bits st lxor (Random.State.bits st lsl 31) land Slab.lane_mask
   in
@@ -478,14 +469,10 @@ let dense_switch_law ~k ~simd ~tuning ~seed nl =
   done;
   (!ok, !dense, !regated)
 
-(* the flavors the law runs: k in {1, 4} x simd x (default, twitchy) *)
+(* the flavors the law runs: k in {1, 4} x (default, twitchy) *)
 let dense_flavors =
   List.concat_map
-    (fun k ->
-      List.concat_map
-        (fun simd ->
-          List.map (fun tuning -> (k, simd, tuning)) [ Kernel.default_tuning; twitchy ])
-        [ false; true ])
+    (fun k -> List.map (fun tuning -> (k, tuning)) [ Kernel.default_tuning; twitchy ])
     [ 1; 4 ]
 
 let dense_switch_tests =
@@ -495,17 +482,15 @@ let dense_switch_tests =
       (fun (nodes, seed) ->
         let nl = Test_wide.netlist_of nodes in
         List.for_all
-          (fun (k, simd, tuning) ->
-            let ok, _, _ = dense_switch_law ~k ~simd ~tuning ~seed nl in
+          (fun (k, tuning) ->
+            let ok, _, _ = dense_switch_law ~k ~tuning ~seed nl in
             ok)
           dense_flavors);
     tc "the dense-switch law enters and leaves dense mode" (fun () ->
         List.iter
-          (fun (k, simd, tuning) ->
-            let ok, dense, regated =
-              dense_switch_law ~k ~simd ~tuning ~seed:5 (seq_nl ())
-            in
-            let what = Printf.sprintf "k=%d simd=%b tuned=%b" k simd (tuning == twitchy) in
+          (fun (k, tuning) ->
+            let ok, dense, regated = dense_switch_law ~k ~tuning ~seed:5 (seq_nl ()) in
+            let what = Printf.sprintf "k=%d tuned=%b" k (tuning == twitchy) in
             check_bool (what ^ ": agree") true ok;
             check_bool (what ^ ": went dense") true dense;
             if tuning == twitchy then check_bool (what ^ ": gated again") true regated)
@@ -519,12 +504,12 @@ module Slab4_laws = Laws (Slab4_adapter)
 module Slab4g_laws = Laws (Slab4g_adapter)
 module Slab2b_laws = Laws (Slab2b_adapter)
 module Slab3gb_laws = Laws (Slab3gb_adapter)
-module Slab4s_laws = Laws (Slab4s_adapter)
-module Slab2gs_laws = Laws (Slab2gs_adapter)
+module Slab5_laws = Laws (Slab5_adapter)
+module Slab2gb_laws = Laws (Slab2gb_adapter)
 
 let suite =
   Scalar_laws.tests @ Wide_laws.tests @ Slab1_laws.tests @ Slab4_laws.tests
   @ Slab4g_laws.tests @ Slab2b_laws.tests @ Slab3gb_laws.tests
-  @ Slab4s_laws.tests @ Slab2gs_laws.tests
+  @ Slab5_laws.tests @ Slab2gb_laws.tests
   @ [ tc "lane 0 agrees across engines" cross_engine_lane0 ]
   @ dense_switch_tests

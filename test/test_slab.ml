@@ -1,9 +1,10 @@
 (* Tests for the multi-word slab engine (Slab): every word of a slab must
    behave as an independent 62-lane wide engine — on random dff-heavy
-   circuits, across the three inner-loop flavors (k = 1, generic k,
-   4-unrolled k), with and without activity gating — and the slab-only
+   circuits, at every shape of the C block kernel's word loop (the
+   k = 1 specialisation, tail-only, vector bodies plus tail, vector
+   bodies only), with and without activity gating — and the slab-only
    surfaces (word-indexed I/O, global lanes, K-word forces, gated
-   pokes) must hold their contracts. *)
+   pokes, descriptor range checks) must hold their contracts. *)
 
 open Util
 module G = Hydra_core.Graph
@@ -13,13 +14,13 @@ module Compiled = Hydra_engine.Compiled
 module Wide = Hydra_engine.Compiled_wide
 module Slab = Hydra_engine.Slab
 module Kernel = Hydra_engine.Kernel
-module Simd = Hydra_engine.Simd
 module Sharded = Hydra_engine.Sharded
 module Testbench = Hydra_engine.Testbench
 module Equiv = Hydra_verify.Equiv
 
-(* k values covering each settle flavor: 1 (wide-verbatim loops),
-   2 and 3 (generic), 4 and 8 (4-unrolled) *)
+(* k values covering each shape of the C kernel's word loop under AVX2:
+   1 (the k = 1 specialisation), 2 and 3 (tail only), 4 and 8 (vector
+   bodies only) *)
 let ks = [ 1; 2; 3; 4; 8 ]
 
 let random_word st =
@@ -443,20 +444,81 @@ let suite =
               probe_period = 2;
             };
           ]);
-    qc ~count:15 "simd kernels = pure OCaml kernels (all k, gating)"
+    qc ~count:15 "C block kernel = packed oracle (all k, gating)"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
         let nl = Test_wide.netlist_of nodes in
         List.for_all
           (fun k ->
             Equiv.seq_equivalent
-              (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k ~simd:true nl)
+              (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k nl)
             && Equiv.seq_equivalent
-                 (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k ~simd:true
-                    ~gating:true nl))
-          (* 1 and 3: scalar-tail-only at any vector width; 8: full
-             vector bodies *)
-          [ 1; 3; 8 ]);
+                 (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k ~gating:true nl))
+          (* under AVX2: 1 the k = 1 specialisation, 2 and 3 the tail
+             loop only, 5 one vector body plus the tail, 8 vector bodies
+             only *)
+          [ 1; 2; 3; 5; 8 ]);
+    tc "of_program range-checks every descriptor index" (fun () ->
+        let module A = Hydra_circuits.Arith.Make (G) in
+        let xs = List.init 8 (fun i -> G.input (Printf.sprintf "x%d" i)) in
+        let ys = List.init 8 (fun i -> G.input (Printf.sprintf "y%d" i)) in
+        let cout, sums = A.ripple_add G.zero (List.combine xs ys) in
+        let nl =
+          N.extract ~inputs:(xs @ ys)
+            ~outputs:
+              (("cout", cout)
+              :: List.mapi (fun i s -> (Printf.sprintf "s%d" i, s)) sums)
+        in
+        let prog = Kernel.compile ~fuse:false ~k:1 nl in
+        let size = Kernel.size prog in
+        let bad = 50_000_000 in
+        (* every and-gate destination far outside the value slab: the
+           unchecked C kernel would write there on the first settle *)
+        let corrupt =
+          {
+            prog with
+            Kernel.blocks =
+              Array.map
+                (fun (kn : Kernel.kernel) ->
+                  { kn with and_dst = Array.map (fun _ -> bad) kn.and_dst })
+                prog.Kernel.blocks;
+          }
+        in
+        let rec first b =
+          if Array.length prog.Kernel.blocks.(b).Kernel.and_dst > 0 then b
+          else first (b + 1)
+        in
+        let msg what i =
+          Invalid_argument
+            (Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)"
+               what i size)
+        in
+        List.iter
+          (fun gating ->
+            Alcotest.check_raises "and_dst"
+              (msg (Printf.sprintf "block %d and gate" (first 0)) bad)
+              (fun () -> Slab.settle (Slab.of_program ~gating corrupt)))
+          [ false; true ];
+        let seq =
+          let x = G.input "x" in
+          N.extract ~inputs:[ x ] ~outputs:[ ("q", G.dff (G.inv x)) ]
+        in
+        let sprog = Kernel.compile ~k:2 seq in
+        Alcotest.check_raises "dff_src"
+          (Invalid_argument
+             (Printf.sprintf
+                "Slab.of_program: dff_src index -1 out of range [0, %d)"
+                (Kernel.size sprog)))
+          (fun () ->
+            ignore
+              (Slab.of_program
+                 {
+                   sprog with
+                   Kernel.dff_src = Array.map (fun _ -> -1) sprog.Kernel.dff_src;
+                 }));
+        (* the untouched programs still build and settle *)
+        Slab.settle (Slab.of_program prog);
+        Slab.settle (Slab.of_program ~gating:true sprog));
     tc "Kernel tuning specs: parse, merge, print, reject" (fun () ->
         let t = Kernel.tuning_of_spec "block-words=512,hot-after=2" in
         check_int "block words" 512 t.Kernel.block_words;
@@ -492,12 +554,12 @@ let suite =
           (fun () -> ignore (Kernel.tuning_of_spec "block-words=0"));
         (* the engine handle spells the whole flavor out *)
         let (module E) =
-          Slab.engine ~gating:true ~simd:true
+          Slab.engine ~gating:true
             ~tuning:{ Kernel.default_tuning with Kernel.block_gates = 9 }
             4
         in
         check_string "engine name"
-          "slab(k=4,gated,simd,block-words=3072,block-gates=9,hot-after=4,probe-period=128)"
+          "slab(k=4,gated,block-words=3072,block-gates=9,hot-after=4,probe-period=128)"
           E.name;
         let (module D) = Slab.engine ~tuning:Kernel.default_tuning 2 in
         check_string "default tuning elided" "slab(k=2)" D.name);
