@@ -1457,12 +1457,11 @@ let cli_tuning : Hydra_engine.Kernel.tuning option ref = ref None
 let e25 ?(min_time = 0.2) () =
   let module Slab = Hydra_engine.Slab in
   let module Kernel = Hydra_engine.Kernel in
-  let module Simd = Hydra_engine.Simd in
   section "E25"
     "rank-blocked kernels: block-size sweep, cluster gating, simd backend";
-  row "  simd backend this build: %s\n" (Simd.flavor ());
+  row "  simd backend this build: %s\n" (Slab.kernel_flavor ());
   record ~section:"E25" ~name:"simd backend (2=avx2, 1=neon, 0=scalar-c)"
-    ~value:(float_of_int (match Simd.flavor () with
+    ~value:(float_of_int (match Slab.kernel_flavor () with
                           | "avx2" -> 2 | "neon" -> 1 | _ -> 0))
     ~unit_:"kind" ();
   let nl = wallace_netlist 64 in
@@ -1942,11 +1941,11 @@ let smoke () =
     ];
   Printf.printf
     "  slab/wide agreement (k=4: plain, gated, gated tiny blocks; %s kernel): ok\n"
-    (Hydra_engine.Simd.flavor ());
+    (Hydra_engine.Slab.kernel_flavor ());
   record ~section:"smoke" ~name:"simd backend (2=avx2, 1=neon, 0=scalar-c)"
     ~value:
       (float_of_int
-         (match Hydra_engine.Simd.flavor () with
+         (match Hydra_engine.Slab.kernel_flavor () with
          | "avx2" -> 2
          | "neon" -> 1
          | _ -> 0))

@@ -11,13 +11,14 @@
    addition here is pre-scaling every index by [k] so the hot loops
    never multiply.
 
-   Every ungated block runs through one kernel, the {!Simd} C stub,
-   from a flat per-block descriptor built (and bounds-checked) at
-   create time.  The stub specialises k = 1 and uses AVX2/NEON vector
-   loads when the build enabled them (tagged ints vectorize directly:
-   and/or preserve the tag, xor re-ors it, inv masks against
-   [lane_mask lsl 1]); only the gated, change-detecting block loop
-   stays in OCaml.
+   Every block, gated or not, runs through one kernel, the C stub in
+   [kernel_stubs.c], from a flat per-block descriptor built (and
+   bounds-checked) at create time.  The stub specialises k = 1 and uses
+   AVX2/NEON vector loads when the build enabled them (tagged ints
+   vectorize directly: and/or preserve the tag, xor re-ors it, inv
+   masks against [lane_mask lsl 1]); its detecting entry point also
+   returns the gates whose words changed, so no gate-evaluation loop
+   is OCaml.
 
    The units of both iteration and gating are the compile-time rank
    {e blocks} of {!Kernel.program}: every levelized rank is tiled into
@@ -61,8 +62,8 @@
    skip — at block, not rank, granularity, so the active cone of a
    mostly-idle wide rank re-runs only its own tiles.
 
-   Hot blocks still pay the bitset walk, and detecting blocks the OCaml
-   change-detecting loops, on cycles where nothing can be skipped — a
+   Hot blocks still pay the bitset walk, and detecting blocks the
+   per-word change detection, on cycles where nothing can be skipped — a
    CPU running a program under hundreds of SEU lanes dirties nearly
    every block every cycle.  So a gated settle that ran at least 7/8 of
    the blocks makes the engine {e dense} for the next
@@ -70,8 +71,9 @@
    clears every block bit and marks every dff cluster, and [tick]
    latches ungated while more dense settles remain.  The tick before
    the next gated settle is the gated one, so that settle starts from
-   exact roots (changed dffs plus writes) and measures again.  The settle after [fresh]/[reset] does not count:
-   its bitset is full by construction.
+   exact roots (changed dffs plus writes) and measures again.  The
+   settle after [fresh]/[reset] does not count: its bitset is full by
+   construction.
 
    Forces compose with gating: [settle] applies force masks at the
    usual rank-boundary slots with change detection, marking the forced
@@ -100,10 +102,7 @@ type t = {
   k : int;
   gating : bool;
   simd_desc : int array array;
-      (* per block: the flat descriptor {!Simd.settle_block} runs *)
-  blocks_s : Kernel.kernel array;
-      (* gated engines: [prog.blocks] with every index pre-scaled by [k],
-         for [settle_block_detect]; empty otherwise *)
+      (* per block: the flat descriptor the C stub runs *)
   consts_s : (int * int) array;  (* scaled base index, broadcast word *)
   dffs_s : int array;  (* scaled dff bases *)
   dff_src_s : int array;  (* scaled driver bases *)
@@ -135,6 +134,9 @@ type t = {
       (* bitset over dff clusters; only read when gating *)
   cluster_scratch : int array;
       (* tick's snapshot of dirty clusters, length n_dff_clusters *)
+  changed : int array;
+      (* gated engines: the detecting stub's changed-gate buffer, as long
+         as the largest block's non-outport gate count; empty otherwise *)
   block_mode : int array;
       (* 0 = detecting; n > 0 = hot for n more runs before a probe *)
   block_streak : int array;
@@ -217,37 +219,6 @@ let any_bit b =
   let rec go i = i < n && (Array.unsafe_get b i <> 0 || go (i + 1)) in
   go 0
 
-let scale_kernel c (kn : Kernel.kernel) : Kernel.kernel =
-  let s = Array.map (fun i -> i * c) in
-  {
-    inv_dst = s kn.inv_dst;
-    inv_src = s kn.inv_src;
-    and_dst = s kn.and_dst;
-    and_s0 = s kn.and_s0;
-    and_s1 = s kn.and_s1;
-    or_dst = s kn.or_dst;
-    or_s0 = s kn.or_s0;
-    or_s1 = s kn.or_s1;
-    xor_dst = s kn.xor_dst;
-    xor_s0 = s kn.xor_s0;
-    xor_s1 = s kn.xor_s1;
-    andor_dst = s kn.andor_dst;
-    andor_a = s kn.andor_a;
-    andor_b = s kn.andor_b;
-    andor_c = s kn.andor_c;
-    andor_d = s kn.andor_d;
-    orand_dst = s kn.orand_dst;
-    orand_a = s kn.orand_a;
-    orand_b = s kn.orand_b;
-    orand_c = s kn.orand_c;
-    xor3_dst = s kn.xor3_dst;
-    xor3_a = s kn.xor3_a;
-    xor3_b = s kn.xor3_b;
-    xor3_c = s kn.xor3_c;
-    out_dst = s kn.out_dst;
-    out_src = s kn.out_src;
-  }
-
 let apply_initial t =
   let values = t.values and km1 = t.k - 1 in
   Array.iter
@@ -307,7 +278,7 @@ let cluster_union universe (prog : Kernel.program) per_comp =
       done;
       Array.of_list !out)
 
-(* A block's gate kinds in {!Simd} stub order: name, destination
+(* A block's gate kinds in C stub order: name, destination
    indices, source index arrays. *)
 let kinds (kn : Kernel.kernel) =
   [|
@@ -330,7 +301,7 @@ let check_index prog what i =
       (Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)" what i
          size)
 
-(* The flat block descriptor the {!Simd} C stub walks: [k] then the
+(* The flat block descriptor the C stub walks: [k] then the
    eight kind counts, then (dst, src...) index tuples per kind in stub
    order, every index checked and pre-scaled by [k]. *)
 let simd_descriptor prog b (kn : Kernel.kernel) =
@@ -369,6 +340,11 @@ let simd_descriptor prog b (kn : Kernel.kernel) =
 let fresh t =
   let nb = if t.gating then Array.length t.prog.Kernel.blocks else 0 in
   let nc = if t.gating then t.prog.Kernel.n_dff_clusters else 0 in
+  let gates d = d.(1) + d.(2) + d.(3) + d.(4) + d.(5) + d.(6) + d.(7) in
+  let nchanged =
+    if t.gating then Array.fold_left (fun m d -> max m (gates d)) 0 t.simd_desc
+    else 0
+  in
   let r =
     {
       t with
@@ -377,6 +353,7 @@ let fresh t =
       block_dirty = bitset_make nb;
       dff_dirty = bitset_make nc;
       cluster_scratch = Array.make nc 0;
+      changed = Array.make nchanged 0;
       block_mode = Array.make nb 0;
       block_streak = Array.make nb 0;
       cycle = 0;
@@ -395,9 +372,9 @@ let fresh t =
    program's k): no compile-time pass re-runs.  The block descriptors
    are built, and every index of the program range-checked, here once;
    replicas share them.  At k = 1 the scaled dff indices are the
-   program's own arrays, shared rather than copied, and the scaled
-   kernels, the consumer maps and their unions are built only for a
-   gated engine — an ungated one never reads them. *)
+   program's own arrays, shared rather than copied, and the consumer
+   maps and their unions are built only for a gated engine — an
+   ungated one never reads them. *)
 let of_program ?(gating = false) prog =
   let k = prog.Kernel.k in
   let simd_desc = Array.mapi (simd_descriptor prog) prog.Kernel.blocks in
@@ -405,11 +382,6 @@ let of_program ?(gating = false) prog =
   Array.iter (check_index prog "dffs") prog.Kernel.dffs;
   Array.iter (check_index prog "dff_src") prog.Kernel.dff_src;
   let scale a = if k = 1 then a else Array.map (fun i -> i * k) a in
-  let blocks_s =
-    if not gating then [||]
-    else if k = 1 then prog.Kernel.blocks
-    else Array.map (scale_kernel k) prog.Kernel.blocks
-  in
   let nblocks = Array.length prog.Kernel.blocks in
   let ncl = prog.Kernel.n_dff_clusters in
   let consumers = if gating then Kernel.consumer_blocks prog else [||] in
@@ -424,7 +396,6 @@ let of_program ?(gating = false) prog =
       k;
       gating;
       simd_desc;
-      blocks_s;
       consts_s =
         Array.map (fun (i, b) -> (i * k, Packed.broadcast b)) prog.Kernel.consts;
       dffs_s = scale prog.Kernel.dffs;
@@ -449,6 +420,7 @@ let of_program ?(gating = false) prog =
       block_dirty = [||];
       dff_dirty = [||];
       cluster_scratch = [||];
+      changed = [||];
       block_mode = [||];
       block_streak = [||];
       cycle = 0;
@@ -604,22 +576,16 @@ let netlist t = t.prog.Kernel.netlist
 let critical_path t = t.prog.Kernel.levels.Levelize.critical_path
 let fused_gates t = t.prog.Kernel.fused
 
-(* On a gated engine, installing, replacing or clearing forces marks
-   every affected site's own block (so a gate no longer forced is
-   recomputed to its natural value on the next settle — the recompute's
-   change detection then propagates downstream) or, for a dff site, its
-   own latch cluster (so the next tick re-latches the natural driver
-   value), plus its consumer blocks and dff sink clusters.  Input and
-   constant sites keep the forced value until re-driven, exactly like
-   the ungated engine. *)
-(* A forced site must be re-driven to its natural value before each
-   force application, exactly as the ungated engine recomputes (gate)
-   or re-latches (dff) it every cycle — otherwise a skipped block would
-   let [apply_forces_detect] re-apply a flip mask to the already-forced
-   value.  So each gated settle keeps every forced site's own block and
-   own latch cluster dirty.  Input and constant sites have neither and
-   keep the forced value until re-driven, matching the ungated
-   engine. *)
+(* On a gated engine a forced site must be re-driven to its natural
+   value before each force application, exactly as the ungated engine
+   recomputes (gate) or re-latches (dff) it every cycle — otherwise a
+   skipped block would let [apply_forces] re-apply a flip mask to the
+   already-forced value.  So each gated settle keeps every forced site's
+   own block and own latch cluster dirty, and installing, replacing or
+   clearing forces marks them plus the site's consumer blocks and dff
+   sink clusters, so a dropped force heals.  Input and constant sites
+   have neither and keep the forced value until re-driven, matching the
+   ungated engine. *)
 let mark_force_own t =
   Array.iter
     (fun slot ->
@@ -666,26 +632,13 @@ let clear_forces t =
   mark_force_sites t;
   t.force_slots <- [||]
 
+(* Apply one slot's force masks.  On a gated engine the writes are
+   change-detected, so a force edit (a campaign mutating its per-cycle
+   flip masks in place, or a site whose block just recomputed a natural
+   value the force overrides) marks the site's readers like any other
+   mutation; during a dense sweep those marks are harmless, since
+   [settle] then clears every block bit and marks every dff cluster. *)
 let apply_forces t slot =
-  let values = t.values and k = t.k in
-  for j = 0 to Array.length slot - 1 do
-    let f = Array.unsafe_get slot j in
-    let base = f.f_site * k in
-    for w = 0 to k - 1 do
-      let v = Array.unsafe_get values (base + w) in
-      Array.unsafe_set values (base + w)
-        ((((v land lnot (Array.unsafe_get f.force0 w))
-          lor Array.unsafe_get f.force1 w)
-         lxor Array.unsafe_get f.flip w)
-        land lane_mask)
-    done
-  done
-
-(* The gated flavor: same masks, but change-detected so a force edit (a
-   campaign mutating its per-cycle flip masks in place, or a site whose
-   block just recomputed a natural value the force overrides) marks the
-   site's readers like any other mutation. *)
-let apply_forces_detect t slot =
   let values = t.values and k = t.k in
   for j = 0 to Array.length slot - 1 do
     let f = Array.unsafe_get slot j in
@@ -702,175 +655,30 @@ let apply_forces_detect t slot =
       diff := !diff lor (v lxor nv);
       Array.unsafe_set values (base + w) nv
     done;
-    if !diff <> 0 then mark_comp t f.f_site
+    if !diff <> 0 && t.gating then mark_comp t f.f_site
   done
 
-(* ------------------------------------------------------------------ *)
-(* Gated settle, detecting run: change-detect each gate's K-word result
-   and mark its reader blocks and dff sink clusters.  Slightly more work
-   per evaluated gate than the ungated kernel (one extra load and an xor
-   per word) — the payoff is the blocks never entered.  Returns whether
-   any gate in the block changed, feeding the hot/detect adaptation.   *)
+(* The C block kernel ([kernel_stubs.c]).  [settle_block values desc]
+   evaluates one block over the value slab in place, from its
+   descriptor ([simd_descriptor]); [settle_block_detect values desc
+   changed] does the same, writes the unscaled component index of each
+   non-outport gate whose K words changed into [changed] and returns
+   their count.  Both trust their arguments, so they stay private here:
+   every descriptor index is range-checked in [of_program], and
+   [changed] is as long as the largest block's non-outport gate count.
+   [@@noalloc]: the stub never allocates, touches the OCaml runtime or
+   releases the domain lock, so the arrays cannot move under it. *)
+external settle_block : int array -> int array -> unit = "hydra_settle_block"
+[@@noalloc]
 
-let settle_block_detect t (kn : Kernel.kernel) (pk : Kernel.kernel) =
-  let values = t.values and k = t.k in
-  let km1 = k - 1 in
-  let changed = ref false in
-  let dst = kn.inv_dst and src = kn.inv_src and dst_u = pk.inv_dst in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-    let diff = ref 0 in
-    for w = 0 to km1 do
-      let old = Array.unsafe_get values (d + w) in
-      let nv = lnot (Array.unsafe_get values (s + w)) land lane_mask in
-      diff := !diff lor (old lxor nv);
-      Array.unsafe_set values (d + w) nv
-    done;
-    if !diff <> 0 then begin
-      changed := true;
-      mark_comp t (Array.unsafe_get dst_u j)
-    end
-  done;
-  let dst = kn.and_dst and s0 = kn.and_s0 and s1 = kn.and_s1
-  and dst_u = pk.and_dst in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    let diff = ref 0 in
-    for w = 0 to km1 do
-      let old = Array.unsafe_get values (d + w) in
-      let nv =
-        Array.unsafe_get values (a + w) land Array.unsafe_get values (b + w)
-      in
-      diff := !diff lor (old lxor nv);
-      Array.unsafe_set values (d + w) nv
-    done;
-    if !diff <> 0 then begin
-      changed := true;
-      mark_comp t (Array.unsafe_get dst_u j)
-    end
-  done;
-  let dst = kn.or_dst and s0 = kn.or_s0 and s1 = kn.or_s1
-  and dst_u = pk.or_dst in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    let diff = ref 0 in
-    for w = 0 to km1 do
-      let old = Array.unsafe_get values (d + w) in
-      let nv =
-        Array.unsafe_get values (a + w) lor Array.unsafe_get values (b + w)
-      in
-      diff := !diff lor (old lxor nv);
-      Array.unsafe_set values (d + w) nv
-    done;
-    if !diff <> 0 then begin
-      changed := true;
-      mark_comp t (Array.unsafe_get dst_u j)
-    end
-  done;
-  let dst = kn.xor_dst and s0 = kn.xor_s0 and s1 = kn.xor_s1
-  and dst_u = pk.xor_dst in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and a = Array.unsafe_get s0 j
-    and b = Array.unsafe_get s1 j in
-    let diff = ref 0 in
-    for w = 0 to km1 do
-      let old = Array.unsafe_get values (d + w) in
-      let nv =
-        Array.unsafe_get values (a + w) lxor Array.unsafe_get values (b + w)
-      in
-      diff := !diff lor (old lxor nv);
-      Array.unsafe_set values (d + w) nv
-    done;
-    if !diff <> 0 then begin
-      changed := true;
-      mark_comp t (Array.unsafe_get dst_u j)
-    end
-  done;
-  let dst = kn.andor_dst and a = kn.andor_a and b = kn.andor_b
-  and c = kn.andor_c and d4 = kn.andor_d and dst_u = pk.andor_dst in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j
-    and pd = Array.unsafe_get d4 j in
-    let diff = ref 0 in
-    for w = 0 to km1 do
-      let old = Array.unsafe_get values (d + w) in
-      let nv =
-        Array.unsafe_get values (pa + w)
-         land Array.unsafe_get values (pb + w)
-        lor (Array.unsafe_get values (pc + w)
-            land Array.unsafe_get values (pd + w))
-      in
-      diff := !diff lor (old lxor nv);
-      Array.unsafe_set values (d + w) nv
-    done;
-    if !diff <> 0 then begin
-      changed := true;
-      mark_comp t (Array.unsafe_get dst_u j)
-    end
-  done;
-  let dst = kn.orand_dst and a = kn.orand_a and b = kn.orand_b
-  and c = kn.orand_c and dst_u = pk.orand_dst in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j in
-    let diff = ref 0 in
-    for w = 0 to km1 do
-      let old = Array.unsafe_get values (d + w) in
-      let nv =
-        Array.unsafe_get values (pa + w)
-         land Array.unsafe_get values (pb + w)
-        lor Array.unsafe_get values (pc + w)
-      in
-      diff := !diff lor (old lxor nv);
-      Array.unsafe_set values (d + w) nv
-    done;
-    if !diff <> 0 then begin
-      changed := true;
-      mark_comp t (Array.unsafe_get dst_u j)
-    end
-  done;
-  let dst = kn.xor3_dst and a = kn.xor3_a and b = kn.xor3_b
-  and c = kn.xor3_c and dst_u = pk.xor3_dst in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j
-    and pa = Array.unsafe_get a j
-    and pb = Array.unsafe_get b j
-    and pc = Array.unsafe_get c j in
-    let diff = ref 0 in
-    for w = 0 to km1 do
-      let old = Array.unsafe_get values (d + w) in
-      let nv =
-        Array.unsafe_get values (pa + w)
-        lxor Array.unsafe_get values (pb + w)
-        lxor Array.unsafe_get values (pc + w)
-      in
-      diff := !diff lor (old lxor nv);
-      Array.unsafe_set values (d + w) nv
-    done;
-    if !diff <> 0 then begin
-      changed := true;
-      mark_comp t (Array.unsafe_get dst_u j)
-    end
-  done;
-  (* outports have no consumer ranks: plain copies, no detection *)
-  let dst = kn.out_dst and src = kn.out_src in
-  for j = 0 to Array.length dst - 1 do
-    let d = Array.unsafe_get dst j and s = Array.unsafe_get src j in
-    for w = 0 to km1 do
-      Array.unsafe_set values (d + w) (Array.unsafe_get values (s + w))
-    done
-  done;
-  !changed
+external settle_block_detect : int array -> int array -> int array -> int
+  = "hydra_settle_block_detect"
+[@@noalloc]
+
+external kernel_kind : unit -> int = "hydra_simd_kind" [@@noalloc]
+
+let kernel_flavor () =
+  match kernel_kind () with 2 -> "avx2" | 1 -> "neon" | _ -> "scalar-c"
 
 (* The ungated rank sweep: every block through the plain kernels, plain
    force slots at the rank boundaries.  An ungated engine settles with
@@ -883,16 +691,16 @@ let sweep t =
   if forced then apply_forces t (Array.unsafe_get slots 0);
   for lvl = 0 to Array.length rfb - 2 do
     for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
-      Simd.settle_block values (Array.unsafe_get desc b)
+      settle_block values (Array.unsafe_get desc b)
     done;
     if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
   done
 
 (* Gated settle: run only dirty blocks, ascending (consumer blocks are
    always at strictly higher ranks, so one sweep reaches the whole
-   active cone); hot blocks take the ungated C kernel and mark their
-   whole consumer union, detecting blocks pay for precision and drive
-   the mode transitions.  Forces are applied at the same rank-boundary
+   active cone); hot blocks take the plain C kernel and mark their
+   whole consumer union, detecting blocks take the detecting one, mark
+   the readers of each changed gate and drive the mode transitions.  Forces are applied at the same rank-boundary
    slots as the ungated engine, change-detected.  A fully-quiescent
    unforced engine exits after one scan of the bitset words.  A settle
    that ran at least 7/8 of the blocks switches the engine to dense
@@ -904,8 +712,7 @@ let settle_gated t =
   let slots = t.force_slots in
   let forced = Array.length slots > 0 in
   if forced || any_bit dirty then begin
-    let blocks = t.blocks_s and pblocks = t.prog.Kernel.blocks in
-    let desc = t.simd_desc in
+    let desc = t.simd_desc and chg = t.changed in
     let rfb = t.prog.Kernel.rank_first_block in
     let modes = t.block_mode and streaks = t.block_streak in
     let hot_after = t.prog.Kernel.tuning.Kernel.hot_after in
@@ -913,7 +720,7 @@ let settle_gated t =
     let ran = ref 0 in
     if forced then begin
       mark_force_own t;
-      apply_forces_detect t (Array.unsafe_get slots 0)
+      apply_forces t (Array.unsafe_get slots 0)
     end;
     for lvl = 0 to Array.length rfb - 2 do
       for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
@@ -927,27 +734,30 @@ let settle_gated t =
                probe run re-arms a recently-hot block, instead of
                paying [hot_after] detect-mode runs per probe *)
             if mode = 1 then Array.unsafe_set streaks b (hot_after - 1);
-            Simd.settle_block t.values (Array.unsafe_get desc b);
+            settle_block t.values (Array.unsafe_get desc b);
             or_mask dirty (Array.unsafe_get t.block_consumers b);
             or_mask t.dff_dirty (Array.unsafe_get t.block_dff_sinks b)
           end
-          else if
-            settle_block_detect t (Array.unsafe_get blocks b)
-              (Array.unsafe_get pblocks b)
-          then begin
-            let s = Array.unsafe_get streaks b + 1 in
-            if s >= hot_after then begin
-              Array.unsafe_set streaks b 0;
-              Array.unsafe_set modes b probe_period
+          else begin
+            let n = settle_block_detect t.values (Array.unsafe_get desc b) chg in
+            for x = 0 to n - 1 do
+              mark_comp t (Array.unsafe_get chg x)
+            done;
+            if n > 0 then begin
+              let s = Array.unsafe_get streaks b + 1 in
+              if s >= hot_after then begin
+                Array.unsafe_set streaks b 0;
+                Array.unsafe_set modes b probe_period
+              end
+              else Array.unsafe_set streaks b s
             end
-            else Array.unsafe_set streaks b s
+            else Array.unsafe_set streaks b 0
           end
-          else Array.unsafe_set streaks b 0
         end
       done;
-      if forced then apply_forces_detect t (Array.unsafe_get slots (lvl + 1))
+      if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
     done;
-    if !ran * 8 >= Array.length blocks * 7 && not t.unmeasured then
+    if !ran * 8 >= Array.length desc * 7 && not t.unmeasured then
       t.dense <- probe_period;
     t.unmeasured <- false
   end

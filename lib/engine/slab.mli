@@ -52,11 +52,12 @@
     clusters and consumers, and a gated settle applies force slots
     with change detection.
 
-    Every ungated block — the whole sweep of an ungated engine, a dense
-    sweep, a hot block — runs through one kernel, the C stub
-    {!Simd.settle_block} (AVX2 / NEON when the build host supports
-    them, portable scalar C otherwise, specialised at k = 1); only the
-    gated engine's change-detecting block loop is OCaml. *)
+    Every block — the whole sweep of an ungated engine, a dense sweep,
+    a hot block, a gated block that change-detects — runs through one
+    C kernel (AVX2 / NEON when the build host supports them, portable
+    scalar C otherwise, specialised at k = 1; see {!kernel_flavor}).
+    The stub trusts its descriptors, so it is not exposed: this module
+    builds and range-checks every descriptor and buffer it is given. *)
 
 type t
 
@@ -114,6 +115,11 @@ val lanes : t -> int
 (** [62 * k]: independent lanes per settle pass. *)
 
 val gated : t -> bool
+
+val kernel_flavor : unit -> string
+(** The code path this build compiled into the C block kernel:
+    ["avx2"], ["neon"] or ["scalar-c"] ([HYDRA_SIMD=off] at build time
+    forces ["scalar-c"]). *)
 
 val dense_next : t -> bool
 (** Diagnostic: whether the next {!settle} of this gated engine runs as

@@ -126,7 +126,7 @@ val run :
     blocks, so verdicts stay bit-identical while a mostly-quiescent
     circuit under a local fault simulates much faster.  Verdicts are the
     same at every [k] — only the packing changes.  Every engine runs its
-    ungated blocks through the C kernel ({!Hydra_engine.Simd}),
+    blocks through the C kernel ({!Hydra_engine.Slab.kernel_flavor}),
     vectorized when the build has a vector path.
 
     Fault dropping: without [status_outputs], a lane's verdict is final

@@ -469,11 +469,14 @@ let dense_switch_law ~k ~tuning ~seed nl =
   done;
   (!ok, !dense, !regated)
 
-(* the flavors the law runs: k in {1, 4} x (default, twitchy) *)
+(* the flavors the law runs: k in {1, 3, 4, 5, 8} x (default, twitchy).
+   Under AVX2 the k values cover every word-loop shape of the C stub,
+   detecting or not: the k = 1 specialisation, tail only, one vector,
+   vector plus tail, and two vectors. *)
 let dense_flavors =
   List.concat_map
     (fun k -> List.map (fun tuning -> (k, tuning)) [ Kernel.default_tuning; twitchy ])
-    [ 1; 4 ]
+    [ 1; 3; 4; 5; 8 ]
 
 let dense_switch_tests =
   [

@@ -265,6 +265,41 @@ let suite =
         Slab.settle s;
         check_int "poked word recomputed" 0x55 (Slab.output_word s "y" 1);
         check_int "other word untouched" 0 (Slab.output_word s "y" 0));
+    tc "gated: a gate whose words do not change leaves its readers idle"
+      (fun () ->
+        (* y = inv (and a b).  Raising [a] while [b] holds 0 re-runs the
+           and-gate's block but leaves its words at 0, so the detecting
+           kernel must not report it and the inverter's block must not
+           run: a poked inverter word survives the settle.  A kernel that
+           over-reports breaks no output, it only loses the skip. *)
+        let a = G.input "a" and b = G.input "b" in
+        let nl =
+          N.extract ~inputs:[ a; b ] ~outputs:[ ("y", G.inv (G.and2 a b)) ]
+        in
+        List.iter
+          (fun k ->
+            let s = Slab.create ~k ~gating:true ~fuse:false nl in
+            let comps = (Slab.netlist s).N.components in
+            let inv =
+              Option.get
+                (List.find_opt
+                   (fun i -> comps.(i) = N.Invc)
+                   (List.init (Array.length comps) Fun.id))
+            in
+            let what = Printf.sprintf "k=%d" k and w = k - 1 in
+            Slab.settle s;
+            let v = Slab.peek_word s inv w lxor 1 in
+            Slab.poke_word s inv w v;
+            Slab.settle s;
+            Slab.set_input_bool s "a" true;
+            Slab.settle s;
+            check_int (what ^ ": the inverter's block was skipped") v
+              (Slab.peek_word s inv w);
+            Slab.set_input_bool s "b" true;
+            Slab.settle s;
+            check_int (what ^ ": a changed and-gate re-runs the inverter") 0
+              (Slab.peek_word s inv w))
+          [ 1; 5 ]);
     tc "set_forces: rejections and descriptive range error" (fun () ->
         let nl =
           let x = G.input "x" in
