@@ -1210,7 +1210,8 @@ let e23 ?(min_time = 0.2) () =
      8 requests in both flavors, alternating them per request (and which
      goes first per sample) so host drift hits both alike, timed on
      Bechamel's monotonic clock.  Rows: median ms/request with its IQR,
-     the engine cycles simulated per request ([chunk_cycles]), and the
+     the engine cycles simulated per request ([chunk_cycles]), the share
+     of chunks that ran as cones ([cone_chunks] over [chunks]), and the
      median of the 10 paired gated/ungated ratios. *)
   let module Isa = Hydra_cpu.Isa in
   let module Scheduler = Hydra_engine.Scheduler in
@@ -1258,6 +1259,7 @@ let e23 ?(min_time = 0.2) () =
   Array.iter (fun gating -> ignore (request gating (List.hd requests))) flavors;
   let n = float_of_int (List.length requests) in
   let ms = Array.make_matrix 2 nsamples 0.0 and work = Array.make 2 0 in
+  let chunks = Array.make 2 0 and cones = Array.make 2 0 in
   let t_start = now () in
   for s = 0 to nsamples - 1 do
     List.iter
@@ -1267,7 +1269,11 @@ let e23 ?(min_time = 0.2) () =
             let t0 = now () in
             let rep = request flavors.(f) r in
             ms.(f).(s) <- ms.(f).(s) +. ((now () -. t0) /. 1e6 /. n);
-            if s = 0 then work.(f) <- work.(f) + rep.C.chunk_cycles)
+            if s = 0 then begin
+              work.(f) <- work.(f) + rep.C.chunk_cycles;
+              chunks.(f) <- chunks.(f) + rep.C.chunks;
+              cones.(f) <- cones.(f) + rep.C.cone_chunks
+            end)
           (if s land 1 = 0 then [ 0; 1 ] else [ 1; 0 ]))
       requests
   done;
@@ -1277,16 +1283,22 @@ let e23 ?(min_time = 0.2) () =
       let med, iqr = median_iqr ms.(f) in
       let flavor = if gating then "gated" else "ungated" in
       let per_req = float_of_int work.(f) /. n in
-      row "  %-36s %10.1f ms/request (IQR %.1f, n=%d)  %6.0f chunk-cycles/request\n"
+      row
+        "  %-36s %10.1f ms/request (IQR %.1f, n=%d)  %6.0f chunk-cycles/request, \
+         %d of %d chunks cones\n"
         (Printf.sprintf "cpu seu request, k=%d %s" k flavor)
-        med iqr nsamples per_req;
+        med iqr nsamples per_req cones.(f) chunks.(f);
       record ~section:"campaign" ~domains:2 ~lanes:(62 * k)
         ~name:(Printf.sprintf "cpu seu request k=%d %s" k flavor)
         ~value:med ~unit_:"ms" ~spread:(iqr, nsamples) ~wall_s:wall ~warmup:1
         ();
       record ~section:"campaign" ~lanes:(62 * k)
         ~name:(Printf.sprintf "cpu seu request k=%d %s chunk-cycles" k flavor)
-        ~value:per_req ~unit_:"cycles" ~wall_s:wall ~warmup:1 ())
+        ~value:per_req ~unit_:"cycles" ~wall_s:wall ~warmup:1 ();
+      record ~section:"campaign" ~lanes:(62 * k)
+        ~name:(Printf.sprintf "cpu seu request k=%d %s cone-chunk share" k flavor)
+        ~value:(float_of_int cones.(f) /. float_of_int (max 1 chunks.(f)))
+        ~unit_:"frac" ~wall_s:wall ~warmup:1 ())
     flavors;
   let ratio, ratio_iqr =
     median_iqr (Array.init nsamples (fun s -> ms.(0).(s) /. ms.(1).(s)))
@@ -1298,6 +1310,53 @@ let e23 ?(min_time = 0.2) () =
     ~name:(Printf.sprintf "cpu seu request k=%d gated/ungated" k)
     ~value:ratio ~unit_:"x" ~spread:(ratio_iqr, nsamples) ~wall_s:wall
     ~warmup:1 ();
+  (* Cone restriction, request by request: the fault-wallace64 request
+     (every stuck-at fault, 6 random cycles, k=4, warm cache) and a
+     cpu:8 request (every dff upset at two cycles of a straight-line
+     program, k=4, gated).  Rows: median ms/request with its IQR over
+     [n] requests of fresh stimulus, and the share of chunks that ran as
+     cones. *)
+  let cone_rows name ~n run =
+    ignore (run (-1));
+    let t_start = now () in
+    let ms = Array.make n 0.0 and chunks = ref 0 and cones = ref 0 in
+    for i = 0 to n - 1 do
+      let t0 = now () in
+      let rep = run i in
+      ms.(i) <- (now () -. t0) /. 1e6;
+      chunks := !chunks + rep.C.chunks;
+      cones := !cones + rep.C.cone_chunks
+    done;
+    let wall = (now () -. t_start) /. 1e9 in
+    let med, iqr = median_iqr ms in
+    let share = float_of_int !cones /. float_of_int (max 1 !chunks) in
+    row "  %-36s %10.1f ms/request (IQR %.1f, n=%d)  cone chunks %d of %d (%.0f%%)\n"
+      name med iqr n !cones !chunks (100. *. share);
+    record ~section:"campaign" ~domains:2 ~lanes:(62 * k) ~name ~value:med
+      ~unit_:"ms" ~spread:(iqr, n) ~wall_s:wall ~warmup:1 ();
+    record ~section:"campaign" ~lanes:(62 * k) ~name:(name ^ " cone-chunk share")
+      ~value:share ~unit_:"frac" ~wall_s:wall ~warmup:1 ()
+  in
+  let all_faults = C.all_stuck_at nl in
+  cone_rows "wallace64 stuck-at request, k=4" ~n:10 (fun i ->
+      C.run ~scheduler:sch ~cache ~engine:(`Slab k) nl ~faults:all_faults
+        ~stimulus:(C.random_stimulus ~seed:(100 + i) ~cycles:6 nl) ~cycles:6);
+  let cpu8 = Driver.system_netlist ~mem_bits:8 () in
+  let cpu8_dffs = C.dff_sites cpu8 in
+  cone_rows "cpu:8 seu request, k=4 gated" ~n:5 (fun i ->
+      let st = Random.State.make [| 0xc8; i |] in
+      let program = straight_line st in
+      let len = List.length program in
+      let stimulus, cycles =
+        Driver.program_stimulus ~mem_bits:8 ~max_cycles:300 program
+      in
+      let faults =
+        List.concat_map
+          (fun at_cycle -> List.map (fun site -> C.Seu { site; at_cycle }) cpu8_dffs)
+          [ len + Random.State.int st 30; len + 30 + Random.State.int st 30 ]
+      in
+      C.run ~scheduler:sch ~cache ~engine:(`Slab k) ~gating:true cpu8 ~faults
+        ~stimulus ~cycles);
   Scheduler.shutdown sch
 
 (* E24 ------------------------------------------------------------------ *)

@@ -81,7 +81,14 @@
    mutation, and [set_forces]/[clear_forces] re-mark each affected
    site's own block so a cleared force is recomputed to its natural
    value on the next settle.  Campaigns therefore run gated or
-   ungated. *)
+   ungated.
+
+   A cone settle ([settle_cone]) runs the stub over per-rank descriptors
+   of just a fanout-closed component set, built per instance in a
+   reused scratch, after writing a golden trace's bits to the set's
+   frontier: the fault campaign's way to settle only what its faults
+   can reach.  Gating cannot do this — a wallace64 chunk's cone is ~4%
+   of the gates but spread over half the blocks. *)
 
 module Netlist = Hydra_netlist.Netlist
 module Levelize = Hydra_netlist.Levelize
@@ -97,10 +104,45 @@ type force = {
   flip : int array;
 }
 
+(* The driver-to-reader graph of a program's netlist, dff inputs
+   included, for fanout closures (see [build_fanout]).  Kept off the
+   OCaml heap as 32-bit entries: it lives as long as the engine's
+   program, and on the heap its size would be paid again in the GC's
+   headroom.  [wide] marks components whose closure alone was found
+   past the cone bound, so a later closure holding one fails without
+   a walk; replicas set bytes concurrently, only ever from 0 to 1. *)
+type index = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type fanout = { rd_off : index; rd : index; wide : Bytes.t }
+
+(* Per-instance cone scratch, built on first use, which also holds the
+   instance's current cone: component marks and per (rank, gate kind)
+   counts, both all clear between builds; a work queue; per rank a
+   descriptor buffer (grown on demand — the stub reads only as many
+   tuples as the header counts) and whether the cone has gates there;
+   the frontier; the member bitset; and a generation that retires the
+   previous cone. *)
+type scratch = {
+  s_mark : Bytes.t;
+  s_slots : int array;
+  mutable s_queue : int array;
+  s_desc : int array array;
+  s_live : Bytes.t;
+  mutable s_front : int array;
+  mutable s_nfront : int;
+  s_set : int array;
+  mutable s_gen : int;
+}
+
 type t = {
   prog : Kernel.program;
   k : int;
   gating : bool;
+  fanout : fanout option Atomic.t;
+      (* built on the first [fanout_cone], shared by replicas *)
+  mutable scratch : scratch option;
+      (* this instance's cone scratch and current cone, built on first
+         use *)
   simd_desc : int array array;
       (* per block: the flat descriptor the C stub runs *)
   consts_s : (int * int) array;  (* scaled base index, broadcast word *)
@@ -361,6 +403,7 @@ let fresh t =
       last_marked = -1;
       dense = 0;
       unmeasured = true;
+      scratch = None;
     }
   in
   bitset_fill r.block_dirty nb;
@@ -395,6 +438,8 @@ let of_program ?(gating = false) prog =
       prog;
       k;
       gating;
+      fanout = Atomic.make None;
+      scratch = None;
       simd_desc;
       consts_s =
         Array.map (fun (i, b) -> (i * k, Packed.broadcast b)) prog.Kernel.consts;
@@ -461,11 +506,12 @@ let mark_comp t comp =
   let ds = t.dff_sinks.(comp) in
   if Array.length ds > 0 then mark_bits t.dff_dirty ds
 
-let check_word what t w =
-  if w < 0 || w >= t.k then
-    invalid_arg
-      (Printf.sprintf "%s: word index %d out of range (engine has %d words)"
-         what w t.k)
+let word_error what t w =
+  invalid_arg
+    (Printf.sprintf "%s: word index %d out of range (engine has %d words)" what
+       w t.k)
+
+let[@inline] check_word what t w = if w < 0 || w >= t.k then word_error what t w
 
 (* Every mutation funnels through here: masked write + (when gating)
    change detection and consumer marking — skipped while the next
@@ -533,17 +579,36 @@ let set_input_lane t name lane b =
   let w = lane / lanes_per_word and bit = lane mod lanes_per_word in
   write_word t comp w (Packed.set_lane t.values.((comp * t.k) + w) bit b)
 
+let comp_error what t i =
+  invalid_arg
+    (Printf.sprintf "%s: component %d out of range (netlist has %d components)"
+       what i (Kernel.size t.prog))
+
+(* The slab index of word [w] (already checked) of component [i].  The
+   slab holds [size * k] words plus the pad, so one range check rejects
+   a component outside the netlist and stands in for the array's own
+   bounds check on the campaigns' hot path. *)
+let[@inline] comp_index what t i w =
+  let idx = (i * t.k) + w in
+  if idx < 0 || idx >= Array.length t.values - pad then comp_error what t i;
+  idx
+
+let check_comp what t i = ignore (comp_index what t i 0)
+
 let peek_word t i w =
   check_word "Slab.peek_word" t w;
-  t.values.((i * t.k) + w)
+  Array.unsafe_get t.values (comp_index "Slab.peek_word" t i w)
 
-let peek t i = t.values.(i * t.k)
+let peek t i = Array.unsafe_get t.values (comp_index "Slab.peek" t i 0)
 
 let poke_word t i w v =
   check_word "Slab.poke_word" t w;
+  check_comp "Slab.poke_word" t i;
   write_word t i w v
 
-let poke t i v = write_word t i 0 v
+let poke t i v =
+  check_comp "Slab.poke" t i;
+  write_word t i 0 v
 
 let output_comp what t name =
   match Hashtbl.find_opt t.prog.Kernel.output_index name with
@@ -775,6 +840,326 @@ let settle t =
     bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters
   end
   else settle_gated t
+
+(* --- cones: settle a fanout-closed subset against a golden trace --- *)
+
+(* The driver-to-reader CSR: component [c]'s readers are entries
+   [rd_off.{c}] to [rd_off.{c + 1} - 1] of [rd]. *)
+let build_fanout (nl : Netlist.t) =
+  let n = Netlist.size nl and fanin = nl.Netlist.fanin in
+  let index len = Bigarray.(Array1.create int32 c_layout) len in
+  let off = Array.make (n + 1) 0 in
+  Array.iter (Array.iter (fun s -> off.(s + 1) <- off.(s + 1) + 1)) fanin;
+  for i = 1 to n do
+    off.(i) <- off.(i) + off.(i - 1)
+  done;
+  let rd_off = index (n + 1) and rd = index off.(n) in
+  Array.iteri (fun i o -> rd_off.{i} <- Int32.of_int o) off;
+  Array.iteri
+    (fun r fi ->
+      Array.iter
+        (fun s ->
+          rd.{off.(s)} <- Int32.of_int r;
+          off.(s) <- off.(s) + 1)
+        fi)
+    fanin;
+  { rd_off; rd; wide = Bytes.make n '\000' }
+
+let fanout t =
+  match Atomic.get t.fanout with
+  | Some f -> f
+  | None ->
+    let f = build_fanout t.prog.Kernel.netlist in
+    Atomic.set t.fanout (Some f);
+    f
+
+type cone = { c_scratch : scratch; c_gen : int }
+
+let scratch t =
+  match t.scratch with
+  | Some s -> s
+  | None ->
+    let n = Kernel.size t.prog and nranks = Kernel.n_ranks t.prog in
+    let s =
+      {
+        s_mark = Bytes.make n '\000';
+        s_slots = Array.make (nranks * 8) 0;
+        s_queue = [||];
+        s_desc = Array.make nranks [||];
+        s_live = Bytes.make nranks '\000';
+        s_front = [||];
+        s_nfront = 0;
+        s_set = Array.make ((n + lanes_per_word - 1) / lanes_per_word) 0;
+        s_gen = 0;
+      }
+    in
+    t.scratch <- Some s;
+    s
+
+(* [a] with room for index [i]: doubled (and copied) when full. *)
+let room a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max 64 (2 * (i + 1))) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* The cone of the [nu] distinct members at the head of the scratch
+   queue, each already marked 1.  The frontier collects behind them
+   (marked 2); then every mark and count is cleared again. *)
+let build_cone t sc nu =
+  let prog = t.prog and k = t.k in
+  let comps = prog.Kernel.netlist.Netlist.components in
+  let fanin = prog.Kernel.netlist.Netlist.fanin in
+  let levels = prog.Kernel.levels.Levelize.levels in
+  let counts = sc.s_slots and mark = sc.s_mark in
+  (* a gate's or outport's descriptor slot, [rank * 8 + kind] with kind
+     in stub order (inv, and, or, xor, ..., out); -1 for a dff, -2 for
+     an inport or constant (never on the frontier) *)
+  let slot i =
+    match comps.(i) with
+    | Netlist.Invc -> levels.(i) * 8
+    | Netlist.And2c -> (levels.(i) * 8) + 1
+    | Netlist.Or2c -> (levels.(i) * 8) + 2
+    | Netlist.Xor2c -> (levels.(i) * 8) + 3
+    | Netlist.Outport _ -> (levels.(i) * 8) + 7
+    | Netlist.Dffc _ -> -1
+    | Netlist.Inport _ | Netlist.Constant _ -> -2
+  in
+  let nf = ref nu in
+  for x = 0 to nu - 1 do
+    let i = sc.s_queue.(x) in
+    let sl = slot i in
+    if sl >= 0 then counts.(sl) <- counts.(sl) + 1;
+    let fi = fanin.(i) in
+    for a = 0 to Array.length fi - 1 do
+      let s = fi.(a) in
+      if Bytes.get mark s = '\000' && slot s <> -2 then begin
+        Bytes.unsafe_set mark s '\002';
+        sc.s_queue <- room sc.s_queue !nf;
+        sc.s_queue.(!nf) <- s;
+        incr nf
+      end
+    done
+  done;
+  let q = sc.s_queue in
+  (* per rank: size the descriptor and write its header, then turn each
+     count into the write cursor of its kind's tuples *)
+  let tuple kd = if kd = 0 || kd = 7 then 2 else 3 in
+  for r = 0 to Array.length sc.s_desc - 1 do
+    let len = ref 9 in
+    for kd = 0 to 7 do
+      len := !len + (counts.((r * 8) + kd) * tuple kd)
+    done;
+    Bytes.set sc.s_live r (if !len > 9 then '\001' else '\000');
+    if !len > 9 then begin
+      let d = room sc.s_desc.(r) (!len - 1) in
+      sc.s_desc.(r) <- d;
+      d.(0) <- k;
+      let pos = ref 9 in
+      for kd = 0 to 7 do
+        let c = counts.((r * 8) + kd) in
+        d.(kd + 1) <- c;
+        counts.((r * 8) + kd) <- !pos;
+        pos := !pos + (c * tuple kd)
+      done
+    end
+  done;
+  let set = sc.s_set in
+  Array.fill set 0 (Array.length set) 0;
+  for x = 0 to nu - 1 do
+    let i = q.(x) in
+    let w = i / lanes_per_word in
+    set.(w) <- set.(w) lor (1 lsl (i mod lanes_per_word));
+    let sl = slot i in
+    if sl >= 0 then begin
+      let d = sc.s_desc.(sl lsr 3) and p = counts.(sl) and fi = fanin.(i) in
+      d.(p) <- i * k;
+      d.(p + 1) <- fi.(0) * k;
+      if tuple (sl land 7) = 3 then d.(p + 2) <- fi.(1) * k;
+      counts.(sl) <- p + tuple (sl land 7)
+    end
+  done;
+  Array.fill counts 0 (Array.length counts) 0;
+  for x = 0 to !nf - 1 do
+    Bytes.unsafe_set mark q.(x) '\000'
+  done;
+  sc.s_front <- room sc.s_front (!nf - nu);
+  Array.blit q nu sc.s_front 0 (!nf - nu);
+  sc.s_nfront <- !nf - nu;
+  sc.s_gen <- sc.s_gen + 1;
+  { c_scratch = sc; c_gen = sc.s_gen }
+
+let check_fusion what t =
+  if t.prog.Kernel.fused > 0 then
+    invalid_arg (what ^ ": requires an engine built with ~fuse:false")
+
+let cone t members =
+  check_fusion "Slab.cone" t;
+  let n = Kernel.size t.prog and fanin = t.prog.Kernel.netlist.Netlist.fanin in
+  let check what i =
+    if i < 0 || i >= n then
+      invalid_arg (Printf.sprintf "Slab.cone: %s %d out of range [0, %d)" what i n)
+  in
+  Array.iter
+    (fun i ->
+      check "member" i;
+      let fi = fanin.(i) in
+      for a = 0 to Array.length fi - 1 do
+        check "source" fi.(a)
+      done)
+    members;
+  let sc = scratch t in
+  let nu = ref 0 in
+  Array.iter
+    (fun i ->
+      if Bytes.get sc.s_mark i = '\000' then begin
+        Bytes.set sc.s_mark i '\001';
+        sc.s_queue <- room sc.s_queue !nu;
+        sc.s_queue.(!nu) <- i;
+        incr nu
+      end)
+    members;
+  build_cone t sc !nu
+
+(* The closure walks breadth-first through the scratch queue, whose
+   head then holds the members, already marked, for [build_cone].  A
+   walk that passes the bound from several seeds walks again from the
+   first alone, to mark it [wide] if it passes the bound by itself: a
+   campaign offers the same first seeds request after request. *)
+let fanout_cone t seeds =
+  check_fusion "Slab.fanout_cone" t;
+  Array.iter (check_comp "Slab.fanout_cone" t) seeds;
+  let f = fanout t and sc = scratch t in
+  let limit = Kernel.size t.prog / 8 in
+  let seen = sc.s_mark and len = ref 0 in
+  let add i =
+    if Bytes.unsafe_get seen i = '\000' then begin
+      if !len >= limit then raise_notrace Exit;
+      Bytes.unsafe_set seen i '\001';
+      sc.s_queue <- room sc.s_queue !len;
+      sc.s_queue.(!len) <- i;
+      incr len
+    end
+  in
+  let clear () =
+    for x = 0 to !len - 1 do
+      Bytes.unsafe_set seen sc.s_queue.(x) '\000'
+    done
+  in
+  (* true with the closure's marks set, or false with them cleared *)
+  let walk seeds =
+    len := 0;
+    match
+      Array.iter add seeds;
+      let head = ref 0 in
+      while !head < !len do
+        let c = sc.s_queue.(!head) in
+        incr head;
+        for e = Int32.to_int f.rd_off.{c} to Int32.to_int f.rd_off.{c + 1} - 1 do
+          add (Int32.to_int f.rd.{e})
+        done
+      done
+    with
+    | () -> true
+    | exception Exit ->
+      clear ();
+      false
+  in
+  if Array.exists (fun s -> Bytes.get f.wide s = '\001') seeds then None
+  else if walk seeds then Some (build_cone t sc !len)
+  else begin
+    (* a failed walk had at least one seed *)
+    if Array.length seeds = 1 || not (walk [| seeds.(0) |]) then
+      Bytes.set f.wide seeds.(0) '\001'
+    else clear ();
+    None
+  end
+
+(* A cone is its instance's current one until the next is built. *)
+let check_cone what t c =
+  match t.scratch with
+  | Some sc when sc == c.c_scratch && sc.s_gen = c.c_gen -> sc
+  | _ ->
+    invalid_arg
+      (what ^ ": the cone belongs to another engine instance or was replaced")
+
+let in_cone t c i =
+  let sc = check_cone "Slab.in_cone" t c in
+  i >= 0
+  && i / lanes_per_word < Array.length sc.s_set
+  && (sc.s_set.(i / lanes_per_word) lsr (i mod lanes_per_word)) land 1 = 1
+
+(* A golden trace: per cycle, one row of [words] words holding lane 0
+   of every component, component [i] at bit [i mod 62] of the row's
+   word [i / 62]. *)
+type trace = { size : int; words : int; rows : int array }
+
+let trace t ~cycles =
+  let size = Kernel.size t.prog in
+  let words = (size + lanes_per_word - 1) / lanes_per_word in
+  { size; words; rows = Array.make (max 0 cycles * words) 0 }
+
+let check_trace what t tr c =
+  if tr.size <> Kernel.size t.prog then
+    invalid_arg (what ^ ": the trace was made for another circuit");
+  if c < 0 || (c + 1) * tr.words > Array.length tr.rows then
+    invalid_arg
+      (Printf.sprintf "%s: cycle %d outside the trace (%d cycles)" what c
+         (Array.length tr.rows / max 1 tr.words))
+
+let golden_bit tr c i =
+  if i < 0 || i >= tr.size || c < 0 || (c + 1) * tr.words > Array.length tr.rows then
+    invalid_arg "Slab.golden_bit: cycle or component outside the trace";
+  (tr.rows.((c * tr.words) + (i / lanes_per_word)) lsr (i mod lanes_per_word)) land 1
+  = 1
+
+let record_row t tr c =
+  check_trace "Slab.record_row" t tr c;
+  let values = t.values and k = t.k and off = c * tr.words in
+  for wi = 0 to tr.words - 1 do
+    let lo = wi * lanes_per_word in
+    let acc = ref 0 in
+    for i = lo to min tr.size (lo + lanes_per_word) - 1 do
+      acc := !acc lor ((Array.unsafe_get values (i * k) land 1) lsl (i - lo))
+    done;
+    tr.rows.(off + wi) <- !acc
+  done
+
+(* The frontier's golden words go straight into the slab; then the
+   member ranks run with the force slots at [sweep]'s boundaries.  A
+   gated engine's gates outside the cone are now stale, so every block
+   and dff cluster is marked: the next tick latches every dff, as after
+   an ungated settle, and the next gated settle recomputes everything. *)
+let settle_cone t c tr cycle =
+  let sc = check_cone "Slab.settle_cone" t c in
+  check_trace "Slab.settle_cone" t tr cycle;
+  let values = t.values and k = t.k and fr = sc.s_front in
+  let row = tr.rows and off = cycle * tr.words in
+  for x = 0 to sc.s_nfront - 1 do
+    let comp = Array.unsafe_get fr x in
+    let bit =
+      Array.unsafe_get row (off + (comp / lanes_per_word)) lsr (comp mod lanes_per_word)
+    in
+    let v = -(bit land 1) land lane_mask and base = comp * k in
+    for w = base to base + k - 1 do
+      Array.unsafe_set values w v
+    done
+  done;
+  let slots = t.force_slots and desc = sc.s_desc and live = sc.s_live in
+  let forced = Array.length slots > 0 in
+  if forced then apply_forces t (Array.unsafe_get slots 0);
+  for lvl = 0 to Array.length desc - 1 do
+    if Bytes.unsafe_get live lvl = '\001' then settle_block values (Array.unsafe_get desc lvl);
+    if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
+  done;
+  if t.gating then begin
+    bitset_fill t.block_dirty (Array.length t.prog.Kernel.blocks);
+    bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters;
+    t.last_marked <- -1;
+    t.unmeasured <- true
+  end
 
 (* Gated tick: latch only dirty dff clusters.  The dirty bits are
    snapshotted (and cleared) up front, then the staged copy runs in two

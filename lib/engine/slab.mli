@@ -57,7 +57,13 @@
     C kernel (AVX2 / NEON when the build host supports them, portable
     scalar C otherwise, specialised at k = 1; see {!kernel_flavor}).
     The stub trusts its descriptors, so it is not exposed: this module
-    builds and range-checks every descriptor and buffer it is given. *)
+    builds and range-checks every descriptor and buffer it is given.
+
+    A {e cone} ({!fanout_cone}, {!settle_cone}) runs the same stub over
+    per-rank descriptors of just a component set, gate-granular where
+    gating is block-granular: a fault campaign's chunk settles only its
+    faults' fanout cone and reads golden values at the cone's
+    frontier. *)
 
 type t
 
@@ -173,7 +179,9 @@ val peek : t -> int -> int
 (** Word 0 of a component by its post-optimize, post-relayout index
     (see {!netlist}).  The word of a gate absorbed into a fused kernel
     (see {!fused_gates}) is never written and reads as stale; every
-    other component is exact. *)
+    other component is exact.  {!peek}, {!peek_word}, {!poke} and
+    {!poke_word} raise [Invalid_argument] on a component index outside
+    the netlist. *)
 
 val peek_word : t -> int -> int -> int
 val poke : t -> int -> int -> unit
@@ -212,6 +220,73 @@ val set_forces : t -> force array -> unit
     not [k], and — descriptively — on an out-of-range site. *)
 
 val clear_forces : t -> unit
+
+(** {2 Cones}
+
+    A fault can change only the components in its fanout cone.  A cone
+    settle runs just the cone's gates and takes every other value the
+    cone reads — its {e frontier} — from a golden {!trace}: lane 0 of
+    a fault-free run, recorded by {!record_row} and broadcast to every
+    lane.  When the cone is closed under fanout and every injected
+    difference lies inside it, everything outside equals the golden run
+    in every lane, so reads inside the cone are exact; values outside
+    it are stale and must not be read. *)
+
+type cone
+(** A cone program: per levelized rank, one C-stub descriptor of the
+    member gates and outports, and the frontier — the non-member
+    sources of members (dff members included), less inports and
+    constants, which the caller keeps golden itself.  A cone lives in
+    the engine instance that built it and stays valid until that
+    instance builds its next one; building needs an engine compiled
+    with [~fuse:false]. *)
+
+val cone : t -> int array -> cone
+(** The cone of exactly the given members.  Raises [Invalid_argument]
+    on an out-of-range member and on a fused engine. *)
+
+val fanout_cone : t -> int array -> cone option
+(** [fanout_cone t seeds]: the cone of the components reachable from
+    [seeds] along driver-to-reader edges of {!netlist}, dff inputs
+    included (the seeds themselves included), or [None] when there are
+    more than an eighth of the circuit's components — a fixed bound, so
+    a cone always costs a small share of a full settle.  The reader
+    index behind it is built on the first call and shared by every
+    replica of the engine, and so is a memo of single seeds whose
+    closure alone is too large: a set containing one is refused without
+    a walk.  Raises [Invalid_argument] on an out-of-range seed and on a
+    fused engine. *)
+
+val in_cone : t -> cone -> int -> bool
+(** Whether a component is a member.  Raises [Invalid_argument] when
+    the cone is not [t]'s current one. *)
+
+type trace
+(** A golden trace: per cycle, one bit of every component — lane 0 of
+    a fault-free run, 62 components per word. *)
+
+val trace : t -> cycles:int -> trace
+(** An all-zero trace of [cycles] rows for [t]'s circuit. *)
+
+val record_row : t -> trace -> int -> unit
+(** [record_row t tr c] stores lane 0 of every component as row [c].
+    Raises [Invalid_argument] on a cycle outside the trace or a trace
+    made for another circuit. *)
+
+val golden_bit : trace -> int -> int -> bool
+(** [golden_bit tr c i]: component [i]'s bit in row [c].  Raises
+    [Invalid_argument] outside the trace. *)
+
+val settle_cone : t -> cone -> trace -> int -> unit
+(** [settle_cone t c tr cycle] writes each frontier component's bit of
+    row [cycle] to every lane, then settles the member ranks
+    with the force slots at {!settle}'s rank boundaries.  Inputs and
+    constants outside the cone must already hold golden values, and
+    forces must sit on members.  On a gated engine it marks every block
+    and dff cluster, so the next {!tick} latches exactly what it latches
+    after an ungated settle and the next {!settle} recomputes the stale
+    gates.  Raises [Invalid_argument] when the cone is not [t]'s current
+    one, or as {!record_row} on the trace and cycle. *)
 
 val cycle : t -> int
 val critical_path : t -> int

@@ -11,7 +11,9 @@
    over {!Scheduler.run_tasks}, so the peak rate is (lanes - 1) x
    domains faults per settle pass.  A chunk starts at its first upset
    and drops its faults part-way once their verdicts are final (see
-   "Fault dropping" below).
+   "Fault dropping" below), and a chunk whose faults can reach only a
+   small part of the circuit settles just that part (see "Cone
+   restriction").
 
    Every fault is classified against the golden lane:
    - detected: an observable output diverged (with detection latency),
@@ -57,6 +59,8 @@ type report = {
   masked : int;
   verdicts : verdict list;
   chunk_cycles : int;
+  chunks : int;
+  cone_chunks : int;
 }
 
 let site_of = function
@@ -323,7 +327,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
   let faults_arr = Array.of_list faults in
   let nfaults = Array.length faults_arr in
   let results = Array.make (max nfaults 1) None in
-  let chunk_cycles = ref 0 in
+  let chunk_cycles = ref 0 and chunks = ref 0 and cone_chunks = ref 0 in
   let emit fi classification status =
     let fault = faults_arr.(fi) in
     results.(fi) <-
@@ -367,29 +371,88 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
         done)
       golden
   in
+  (* Cone restriction.  A fault can change only the components in its
+     fanout cone (driver-to-reader edges, through dffs).  A chunk whose
+     seeds — its fault sites and the state sites where a migrated lane
+     differs — have a cone of at most n/8 components settles only the
+     cone ({!Slab.settle_cone}), taking the values it reads from outside
+     (its frontier) from a golden trace.  Outside the cone every lane
+     equals the golden lane: the rest of the circuit is closed under
+     fan-in and holds no fault or difference.  So the chunk reads only
+     the cone's outputs, state and dff inputs, and takes a status flag
+     or state bit outside it from the trace; verdicts are unchanged.
+
+     The trace holds every component's settled golden bit at each
+     cycle ({!Slab.record_row}), and [quiet.(c)] tells whether the
+     golden run latches no change at cycle [c]'s tick.  The prefix task
+     records it, running to the end of the window, when some round-0
+     chunk of a campaign with two or more runs as a cone. *)
+  let trace = ref None and quiet = ref [||] in
+  (* component [comp]'s golden word at cycle [c], from the trace *)
+  let gold c comp =
+    match !trace with
+    | Some tr when Slab.golden_bit tr c comp -> Packed.lane_mask
+    | _ -> 0
+  in
   (* The shared fault-free prefix: the golden state at the top of every
-     cycle [c] with [needed.(c)], from power-up to cycle [last]. *)
-  let golden_prefix sim needed snaps last =
+     cycle [c <= last] with [needed.(c)], from power-up; with [traced],
+     the run goes on to the end of the window, recording the trace. *)
+  let golden_prefix sim needed snaps last traced =
     load sim power_up;
     let snap c =
-      if needed.(c) then
+      if c <= last && needed.(c) then
         snaps.(c) <-
           Array.map (fun site -> -(Slab.peek_word sim site 0 land 1)) state_sites
     in
-    for c = 0 to last - 1 do
+    let upto = if traced then cycles else last in
+    for c = 0 to upto - 1 do
       snap c;
       drive sim c;
       Slab.settle sim;
+      Option.iter (fun tr -> Slab.record_row sim tr c) !trace;
       Slab.tick sim
     done;
-    snap last
+    snap upto;
+    if traced then
+      quiet :=
+        Array.init cycles (fun c ->
+            Array.for_all2 (fun d i -> gold c d = gold c i) dffs dff_inputs)
   in
+  let all_state = Array.init nstate Fun.id in
   let run_chunk sim job =
     (* fault j_faults.(k) rides global lane k+1 — word (k+1)/62, bit
        (k+1) mod 62 — while word 0 bit 0 stays golden *)
     let words = Slab.k sim in
     let lane_faults = job.j_faults in
     let count = Array.length lane_faults in
+    (* with a trace, the chunk's cone, if small enough (see "Cone
+       restriction") *)
+    let cone =
+      if Option.is_none !trace then None
+      else
+        let seeds =
+          Array.append
+            (Array.map (fun fi -> site_of faults_arr.(fi)) lane_faults)
+            (Array.map (fun i -> state_sites.(i)) (Array.concat (Array.to_list job.j_diff)))
+        in
+        Slab.fanout_cone sim seeds
+    in
+    let inside site = match cone with None -> true | Some c -> Slab.in_cone sim c site in
+    (* the state sites the chunk reads (their indices, dffs first, then
+       the sites with their dff inputs), and its compared outputs *)
+    let st_idx, st_sites, st_inputs, compare_sites =
+      match cone with
+      | None -> (all_state, state_sites, dff_inputs, compare_sites)
+      | Some _ ->
+        let keep f a = Array.of_list (List.filter f (Array.to_list a)) in
+        let idx = keep (fun i -> inside state_sites.(i)) all_state in
+        let cone_dffs = keep (fun i -> i < ndffs) idx in
+        ( idx,
+          Array.map (fun i -> state_sites.(i)) idx,
+          Array.map (fun i -> dff_inputs.(i)) cone_dffs,
+          keep (fun (_, o) -> inside o) compare_sites )
+    in
+    let ndffs = Array.length st_inputs and nstate = Array.length st_idx in
     let word_of k = (k + 1) / Packed.lanes in
     let bit_of k = 1 lsl ((k + 1) mod Packed.lanes) in
     let live = Array.make words 0 in
@@ -504,12 +567,12 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
     in
     (* lanes whose state site [i] differs from the golden lane's *)
     let differs i w =
-      let site = state_sites.(i) in
+      let site = st_sites.(i) in
       Slab.peek_word sim site w lxor -(Slab.peek_word sim site 0 land 1)
     in
     (* after a settle: lanes whose dff [i] latches a new value at the tick *)
     let latches i w =
-      Slab.peek_word sim dffs.(i) w lxor Slab.peek_word sim dff_inputs.(i) w
+      Slab.peek_word sim st_sites.(i) w lxor Slab.peek_word sim st_inputs.(i) w
     in
     (* witnesses by global lane, the golden lane's at index 0 *)
     let diff_wit = Array.make (Packed.lanes * words) 0 in
@@ -549,7 +612,9 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
         (fun (p, wk, bit, rate, st) ->
           p.Slab.flip.(wk) <- (if Random.State.float st 1.0 < rate then bit else 0))
         inters;
-      Slab.settle sim;
+      (match cone with
+      | Some cn -> Slab.settle_cone sim cn (Option.get !trace) c
+      | None -> Slab.settle sim);
       (if !n_unres > 0 then
          for o = 0 to Array.length compare_sites - 1 do
            let oname, osite = compare_sites.(o) in
@@ -574,7 +639,11 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
       for si = 0 to Array.length status_sites - 1 do
         let ssite = snd status_sites.(si) in
         for w = 0 to words - 1 do
-          status_acc.(si).(w) <- status_acc.(si).(w) lor Slab.peek_word sim ssite w
+          status_acc.(si).(w) <-
+            status_acc.(si).(w)
+            lor
+            if inside ssite then Slab.peek_word sim ssite w
+            else gold c ssite
         done
       done;
       (* fixed point: the inputs stay constant to the end of the window
@@ -583,7 +652,9 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
          upset could still break it *)
       Array.fill fixed 0 words 0;
       if droppable && c >= const_from && c + 1 < cycles
-         && search latch_wit ndffs 0 1 latches = 0
+         && (match cone with
+            | Some _ -> !quiet.(c)
+            | None -> search latch_wit ndffs 0 1 latches = 0)
       then
         for w = 0 to words - 1 do
           let m = unres.(w) land lnot (pending.(w) lor inter_lanes.(w)) in
@@ -624,19 +695,24 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
     let survivors =
       if !n_unres > 0 then begin
         (* dropped: hand the unresolved lanes' state to the next round *)
-        let golden = Array.make (Array.length state_sites) 0 in
+        let golden =
+          Array.map
+            (fun site ->
+              if inside site then -(Slab.peek_word sim site 0 land 1)
+              else -(gold (!stop + 1) site land 1))
+            state_sites
+        in
         let diffs = Array.make count [] in
-        Array.iteri
-          (fun i site ->
-            let gext = -(Slab.peek_word sim site 0 land 1) in
-            golden.(i) <- gext;
+        Array.iter
+          (fun i ->
+            let site = state_sites.(i) and gext = golden.(i) in
             for w = 0 to words - 1 do
               iter_lanes
                 (fun k -> diffs.(k) <- i :: diffs.(k))
                 w
                 ((Slab.peek_word sim site w lxor gext) land unres.(w))
             done)
-          state_sites;
+          st_idx;
         let acc = ref [] in
         for k = count - 1 downto 0 do
           if Option.is_none verdict.(k) then
@@ -654,7 +730,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
       else []
     in
     Slab.clear_forces sim;
-    (survivors, !cycle - start)
+    (survivors, !cycle - start, Option.is_some cone)
   in
   let k =
     match engine with
@@ -700,17 +776,22 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
          across the prefix and the rounds, so every task rolls its own
          chaos fate. *)
       let first_task = ref 0 in
-      let rounds exec =
+      let rounds exemplar exec =
         let rec go jobs =
           let n = Array.length jobs in
           if n > 0 then begin
-            let out = Array.make n ([], 0) in
+            let out = Array.make n ([], 0, false) in
             exec n (fun sim c -> out.(c) <- run_chunk sim jobs.(c));
             first_task := !first_task + n;
-            Array.iter (fun (_, cs) -> chunk_cycles := !chunk_cycles + cs) out;
+            chunks := !chunks + n;
+            Array.iter
+              (fun (_, cs, coned) ->
+                chunk_cycles := !chunk_cycles + cs;
+                if coned then incr cone_chunks)
+              out;
             go
               (pack ~per_chunk:ch.Scheduler.per_chunk
-                 (List.concat_map fst (Array.to_list out)))
+                 (List.concat_map (fun (s, _, _) -> s) (Array.to_list out)))
           end
         in
         (* a round-0 chunk starts at its earliest injection cycle, from
@@ -731,12 +812,26 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
         in
         let last = Array.fold_left max 0 starts in
         let snaps = Array.make (last + 1) power_up in
-        if last > 0 then begin
+        (* the trace costs one more full-width golden run, so it is
+           recorded only for two or more round-0 chunks, one of which
+           runs as a cone (the walks stop at the first that does, and
+           each stops past the bound) *)
+        let traced =
+          cycles > 0 && nchunks >= 2
+          && Seq.exists
+               (fun c ->
+                 let lo, hi = ch.Scheduler.bounds c in
+                 let sites = Array.init (hi - lo) (fun x -> site_of faults_arr.(lo + x)) in
+                 Option.is_some (Slab.fanout_cone exemplar sites))
+               (Seq.init nchunks Fun.id)
+        in
+        if last > 0 || traced then begin
           let needed = Array.make (last + 1) false in
           Array.iter (fun s -> needed.(s) <- true) starts;
-          exec 1 (fun sim _ -> golden_prefix sim needed snaps last);
+          if traced then trace := Some (Slab.trace exemplar ~cycles);
+          exec 1 (fun sim _ -> golden_prefix sim needed snaps last traced);
           first_task := !first_task + 1;
-          chunk_cycles := !chunk_cycles + last
+          chunk_cycles := !chunk_cycles + if traced then cycles else last
         end;
         go
           (Array.init nchunks (fun c ->
@@ -764,8 +859,9 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
          its result slice from its job alone, so a rerun is
          bit-identical) *)
       let on_team sch =
-        let sh = Sharded.of_base ~scheduler:sch (base ()) in
-        rounds (fun n task ->
+        let exemplar = base () in
+        let sh = Sharded.of_base ~scheduler:sch exemplar in
+        rounds exemplar (fun n task ->
             Scheduler.run_tasks sch ~name:"campaign" ?deadline:(remaining ())
               ?retry n (fun ~member c ->
                 (match chaos with
@@ -802,6 +898,8 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
     masked = count (function Masked -> true | _ -> false);
     verdicts;
     chunk_cycles = !chunk_cycles;
+    chunks = !chunks;
+    cone_chunks = !cone_chunks;
   }
 
 let replay report fault =

@@ -53,6 +53,10 @@ type report = {
   chunk_cycles : int;
       (** engine cycles simulated: every chunk's cycles over all rounds
           plus the shared golden prefix (not part of {!to_json}) *)
+  chunks : int;  (** chunks run over all rounds (not part of {!to_json}) *)
+  cone_chunks : int;
+      (** of those, the chunks that settled only their fanout cone (not
+          part of {!to_json}) *)
 }
 
 val site_of : fault -> int
@@ -140,9 +144,24 @@ val run :
     unresolved; the survivors' state moves to fuller chunks that resume
     at the next cycle.  A chunk of SEUs starts at its earliest upset,
     from golden state snapshots that one shared fault-free prefix run
-    takes first ({!report.chunk_cycles} counts both).  Verdicts are
+    takes first ({!report.chunk_cycles} counts both, and the prefix runs
+    to the end of the window when it records a golden trace for cone
+    restriction, below).  Verdicts are
     identical to running each fault alone.  With [status_outputs], every
     lane runs the whole window from cycle 0.
+
+    Cone restriction: a fault can change only its fanout cone — the
+    components reachable from its site along driver-to-reader edges,
+    through dffs.  In a campaign of two or more chunks, a chunk whose
+    fault sites (and, in later rounds, the state sites where its
+    migrated lanes differ) have a cone of at most an eighth of the
+    circuit settles only the cone's gates, every cycle
+    ({!Hydra_engine.Slab.settle_cone}).  The values the cone reads from
+    outside come from a golden trace, one bit per component and cycle,
+    that the fault-free prefix task records when some first-round chunk
+    qualifies; outside the cone every lane equals the golden lane, so
+    verdicts and status flags are unchanged.  The rule is fixed (no
+    knob); {!report.cone_chunks} counts the chunks that used it.
 
     Resilience knobs: [?deadline] bounds the whole campaign in
     wall-clock seconds: each round's job carries the remaining budget

@@ -76,8 +76,10 @@ let matches_replay report =
    resolution rules: the faulty circuit runs beside the golden one for
    the whole window.  An SEU flips the dff's held word with
    [packed_poke]; a stuck-at fault rewrites the netlist with
-   {!Fault.inject}.  Intermittent faults have no reference here. *)
-let reference nl ~stimulus ~cycles fault =
+   {!Fault.inject}.  Intermittent faults have no reference here.
+   Outputs named in [status] are not compared; instead each is sampled
+   on the faulty circuit over the whole window, as ever asserted. *)
+let reference ?(status = []) nl ~stimulus ~cycles fault =
   let golden = Sim.packed_create nl in
   let faulty, injected, upset =
     match fault with
@@ -91,18 +93,22 @@ let reference nl ~stimulus ~cycles fault =
     | Some bits when List.nth_opt bits c = Some true -> Hydra_core.Packed.lane_mask
     | _ -> 0
   in
-  let rec go c =
-    if c = cycles then begin
-      (* settle once more so each dff's word is its final held state *)
-      Sim.packed_settle golden;
-      Sim.packed_settle faulty;
-      if
-        List.exists
-          (fun d -> Sim.packed_value golden d land 1 <> Sim.packed_value faulty d land 1)
-          (C.dff_sites nl)
-      then C.Latent
-      else C.Masked
-    end
+  let compared = List.filter (fun (name, _) -> not (List.mem name status)) nl.N.outputs in
+  let flags = List.map (fun name -> (name, ref false)) status in
+  let rec go c detected =
+    if c = cycles || (detected <> None && status = []) then
+      match detected with
+      | Some d -> d
+      | None ->
+        (* settle once more so each dff's word is its final held state *)
+        Sim.packed_settle golden;
+        Sim.packed_settle faulty;
+        if
+          List.exists
+            (fun d -> Sim.packed_value golden d land 1 <> Sim.packed_value faulty d land 1)
+            (C.dff_sites nl)
+        then C.Latent
+        else C.Masked
     else begin
       List.iter
         (fun (name, _) ->
@@ -117,42 +123,55 @@ let reference nl ~stimulus ~cycles fault =
       | _ -> ());
       Sim.packed_settle golden;
       Sim.packed_settle faulty;
-      match
-        List.find_opt
-          (fun (name, _) ->
-            Sim.packed_output golden name land 1 <> Sim.packed_output faulty name land 1)
-          nl.N.outputs
-      with
-      | Some (output, _) -> C.Detected { latency = c - injected; cycle = c; output }
-      | None ->
-        Sim.packed_tick golden;
-        Sim.packed_tick faulty;
-        go (c + 1)
+      List.iter
+        (fun (name, flag) -> if Sim.packed_output faulty name land 1 <> 0 then flag := true)
+        flags;
+      let detected =
+        match detected with
+        | Some _ -> detected
+        | None -> (
+          match
+            List.find_opt
+              (fun (name, _) ->
+                Sim.packed_output golden name land 1 <> Sim.packed_output faulty name land 1)
+              compared
+          with
+          | Some (output, _) -> Some (C.Detected { latency = c - injected; cycle = c; output })
+          | None -> None)
+      in
+      Sim.packed_tick golden;
+      Sim.packed_tick faulty;
+      go (c + 1) detected
     end
   in
-  go 0
+  let cls = go 0 None in
+  (cls, List.map (fun (name, flag) -> (name, !flag)) flags)
 
 (* Every verdict equals the reference classifier's (memoized per distinct
-   fault); intermittent verdicts fall back to {!C.replay}. *)
+   fault), status flags included; intermittent verdicts fall back to
+   {!C.replay}. *)
 let matches_reference report =
+  let status =
+    match report.C.verdicts with v :: _ -> List.map fst v.C.status | [] -> []
+  in
   let memo = Hashtbl.create 64 in
   List.for_all
     (fun v ->
       match v.C.fault with
       | C.Intermittent _ -> C.replay report v.C.fault = v
       | f ->
-        let expect =
+        let cls, flags =
           match Hashtbl.find_opt memo f with
           | Some e -> e
           | None ->
             let e =
-              reference report.C.netlist ~stimulus:report.C.stimulus
+              reference ~status report.C.netlist ~stimulus:report.C.stimulus
                 ~cycles:report.C.cycles f
             in
             Hashtbl.add memo f e;
             e
         in
-        v.C.classification = expect)
+        v.C.classification = cls && v.C.status = flags)
     report.C.verdicts
 
 let check_cov_equal name (a : Fault.coverage) (b : Fault.coverage) =
@@ -160,6 +179,55 @@ let check_cov_equal name (a : Fault.coverage) (b : Fault.coverage) =
   check_int (name ^ ": detected") a.Fault.detected b.Fault.detected;
   check_bool (name ^ ": undetected lists") true
     (a.Fault.undetected = b.Fault.undetected)
+
+(* A wide, shallow circuit of [m] independent slices: two inputs
+   through a few random gates into a registered output and an
+   accumulator loop.  Every fault's fanout cone stays inside its slice,
+   so a chunk of faults on one or two slices settles as a cone. *)
+let sliced ~seed m =
+  let st = Random.State.make [| 0x511ce; seed |] in
+  let slice s =
+    let name p = Printf.sprintf "%s%d" p s in
+    let a = G.input (name "a") and b = G.input (name "b") in
+    let pool = ref [ a; b ] in
+    let pick () = List.nth !pool (Random.State.int st (List.length !pool)) in
+    for _ = 1 to 2 + Random.State.int st 3 do
+      let g =
+        match Random.State.int st 5 with
+        | 0 -> G.inv (pick ())
+        | 1 -> G.and2 (pick ()) (pick ())
+        | 2 -> G.or2 (pick ()) (pick ())
+        | 3 -> G.xor2 (pick ()) (pick ())
+        | _ -> G.dff (pick ())
+      in
+      pool := g :: !pool
+    done;
+    let top = List.hd !pool in
+    let acc = G.feedback (fun q -> G.dff (G.xor2 q top)) in
+    [ (name "y", G.dff top); (name "z", G.and2 acc (pick ())) ]
+  in
+  N.of_graph ~outputs:(List.concat (List.init m slice))
+
+(* Per component, a representative of its connected component in the
+   netlist graph: the slice it belongs to. *)
+let slices_of nl =
+  let parent = Array.init (N.size nl) Fun.id in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      let r = find parent.(i) in
+      parent.(i) <- r;
+      r
+    end
+  in
+  Array.iteri (fun i fi -> Array.iter (fun s -> parent.(find s) <- find i) fi) nl.N.fanin;
+  Array.init (N.size nl) find
+
+(* [faults] repeated until they span at least three chunks of an engine
+   with [k] words, so a campaign records the golden trace. *)
+let past_two_chunks ~k faults =
+  let reps = 1 + (2 * ((62 * k) - 1) / List.length faults) in
+  List.concat (List.init reps (fun _ -> faults))
 
 let suite =
   [
@@ -933,6 +1001,119 @@ let suite =
         in
         check_bool "scheduler retries bit-identical" true
           (clean.C.verdicts = scheduled.C.verdicts));
+    (* ---- cone restriction ---- *)
+    qc ~count:40
+      "campaign: cone chunks match the reference (stuck-at, SEU, status, k, gating)"
+      QCheck2.Gen.(
+        quad (int_bound 10_000) (int_range 24 40) (int_bound 3) (int_bound 2))
+      (fun (seed, m, flavor, status_kind) ->
+        let nl = sliced ~seed m in
+        let n = N.size nl and slice = slices_of nl in
+        let st = Random.State.make [| seed; m |] in
+        let k, gating = [| (1, false); (1, true); (4, false); (4, true) |].(flavor) in
+        (* one or two slices, at most an eighth of the circuit together *)
+        let size r = Array.fold_left (fun acc x -> if x = r then acc + 1 else acc) 0 slice in
+        let pick () = slice.(Random.State.int st n) in
+        let r1 = pick () and r2 = pick () in
+        let chosen = if size r1 + size r2 <= n / 8 then [ r1; r2 ] else [ r1 ] in
+        let inside i = List.mem slice.(i) chosen in
+        let cycles = 6 in
+        let faults =
+          List.filter (fun f -> inside (C.site_of f)) (C.all_stuck_at nl)
+          @ List.map
+              (fun site -> C.Seu { site; at_cycle = Random.State.int st (cycles + 1) })
+              (List.filter inside (C.dff_sites nl))
+        in
+        (* no flag, a faulted slice's flag, or any output's *)
+        let status_outputs =
+          match status_kind with
+          | 0 -> []
+          | 1 -> [ fst (List.find (fun (_, o) -> inside o) nl.N.outputs) ]
+          | _ -> [ fst (List.nth nl.N.outputs (Random.State.int st (List.length nl.N.outputs))) ]
+        in
+        let r =
+          C.run ~engine:(`Slab k) ~gating ~status_outputs nl
+            ~faults:(past_two_chunks ~k faults)
+            ~stimulus:(C.random_stimulus ~seed ~cycles nl) ~cycles
+        in
+        r.C.cone_chunks > 0 && matches_reference r);
+    tc "campaign: after a gated cone settle the tick latches every dff" (fun () ->
+        (* r latches g2 = x && not y and is read only through a masking
+           and-gate.  The cone settles g2 without marking r's latch
+           cluster, so r re-latches only if the tick after a cone settle
+           latches every dff: stuck-at-0 on the inverter is latent by the
+           final r, stuck-at-1 masked *)
+        let x = G.input "x" and y = G.input "y" in
+        let g1 = G.inv y in
+        let r = G.dff (G.and2 g1 x) in
+        let ballast =
+          List.init 12 (fun i ->
+              let a = G.input (Printf.sprintf "a%d" i) in
+              (Printf.sprintf "o%d" i, G.and2 a (G.inv a)))
+        in
+        let nl = N.of_graph ~outputs:(("v", G.and2 r G.zero) :: ballast) in
+        let inv =
+          List.find
+            (fun i -> nl.N.components.(i) = N.Invc && nl.N.fanin.(i).(0) = List.assoc "y" nl.N.inputs)
+            (List.init (N.size nl) Fun.id)
+        in
+        let sa0 = C.Stuck_at { site = inv; value = false } in
+        let sa1 = C.Stuck_at { site = inv; value = true } in
+        (* x rises with y low only in the last cycle *)
+        let cycles = 6 in
+        let stimulus =
+          [ ("x", List.init cycles (fun c -> c = cycles - 1)); ("y", List.init cycles (fun _ -> false)) ]
+        in
+        List.iter
+          (fun k ->
+            let r =
+              C.run ~engine:(`Slab k) ~gating:true nl
+                ~faults:(past_two_chunks ~k [ sa0; sa1 ])
+                ~stimulus ~cycles
+            in
+            check_bool "cone chunks" true (r.C.cone_chunks > 0);
+            check_bool "stuck-at-0 latent" true (classification_of r sa0 = C.Latent);
+            check_bool "stuck-at-1 masked" true (classification_of r sa1 = C.Masked);
+            check_bool "matches the reference" true (matches_reference r))
+          [ 1; 4 ]);
+    tc "campaign: one replica runs cone, full and cone chunks, reading no stale lane"
+      (fun () ->
+        (* slices A and B are tiny; a fault at the head of the long xor
+           chain reaches most of the circuit, so its chunk settles in
+           full and leaves faulty lanes on every chain gate and on the
+           chain output, which the last chunk must not read *)
+        let small i =
+          let a = G.input (Printf.sprintf "a%d" i) and b = G.input (Printf.sprintf "b%d" i) in
+          (Printf.sprintf "s%d" i, G.inv (G.and2 a b))
+        in
+        let chain =
+          let rec go acc i =
+            if i = 40 then acc else go (G.xor2 acc (G.input (Printf.sprintf "d%d" i))) (i + 1)
+          in
+          go (G.inv (G.input "c")) 0
+        in
+        let nl = N.of_graph ~outputs:(("chain", chain) :: List.init 10 small) in
+        let gate_of out =
+          let o = List.assoc out nl.N.outputs in
+          nl.N.fanin.(o).(0)
+        in
+        let head =
+          List.find
+            (fun i -> nl.N.components.(i) = N.Invc && nl.N.fanin.(i).(0) = List.assoc "c" nl.N.inputs)
+            (List.init (N.size nl) Fun.id)
+        in
+        let chunk site = List.init 61 (fun j -> C.Stuck_at { site; value = j mod 2 = 0 }) in
+        let faults = chunk (gate_of "s0") @ chunk head @ chunk (gate_of "s1") in
+        let stimulus = C.random_stimulus ~seed:3 ~cycles:5 nl in
+        let sch = Scheduler.create ~domains:1 () in
+        Fun.protect
+          ~finally:(fun () -> Scheduler.shutdown sch)
+          (fun () ->
+            let r = C.run ~scheduler:sch nl ~faults ~stimulus ~cycles:5 in
+            check_bool "the outer chunks are cones" true (r.C.cone_chunks >= 2);
+            check_bool "matches the reference" true (matches_reference r);
+            check_bool "= a run on a fresh private scheduler" true
+              ((C.run nl ~faults ~stimulus ~cycles:5).C.verdicts = r.C.verdicts)));
     tc "campaign: to_json is the header plus every verdict_to_json" (fun () ->
         let nl = ripple 8 in
         let stimulus = C.random_stimulus ~seed:4 ~cycles:6 nl in

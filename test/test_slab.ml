@@ -32,6 +32,15 @@ let random_word st =
 (* Output list of the compiled netlist *)
 let outputs_of (nl : N.t) = nl.N.outputs
 
+(* An n-bit ripple-carry adder, outputs cout and s0.. *)
+let ripple_netlist n =
+  let module A = Hydra_circuits.Arith.Make (G) in
+  let xs = List.init n (fun i -> G.input (Printf.sprintf "x%d" i)) in
+  let ys = List.init n (fun i -> G.input (Printf.sprintf "y%d" i)) in
+  let cout, sums = A.ripple_add G.zero (List.combine xs ys) in
+  N.of_graph
+    ~outputs:(("cout", cout) :: List.mapi (fun i s -> (Printf.sprintf "s%d" i, s)) sums)
+
 (* Drive every word of a slab and one wide engine per word with the same
    per-word random streams; all outputs must agree word-for-word each
    cycle. *)
@@ -624,6 +633,148 @@ let suite =
           (Invalid_argument
              "Slab.peek_word: word index 1 out of range (engine has 1 words)")
           (fun () -> ignore (Slab.peek_word w 0 1)));
+    tc "component index range errors are descriptive" (fun () ->
+        (* a 4-bit ripple adder has 34 components: index 34 is the first
+           past the end, where a k = 4 slab keeps its pad words *)
+        let nl = ripple_netlist 4 in
+        check_int "components" 34 (N.size nl);
+        List.iter
+          (fun gating ->
+            let s = Slab.create ~k:4 ~gating nl in
+            let raises (name, i) f =
+              Alcotest.check_raises name
+                (Invalid_argument
+                   (Printf.sprintf
+                      "%s: component %d out of range (netlist has 34 components)"
+                      name i))
+                f
+            in
+            raises ("Slab.peek_word", 34) (fun () -> ignore (Slab.peek_word s 34 0));
+            raises ("Slab.poke_word", 34) (fun () -> Slab.poke_word s 34 0 5);
+            raises ("Slab.peek", 34) (fun () -> ignore (Slab.peek s 34));
+            raises ("Slab.poke", -1) (fun () -> Slab.poke s (-1) 5);
+            raises ("Slab.peek_word", -1) (fun () -> ignore (Slab.peek_word s (-1) 3));
+            (* the last component is still in range *)
+            Slab.poke_word s 33 3 0;
+            ignore (Slab.peek s 33))
+          [ false; true ]);
+    tc "Slab.cone rejects out-of-range members and fused engines" (fun () ->
+        let nl = ripple_netlist 4 in
+        let s = Slab.create ~k:2 ~relayout:false ~fuse:false nl in
+        Alcotest.check_raises "member past the end"
+          (Invalid_argument "Slab.cone: member 34 out of range [0, 34)")
+          (fun () -> ignore (Slab.cone s [| 3; 34 |]));
+        Alcotest.check_raises "negative member"
+          (Invalid_argument "Slab.cone: member -1 out of range [0, 34)")
+          (fun () -> ignore (Slab.cone s [| -1 |]));
+        Alcotest.check_raises "negative seed"
+          (Invalid_argument
+             "Slab.fanout_cone: component -1 out of range (netlist has 34 \
+              components)")
+          (fun () -> ignore (Slab.fanout_cone s [| -1 |]));
+        let fused = Slab.create ~k:2 nl in
+        check_bool "ripple fuses" true (Slab.fused_gates fused > 0);
+        Alcotest.check_raises "fused"
+          (Invalid_argument "Slab.cone: requires an engine built with ~fuse:false")
+          (fun () -> ignore (Slab.cone fused [| 3 |]));
+        Alcotest.check_raises "fused closure"
+          (Invalid_argument
+             "Slab.fanout_cone: requires an engine built with ~fuse:false")
+          (fun () -> ignore (Slab.fanout_cone fused [| 3 |]));
+        (* a cone belongs to the instance that built it, until its next *)
+        let c = Slab.cone s [| 3 |] in
+        let tr = Slab.trace s ~cycles:1 in
+        let other = Slab.replicate s in
+        Alcotest.check_raises "another instance"
+          (Invalid_argument
+             "Slab.settle_cone: the cone belongs to another engine instance \
+              or was replaced")
+          (fun () -> Slab.settle_cone other c tr 0);
+        ignore (Slab.cone s [| 4 |]);
+        Alcotest.check_raises "replaced"
+          (Invalid_argument
+             "Slab.in_cone: the cone belongs to another engine instance or \
+              was replaced")
+          (fun () -> ignore (Slab.in_cone s c 3));
+        Alcotest.check_raises "cycle past the trace"
+          (Invalid_argument "Slab.settle_cone: cycle 1 outside the trace (1 cycles)")
+          (fun () -> Slab.settle_cone s (Slab.cone s [| 3 |]) tr 1);
+        Alcotest.check_raises "another circuit's trace"
+          (Invalid_argument "Slab.record_row: the trace was made for another circuit")
+          (fun () -> Slab.record_row s (Slab.trace (Slab.create (ripple_netlist 3)) ~cycles:1) 0));
+    qc ~count:30
+      "settle_cone = settle on the fanout cone of forced sites (k, gating)"
+      QCheck2.Gen.(
+        triple (Test_wide.gen_nodes Test_wide.dff_heavy_ops) (int_bound 1000)
+          (int_bound 3))
+      (fun (nodes, seed, flavor) ->
+        let nl = Test_wide.netlist_of nodes in
+        let k, gating = [| (1, false); (1, true); (4, false); (4, true) |].(flavor) in
+        let mk () = Slab.create ~k ~gating ~relayout:false ~fuse:false nl in
+        (* [full] settles everything, [coned] only the cone of the forced
+           sites, from [golden]'s rows; both carry the same forces *)
+        let golden = mk () and full = mk () and coned = mk () in
+        let st = Random.State.make [| seed |] in
+        let n = N.size nl in
+        let sites = Array.init 2 (fun _ -> Random.State.int st n) in
+        let sites =
+          Array.of_list
+            (List.filter
+               (fun i -> match nl.N.components.(i) with N.Outport _ -> false | _ -> true)
+               (Array.to_list sites))
+        in
+        let forces () =
+          Array.map
+            (fun site ->
+              {
+                Slab.f_site = site;
+                force0 = Array.init k (fun _ -> random_word st);
+                force1 = Array.make k 0;
+                flip = Array.init k (fun _ -> random_word st);
+              })
+            sites
+        in
+        let fs = forces () in
+        Slab.set_forces full fs;
+        Slab.set_forces coned fs;
+        (* the closure, walked here over [N.fanout]; [fanout_cone] must
+           find the same set, or refuse one past n/8 *)
+        let inside = Array.make n false and readers = N.fanout nl in
+        let rec visit i =
+          if not inside.(i) then begin
+            inside.(i) <- true;
+            List.iter (fun (r, _) -> visit r) readers.(i)
+          end
+        in
+        Array.iter visit sites;
+        let members = List.filter (fun i -> inside.(i)) (List.init n Fun.id) in
+        let same =
+          match Slab.fanout_cone coned sites with
+          | Some c -> List.for_all (fun i -> Slab.in_cone coned c i = inside.(i)) (List.init n Fun.id)
+          | None -> List.length members > n / 8
+        in
+        let cone = Slab.cone coned (Array.of_list members) in
+        let tr = Slab.trace golden ~cycles:6 in
+        let ok = ref true in
+        for c = 0 to 5 do
+          List.iter
+            (fun name ->
+              let b = Random.State.bool st in
+              List.iter (fun s -> Slab.set_input_bool s name b) [ golden; full; coned ])
+            [ "a"; "b"; "c" ];
+          Slab.settle golden;
+          Slab.record_row golden tr c;
+          Slab.settle full;
+          Slab.settle_cone coned cone tr c;
+          for i = 0 to n - 1 do
+            if Slab.in_cone coned cone i then
+              for w = 0 to k - 1 do
+                if Slab.peek_word full i w <> Slab.peek_word coned i w then ok := false
+              done
+          done;
+          List.iter Slab.tick [ golden; full; coned ]
+        done;
+        same && !ok);
     (* ---- the engine-polymorphic entry points, slab-instantiated ---- *)
     tc "Slab_sharded: run_batches / run_vectors / step_batches match wide"
       (fun () ->
