@@ -672,9 +672,12 @@ let mark_force_sites t =
       t.force_slots
   end
 
-let set_forces t forces =
+let check_fusion what t =
   if t.prog.Kernel.fused > 0 then
-    invalid_arg "Slab.set_forces: requires an engine built with ~fuse:false";
+    invalid_arg (what ^ ": requires an engine built with ~fuse:false")
+
+let set_forces t forces =
+  check_fusion "Slab.set_forces" t;
   mark_force_sites t;
   let slots = Array.make (Kernel.n_force_slots t.prog) [] in
   Array.iter
@@ -990,10 +993,6 @@ let build_cone t sc nu =
   sc.s_nfront <- !nf - nu;
   sc.s_gen <- sc.s_gen + 1;
   { c_scratch = sc; c_gen = sc.s_gen }
-
-let check_fusion what t =
-  if t.prog.Kernel.fused > 0 then
-    invalid_arg (what ^ ": requires an engine built with ~fuse:false")
 
 let cone t members =
   check_fusion "Slab.cone" t;

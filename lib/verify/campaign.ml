@@ -395,16 +395,16 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
     | _ -> 0
   in
   (* The shared fault-free prefix: the golden state at the top of every
-     cycle [c <= last] with [needed.(c)], from power-up; with [traced],
-     the run goes on to the end of the window, recording the trace. *)
-  let golden_prefix sim needed snaps last traced =
+     cycle [c <= last] with [needed.(c)], from power-up; with a trace to
+     record, the run goes on to the end of the window. *)
+  let golden_prefix sim needed snaps last =
     load sim power_up;
     let snap c =
       if c <= last && needed.(c) then
         snaps.(c) <-
           Array.map (fun site -> -(Slab.peek_word sim site 0 land 1)) state_sites
     in
-    let upto = if traced then cycles else last in
+    let upto = if Option.is_some !trace then cycles else last in
     for c = 0 to upto - 1 do
       snap c;
       drive sim c;
@@ -413,7 +413,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
       Slab.tick sim
     done;
     snap upto;
-    if traced then
+    if Option.is_some !trace then
       quiet :=
         Array.init cycles (fun c ->
             Array.for_all2 (fun d i -> gold c d = gold c i) dffs dff_inputs)
@@ -829,7 +829,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
           let needed = Array.make (last + 1) false in
           Array.iter (fun s -> needed.(s) <- true) starts;
           if traced then trace := Some (Slab.trace exemplar ~cycles);
-          exec 1 (fun sim _ -> golden_prefix sim needed snaps last traced);
+          exec 1 (fun sim _ -> golden_prefix sim needed snaps last);
           first_task := !first_task + 1;
           chunk_cycles := !chunk_cycles + if traced then cycles else last
         end;
