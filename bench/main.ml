@@ -1206,13 +1206,11 @@ let e23 ?(min_time = 0.2) () =
      program (4 ldval, 9 register ops, 2 stores, 1 load, halt), SEUs in
      every dff at two cycles, one in each half of a 60-cycle window after
      the program loads, a 300-cycle run limit, on a k=4 slab over a
-     2-domain scheduler — gated and ungated.  Each of 10 samples runs all
-     8 requests in both flavors, alternating them per request (and which
-     goes first per sample) so host drift hits both alike, timed on
-     Bechamel's monotonic clock.  Rows: median ms/request with its IQR,
-     the engine cycles simulated per request ([chunk_cycles]), the share
-     of chunks that ran as cones ([cone_chunks] over [chunks]), and the
-     median of the 10 paired gated/ungated ratios. *)
+     2-domain scheduler.  Each of 10 samples runs all 8 requests, timed
+     on Bechamel's monotonic clock.  Rows: median ms/request with its
+     IQR, the engine cycles simulated per request ([chunk_cycles]), and
+     the share of chunks that ran as cones ([cone_chunks] over
+     [chunks]). *)
   let module Isa = Hydra_cpu.Isa in
   let module Scheduler = Hydra_engine.Scheduler in
   let straight_line st =
@@ -1250,70 +1248,50 @@ let e23 ?(min_time = 0.2) () =
   let k = 4 in
   let sch = Scheduler.create ~domains:2 () in
   let cache = Hydra_engine.Cache.create () in
-  let request gating (faults, stimulus, cycles) =
-    C.run ~scheduler:sch ~cache ~engine:(`Slab k) ~gating sys_nl ~faults
-      ~stimulus ~cycles
+  let request (faults, stimulus, cycles) =
+    C.run ~scheduler:sch ~cache ~engine:(`Slab k) sys_nl ~faults ~stimulus
+      ~cycles
   in
   let now () = Bechamel.Toolkit.Monotonic_clock.get () in
-  let flavors = [| true; false |] and nsamples = 10 in
-  Array.iter (fun gating -> ignore (request gating (List.hd requests))) flavors;
+  let nsamples = 10 in
+  ignore (request (List.hd requests));
   let n = float_of_int (List.length requests) in
-  let ms = Array.make_matrix 2 nsamples 0.0 and work = Array.make 2 0 in
-  let chunks = Array.make 2 0 and cones = Array.make 2 0 in
+  let ms = Array.make nsamples 0.0 in
+  let work = ref 0 and chunks = ref 0 and cones = ref 0 in
   let t_start = now () in
   for s = 0 to nsamples - 1 do
     List.iter
       (fun r ->
-        List.iter
-          (fun f ->
-            let t0 = now () in
-            let rep = request flavors.(f) r in
-            ms.(f).(s) <- ms.(f).(s) +. ((now () -. t0) /. 1e6 /. n);
-            if s = 0 then begin
-              work.(f) <- work.(f) + rep.C.chunk_cycles;
-              chunks.(f) <- chunks.(f) + rep.C.chunks;
-              cones.(f) <- cones.(f) + rep.C.cone_chunks
-            end)
-          (if s land 1 = 0 then [ 0; 1 ] else [ 1; 0 ]))
+        let t0 = now () in
+        let rep = request r in
+        ms.(s) <- ms.(s) +. ((now () -. t0) /. 1e6 /. n);
+        if s = 0 then begin
+          work := !work + rep.C.chunk_cycles;
+          chunks := !chunks + rep.C.chunks;
+          cones := !cones + rep.C.cone_chunks
+        end)
       requests
   done;
   let wall = (now () -. t_start) /. 1e9 in
-  Array.iteri
-    (fun f gating ->
-      let med, iqr = median_iqr ms.(f) in
-      let flavor = if gating then "gated" else "ungated" in
-      let per_req = float_of_int work.(f) /. n in
-      row
-        "  %-36s %10.1f ms/request (IQR %.1f, n=%d)  %6.0f chunk-cycles/request, \
-         %d of %d chunks cones\n"
-        (Printf.sprintf "cpu seu request, k=%d %s" k flavor)
-        med iqr nsamples per_req cones.(f) chunks.(f);
-      record ~section:"campaign" ~domains:2 ~lanes:(62 * k)
-        ~name:(Printf.sprintf "cpu seu request k=%d %s" k flavor)
-        ~value:med ~unit_:"ms" ~spread:(iqr, nsamples) ~wall_s:wall ~warmup:1
-        ();
-      record ~section:"campaign" ~lanes:(62 * k)
-        ~name:(Printf.sprintf "cpu seu request k=%d %s chunk-cycles" k flavor)
-        ~value:per_req ~unit_:"cycles" ~wall_s:wall ~warmup:1 ();
-      record ~section:"campaign" ~lanes:(62 * k)
-        ~name:(Printf.sprintf "cpu seu request k=%d %s cone-chunk share" k flavor)
-        ~value:(float_of_int cones.(f) /. float_of_int (max 1 chunks.(f)))
-        ~unit_:"frac" ~wall_s:wall ~warmup:1 ())
-    flavors;
-  let ratio, ratio_iqr =
-    median_iqr (Array.init nsamples (fun s -> ms.(0).(s) /. ms.(1).(s)))
-  in
-  row "  %-36s %10.3f x (IQR %.3f, n=%d)\n"
-    (Printf.sprintf "cpu seu request, k=%d gated/ungated" k)
-    ratio ratio_iqr nsamples;
-  record ~section:"campaign" ~domains:2 ~lanes:(62 * k)
-    ~name:(Printf.sprintf "cpu seu request k=%d gated/ungated" k)
-    ~value:ratio ~unit_:"x" ~spread:(ratio_iqr, nsamples) ~wall_s:wall
-    ~warmup:1 ();
+  let med, iqr = median_iqr ms in
+  let per_req = float_of_int !work /. n in
+  let name = Printf.sprintf "cpu seu request k=%d" k in
+  row
+    "  %-36s %10.1f ms/request (IQR %.1f, n=%d)  %6.0f chunk-cycles/request, \
+     %d of %d chunks cones\n"
+    (Printf.sprintf "cpu seu request, k=%d" k)
+    med iqr nsamples per_req !cones !chunks;
+  record ~section:"campaign" ~domains:2 ~lanes:(62 * k) ~name ~value:med
+    ~unit_:"ms" ~spread:(iqr, nsamples) ~wall_s:wall ~warmup:1 ();
+  record ~section:"campaign" ~lanes:(62 * k) ~name:(name ^ " chunk-cycles")
+    ~value:per_req ~unit_:"cycles" ~wall_s:wall ~warmup:1 ();
+  record ~section:"campaign" ~lanes:(62 * k) ~name:(name ^ " cone-chunk share")
+    ~value:(float_of_int !cones /. float_of_int (max 1 !chunks))
+    ~unit_:"frac" ~wall_s:wall ~warmup:1 ();
   (* Cone restriction, request by request: the fault-wallace64 request
      (every stuck-at fault, 6 random cycles, k=4, warm cache) and a
      cpu:8 request (every dff upset at two cycles of a straight-line
-     program, k=4, gated).  Rows: median ms/request with its IQR over
+     program, k=4).  Rows: median ms/request with its IQR over
      [n] requests of fresh stimulus, and the share of chunks that ran as
      cones. *)
   let cone_rows name ~n run =
@@ -1343,7 +1321,7 @@ let e23 ?(min_time = 0.2) () =
         ~stimulus:(C.random_stimulus ~seed:(100 + i) ~cycles:6 nl) ~cycles:6);
   let cpu8 = Driver.system_netlist ~mem_bits:8 () in
   let cpu8_dffs = C.dff_sites cpu8 in
-  cone_rows "cpu:8 seu request, k=4 gated" ~n:5 (fun i ->
+  cone_rows "cpu:8 seu request, k=4" ~n:5 (fun i ->
       let st = Random.State.make [| 0xc8; i |] in
       let program = straight_line st in
       let len = List.length program in
@@ -1355,30 +1333,24 @@ let e23 ?(min_time = 0.2) () =
           (fun at_cycle -> List.map (fun site -> C.Seu { site; at_cycle }) cpu8_dffs)
           [ len + Random.State.int st 30; len + 30 + Random.State.int st 30 ]
       in
-      C.run ~scheduler:sch ~cache ~engine:(`Slab k) ~gating:true cpu8 ~faults
-        ~stimulus ~cycles);
+      C.run ~scheduler:sch ~cache ~engine:(`Slab k) cpu8 ~faults ~stimulus
+        ~cycles);
   Scheduler.shutdown sch
 
 (* E24 ------------------------------------------------------------------ *)
 
 (* The slab engine: K consecutive 62-lane words per signal in one flat
    array, so one kernel pass simulates 62*K instances with the per-gate
-   index loads amortized K ways.  Three measurements:
+   index loads amortized K ways.  Two measurements:
 
    - wallace64 throughput, slab K in {1,4,8,16} vs the wide engine, all
      rates in gate-evals/s at equal total lanes (a wide engine covering
      62*K lanes runs K passes at its 62-lane rate, so rates compare
      directly);
-   - the gating overhead on wallace64 driven with fresh random inputs
-     every cycle — the worst case for change detection, since every
-     rank re-evaluates *and* pays the compare (acceptance: within 10%
-     of the ungated slab);
-   - the gating win on an idle-heavy workload — the section-6 CPU
-     system sitting quiescent (start never asserted), where a settled
-     gated engine reduces to a per-rank bool scan plus the dff latch
-     loop (acceptance: >= 2x over the ungated slab). *)
+   - the k=8 slab driven with fresh random inputs in every word every
+     cycle. *)
 let e24 ?(min_time = 0.2) () =
-  section "E24" "slab engine: K-word slabs and activity gating vs wide";
+  section "E24" "slab engine: K-word slabs vs wide";
   let module Slab = Hydra_engine.Slab in
   let nl = wallace_netlist 64 in
   let st = N.stats nl in
@@ -1419,96 +1391,42 @@ let e24 ?(min_time = 0.2) () =
            (per_lane_run *. float_of_int lanes /. t)
            wide_rate))
     [ 1; 4; 8; 16 ];
-  (* gating worst case: every input word changes every cycle, so every
-     rank stays dirty and the gated loops add one load + xor per word *)
-  let k_g = 8 in
+  (* random stimulus: every input word changes every cycle *)
+  let k_r = 8 in
   let in_names = List.map fst nl.N.inputs in
-  let rst = Random.State.make [| 0x24; k_g |] in
+  let rst = Random.State.make [| 0x24; k_r |] in
   let stim =
     Array.init cycles (fun _ ->
         List.map
           (fun name ->
-            (name, Array.init k_g (fun _ -> Hydra_core.Packed.random_word rst)))
+            (name, Array.init k_r (fun _ -> Hydra_core.Packed.random_word rst)))
           in_names)
   in
-  let drive slab () =
-    Slab.reset slab;
-    for c = 0 to cycles - 1 do
-      List.iter
-        (fun (name, ws) ->
-          Array.iteri (fun w v -> Slab.set_input_word slab name w v) ws)
-        stim.(c);
-      Slab.step slab
-    done
-  in
-  let slab_u = Slab.create ~k:k_g nl in
-  let t_u = time_per_run ~min_time (drive slab_u) in
-  let slab_g = Slab.create ~k:k_g ~gating:true nl in
-  let t_g = time_per_run ~min_time (drive slab_g) in
-  let lanes_g = Wide.lanes * k_g in
-  let rate_u = per_lane_run *. float_of_int lanes_g /. t_u in
-  let rate_g = per_lane_run *. float_of_int lanes_g /. t_g in
-  ignore (entry ~lanes:lanes_g "wallace64 slab k=8 random stimulus" rate_u rate_u);
-  ignore (entry ~lanes:lanes_g "wallace64 slab k=8 gated, random stimulus" rate_g rate_u);
-  record ~section:"E24" ~lanes:lanes_g ~name:"wallace64 gating overhead"
-    ~value:(t_g /. t_u) ~unit_:"x" ();
-  row "  gating overhead on high-toggle wallace64: %.2fx time (floor: <= 1.10x)\n"
-    (t_g /. t_u);
-  (* gating win case: the CPU system holding its power-up state (start
-     and dma never asserted) — nothing toggles, so a settled gated
-     engine skips every rank *)
-  let sys_nl = cpu_netlist () in
-  let sys_st = N.stats sys_nl in
-  let k_idle = 4 in
-  let idle_cycles = 50 in
-  let lanes_idle = Wide.lanes * k_idle in
-  let per_idle_run =
-    float_of_int sys_st.N.gates
-    *. float_of_int idle_cycles
-    *. float_of_int lanes_idle
-  in
-  row "  cpu idle: %d gates held quiescent for %d cycles per run\n"
-    sys_st.N.gates idle_cycles;
-  let idle_time gating =
-    let slab = Slab.create ~k:k_idle ~gating sys_nl in
-    (* settle into the quiescent fixed point before timing *)
-    for _ = 1 to 4 do
-      Slab.step slab
-    done;
+  let slab = Slab.create ~k:k_r nl in
+  let t =
     time_per_run ~min_time (fun () ->
-        for _ = 1 to idle_cycles do
+        Slab.reset slab;
+        for c = 0 to cycles - 1 do
+          List.iter
+            (fun (name, ws) ->
+              Array.iteri (fun w v -> Slab.set_input_word slab name w v) ws)
+            stim.(c);
           Slab.step slab
         done)
   in
-  let t_idle_u = idle_time false in
-  let t_idle_g = idle_time true in
+  let lanes = Wide.lanes * k_r in
   ignore
-    (entry ~lanes:lanes_idle "cpu idle slab k=4" (per_idle_run /. t_idle_u)
-       (per_idle_run /. t_idle_u));
-  ignore
-    (entry ~lanes:lanes_idle "cpu idle slab k=4 gated"
-       (per_idle_run /. t_idle_g)
-       (per_idle_run /. t_idle_u));
-  record ~section:"E24" ~lanes:lanes_idle ~name:"cpu idle gating speedup"
-    ~value:(t_idle_u /. t_idle_g) ~unit_:"x" ();
-  row "  gating speedup on quiescent cpu: %.1fx (acceptance floor: 2x)\n"
-    (t_idle_u /. t_idle_g)
+    (entry ~lanes "wallace64 slab k=8 random stimulus"
+       (per_lane_run *. float_of_int lanes /. t)
+       wide_rate)
 
 (* E25 ------------------------------------------------------------------ *)
 
-(* Rank-blocked kernels, cluster-granular gating and the C block kernel.
-   Three measurements, stamped with the kernel backend this build
-   probed (avx2/neon/scalar-c):
-
-   - wallace64 at k=16 (a slab too large for L2) swept over block sizes,
-     against the unblocked one-block-per-rank baseline — the cache
-     crossover the [Kernel.tuning] default sits on;
-   - the cluster-gating overhead on high-toggle wallace64 at equal total
-     lanes (acceptance: <= 1.05x time vs the ungated slab — block-scoped
-     hot mode is cheaper than the old rank-scoped one);
-   - the gating win on the quiescent CPU system, where a settled gated
-     cycle reduces to two bitset scans (acceptance: > 4.5x over the
-     ungated slab).
+(* Rank-blocked kernels and the C block kernel: wallace64 at k=16 (a
+   slab too large for L2) swept over block sizes, against the unblocked
+   one-block-per-rank baseline — the cache crossover the
+   [Kernel.tuning] default sits on — stamped with the kernel backend
+   this build probed (avx2/neon/scalar-c).
 
    [--tuning SPEC] adds a custom-geometry row to the sweep. *)
 let cli_tuning : Hydra_engine.Kernel.tuning option ref = ref None
@@ -1516,8 +1434,7 @@ let cli_tuning : Hydra_engine.Kernel.tuning option ref = ref None
 let e25 ?(min_time = 0.2) () =
   let module Slab = Hydra_engine.Slab in
   let module Kernel = Hydra_engine.Kernel in
-  section "E25"
-    "rank-blocked kernels: block-size sweep, cluster gating, simd backend";
+  section "E25" "rank-blocked kernels: block-size sweep, simd backend";
   row "  simd backend this build: %s\n" (Slab.kernel_flavor ());
   record ~section:"E25" ~name:"simd backend (2=avx2, 1=neon, 0=scalar-c)"
     ~value:(float_of_int (match Slab.kernel_flavor () with
@@ -1543,18 +1460,18 @@ let e25 ?(min_time = 0.2) () =
     in
     let rate = gates *. float_of_int (cycles * lanes) /. t in
     record ~section:"E25" ~lanes ~name ~value:rate ~unit_:"gate-evals/s" ();
-    (name, rate, t)
+    rate
   in
   (* one block per rank = the pre-blocking layout *)
   let unblocked = { Kernel.default_tuning with Kernel.block_gates = max_int } in
-  let _, base_rate, _ = sample ~tuning:unblocked "wallace64 k=16 unblocked" in
+  let base_rate = sample ~tuning:unblocked "wallace64 k=16 unblocked" in
   row "  %-44s %12.3g gate-evals/s  (1.00x)\n" "unblocked (one block per rank)"
     base_rate;
   List.iter
     (fun bw ->
       let tuning = { Kernel.default_tuning with Kernel.block_words = bw } in
       let name = Printf.sprintf "wallace64 k=16 block-words=%d" bw in
-      let _, rate, _ = sample ~tuning name in
+      let rate = sample ~tuning name in
       row "  %-44s %12.3g gate-evals/s  (%4.2fx)\n"
         (Printf.sprintf "block-words=%d (%d gates/block)" bw
            (Kernel.gates_per_block ~k:kk tuning))
@@ -1563,69 +1480,14 @@ let e25 ?(min_time = 0.2) () =
   (match !cli_tuning with
   | None -> ()
   | Some tuning ->
-    let _, rate, _ =
+    let rate =
       sample ~tuning
         (Printf.sprintf "wallace64 k=16 --tuning %s"
            (Kernel.tuning_to_spec tuning))
     in
     row "  %-44s %12.3g gate-evals/s  (%4.2fx)\n"
       ("--tuning " ^ Kernel.tuning_to_spec tuning)
-      rate (rate /. base_rate));
-  (* cluster-gating overhead, high-toggle worst case at equal lanes *)
-  let in_names = List.map fst nl.N.inputs in
-  let rst = Random.State.make [| 0x25; kk |] in
-  let stim =
-    Array.init cycles (fun _ ->
-        List.map
-          (fun name ->
-            (name, Array.init kk (fun _ -> Hydra_core.Packed.random_word rst)))
-          in_names)
-  in
-  let drive slab () =
-    Slab.reset slab;
-    for c = 0 to cycles - 1 do
-      List.iter
-        (fun (name, ws) ->
-          Array.iteri (fun w v -> Slab.set_input_word slab name w v) ws)
-        stim.(c);
-      Slab.step slab
-    done
-  in
-  let t_u = time_per_run ~min_time (drive (Slab.create ~k:kk nl)) in
-  let t_g =
-    time_per_run ~min_time (drive (Slab.create ~k:kk ~gating:true nl))
-  in
-  record ~section:"E25" ~lanes ~name:"wallace64 cluster-gating overhead"
-    ~value:(t_g /. t_u) ~unit_:"x" ();
-  row "  cluster-gating overhead, high-toggle wallace64: %.3fx time \
-       (acceptance: <= 1.05x)\n"
-    (t_g /. t_u);
-  (* idle win: the CPU system held quiescent — a settled gated cycle is
-     two bitset scans *)
-  let sys_nl = cpu_netlist () in
-  let sys_st = N.stats sys_nl in
-  let k_idle = 4 in
-  let idle_cycles = 50 in
-  let lanes_idle = Wide.lanes * k_idle in
-  row "  cpu idle: %d gates held quiescent for %d cycles per run\n"
-    sys_st.N.gates idle_cycles;
-  let idle_time gating =
-    let slab = Slab.create ~k:k_idle ~gating sys_nl in
-    for _ = 1 to 4 do
-      Slab.step slab
-    done;
-    time_per_run ~min_time (fun () ->
-        for _ = 1 to idle_cycles do
-          Slab.step slab
-        done)
-  in
-  let t_idle_u = idle_time false in
-  let t_idle_g = idle_time true in
-  record ~section:"E25" ~lanes:lanes_idle
-    ~name:"cpu idle cluster-gating speedup" ~value:(t_idle_u /. t_idle_g)
-    ~unit_:"x" ();
-  row "  cluster-gating speedup on quiescent cpu: %.1fx (acceptance: > 4.5x)\n"
-    (t_idle_u /. t_idle_g)
+      rate (rate /. base_rate))
 
 (* E26: fixpoint dataflow analyses and the certified sweep they license.
    Two costs matter: the analysis itself (three worklist fixpoints plus
@@ -1979,27 +1841,22 @@ let smoke () =
         failwith (Printf.sprintf "smoke: sharded batch %d diverges" b))
     batches;
   print_endline "  sharded/wide batch agreement: ok";
-  (* slab engine: every k=4 flavor — plain, cluster-gated, gated with
-     tiny rank blocks — must match the wide engine on every word of
-     every output *)
+  (* slab engine: both k=4 flavors — default and tiny rank blocks —
+     must match the wide engine on every word of every output *)
   let module Slab = Hydra_engine.Slab in
   let module Kernel = Hydra_engine.Kernel in
   let tiny = { Kernel.default_tuning with Kernel.block_gates = 4 } in
   List.iter
-    (fun (label, gating, tuning) ->
-      match Equiv.slab_vs_wide ~passes:1 ~cycles:4 ~k:4 ~gating ?tuning nl with
+    (fun (label, tuning) ->
+      match Equiv.slab_vs_wide ~passes:1 ~cycles:4 ~k:4 ?tuning nl with
       | Equiv.Seq_equivalent -> ()
       | Equiv.Seq_mismatch { output; cycle; _ } ->
         failwith
           (Printf.sprintf "smoke: slab (%s) diverges from wide at %s, cycle %d"
              label output cycle))
-    [
-      ("plain", false, None);
-      ("gated", true, None);
-      ("gated tiny-blocks", true, Some tiny);
-    ];
+    [ ("plain", None); ("tiny-blocks", Some tiny) ];
   Printf.printf
-    "  slab/wide agreement (k=4: plain, gated, gated tiny blocks; %s kernel): ok\n"
+    "  slab/wide agreement (k=4: plain, tiny blocks; %s kernel): ok\n"
     (Hydra_engine.Slab.kernel_flavor ());
   record ~section:"smoke" ~name:"simd backend (2=avx2, 1=neon, 0=scalar-c)"
     ~value:

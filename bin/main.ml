@@ -964,7 +964,7 @@ let sim_cmd =
 (* ---- equiv ---- *)
 
 (* Slab-vs-wide equivalence sweep: every catalogue circuit (or the
-   named targets), each slab width in --k, gated and ungated, checked
+   named targets), each slab width in --k, checked
    word-for-word under Equiv's random sequential stimulus.  CI runs
    `hydra equiv --all --smoke`, so a slab kernel regression fails the
    pipeline, not just the bench. *)
@@ -1004,8 +1004,8 @@ let equiv_cmd =
       & opt (some string) None
       & info [ "tuning" ] ~docv:"SPEC"
           ~doc:
-            "kernel tuning spec, e.g. block-words=1024,block-gates=0,\
-             hot-after=4,probe-period=128 (unset keys keep defaults)")
+            "kernel tuning spec, e.g. block-words=1024,block-gates=0 (unset \
+             keys keep defaults)")
   in
   let run targets all ks passes cycles smoke tuning =
     let targets = (if all then lint_catalogue else []) @ targets in
@@ -1040,24 +1040,16 @@ let equiv_cmd =
       (fun target ->
         let nl = load_target ~cmd:"equiv" target in
         let bad = ref [] in
-        let nconfigs = ref 0 in
         List.iter
           (fun k ->
-            List.iter
-              (fun gating ->
-                incr nconfigs;
-                match E.slab_vs_wide ~passes ~cycles ~k ~gating ?tuning nl with
-                | E.Seq_equivalent -> ()
-                | E.Seq_mismatch { output; cycle; _ } ->
-                  bad :=
-                    ( Printf.sprintf "k=%d%s" k (if gating then " gated" else ""),
-                      output, cycle )
-                    :: !bad)
-              [ false; true ])
+            match E.slab_vs_wide ~passes ~cycles ~k ?tuning nl with
+            | E.Seq_equivalent -> ()
+            | E.Seq_mismatch { output; cycle; _ } ->
+              bad := (Printf.sprintf "k=%d" k, output, cycle) :: !bad)
           ks;
         if !bad = [] then
           Printf.printf "%-18s ok (%d configurations, %d pass(es) x %d cycles)\n"
-            target !nconfigs passes cycles
+            target (List.length ks) passes cycles
         else begin
           failed := true;
           List.iter
@@ -1074,8 +1066,8 @@ let equiv_cmd =
     (Cmd.info "equiv"
        ~doc:
          "Check the slab engine against the wide engine on named circuits \
-          or saved netlist files (random sequential stimulus, every word, \
-          gated and ungated); exits 1 on any mismatch")
+          or saved netlist files (random sequential stimulus, every word); \
+          exits 1 on any mismatch")
     Term.(const run $ targets $ all $ ks $ passes $ cycles $ smoke $ tuning)
 
 (* ---- algo ---- *)

@@ -1,7 +1,7 @@
 (* Compiled-circuit cache: compile once, serve many.
 
-   Keyed by {!Netlist.digest} × engine flavor × compile flags ×
-   {!Kernel.tuning} × k.  The digest is a content hash, so two netlists
+   Keyed by {!Netlist.digest} × engine flavor × compile flags (certify
+   included) × {!Kernel.tuning} × k.  The digest is a content hash, so two netlists
    that differ only in component numbering or port-list order share a
    key — but engine clients (force sites, poke/peek by index) need the
    *exact* index space they asked for, so a hit additionally verifies
@@ -9,14 +9,13 @@
    index-permuted twins land in separate entries of the same bucket.  A
    collision therefore costs a duplicate entry, never a wrong program.
 
-   Engine flavors ("slab:…") cache one pristine exemplar engine per key
-   and hand out {!Slab.replicate} copies — fresh power-up value state
-   over the shared compiled arrays — so a warm hit skips compilation
-   *and* the per-engine derived metadata (slab consumer unions, scaled
-   kernels).  [wide] is the k = 1 ungated OCaml-kernel slab flavor.  The
-   underlying program is cached under its own "program" flavor and
-   shared across flavors, so a [compile]-then-[wide] sequence compiles
-   once.
+   The "slab" flavor caches one pristine exemplar engine per key and
+   hands out {!Slab.replicate} copies — fresh power-up value state over
+   the shared compiled arrays — so a warm hit skips compilation *and*
+   the per-engine block descriptors and their range checks.  [wide] is
+   the k = 1 slab.  The underlying program is cached under its own
+   "program" flavor and shared with the slab flavor, so a
+   [compile]-then-[wide] sequence compiles once.
 
    Everything is guarded by one mutex; compilation itself runs outside
    it (two threads racing on the same cold key may both compile — the
@@ -31,6 +30,7 @@ type key = {
   optimize : bool;
   relayout : bool;
   fuse : bool;
+  certify : bool;
   k : int;
   tuning : Kernel.tuning;
 }
@@ -172,12 +172,23 @@ let get t key nl build =
     Mutex.unlock t.lock;
     p
 
-let mk_key ~flavor ~optimize ~relayout ~fuse ~k ~tuning nl =
-  { digest = Netlist.digest nl; flavor; optimize; relayout; fuse; k; tuning }
+let mk_key ~flavor ~optimize ~relayout ~fuse ~certify ~k ~tuning nl =
+  {
+    digest = Netlist.digest nl;
+    flavor;
+    optimize;
+    relayout;
+    fuse;
+    certify;
+    k;
+    tuning;
+  }
 
 let compile t ?(optimize = false) ?(relayout = true) ?(fuse = true)
     ?(certify = false) ?(tuning = Kernel.default_tuning) ?(k = 1) nl =
-  let key = mk_key ~flavor:"program" ~optimize ~relayout ~fuse ~k ~tuning nl in
+  let key =
+    mk_key ~flavor:"program" ~optimize ~relayout ~fuse ~certify ~k ~tuning nl
+  in
   match
     get t key nl (fun () ->
         Program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k nl))
@@ -185,15 +196,15 @@ let compile t ?(optimize = false) ?(relayout = true) ?(fuse = true)
   | Program p -> p
   | Slab _ -> assert false
 
-let slab t ?(k = 8) ?(gating = false) ?(optimize = false) ?(relayout = true)
+(* [?gating] is accepted and ignored, like {!Slab.create}'s. *)
+let slab t ?(k = 8) ?gating:_ ?(optimize = false) ?(relayout = true)
     ?(fuse = true) ?(certify = false) ?(tuning = Kernel.default_tuning) nl =
   if k < 1 then invalid_arg "Cache.slab: k must be >= 1";
-  let flavor = Printf.sprintf "slab:g%d" (Bool.to_int gating) in
-  let key = mk_key ~flavor ~optimize ~relayout ~fuse ~k ~tuning nl in
+  let key = mk_key ~flavor:"slab" ~optimize ~relayout ~fuse ~certify ~k ~tuning nl in
   match
     get t key nl (fun () ->
         Slab
-          (Slab.of_program ~gating
+          (Slab.of_program
              (compile t ~optimize ~relayout ~fuse ~certify ~tuning ~k nl)))
   with
   | Slab s -> Slab.replicate s

@@ -2,22 +2,24 @@
 
     Entries are keyed by {!Hydra_netlist.Netlist.digest} (a content
     hash, stable across serialization round-trips and component
-    renumberings) × engine flavor × the compile flags that change the
-    produced program ([optimize]/[relayout]/[fuse]/[k]/{!Kernel.tuning}).
+    renumberings) × engine flavor × the compile flags that shape the
+    program or vouch for it
+    ([optimize]/[relayout]/[fuse]/[certify]/[k]/{!Kernel.tuning}).
     Because engine clients address components by index, a digest hit is
     additionally verified by structural equality against the stored
     netlist — index-permuted twins (and hash collisions) get separate
     entries, so a collision can cost a duplicate entry but never a wrong
     program.
 
-    [?certify] is {e not} part of the key: certification is a property
-    of a compile {e run}, so it happens on the miss that populates an
-    entry and is skipped on hits.
+    [?certify] is part of the key, so a [~certify:true] request is
+    served only a program whose pre-passes were translation-validated:
+    after an uncertified compile of the same netlist it misses and
+    compiles (and certifies) again, and the reverse order misses too.
 
-    Engine flavors cache one pristine exemplar per key and return
+    The slab flavor caches one pristine exemplar per key and returns
     replicas (fresh power-up value state over the shared compiled
     arrays), so a warm {!slab} (or {!wide}) hit skips both compilation and
-    the per-engine derived metadata.  Eviction is LRU with hit, miss and
+    building the block descriptors.  Eviction is LRU with hit, miss and
     eviction counters; all operations are mutex-guarded and safe to call
     from scheduler task bodies on any domain (compilation itself runs
     outside the lock). *)
@@ -56,8 +58,7 @@ val wide :
   Hydra_netlist.Netlist.t ->
   Slab.t
 (** The 62-lane engine ({!Compiled_wide.create}, same defaults) through
-    the cache: [slab ~k:1] ungated, so it shares that flavor's
-    entries.  No library code calls it (use [slab ~k:1]); it
+    the cache: [slab ~k:1], so it shares that flavor's entries.  No library code calls it (use [slab ~k:1]); it
     remains only for the workload benchmark ([bench/workloads/]) until
     that benchmark moves to [slab ~k:1].  A replica of the cached exemplar, at power-up,
     safe to run concurrently with every other replica.  The underlying
@@ -76,9 +77,10 @@ val slab :
   ?tuning:Kernel.tuning ->
   Hydra_netlist.Netlist.t ->
   Slab.t
-(** As {!Slab.create} (same defaults), through the cache; [gating]
-    selects a distinct flavor (it changes the exemplar's derived
-    metadata, not the program). *)
+(** As {!Slab.create} (same defaults), through the cache.  [?gating] is
+    accepted and ignored, like {!Slab.create}'s; it remains only until
+    the workload benchmark stops passing it (ROADMAP item 1, the
+    benchmark change, removes it). *)
 
 val stats : t -> stats
 (** Cumulative counters plus the current entry count.  Note {!wide} and

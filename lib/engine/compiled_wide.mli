@@ -1,7 +1,6 @@
 (** The 62-lane "wide" engine: a {!Slab} with one word per signal.
 
-    Only a name for the k = 1 configuration, ungated;
-    everything else about the engine (forces, replicas, packed runs) is
+    Only a name for the k = 1 configuration; everything else about the engine (forces, replicas, packed runs) is
     {!Slab}'s, applied to the same value.  No library code uses it: it
     remains only because the workload benchmark ([bench/workloads/])
     still names it, and goes once that benchmark moves to

@@ -36,21 +36,13 @@ type kernel = {
   out_src : int array;
 }
 
-type tuning = {
-  block_words : int;
-  block_gates : int;
-  hot_after : int;
-  probe_period : int;
-}
+type tuning = { block_words : int; block_gates : int }
 
-let default_tuning =
-  { block_words = 3072; block_gates = 0; hot_after = 4; probe_period = 128 }
+let default_tuning = { block_words = 3072; block_gates = 0 }
 
 let check_tuning t =
   if t.block_words < 1 then invalid_arg "Kernel: tuning.block_words must be >= 1";
-  if t.block_gates < 0 then invalid_arg "Kernel: tuning.block_gates must be >= 0";
-  if t.hot_after < 1 then invalid_arg "Kernel: tuning.hot_after must be >= 1";
-  if t.probe_period < 1 then invalid_arg "Kernel: tuning.probe_period must be >= 1"
+  if t.block_gates < 0 then invalid_arg "Kernel: tuning.block_gates must be >= 0"
 
 let tuning_of_spec ?(base = default_tuning) spec =
   let parse_kv acc kv =
@@ -75,13 +67,11 @@ let tuning_of_spec ?(base = default_tuning) spec =
       (match key with
       | "block-words" -> { acc with block_words = v }
       | "block-gates" -> { acc with block_gates = v }
-      | "hot-after" -> { acc with hot_after = v }
-      | "probe-period" -> { acc with probe_period = v }
       | _ ->
         invalid_arg
           (Printf.sprintf
-             "Kernel.tuning_of_spec: unknown key %S (expected block-words, \
-              block-gates, hot-after or probe-period)"
+             "Kernel.tuning_of_spec: unknown key %S (expected block-words or \
+              block-gates)"
              key))
   in
   let t =
@@ -93,8 +83,7 @@ let tuning_of_spec ?(base = default_tuning) spec =
   t
 
 let tuning_to_spec t =
-  Printf.sprintf "block-words=%d,block-gates=%d,hot-after=%d,probe-period=%d"
-    t.block_words t.block_gates t.hot_after t.probe_period
+  Printf.sprintf "block-words=%d,block-gates=%d" t.block_words t.block_gates
 
 (* Gates per block: explicit override, or derived so one block's value
    traffic (~3 words touched per gate — dst plus two sources — times the
@@ -102,8 +91,6 @@ let tuning_to_spec t =
 let gates_per_block ~k t =
   if t.block_gates > 0 then t.block_gates
   else max 32 (t.block_words / (3 * k))
-
-let dffs_per_cluster_of ~k t = max 8 (t.block_words / (2 * k))
 
 (* How the outer gate at [dst] absorbs a fanout-1 inner gate. *)
 type fusion =
@@ -127,8 +114,6 @@ type program = {
   consumed_by : int array;
   tuning : tuning;
   k : int;
-  dffs_per_cluster : int;
-  n_dff_clusters : int;
   input_index : (string, int) Hashtbl.t;
   output_index : (string, int) Hashtbl.t;
 }
@@ -362,10 +347,6 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
   List.iter (fun (s, i) -> Hashtbl.replace input_index s i) netlist.Netlist.inputs;
   List.iter (fun (s, i) -> Hashtbl.replace output_index s i) netlist.Netlist.outputs;
   let fused = Array.fold_left (fun a c -> if c then a + 1 else a) 0 consumed in
-  let dffs_per_cluster = dffs_per_cluster_of ~k tuning in
-  let n_dff_clusters =
-    (Array.length dffs + dffs_per_cluster - 1) / dffs_per_cluster
-  in
   {
     netlist;
     levels;
@@ -382,8 +363,6 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     consumed_by;
     tuning;
     k;
-    dffs_per_cluster;
-    n_dff_clusters;
     input_index;
     output_index;
   }
@@ -403,56 +382,6 @@ let force_slot ~what p site =
   | Netlist.Invc | Netlist.And2c | Netlist.Or2c | Netlist.Xor2c
   | Netlist.Outport _ ->
     p.levels.Levelize.levels.(site) + 1
-
-(* Blocks that actually read each component, charged from the kernel
-   source arrays so that fused reads land on the outer gate's block. *)
-let consumer_blocks p =
-  let n = size p in
-  let acc : int list array = Array.make n [] in
-  let mark blk src =
-    Array.iter
-      (fun s -> match acc.(s) with
-        | b :: _ when b = blk -> ()  (* dedup the common repeat *)
-        | bs -> acc.(s) <- blk :: bs)
-      src
-  in
-  Array.iteri
-    (fun blk k ->
-      mark blk k.inv_src;
-      mark blk k.and_s0;
-      mark blk k.and_s1;
-      mark blk k.or_s0;
-      mark blk k.or_s1;
-      mark blk k.xor_s0;
-      mark blk k.xor_s1;
-      mark blk k.andor_a;
-      mark blk k.andor_b;
-      mark blk k.andor_c;
-      mark blk k.andor_d;
-      mark blk k.orand_a;
-      mark blk k.orand_b;
-      mark blk k.orand_c;
-      mark blk k.xor3_a;
-      mark blk k.xor3_b;
-      mark blk k.xor3_c;
-      mark blk k.out_src)
-    p.blocks;
-  Array.map (fun bs -> Array.of_list (List.sort_uniq compare bs)) acc
-
-(* Dff clusters whose latch phase reads each component: dff [j] reads
-   [dff_src.(j)] every tick, and lives in cluster [j / dffs_per_cluster].
-   The complement of {!consumer_blocks} for the sequential phase. *)
-let dff_sink_clusters p =
-  let n = size p in
-  let acc : int list array = Array.make n [] in
-  Array.iteri
-    (fun j src ->
-      let cl = j / p.dffs_per_cluster in
-      match acc.(src) with
-      | c :: _ when c = cl -> ()
-      | cs -> acc.(src) <- cl :: cs)
-    p.dff_src;
-  Array.map (fun cs -> Array.of_list (List.sort_uniq compare cs)) acc
 
 (* Incremental recompilation ------------------------------------------- *)
 
@@ -749,22 +678,3 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
       p_comps_recompiled = !recompiled;
       p_comps_total = n;
     } )
-
-(* The block whose kernel stores each component, or -1 for components
-   settled outside the kernels (inports, constants, dffs, fused inner
-   gates). *)
-let comp_block p =
-  let owner = Array.make (size p) (-1) in
-  let claim blk dst = Array.iter (fun d -> owner.(d) <- blk) dst in
-  Array.iteri
-    (fun blk k ->
-      claim blk k.inv_dst;
-      claim blk k.and_dst;
-      claim blk k.or_dst;
-      claim blk k.xor_dst;
-      claim blk k.andor_dst;
-      claim blk k.orand_dst;
-      claim blk k.xor3_dst;
-      claim blk k.out_dst)
-    p.blocks;
-  owner

@@ -44,29 +44,21 @@ type kernel = {
   out_src : int array;
 }
 
-(** Cache-tiling and gating knobs shared by every engine compiled
-    through this module.  [block_words] is the target number of value
-    words one block's kernels touch per pass (dst plus sources, times
-    the engine's K words per signal) — size it to L1/L2;
-    [block_gates] > 0 overrides the derivation with an explicit
-    gates-per-block.  [hot_after] and [probe_period] drive {!Slab}'s
-    per-block hot/detect adaptation: a block that changes on
-    [hot_after] consecutive detect runs goes hot (plain kernels,
-    conservative consumer marking) for [probe_period] runs before being
-    re-probed with change detection; [probe_period] also bounds how many
-    settles a busy gated slab sweeps dense before it measures again. *)
+(** Cache-tiling knobs shared by every engine compiled through this
+    module.  [block_words] is the target number of value words one
+    block's kernels touch per pass (dst plus sources, times the engine's
+    K words per signal) — size it to L1/L2; [block_gates] > 0 overrides
+    the derivation with an explicit gates-per-block. *)
 type tuning = {
   block_words : int;  (** cache target in value words, default 3072 *)
   block_gates : int;  (** explicit gates per block; 0 (default) derives *)
-  hot_after : int;  (** detect runs with changes before hot, default 4 *)
-  probe_period : int;  (** hot runs between re-probes, default 128 *)
 }
 
 val default_tuning : tuning
 
 val tuning_of_spec : ?base:tuning -> string -> tuning
-(** Parse a ["key=int,key=int"] spec (keys [block-words], [block-gates],
-    [hot-after], [probe-period]; underscores accepted) over [?base]
+(** Parse a ["key=int,key=int"] spec (keys [block-words] and
+    [block-gates]; underscores accepted) over [?base]
     (default {!default_tuning}).  Raises a descriptive
     [Invalid_argument] on unknown keys, non-integer values or
     out-of-range results — the shared parser behind the [--tuning] CLI
@@ -116,10 +108,6 @@ type program = {
       (** per component: the outer gate that absorbed it, or -1 *)
   tuning : tuning;  (** the tuning the blocks were sized with *)
   k : int;  (** the words-per-signal the blocks were sized for *)
-  dffs_per_cluster : int;
-      (** dff latch gating granularity: dff [j] (index into [dffs])
-          belongs to cluster [j / dffs_per_cluster] *)
-  n_dff_clusters : int;
   input_index : (string, int) Hashtbl.t;
   output_index : (string, int) Hashtbl.t;
 }
@@ -194,28 +182,3 @@ val force_slot : what:string -> program -> int -> int
 
 val n_force_slots : program -> int
 (** Number of force slots: rank count + 1. *)
-
-val consumer_blocks : program -> int array array
-(** [consumer_blocks p] maps every component to the sorted list of
-    blocks whose kernels read it — computed from the kernel source
-    arrays themselves, so a fused inner gate's sources are charged to
-    the *outer* gate's block (where the read actually happens).  Reads
-    by the dff latch phase are not blocks and are not included (see
-    {!dff_sink_clusters}).  This is the dependency metadata behind
-    {!Slab}'s cluster-granular activity gating: when a component's word
-    changes, exactly these blocks must re-run.  Every consumer block
-    lives at a strictly higher rank than the component, so one ascending
-    block sweep propagates the whole active cone. *)
-
-val dff_sink_clusters : program -> int array array
-(** [dff_sink_clusters p] maps every component to the sorted list of
-    dff clusters (see [dffs_per_cluster]) whose latch phase reads it —
-    the sequential-phase complement of {!consumer_blocks}: when a
-    component's word changes, exactly these clusters must re-latch on
-    the next tick. *)
-
-val comp_block : program -> int array
-(** [comp_block p] maps every component to the block whose kernel
-    stores it, or [-1] for components settled outside the kernels
-    (inports, constants, dffs and fused inner gates).  Lets gating
-    re-mark a site's own block when a force is installed or cleared. *)

@@ -1,13 +1,7 @@
-/* The C block kernel of the Slab engine: every block runs here, gated or
- * not.
+/* The C block kernel of the Slab engine: every block runs here.
  *
  * hydra_settle_block(values, desc) evaluates one compiled block of the
- * shared Kernel program directly over the OCaml int-array slab;
- * hydra_settle_block_detect(values, desc, chg) does the same and also
- * change-detects each non-outport gate's K-word result, appending the
- * unscaled component index of every gate whose words changed to chg
- * and returning their count (Slab sizes chg to the largest block's
- * non-outport gate count, so the appends stay in bounds).  The
+ * shared Kernel program directly over the OCaml int-array slab.  The
  * descriptor is a flat OCaml int array: [k | n_inv n_and n_or n_xor
  * n_andor n_orand n_xor3 n_out | per-kind (dst, src...) tuples], with
  * every index pre-scaled by k, so a gate's K words live at consecutive
@@ -24,8 +18,8 @@
  *
  * The stub never allocates, never touches the OCaml runtime and never
  * releases the domain lock ([@@noalloc] on the OCaml side), so the
- * arrays cannot move while it runs.  Vector paths are compile-time
- * gated: -mavx2 comes from the dune probe rule (which requires the
+ * arrays cannot move while it runs.  Vector paths are chosen at
+ * compile time: -mavx2 comes from the dune probe rule (which requires the
  * host to both compile and *run* AVX2), NEON is baseline on aarch64;
  * HYDRA_SIMD=off at build time selects the portable scalar C.
  */
@@ -52,73 +46,29 @@ CAMLprim value hydra_simd_kind(value unit)
   return Val_long(HYDRA_SIMD_KIND);
 }
 
-/* The block kernel body, as a function of k and chg.  Always inlined,
- * so each call site is its own specialisation: with the literal k = 1
- * the compiler drops the vector loops and the tail loops collapse to
- * one word per gate, and with a literal NULL chg every change-detection
- * branch folds away.  Returns the number of changed gates appended to
- * chg (0 without chg). */
-static inline __attribute__((always_inline)) long
-settle_block_k(value *vals, const value *d, const long k, value *chg)
+/* The block kernel body, as a function of k.  Always inlined, so each
+ * call site is its own specialisation: with the literal k = 1 the
+ * compiler drops the vector loops and the tail loops collapse to one
+ * word per gate. */
+static inline __attribute__((always_inline)) void
+settle_block_k(value *vals, const value *d, const long k)
 {
   const value *p = d + 9;
-  long n, j, w, nchg = 0;
-  value sdiff = 0;
+  long n, j, w;
 
 #if HYDRA_SIMD_KIND == 2
   const __m256i vtag = _mm256_set1_epi64x(1);
   const __m256i vm2 = _mm256_set1_epi64x((long long)M2);
-  __m256i vdiff = _mm256_setzero_si256();
 #define VLOAD(a, w) _mm256_loadu_si256((const __m256i *)((a) + (w)))
 #define VSTORE(a, w, x) _mm256_storeu_si256((__m256i *)((a) + (w)), (x))
-#define VACC(a, w, x) \
-  (vdiff = _mm256_or_si256(vdiff, _mm256_xor_si256(VLOAD(a, w), (x))))
-#define VANY() (!_mm256_testz_si256(vdiff, vdiff))
-#define VCLEAR() (vdiff = _mm256_setzero_si256())
-#define VTYPE __m256i
 #define VEC_STEP 4
 #elif HYDRA_SIMD_KIND == 1
   const int64x2_t vtag = vdupq_n_s64(1);
   const int64x2_t vm2 = vdupq_n_s64((long long)M2);
-  int64x2_t vdiff = vdupq_n_s64(0);
 #define VLOAD(a, w) vld1q_s64((const int64_t *)((a) + (w)))
 #define VSTORE(a, w, x) vst1q_s64((int64_t *)((a) + (w)), (x))
-#define VACC(a, w, x) (vdiff = vorrq_s64(vdiff, veorq_s64(VLOAD(a, w), (x))))
-#define VANY() ((vgetq_lane_s64(vdiff, 0) | vgetq_lane_s64(vdiff, 1)) != 0)
-#define VCLEAR() (vdiff = vdupq_n_s64(0))
-#define VTYPE int64x2_t
 #define VEC_STEP 2
-#else
-#define VANY() 0
-#define VCLEAR() ((void)0)
 #endif
-
-/* Store a gate's result vector at word w (resp. one word); when
- * detecting, first OR old ^ new into the gate's difference. */
-#define VPUT(a, w, x)                   \
-  do {                                  \
-    const VTYPE nv_ = (x);              \
-    if (chg)                            \
-      VACC(a, w, nv_);                  \
-    VSTORE(a, w, nv_);                  \
-  } while (0)
-#define PUT(a, w, x)                    \
-  do {                                  \
-    const value nv_ = (x);              \
-    if (chg)                            \
-      sdiff |= (a)[w] ^ nv_;            \
-    (a)[w] = nv_;                       \
-  } while (0)
-/* After a gate's last word: append its unscaled index if it changed. */
-#define NOTE_CHANGE(a)                                 \
-  do {                                                 \
-    if (chg) {                                         \
-      if (sdiff || VANY())                             \
-        chg[nchg++] = Val_long(((a) - vals) / k);      \
-      sdiff = 0;                                       \
-      VCLEAR();                                        \
-    }                                                  \
-  } while (0)
 
   /* inv: dst = (~src & M2) | 1 */
   n = Long_val(d[1]);
@@ -129,15 +79,14 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     w = 0;
 #if HYDRA_SIMD_KIND == 2
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           _mm256_or_si256(_mm256_andnot_si256(VLOAD(src, w), vm2), vtag));
+      VSTORE(dst, w,
+             _mm256_or_si256(_mm256_andnot_si256(VLOAD(src, w), vm2), vtag));
 #elif HYDRA_SIMD_KIND == 1
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w, vorrq_s64(vbicq_s64(vm2, VLOAD(src, w)), vtag));
+      VSTORE(dst, w, vorrq_s64(vbicq_s64(vm2, VLOAD(src, w)), vtag));
 #endif
     for (; w < k; w++)
-      PUT(dst, w, (~src[w] & M2) | 1);
-    NOTE_CHANGE(dst);
+      dst[w] = (~src[w] & M2) | 1;
   }
 
   /* and2: tags preserved */
@@ -150,14 +99,13 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     w = 0;
 #if HYDRA_SIMD_KIND == 2
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w, _mm256_and_si256(VLOAD(s0, w), VLOAD(s1, w)));
+      VSTORE(dst, w, _mm256_and_si256(VLOAD(s0, w), VLOAD(s1, w)));
 #elif HYDRA_SIMD_KIND == 1
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w, vandq_s64(VLOAD(s0, w), VLOAD(s1, w)));
+      VSTORE(dst, w, vandq_s64(VLOAD(s0, w), VLOAD(s1, w)));
 #endif
     for (; w < k; w++)
-      PUT(dst, w, s0[w] & s1[w]);
-    NOTE_CHANGE(dst);
+      dst[w] = s0[w] & s1[w];
   }
 
   /* or2: tags preserved */
@@ -170,14 +118,13 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     w = 0;
 #if HYDRA_SIMD_KIND == 2
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w, _mm256_or_si256(VLOAD(s0, w), VLOAD(s1, w)));
+      VSTORE(dst, w, _mm256_or_si256(VLOAD(s0, w), VLOAD(s1, w)));
 #elif HYDRA_SIMD_KIND == 1
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w, vorrq_s64(VLOAD(s0, w), VLOAD(s1, w)));
+      VSTORE(dst, w, vorrq_s64(VLOAD(s0, w), VLOAD(s1, w)));
 #endif
     for (; w < k; w++)
-      PUT(dst, w, s0[w] | s1[w]);
-    NOTE_CHANGE(dst);
+      dst[w] = s0[w] | s1[w];
   }
 
   /* xor2: re-tag */
@@ -190,16 +137,15 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     w = 0;
 #if HYDRA_SIMD_KIND == 2
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           _mm256_or_si256(_mm256_xor_si256(VLOAD(s0, w), VLOAD(s1, w)),
-                           vtag));
+      VSTORE(dst, w,
+             _mm256_or_si256(_mm256_xor_si256(VLOAD(s0, w), VLOAD(s1, w)),
+                             vtag));
 #elif HYDRA_SIMD_KIND == 1
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w, vorrq_s64(veorq_s64(VLOAD(s0, w), VLOAD(s1, w)), vtag));
+      VSTORE(dst, w, vorrq_s64(veorq_s64(VLOAD(s0, w), VLOAD(s1, w)), vtag));
 #endif
     for (; w < k; w++)
-      PUT(dst, w, (s0[w] ^ s1[w]) | 1);
-    NOTE_CHANGE(dst);
+      dst[w] = (s0[w] ^ s1[w]) | 1;
   }
 
   /* andor: dst = (a & b) | (c & e) — tags preserved */
@@ -214,18 +160,17 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     w = 0;
 #if HYDRA_SIMD_KIND == 2
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           _mm256_or_si256(_mm256_and_si256(VLOAD(a, w), VLOAD(b, w)),
-                           _mm256_and_si256(VLOAD(c, w), VLOAD(e, w))));
+      VSTORE(dst, w,
+             _mm256_or_si256(_mm256_and_si256(VLOAD(a, w), VLOAD(b, w)),
+                             _mm256_and_si256(VLOAD(c, w), VLOAD(e, w))));
 #elif HYDRA_SIMD_KIND == 1
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           vorrq_s64(vandq_s64(VLOAD(a, w), VLOAD(b, w)),
-                     vandq_s64(VLOAD(c, w), VLOAD(e, w))));
+      VSTORE(dst, w,
+             vorrq_s64(vandq_s64(VLOAD(a, w), VLOAD(b, w)),
+                       vandq_s64(VLOAD(c, w), VLOAD(e, w))));
 #endif
     for (; w < k; w++)
-      PUT(dst, w, (a[w] & b[w]) | (c[w] & e[w]));
-    NOTE_CHANGE(dst);
+      dst[w] = (a[w] & b[w]) | (c[w] & e[w]);
   }
 
   /* orand: dst = (a & b) | c — tags preserved */
@@ -239,17 +184,16 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     w = 0;
 #if HYDRA_SIMD_KIND == 2
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           _mm256_or_si256(_mm256_and_si256(VLOAD(a, w), VLOAD(b, w)),
-                           VLOAD(c, w)));
+      VSTORE(dst, w,
+             _mm256_or_si256(_mm256_and_si256(VLOAD(a, w), VLOAD(b, w)),
+                             VLOAD(c, w)));
 #elif HYDRA_SIMD_KIND == 1
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           vorrq_s64(vandq_s64(VLOAD(a, w), VLOAD(b, w)), VLOAD(c, w)));
+      VSTORE(dst, w,
+             vorrq_s64(vandq_s64(VLOAD(a, w), VLOAD(b, w)), VLOAD(c, w)));
 #endif
     for (; w < k; w++)
-      PUT(dst, w, (a[w] & b[w]) | c[w]);
-    NOTE_CHANGE(dst);
+      dst[w] = (a[w] & b[w]) | c[w];
   }
 
   /* xor3: dst = a ^ b ^ c — two xors leave the tag set */
@@ -263,20 +207,19 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     w = 0;
 #if HYDRA_SIMD_KIND == 2
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           _mm256_xor_si256(_mm256_xor_si256(VLOAD(a, w), VLOAD(b, w)),
-                            VLOAD(c, w)));
+      VSTORE(dst, w,
+             _mm256_xor_si256(_mm256_xor_si256(VLOAD(a, w), VLOAD(b, w)),
+                              VLOAD(c, w)));
 #elif HYDRA_SIMD_KIND == 1
     for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VPUT(dst, w,
-           veorq_s64(veorq_s64(VLOAD(a, w), VLOAD(b, w)), VLOAD(c, w)));
+      VSTORE(dst, w,
+             veorq_s64(veorq_s64(VLOAD(a, w), VLOAD(b, w)), VLOAD(c, w)));
 #endif
     for (; w < k; w++)
-      PUT(dst, w, a[w] ^ b[w] ^ c[w]);
-    NOTE_CHANGE(dst);
+      dst[w] = a[w] ^ b[w] ^ c[w];
   }
 
-  /* outports: plain copies, never change-detected (no readers) */
+  /* outports: plain copies */
   n = Long_val(d[8]);
   for (j = 0; j < n; j++) {
     value *dst = vals + Long_val(p[0]);
@@ -290,7 +233,6 @@ settle_block_k(value *vals, const value *d, const long k, value *chg)
     for (; w < k; w++)
       dst[w] = src[w];
   }
-  return nchg;
 }
 
 CAMLprim value hydra_settle_block(value v_values, value v_desc)
@@ -299,20 +241,8 @@ CAMLprim value hydra_settle_block(value v_values, value v_desc)
   const value *d = Op_val(v_desc);
   const long k = Long_val(d[0]);
   if (k == 1)
-    settle_block_k(vals, d, 1, NULL);
+    settle_block_k(vals, d, 1);
   else
-    settle_block_k(vals, d, k, NULL);
+    settle_block_k(vals, d, k);
   return Val_unit;
-}
-
-CAMLprim value hydra_settle_block_detect(value v_values, value v_desc,
-                                         value v_chg)
-{
-  value *vals = Op_val(v_values);
-  const value *d = Op_val(v_desc);
-  value *chg = Op_val(v_chg);
-  const long k = Long_val(d[0]);
-  if (k == 1)
-    return Val_long(settle_block_k(vals, d, 1, chg));
-  return Val_long(settle_block_k(vals, d, k, chg));
 }

@@ -11,84 +11,27 @@
    addition here is pre-scaling every index by [k] so the hot loops
    never multiply.
 
-   Every block, gated or not, runs through one kernel, the C stub in
-   [kernel_stubs.c], from a flat per-block descriptor built (and
-   bounds-checked) at create time.  The stub specialises k = 1 and uses
-   AVX2/NEON vector loads when the build enabled them (tagged ints
-   vectorize directly: and/or preserve the tag, xor re-ors it, inv
-   masks against [lane_mask lsl 1]); its detecting entry point also
-   returns the gates whose words changed, so no gate-evaluation loop
-   is OCaml.
+   Every block runs through one kernel, the C stub in [kernel_stubs.c],
+   from a flat per-block descriptor built (and bounds-checked) at
+   create time.  The stub specialises k = 1 and uses AVX2/NEON vector
+   loads when the build enabled them (tagged ints vectorize directly:
+   and/or preserve the tag, xor re-ors it, inv masks against
+   [lane_mask lsl 1]), so no gate-evaluation loop is OCaml.
 
-   The units of both iteration and gating are the compile-time rank
-   {e blocks} of {!Kernel.program}: every levelized rank is tiled into
-   blocks of at most {!Kernel.gates_per_block} gates ({!Kernel.tuning},
-   sized so one block's K-word value traffic fits L1/L2), and each
-   block runs all its per-kind loops before the sweep moves on — a
-   k = 16 slab re-walks a cache-hot tile instead of streaming the whole
-   rank once per gate kind.
-
-   Activity gating ([~gating:true]) adds a per-block dirty bitset (int
-   words, 32 blocks per word) over {!Kernel.consumer_blocks}, plus a
-   per-dff-cluster dirty bitset over {!Kernel.dff_sink_clusters} for
-   the latch phase:
-
-   - every mutation (input writes, pokes, force application, the dff
-     latch phase) compares the new word against the old and, on any
-     difference, marks the blocks that read the component and the dff
-     clusters that latch it;
-   - [settle] skips blocks whose bit is clear and, inside a running
-     block, change-detects each gate's K-word result to mark *its*
-     readers — consumer blocks always sit at strictly higher ranks, so
-     one ascending sweep propagates exactly the active cone;
-   - [tick] latches only dirty dff clusters (two staged passes, so dff
-     chains crossing clusters still see pre-tick values);
-   - a settled quiescent engine costs one scan of the bitset words per
-     cycle — an idle CPU pays for its state nothing at all.
-
-   Change detection costs an extra load and xor per word plus a
-   consumer-marking pass per changed gate — nearly 2x on a circuit
-   whose every block toggles every cycle.  Gating is therefore
-   adaptive per block: a block whose gates changed on
-   [tuning.hot_after] consecutive detected runs flips to a {e hot}
-   mode that runs the plain ungated kernels and conservatively marks
-   the union of its consumer blocks (and dff sink clusters),
-   re-probing with detection every [tuning.probe_period] runs.  A hot
-   block that stops being marked dirty simply stops running, so
-   quiescence still propagates instantly; the probe only exists to
-   catch blocks whose inputs keep toggling while their outputs have
-   stabilized.  High-toggle circuits thus pay only the bitset scan and
-   the rare probe (a few percent), while idle workloads keep the full
-   skip — at block, not rank, granularity, so the active cone of a
-   mostly-idle wide rank re-runs only its own tiles.
-
-   Hot blocks still pay the bitset walk, and detecting blocks the
-   per-word change detection, on cycles where nothing can be skipped — a
-   CPU running a program under hundreds of SEU lanes dirties nearly
-   every block every cycle.  So a gated settle that ran at least 7/8 of
-   the blocks makes the engine {e dense} for the next
-   [tuning.probe_period] settles: each runs the ungated sweep, then
-   clears every block bit and marks every dff cluster, and [tick]
-   latches ungated while more dense settles remain.  The tick before
-   the next gated settle is the gated one, so that settle starts from
-   exact roots (changed dffs plus writes) and measures again.  The
-   settle after [fresh]/[reset] does not count: its bitset is full by
-   construction.
-
-   Forces compose with gating: [settle] applies force masks at the
-   usual rank-boundary slots with change detection, marking the forced
-   site's consumer blocks and dff sink clusters exactly like any other
-   mutation, and [set_forces]/[clear_forces] re-mark each affected
-   site's own block so a cleared force is recomputed to its natural
-   value on the next settle.  Campaigns therefore run gated or
-   ungated.
+   The unit of iteration is the compile-time rank {e block} of
+   {!Kernel.program}: every levelized rank is tiled into blocks of at
+   most {!Kernel.gates_per_block} gates ({!Kernel.tuning}, sized so one
+   block's K-word value traffic fits L1/L2), and each block runs all its
+   per-kind loops before the sweep moves on — a k = 16 slab re-walks a
+   cache-hot tile instead of streaming the whole rank once per gate
+   kind.  A settle is one ascending sweep over every block, with force
+   masks applied at the rank boundaries; a tick latches every dff.
 
    A cone settle ([settle_cone]) runs the stub over per-rank descriptors
    of just a fanout-closed component set, built per instance in a
    reused scratch, after writing a golden trace's bits to the set's
    frontier: the fault campaign's way to settle only what its faults
-   can reach.  Gating cannot do this — a wallace64 chunk's cone is ~4%
-   of the gates but spread over half the blocks. *)
+   can reach. *)
 
 module Netlist = Hydra_netlist.Netlist
 module Levelize = Hydra_netlist.Levelize
@@ -137,7 +80,6 @@ type scratch = {
 type t = {
   prog : Kernel.program;
   k : int;
-  gating : bool;
   fanout : fanout option Atomic.t;
       (* built on the first [fanout_cone], shared by replicas *)
   mutable scratch : scratch option;
@@ -149,117 +91,16 @@ type t = {
   dffs_s : int array;  (* scaled dff bases *)
   dff_src_s : int array;  (* scaled driver bases *)
   dff_init_w : int array;  (* broadcast power-up words *)
-  consumers : int array array;
-      (* per (unscaled) component: blocks whose kernels read it *)
-  dff_sinks : int array array;
-      (* per (unscaled) component: dff clusters whose latch reads it *)
-  comp_owner : int array;
-      (* per (unscaled) component: block whose kernel stores it, or -1 *)
-  dff_of_comp : int array;
-      (* per (unscaled) component: its index into [prog.dffs], or -1 *)
-  block_consumers : (int array * int array) array;
-      (* per block: union of its gates' consumer blocks (hot marking),
-         as a sparse (bitset word, OR mask) pair list *)
-  block_dff_sinks : (int array * int array) array;
-      (* per block: union of its gates' dff sink clusters (hot marking) *)
-  cluster_consumers : (int array * int array) array;
-      (* per dff cluster: union of its dffs' consumer blocks — the
-         gated tick marks once per changed cluster, not per dff *)
-  cluster_sinks : (int array * int array) array;
-      (* per dff cluster: union of its dffs' own dff sink clusters
-         (dff-to-dff chains) *)
   values : int array;  (* the slab: size * k + pad *)
   dff_next : int array;  (* ndffs * k + pad *)
-  block_dirty : int array;
-      (* bitset, 32 blocks per int; only read when gating *)
-  dff_dirty : int array;
-      (* bitset over dff clusters; only read when gating *)
-  cluster_scratch : int array;
-      (* tick's snapshot of dirty clusters, length n_dff_clusters *)
-  changed : int array;
-      (* gated engines: the detecting stub's changed-gate buffer, as long
-         as the largest block's non-outport gate count; empty otherwise *)
-  block_mode : int array;
-      (* 0 = detecting; n > 0 = hot for n more runs before a probe *)
-  block_streak : int array;
-      (* consecutive changed runs while detecting; at
-         [tuning.hot_after], go hot for [tuning.probe_period] runs *)
   mutable cycle : int;
   mutable force_slots : force array array;
-  mutable last_marked : int;
-      (* last component [write_word] marked, or -1; consecutive writes
-         to the k words of one component mark its consumers once.
-         Invalidated wherever dirty bits are consumed (settle, tick). *)
-  mutable dense : int;
-      (* gated engines: settles left to run as the ungated sweep *)
-  mutable unmeasured : bool;
-      (* the next gated settle follows [fresh]/[reset]: its full bitset
-         says nothing about activity, so it never enters dense mode *)
 }
 
 let k t = t.k
 let words t = t.k
 let program t = t.prog
 let lanes t = lanes_per_word * t.k
-let gated t = t.gating
-let dense_next t = t.dense > 0
-
-(* --- int-word bitsets: 32 bits per word so the shift/mask never meets
-   OCaml's 63-bit int edge, [i lsr 5] / [i land 31] indexing --- *)
-
-let bitset_make n = Array.make ((n + 31) lsr 5) 0
-
-(* Set every valid bit, leaving the excess bits of the last word clear so
-   a zero-scan of a fully-settled engine really sees all zeros. *)
-let bitset_fill b n =
-  let full = n lsr 5 in
-  Array.fill b 0 full (-1 land 0xFFFFFFFF);
-  let rest = n land 31 in
-  if rest > 0 then b.(full) <- (1 lsl rest) - 1
-
-let bit_test b i = b.(i lsr 5) land (1 lsl (i land 31)) <> 0
-
-let bit_clear b i =
-  let w = i lsr 5 in
-  b.(w) <- b.(w) land lnot (1 lsl (i land 31))
-
-let mark_bit b i =
-  let w = i lsr 5 in
-  b.(w) <- b.(w) lor (1 lsl (i land 31))
-
-let mark_bits b idxs =
-  for x = 0 to Array.length idxs - 1 do
-    let i = Array.unsafe_get idxs x in
-    let w = i lsr 5 in
-    Array.unsafe_set b w (Array.unsafe_get b w lor (1 lsl (i land 31)))
-  done
-
-(* A precomputed union of dirty-bit targets, stored as (bitset word
-   index, OR mask) pairs so marking the whole union is a handful of
-   word ORs instead of a walk over every member index. *)
-let mask_of_union idxs =
-  let words = ref [] and masks = ref [] in
-  Array.iter
-    (fun i ->
-      let w = i lsr 5 and m = 1 lsl (i land 31) in
-      match !words with
-      | w' :: _ when w' = w -> masks := (List.hd !masks lor m) :: List.tl !masks
-      | _ ->
-          words := w :: !words;
-          masks := m :: !masks)
-    idxs;
-  (Array.of_list (List.rev !words), Array.of_list (List.rev !masks))
-
-let or_mask b (idx, msk) =
-  for x = 0 to Array.length idx - 1 do
-    let w = Array.unsafe_get idx x in
-    Array.unsafe_set b w (Array.unsafe_get b w lor Array.unsafe_get msk x)
-  done
-
-let any_bit b =
-  let n = Array.length b in
-  let rec go i = i < n && (Array.unsafe_get b i <> 0 || go (i + 1)) in
-  go 0
 
 let apply_initial t =
   let values = t.values and km1 = t.k - 1 in
@@ -279,46 +120,6 @@ let apply_initial t =
 
 (* Cache-line slack at the end of the hot arrays (see [fresh]). *)
 let pad = 8
-
-(* Per block, the sorted union of its gates' consumer blocks (resp. dff
-   sink clusters): what a hot block marks after an undetected run. *)
-let block_union universe (prog : Kernel.program) per_comp =
-  Array.map
-    (fun (kn : Kernel.kernel) ->
-      let seen = Array.make (max 1 universe) false in
-      let add comp = Array.iter (fun b -> seen.(b) <- true) per_comp.(comp) in
-      Array.iter add kn.inv_dst;
-      Array.iter add kn.and_dst;
-      Array.iter add kn.or_dst;
-      Array.iter add kn.xor_dst;
-      Array.iter add kn.andor_dst;
-      Array.iter add kn.orand_dst;
-      Array.iter add kn.xor3_dst;
-      let out = ref [] in
-      for b = universe - 1 downto 0 do
-        if seen.(b) then out := b :: !out
-      done;
-      Array.of_list !out)
-    prog.Kernel.blocks
-
-(* Per dff cluster, the sorted union of its dffs' [per_comp] entries:
-   one mark per changed cluster keeps the gated tick's bookkeeping off
-   the per-dff fast path. *)
-let cluster_union universe (prog : Kernel.program) per_comp =
-  let dffs = prog.Kernel.dffs in
-  let n = Array.length dffs in
-  let cpd = prog.Kernel.dffs_per_cluster in
-  Array.init prog.Kernel.n_dff_clusters (fun cl ->
-      let seen = Array.make (max 1 universe) false in
-      let hi = min n ((cl + 1) * cpd) - 1 in
-      for j = cl * cpd to hi do
-        Array.iter (fun b -> seen.(b) <- true) per_comp.(dffs.(j))
-      done;
-      let out = ref [] in
-      for b = universe - 1 downto 0 do
-        if seen.(b) then out := b :: !out
-      done;
-      Array.of_list !out)
 
 (* A block's gate kinds in C stub order: name, destination
    indices, source index arrays. *)
@@ -375,39 +176,19 @@ let simd_descriptor prog b (kn : Kernel.kernel) =
   d
 
 (* Fresh per-instance state over [t]'s compiled arrays: a power-up
-   value slab, and (gated engines only; empty otherwise) every block and
-   dff cluster dirty with the hot/detect adaptation cleared.  Hot arrays
-   are padded so instances allocated back to back never share a cache
-   line across domains. *)
+   value slab.  Hot arrays are padded so instances allocated back to
+   back never share a cache line across domains. *)
 let fresh t =
-  let nb = if t.gating then Array.length t.prog.Kernel.blocks else 0 in
-  let nc = if t.gating then t.prog.Kernel.n_dff_clusters else 0 in
-  let gates d = d.(1) + d.(2) + d.(3) + d.(4) + d.(5) + d.(6) + d.(7) in
-  let nchanged =
-    if t.gating then Array.fold_left (fun m d -> max m (gates d)) 0 t.simd_desc
-    else 0
-  in
   let r =
     {
       t with
       values = Array.make ((Kernel.size t.prog * t.k) + pad) 0;
       dff_next = Array.make ((Array.length t.prog.Kernel.dffs * t.k) + pad) 0;
-      block_dirty = bitset_make nb;
-      dff_dirty = bitset_make nc;
-      cluster_scratch = Array.make nc 0;
-      changed = Array.make nchanged 0;
-      block_mode = Array.make nb 0;
-      block_streak = Array.make nb 0;
       cycle = 0;
       force_slots = [||];
-      last_marked = -1;
-      dense = 0;
-      unmeasured = true;
       scratch = None;
     }
   in
-  bitset_fill r.block_dirty nb;
-  bitset_fill r.dff_dirty nc;
   apply_initial r;
   r
 
@@ -415,29 +196,18 @@ let fresh t =
    program's k): no compile-time pass re-runs.  The block descriptors
    are built, and every index of the program range-checked, here once;
    replicas share them.  At k = 1 the scaled dff indices are the
-   program's own arrays, shared rather than copied, and the consumer
-   maps and their unions are built only for a gated engine — an
-   ungated one never reads them. *)
-let of_program ?(gating = false) prog =
+   program's own arrays, shared rather than copied. *)
+let of_program prog =
   let k = prog.Kernel.k in
   let simd_desc = Array.mapi (simd_descriptor prog) prog.Kernel.blocks in
   Array.iter (fun (i, _) -> check_index prog "consts" i) prog.Kernel.consts;
   Array.iter (check_index prog "dffs") prog.Kernel.dffs;
   Array.iter (check_index prog "dff_src") prog.Kernel.dff_src;
   let scale a = if k = 1 then a else Array.map (fun i -> i * k) a in
-  let nblocks = Array.length prog.Kernel.blocks in
-  let ncl = prog.Kernel.n_dff_clusters in
-  let consumers = if gating then Kernel.consumer_blocks prog else [||] in
-  let dff_sinks = if gating then Kernel.dff_sink_clusters prog else [||] in
-  let unions union universe per_comp =
-    if gating then Array.map mask_of_union (union universe prog per_comp)
-    else [||]
-  in
   fresh
     {
       prog;
       k;
-      gating;
       fanout = Atomic.make None;
       scratch = None;
       simd_desc;
@@ -446,65 +216,26 @@ let of_program ?(gating = false) prog =
       dffs_s = scale prog.Kernel.dffs;
       dff_src_s = scale prog.Kernel.dff_src;
       dff_init_w = Array.map Packed.broadcast prog.Kernel.dff_init;
-      consumers;
-      dff_sinks;
-      comp_owner = (if gating then Kernel.comp_block prog else [||]);
-      dff_of_comp =
-        (if gating then begin
-           let a = Array.make (Kernel.size prog) (-1) in
-           Array.iteri (fun j comp -> a.(comp) <- j) prog.Kernel.dffs;
-           a
-         end
-         else [||]);
-      block_consumers = unions block_union nblocks consumers;
-      block_dff_sinks = unions block_union ncl dff_sinks;
-      cluster_consumers = unions cluster_union nblocks consumers;
-      cluster_sinks = unions cluster_union ncl dff_sinks;
       values = [||];
       dff_next = [||];
-      block_dirty = [||];
-      dff_dirty = [||];
-      cluster_scratch = [||];
-      changed = [||];
-      block_mode = [||];
-      block_streak = [||];
       cycle = 0;
       force_slots = [||];
-      last_marked = -1;
-      dense = 0;
-      unmeasured = true;
     }
 
-let create ?(k = 8) ?(gating = false) ?(optimize = false) ?(relayout = true)
+(* [?gating] is accepted and ignored: every engine settles with one full
+   sweep.  It stays only until the workload benchmark stops passing it
+   (ROADMAP item 1). *)
+let create ?(k = 8) ?gating:_ ?(optimize = false) ?(relayout = true)
     ?(fuse = true) ?(certify = false) ?(tuning = Kernel.default_tuning) netlist =
   if k < 1 then invalid_arg "Slab.create: k must be >= 1";
-  of_program ~gating
-    (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k netlist)
+  of_program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k netlist)
 
 let replicate = fresh
 
-(* Note the hot/detect adaptation state and the dense countdown
-   deliberately survive [reset]: they are a performance cache over the
-   workload's toggle pattern, cannot affect simulated values (hot and
-   dense are conservative), and a reset-step loop re-running the same
-   stimulus is exactly where staying hot pays. *)
 let reset t =
   Array.fill t.values 0 (Array.length t.values) 0;
   apply_initial t;
-  if t.gating then begin
-    bitset_fill t.block_dirty (Array.length t.prog.Kernel.blocks);
-    bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters
-  end;
-  t.cycle <- 0;
-  t.last_marked <- -1;
-  t.unmeasured <- true
-
-(* Every change-detected mutation marks through here: the blocks whose
-   kernels read the component, and the dff clusters that latch it. *)
-let mark_comp t comp =
-  mark_bits t.block_dirty t.consumers.(comp);
-  let ds = t.dff_sinks.(comp) in
-  if Array.length ds > 0 then mark_bits t.dff_dirty ds
+  t.cycle <- 0
 
 let word_error what t w =
   invalid_arg
@@ -513,35 +244,13 @@ let word_error what t w =
 
 let[@inline] check_word what t w = if w < 0 || w >= t.k then word_error what t w
 
-(* Every mutation funnels through here: masked write + (when gating)
-   change detection and consumer marking — skipped while the next
-   settle is dense, which re-marks everything itself. *)
-let write_word t comp w v =
-  let v = v land lane_mask in
-  let idx = (comp * t.k) + w in
-  if t.gating && t.dense = 0 then begin
-    if t.values.(idx) <> v then begin
-      t.values.(idx) <- v;
-      (* the k word-writes of one component arrive back to back; mark
-         its consumers once, not once per word *)
-      if t.last_marked <> comp then begin
-        mark_comp t comp;
-        (* a written dff no longer holds what its driver latched (a
-           campaign's SEU), so its own cluster must re-latch at the next
-           tick even if the driver is unchanged *)
-        let j = t.dff_of_comp.(comp) in
-        if j >= 0 then mark_bit t.dff_dirty (j / t.prog.Kernel.dffs_per_cluster);
-        t.last_marked <- comp
-      end
-    end
-  end
-  else t.values.(idx) <- v
+(* Input, poke and lane-reset writes funnel through here: masked to the
+   62 lanes. *)
+let write_word t comp w v = t.values.((comp * t.k) + w) <- v land lane_mask
 
 (* [reset] restricted to the [mask] lanes of word [word]: inputs to 0,
-   dffs to their power-up bit, every other lane untouched.  Writes go
-   through [write_word], so a gated engine marks the readers (and own
-   cluster) of each changed component; gate lanes follow at the next
-   [settle]. *)
+   dffs to their power-up bit, every other lane untouched; gate lanes
+   follow at the next [settle]. *)
 let reset_lanes t ~word mask =
   check_word "Slab.reset_lanes" t word;
   let keep = lnot mask in
@@ -641,44 +350,12 @@ let netlist t = t.prog.Kernel.netlist
 let critical_path t = t.prog.Kernel.levels.Levelize.critical_path
 let fused_gates t = t.prog.Kernel.fused
 
-(* On a gated engine a forced site must be re-driven to its natural
-   value before each force application, exactly as the ungated engine
-   recomputes (gate) or re-latches (dff) it every cycle — otherwise a
-   skipped block would let [apply_forces] re-apply a flip mask to the
-   already-forced value.  So each gated settle keeps every forced site's
-   own block and own latch cluster dirty, and installing, replacing or
-   clearing forces marks them plus the site's consumer blocks and dff
-   sink clusters, so a dropped force heals.  Input and constant sites
-   have neither and keep the forced value until re-driven, matching the
-   ungated engine. *)
-let mark_force_own t =
-  Array.iter
-    (fun slot ->
-      Array.iter
-        (fun f ->
-          let own = t.comp_owner.(f.f_site) in
-          if own >= 0 then mark_bit t.block_dirty own;
-          let j = t.dff_of_comp.(f.f_site) in
-          if j >= 0 then
-            mark_bit t.dff_dirty (j / t.prog.Kernel.dffs_per_cluster))
-        slot)
-    t.force_slots
-
-let mark_force_sites t =
-  if t.gating then begin
-    mark_force_own t;
-    Array.iter
-      (fun slot -> Array.iter (fun f -> mark_comp t f.f_site) slot)
-      t.force_slots
-  end
-
 let check_fusion what t =
   if t.prog.Kernel.fused > 0 then
     invalid_arg (what ^ ": requires an engine built with ~fuse:false")
 
 let set_forces t forces =
   check_fusion "Slab.set_forces" t;
-  mark_force_sites t;
   let slots = Array.make (Kernel.n_force_slots t.prog) [] in
   Array.iter
     (fun f ->
@@ -693,54 +370,34 @@ let set_forces t forces =
       let slot = Kernel.force_slot ~what:"Slab.set_forces" t.prog f.f_site in
       slots.(slot) <- f :: slots.(slot))
     forces;
-  t.force_slots <- Array.map (fun l -> Array.of_list (List.rev l)) slots;
-  mark_force_sites t
+  t.force_slots <- Array.map (fun l -> Array.of_list (List.rev l)) slots
 
-let clear_forces t =
-  mark_force_sites t;
-  t.force_slots <- [||]
+let clear_forces t = t.force_slots <- [||]
 
-(* Apply one slot's force masks.  On a gated engine the writes are
-   change-detected, so a force edit (a campaign mutating its per-cycle
-   flip masks in place, or a site whose block just recomputed a natural
-   value the force overrides) marks the site's readers like any other
-   mutation; during a dense sweep those marks are harmless, since
-   [settle] then clears every block bit and marks every dff cluster. *)
+(* Apply one slot's force masks to the sites' current words. *)
 let apply_forces t slot =
   let values = t.values and k = t.k in
   for j = 0 to Array.length slot - 1 do
     let f = Array.unsafe_get slot j in
     let base = f.f_site * k in
-    let diff = ref 0 in
     for w = 0 to k - 1 do
       let v = Array.unsafe_get values (base + w) in
-      let nv =
-        (((v land lnot (Array.unsafe_get f.force0 w))
-         lor Array.unsafe_get f.force1 w)
-        lxor Array.unsafe_get f.flip w)
-        land lane_mask
-      in
-      diff := !diff lor (v lxor nv);
-      Array.unsafe_set values (base + w) nv
-    done;
-    if !diff <> 0 && t.gating then mark_comp t f.f_site
+      Array.unsafe_set values (base + w)
+        ((((v land lnot (Array.unsafe_get f.force0 w))
+          lor Array.unsafe_get f.force1 w)
+         lxor Array.unsafe_get f.flip w)
+        land lane_mask)
+    done
   done
 
 (* The C block kernel ([kernel_stubs.c]).  [settle_block values desc]
    evaluates one block over the value slab in place, from its
-   descriptor ([simd_descriptor]); [settle_block_detect values desc
-   changed] does the same, writes the unscaled component index of each
-   non-outport gate whose K words changed into [changed] and returns
-   their count.  Both trust their arguments, so they stay private here:
-   every descriptor index is range-checked in [of_program], and
-   [changed] is as long as the largest block's non-outport gate count.
-   [@@noalloc]: the stub never allocates, touches the OCaml runtime or
-   releases the domain lock, so the arrays cannot move under it. *)
+   descriptor ([simd_descriptor]).  It trusts its arguments, so it stays
+   private here: every descriptor index is range-checked in
+   [of_program].  [@@noalloc]: the stub never allocates, touches the
+   OCaml runtime or releases the domain lock, so the arrays cannot move
+   under it. *)
 external settle_block : int array -> int array -> unit = "hydra_settle_block"
-[@@noalloc]
-
-external settle_block_detect : int array -> int array -> int array -> int
-  = "hydra_settle_block_detect"
 [@@noalloc]
 
 external kernel_kind : unit -> int = "hydra_simd_kind" [@@noalloc]
@@ -748,10 +405,9 @@ external kernel_kind : unit -> int = "hydra_simd_kind" [@@noalloc]
 let kernel_flavor () =
   match kernel_kind () with 2 -> "avx2" | 1 -> "neon" | _ -> "scalar-c"
 
-(* The ungated rank sweep: every block through the plain kernels, plain
-   force slots at the rank boundaries.  An ungated engine settles with
-   it, and so does a gated one while it sweeps dense. *)
-let sweep t =
+(* The rank sweep: every block through the C kernel, force slots at the
+   rank boundaries. *)
+let settle t =
   let values = t.values and desc = t.simd_desc in
   let rfb = t.prog.Kernel.rank_first_block in
   let slots = t.force_slots in
@@ -763,86 +419,6 @@ let sweep t =
     done;
     if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
   done
-
-(* Gated settle: run only dirty blocks, ascending (consumer blocks are
-   always at strictly higher ranks, so one sweep reaches the whole
-   active cone); hot blocks take the plain C kernel and mark their
-   whole consumer union, detecting blocks take the detecting one, mark
-   the readers of each changed gate and drive the mode transitions.  Forces are applied at the same rank-boundary
-   slots as the ungated engine, change-detected.  A fully-quiescent
-   unforced engine exits after one scan of the bitset words.  A settle
-   that ran at least 7/8 of the blocks switches the engine to dense
-   sweeps for the next [tuning.probe_period] settles (see [settle]),
-   unless its bitset was full by construction after [fresh]/[reset]. *)
-let settle_gated t =
-  t.last_marked <- -1;
-  let dirty = t.block_dirty in
-  let slots = t.force_slots in
-  let forced = Array.length slots > 0 in
-  if forced || any_bit dirty then begin
-    let desc = t.simd_desc and chg = t.changed in
-    let rfb = t.prog.Kernel.rank_first_block in
-    let modes = t.block_mode and streaks = t.block_streak in
-    let hot_after = t.prog.Kernel.tuning.Kernel.hot_after in
-    let probe_period = t.prog.Kernel.tuning.Kernel.probe_period in
-    let ran = ref 0 in
-    if forced then begin
-      mark_force_own t;
-      apply_forces t (Array.unsafe_get slots 0)
-    end;
-    for lvl = 0 to Array.length rfb - 2 do
-      for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
-        if bit_test dirty b then begin
-          bit_clear dirty b;
-          incr ran;
-          let mode = Array.unsafe_get modes b in
-          if mode > 0 then begin
-            Array.unsafe_set modes b (mode - 1);
-            (* leaving hot mode: seed the streak so a single changed
-               probe run re-arms a recently-hot block, instead of
-               paying [hot_after] detect-mode runs per probe *)
-            if mode = 1 then Array.unsafe_set streaks b (hot_after - 1);
-            settle_block t.values (Array.unsafe_get desc b);
-            or_mask dirty (Array.unsafe_get t.block_consumers b);
-            or_mask t.dff_dirty (Array.unsafe_get t.block_dff_sinks b)
-          end
-          else begin
-            let n = settle_block_detect t.values (Array.unsafe_get desc b) chg in
-            for x = 0 to n - 1 do
-              mark_comp t (Array.unsafe_get chg x)
-            done;
-            if n > 0 then begin
-              let s = Array.unsafe_get streaks b + 1 in
-              if s >= hot_after then begin
-                Array.unsafe_set streaks b 0;
-                Array.unsafe_set modes b probe_period
-              end
-              else Array.unsafe_set streaks b s
-            end
-            else Array.unsafe_set streaks b 0
-          end
-        end
-      done;
-      if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
-    done;
-    if !ran * 8 >= Array.length desc * 7 && not t.unmeasured then
-      t.dense <- probe_period;
-    t.unmeasured <- false
-  end
-
-(* A dense settle is the ungated sweep; it leaves every gate exact, so it
-   clears every block bit and marks every dff cluster for the gated tick
-   that precedes the next measured settle. *)
-let settle t =
-  if not t.gating then sweep t
-  else if t.dense > 0 then begin
-    t.dense <- t.dense - 1;
-    t.unmeasured <- false;
-    sweep t;
-    Array.fill t.block_dirty 0 (Array.length t.block_dirty) 0;
-    bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters
-  end
-  else settle_gated t
 
 (* --- cones: settle a fanout-closed subset against a golden trace --- *)
 
@@ -1127,10 +703,7 @@ let record_row t tr c =
   done
 
 (* The frontier's golden words go straight into the slab; then the
-   member ranks run with the force slots at [sweep]'s boundaries.  A
-   gated engine's gates outside the cone are now stale, so every block
-   and dff cluster is marked: the next tick latches every dff, as after
-   an ungated settle, and the next gated settle recomputes everything. *)
+   member ranks run with the force slots at [settle]'s boundaries. *)
 let settle_cone t c tr cycle =
   let sc = check_cone "Slab.settle_cone" t c in
   check_trace "Slab.settle_cone" t tr cycle;
@@ -1152,79 +725,12 @@ let settle_cone t c tr cycle =
   for lvl = 0 to Array.length desc - 1 do
     if Bytes.unsafe_get live lvl = '\001' then settle_block values (Array.unsafe_get desc lvl);
     if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
-  done;
-  if t.gating then begin
-    bitset_fill t.block_dirty (Array.length t.prog.Kernel.blocks);
-    bitset_fill t.dff_dirty t.prog.Kernel.n_dff_clusters;
-    t.last_marked <- -1;
-    t.unmeasured <- true
-  end
+  done
 
-(* Gated tick: latch only dirty dff clusters.  The dirty bits are
-   snapshotted (and cleared) up front, then the staged copy runs in two
-   passes over the snapshot — pass 2's writes mark sink clusters for
-   the *next* tick without disturbing the snapshot, and dff-chain reads
-   in pass 1 still see every pre-tick value whatever the cluster
-   order. *)
-let tick_gated t =
-  t.last_marked <- -1;
-  let values = t.values and next = t.dff_next and k = t.k in
-  let km1 = k - 1 in
-  let dffs = t.dffs_s and src = t.dff_src_s in
-  let n = Array.length dffs in
-  let cpd = t.prog.Kernel.dffs_per_cluster in
-  let dd = t.dff_dirty in
-  let snap = t.cluster_scratch in
-  let nsnap = ref 0 in
-  for wi = 0 to Array.length dd - 1 do
-    let word = Array.unsafe_get dd wi in
-    if word <> 0 then begin
-      Array.unsafe_set dd wi 0;
-      for bit = 0 to 31 do
-        if word land (1 lsl bit) <> 0 then begin
-          Array.unsafe_set snap !nsnap ((wi lsl 5) lor bit);
-          incr nsnap
-        end
-      done
-    end
-  done;
-  for x = 0 to !nsnap - 1 do
-    let cl = Array.unsafe_get snap x in
-    let lo = cl * cpd in
-    let hi = min n (lo + cpd) - 1 in
-    for j = lo to hi do
-      let s = Array.unsafe_get src j and base = j * k in
-      for w = 0 to km1 do
-        Array.unsafe_set next (base + w) (Array.unsafe_get values (s + w))
-      done
-    done
-  done;
-  for x = 0 to !nsnap - 1 do
-    let cl = Array.unsafe_get snap x in
-    let lo = cl * cpd in
-    let hi = min n (lo + cpd) - 1 in
-    let cl_diff = ref 0 in
-    for j = lo to hi do
-      let d = Array.unsafe_get dffs j and base = j * k in
-      for w = 0 to km1 do
-        let old = Array.unsafe_get values (d + w) in
-        let nv = Array.unsafe_get next (base + w) in
-        cl_diff := !cl_diff lor (old lxor nv);
-        Array.unsafe_set values (d + w) nv
-      done
-    done;
-    if !cl_diff <> 0 then begin
-      or_mask t.block_dirty t.cluster_consumers.(cl);
-      or_mask t.dff_dirty t.cluster_sinks.(cl)
-    end
-  done;
-  t.cycle <- t.cycle + 1
-
-(* While dense settles remain, a gated engine latches ungated: the next
-   settle runs every block whatever the tick marks. *)
+(* Latch every dff: drivers are staged into [dff_next] first, so dff
+   chains read pre-tick values. *)
 let tick t =
-  if t.gating && t.dense = 0 then tick_gated t
-  else if t.k = 1 then begin
+  if t.k = 1 then begin
     (* one word per dff: the index arithmetic of the K-word loops below
        would cost ~3x here *)
     let values = t.values and next = t.dff_next in
@@ -1234,8 +740,7 @@ let tick t =
     done;
     for j = 0 to Array.length dffs - 1 do
       Array.unsafe_set values (Array.unsafe_get dffs j) (Array.unsafe_get next j)
-    done;
-    t.cycle <- t.cycle + 1
+    done
   end
   else begin
     let values = t.values and next = t.dff_next and k = t.k in
@@ -1253,9 +758,9 @@ let tick t =
       for w = 0 to km1 do
         Array.unsafe_set values (d + w) (Array.unsafe_get next (base + w))
       done
-    done;
-    t.cycle <- t.cycle + 1
-  end
+    done
+  end;
+  t.cycle <- t.cycle + 1
 
 let step t =
   settle t;
@@ -1323,21 +828,20 @@ let run_vectors t vectors =
   done;
   results
 
-let engine ?(gating = false) ?tuning kk : (module Engine_intf.S) =
+let engine ?tuning kk : (module Engine_intf.S) =
   if kk < 1 then invalid_arg "Slab.engine: k must be >= 1";
   (module struct
     type nonrec t = t
 
     let name =
-      Printf.sprintf "slab(k=%d%s%s)" kk
-        (if gating then ",gated" else "")
+      Printf.sprintf "slab(k=%d%s)" kk
         (match tuning with
         | Some tu when tu <> Kernel.default_tuning ->
           "," ^ Kernel.tuning_to_spec tu
         | _ -> "")
 
     let create ?optimize ?relayout ?fuse ?certify nl =
-      create ~k:kk ~gating ?tuning ?optimize ?relayout ?fuse ?certify nl
+      create ~k:kk ?tuning ?optimize ?relayout ?fuse ?certify nl
 
     let words = words
     let replicate = replicate

@@ -14,56 +14,25 @@
     xor chains) run as fused kernels.  The engine only scales the index
     arrays by [k] at creation.
 
-    Since PR 7 the shared pipeline tiles each levelized rank into
-    {e blocks} of roughly [Kernel.tuning.block_words] slab words
+    The shared pipeline tiles each levelized rank into {e blocks} of
+    roughly [Kernel.tuning.block_words] slab words
     ({!Kernel.gates_per_block}), and the hot loops walk block-major /
-    kind-minor, so a rank too large for cache is processed one
-    resident tile at a time.  [~tuning] picks the block geometry (and
-    the gating adaptation constants); it never changes what is
-    computed.
+    kind-minor, so a rank too large for cache is processed one resident
+    tile at a time.  [~tuning] picks the block geometry; it never
+    changes what is computed.
 
-    On top of the wide words sits optional {e activity gating}
-    ([~gating:true]), now {e cluster-granular}: every block carries a
-    dirty bit (an int-word bitset), every mutation (input/poke writes,
-    the dff latch phase, force edits) change-detects against the
-    previous value and marks exactly the blocks that read the changed
-    component (from {!Kernel.consumer_blocks}), and [settle] skips
-    clean blocks entirely.  The dff latch phase is gated the same way
-    at {e cluster} granularity ({!Kernel} packs dffs into clusters of
-    [dffs_per_cluster]): a clean cluster's registers are not even
-    read.  A circuit that has gone quiescent — an idle CPU, a sorter
-    whose inputs are held — costs only two bitset scans per cycle.
-    Gating adapts per block: one that changes on several consecutive
-    runs switches to a {e hot} mode running the plain ungated kernels
-    with conservative consumer marking (re-probing with detection
-    periodically), so a high-toggle circuit pays only the bitset
-    scan — a few percent — rather than a per-gate change-detection
-    tax.  When a whole settle is busy — it ran at least 7/8 of the
-    blocks — gating cannot skip anything, so the engine runs its next
-    [Kernel.tuning.probe_period] settles {e dense}: the ungated sweep
-    and latch loop, then one gated,
-    change-detecting settle that measures again.  The settle right
-    after {!create}/{!reset} never counts, so an idle engine stays on
-    the skipping path.  The hot/detect state and the dense countdown
-    are a performance cache: they cannot affect simulated values and
-    deliberately survive {!reset}.
-    Unlike the rank-granular PR 5 design, {!set_forces} now composes
-    with gating: force edits mark the affected sites' own blocks, dff
-    clusters and consumers, and a gated settle applies force slots
-    with change detection.
-
-    Every block — the whole sweep of an ungated engine, a dense sweep,
-    a hot block, a gated block that change-detects — runs through one
-    C kernel (AVX2 / NEON when the build host supports them, portable
-    scalar C otherwise, specialised at k = 1; see {!kernel_flavor}).
-    The stub trusts its descriptors, so it is not exposed: this module
-    builds and range-checks every descriptor and buffer it is given.
+    A {!settle} runs every block once, in rank order, and a {!tick}
+    latches every dff: the circuit is one synchronous machine and the
+    engine simulates it as one.  Every block runs through one C kernel
+    (AVX2 / NEON when the build host supports them, portable scalar C
+    otherwise, specialised at k = 1; see {!kernel_flavor}).  The stub
+    trusts its descriptors, so it is not exposed: this module builds and
+    range-checks every descriptor and buffer it is given.
 
     A {e cone} ({!fanout_cone}, {!settle_cone}) runs the same stub over
-    per-rank descriptors of just a component set, gate-granular where
-    gating is block-granular: a fault campaign's chunk settles only its
-    faults' fanout cone and reads golden values at the cone's
-    frontier. *)
+    per-rank descriptors of just a component set: a fault campaign's
+    chunk settles only its faults' fanout cone and reads golden values
+    at the cone's frontier. *)
 
 type t
 
@@ -83,13 +52,12 @@ val create :
   Hydra_netlist.Netlist.t ->
   t
 (** [?k] (default 8, must be >= 1) words per signal — [62 * k] lanes per
-    settle pass.  [?gating] (default false) enables cluster-granular
-    activity gating, which sweeps dense (ungated) for
-    [tuning.probe_period] settles after a settle that ran at least 7/8
-    of the blocks.  [?tuning] (default
-    {!Kernel.default_tuning}) sizes rank blocks and dff clusters and
-    sets the gating adaptation constants; see {!Kernel.tuning_of_spec}
-    for the ["block-words=3072,hot-after=4"] string form.  The compile
+    settle pass.  [?gating] is accepted and ignored; it remains only
+    until the workload benchmark stops passing it (ROADMAP item 1, the
+    benchmark change, removes it).  [?tuning] (default
+    {!Kernel.default_tuning}) sizes rank blocks; see
+    {!Kernel.tuning_of_spec} for the ["block-words=3072,block-gates=0"]
+    string form.  The compile
     options go to {!Kernel.compile}: [~optimize:true] (default false)
     runs the {!Hydra_netlist.Optimize} pre-pass, [~relayout] (default
     true) the {!Hydra_netlist.Layout.rank_major} re-layout, [~fuse]
@@ -100,12 +68,11 @@ val create :
     {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
     circuit. *)
 
-val of_program : ?gating:bool -> Kernel.program -> t
+val of_program : Kernel.program -> t
 (** Build an engine over an already-compiled {!Kernel.program} (from
     {!Kernel.compile}, {!Kernel.patch} or {!Cache}), skipping every
     compile-time pass; the slab's K is the program's [k].  Only the
-    per-instance value state, the block descriptors and the metadata
-    the chosen flavor reads (gating maps) are built.  Every block
+    per-instance value state and the block descriptors are built.  Every block
     kernel index and every [consts], [dffs] and [dff_src] entry must lie
     in [[0, Kernel.size prog)]; otherwise raises [Invalid_argument]
     naming the block, the gate kind and the index. *)
@@ -120,20 +87,14 @@ val words : t -> int
 val lanes : t -> int
 (** [62 * k]: independent lanes per settle pass. *)
 
-val gated : t -> bool
-
 val kernel_flavor : unit -> string
 (** The code path this build compiled into the C block kernel:
     ["avx2"], ["neon"] or ["scalar-c"] ([HYDRA_SIMD=off] at build time
     forces ["scalar-c"]). *)
 
-val dense_next : t -> bool
-(** Diagnostic: whether the next {!settle} of this gated engine runs as
-    a dense (ungated) sweep.  Always false on an ungated engine. *)
-
 val replicate : t -> t
 (** Fresh engine over the same compiled circuit: shares the immutable
-    scaled index arrays, owns its value slab / dirty bits (at power-up).
+    scaled index arrays, owns its value slab (at power-up).
     Safe to run concurrently with the original in another domain. *)
 
 val reset : t -> unit
@@ -142,8 +103,7 @@ val reset_lanes : t -> word:int -> int -> unit
 (** [reset_lanes t ~word mask] is {!reset} restricted to the lanes set in
     [mask] of word [word]: those lanes of every input return to 0 and of
     every dff to its power-up bit; all other lanes keep their values.
-    Gate outputs in the reset lanes follow at the next {!settle}.  On a
-    gated engine the writes mark their readers like {!poke}.  Raises
+    Gate outputs in the reset lanes follow at the next {!settle}.  Raises
     [Invalid_argument] unless [0 <= word < k]. *)
 
 val set_input : t -> string -> int -> unit
@@ -190,9 +150,7 @@ val poke_word : t -> int -> int -> int -> unit
     hashtable-free counterpart of {!set_input_word} for hot loops that
     resolved {!netlist} port indices up front.  Only meaningful on
     inputs and dffs (a poked gate output is overwritten by the next
-    {!settle}).  On a gated engine pokes are change-detected and mark
-    the reader blocks (and dff sink clusters) dirty, so they compose
-    with gating. *)
+    {!settle}). *)
 
 type force = {
   f_site : int;  (** component index in {!netlist} *)
@@ -210,12 +168,10 @@ val set_forces : t -> force array -> unit
 (** Replace the registered force set.  Forces apply at the rank boundary
     where the forced component's word becomes visible to its readers:
     before rank 0 for inputs, dffs and constants; right after the
-    component's own rank for gates and outports.  Composes with gating: installing,
-    replacing or clearing forces marks every affected site's own block,
-    its dff cluster (for forced register outputs) and its consumer
-    blocks dirty — for the {e old} force set as well as the new one, so
-    a dropped force heals — and a gated settle applies force slots with
-    change detection every pass.  Raises [Invalid_argument] on a fused
+    component's own rank for gates and outports.  A dropped force's
+    last value stays until its site is recomputed: a gate at the next
+    {!settle}, a dff at the next {!tick}, an input when it is next
+    written, a constant at {!reset}.  Raises [Invalid_argument] on a fused
     engine (build with [~fuse:false]), on a mask array whose length is
     not [k], and — descriptively — on an out-of-range site. *)
 
@@ -282,10 +238,7 @@ val settle_cone : t -> cone -> trace -> int -> unit
     row [cycle] to every lane, then settles the member ranks
     with the force slots at {!settle}'s rank boundaries.  Inputs and
     constants outside the cone must already hold golden values, and
-    forces must sit on members.  On a gated engine it marks every block
-    and dff cluster, so the next {!tick} latches exactly what it latches
-    after an ungated settle and the next {!settle} recomputes the stale
-    gates.  Raises [Invalid_argument] when the cone is not [t]'s current
+    forces must sit on members.  Raises [Invalid_argument] when the cone is not [t]'s current
     one, or as {!record_row} on the trace and cycle. *)
 
 val cycle : t -> int
@@ -300,17 +253,15 @@ val run_packed :
 (** Whole packed simulation from power-up: per input, one packed word per
     cycle (shorter streams padded with 0), broadcast to all [k] words (so
     every word simulates the same 62 streams); returns one row of word-0
-    outputs per cycle — the same rows whatever [k] and gating. *)
+    outputs per cycle — the same rows whatever [k]. *)
 
 val run_vectors : t -> bool array array -> bool array array
 (** Batched combinational testbench, [62 * k] vectors per settle pass:
     vector [j] of a pass rides word [j / 62], bit [j mod 62]. *)
 
-val engine :
-  ?gating:bool -> ?tuning:Kernel.tuning -> int -> (module Engine_intf.S)
-(** [engine ?gating ?tuning k]: this engine as a first-class
-    {!Engine_intf.S} with the whole flavor baked into [create] — the
-    handle {!Testbench}/{!Equiv} entry points take.  The handle's
-    [name] spells the flavor out: ["slab(k=8,gated)"], with a
-    non-default tuning appended as its {!Kernel.tuning_to_spec}
-    string. *)
+val engine : ?tuning:Kernel.tuning -> int -> (module Engine_intf.S)
+(** [engine ?tuning k]: this engine as a first-class {!Engine_intf.S}
+    with the whole flavor baked into [create] — the handle
+    {!Testbench}/{!Equiv} entry points take.  The handle's [name] spells
+    the flavor out: ["slab(k=8)"], with a non-default tuning appended as
+    its {!Kernel.tuning_to_spec} string. *)

@@ -230,8 +230,8 @@ let pack ~per_chunk survivors =
   done;
   Array.of_list (List.rev !jobs)
 
-let run ?scheduler ?cache ?domains ?(engine = `Wide)
-    ?(gating = false) ?(status_outputs = []) ?deadline ?retry ?admission ?chaos
+let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
+    ?(status_outputs = []) ?deadline ?retry ?admission ?chaos
     nl ~faults ~stimulus ~cycles =
   (match (scheduler, domains) with
   | Some _, Some _ ->
@@ -240,10 +240,6 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
   if cycles < 0 then
     invalid_arg
       (Printf.sprintf "Campaign.run: ~cycles %d is negative" cycles);
-  (match engine with
-  | `Wide when gating ->
-    invalid_arg "Campaign.run: ?gating requires ~engine:(`Slab k)"
-  | _ -> ());
   (match Netlist.validate nl with
   | Ok () -> ()
   | Error e -> invalid_arg ("Campaign.run: invalid netlist: " ^ e));
@@ -356,14 +352,11 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
       done
     done
   in
-  (* every state site at the golden word [golden.(i)], no forces.  An
-     ungated settle recomputes every other component from the state,
-     the inputs and the forces; only a gated engine needs its blocks
-     re-marked dirty, so none keeps a value computed for an earlier
-     run *)
+  (* every state site at the golden word [golden.(i)], no forces; a
+     settle recomputes every other component from the state, the inputs
+     and the forces *)
   let load sim golden =
     Slab.clear_forces sim;
-    if Slab.gated sim then Slab.reset sim;
     Array.iteri
       (fun i g ->
         for w = 0 to Slab.k sim - 1 do
@@ -849,9 +842,8 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide)
       let base () =
         match cache with
         | Some c ->
-          Cache.slab c ~k ~gating ~optimize:false ~relayout:false ~fuse:false nl
-        | None ->
-          Slab.create ~k ~gating ~optimize:false ~relayout:false ~fuse:false nl
+          Cache.slab c ~k ~optimize:false ~relayout:false ~fuse:false nl
+        | None -> Slab.create ~k ~optimize:false ~relayout:false ~fuse:false nl
       in
       (* each round is one job on the team, its chunks running on the
          claiming member's replica; a chaos injection point dresses

@@ -124,11 +124,9 @@ val run :
     engine.  With [?cache] the campaign engines come from the
     compiled-circuit cache (identity-pass flavors), so repeated
     campaigns on the same netlist skip recompilation.  Verdicts are
-    bit-identical in every mode.  [~gating:true] (rejected with
-    [`Wide]; use [`Slab 1]) runs the campaign engines with
-    cluster-granular activity gating — force installs mark the affected
-    blocks, so verdicts stay bit-identical while a mostly-quiescent
-    circuit under a local fault simulates much faster.  Verdicts are the
+    bit-identical in every mode.  [?gating] is accepted and ignored; it
+    remains only until the workload benchmark stops passing it (ROADMAP
+    item 1, the benchmark change, removes it).  Verdicts are the
     same at every [k] — only the packing changes.  Every engine runs its
     blocks through the C kernel ({!Hydra_engine.Slab.kernel_flavor}),
     vectorized when the build has a vector path.

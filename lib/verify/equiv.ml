@@ -391,9 +391,9 @@ let engine_random_netlists ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
 (* The acceptance check for the slab engine: K-word slab vs the 62-lane
    packed oracle ({!Hydra_engine.Engine_intf.oracle}), which shares no
    code with the compiled kernels, on the same netlist. *)
-let slab_vs_wide ?passes ?cycles ?seed ?(k = 8) ?gating ?tuning nl =
+let slab_vs_wide ?passes ?cycles ?seed ?(k = 8) ?tuning nl =
   engine_random_netlists ?passes ?cycles ?seed
-    (Hydra_engine.Slab.engine ?gating ?tuning k)
+    (Hydra_engine.Slab.engine ?tuning k)
     Hydra_engine.Engine_intf.oracle nl nl
 
 let seq_equivalent = function Seq_equivalent -> true | Seq_mismatch _ -> false

@@ -672,15 +672,6 @@ let suite =
               true
               (wide.C.verdicts = slab.C.verdicts))
           [ 1; 2; 4 ];
-        (* cluster gating composes with the campaign's forces: same
-           verdicts, bit for bit *)
-        let gated =
-          C.run ~engine:(`Slab 2) ~gating:true
-            ~status_outputs:[ "single"; "double" ] nl ~faults ~stimulus
-            ~cycles:24
-        in
-        check_bool "gated verdicts bit-identical" true
-          (wide.C.verdicts = gated.C.verdicts);
         (* k=4 fits the whole list in a single engine pass *)
         check_bool "fits one slab pass" true (List.length faults <= (62 * 4) - 1));
     tc "campaign: slab engine option validation" (fun () ->
@@ -689,10 +680,6 @@ let suite =
         Alcotest.check_raises "k < 1"
           (Invalid_argument "Campaign.run: slab k must be >= 1") (fun () ->
             ignore (C.run ~engine:(`Slab 0) nl ~faults ~stimulus:[] ~cycles:1));
-        Alcotest.check_raises "gating on wide"
-          (Invalid_argument "Campaign.run: ?gating requires ~engine:(`Slab k)")
-          (fun () ->
-            ignore (C.run ~gating:true nl ~faults ~stimulus:[] ~cycles:1));
         (* a shared scheduler serves a `Slab 2 campaign like a private
            one *)
         let sch = Scheduler.create ~domains:1 () in
@@ -709,7 +696,7 @@ let suite =
     qc ~count:100
       "campaign: dropping and compaction match an independent reference"
       QCheck2.Gen.(
-        quad Test_analyze.gen_nodes (int_bound 1000) (int_bound 6)
+        quad Test_analyze.gen_nodes (int_bound 1000) (int_bound 3)
           (int_range 2 12))
       (fun (nodes, seed, flavor, cycles) ->
         (* a trailing dff keeps every generated circuit sequential *)
@@ -756,13 +743,9 @@ let suite =
               (name, List.init cycles (fun c -> a.(min c hold))))
             (C.random_stimulus ~seed ~cycles nl)
         in
-        let engine, gating =
-          [| (`Wide, false); (`Slab 1, false); (`Slab 1, true); (`Slab 2, false);
-             (`Slab 2, true); (`Slab 4, false); (`Slab 4, true) |].(flavor)
-        in
+        let engine = [| `Wide; `Slab 1; `Slab 2; `Slab 4 |].(flavor) in
         List.for_all
-          (fun faults ->
-            matches_reference (C.run ~engine ~gating nl ~faults ~stimulus ~cycles))
+          (fun faults -> matches_reference (C.run ~engine nl ~faults ~stimulus ~cycles))
           [ mixed; sweep ]);
     (* ---- early resolution: one regression per soundness edge ---- *)
     tc "campaign: a fixed-point lane waits while the golden lane still moves"
@@ -782,12 +765,12 @@ let suite =
         in
         let fault = C.Seu { site = stop_site; at_cycle = 0 } in
         List.iter
-          (fun (engine, gating) ->
-            let r = C.run ~engine ~gating nl ~faults:[ fault ] ~stimulus:[] ~cycles:6 in
+          (fun engine ->
+            let r = C.run ~engine nl ~faults:[ fault ] ~stimulus:[] ~cycles:6 in
             check_bool "detected at cycle 3" true
               ((List.hd r.C.verdicts).C.classification
               = C.Detected { latency = 3; cycle = 3; output = "y" }))
-          [ (`Wide, false); (`Slab 2, true) ]);
+          [ `Wide; `Slab 2 ]);
     tc "campaign: a late input pulse after a constant stretch still detects"
       (fun () ->
         (* the upset self-holding register is read only while x is high:
@@ -798,12 +781,12 @@ let suite =
         let fault = C.Seu { site = List.hd (C.dff_sites nl); at_cycle = 1 } in
         let stimulus = [ ("x", List.init 10 (fun c -> c = 8)) ] in
         List.iter
-          (fun (engine, gating) ->
-            let r = C.run ~engine ~gating nl ~faults:[ fault ] ~stimulus ~cycles:10 in
+          (fun engine ->
+            let r = C.run ~engine nl ~faults:[ fault ] ~stimulus ~cycles:10 in
             check_bool "detected by the pulse" true
               ((List.hd r.C.verdicts).C.classification
               = C.Detected { latency = 7; cycle = 8; output = "y" }))
-          [ (`Wide, false); (`Slab 2, true) ]);
+          [ `Wide; `Slab 2 ]);
     tc "campaign: an SEU overwritten next cycle resolves masked and stops"
       (fun () ->
         (* d reloads from a toggling input every cycle and nothing reads
@@ -815,12 +798,12 @@ let suite =
         let fault = C.Seu { site = List.hd (C.dff_sites nl); at_cycle = 2 } in
         let stimulus = [ ("x", List.init 10 (fun c -> c mod 2 = 1)) ] in
         List.iter
-          (fun (engine, gating) ->
-            let r = C.run ~engine ~gating nl ~faults:[ fault ] ~stimulus ~cycles:10 in
+          (fun engine ->
+            let r = C.run ~engine nl ~faults:[ fault ] ~stimulus ~cycles:10 in
             check_string "masked" "masked"
               (C.class_string (List.hd r.C.verdicts).C.classification);
             check_int "prefix 2 + one chunk cycle" 3 r.C.chunk_cycles)
-          [ (`Wide, false); (`Slab 1, true); (`Slab 2, false) ]);
+          [ `Wide; `Slab 1; `Slab 2 ]);
     tc "campaign: a stuck constant is judged by the dffs alone" (fun () ->
         (* y = x whatever the constants do.  zero stuck-at-1 sets the
            unread register r: latent.  one stuck-at-0 changes only the
@@ -839,10 +822,9 @@ let suite =
         let sa0_one = C.Stuck_at { site = const true; value = false } in
         let stimulus = [ ("x", List.init 8 (fun _ -> false)) ] in
         List.iter
-          (fun (engine, gating) ->
+          (fun engine ->
             let r =
-              C.run ~engine ~gating nl ~faults:[ sa1_zero; sa0_one ] ~stimulus
-                ~cycles:8
+              C.run ~engine nl ~faults:[ sa1_zero; sa0_one ] ~stimulus ~cycles:8
             in
             check_bool "zero stuck-at-1 latent" true
               (classification_of r sa1_zero = C.Latent);
@@ -851,7 +833,7 @@ let suite =
             check_bool "matches the reference" true (matches_reference r);
             check_bool "resolved before the end of the window" true
               (r.C.chunk_cycles < 8))
-          [ (`Wide, false); (`Slab 1, true); (`Slab 2, false) ]);
+          [ `Wide; `Slab 1; `Slab 2 ]);
     tc "campaign: intermittent lanes are never resolved early" (fun () ->
         (* x is held low and nothing latches, so every lane sits at a
            fixed point from cycle 0 — yet each coin stream flips the and
@@ -866,8 +848,8 @@ let suite =
         in
         let stimulus = [ ("x", List.init 16 (fun _ -> false)) ] in
         List.iter
-          (fun (engine, gating) ->
-            let r = C.run ~engine ~gating nl ~faults ~stimulus ~cycles:16 in
+          (fun engine ->
+            let r = C.run ~engine nl ~faults ~stimulus ~cycles:16 in
             let cycles =
               List.map
                 (fun v ->
@@ -878,7 +860,7 @@ let suite =
             in
             check_bool "some first flips come late" true
               (List.exists (fun c -> c >= 2) cycles))
-          [ (`Wide, false); (`Slab 1, true) ]);
+          [ `Wide; `Slab 1 ]);
     tc "campaign: negative SEU cycles are rejected" (fun () ->
         let nl = two_stage () in
         Alcotest.check_raises "at_cycle -5"
@@ -891,21 +873,21 @@ let suite =
         Alcotest.check_raises "cycles -3"
           (Invalid_argument "Campaign.run: ~cycles -3 is negative")
           (fun () -> ignore (C.run nl ~faults:[] ~stimulus:[] ~cycles:(-3))));
-    tc "campaign: gated SEU on a dff with a quiet driver re-latches" (fun () ->
-        (* x never changes, so a gated tick latches d only if the upset
-           itself marked d's cluster dirty; unread, the healed upset is
-           masked on every engine *)
+    tc "campaign: SEU on a dff with a quiet driver re-latches" (fun () ->
+        (* x never changes, so the tick after the upset restores d from
+           its unchanged driver; unread, the healed upset is masked on
+           every engine *)
         let x = G.input "x" in
         let d = G.dff x in
         let nl = N.of_graph ~outputs:[ ("y", G.or2 x (G.and2 d G.zero)) ] in
         let faults = [ C.Seu { site = List.hd (C.dff_sites nl); at_cycle = 2 } ] in
         let stimulus = [ ("x", [ false; false; false; false ]) ] in
         List.iter
-          (fun (engine, gating) ->
-            let r = C.run ~engine ~gating nl ~faults ~stimulus ~cycles:4 in
+          (fun engine ->
+            let r = C.run ~engine nl ~faults ~stimulus ~cycles:4 in
             check_string "masked" "masked"
               (C.class_string (List.hd r.C.verdicts).C.classification))
-          [ (`Wide, false); (`Slab 1, false); (`Slab 1, true); (`Slab 2, true) ]);
+          [ `Wide; `Slab 1; `Slab 2 ]);
     tc "campaign: word and chunk boundaries under compaction (k=2)" (fun () ->
         let nl = wallace4 () in
         let all = Array.of_list (C.all_stuck_at nl) in
@@ -1003,14 +985,13 @@ let suite =
           (clean.C.verdicts = scheduled.C.verdicts));
     (* ---- cone restriction ---- *)
     qc ~count:40
-      "campaign: cone chunks match the reference (stuck-at, SEU, status, k, gating)"
+      "campaign: cone chunks match the reference (stuck-at, SEU, status, k)"
       QCheck2.Gen.(
-        quad (int_bound 10_000) (int_range 24 40) (int_bound 3) (int_bound 2))
-      (fun (seed, m, flavor, status_kind) ->
+        quad (int_bound 10_000) (int_range 24 40) (oneofl [ 1; 4 ]) (int_bound 2))
+      (fun (seed, m, k, status_kind) ->
         let nl = sliced ~seed m in
         let n = N.size nl and slice = slices_of nl in
         let st = Random.State.make [| seed; m |] in
-        let k, gating = [| (1, false); (1, true); (4, false); (4, true) |].(flavor) in
         (* one or two slices, at most an eighth of the circuit together *)
         let size r = Array.fold_left (fun acc x -> if x = r then acc + 1 else acc) 0 slice in
         let pick () = slice.(Random.State.int st n) in
@@ -1032,50 +1013,11 @@ let suite =
           | _ -> [ fst (List.nth nl.N.outputs (Random.State.int st (List.length nl.N.outputs))) ]
         in
         let r =
-          C.run ~engine:(`Slab k) ~gating ~status_outputs nl
+          C.run ~engine:(`Slab k) ~status_outputs nl
             ~faults:(past_two_chunks ~k faults)
             ~stimulus:(C.random_stimulus ~seed ~cycles nl) ~cycles
         in
         r.C.cone_chunks > 0 && matches_reference r);
-    tc "campaign: after a gated cone settle the tick latches every dff" (fun () ->
-        (* r latches g2 = x && not y and is read only through a masking
-           and-gate.  The cone settles g2 without marking r's latch
-           cluster, so r re-latches only if the tick after a cone settle
-           latches every dff: stuck-at-0 on the inverter is latent by the
-           final r, stuck-at-1 masked *)
-        let x = G.input "x" and y = G.input "y" in
-        let g1 = G.inv y in
-        let r = G.dff (G.and2 g1 x) in
-        let ballast =
-          List.init 12 (fun i ->
-              let a = G.input (Printf.sprintf "a%d" i) in
-              (Printf.sprintf "o%d" i, G.and2 a (G.inv a)))
-        in
-        let nl = N.of_graph ~outputs:(("v", G.and2 r G.zero) :: ballast) in
-        let inv =
-          List.find
-            (fun i -> nl.N.components.(i) = N.Invc && nl.N.fanin.(i).(0) = List.assoc "y" nl.N.inputs)
-            (List.init (N.size nl) Fun.id)
-        in
-        let sa0 = C.Stuck_at { site = inv; value = false } in
-        let sa1 = C.Stuck_at { site = inv; value = true } in
-        (* x rises with y low only in the last cycle *)
-        let cycles = 6 in
-        let stimulus =
-          [ ("x", List.init cycles (fun c -> c = cycles - 1)); ("y", List.init cycles (fun _ -> false)) ]
-        in
-        List.iter
-          (fun k ->
-            let r =
-              C.run ~engine:(`Slab k) ~gating:true nl
-                ~faults:(past_two_chunks ~k [ sa0; sa1 ])
-                ~stimulus ~cycles
-            in
-            check_bool "cone chunks" true (r.C.cone_chunks > 0);
-            check_bool "stuck-at-0 latent" true (classification_of r sa0 = C.Latent);
-            check_bool "stuck-at-1 masked" true (classification_of r sa1 = C.Masked);
-            check_bool "matches the reference" true (matches_reference r))
-          [ 1; 4 ]);
     tc "campaign: one replica runs cone, full and cone chunks, reading no stale lane"
       (fun () ->
         (* slices A and B are tiny; a fault at the head of the long xor

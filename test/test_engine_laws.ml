@@ -1,11 +1,10 @@
 (* A shared law battery over every simulation engine: the scalar
    {!Compiled}, the 62-lane {!Compiled_wide} view and the K-word {!Slab} in
-   all its flavors — ungated at several k, cluster-gated, tiny rank blocks,
-   twitchy hot/detect adaptation — are all driven through one
-   lane-level adapter, so each law — poke/peek round-trip,
+   all its flavors — several k, tiny rank blocks — are all driven through
+   one lane-level adapter, so each law — poke/peek round-trip,
    reset-to-power-up, settle idempotence, step determinism across
-   replicas, force/clear (including forces under gating) — is checked
-   once and holds engine-independently. *)
+   replicas, force/clear — is checked once and holds
+   engine-independently. *)
 
 open Util
 
@@ -90,6 +89,9 @@ module Wide_adapter : LANE_ENGINE = struct
   let clear_forces = Slab.clear_forces
 end
 
+(* [gating] passes [~gating:true] to {!Slab.create}, which accepts and
+   ignores it (bench workloads still pass it): such a flavor must obey
+   every law like any other. *)
 module Slab_adapter (K : sig
   val k : int
   val gating : bool
@@ -103,8 +105,8 @@ end) : LANE_ENGINE = struct
       (if K.tuning <> Kernel.default_tuning then ",tuned" else "")
 
   let create nl =
-    Slab.create ~k:K.k ~gating:K.gating ~tuning:K.tuning
-      ~optimize:false ~relayout:false ~fuse:false nl
+    Slab.create ~k:K.k ~gating:K.gating ~tuning:K.tuning ~optimize:false
+      ~relayout:false ~fuse:false nl
 
   let lanes = Slab.lanes
   let reset = Slab.reset
@@ -122,7 +124,6 @@ end) : LANE_ENGINE = struct
 
   let cycle = Slab.cycle
 
-  (* forces compose with gating since the cluster-gating PR *)
   let has_forces = true
 
   let set_force t ~site ~value =
@@ -140,13 +141,8 @@ end) : LANE_ENGINE = struct
 end
 
 (* Rank blocks of 2 gates: several blocks per rank even on the tiny law
-   circuits, so the blocked sweep and per-block gating really multi-block *)
+   circuits, so the blocked sweep really runs multi-block *)
 let tiny_blocks = { Kernel.default_tuning with Kernel.block_gates = 2 }
-
-(* hot_after = 1, probe_period = 2: the gating adaptation flips between
-   hot and detecting every couple of runs inside an 11-cycle law *)
-let twitchy =
-  { Kernel.block_gates = 2; block_words = 64; hot_after = 1; probe_period = 2 }
 
 module Slab1_adapter = Slab_adapter (struct
   let k = 1
@@ -178,10 +174,11 @@ module Slab2b_adapter = Slab_adapter (struct
   let tuning = tiny_blocks
 end)
 
+(* k = 3: the tail-only word loop, over 2-gate blocks *)
 module Slab3gb_adapter = Slab_adapter (struct
   let k = 3
   let gating = true
-  let tuning = twitchy
+  let tuning = tiny_blocks
 end)
 
 (* k = 5: one AVX2 vector body plus a one-word tail per gate *)
@@ -382,124 +379,6 @@ let cross_engine_lane0 () =
       (module Slab2gb_adapter);
     ]
 
-(* A gated slab and an ungated one of the same flavor, driven in lockstep
-   through alternating busy and held-input phases — with force edits, SEU
-   pokes, lane resets and input writes between settle and tick — agree
-   on every output and dff word every cycle, whatever the gated engine's
-   switches into and out of dense sweeps.  Returns (agree, went dense,
-   gated again). *)
-let dense_switch_law ~k ~tuning ~seed nl =
-  let mk gating =
-    Slab.create ~k ~gating ~tuning ~optimize:false ~relayout:false
-      ~fuse:false nl
-  in
-  let g = mk true and u = mk false in
-  let both f =
-    f g;
-    f u
-  in
-  let st = Random.State.make [| seed; k |] in
-  let word () =
-    Random.State.bits st lxor (Random.State.bits st lsl 31) land Slab.lane_mask
-  in
-  let sparse () = word () land word () land word () in
-  let comps = nl.N.components in
-  let pick p =
-    Array.of_list
-      (List.filter (fun i -> p comps.(i)) (List.init (Array.length comps) Fun.id))
-  in
-  let dffs = pick (function N.Dffc _ -> true | _ -> false) in
-  let sites =
-    pick (function
-      | N.Invc | N.And2c | N.Or2c | N.Xor2c | N.Dffc _ -> true
-      | _ -> false)
-  in
-  let any a = a.(Random.State.int st (Array.length a)) in
-  let ok = ref true and dense = ref false and regated = ref false in
-  let agree () =
-    for w = 0 to k - 1 do
-      List.iter
-        (fun o -> if Slab.output_word g o w <> Slab.output_word u o w then ok := false)
-        (out_names nl);
-      Array.iter
-        (fun d -> if Slab.peek_word g d w <> Slab.peek_word u d w then ok := false)
-        dffs
-    done
-  in
-  for phase = 0 to 5 do
-    for _ = 1 to 6 do
-      if phase land 1 = 0 then
-        List.iter
-          (fun name ->
-            for w = 0 to k - 1 do
-              let v = word () in
-              both (fun s -> Slab.set_input_word s name w v)
-            done)
-          (in_names nl);
-      both Slab.settle;
-      agree ();
-      (match Random.State.int st 6 with
-      | 0 when sites <> [||] ->
-        let f =
-          {
-            Slab.f_site = any sites;
-            force0 = Array.init k (fun _ -> sparse ());
-            force1 = Array.init k (fun _ -> sparse ());
-            flip = Array.init k (fun _ -> sparse ());
-          }
-        in
-        both (fun s -> Slab.set_forces s [| f |])
-      | 1 -> both Slab.clear_forces
-      | 2 when dffs <> [||] ->
-        let d = any dffs and w = Random.State.int st k in
-        let v = Slab.peek_word u d w lxor (1 lsl Random.State.int st P.lanes) in
-        both (fun s -> Slab.poke_word s d w v)
-      | 3 ->
-        let w = Random.State.int st k and m = word () in
-        both (fun s -> Slab.reset_lanes s ~word:w m)
-      | 4 ->
-        let name = any (Array.of_list (in_names nl)) in
-        let w = Random.State.int st k and v = word () in
-        both (fun s -> Slab.set_input_word s name w v)
-      | _ -> ());
-      if Slab.dense_next g then dense := true else if !dense then regated := true;
-      both Slab.tick;
-      agree ()
-    done
-  done;
-  (!ok, !dense, !regated)
-
-(* the flavors the law runs: k in {1, 3, 4, 5, 8} x (default, twitchy).
-   Under AVX2 the k values cover every word-loop shape of the C stub,
-   detecting or not: the k = 1 specialisation, tail only, one vector,
-   vector plus tail, and two vectors. *)
-let dense_flavors =
-  List.concat_map
-    (fun k -> List.map (fun tuning -> (k, tuning)) [ Kernel.default_tuning; twitchy ])
-    [ 1; 3; 4; 5; 8 ]
-
-let dense_switch_tests =
-  [
-    qc ~count:30 "gated slab = ungated slab across dense switches"
-      QCheck2.Gen.(pair (Test_wide.gen_nodes Test_wide.dff_heavy_ops) nat)
-      (fun (nodes, seed) ->
-        let nl = Test_wide.netlist_of nodes in
-        List.for_all
-          (fun (k, tuning) ->
-            let ok, _, _ = dense_switch_law ~k ~tuning ~seed nl in
-            ok)
-          dense_flavors);
-    tc "the dense-switch law enters and leaves dense mode" (fun () ->
-        List.iter
-          (fun (k, tuning) ->
-            let ok, dense, regated = dense_switch_law ~k ~tuning ~seed:5 (seq_nl ()) in
-            let what = Printf.sprintf "k=%d tuned=%b" k (tuning == twitchy) in
-            check_bool (what ^ ": agree") true ok;
-            check_bool (what ^ ": went dense") true dense;
-            if tuning == twitchy then check_bool (what ^ ": gated again") true regated)
-          dense_flavors);
-  ]
-
 module Scalar_laws = Laws (Scalar_adapter)
 module Wide_laws = Laws (Wide_adapter)
 module Slab1_laws = Laws (Slab1_adapter)
@@ -515,4 +394,3 @@ let suite =
   @ Slab4g_laws.tests @ Slab2b_laws.tests @ Slab3gb_laws.tests
   @ Slab5_laws.tests @ Slab2gb_laws.tests
   @ [ tc "lane 0 agrees across engines" cross_engine_lane0 ]
-  @ dense_switch_tests

@@ -2,9 +2,9 @@
    behave as an independent 62-lane wide engine — on random dff-heavy
    circuits, at every shape of the C block kernel's word loop (the
    k = 1 specialisation, tail-only, vector bodies plus tail, vector
-   bodies only), with and without activity gating — and the slab-only
-   surfaces (word-indexed I/O, global lanes, K-word forces, gated
-   pokes, descriptor range checks) must hold their contracts. *)
+   bodies only) — and the slab-only surfaces (word-indexed I/O, global
+   lanes, K-word forces, descriptor range checks) must hold their
+   contracts. *)
 
 open Util
 module G = Hydra_core.Graph
@@ -44,11 +44,11 @@ let ripple_netlist n =
 (* Drive every word of a slab and one wide engine per word with the same
    per-word random streams; all outputs must agree word-for-word each
    cycle. *)
-let words_independent ~k ~gating nodes =
+let words_independent ~k nodes =
   let nl = Test_wide.netlist_of nodes in
-  let slab = Slab.create ~k ~gating nl in
+  let slab = Slab.create ~k nl in
   let wides = Array.init k (fun _ -> Wide.create nl) in
-  let st = Random.State.make [| 0x51ab; k; Bool.to_int gating |] in
+  let st = Random.State.make [| 0x51ab; k |] in
   let ok = ref true in
   for _cycle = 0 to 8 do
     List.iter
@@ -78,11 +78,11 @@ let words_independent ~k ~gating nodes =
    settle both plus a power-up engine: every component's masked lanes
    must match the power-up engine and its other lanes the twin.  Fusion
    is off so every component's word is written by settle. *)
-let reset_lanes_law ~k ~gating nodes =
+let reset_lanes_law ~k nodes =
   let nl = Test_wide.netlist_of nodes in
-  let mk () = Slab.create ~k ~gating ~fuse:false nl in
+  let mk () = Slab.create ~k ~fuse:false nl in
   let slab = mk () and twin = mk () and fresh = mk () in
-  let st = Random.State.make [| 0x2e5e7; k; Bool.to_int gating; List.length nodes |] in
+  let st = Random.State.make [| 0x2e5e7; k; List.length nodes |] in
   for _cycle = 1 to 1 + Random.State.int st 6 do
     List.iter
       (fun name ->
@@ -115,20 +115,10 @@ let suite =
   [
     qc ~count:25 "reset_lanes = power-up in masked lanes, rest untouched"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
-      (fun nodes ->
-        List.for_all
-          (fun k ->
-            reset_lanes_law ~k ~gating:false nodes
-            && reset_lanes_law ~k ~gating:true nodes)
-          [ 1; 2 ]);
-    qc ~count:25 "slab words = independent wide engines (all k, gating)"
+      (fun nodes -> List.for_all (fun k -> reset_lanes_law ~k nodes) [ 1; 2 ]);
+    qc ~count:25 "slab words = independent wide engines (all k)"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
-      (fun nodes ->
-        List.for_all
-          (fun k ->
-            words_independent ~k ~gating:false nodes
-            && words_independent ~k ~gating:true nodes)
-          ks);
+      (fun nodes -> List.for_all (fun k -> words_independent ~k nodes) ks);
     qc ~count:25 "run_packed = wide run_packed (broadcast words)"
       (Test_wide.gen_case Test_wide.dff_heavy_ops)
       (fun (nodes, lane_rows) ->
@@ -147,10 +137,7 @@ let suite =
         in
         let expect = Slab.run_packed (Wide.create nl) ~inputs ~cycles in
         List.for_all
-          (fun k ->
-            Slab.run_packed (Slab.create ~k nl) ~inputs ~cycles = expect
-            && Slab.run_packed (Slab.create ~k ~gating:true nl) ~inputs ~cycles
-               = expect)
+          (fun k -> Slab.run_packed (Slab.create ~k nl) ~inputs ~cycles = expect)
           [ 1; 3; 4 ]);
     tc "run_vectors = scalar settle, multi-pass" (fun () ->
         let module A = Hydra_circuits.Arith.Make (G) in
@@ -182,66 +169,14 @@ let suite =
             vectors
         in
         List.iter
-          (fun (k, gating) ->
-            let slab = Slab.create ~k ~gating nl in
-            let got = Slab.run_vectors slab vectors in
+          (fun k ->
+            let got = Slab.run_vectors (Slab.create ~k nl) vectors in
             Array.iteri
               (fun i row ->
                 if row <> expect.(i) then
-                  Alcotest.failf "vector %d diverges (k=%d gating=%b)" i k
-                    gating)
+                  Alcotest.failf "vector %d diverges (k=%d)" i k)
               got)
-          [ (1, false); (2, false); (4, false); (2, true); (4, true) ]);
-    tc "gated settle is incremental: quiescent cycles change nothing"
-      (fun () ->
-        let nl = Test_wide.cpu_netlist () in
-        let program = Hydra_cpu.Asm.assemble Test_wide.sum_loop_src in
-        let cycles = List.length program + 420 in
-        let schedule = Test_wide.cpu_schedule program cycles in
-        let gated = Slab.create ~k:2 ~gating:true nl in
-        let plain = Slab.create ~k:2 nl in
-        List.iteri
-          (fun cyc row ->
-            List.iter
-              (fun (port, v) ->
-                Slab.set_input_bool gated port v;
-                Slab.set_input_bool plain port v)
-              row;
-            Slab.settle gated;
-            Slab.settle plain;
-            List.iter
-              (fun (out, _) ->
-                for w = 0 to 1 do
-                  if
-                    Slab.output_word gated out w <> Slab.output_word plain out w
-                  then Alcotest.failf "cycle %d, output %s, word %d" cyc out w
-                done)
-              (outputs_of (Slab.netlist gated));
-            Slab.tick gated;
-            Slab.tick plain)
-          schedule;
-        (* both CPUs halted on every lane *)
-        check_int "halted (gated)" Slab.lane_mask
-          (Slab.output_word gated "halted" 0);
-        check_int "halted word 1" Slab.lane_mask
-          (Slab.output_word gated "halted" 1));
-    tc "repeated gated settles are stable and cheap-path exact" (fun () ->
-        let a = G.input "a" and b = G.input "b" in
-        let nl =
-          N.extract ~inputs:[ a; b ]
-            ~outputs:[ ("q", G.dff (G.xor2 a (G.and2 a b))) ]
-        in
-        let s = Slab.create ~k:4 ~gating:true nl in
-        Slab.set_input_word s "a" 2 0x3ff;
-        Slab.set_input_word s "b" 2 0x0f0;
-        Slab.settle s;
-        let snap = Array.init 4 (fun w -> Slab.peek_word s 0 w) in
-        (* nothing mutated: further settles must not disturb any word *)
-        Slab.settle s;
-        Slab.settle s;
-        Array.iteri
-          (fun w v -> check_int (Printf.sprintf "word %d" w) v (Slab.peek_word s 0 w))
-          snap);
+          [ 1; 2; 4 ]);
     tc "global lanes: set_input_lane / output_lane address word l/62"
       (fun () ->
         let a = G.input "a" in
@@ -260,55 +195,6 @@ let suite =
           (Invalid_argument
              "Slab.set_input_lane: lane 186 out of range (engine has 186 lanes)")
           (fun () -> Slab.set_input_lane s "a" (3 * Slab.lanes_per_word) true));
-    tc "gated pokes mark readers: poke -> settle recomputes" (fun () ->
-        let a = G.input "a" and b = G.input "b" in
-        let nl =
-          N.extract ~inputs:[ a; b ] ~outputs:[ ("y", G.xor2 a b) ]
-        in
-        let s = Slab.create ~k:2 ~gating:true nl in
-        let nl' = Slab.netlist s in
-        let ai = List.assoc "a" nl'.N.inputs in
-        Slab.settle s;
-        check_int "all zero" 0 (Slab.output_word s "y" 1);
-        Slab.poke_word s ai 1 0x55;
-        Slab.settle s;
-        check_int "poked word recomputed" 0x55 (Slab.output_word s "y" 1);
-        check_int "other word untouched" 0 (Slab.output_word s "y" 0));
-    tc "gated: a gate whose words do not change leaves its readers idle"
-      (fun () ->
-        (* y = inv (and a b).  Raising [a] while [b] holds 0 re-runs the
-           and-gate's block but leaves its words at 0, so the detecting
-           kernel must not report it and the inverter's block must not
-           run: a poked inverter word survives the settle.  A kernel that
-           over-reports breaks no output, it only loses the skip. *)
-        let a = G.input "a" and b = G.input "b" in
-        let nl =
-          N.extract ~inputs:[ a; b ] ~outputs:[ ("y", G.inv (G.and2 a b)) ]
-        in
-        List.iter
-          (fun k ->
-            let s = Slab.create ~k ~gating:true ~fuse:false nl in
-            let comps = (Slab.netlist s).N.components in
-            let inv =
-              Option.get
-                (List.find_opt
-                   (fun i -> comps.(i) = N.Invc)
-                   (List.init (Array.length comps) Fun.id))
-            in
-            let what = Printf.sprintf "k=%d" k and w = k - 1 in
-            Slab.settle s;
-            let v = Slab.peek_word s inv w lxor 1 in
-            Slab.poke_word s inv w v;
-            Slab.settle s;
-            Slab.set_input_bool s "a" true;
-            Slab.settle s;
-            check_int (what ^ ": the inverter's block was skipped") v
-              (Slab.peek_word s inv w);
-            Slab.set_input_bool s "b" true;
-            Slab.settle s;
-            check_int (what ^ ": a changed and-gate re-runs the inverter") 0
-              (Slab.peek_word s inv w))
-          [ 1; 5 ]);
     tc "set_forces: rejections and descriptive range error" (fun () ->
         let nl =
           let x = G.input "x" in
@@ -328,12 +214,6 @@ let suite =
           (Invalid_argument
              "Slab.set_forces: requires an engine built with ~fuse:false")
           (fun () -> Slab.set_forces fused [| zero_force 0 |]);
-        (* a gated engine accepts forces since the cluster-gating PR *)
-        let gated =
-          Slab.create ~k:2 ~gating:true ~fuse:false ~relayout:false nl
-        in
-        Slab.set_forces gated [| zero_force 0 |];
-        Slab.clear_forces gated;
         let plain = Slab.create ~k:3 ~fuse:false ~relayout:false nl in
         Alcotest.check_raises "mask arity"
           (Invalid_argument "Slab.set_forces: mask arrays must have k = 3 words")
@@ -402,19 +282,19 @@ let suite =
           Wide.tick wide_forced
         done;
         !ok);
-    qc ~count:15
-      "forces compose with gating: install, mutate in place, clear — all heal"
+    qc ~count:15 "forces: install, mutate in place, clear — all heal"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
         let nl = Test_wide.netlist_of nodes in
-        (* tiny blocks so the force sites and their consumers span several
+        (* tiny blocks so the force sites and their readers span several
            blocks even on a small random netlist *)
         let tuning = { Kernel.default_tuning with Kernel.block_gates = 2 } in
-        let mk gating =
-          Slab.create ~k:2 ~gating ~tuning ~fuse:false ~relayout:false nl
-        in
-        let gated = mk true and plain = mk false in
-        let force () =
+        let mk () = Slab.create ~k:2 ~tuning ~fuse:false ~relayout:false nl in
+        (* [inplace] keeps one registered force and edits its masks in
+           place (the Campaign intermittent-fault path); [fresh]
+           re-registers a copy after every edit *)
+        let inplace = mk () and fresh = mk () and clean = mk () in
+        let f =
           {
             Slab.f_site = N.size nl / 2;
             force0 = [| 0; 0 |];
@@ -422,7 +302,9 @@ let suite =
             flip = [| 0; 0x155 |];
           }
         in
-        let gf = force () and pf = force () in
+        let register () =
+          Slab.set_forces fresh [| { f with flip = Array.copy f.Slab.flip } |]
+        in
         let st = Random.State.make [| 0xf06 |] in
         let ok = ref true in
         let phase ~toggling cycles =
@@ -431,39 +313,55 @@ let suite =
               (fun name ->
                 for w = 0 to 1 do
                   let v = if toggling then random_word st else 0 in
-                  Slab.set_input_word gated name w v;
-                  Slab.set_input_word plain name w v
+                  Slab.set_input_word inplace name w v;
+                  Slab.set_input_word fresh name w v
                 done)
               [ "a"; "b"; "c" ];
-            Slab.settle gated;
-            Slab.settle plain;
+            Slab.settle inplace;
+            Slab.settle fresh;
             List.iter
               (fun (out, _) ->
                 for w = 0 to 1 do
-                  if Slab.output_word gated out w <> Slab.output_word plain out w
+                  if Slab.output_word inplace out w <> Slab.output_word fresh out w
                   then ok := false
                 done)
-              (outputs_of (Slab.netlist gated));
-            Slab.tick gated;
-            Slab.tick plain
+              (outputs_of (Slab.netlist inplace));
+            Slab.tick inplace;
+            Slab.tick fresh
           done
         in
         phase ~toggling:true 10;
-        Slab.set_forces gated [| gf |];
-        Slab.set_forces plain [| pf |];
+        Slab.set_forces inplace [| f |];
+        register ();
         phase ~toggling:true 10;
-        (* quiescent inputs with a live force: gating must keep the
-           forced cone correct while skipping the rest *)
         phase ~toggling:false 12;
-        (* in-place mask re-seed (the Campaign intermittent-fault path):
-           no set_forces call, detection alone must propagate it *)
-        gf.Slab.flip.(0) <- 0x2a;
-        pf.Slab.flip.(0) <- 0x2a;
+        f.Slab.flip.(0) <- 0x2a;
+        register ();
         phase ~toggling:false 12;
-        (* cleared forces must heal even while inputs are held *)
-        Slab.clear_forces gated;
-        Slab.clear_forces plain;
+        Slab.clear_forces inplace;
+        Slab.clear_forces fresh;
         phase ~toggling:false 12;
+        (* healed: from [inplace]'s state, inputs and constants, a
+           never-forced engine settles every component to the same words *)
+        let comps = nl.N.components in
+        Array.iteri
+          (fun i c ->
+            match c with
+            | N.Inport _ | N.Constant _ | N.Dffc _ ->
+              for w = 0 to 1 do
+                Slab.poke_word clean i w (Slab.peek_word inplace i w)
+              done
+            | _ -> ())
+          comps;
+        Slab.settle inplace;
+        Slab.settle clean;
+        Array.iteri
+          (fun i _ ->
+            for w = 0 to 1 do
+              if Slab.peek_word inplace i w <> Slab.peek_word clean i w then
+                ok := false
+            done)
+          comps;
         phase ~toggling:true 8;
         !ok);
     qc ~count:15 "tiny rank blocks are value-transparent (tuning sweep)"
@@ -473,31 +371,20 @@ let suite =
         List.for_all
           (fun tuning ->
             Equiv.seq_equivalent
-              (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k:2 ~tuning nl)
-            && Equiv.seq_equivalent
-                 (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k:2 ~gating:true
-                    ~tuning nl))
+              (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k:2 ~tuning nl))
           [
             { Kernel.default_tuning with Kernel.block_gates = 1 };
             { Kernel.default_tuning with Kernel.block_gates = 3 };
             { Kernel.default_tuning with Kernel.block_words = 16 };
-            {
-              Kernel.block_words = 64;
-              block_gates = 0;
-              hot_after = 1;
-              probe_period = 2;
-            };
+            { Kernel.default_tuning with Kernel.block_words = 64 };
           ]);
-    qc ~count:15 "C block kernel = packed oracle (all k, gating)"
+    qc ~count:15 "C block kernel = packed oracle (all k)"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
         let nl = Test_wide.netlist_of nodes in
         List.for_all
           (fun k ->
-            Equiv.seq_equivalent
-              (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k nl)
-            && Equiv.seq_equivalent
-                 (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k ~gating:true nl))
+            Equiv.seq_equivalent (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k nl))
           (* under AVX2: 1 the k = 1 specialisation, 2 and 3 the tail
              loop only, 5 one vector body plus the tail, 8 vector bodies
              only *)
@@ -537,12 +424,9 @@ let suite =
             (Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)"
                what i size)
         in
-        List.iter
-          (fun gating ->
-            Alcotest.check_raises "and_dst"
-              (msg (Printf.sprintf "block %d and gate" (first 0)) bad)
-              (fun () -> Slab.settle (Slab.of_program ~gating corrupt)))
-          [ false; true ];
+        Alcotest.check_raises "and_dst"
+          (msg (Printf.sprintf "block %d and gate" (first 0)) bad)
+          (fun () -> Slab.settle (Slab.of_program corrupt));
         let seq =
           let x = G.input "x" in
           N.extract ~inputs:[ x ] ~outputs:[ ("q", G.dff (G.inv x)) ]
@@ -562,13 +446,12 @@ let suite =
                  }));
         (* the untouched programs still build and settle *)
         Slab.settle (Slab.of_program prog);
-        Slab.settle (Slab.of_program ~gating:true sprog));
+        Slab.settle (Slab.of_program sprog));
     tc "Kernel tuning specs: parse, merge, print, reject" (fun () ->
-        let t = Kernel.tuning_of_spec "block-words=512,hot-after=2" in
+        let t = Kernel.tuning_of_spec "block-words=512" in
         check_int "block words" 512 t.Kernel.block_words;
-        check_int "hot after" 2 t.Kernel.hot_after;
-        check_int "probe period inherited"
-          Kernel.default_tuning.Kernel.probe_period t.Kernel.probe_period;
+        check_int "block gates inherited"
+          Kernel.default_tuning.Kernel.block_gates t.Kernel.block_gates;
         let t2 = Kernel.tuning_of_spec ~base:t "block_gates=7" in
         check_int "underscores normalize" 7 t2.Kernel.block_gates;
         check_int "base carried through" 512 t2.Kernel.block_words;
@@ -578,17 +461,22 @@ let suite =
           (Kernel.gates_per_block ~k:4 t2);
         check_int "derived gates per block from block words" 42
           (Kernel.gates_per_block ~k:4
-             { t2 with Kernel.block_gates = 0; block_words = 512 });
+             { Kernel.block_gates = 0; block_words = 512 });
         Alcotest.check_raises "unknown key"
           (Invalid_argument
              "Kernel.tuning_of_spec: unknown key \"block\" (expected \
-              block-words, block-gates, hot-after or probe-period)")
+              block-words or block-gates)")
           (fun () -> ignore (Kernel.tuning_of_spec "block=3"));
+        Alcotest.check_raises "removed key"
+          (Invalid_argument
+             "Kernel.tuning_of_spec: unknown key \"probe-period\" (expected \
+              block-words or block-gates)")
+          (fun () -> ignore (Kernel.tuning_of_spec "probe_period=2"));
         Alcotest.check_raises "non-integer"
           (Invalid_argument
-             "Kernel.tuning_of_spec: value of hot-after must be an integer, \
+             "Kernel.tuning_of_spec: value of block-gates must be an integer, \
               got \"soon\"")
-          (fun () -> ignore (Kernel.tuning_of_spec "hot-after=soon"));
+          (fun () -> ignore (Kernel.tuning_of_spec "block-gates=soon"));
         Alcotest.check_raises "missing ="
           (Invalid_argument
              "Kernel.tuning_of_spec: expected key=int, got \"3072\"")
@@ -598,12 +486,9 @@ let suite =
           (fun () -> ignore (Kernel.tuning_of_spec "block-words=0"));
         (* the engine handle spells the whole flavor out *)
         let (module E) =
-          Slab.engine ~gating:true
-            ~tuning:{ Kernel.default_tuning with Kernel.block_gates = 9 }
-            4
+          Slab.engine ~tuning:{ Kernel.default_tuning with Kernel.block_gates = 9 } 4
         in
-        check_string "engine name"
-          "slab(k=4,gated,block-words=3072,block-gates=9,hot-after=4,probe-period=128)"
+        check_string "engine name" "slab(k=4,block-words=3072,block-gates=9)"
           E.name;
         let (module D) = Slab.engine ~tuning:Kernel.default_tuning 2 in
         check_string "default tuning elided" "slab(k=2)" D.name);
@@ -638,26 +523,23 @@ let suite =
            past the end, where a k = 4 slab keeps its pad words *)
         let nl = ripple_netlist 4 in
         check_int "components" 34 (N.size nl);
-        List.iter
-          (fun gating ->
-            let s = Slab.create ~k:4 ~gating nl in
-            let raises (name, i) f =
-              Alcotest.check_raises name
-                (Invalid_argument
-                   (Printf.sprintf
-                      "%s: component %d out of range (netlist has 34 components)"
-                      name i))
-                f
-            in
-            raises ("Slab.peek_word", 34) (fun () -> ignore (Slab.peek_word s 34 0));
-            raises ("Slab.poke_word", 34) (fun () -> Slab.poke_word s 34 0 5);
-            raises ("Slab.peek", 34) (fun () -> ignore (Slab.peek s 34));
-            raises ("Slab.poke", -1) (fun () -> Slab.poke s (-1) 5);
-            raises ("Slab.peek_word", -1) (fun () -> ignore (Slab.peek_word s (-1) 3));
-            (* the last component is still in range *)
-            Slab.poke_word s 33 3 0;
-            ignore (Slab.peek s 33))
-          [ false; true ]);
+        let s = Slab.create ~k:4 nl in
+        let raises (name, i) f =
+          Alcotest.check_raises name
+            (Invalid_argument
+               (Printf.sprintf
+                  "%s: component %d out of range (netlist has 34 components)"
+                  name i))
+            f
+        in
+        raises ("Slab.peek_word", 34) (fun () -> ignore (Slab.peek_word s 34 0));
+        raises ("Slab.poke_word", 34) (fun () -> Slab.poke_word s 34 0 5);
+        raises ("Slab.peek", 34) (fun () -> ignore (Slab.peek s 34));
+        raises ("Slab.poke", -1) (fun () -> Slab.poke s (-1) 5);
+        raises ("Slab.peek_word", -1) (fun () -> ignore (Slab.peek_word s (-1) 3));
+        (* the last component is still in range *)
+        Slab.poke_word s 33 3 0;
+        ignore (Slab.peek s 33));
     tc "Slab.cone rejects out-of-range members and fused engines" (fun () ->
         let nl = ripple_netlist 4 in
         let s = Slab.create ~k:2 ~relayout:false ~fuse:false nl in
@@ -703,14 +585,13 @@ let suite =
           (Invalid_argument "Slab.record_row: the trace was made for another circuit")
           (fun () -> Slab.record_row s (Slab.trace (Slab.create (ripple_netlist 3)) ~cycles:1) 0));
     qc ~count:30
-      "settle_cone = settle on the fanout cone of forced sites (k, gating)"
+      "settle_cone = settle on the fanout cone of forced sites (k)"
       QCheck2.Gen.(
         triple (Test_wide.gen_nodes Test_wide.dff_heavy_ops) (int_bound 1000)
-          (int_bound 3))
-      (fun (nodes, seed, flavor) ->
+          (oneofl [ 1; 4 ]))
+      (fun (nodes, seed, k) ->
         let nl = Test_wide.netlist_of nodes in
-        let k, gating = [| (1, false); (1, true); (4, false); (4, true) |].(flavor) in
-        let mk () = Slab.create ~k ~gating ~relayout:false ~fuse:false nl in
+        let mk () = Slab.create ~k ~relayout:false ~fuse:false nl in
         (* [full] settles everything, [coned] only the cone of the forced
            sites, from [golden]'s rows; both carry the same forces *)
         let golden = mk () and full = mk () and coned = mk () in
@@ -835,29 +716,24 @@ let suite =
         let cases = Array.init 300 case in
         let reference = Testbench.run_batched ~cycles:8 ~cases nl in
         List.iter
-          (fun (k, gating) ->
+          (fun k ->
             let got =
-              Testbench.run_batched
-                ~engine:(Slab.engine ~gating k)
-                ~cycles:8 ~cases nl
+              Testbench.run_batched ~engine:(Slab.engine k) ~cycles:8 ~cases nl
             in
             Array.iteri
               (fun i r ->
                 if r <> reference.(i) then
-                  Alcotest.failf "case %d differs (k=%d gating=%b)" i k gating)
+                  Alcotest.failf "case %d differs (k=%d)" i k)
               got)
-          [ (1, false); (4, false); (3, true) ];
+          [ 1; 4; 3 ];
         check_bool "case 70 failed" false (Testbench.passed reference.(70)));
-    qc ~count:10 "Equiv.slab_vs_wide holds on random netlists (k, gating)"
+    qc ~count:10 "Equiv.slab_vs_wide holds on random netlists (k)"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
         let nl = Test_wide.netlist_of nodes in
         List.for_all
           (fun k ->
-            Equiv.seq_equivalent
-              (Equiv.slab_vs_wide ~passes:2 ~cycles:10 ~k nl)
-            && Equiv.seq_equivalent
-                 (Equiv.slab_vs_wide ~passes:2 ~cycles:10 ~k ~gating:true nl))
+            Equiv.seq_equivalent (Equiv.slab_vs_wide ~passes:2 ~cycles:10 ~k nl))
           [ 1; 4; 8 ]);
     tc "engine_random_netlists finds a planted mismatch on every word"
       (fun () ->
@@ -879,139 +755,6 @@ let suite =
         check_bool "oracle vs slab" false
           (Equiv.seq_equivalent
              (Equiv.engine_random_netlists ~passes:1 ~cycles:4
-                Hydra_engine.Engine_intf.oracle (Slab.engine ~gating:true 3)
+                Hydra_engine.Engine_intf.oracle (Slab.engine 3)
                 (mk false) (mk true))));
-    tc "adaptive gating: hot, quiescent and re-activated phases match ungated"
-      (fun () ->
-        let a = G.input "a" and b = G.input "b" in
-        let d1 = G.dff (G.xor2 a b) in
-        let d2 = G.dff (G.or2 d1 (G.and2 a (G.inv b))) in
-        let nl =
-          N.of_graph
-            ~outputs:[ ("q", G.xor2 d1 d2); ("r", G.and2 d1 (G.inv d2)) ]
-        in
-        let k = 4 in
-        let gated = Slab.create ~k ~gating:true nl in
-        let plain = Slab.create ~k nl in
-        let st = Random.State.make [| 0x407 |] in
-        (* 90 toggle cycles push ranks hot and across the detect probe,
-           40 held cycles drain to a full skip, 90 more re-dirty the hot
-           ranks; every output word must match the ungated slab at every
-           cycle of every phase *)
-        let phase cycles toggling =
-          for _ = 1 to cycles do
-            List.iter
-              (fun name ->
-                for w = 0 to k - 1 do
-                  let v = if toggling then random_word st else 0 in
-                  Slab.set_input_word gated name w v;
-                  Slab.set_input_word plain name w v
-                done)
-              [ "a"; "b" ];
-            Slab.settle gated;
-            Slab.settle plain;
-            List.iter
-              (fun (out, _) ->
-                for w = 0 to k - 1 do
-                  check_int
-                    (Printf.sprintf "%s word %d cycle %d" out w
-                       (Slab.cycle plain))
-                    (Slab.output_word plain out w)
-                    (Slab.output_word gated out w)
-                done)
-              (outputs_of nl);
-            Slab.tick gated;
-            Slab.tick plain
-          done
-        in
-        phase 90 true;
-        phase 40 false;
-        phase 90 true);
-    tc "dense mode: a fresh or reset gated engine with held inputs stays gated"
-      (fun () ->
-        let s = Slab.create ~k:4 ~gating:true ~fuse:false (Test_wide.cpu_netlist ()) in
-        let owner = Kernel.comp_block (Slab.program s) in
-        let comps = (Slab.netlist s).N.components in
-        let is_gate = function
-          | N.Invc | N.And2c | N.Or2c | N.Xor2c -> true
-          | _ -> false
-        in
-        let gate =
-          Option.get
-            (List.find_opt
-               (fun i -> is_gate comps.(i) && owner.(i) >= 0)
-               (List.init (Array.length comps) Fun.id))
-        in
-        let held what =
-          for cyc = 1 to 40 do
-            Slab.settle s;
-            check_bool (Printf.sprintf "%s: dense after settle %d" what cyc) false
-              (Slab.dense_next s);
-            Slab.tick s
-          done;
-          (* a skipping settle leaves a poked gate word alone (only its
-             readers re-run); a dense sweep would recompute it *)
-          Slab.settle s;
-          let v = Slab.peek_word s gate 1 lxor 1 in
-          Slab.poke_word s gate 1 v;
-          Slab.settle s;
-          check_int (what ^ ": the poked gate's block was skipped") v
-            (Slab.peek_word s gate 1)
-        in
-        held "fresh";
-        Slab.reset s;
-        held "reset");
-    tc "dense mode: busy inputs go dense, quiet ones are gated again in time"
-      (fun () ->
-        let module Wl = Hydra_circuits.Wallace.Make (G) in
-        let word n = List.init 8 (fun i -> G.input (Printf.sprintf "%s%d" n i)) in
-        let nl =
-          N.of_graph
-            ~outputs:
-              (List.mapi
-                 (fun i p -> (Printf.sprintf "p%d" i, p))
-                 (Wl.multw (word "x") (word "y")))
-        in
-        let probe_period = 6 and k = 4 in
-        let tuning =
-          { Kernel.default_tuning with Kernel.block_gates = 16; probe_period }
-        in
-        let gated = Slab.create ~k ~gating:true ~tuning nl in
-        let plain = Slab.create ~k nl in
-        let st = Random.State.make [| 0xde75e |] in
-        let cycle busy =
-          if busy then
-            List.iter
-              (fun (name, _) ->
-                for w = 0 to k - 1 do
-                  let v = random_word st in
-                  Slab.set_input_word gated name w v;
-                  Slab.set_input_word plain name w v
-                done)
-              nl.N.inputs;
-          Slab.settle gated;
-          Slab.settle plain;
-          List.iter
-            (fun (out, _) ->
-              for w = 0 to k - 1 do
-                check_int out (Slab.output_word plain out w)
-                  (Slab.output_word gated out w)
-              done)
-            (outputs_of nl);
-          Slab.tick gated;
-          Slab.tick plain
-        in
-        let saw_dense = ref false in
-        for _ = 1 to 20 do
-          cycle true;
-          if Slab.dense_next gated then saw_dense := true
-        done;
-        check_bool "busy inputs go dense" true !saw_dense;
-        for i = 1 to 3 * probe_period do
-          cycle false;
-          if i > probe_period then
-            check_bool
-              (Printf.sprintf "gated again by quiet settle %d" i)
-              false (Slab.dense_next gated)
-        done);
   ]
