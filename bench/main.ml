@@ -972,7 +972,7 @@ let e20 ?(min_time = 0.2) () =
        instance instead of trailing it *)
     let module Sharded = Hydra_engine.Sharded in
     let sh =
-      Sharded.create ~scheduler:(Hydra_engine.Scheduler.of_pool pool) nl
+      Sharded.create ~domains:(Pool.size pool) nl
     in
     let nbatches = 4 * Sharded.domains sh in
     let t_batched =

@@ -9,7 +9,7 @@
      analyze  fixpoint dataflow analyses and the certified sweep
      timing   static timing/size report for a named circuit
      faults   fault-injection campaigns (stuck-at, SEU, intermittent)
-     equiv    slab-vs-wide engine equivalence sweep over named circuits
+     equiv    slab engine vs packed reference oracle over named circuits
      algo     print the processor's control algorithm (paper section 6.2)
 
    Named circuits for netlist/lint/analyze/timing/faults: fig1, mux1,
@@ -963,9 +963,10 @@ let sim_cmd =
 
 (* ---- equiv ---- *)
 
-(* Slab-vs-wide equivalence sweep: every catalogue circuit (or the
-   named targets), each slab width in --k, checked
-   word-for-word under Equiv's random sequential stimulus.  CI runs
+(* Slab-vs-oracle equivalence sweep: every catalogue circuit (or the
+   named targets), each slab width in --k, checked word-for-word
+   against the packed reference oracle (Equiv.slab_vs_wide) under
+   Equiv's random sequential stimulus.  CI runs
    `hydra equiv --all --smoke`, so a slab kernel regression fails the
    pipeline, not just the bench. *)
 let equiv_cmd =
@@ -1055,7 +1056,8 @@ let equiv_cmd =
           List.iter
             (fun (label, output, cycle) ->
               Printf.printf
-                "%-18s MISMATCH %s: output %s diverges from wide at cycle %d\n"
+                "%-18s MISMATCH %s: output %s diverges from the packed \
+                 reference oracle at cycle %d\n"
                 target label output cycle)
             (List.rev !bad)
         end)
@@ -1065,9 +1067,9 @@ let equiv_cmd =
   Cmd.v
     (Cmd.info "equiv"
        ~doc:
-         "Check the slab engine against the wide engine on named circuits \
-          or saved netlist files (random sequential stimulus, every word); \
-          exits 1 on any mismatch")
+         "Check the slab engine against the packed reference oracle on \
+          named circuits or saved netlist files (random sequential \
+          stimulus, every word); exits 1 on any mismatch")
     Term.(const run $ targets $ all $ ks $ passes $ cycles $ smoke $ tuning)
 
 (* ---- algo ---- *)

@@ -1,22 +1,21 @@
 (* Resilience primitives for the execution layer: deadlines, retry
-   policies with exponential backoff + deterministic jitter, heartbeat
-   watchdog verdicts and an overload-shedding admission controller.
+   policies with exponential backoff + deterministic jitter, and an
+   overload-shedding admission controller.
 
-   These are deliberately small, lock-light value types: the {!Scheduler}
-   weaves them through its claim loop, {!Hydra_verify.Campaign} and
-   friends expose them as optional knobs, and the chaos harness
-   falsifies them.  Everything that involves randomness (jitter) is
-   derived from a splitmix-style hash of caller-supplied integers, so a
-   replayed run produces the identical schedule — the same discipline
-   the fault campaigns use for intermittent coins. *)
+   These are deliberately small, lock-light value types: the
+   {!Scheduler}'s team members apply deadlines and retries themselves,
+   {!Hydra_verify.Campaign} and friends expose them as optional knobs,
+   and the chaos harness falsifies them.  Everything that involves
+   randomness (jitter) is derived from a splitmix-style hash of
+   caller-supplied integers, so a replayed run produces the identical
+   schedule — the same discipline the fault campaigns use for
+   intermittent coins. *)
 
 let now () = Unix.gettimeofday ()
 
 exception Deadline_exceeded of { job : string; elapsed : float }
 
-exception Stuck_member of { member : int; site : string; age : float }
-
-exception Shed of { job : string; priority : int }
+exception Shed of { job : string }
 
 let () =
   Printexc.register_printer (function
@@ -24,13 +23,7 @@ let () =
       Some
         (Printf.sprintf "Resilience.Deadline_exceeded(job=%S, elapsed=%.3fs)"
            job elapsed)
-    | Stuck_member { member; site; age } ->
-      Some
-        (Printf.sprintf
-           "Resilience.Stuck_member(member=%d, site=%S, stuck for %.3fs)"
-           member site age)
-    | Shed { job; priority } ->
-      Some (Printf.sprintf "Resilience.Shed(job=%S, priority=%d)" job priority)
+    | Shed { job } -> Some (Printf.sprintf "Resilience.Shed(job=%S)" job)
     | _ -> None)
 
 (* Deterministic unit-interval hash: splitmix64 finalizer over the mixed
@@ -122,8 +115,6 @@ let admission ?(min_lanes = 62) ~max_lanes () =
     a_shed = 0;
   }
 
-let budget (a : admission) = a.max_lanes
-
 let admission_stats a =
   Mutex.lock a.a_lock;
   let s =
@@ -174,14 +165,6 @@ let acquire a ~lanes =
 let release a ~lanes =
   Mutex.lock a.a_lock;
   a.in_flight <- max 0 (a.in_flight - lanes);
-  Mutex.unlock a.a_lock
-
-(* Scheduler-side shed accounting (the scheduler evicts whole jobs by
-   priority; it reports each eviction here so one counter covers both
-   shed paths). *)
-let count_shed a =
-  Mutex.lock a.a_lock;
-  a.a_shed <- a.a_shed + 1;
   Mutex.unlock a.a_lock
 
 let describe_admission a =

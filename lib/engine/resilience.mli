@@ -1,18 +1,18 @@
 (** Resilience primitives for the execution layer: deadlines, retry
-    policies (exponential backoff with deterministic jitter), heartbeat
-    watchdog verdicts, and an overload-shedding admission controller.
+    policies (exponential backoff with deterministic jitter), and an
+    overload-shedding admission controller.
 
-    {!Scheduler} weaves these through its claim loop ([?deadline],
-    [?retry] and [?lanes] on submit, [?watchdog] and [?admission] on
-    create); {!Hydra_verify.Campaign}, {!Hydra_verify.Equiv} and
-    {!Testbench} expose them as client knobs.  All randomness (jitter)
+    {!Scheduler.run_tasks} applies [?deadline] and [?retry] in its team
+    members; {!Hydra_verify.Campaign}, {!Hydra_verify.Equiv} and
+    {!Testbench} expose them as client knobs, and [Campaign.run
+    ?admission] reserves lanes through {!acquire}.  All randomness (jitter)
     is hashed from caller-supplied seeds, so replayed runs produce
     identical schedules — the precondition for the chaos harness being
     able to reproduce any storm it reports. *)
 
 val now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]); the time base every
-    deadline and heartbeat in the engine uses. *)
+    deadline in the engine uses. *)
 
 val unit_hash : int list -> float
 (** Deterministic hash of the seeds to the unit interval [0, 1)
@@ -20,17 +20,12 @@ val unit_hash : int list -> float
     pure so every schedule and chaos storm replays exactly. *)
 
 exception Deadline_exceeded of { job : string; elapsed : float }
-(** A job exceeded its submit-time deadline: raised by the one-job
-    conveniences ({!Scheduler.run_tasks}, [Campaign.run ?deadline], …)
-    when the underlying job settled {!Scheduler.Timed_out}. *)
+(** A job exceeded its deadline: raised by {!Scheduler.run_tasks} (and
+    through it [Campaign.run ?deadline], …) when some task did not
+    complete within the budget. *)
 
-exception Stuck_member of { member : int; site : string; age : float }
-(** The watchdog's verdict: pool member [member] last heartbeat [age]
-    seconds ago at [site] (the job name it claimed for — the stack-site
-    witness).  The owning job is failed with this exception. *)
-
-exception Shed of { job : string; priority : int }
-(** An admission controller evicted this job to shed load. *)
+exception Shed of { job : string }
+(** An admission controller rejected this job to shed load. *)
 
 (** {2 Retry policies} *)
 
@@ -77,7 +72,7 @@ type admission
 type admission_stats = {
   admitted : int;
   degraded : int;  (** admissions granted fewer lanes than requested *)
-  shed : int;  (** requests (or scheduler jobs) rejected outright *)
+  shed : int;  (** requests rejected outright *)
   in_flight_lanes : int;
   max_lanes : int;
 }
@@ -96,13 +91,6 @@ val acquire : admission -> lanes:int -> [ `Granted of int | `Shed ]
     the granted amount when done. *)
 
 val release : admission -> lanes:int -> unit
-
-val budget : admission -> int
-(** The controller's [max_lanes]. *)
-
-val count_shed : admission -> unit
-(** Record a scheduler-side job eviction in the [shed] counter, so one
-    counter covers both shed paths. *)
 
 val admission_stats : admission -> admission_stats
 

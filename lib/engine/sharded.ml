@@ -13,7 +13,7 @@
    state over the shared immutable compiled index arrays.  Replicas are
    created once at {!of_base} and reused for the sharded engine's whole
    lifetime, so steady-state jobs allocate nothing per batch.  A fan-out
-   is one {!Scheduler.run_tasks} job whose task body runs on the
+   is one {!Scheduler.run_tasks} call whose task body runs on the
    claiming member's replica.
 
    Peak independent simulations per settle pass: [62 x k x domains]. *)

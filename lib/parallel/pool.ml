@@ -9,10 +9,10 @@
    - [parallel_for]: "evaluate these N independent things on all cores"
      with a barrier at the end — fine-grained, used per rank or per chunk.
    - [run_team]: "run one long-lived task body per pool member" — the
-     substrate of the job scheduler ({!Hydra_engine.Scheduler}), where
-     each member owns private simulator state and drains a shared work
-     queue until it is empty, synchronizing only when the whole team
-     finishes.
+     substrate of the fan-out call ({!Hydra_engine.Scheduler.run_tasks}),
+     where each member owns private simulator state and claims tasks
+     from a shared counter until none are left, synchronizing only when
+     the whole team finishes.
 
    Workers are OCaml 5 domains created once and reused across calls
    (domain spawn is far too expensive per simulation cycle).  Work is
@@ -41,13 +41,6 @@ type t = {
   mutable job : job option;
   mutable shutdown : bool;
   mutable domains : unit Domain.t list;
-  (* Heartbeat slots, one per member: [beat_time.(m)] is the wall-clock
-     of member [m]'s last {!heartbeat}, [beat_site.(m)] a short label of
-     where it was (typically the job it is working).  Single writer per
-     slot (the member itself), racy lock-free readers (the watchdog): a
-     torn read can only mis-age a beat by one update, never corrupt. *)
-  beat_time : float array;
-  beat_site : string array;
 }
 
 let default_domains () = max 1 (min 8 (Domain.recommended_domain_count ()))
@@ -105,28 +98,12 @@ let create ?domains () =
       job = None;
       shutdown = false;
       domains = [];
-      beat_time = Array.make size (Unix.gettimeofday ());
-      beat_site = Array.make size "idle";
     }
   in
   t.domains <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let size t = t.size
-
-(* Heartbeats: members stamp "I am alive, working on [site]" at task
-   boundaries; a watchdog compares the stamps against a horizon.  The
-   slot is owned by its member, so no lock is taken. *)
-let heartbeat t ~member ~site =
-  if member >= 0 && member < t.size then begin
-    t.beat_site.(member) <- site;
-    t.beat_time.(member) <- Unix.gettimeofday ()
-  end
-
-let last_beat t member =
-  if member < 0 || member >= t.size then
-    invalid_arg "Pool.last_beat: member out of range";
-  (t.beat_time.(member), t.beat_site.(member))
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -203,28 +180,3 @@ let run_team t f =
         pending = t.size - 1;
         exn = Atomic.make None;
       }
-
-(* Convenience: sum of [f i] over a range with per-chunk partial sums —
-   O(chunks) auxiliary space, not O(n).  Used by tests and benches. *)
-let parallel_sum t lo hi f =
-  let n = hi - lo in
-  if n <= 0 then 0
-  else if t.size = 1 || n < 2 * t.size then begin
-    let s = ref 0 in
-    for i = lo to hi - 1 do
-      s := !s + f i
-    done;
-    !s
-  end
-  else begin
-    let nchunks = min n (4 * t.size) in
-    let partials = Array.make nchunks 0 in
-    parallel_for ~chunk:1 t 0 nchunks (fun c ->
-        let clo = lo + (c * n / nchunks) and chi = lo + ((c + 1) * n / nchunks) in
-        let s = ref 0 in
-        for i = clo to chi - 1 do
-          s := !s + f i
-        done;
-        partials.(c) <- !s);
-    Array.fold_left ( + ) 0 partials
-  end

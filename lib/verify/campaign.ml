@@ -746,7 +746,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
     | Some a -> (
       match Resilience.acquire a ~lanes:(Packed.lanes * k) with
       | `Granted g -> Some (a, g)
-      | `Shed -> raise (Resilience.Shed { job = "campaign"; priority = 0 }))
+      | `Shed -> raise (Resilience.Shed { job = "campaign" }))
   in
   let k =
     match acquired with
@@ -858,7 +858,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
               ?retry n (fun ~member c ->
                 (match chaos with
                 | Some p ->
-                  Chaos.inject p ~label:"campaign" ~task:(!first_task + c) ()
+                  Chaos.inject p ~label:"campaign" ~task:(!first_task + c)
                 | None -> ());
                 task (Sharded.replica sh member) c))
       in

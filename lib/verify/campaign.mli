@@ -163,16 +163,15 @@ val run :
 
     Resilience knobs: [?deadline] bounds the whole campaign in
     wall-clock seconds: each round's job carries the remaining budget
-    and times out at a chunk boundary
+    and stops claiming chunks once it is spent
     ({!Hydra_engine.Resilience.Deadline_exceeded}).  [?retry] rides on
     the job: chunks whose body raised a transient exception re-run after
     a deterministic backoff (chunks recompute their verdict slice from
-    reset, so retried runs stay bit-identical), every attempt journaled
-    in the job's trail.  [?admission] reserves the engine's lane
-    demand against a shared budget: an over-budget request is
-    {e degraded} to fewer slab words (same verdicts, smaller passes)
-    rather than rejected, and only a budget with less than one word
-    free sheds the campaign ({!Hydra_engine.Resilience.Shed}).
+    reset, so retried runs stay bit-identical).  [?admission] reserves
+    the engine's lane demand against a shared budget: an over-budget
+    request is {e degraded} to fewer slab words (same verdicts, smaller
+    passes) rather than rejected, and only a budget with less than one
+    word free sheds the campaign ({!Hydra_engine.Resilience.Shed}).
     [?chaos] dresses every chunk (and the prefix task) with a seeded
     {!Chaos} injection point — the soak-test harness.
 

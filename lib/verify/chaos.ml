@@ -2,19 +2,19 @@
    layer.
 
    A plan is a pure decision function: whether a given (label, task,
-   attempt) site gets a delay, an exception or a stuck spin — and how
-   long — is hashed from the plan seed with the same splitmix
-   discipline as {!Hydra_engine.Resilience.backoff} jitter and the
-   fault campaigns' intermittent coins.  Replaying a storm is therefore
-   exact: the same seed injects the same faults at the same sites, and
-   a retried task sees a *different* decision on its next attempt
-   (attempt is part of the site), which is what lets retry policies
-   actually recover.
+   attempt) site gets a delay or an exception — and how long — is
+   hashed from the plan seed with the same splitmix discipline as
+   {!Hydra_engine.Resilience.backoff} jitter and the fault campaigns'
+   intermittent coins.  Replaying a storm is therefore exact: the same
+   seed injects the same faults at the same sites, and a retried task
+   sees a *different* decision on its next attempt (attempt is part of
+   the site), which is what lets retry policies actually recover.
 
-   [wrap] dresses a scheduler task body; [hook] dresses the compiled-
-   circuit cache's lookup/insert sites via {!Hydra_engine.Cache.
-   set_fault_hook}.  Counters record every injection, so soak tests can
-   assert both "enough chaos happened" and "nothing was lost". *)
+   [wrap] dresses a {!Hydra_engine.Scheduler.run_tasks} body; [hook]
+   dresses the compiled-circuit cache's lookup/insert sites via
+   {!Hydra_engine.Cache.set_fault_hook}.  Counters record every
+   injection, so soak tests can assert both "enough chaos happened" and
+   "nothing was lost". *)
 
 module Resilience = Hydra_engine.Resilience
 
@@ -32,53 +32,41 @@ type plan = {
   seed : int;
   delay_rate : float;
   exn_rate : float;
-  stuck_rate : float;
   max_delay : float;
-  stuck_spin : float;
   delays : int Atomic.t;
   exns : int Atomic.t;
-  stucks : int Atomic.t;
   (* per-(label, task) attempt counters: the site key includes the
      attempt number so a retry re-rolls its fate *)
   attempts : (string * int, int) Hashtbl.t;
   a_lock : Mutex.t;
 }
 
-type counts = { delays : int; exns : int; stucks : int }
+type counts = { delays : int; exns : int }
 
-let plan ?(delay_rate = 0.05) ?(exn_rate = 0.05) ?(stuck_rate = 0.0)
-    ?(max_delay = 0.005) ?(stuck_spin = 0.05) ~seed () =
+let plan ?(delay_rate = 0.05) ?(exn_rate = 0.05) ?(max_delay = 0.005) ~seed
+    () =
   let rate name r =
     if r < 0.0 || r > 1.0 then
       invalid_arg (Printf.sprintf "Chaos.plan: %s must be in [0, 1]" name)
   in
   rate "delay_rate" delay_rate;
   rate "exn_rate" exn_rate;
-  rate "stuck_rate" stuck_rate;
-  if delay_rate +. exn_rate +. stuck_rate > 1.0 then
+  if delay_rate +. exn_rate > 1.0 then
     invalid_arg "Chaos.plan: rates must sum to <= 1";
-  if max_delay < 0.0 || stuck_spin < 0.0 then
-    invalid_arg "Chaos.plan: delays must be >= 0";
+  if max_delay < 0.0 then invalid_arg "Chaos.plan: max_delay must be >= 0";
   {
     seed;
     delay_rate;
     exn_rate;
-    stuck_rate;
     max_delay;
-    stuck_spin;
     delays = Atomic.make 0;
     exns = Atomic.make 0;
-    stucks = Atomic.make 0;
     attempts = Hashtbl.create 64;
     a_lock = Mutex.create ();
   }
 
 let injected (p : plan) =
-  {
-    delays = Atomic.get p.delays;
-    exns = Atomic.get p.exns;
-    stucks = Atomic.get p.stucks;
-  }
+  { delays = Atomic.get p.delays; exns = Atomic.get p.exns }
 
 (* Mix a string into hashable ints without depending on Hashtbl.hash
    stability across versions: fold characters into two accumulators. *)
@@ -91,7 +79,7 @@ let label_ints label =
     label;
   (!a, !b)
 
-type verdict = Pass | Delay of float | Raise | Stuck
+type verdict = Pass | Delay of float | Raise
 
 (* The pure per-site decision: one uniform draw partitioned by the
    rates, a second draw for the delay magnitude. *)
@@ -99,8 +87,7 @@ let decide p ~label ~task ~attempt =
   let la, lb = label_ints label in
   let u = Resilience.unit_hash [ p.seed; la; lb; task; attempt; 0x51 ] in
   if u < p.exn_rate then Raise
-  else if u < p.exn_rate +. p.stuck_rate then Stuck
-  else if u < p.exn_rate +. p.stuck_rate +. p.delay_rate then
+  else if u < p.exn_rate +. p.delay_rate then
     Delay
       (p.max_delay
       *. Resilience.unit_hash [ p.seed; la; lb; task; attempt; 0xde1a ])
@@ -114,7 +101,7 @@ let next_attempt p ~label ~task =
   Mutex.unlock p.a_lock;
   a
 
-let inject p ~label ~task ?poll () =
+let inject p ~label ~task =
   let attempt = next_attempt p ~label ~task in
   match decide p ~label ~task ~attempt with
   | Pass -> ()
@@ -124,24 +111,12 @@ let inject p ~label ~task ?poll () =
   | Raise ->
     Atomic.incr p.exns;
     raise (Injected { label; task; attempt })
-  | Stuck ->
-    (* spin "stuck" until the poll says the job is doomed (watchdog or
-       deadline fired) or a safety bound elapses — a real hang would
-       wedge the suite, and the point is to exercise detection, not to
-       actually lose the member *)
-    Atomic.incr p.stucks;
-    let t0 = Resilience.now () in
-    let bound = Float.max p.stuck_spin 0.001 in
-    let doomed = match poll with Some f -> f | None -> fun () -> false in
-    while (not (doomed ())) && Resilience.now () -. t0 < bound do
-      Unix.sleepf 0.0005
-    done
 
-let wrap p ~label ?poll body ~member task =
-  inject p ~label ~task ?poll ();
+let wrap p ~label body ~member task =
+  inject p ~label ~task;
   body ~member task
 
 let hook p ~label site =
   (* cache sites have no task index; fold the site name into the label
      so lookup and insert roll independent fates *)
-  inject p ~label:(label ^ ":" ^ site) ~task:0 ()
+  inject p ~label:(label ^ ":" ^ site) ~task:0

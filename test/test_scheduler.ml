@@ -1,4 +1,4 @@
-(* Tests for the unified job-graph scheduler, the compiled-circuit
+(* Tests for the scheduler's fan-out call, the compiled-circuit
    cache, the netlist content digest and incremental recompilation
    (Kernel.patch) — plus the soak check that every client rewired onto
    the scheduler stays bit-identical to its sequential baseline. *)
@@ -58,157 +58,41 @@ let flip_one_gate nl =
 
 let scheduler_tests =
   [
-    tc "deps and priorities order claims" (fun () ->
-        let sch = Scheduler.create ~domains:1 () in
-        let order = ref [] in
-        let mark tag ~member:_ _ = order := tag :: !order in
-        let a = Scheduler.submit ~name:"a" sch ~tasks:1 (mark "a") in
-        let b =
-          Scheduler.submit ~name:"b" ~deps:[ a ] sch ~tasks:1 (mark "b")
-        in
-        (* c is ready and higher priority than a, so it claims first even
-           though it was submitted last *)
-        let c =
-          Scheduler.submit ~name:"c" ~priority:5 sch ~tasks:1 (mark "c")
-        in
-        Scheduler.run sch;
-        List.iter
-          (fun j ->
-            check_bool (Scheduler.job_name j) true
-              (Scheduler.status sch j = Scheduler.Done))
-          [ a; b; c ];
-        check_bool "c before a before b" true
-          (List.rev !order = [ "c"; "a"; "b" ]);
-        Scheduler.shutdown sch);
-    tc "zero-task job is a join point" (fun () ->
-        let sch = Scheduler.create ~domains:2 () in
-        let hits = Atomic.make 0 in
-        let a =
-          Scheduler.submit ~name:"a" sch ~tasks:3 (fun ~member:_ _ ->
-              Atomic.incr hits)
-        in
-        let join = Scheduler.submit ~name:"join" ~deps:[ a ] sch ~tasks:0
-            (fun ~member:_ _ -> assert false)
-        in
-        Scheduler.run sch;
-        check_int "tasks ran" 3 (Atomic.get hits);
-        check_bool "join done" true
-          (Scheduler.status sch join = Scheduler.Done);
-        Scheduler.shutdown sch);
-    tc "dependency cycle rejected with witness" (fun () ->
-        let sch = Scheduler.create ~domains:2 () in
-        let a = Scheduler.submit ~name:"a" sch ~tasks:1 (fun ~member:_ _ -> ()) in
-        let b =
-          Scheduler.submit ~name:"b" ~deps:[ a ] sch ~tasks:1
-            (fun ~member:_ _ -> ())
-        in
-        Scheduler.depend sch ~job:a ~on:[ b ];
-        (match Scheduler.run sch with
-        | () -> Alcotest.fail "cycle not detected"
-        | exception Scheduler.Dependency_cycle w ->
-          check_bool "witness names both jobs" true
-            (List.sort compare w = [ "a"; "b" ]));
-        (* the pool must remain usable after the rejected run *)
-        let ran = Atomic.make 0 in
-        Scheduler.run_tasks sch 5 (fun ~member:_ _ -> Atomic.incr ran);
-        check_int "pool reusable after cycle" 5 (Atomic.get ran);
-        Scheduler.shutdown sch);
-    tc "cancellation mid-run leaves pool reusable" (fun () ->
-        let sch = Scheduler.create ~domains:2 () in
-        let late_ran = Atomic.make 0 in
-        let late = ref None in
-        let _early =
-          Scheduler.submit ~name:"early" sch ~tasks:4 (fun ~member:_ i ->
-              if i = 0 then Scheduler.cancel sch (Option.get !late))
-        in
-        late :=
-          Some
-            (Scheduler.submit ~name:"late" ~priority:(-1) sch ~tasks:100
-               (fun ~member:_ _ -> Atomic.incr late_ran));
-        Scheduler.run sch;
-        check_bool "late cancelled" true
-          (Scheduler.status sch (Option.get !late) = Scheduler.Cancelled);
-        check_bool "late did not run to completion" true
-          (Atomic.get late_ran < 100);
-        let ran = Atomic.make 0 in
-        Scheduler.run_tasks sch 7 (fun ~member:_ _ -> Atomic.incr ran);
-        check_int "pool reusable after cancel" 7 (Atomic.get ran);
-        Scheduler.shutdown sch);
     tc "exception fails its job, siblings and pool survive" (fun () ->
         let sch = Scheduler.create ~domains:2 () in
+        (match
+           Scheduler.run_tasks sch ~name:"bad" 3 (fun ~member:_ i ->
+               if i = 1 then failwith "boom")
+         with
+        | () -> Alcotest.fail "run_tasks swallowed the failure"
+        | exception Failure m -> check_string "payload" "boom" m);
         let sibling_hits = Atomic.make 0 in
-        let bad =
-          Scheduler.submit ~name:"bad" sch ~tasks:3 (fun ~member:_ i ->
-              if i = 1 then failwith "boom")
-        in
-        let dependent =
-          Scheduler.submit ~name:"dependent" ~deps:[ bad ] sch ~tasks:2
-            (fun ~member:_ _ -> assert false)
-        in
-        let sibling =
-          Scheduler.submit ~name:"sibling" sch ~tasks:20 (fun ~member:_ _ ->
-              Atomic.incr sibling_hits)
-        in
-        Scheduler.run sch;
-        (match Scheduler.status sch bad with
-        | Scheduler.Failed (Failure m) -> check_string "payload" "boom" m
-        | _ -> Alcotest.fail "bad not Failed");
-        check_bool "dependent cancelled" true
-          (Scheduler.status sch dependent = Scheduler.Cancelled);
-        check_bool "sibling done" true
-          (Scheduler.status sch sibling = Scheduler.Done);
+        Scheduler.run_tasks sch ~name:"sibling" 20 (fun ~member:_ _ ->
+            Atomic.incr sibling_hits);
         check_int "sibling ran fully" 20 (Atomic.get sibling_hits);
-        (* and run_tasks re-raises in the caller *)
         (match Scheduler.run_tasks sch 1 (fun ~member:_ _ -> failwith "again") with
         | () -> Alcotest.fail "run_tasks swallowed the failure"
         | exception Failure m -> check_string "re-raised" "again" m);
         Scheduler.shutdown sch);
-    tc "progress callback counts to total" (fun () ->
-        let sch = Scheduler.create ~domains:1 () in
-        let seen = ref [] in
-        let j =
-          Scheduler.submit ~name:"p"
-            ~progress:(fun ~done_ ~total ->
-              check_int "total" 4 total;
-              seen := done_ :: !seen)
-            sch ~tasks:4
-            (fun ~member:_ _ -> ())
-        in
-        Scheduler.run sch;
-        check_bool "done" true (Scheduler.status sch j = Scheduler.Done);
-        check_int_list "monotone on one domain" [ 1; 2; 3; 4 ]
-          (List.rev !seen);
-        Scheduler.shutdown sch);
     qc ~count:30 "every task of every job runs exactly once"
       QCheck2.Gen.(
-        pair (int_range 1 4)
-          (list_size (int_range 1 8) (pair (int_range 0 9) (int_range 0 5))))
+        pair (int_range 1 4) (list_size (int_range 1 8) (int_range 0 9)))
       (fun (domains, specs) ->
         let sch = Scheduler.create ~domains () in
         let nmembers = Scheduler.domains sch in
-        let counters =
-          List.map
-            (fun (tasks, priority) ->
-              let hits = Array.make (max tasks 1) 0 in
-              let bad = Atomic.make false in
-              let j =
-                Scheduler.submit ~priority sch ~tasks (fun ~member i ->
-                    if member < 0 || member >= nmembers then
-                      Atomic.set bad true;
-                    (* tasks of one job are claimed disjointly *)
-                    hits.(i) <- hits.(i) + 1)
-              in
-              (j, tasks, hits, bad))
-            specs
-        in
-        Scheduler.run sch;
         let ok =
           List.for_all
-            (fun (j, tasks, hits, bad) ->
-              Scheduler.status sch j = Scheduler.Done
-              && (not (Atomic.get bad))
-              && Array.for_all (fun h -> h = 1) (Array.sub hits 0 tasks))
-            counters
+            (fun tasks ->
+              let hits = Array.init (max tasks 1) (fun _ -> Atomic.make 0) in
+              let bad = Atomic.make false in
+              Scheduler.run_tasks sch tasks (fun ~member i ->
+                  if member < 0 || member >= nmembers then Atomic.set bad true;
+                  Atomic.incr hits.(i));
+              (not (Atomic.get bad))
+              && Array.for_all
+                   (fun h -> Atomic.get h = 1)
+                   (Array.sub hits 0 tasks))
+            specs
         in
         Scheduler.shutdown sch;
         ok);
@@ -464,19 +348,14 @@ let soak_tests =
         check_bool "cache was exercised" true
           ((Cache.stats cache).Cache.misses > 0);
         Scheduler.shutdown sch);
-    tc "many small jobs drain on one run" (fun () ->
+    tc "many small jobs: one run_tasks call each" (fun () ->
         let sch = Scheduler.create ~domains:3 () in
         let total = Atomic.make 0 in
-        let jobs =
-          List.init 40 (fun k ->
-              Scheduler.submit ~name:(Printf.sprintf "j%d" k) ~priority:(k mod 3)
-                sch
-                ~tasks:(1 + (k mod 5))
-                (fun ~member:_ _ -> Atomic.incr total))
-        in
-        Scheduler.run sch;
-        check_bool "all done" true
-          (List.for_all (fun j -> Scheduler.status sch j = Scheduler.Done) jobs);
+        for k = 0 to 39 do
+          Scheduler.run_tasks sch ~name:(Printf.sprintf "j%d" k)
+            (1 + (k mod 5))
+            (fun ~member:_ _ -> Atomic.incr total)
+        done;
         let expect = List.init 40 (fun k -> 1 + (k mod 5)) in
         check_int "every task ran" (List.fold_left ( + ) 0 expect)
           (Atomic.get total);
