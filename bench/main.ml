@@ -1422,19 +1422,14 @@ let e24 ?(min_time = 0.2) () =
 
 (* E25 ------------------------------------------------------------------ *)
 
-(* Rank-blocked kernels and the C block kernel: wallace64 at k=16 (a
-   slab too large for L2) swept over block sizes, against the unblocked
-   one-block-per-rank baseline — the cache crossover the
-   [Kernel.tuning] default sits on — stamped with the kernel backend
-   this build probed (avx2/neon/scalar-c).
-
-   [--tuning SPEC] adds a custom-geometry row to the sweep. *)
-let cli_tuning : Hydra_engine.Kernel.tuning option ref = ref None
-
-let e25 ?(min_time = 0.2) () =
+(* The C rank kernel: the backend this build probed (avx2/neon/scalar-c)
+   and the settle rate of wallace64 at k=16, a slab too large for L2
+   run as one kernel per levelized rank.  The rate row is the median of
+   10 samples, each at least 0.05 s of settles, with its IQR. *)
+let e25 () =
   let module Slab = Hydra_engine.Slab in
-  let module Kernel = Hydra_engine.Kernel in
-  section "E25" "rank-blocked kernels: block-size sweep, simd backend";
+  let n = 10 in
+  section "E25" "C rank kernel: simd backend, wallace64 k=16 settle rate";
   row "  simd backend this build: %s\n" (Slab.kernel_flavor ());
   record ~section:"E25" ~name:"simd backend (2=avx2, 1=neon, 0=scalar-c)"
     ~value:(float_of_int (match Slab.kernel_flavor () with
@@ -1442,52 +1437,24 @@ let e25 ?(min_time = 0.2) () =
     ~unit_:"kind" ();
   let nl = wallace_netlist 64 in
   let st = N.stats nl in
-  let gates = float_of_int st.N.gates in
-  let cycles = 5 in
   let kk = 16 in
   let lanes = Wide.lanes * kk in
   row "  wallace64: %d gates at k=%d — %.1f MB of slab per settle\n"
     st.N.gates kk
     (float_of_int (N.size nl * kk * 8) /. 1e6);
-  let sample ?tuning name =
-    let slab = Slab.create ~k:kk ?tuning nl in
-    let t =
-      time_per_run ~min_time (fun () ->
-          Slab.reset slab;
-          for _ = 1 to cycles do
-            Slab.step slab
-          done)
-    in
-    let rate = gates *. float_of_int (cycles * lanes) /. t in
-    record ~section:"E25" ~lanes ~name ~value:rate ~unit_:"gate-evals/s" ();
-    rate
+  let slab = Slab.create ~k:kk nl in
+  let evals = float_of_int (st.N.gates * lanes) in
+  let t_start = Unix.gettimeofday () in
+  let rates =
+    Array.init n (fun _ ->
+        evals /. time_per_run ~min_time:0.05 (fun () -> Slab.settle slab))
   in
-  (* one block per rank = the pre-blocking layout *)
-  let unblocked = { Kernel.default_tuning with Kernel.block_gates = max_int } in
-  let base_rate = sample ~tuning:unblocked "wallace64 k=16 unblocked" in
-  row "  %-44s %12.3g gate-evals/s  (1.00x)\n" "unblocked (one block per rank)"
-    base_rate;
-  List.iter
-    (fun bw ->
-      let tuning = { Kernel.default_tuning with Kernel.block_words = bw } in
-      let name = Printf.sprintf "wallace64 k=16 block-words=%d" bw in
-      let rate = sample ~tuning name in
-      row "  %-44s %12.3g gate-evals/s  (%4.2fx)\n"
-        (Printf.sprintf "block-words=%d (%d gates/block)" bw
-           (Kernel.gates_per_block ~k:kk tuning))
-        rate (rate /. base_rate))
-    [ 768; 1536; 3072; 6144; 12288; 49152 ];
-  (match !cli_tuning with
-  | None -> ()
-  | Some tuning ->
-    let rate =
-      sample ~tuning
-        (Printf.sprintf "wallace64 k=16 --tuning %s"
-           (Kernel.tuning_to_spec tuning))
-    in
-    row "  %-44s %12.3g gate-evals/s  (%4.2fx)\n"
-      ("--tuning " ^ Kernel.tuning_to_spec tuning)
-      rate (rate /. base_rate))
+  let wall = Unix.gettimeofday () -. t_start in
+  let med, iqr = median_iqr rates in
+  row "  %-36s %10.3g gate-evals/s (IQR %.3g, n=%d)\n" "wallace64 k=16 settle" med
+    iqr n;
+  record ~section:"E25" ~lanes ~name:"wallace64 k=16 settle" ~value:med
+    ~unit_:"gate-evals/s" ~spread:(iqr, n) ~wall_s:wall ~warmup:1 ()
 
 (* E26: fixpoint dataflow analyses and the certified sweep they license.
    Two costs matter: the analysis itself (three worklist fixpoints plus
@@ -1841,27 +1808,21 @@ let smoke () =
         failwith (Printf.sprintf "smoke: sharded batch %d diverges" b))
     batches;
   print_endline "  sharded/wide batch agreement: ok";
-  (* slab engine: both k=4 flavors — default and tiny rank blocks —
-     must match the wide engine on every word of every output *)
+  (* slab engine at k=4 must match the packed oracle on every word of
+     every output *)
   let module Slab = Hydra_engine.Slab in
-  let module Kernel = Hydra_engine.Kernel in
-  let tiny = { Kernel.default_tuning with Kernel.block_gates = 4 } in
-  List.iter
-    (fun (label, tuning) ->
-      match Equiv.slab_vs_wide ~passes:1 ~cycles:4 ~k:4 ?tuning nl with
-      | Equiv.Seq_equivalent -> ()
-      | Equiv.Seq_mismatch { output; cycle; _ } ->
-        failwith
-          (Printf.sprintf "smoke: slab (%s) diverges from wide at %s, cycle %d"
-             label output cycle))
-    [ ("plain", None); ("tiny-blocks", Some tiny) ];
-  Printf.printf
-    "  slab/wide agreement (k=4: plain, tiny blocks; %s kernel): ok\n"
-    (Hydra_engine.Slab.kernel_flavor ());
+  (match Equiv.slab_vs_wide ~passes:1 ~cycles:4 ~k:4 nl with
+  | Equiv.Seq_equivalent -> ()
+  | Equiv.Seq_mismatch { output; cycle; _ } ->
+    failwith
+      (Printf.sprintf "smoke: slab diverges from the oracle at %s, cycle %d"
+         output cycle));
+  Printf.printf "  slab/oracle agreement (k=4, %s kernel): ok\n"
+    (Slab.kernel_flavor ());
   record ~section:"smoke" ~name:"simd backend (2=avx2, 1=neon, 0=scalar-c)"
     ~value:
       (float_of_int
-         (match Hydra_engine.Slab.kernel_flavor () with
+         (match Slab.kernel_flavor () with
          | "avx2" -> 2
          | "neon" -> 1
          | _ -> 0))
@@ -2036,7 +1997,7 @@ let compare_baseline path =
 let usage () =
   print_endline
     "usage: main.exe [--smoke] [--json PATH] [--baseline PATH] \
-     [--only E12,E20] [--list] [--tuning SPEC]";
+     [--only E12,E20] [--list]";
   exit 2
 
 let () =
@@ -2056,12 +2017,6 @@ let () =
       parse rest
     | "--only" :: names :: rest ->
       only := Some (String.split_on_char ',' names);
-      parse rest
-    | "--tuning" :: spec :: rest ->
-      (try cli_tuning := Some (Hydra_engine.Kernel.tuning_of_spec spec)
-       with Invalid_argument msg ->
-         prerr_endline msg;
-         usage ());
       parse rest
     | "--list" :: _ ->
       List.iter (fun (id, _) -> print_endline id) sections;

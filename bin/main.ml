@@ -999,16 +999,7 @@ let equiv_cmd =
       & info [ "smoke" ]
           ~doc:"quick sweep (the CI job): one pass of 8 cycles")
   in
-  let tuning =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tuning" ] ~docv:"SPEC"
-          ~doc:
-            "kernel tuning spec, e.g. block-words=1024,block-gates=0 (unset \
-             keys keep defaults)")
-  in
-  let run targets all ks passes cycles smoke tuning =
+  let run targets all ks passes cycles smoke =
     let targets = (if all then lint_catalogue else []) @ targets in
     if targets = [] then begin
       prerr_endline
@@ -1027,15 +1018,6 @@ let equiv_cmd =
     end;
     let passes = if smoke then 1 else passes in
     let cycles = if smoke then 8 else cycles in
-    let tuning =
-      match tuning with
-      | None -> None
-      | Some spec -> (
-        try Some (Hydra_engine.Kernel.tuning_of_spec spec)
-        with Invalid_argument msg ->
-          prerr_endline ("equiv: " ^ msg);
-          exit 2)
-    in
     let failed = ref false in
     List.iter
       (fun target ->
@@ -1043,7 +1025,7 @@ let equiv_cmd =
         let bad = ref [] in
         List.iter
           (fun k ->
-            match E.slab_vs_wide ~passes ~cycles ~k ?tuning nl with
+            match E.slab_vs_wide ~passes ~cycles ~k nl with
             | E.Seq_equivalent -> ()
             | E.Seq_mismatch { output; cycle; _ } ->
               bad := (Printf.sprintf "k=%d" k, output, cycle) :: !bad)
@@ -1070,7 +1052,7 @@ let equiv_cmd =
          "Check the slab engine against the packed reference oracle on \
           named circuits or saved netlist files (random sequential \
           stimulus, every word); exits 1 on any mismatch")
-    Term.(const run $ targets $ all $ ks $ passes $ cycles $ smoke $ tuning)
+    Term.(const run $ targets $ all $ ks $ passes $ cycles $ smoke)
 
 (* ---- algo ---- *)
 

@@ -1,7 +1,7 @@
 (* Compiled-circuit cache: compile once, serve many.
 
    Keyed by {!Netlist.digest} × engine flavor × compile flags (certify
-   included) × {!Kernel.tuning} × k.  The digest is a content hash, so two netlists
+   included) × k.  The digest is a content hash, so two netlists
    that differ only in component numbering or port-list order share a
    key — but engine clients (force sites, poke/peek by index) need the
    *exact* index space they asked for, so a hit additionally verifies
@@ -12,7 +12,7 @@
    The "slab" flavor caches one pristine exemplar engine per key and
    hands out {!Slab.replicate} copies — fresh power-up value state over
    the shared compiled arrays — so a warm hit skips compilation *and*
-   the per-engine block descriptors and their range checks.  [wide] is
+   the per-engine rank descriptors and their range checks.  [wide] is
    the k = 1 slab.  The underlying program is cached under its own
    "program" flavor and shared with the slab flavor, so a
    [compile]-then-[wide] sequence compiles once.
@@ -32,7 +32,6 @@ type key = {
   fuse : bool;
   certify : bool;
   k : int;
-  tuning : Kernel.tuning;
 }
 
 type payload = Program of Kernel.program | Slab of Slab.t
@@ -172,7 +171,7 @@ let get t key nl build =
     Mutex.unlock t.lock;
     p
 
-let mk_key ~flavor ~optimize ~relayout ~fuse ~certify ~k ~tuning nl =
+let mk_key ~flavor ~optimize ~relayout ~fuse ~certify ~k nl =
   {
     digest = Netlist.digest nl;
     flavor;
@@ -181,37 +180,34 @@ let mk_key ~flavor ~optimize ~relayout ~fuse ~certify ~k ~tuning nl =
     fuse;
     certify;
     k;
-    tuning;
   }
 
 let compile t ?(optimize = false) ?(relayout = true) ?(fuse = true)
-    ?(certify = false) ?(tuning = Kernel.default_tuning) ?(k = 1) nl =
-  let key =
-    mk_key ~flavor:"program" ~optimize ~relayout ~fuse ~certify ~k ~tuning nl
-  in
+    ?(certify = false) ?(k = 1) nl =
+  let key = mk_key ~flavor:"program" ~optimize ~relayout ~fuse ~certify ~k nl in
   match
     get t key nl (fun () ->
-        Program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k nl))
+        Program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~k nl))
   with
   | Program p -> p
   | Slab _ -> assert false
 
 (* [?gating] is accepted and ignored, like {!Slab.create}'s. *)
 let slab t ?(k = 8) ?gating:_ ?(optimize = false) ?(relayout = true)
-    ?(fuse = true) ?(certify = false) ?(tuning = Kernel.default_tuning) nl =
+    ?(fuse = true) ?(certify = false) nl =
   if k < 1 then invalid_arg "Cache.slab: k must be >= 1";
-  let key = mk_key ~flavor:"slab" ~optimize ~relayout ~fuse ~certify ~k ~tuning nl in
+  let key = mk_key ~flavor:"slab" ~optimize ~relayout ~fuse ~certify ~k nl in
   match
     get t key nl (fun () ->
         Slab
           (Slab.of_program
-             (compile t ~optimize ~relayout ~fuse ~certify ~tuning ~k nl)))
+             (compile t ~optimize ~relayout ~fuse ~certify ~k nl)))
   with
   | Slab s -> Slab.replicate s
   | Program _ -> assert false
 
-let wide t ?optimize ?relayout ?fuse ?certify ?tuning nl =
-  slab t ~k:1 ?optimize ?relayout ?fuse ?certify ?tuning nl
+let wide t ?optimize ?relayout ?fuse ?certify nl =
+  slab t ~k:1 ?optimize ?relayout ?fuse ?certify nl
 
 (* One process-wide cache for clients without their own plumbing
    (Fault.generate_tests, the CLI).  Created at module init, so no

@@ -4,7 +4,7 @@
     hash, stable across serialization round-trips and component
     renumberings) × engine flavor × the compile flags that shape the
     program or vouch for it
-    ([optimize]/[relayout]/[fuse]/[certify]/[k]/{!Kernel.tuning}).
+    ([optimize]/[relayout]/[fuse]/[certify]/[k]).
     Because engine clients address components by index, a digest hit is
     additionally verified by structural equality against the stored
     netlist — index-permuted twins (and hash collisions) get separate
@@ -19,7 +19,7 @@
     The slab flavor caches one pristine exemplar per key and returns
     replicas (fresh power-up value state over the shared compiled
     arrays), so a warm {!slab} (or {!wide}) hit skips both compilation and
-    building the block descriptors.  Eviction is LRU with hit, miss and
+    building the rank descriptors.  Eviction is LRU with hit, miss and
     eviction counters; all operations are mutex-guarded and safe to call
     from scheduler task bodies on any domain (compilation itself runs
     outside the lock). *)
@@ -42,7 +42,6 @@ val compile :
   ?relayout:bool ->
   ?fuse:bool ->
   ?certify:bool ->
-  ?tuning:Kernel.tuning ->
   ?k:int ->
   Hydra_netlist.Netlist.t ->
   Kernel.program
@@ -54,7 +53,6 @@ val wide :
   ?relayout:bool ->
   ?fuse:bool ->
   ?certify:bool ->
-  ?tuning:Kernel.tuning ->
   Hydra_netlist.Netlist.t ->
   Slab.t
 (** The 62-lane engine ({!Compiled_wide.create}, same defaults) through
@@ -74,7 +72,6 @@ val slab :
   ?relayout:bool ->
   ?fuse:bool ->
   ?certify:bool ->
-  ?tuning:Kernel.tuning ->
   Hydra_netlist.Netlist.t ->
   Slab.t
 (** As {!Slab.create} (same defaults), through the cache.  [?gating] is

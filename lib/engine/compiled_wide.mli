@@ -13,7 +13,7 @@ val lanes : int
 
 val create :
   ?optimize:bool -> ?relayout:bool -> ?fuse:bool -> ?certify:bool ->
-  ?tuning:Kernel.tuning -> Hydra_netlist.Netlist.t -> t
+  Hydra_netlist.Netlist.t -> t
 (** [Slab.create ~k:1] with the same compile defaults. *)
 
 val of_program : Kernel.program -> t

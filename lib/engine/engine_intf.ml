@@ -6,7 +6,7 @@
    ({!Testbench.run_batched} [?engine], {!Hydra_verify.Equiv}'s
    engine-vs-engine checks, the shared test battery) program against.
    Values of type [(module S)] are runtime handles — [Slab.engine] bakes
-   a chosen K and tuning into one. *)
+   a chosen K into one. *)
 
 module type S = sig
   type t

@@ -36,62 +36,6 @@ type kernel = {
   out_src : int array;
 }
 
-type tuning = { block_words : int; block_gates : int }
-
-let default_tuning = { block_words = 3072; block_gates = 0 }
-
-let check_tuning t =
-  if t.block_words < 1 then invalid_arg "Kernel: tuning.block_words must be >= 1";
-  if t.block_gates < 0 then invalid_arg "Kernel: tuning.block_gates must be >= 0"
-
-let tuning_of_spec ?(base = default_tuning) spec =
-  let parse_kv acc kv =
-    match String.index_opt kv '=' with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Kernel.tuning_of_spec: expected key=int, got %S" kv)
-    | Some eq ->
-      let key =
-        String.map (function '_' -> '-' | c -> c) (String.sub kv 0 eq)
-      in
-      let v =
-        let s = String.sub kv (eq + 1) (String.length kv - eq - 1) in
-        match int_of_string_opt s with
-        | Some v -> v
-        | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Kernel.tuning_of_spec: value of %s must be an integer, got %S"
-               key s)
-      in
-      (match key with
-      | "block-words" -> { acc with block_words = v }
-      | "block-gates" -> { acc with block_gates = v }
-      | _ ->
-        invalid_arg
-          (Printf.sprintf
-             "Kernel.tuning_of_spec: unknown key %S (expected block-words or \
-              block-gates)"
-             key))
-  in
-  let t =
-    String.split_on_char ',' spec
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.fold_left (fun acc kv -> parse_kv acc (String.trim kv)) base
-  in
-  check_tuning t;
-  t
-
-let tuning_to_spec t =
-  Printf.sprintf "block-words=%d,block-gates=%d" t.block_words t.block_gates
-
-(* Gates per block: explicit override, or derived so one block's value
-   traffic (~3 words touched per gate — dst plus two sources — times the
-   engine's K words per signal) fits the [block_words] cache target. *)
-let gates_per_block ~k t =
-  if t.block_gates > 0 then t.block_gates
-  else max 32 (t.block_words / (3 * k))
-
 (* How the outer gate at [dst] absorbs a fanout-1 inner gate. *)
 type fusion =
   | Andor of int * int * int * int
@@ -101,9 +45,7 @@ type fusion =
 type program = {
   netlist : Netlist.t;
   levels : Levelize.t;
-  blocks : kernel array;
-  block_rank : int array;
-  rank_first_block : int array;
+  ranks : kernel array;
   consts : (int * bool) array;
   dffs : int array;
   dff_src : int array;
@@ -112,14 +54,16 @@ type program = {
   fusion : fusion option array;
   consumed : bool array;
   consumed_by : int array;
-  tuning : tuning;
   k : int;
   input_index : (string, int) Hashtbl.t;
   output_index : (string, int) Hashtbl.t;
 }
 
-let n_ranks p = Array.length p.rank_first_block - 1
+let n_ranks p = Array.length p.ranks
 
+(* One rank's kernel: its gates and outports, split by kind.  Inports,
+   constants and dffs settle outside the kernels; consumed inner gates
+   are evaluated inside their outer fused kernel and never stored. *)
 let build_kernel (nl : Netlist.t) (fusion : fusion option array)
     (consumed : bool array) rank =
   let invs = ref [] and ands = ref [] and ors = ref [] and xors = ref []
@@ -247,33 +191,8 @@ let plan_fusion (nl : Netlist.t) (levels : Levelize.t) =
     levels.Levelize.by_level;
   (fusion, consumed, consumed_by)
 
-(* Members of a rank that emit a kernel entry: gates and outports not
-   absorbed by fusion.  Inports, constants and dffs settle outside the
-   kernels; consumed inner gates are evaluated inside their outer fused
-   kernel and never stored. *)
-let emitting (nl : Netlist.t) (consumed : bool array) rank =
-  Array.of_list
-    (List.filter
-       (fun i ->
-         (not consumed.(i))
-         &&
-         match nl.Netlist.components.(i) with
-         | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> false
-         | _ -> true)
-       (Array.to_list rank))
-
-let chunk gpb arr =
-  let n = Array.length arr in
-  if n = 0 then []
-  else if gpb >= n then [ arr ] (* also dodges n + gpb overflow *)
-  else begin
-    let nchunks = (n + gpb - 1) / gpb in
-    List.init nchunks (fun c ->
-        Array.sub arr (c * gpb) (min gpb (n - (c * gpb))))
-  end
-
 let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
-    ?(certify = false) ?(tuning = default_tuning) ?(k = 1) netlist =
+    ?(certify = false) ?(k = 1) netlist =
   (* [?certify] translation-validates each pre-pass run
      ({!Hydra_analyze.Certify}): packed-random I/O equivalence for the
      optimizer's rewrites, a complete permutation proof for the
@@ -300,7 +219,6 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     end
     else netlist
   in
-  check_tuning tuning;
   if k < 1 then invalid_arg "Kernel.compile: ~k must be >= 1";
   let levels = Levelize.check netlist in
   let n = Netlist.size netlist in
@@ -308,23 +226,7 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     if fuse then plan_fusion netlist levels
     else (Array.make n None, Array.make n false, Array.make n (-1))
   in
-  let gpb = gates_per_block ~k tuning in
-  let nranks = Array.length levels.Levelize.by_level in
-  let rank_first_block = Array.make (nranks + 1) 0 in
-  let blocks_rev = ref [] and block_rank_rev = ref [] and nblocks = ref 0 in
-  Array.iteri
-    (fun rank members ->
-      rank_first_block.(rank) <- !nblocks;
-      List.iter
-        (fun sub ->
-          blocks_rev := build_kernel netlist fusion consumed sub :: !blocks_rev;
-          block_rank_rev := rank :: !block_rank_rev;
-          incr nblocks)
-        (chunk gpb (emitting netlist consumed members)))
-    levels.Levelize.by_level;
-  rank_first_block.(nranks) <- !nblocks;
-  let blocks = Array.of_list (List.rev !blocks_rev) in
-  let block_rank = Array.of_list (List.rev !block_rank_rev) in
+  let ranks = Array.map (build_kernel netlist fusion consumed) levels.Levelize.by_level in
   let consts = ref [] and dffs = ref [] in
   Array.iteri
     (fun i comp ->
@@ -350,9 +252,7 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
   {
     netlist;
     levels;
-    blocks;
-    block_rank;
-    rank_first_block;
+    ranks;
     consts = Array.of_list (List.rev !consts);
     dffs;
     dff_src;
@@ -361,7 +261,6 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     fusion;
     consumed;
     consumed_by;
-    tuning;
     k;
     input_index;
     output_index;
@@ -463,17 +362,38 @@ let relevel (nl : Netlist.t) (old : Levelize.t) ~seeds =
   ( { Levelize.levels; order; by_level; critical_path = !critical; cyclic = [] },
     changed )
 
-(* Every destination component a compiled kernel writes — the block's
-   emitting members, in no particular order. *)
-let kernel_dsts k f =
-  Array.iter f k.inv_dst;
-  Array.iter f k.and_dst;
-  Array.iter f k.or_dst;
-  Array.iter f k.xor_dst;
-  Array.iter f k.andor_dst;
-  Array.iter f k.orand_dst;
-  Array.iter f k.xor3_dst;
-  Array.iter f k.out_dst
+let kinds kn =
+  [|
+    ("inv", kn.inv_dst, [| kn.inv_src |]);
+    ("and", kn.and_dst, [| kn.and_s0; kn.and_s1 |]);
+    ("or", kn.or_dst, [| kn.or_s0; kn.or_s1 |]);
+    ("xor", kn.xor_dst, [| kn.xor_s0; kn.xor_s1 |]);
+    ("andor", kn.andor_dst, [| kn.andor_a; kn.andor_b; kn.andor_c; kn.andor_d |]);
+    ("orand", kn.orand_dst, [| kn.orand_a; kn.orand_b; kn.orand_c |]);
+    ("xor3", kn.xor3_dst, [| kn.xor3_a; kn.xor3_b; kn.xor3_c |]);
+    ("out", kn.out_dst, [| kn.out_src |]);
+  |]
+
+(* [kn]'s entries whose destination satisfies [keep], then [fresh]'s. *)
+let splice kn ~keep fresh =
+  let kind (_, dst, srcs) (_, fdst, fsrcs) =
+    let idx = List.filter (fun j -> keep dst.(j)) (List.init (Array.length dst) Fun.id) in
+    let pick a fa = Array.append (Array.of_list (List.map (Array.get a) idx)) fa in
+    (pick dst fdst, Array.map2 pick srcs fsrcs)
+  in
+  match Array.map2 kind (kinds kn) (kinds fresh) with
+  | [| (inv_dst, [| inv_src |]); (and_dst, [| and_s0; and_s1 |]);
+       (or_dst, [| or_s0; or_s1 |]); (xor_dst, [| xor_s0; xor_s1 |]);
+       (andor_dst, [| andor_a; andor_b; andor_c; andor_d |]);
+       (orand_dst, [| orand_a; orand_b; orand_c |]);
+       (xor3_dst, [| xor3_a; xor3_b; xor3_c |]); (out_dst, [| out_src |]) |] ->
+    { inv_dst; inv_src; and_dst; and_s0; and_s1; or_dst; or_s0; or_s1;
+      xor_dst; xor_s0; xor_s1; andor_dst; andor_a; andor_b; andor_c; andor_d;
+      orand_dst; orand_a; orand_b; orand_c; xor3_dst; xor3_a; xor3_b; xor3_c;
+      out_dst; out_src }
+  | _ -> assert false
+
+let entries kn = Array.fold_left (fun n (_, dst, _) -> n + Array.length dst) 0 (kinds kn)
 
 type patch_stats = {
   p_edited : int;
@@ -578,8 +498,13 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
   Array.iteri (fun i c -> if c then dirty.(i) <- true) level_changed;
   (* Ranks needing a rebuild: every dirty component taints both its old
      and its new rank (membership or kernel content changed there); all
-     other ranks reuse their compiled blocks by reference. *)
-  let nranks_old = Array.length p.levels.Levelize.by_level in
+     other ranks reuse their kernels by reference.  A rebuilt rank keeps
+     the entries of its clean members and compiles only its dirty ones:
+     a clean member's entry cannot have changed (its kind, fanin, rank
+     and fusion are untouched, and a source whose materialization
+     flipped implies a dirty reader), and every member of a new rank
+     moved there, so is dirty. *)
+  let nranks_old = n_ranks p in
   let nranks' = Array.length levels'.Levelize.by_level in
   let dirty_rank = Array.make (max nranks_old nranks') false in
   Array.iteri
@@ -591,70 +516,23 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
         if new_l >= 0 then dirty_rank.(new_l) <- true
       end)
     dirty;
-  let gpb = gates_per_block ~k:p.k p.tuning in
-  let rank_first_block = Array.make (nranks' + 1) 0 in
-  let blocks_rev = ref [] and block_rank_rev = ref [] and nblocks = ref 0 in
   let recompiled = ref 0 and ranks_rebuilt = ref 0 in
-  (* Rank-stamped scratch (allocated once): [present_at.(i) = rank] iff
-     [i] emits in [rank]'s new membership, [covered_at.(i) = rank] iff a
-     reused block already owns it there. *)
-  let present_at = Array.make n (-1) and covered_at = Array.make n (-1) in
-  for rank = 0 to nranks' - 1 do
-    rank_first_block.(rank) <- !nblocks;
-    if rank < nranks_old && not dirty_rank.(rank) then
-      for b = p.rank_first_block.(rank) to p.rank_first_block.(rank + 1) - 1 do
-        blocks_rev := p.blocks.(b) :: !blocks_rev;
-        block_rank_rev := rank :: !block_rank_rev;
-        incr nblocks
-      done
-    else begin
-      let members =
-        emitting nl' consumed' levels'.Levelize.by_level.(rank)
-      in
-      (* Within a rank, blocks are an unordered partition of mutually
-         independent components (fusion inners live in strictly lower
-         ranks), so any old block whose members are all clean and still
-         emitting here computes exactly what a rebuild would — reuse it
-         by reference even though the edit shifted the rank's membership
-         (defusing materializes inners).  A clean member's entry cannot
-         have changed: its kind, fanin and fusion are untouched, and a
-         source whose materialization flipped implies a dirty reader.
-         Only the leftovers — new arrivals plus members of non-reusable
-         blocks — are re-chunked and recompiled. *)
-      Array.iter (fun i -> present_at.(i) <- rank) members;
-      if rank < nranks_old then
-        for b = p.rank_first_block.(rank) to p.rank_first_block.(rank + 1) - 1
-        do
-          let k = p.blocks.(b) in
-          let ok = ref true in
-          kernel_dsts k (fun i ->
-              if dirty.(i) || present_at.(i) <> rank then ok := false);
-          if !ok then begin
-            kernel_dsts k (fun i -> covered_at.(i) <- rank);
-            blocks_rev := k :: !blocks_rev;
-            block_rank_rev := rank :: !block_rank_rev;
-            incr nblocks
-          end
-        done;
-      let rest =
-        Array.of_seq
-          (Seq.filter
-             (fun i -> covered_at.(i) <> rank)
-             (Array.to_seq members))
-      in
-      if Array.length rest > 0 then begin
-        incr ranks_rebuilt;
-        List.iter
-          (fun sub ->
-            recompiled := !recompiled + Array.length sub;
-            blocks_rev := build_kernel nl' fusion' consumed' sub :: !blocks_rev;
-            block_rank_rev := rank :: !block_rank_rev;
-            incr nblocks)
-          (chunk gpb rest)
-      end
-    end
-  done;
-  rank_first_block.(nranks') <- !nblocks;
+  let ranks =
+    Array.init nranks' (fun r ->
+        if r < nranks_old && not dirty_rank.(r) then p.ranks.(r)
+        else begin
+          let members = levels'.Levelize.by_level.(r) in
+          let fresh =
+            build_kernel nl' fusion' consumed'
+              (Array.of_seq (Seq.filter (Array.get dirty) (Array.to_seq members)))
+          in
+          incr ranks_rebuilt;
+          recompiled := !recompiled + entries fresh;
+          if r < nranks_old then
+            splice p.ranks.(r) ~keep:(fun i -> not dirty.(i)) fresh
+          else fresh
+        end)
+  in
   let fused' =
     Array.fold_left (fun a c -> if c then a + 1 else a) 0 consumed'
   in
@@ -662,9 +540,7 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
       p with
       netlist = nl';
       levels = levels';
-      blocks = Array.of_list (List.rev !blocks_rev);
-      block_rank = Array.of_list (List.rev !block_rank_rev);
-      rank_first_block;
+      ranks;
       fused = fused';
       fusion = fusion';
       consumed = consumed';

@@ -6,10 +6,13 @@
     them.  [compile] runs the optional
     [?optimize]/[?relayout] pre-passes (optionally translation-validated
     by {!Hydra_analyze.Certify}), levelizes, plans kernel fusion, and
-    splits every rank into flat per-gate-kind (dst, src) index arrays.
-    The resulting {!program} is immutable and engine-agnostic: engines
-    layer their own value state (one word or K words per component) on
-    top of it and may share one program between many replicas. *)
+    splits every levelized rank into one {!kernel} of flat per-gate-kind
+    (dst, src) index arrays.  Every member of a rank is independent of
+    the others, so a rank is the unit of evaluation: an engine runs one
+    kernel per rank, in rank order.  The resulting {!program} is
+    immutable and engine-agnostic: engines layer their own value state
+    (one word or K words per component) on top of it and may share one
+    program between many replicas. *)
 
 (** One levelized rank, pre-split by gate kind: [x_dst.(j)] is evaluated
     from [x_src*.(j)] for every [j], in any order (all sources settle at
@@ -44,32 +47,10 @@ type kernel = {
   out_src : int array;
 }
 
-(** Cache-tiling knobs shared by every engine compiled through this
-    module.  [block_words] is the target number of value words one
-    block's kernels touch per pass (dst plus sources, times the engine's
-    K words per signal) — size it to L1/L2; [block_gates] > 0 overrides
-    the derivation with an explicit gates-per-block. *)
-type tuning = {
-  block_words : int;  (** cache target in value words, default 3072 *)
-  block_gates : int;  (** explicit gates per block; 0 (default) derives *)
-}
-
-val default_tuning : tuning
-
-val tuning_of_spec : ?base:tuning -> string -> tuning
-(** Parse a ["key=int,key=int"] spec (keys [block-words] and
-    [block-gates]; underscores accepted) over [?base]
-    (default {!default_tuning}).  Raises a descriptive
-    [Invalid_argument] on unknown keys, non-integer values or
-    out-of-range results — the shared parser behind the [--tuning] CLI
-    knobs. *)
-
-val tuning_to_spec : tuning -> string
-(** Inverse of {!tuning_of_spec}: a spec string listing every field. *)
-
-val gates_per_block : k:int -> tuning -> int
-(** The block size [compile] will use for an engine with [k] words per
-    signal: [block_gates] when set, else derived from [block_words]. *)
+val kinds : kernel -> (string * int array * int array array) array
+(** A kernel's gate kinds in the C stub's order (inv, and, or, xor,
+    andor, orand, xor3, out): name, destinations, and the source arrays,
+    indexed like the destinations. *)
 
 (** How the outer gate at [dst] absorbed a fanout-1 inner gate (the
     fusion plan is carried in the program so {!patch} can undo it
@@ -83,17 +64,9 @@ type program = {
   netlist : Hydra_netlist.Netlist.t;
       (** the netlist actually compiled (post-optimize, post-relayout) *)
   levels : Hydra_netlist.Levelize.t;
-  blocks : kernel array;
-      (** rank-major: every levelized rank tiled into consecutive blocks
-          of at most {!gates_per_block} gates.  Within a rank the split
-          is arbitrary but order-safe (all sources settle at strictly
-          lower ranks), so engines run blocks [rank_first_block.(r)] to
-          [rank_first_block.(r+1) - 1] in any order — ascending re-walks
-          a cache-hot tile instead of streaming the whole rank. *)
-  block_rank : int array;  (** owning rank of each block *)
-  rank_first_block : int array;
-      (** length rank-count + 1: blocks of rank [r] are
-          [rank_first_block.(r) .. rank_first_block.(r+1) - 1] *)
+  ranks : kernel array;
+      (** one kernel per levelized rank, empty ranks included: rank [r]
+          is [ranks.(r)], and force slot [r + 1] follows it *)
   consts : (int * bool) array;  (** component index, constant value *)
   dffs : int array;
   dff_src : int array;  (** driver of each dff, indexed like [dffs] *)
@@ -106,8 +79,7 @@ type program = {
           stored *)
   consumed_by : int array;
       (** per component: the outer gate that absorbed it, or -1 *)
-  tuning : tuning;  (** the tuning the blocks were sized with *)
-  k : int;  (** the words-per-signal the blocks were sized for *)
+  k : int;  (** the words-per-signal of the engine it was compiled for *)
   input_index : (string, int) Hashtbl.t;
   output_index : (string, int) Hashtbl.t;
 }
@@ -117,7 +89,6 @@ val compile :
   ?relayout:bool ->
   ?fuse:bool ->
   ?certify:bool ->
-  ?tuning:tuning ->
   ?k:int ->
   Hydra_netlist.Netlist.t ->
   program
@@ -130,11 +101,12 @@ val compile :
     false) translation-validates each pre-pass run with
     {!Hydra_analyze.Certify} and raises
     {!Hydra_analyze.Certify.Certification_failed} on a lie.
-    [~tuning] (default {!default_tuning}) and [~k] (the engine's
-    words-per-signal, default 1) size the rank blocks; they change only
-    how ranks are tiled, never what is computed. *)
+    [~k] (the engine's words-per-signal, default 1, must be >= 1) only
+    tags the program for {!Slab.of_program}; it never changes what is
+    compiled. *)
 
 val n_ranks : program -> int
+(** [Array.length program.ranks]. *)
 
 val size : program -> int
 (** Component count of the compiled netlist. *)
@@ -159,11 +131,13 @@ val patch :
     [~edited] identical (kind and fanin), and every edited site a
     combinational gate ([Invc]/[And2c]/[Or2c]/[Xor2c]) on both sides —
     because the edit is expressed against [program.netlist] (the
-    post-optimize/post-relayout netlist the blocks index into).
+    post-optimize/post-relayout netlist the kernels index into).
     Re-levelizes incrementally from the edit, un-fuses any fused kernel
     the edit touches (fusion is never *added* by a patch), and rebuilds
-    exactly the ranks whose membership or kernel content changed; every
-    other rank's blocks are reused by reference.  Raises
+    exactly the ranks whose membership or kernel content changed: a
+    rebuilt rank keeps its unchanged entries and compiles only the
+    components the edit touched.  Every other rank's kernel is reused by
+    reference.  Raises
     [Invalid_argument] on contract violations and
     {!Hydra_netlist.Levelize.Combinational_cycle} (with witness) when
     the edit closes a combinational loop.  The patched program is a

@@ -1,12 +1,15 @@
-/* The C block kernel of the Slab engine: every block runs here.
+/* The C kernel of the Slab engine: every levelized rank runs here.
  *
- * hydra_settle_block(values, desc) evaluates one compiled block of the
- * shared Kernel program directly over the OCaml int-array slab.  The
- * descriptor is a flat OCaml int array: [k | n_inv n_and n_or n_xor
- * n_andor n_orand n_xor3 n_out | per-kind (dst, src...) tuples], with
- * every index pre-scaled by k, so a gate's K words live at consecutive
- * addresses and the inner w-loops vectorize.  Slab range-checks every
- * index when it builds the descriptor; the stub trusts them.
+ * hydra_settle_block(values, desc) evaluates one levelized rank of the
+ * shared Kernel program directly over the OCaml int-array slab: one
+ * descriptor per rank, or per rank of a cone.  A rank's members are
+ * mutually independent, so the stub runs them kind by kind in
+ * descriptor order.  The descriptor is a flat OCaml int array:
+ * [k | n_inv n_and n_or n_xor n_andor n_orand n_xor3 n_out | per-kind
+ * (dst, src...) tuples], with every index pre-scaled by k, so a gate's
+ * K words live at consecutive addresses and the inner w-loops
+ * vectorize.  Slab range-checks every index when it builds the
+ * descriptor; the stub trusts them.
  *
  * All arithmetic runs on the tagged representation (t = 2v + 1):
  *   - and/or preserve the tag:   (2a+1) & (2b+1) = 2(a&b) + 1
@@ -46,7 +49,7 @@ CAMLprim value hydra_simd_kind(value unit)
   return Val_long(HYDRA_SIMD_KIND);
 }
 
-/* The block kernel body, as a function of k.  Always inlined, so each
+/* The rank kernel body, as a function of k.  Always inlined, so each
  * call site is its own specialisation: with the literal k = 1 the
  * compiler drops the vector loops and the tail loops collapse to one
  * word per gate. */

@@ -11,21 +11,18 @@
    addition here is pre-scaling every index by [k] so the hot loops
    never multiply.
 
-   Every block runs through one kernel, the C stub in [kernel_stubs.c],
-   from a flat per-block descriptor built (and bounds-checked) at
-   create time.  The stub specialises k = 1 and uses AVX2/NEON vector
-   loads when the build enabled them (tagged ints vectorize directly:
-   and/or preserve the tag, xor re-ors it, inv masks against
-   [lane_mask lsl 1]), so no gate-evaluation loop is OCaml.
+   Every levelized rank runs through one kernel, the C stub in
+   [kernel_stubs.c], from a flat per-rank descriptor built (and
+   bounds-checked) at create time.  The stub specialises k = 1 and uses
+   AVX2/NEON vector loads when the build enabled them (tagged ints
+   vectorize directly: and/or preserve the tag, xor re-ors it, inv masks
+   against [lane_mask lsl 1]), so no gate-evaluation loop is OCaml.
 
-   The unit of iteration is the compile-time rank {e block} of
-   {!Kernel.program}: every levelized rank is tiled into blocks of at
-   most {!Kernel.gates_per_block} gates ({!Kernel.tuning}, sized so one
-   block's K-word value traffic fits L1/L2), and each block runs all its
-   per-kind loops before the sweep moves on — a k = 16 slab re-walks a
-   cache-hot tile instead of streaming the whole rank once per gate
-   kind.  A settle is one ascending sweep over every block, with force
-   masks applied at the rank boundaries; a tick latches every dff.
+   The unit of iteration is the levelized rank: {!Kernel.program} holds
+   one kernel per rank, whose members are mutually independent, and the
+   stub runs all of a rank's per-kind loops before the sweep moves on.
+   A settle is one ascending sweep over the ranks, with force masks
+   applied at the rank boundaries; a tick latches every dff.
 
    A cone settle ([settle_cone]) runs the stub over per-rank descriptors
    of just a fanout-closed component set, built per instance in a
@@ -86,7 +83,7 @@ type t = {
       (* this instance's cone scratch and current cone, built on first
          use *)
   simd_desc : int array array;
-      (* per block: the flat descriptor the C stub runs *)
+      (* per rank: the flat descriptor the C stub runs *)
   consts_s : (int * int) array;  (* scaled base index, broadcast word *)
   dffs_s : int array;  (* scaled dff bases *)
   dff_src_s : int array;  (* scaled driver bases *)
@@ -121,20 +118,6 @@ let apply_initial t =
 (* Cache-line slack at the end of the hot arrays (see [fresh]). *)
 let pad = 8
 
-(* A block's gate kinds in C stub order: name, destination
-   indices, source index arrays. *)
-let kinds (kn : Kernel.kernel) =
-  [|
-    ("inv", kn.inv_dst, [| kn.inv_src |]);
-    ("and", kn.and_dst, [| kn.and_s0; kn.and_s1 |]);
-    ("or", kn.or_dst, [| kn.or_s0; kn.or_s1 |]);
-    ("xor", kn.xor_dst, [| kn.xor_s0; kn.xor_s1 |]);
-    ("andor", kn.andor_dst, [| kn.andor_a; kn.andor_b; kn.andor_c; kn.andor_d |]);
-    ("orand", kn.orand_dst, [| kn.orand_a; kn.orand_b; kn.orand_c |]);
-    ("xor3", kn.xor3_dst, [| kn.xor3_a; kn.xor3_b; kn.xor3_c |]);
-    ("out", kn.out_dst, [| kn.out_src |]);
-  |]
-
 (* [Kernel.program] is a public record and the kernels write through its
    indices unchecked, so every index is range-checked once, here. *)
 let check_index prog what i =
@@ -144,12 +127,12 @@ let check_index prog what i =
       (Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)" what i
          size)
 
-(* The flat block descriptor the C stub walks: [k] then the
+(* The flat rank descriptor the C stub walks: [k] then the
    eight kind counts, then (dst, src...) index tuples per kind in stub
    order, every index checked and pre-scaled by [k]. *)
-let simd_descriptor prog b (kn : Kernel.kernel) =
+let simd_descriptor prog r (kn : Kernel.kernel) =
   let k = prog.Kernel.k in
-  let kinds = kinds kn in
+  let kinds = Kernel.kinds kn in
   let len =
     Array.fold_left
       (fun n (_, dst, srcs) -> n + (Array.length dst * (1 + Array.length srcs)))
@@ -161,7 +144,7 @@ let simd_descriptor prog b (kn : Kernel.kernel) =
   Array.iteri
     (fun x (name, dst, srcs) ->
       d.(x + 1) <- Array.length dst;
-      let what = Printf.sprintf "block %d %s gate" b name in
+      let what = Printf.sprintf "rank %d %s gate" r name in
       let push i =
         check_index prog what i;
         d.(!pos) <- i * k;
@@ -193,13 +176,24 @@ let fresh t =
   r
 
 (* Build an engine over an already-compiled program (the slab's K is the
-   program's k): no compile-time pass re-runs.  The block descriptors
-   are built, and every index of the program range-checked, here once;
-   replicas share them.  At k = 1 the scaled dff indices are the
-   program's own arrays, shared rather than copied. *)
+   program's k): no compile-time pass re-runs.  The rank descriptors
+   are built, and every index and array length of the program checked,
+   here once; replicas share them.  At k = 1 the scaled dff indices are
+   the program's own arrays, shared rather than copied. *)
 let of_program prog =
   let k = prog.Kernel.k in
-  let simd_desc = Array.mapi (simd_descriptor prog) prog.Kernel.blocks in
+  if k < 1 then
+    invalid_arg (Printf.sprintf "Slab.of_program: k = %d, must be >= 1" k);
+  let ndffs = Array.length prog.Kernel.dffs in
+  let check_len what n =
+    if n <> ndffs then
+      invalid_arg
+        (Printf.sprintf "Slab.of_program: %s has %d entries, dffs has %d" what n
+           ndffs)
+  in
+  check_len "dff_src" (Array.length prog.Kernel.dff_src);
+  check_len "dff_init" (Array.length prog.Kernel.dff_init);
+  let simd_desc = Array.mapi (simd_descriptor prog) prog.Kernel.ranks in
   Array.iter (fun (i, _) -> check_index prog "consts" i) prog.Kernel.consts;
   Array.iter (check_index prog "dffs") prog.Kernel.dffs;
   Array.iter (check_index prog "dff_src") prog.Kernel.dff_src;
@@ -226,9 +220,9 @@ let of_program prog =
    sweep.  It stays only until the workload benchmark stops passing it
    (ROADMAP item 1). *)
 let create ?(k = 8) ?gating:_ ?(optimize = false) ?(relayout = true)
-    ?(fuse = true) ?(certify = false) ?(tuning = Kernel.default_tuning) netlist =
+    ?(fuse = true) ?(certify = false) netlist =
   if k < 1 then invalid_arg "Slab.create: k must be >= 1";
-  of_program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~tuning ~k netlist)
+  of_program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~k netlist)
 
 let replicate = fresh
 
@@ -390,8 +384,8 @@ let apply_forces t slot =
     done
   done
 
-(* The C block kernel ([kernel_stubs.c]).  [settle_block values desc]
-   evaluates one block over the value slab in place, from its
+(* The C rank kernel ([kernel_stubs.c]).  [settle_block values desc]
+   evaluates one rank over the value slab in place, from its
    descriptor ([simd_descriptor]).  It trusts its arguments, so it stays
    private here: every descriptor index is range-checked in
    [of_program].  [@@noalloc]: the stub never allocates, touches the
@@ -405,18 +399,15 @@ external kernel_kind : unit -> int = "hydra_simd_kind" [@@noalloc]
 let kernel_flavor () =
   match kernel_kind () with 2 -> "avx2" | 1 -> "neon" | _ -> "scalar-c"
 
-(* The rank sweep: every block through the C kernel, force slots at the
+(* The rank sweep: every rank through the C kernel, force slots at the
    rank boundaries. *)
 let settle t =
   let values = t.values and desc = t.simd_desc in
-  let rfb = t.prog.Kernel.rank_first_block in
   let slots = t.force_slots in
   let forced = Array.length slots > 0 in
   if forced then apply_forces t (Array.unsafe_get slots 0);
-  for lvl = 0 to Array.length rfb - 2 do
-    for b = Array.unsafe_get rfb lvl to Array.unsafe_get rfb (lvl + 1) - 1 do
-      settle_block values (Array.unsafe_get desc b)
-    done;
+  for lvl = 0 to Array.length desc - 1 do
+    settle_block values (Array.unsafe_get desc lvl);
     if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
   done
 
@@ -828,20 +819,15 @@ let run_vectors t vectors =
   done;
   results
 
-let engine ?tuning kk : (module Engine_intf.S) =
+let engine kk : (module Engine_intf.S) =
   if kk < 1 then invalid_arg "Slab.engine: k must be >= 1";
   (module struct
     type nonrec t = t
 
-    let name =
-      Printf.sprintf "slab(k=%d%s)" kk
-        (match tuning with
-        | Some tu when tu <> Kernel.default_tuning ->
-          "," ^ Kernel.tuning_to_spec tu
-        | _ -> "")
+    let name = Printf.sprintf "slab(k=%d)" kk
 
     let create ?optimize ?relayout ?fuse ?certify nl =
-      create ~k:kk ?tuning ?optimize ?relayout ?fuse ?certify nl
+      create ~k:kk ?optimize ?relayout ?fuse ?certify nl
 
     let words = words
     let replicate = replicate

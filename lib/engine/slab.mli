@@ -14,18 +14,12 @@
     xor chains) run as fused kernels.  The engine only scales the index
     arrays by [k] at creation.
 
-    The shared pipeline tiles each levelized rank into {e blocks} of
-    roughly [Kernel.tuning.block_words] slab words
-    ({!Kernel.gates_per_block}), and the hot loops walk block-major /
-    kind-minor, so a rank too large for cache is processed one resident
-    tile at a time.  [~tuning] picks the block geometry; it never
-    changes what is computed.
-
-    A {!settle} runs every block once, in rank order, and a {!tick}
-    latches every dff: the circuit is one synchronous machine and the
-    engine simulates it as one.  Every block runs through one C kernel
-    (AVX2 / NEON when the build host supports them, portable scalar C
-    otherwise, specialised at k = 1; see {!kernel_flavor}).  The stub
+    A {!settle} runs the compiled kernel of every levelized rank once,
+    in rank order, and a {!tick} latches every dff: the circuit is one
+    synchronous machine and the engine simulates it as one.  Every rank
+    runs through one C kernel (AVX2 / NEON when the build host supports
+    them, portable scalar C otherwise, specialised at k = 1; see
+    {!kernel_flavor}), from one flat descriptor per rank.  The stub
     trusts its descriptors, so it is not exposed: this module builds and
     range-checks every descriptor and buffer it is given.
 
@@ -48,17 +42,12 @@ val create :
   ?relayout:bool ->
   ?fuse:bool ->
   ?certify:bool ->
-  ?tuning:Kernel.tuning ->
   Hydra_netlist.Netlist.t ->
   t
 (** [?k] (default 8, must be >= 1) words per signal — [62 * k] lanes per
     settle pass.  [?gating] is accepted and ignored; it remains only
     until the workload benchmark stops passing it (ROADMAP item 1, the
-    benchmark change, removes it).  [?tuning] (default
-    {!Kernel.default_tuning}) sizes rank blocks; see
-    {!Kernel.tuning_of_spec} for the ["block-words=3072,block-gates=0"]
-    string form.  The compile
-    options go to {!Kernel.compile}: [~optimize:true] (default false)
+    benchmark change, removes it).  The compile options go to {!Kernel.compile}: [~optimize:true] (default false)
     runs the {!Hydra_netlist.Optimize} pre-pass, [~relayout] (default
     true) the {!Hydra_netlist.Layout.rank_major} re-layout, [~fuse]
     (default true) absorbs fanout-1 inner gates into fused kernels, and
@@ -72,10 +61,12 @@ val of_program : Kernel.program -> t
 (** Build an engine over an already-compiled {!Kernel.program} (from
     {!Kernel.compile}, {!Kernel.patch} or {!Cache}), skipping every
     compile-time pass; the slab's K is the program's [k].  Only the
-    per-instance value state and the block descriptors are built.  Every block
-    kernel index and every [consts], [dffs] and [dff_src] entry must lie
-    in [[0, Kernel.size prog)]; otherwise raises [Invalid_argument]
-    naming the block, the gate kind and the index. *)
+    per-instance value state and the rank descriptors are built.  Every
+    rank kernel index and every [consts], [dffs] and [dff_src] entry
+    must lie in [[0, Kernel.size prog)], [dff_src] and [dff_init] must
+    have one entry per dff, and [k] must be >= 1; otherwise raises
+    [Invalid_argument] naming the offending field (for a kernel index:
+    the rank, the gate kind and the index). *)
 
 val program : t -> Kernel.program
 (** The shared compiled program this engine runs. *)
@@ -88,7 +79,7 @@ val lanes : t -> int
 (** [62 * k]: independent lanes per settle pass. *)
 
 val kernel_flavor : unit -> string
-(** The code path this build compiled into the C block kernel:
+(** The code path this build compiled into the C rank kernel:
     ["avx2"], ["neon"] or ["scalar-c"] ([HYDRA_SIMD=off] at build time
     forces ["scalar-c"]). *)
 
@@ -259,9 +250,7 @@ val run_vectors : t -> bool array array -> bool array array
 (** Batched combinational testbench, [62 * k] vectors per settle pass:
     vector [j] of a pass rides word [j / 62], bit [j mod 62]. *)
 
-val engine : ?tuning:Kernel.tuning -> int -> (module Engine_intf.S)
-(** [engine ?tuning k]: this engine as a first-class {!Engine_intf.S}
-    with the whole flavor baked into [create] — the handle
-    {!Testbench}/{!Equiv} entry points take.  The handle's [name] spells
-    the flavor out: ["slab(k=8)"], with a non-default tuning appended as
-    its {!Kernel.tuning_to_spec} string. *)
+val engine : int -> (module Engine_intf.S)
+(** [engine k]: this engine as a first-class {!Engine_intf.S} with [k]
+    baked into [create] — the handle {!Testbench}/{!Equiv} entry points
+    take.  The handle's [name] is ["slab(k=N)"]. *)

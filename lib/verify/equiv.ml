@@ -158,32 +158,36 @@ type seq_result =
   | Seq_equivalent
   | Seq_mismatch of { output : string; cycle : int; inputs : (string * bool list) list }
 
-let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
-    ?(seed = 0x5eed) ?(domains = 1) ?deadline nl1 nl2 =
-  let module Slab = Hydra_engine.Slab in
-  let module Scheduler = Hydra_engine.Scheduler in
-  let module Cache = Hydra_engine.Cache in
-  let module P = Hydra_core.Packed in
-  (* Certify the inputs before simulating them, so a falsified run means
-     "the engines disagree" and never "the generator emitted a malformed
-     netlist that the engines mis-indexed". *)
+(* Certify both netlists before simulating them, so a falsified run
+   means "the engines disagree" and never "the generator emitted a
+   malformed netlist that the engines mis-indexed"; then check that
+   their port names agree.  Returns [nl1]'s input and output names;
+   errors name [caller]. *)
+let check_pair caller nl1 nl2 =
   List.iter
     (fun (which, nl) ->
       match Hydra_analyze.Certify.validate nl with
       | Ok () -> ()
       | Error reason ->
         invalid_arg
-          (Printf.sprintf "Equiv.wide_random_netlists: invalid netlist %s (%s)"
-             which reason))
+          (Printf.sprintf "Equiv.%s: invalid netlist %s (%s)" caller which reason))
     [ ("nl1", nl1); ("nl2", nl2) ];
-  let in_names = List.map fst nl1.Netlist.inputs in
-  if List.sort compare in_names <> List.sort compare (List.map fst nl2.Netlist.inputs)
-  then invalid_arg "Equiv.wide_random_netlists: input ports differ";
-  let out_names = List.map fst nl1.Netlist.outputs in
-  if
-    List.sort compare out_names
-    <> List.sort compare (List.map fst nl2.Netlist.outputs)
-  then invalid_arg "Equiv.wide_random_netlists: output ports differ";
+  let names ports = List.map fst ports in
+  let same what p1 p2 =
+    if List.sort compare (names p1) <> List.sort compare (names p2) then
+      invalid_arg (Printf.sprintf "Equiv.%s: %s ports differ" caller what)
+  in
+  same "input" nl1.Netlist.inputs nl2.Netlist.inputs;
+  same "output" nl1.Netlist.outputs nl2.Netlist.outputs;
+  (names nl1.Netlist.inputs, names nl1.Netlist.outputs)
+
+let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
+    ?(seed = 0x5eed) ?(domains = 1) ?deadline nl1 nl2 =
+  let module Slab = Hydra_engine.Slab in
+  let module Scheduler = Hydra_engine.Scheduler in
+  let module Cache = Hydra_engine.Cache in
+  let module P = Hydra_core.Packed in
+  let in_names, out_names = check_pair "wide_random_netlists" nl1 nl2 in
   (* both sides' replicas are kept member-aligned by hand through the
      fan-out's ~member index; [?cache] serves warm 62-lane engines (the
      default compile flags) *)
@@ -284,24 +288,7 @@ let engine_random_netlists ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
     (e1 : (module Hydra_engine.Engine_intf.S))
     (e2 : (module Hydra_engine.Engine_intf.S)) nl1 nl2 =
   let module P = Hydra_core.Packed in
-  List.iter
-    (fun (which, nl) ->
-      match Hydra_analyze.Certify.validate nl with
-      | Ok () -> ()
-      | Error reason ->
-        invalid_arg
-          (Printf.sprintf
-             "Equiv.engine_random_netlists: invalid netlist %s (%s)" which
-             reason))
-    [ ("nl1", nl1); ("nl2", nl2) ];
-  let in_names = List.map fst nl1.Netlist.inputs in
-  if List.sort compare in_names <> List.sort compare (List.map fst nl2.Netlist.inputs)
-  then invalid_arg "Equiv.engine_random_netlists: input ports differ";
-  let out_names = List.map fst nl1.Netlist.outputs in
-  if
-    List.sort compare out_names
-    <> List.sort compare (List.map fst nl2.Netlist.outputs)
-  then invalid_arg "Equiv.engine_random_netlists: output ports differ";
+  let in_names, out_names = check_pair "engine_random_netlists" nl1 nl2 in
   let nout = List.length out_names in
   let out_arr = Array.of_list out_names in
   let module Run (E : Hydra_engine.Engine_intf.S) = struct
@@ -391,9 +378,9 @@ let engine_random_netlists ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
 (* The acceptance check for the slab engine: K-word slab vs the 62-lane
    packed oracle ({!Hydra_engine.Engine_intf.oracle}), which shares no
    code with the compiled kernels, on the same netlist. *)
-let slab_vs_wide ?passes ?cycles ?seed ?(k = 8) ?tuning nl =
+let slab_vs_wide ?passes ?cycles ?seed ?(k = 8) nl =
   engine_random_netlists ?passes ?cycles ?seed
-    (Hydra_engine.Slab.engine ?tuning k)
+    (Hydra_engine.Slab.engine k)
     Hydra_engine.Engine_intf.oracle nl nl
 
 let seq_equivalent = function Seq_equivalent -> true | Seq_mismatch _ -> false

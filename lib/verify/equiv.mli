@@ -127,12 +127,10 @@ val slab_vs_wide :
   ?cycles:int ->
   ?seed:int ->
   ?k:int ->
-  ?tuning:Hydra_engine.Kernel.tuning ->
   Hydra_netlist.Netlist.t ->
   seq_result
 (** [slab_vs_wide nl]: {!engine_random_netlists} of the same netlist on
-    {!Hydra_engine.Slab} ([?k] words, default 8, with [?tuning] as in
-    {!Hydra_engine.Slab.create}) versus
+    {!Hydra_engine.Slab} ([?k] words, default 8) versus
     {!Hydra_engine.Engine_intf.oracle}, the packed reference simulator
     that shares no code with the compiled kernels — the acceptance check
     that every slab word of every flavor simulates exactly the 62-lane

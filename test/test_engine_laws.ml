@@ -1,6 +1,6 @@
 (* A shared law battery over every simulation engine: the scalar
    {!Compiled}, the 62-lane {!Compiled_wide} view and the K-word {!Slab} in
-   all its flavors — several k, tiny rank blocks — are all driven through
+   all its flavors — k from 1 to 5, and the ignored [~gating] flag — are all driven through
    one lane-level adapter, so each law — poke/peek round-trip,
    reset-to-power-up, settle idempotence, step determinism across
    replicas, force/clear — is checked once and holds
@@ -95,18 +95,14 @@ end
 module Slab_adapter (K : sig
   val k : int
   val gating : bool
-  val tuning : Kernel.tuning
 end) : LANE_ENGINE = struct
   type t = Slab.t
 
-  let name =
-    Printf.sprintf "slab(k=%d%s%s)" K.k
-      (if K.gating then ",gated" else "")
-      (if K.tuning <> Kernel.default_tuning then ",tuned" else "")
+  let name = Printf.sprintf "slab(k=%d%s)" K.k (if K.gating then ",gated" else "")
 
   let create nl =
-    Slab.create ~k:K.k ~gating:K.gating ~tuning:K.tuning ~optimize:false
-      ~relayout:false ~fuse:false nl
+    Slab.create ~k:K.k ~gating:K.gating ~optimize:false ~relayout:false
+      ~fuse:false nl
 
   let lanes = Slab.lanes
   let reset = Slab.reset
@@ -140,58 +136,36 @@ end) : LANE_ENGINE = struct
   let clear_forces = Slab.clear_forces
 end
 
-(* Rank blocks of 2 gates: several blocks per rank even on the tiny law
-   circuits, so the blocked sweep really runs multi-block *)
-let tiny_blocks = { Kernel.default_tuning with Kernel.block_gates = 2 }
-
 module Slab1_adapter = Slab_adapter (struct
   let k = 1
   let gating = false
-  let tuning = Kernel.default_tuning
 end)
 
+module Slab2_adapter = Slab_adapter (struct
+  let k = 2
+  let gating = false
+end)
+
+(* k = 3: the tail-only word loop *)
 module Slab3_adapter = Slab_adapter (struct
   let k = 3
   let gating = false
-  let tuning = Kernel.default_tuning
 end)
 
 module Slab4_adapter = Slab_adapter (struct
   let k = 4
   let gating = false
-  let tuning = Kernel.default_tuning
 end)
 
 module Slab4g_adapter = Slab_adapter (struct
   let k = 4
   let gating = true
-  let tuning = Kernel.default_tuning
-end)
-
-module Slab2b_adapter = Slab_adapter (struct
-  let k = 2
-  let gating = false
-  let tuning = tiny_blocks
-end)
-
-(* k = 3: the tail-only word loop, over 2-gate blocks *)
-module Slab3gb_adapter = Slab_adapter (struct
-  let k = 3
-  let gating = true
-  let tuning = tiny_blocks
 end)
 
 (* k = 5: one AVX2 vector body plus a one-word tail per gate *)
 module Slab5_adapter = Slab_adapter (struct
   let k = 5
   let gating = false
-  let tuning = Kernel.default_tuning
-end)
-
-module Slab2gb_adapter = Slab_adapter (struct
-  let k = 2
-  let gating = true
-  let tuning = tiny_blocks
 end)
 
 (* Circuits the laws run on: a combinational mixer and a registered
@@ -371,26 +345,22 @@ let cross_engine_lane0 () =
       check_bool ("lane 0 agrees: " ^ E.name) true (run e = reference))
     [
       (module Wide_adapter : LANE_ENGINE);
+      (module Slab2_adapter);
       (module Slab3_adapter);
       (module Slab4g_adapter);
-      (module Slab2b_adapter);
-      (module Slab3gb_adapter);
       (module Slab5_adapter);
-      (module Slab2gb_adapter);
     ]
 
 module Scalar_laws = Laws (Scalar_adapter)
 module Wide_laws = Laws (Wide_adapter)
 module Slab1_laws = Laws (Slab1_adapter)
+module Slab2_laws = Laws (Slab2_adapter)
+module Slab3_laws = Laws (Slab3_adapter)
 module Slab4_laws = Laws (Slab4_adapter)
 module Slab4g_laws = Laws (Slab4g_adapter)
-module Slab2b_laws = Laws (Slab2b_adapter)
-module Slab3gb_laws = Laws (Slab3gb_adapter)
 module Slab5_laws = Laws (Slab5_adapter)
-module Slab2gb_laws = Laws (Slab2gb_adapter)
 
 let suite =
-  Scalar_laws.tests @ Wide_laws.tests @ Slab1_laws.tests @ Slab4_laws.tests
-  @ Slab4g_laws.tests @ Slab2b_laws.tests @ Slab3gb_laws.tests
-  @ Slab5_laws.tests @ Slab2gb_laws.tests
+  Scalar_laws.tests @ Wide_laws.tests @ Slab1_laws.tests @ Slab2_laws.tests
+  @ Slab3_laws.tests @ Slab4_laws.tests @ Slab4g_laws.tests @ Slab5_laws.tests
   @ [ tc "lane 0 agrees across engines" cross_engine_lane0 ]

@@ -1,6 +1,6 @@
 (* Tests for the multi-word slab engine (Slab): every word of a slab must
    behave as an independent 62-lane wide engine — on random dff-heavy
-   circuits, at every shape of the C block kernel's word loop (the
+   circuits, at every shape of the C kernel's word loop (the
    k = 1 specialisation, tail-only, vector bodies plus tail, vector
    bodies only) — and the slab-only surfaces (word-indexed I/O, global
    lanes, K-word forces, descriptor range checks) must hold their
@@ -286,10 +286,7 @@ let suite =
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
         let nl = Test_wide.netlist_of nodes in
-        (* tiny blocks so the force sites and their readers span several
-           blocks even on a small random netlist *)
-        let tuning = { Kernel.default_tuning with Kernel.block_gates = 2 } in
-        let mk () = Slab.create ~k:2 ~tuning ~fuse:false ~relayout:false nl in
+        let mk () = Slab.create ~k:2 ~fuse:false ~relayout:false nl in
         (* [inplace] keeps one registered force and edits its masks in
            place (the Campaign intermittent-fault path); [fresh]
            re-registers a copy after every edit *)
@@ -364,20 +361,6 @@ let suite =
           comps;
         phase ~toggling:true 8;
         !ok);
-    qc ~count:15 "tiny rank blocks are value-transparent (tuning sweep)"
-      (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
-      (fun nodes ->
-        let nl = Test_wide.netlist_of nodes in
-        List.for_all
-          (fun tuning ->
-            Equiv.seq_equivalent
-              (Equiv.slab_vs_wide ~passes:1 ~cycles:8 ~k:2 ~tuning nl))
-          [
-            { Kernel.default_tuning with Kernel.block_gates = 1 };
-            { Kernel.default_tuning with Kernel.block_gates = 3 };
-            { Kernel.default_tuning with Kernel.block_words = 16 };
-            { Kernel.default_tuning with Kernel.block_words = 64 };
-          ]);
     qc ~count:15 "C block kernel = packed oracle (all k)"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
@@ -408,16 +391,16 @@ let suite =
         let corrupt =
           {
             prog with
-            Kernel.blocks =
+            Kernel.ranks =
               Array.map
                 (fun (kn : Kernel.kernel) ->
                   { kn with and_dst = Array.map (fun _ -> bad) kn.and_dst })
-                prog.Kernel.blocks;
+                prog.Kernel.ranks;
           }
         in
-        let rec first b =
-          if Array.length prog.Kernel.blocks.(b).Kernel.and_dst > 0 then b
-          else first (b + 1)
+        let rec first r =
+          if Array.length prog.Kernel.ranks.(r).Kernel.and_dst > 0 then r
+          else first (r + 1)
         in
         let msg what i =
           Invalid_argument
@@ -425,7 +408,7 @@ let suite =
                what i size)
         in
         Alcotest.check_raises "and_dst"
-          (msg (Printf.sprintf "block %d and gate" (first 0)) bad)
+          (msg (Printf.sprintf "rank %d and gate" (first 0)) bad)
           (fun () -> Slab.settle (Slab.of_program corrupt));
         let seq =
           let x = G.input "x" in
@@ -444,54 +427,23 @@ let suite =
                    sprog with
                    Kernel.dff_src = Array.map (fun _ -> -1) sprog.Kernel.dff_src;
                  }));
+        (* per-dff arrays shorter than [dffs], and a K below 1: the tick
+           and the value slab would index past their arrays *)
+        let rejects what msg corrupt =
+          Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+              ignore (Slab.of_program corrupt))
+        in
+        rejects "empty dff_src"
+          "Slab.of_program: dff_src has 0 entries, dffs has 1"
+          { sprog with Kernel.dff_src = [||] };
+        rejects "empty dff_init"
+          "Slab.of_program: dff_init has 0 entries, dffs has 1"
+          { sprog with Kernel.dff_init = [||] };
+        rejects "k = 0" "Slab.of_program: k = 0, must be >= 1"
+          { sprog with Kernel.k = 0 };
         (* the untouched programs still build and settle *)
         Slab.settle (Slab.of_program prog);
         Slab.settle (Slab.of_program sprog));
-    tc "Kernel tuning specs: parse, merge, print, reject" (fun () ->
-        let t = Kernel.tuning_of_spec "block-words=512" in
-        check_int "block words" 512 t.Kernel.block_words;
-        check_int "block gates inherited"
-          Kernel.default_tuning.Kernel.block_gates t.Kernel.block_gates;
-        let t2 = Kernel.tuning_of_spec ~base:t "block_gates=7" in
-        check_int "underscores normalize" 7 t2.Kernel.block_gates;
-        check_int "base carried through" 512 t2.Kernel.block_words;
-        check_bool "spec roundtrip" true
-          (Kernel.tuning_of_spec (Kernel.tuning_to_spec t2) = t2);
-        check_int "derived gates per block honors override" 7
-          (Kernel.gates_per_block ~k:4 t2);
-        check_int "derived gates per block from block words" 42
-          (Kernel.gates_per_block ~k:4
-             { Kernel.block_gates = 0; block_words = 512 });
-        Alcotest.check_raises "unknown key"
-          (Invalid_argument
-             "Kernel.tuning_of_spec: unknown key \"block\" (expected \
-              block-words or block-gates)")
-          (fun () -> ignore (Kernel.tuning_of_spec "block=3"));
-        Alcotest.check_raises "removed key"
-          (Invalid_argument
-             "Kernel.tuning_of_spec: unknown key \"probe-period\" (expected \
-              block-words or block-gates)")
-          (fun () -> ignore (Kernel.tuning_of_spec "probe_period=2"));
-        Alcotest.check_raises "non-integer"
-          (Invalid_argument
-             "Kernel.tuning_of_spec: value of block-gates must be an integer, \
-              got \"soon\"")
-          (fun () -> ignore (Kernel.tuning_of_spec "block-gates=soon"));
-        Alcotest.check_raises "missing ="
-          (Invalid_argument
-             "Kernel.tuning_of_spec: expected key=int, got \"3072\"")
-          (fun () -> ignore (Kernel.tuning_of_spec "3072"));
-        Alcotest.check_raises "range check"
-          (Invalid_argument "Kernel: tuning.block_words must be >= 1")
-          (fun () -> ignore (Kernel.tuning_of_spec "block-words=0"));
-        (* the engine handle spells the whole flavor out *)
-        let (module E) =
-          Slab.engine ~tuning:{ Kernel.default_tuning with Kernel.block_gates = 9 } 4
-        in
-        check_string "engine name" "slab(k=4,block-words=3072,block-gates=9)"
-          E.name;
-        let (module D) = Slab.engine ~tuning:Kernel.default_tuning 2 in
-        check_string "default tuning elided" "slab(k=2)" D.name);
     tc "word index range errors are descriptive" (fun () ->
         let a = G.input "a" in
         let nl = N.extract ~inputs:[ a ] ~outputs:[ ("y", G.inv a) ] in
@@ -751,10 +703,31 @@ let suite =
           check_int "two stimulus streams" 2 (List.length inputs)
         | Equiv.Seq_mismatch _ -> Alcotest.fail "unexpected mismatch shape"
         | Equiv.Seq_equivalent -> Alcotest.fail "mismatch not found");
+        let (module E) = Slab.engine 4 in
+        check_string "handle name" "slab(k=4)" E.name;
         (* and the symmetric orientation, oracle first *)
         check_bool "oracle vs slab" false
           (Equiv.seq_equivalent
              (Equiv.engine_random_netlists ~passes:1 ~cycles:4
                 Hydra_engine.Engine_intf.oracle (Slab.engine 3)
                 (mk false) (mk true))));
+    tc "Equiv's engine checks reject port mismatches, naming the caller"
+      (fun () ->
+        let a = G.input "a" and b = G.input "b" in
+        let y = N.extract ~inputs:[ a ] ~outputs:[ ("y", G.inv a) ] in
+        let z = N.extract ~inputs:[ a ] ~outputs:[ ("z", G.inv a) ] in
+        let yb = N.extract ~inputs:[ b ] ~outputs:[ ("y", G.inv b) ] in
+        let rejects msg f =
+          Alcotest.check_raises msg (Invalid_argument ("Equiv." ^ msg)) (fun () ->
+              ignore (f ()))
+        in
+        let oracle = Hydra_engine.Engine_intf.oracle in
+        rejects "wide_random_netlists: input ports differ" (fun () ->
+            Equiv.wide_random_netlists y yb);
+        rejects "wide_random_netlists: output ports differ" (fun () ->
+            Equiv.wide_random_netlists y z);
+        rejects "engine_random_netlists: input ports differ" (fun () ->
+            Equiv.engine_random_netlists (Slab.engine 1) oracle y yb);
+        rejects "engine_random_netlists: output ports differ" (fun () ->
+            Equiv.engine_random_netlists (Slab.engine 1) oracle y z));
   ]
