@@ -1,6 +1,6 @@
 (* A shared law battery over every simulation engine: the scalar
    {!Compiled}, the 62-lane {!Compiled_wide} view and the K-word {!Slab} in
-   all its flavors — k from 1 to 5, and the ignored [~gating] flag — are all driven through
+   all its flavors — k from 1 to 5 and 8, and the ignored [~gating] flag — are all driven through
    one lane-level adapter, so each law — poke/peek round-trip,
    reset-to-power-up, settle idempotence, step determinism across
    replicas, force/clear — is checked once and holds
@@ -165,6 +165,12 @@ end)
 (* k = 5: one AVX2 vector body plus a one-word tail per gate *)
 module Slab5_adapter = Slab_adapter (struct
   let k = 5
+  let gating = false
+end)
+
+(* k = 8: two AVX2 vector bodies and no tail *)
+module Slab8_adapter = Slab_adapter (struct
+  let k = 8
   let gating = false
 end)
 
@@ -349,6 +355,7 @@ let cross_engine_lane0 () =
       (module Slab3_adapter);
       (module Slab4g_adapter);
       (module Slab5_adapter);
+      (module Slab8_adapter);
     ]
 
 module Scalar_laws = Laws (Scalar_adapter)
@@ -359,8 +366,10 @@ module Slab3_laws = Laws (Slab3_adapter)
 module Slab4_laws = Laws (Slab4_adapter)
 module Slab4g_laws = Laws (Slab4g_adapter)
 module Slab5_laws = Laws (Slab5_adapter)
+module Slab8_laws = Laws (Slab8_adapter)
 
 let suite =
   Scalar_laws.tests @ Wide_laws.tests @ Slab1_laws.tests @ Slab2_laws.tests
   @ Slab3_laws.tests @ Slab4_laws.tests @ Slab4g_laws.tests @ Slab5_laws.tests
+  @ Slab8_laws.tests
   @ [ tc "lane 0 agrees across engines" cross_engine_lane0 ]
