@@ -711,6 +711,38 @@ let suite =
              (Equiv.engine_random_netlists ~passes:1 ~cycles:4
                 Hydra_engine.Engine_intf.oracle (Slab.engine 3)
                 (mk false) (mk true))));
+    tc "wide_random_netlists = engine_random_netlists at k=1 (same mismatch)"
+      (fun () ->
+        (* a rare planted bug (all eight inputs high, two cycles back), so
+           the failing pass, cycle and lane depend on the stimulus draw:
+           the two checks agree only if they draw the same stimulus *)
+        let mk planted =
+          let ins = List.init 8 (fun i -> G.input (Printf.sprintf "i%d" i)) in
+          let all = List.fold_left G.and2 (List.hd ins) (List.tl ins) in
+          let q = G.dff (G.xor2 (List.nth ins 0) (List.nth ins 1)) in
+          let q = if planted then G.xor2 q (G.dff (G.dff all)) else q in
+          N.extract ~inputs:ins ~outputs:[ ("q", q) ]
+        in
+        let good = mk false and bad = mk true in
+        let mismatches =
+          List.filter_map
+            (fun seed ->
+              let wide =
+                Equiv.wide_random_netlists ~passes:3 ~cycles:6 ~seed good bad
+              in
+              let engine =
+                Equiv.engine_random_netlists ~passes:3 ~cycles:6 ~seed
+                  (Slab.engine 1) (Slab.engine 1) good bad
+              in
+              check_bool (Printf.sprintf "seed %d: same result" seed) true
+                (wide = engine);
+              match wide with
+              | Equiv.Seq_mismatch { cycle; _ } -> Some cycle
+              | Equiv.Seq_equivalent -> None)
+            (List.init 8 Fun.id)
+        in
+        check_bool "the planted bug is found" true (mismatches <> []);
+        check_bool "found past cycle 2" true (List.exists (fun c -> c > 2) mismatches));
     tc "Equiv's engine checks reject port mismatches, naming the caller"
       (fun () ->
         let a = G.input "a" and b = G.input "b" in
