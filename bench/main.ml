@@ -739,7 +739,8 @@ let e16 () =
 
 let e17 () =
   section "E17" "X-propagation power-up analysis of the control circuit (extension)";
-  let module Xsim = Hydra_engine.Xsim in
+  let module Sim = Hydra_analyze.Sim in
+  let module T = Hydra_core.Ternary in
   let module CC = Hydra_cpu.Control_circuit.Make (G) in
   let build () =
     let start = G.input "start" in
@@ -749,21 +750,21 @@ let e17 () =
     N.of_graph ~outputs:(("halted", outs.CC.halted) :: outs.CC.states)
   in
   let run respect_init =
-    let sim = Xsim.create ~respect_init (build ()) in
+    let sim = Sim.ternary_create ~respect_init (build ()) in
     let drive s =
-      Xsim.set_input_bool sim "start" s;
+      Sim.ternary_set_input sim "start" (T.of_bool s);
       for i = 0 to 3 do
-        Xsim.set_input_bool sim (Printf.sprintf "op%d" i) false
+        Sim.ternary_set_input sim (Printf.sprintf "op%d" i) T.F
       done;
-      Xsim.set_input_bool sim "cond" false
+      Sim.ternary_set_input sim "cond" T.F
     in
     drive true;
-    let counts = ref [ Xsim.unknown_dffs sim ] in
-    Xsim.step sim;
+    let counts = ref [ Sim.ternary_unknown_dffs sim ] in
+    Sim.ternary_step sim;
     drive false;
     for _ = 1 to 7 do
-      counts := Xsim.unknown_dffs sim :: !counts;
-      Xsim.step sim
+      counts := Sim.ternary_unknown_dffs sim :: !counts;
+      Sim.ternary_step sim
     done;
     List.rev !counts
   in
@@ -1563,7 +1564,7 @@ let e27 ?(min_time = 0.2) () =
   touch ();
   let t_warm = Unix.gettimeofday () -. t0 in
   let cst = Cache.stats cache in
-  row "  cold catalogue: %.3f s   warm re-run: %.4f s   speedup %.0fx \
+  row "  cold catalogue: %.3f s   warm re-run: %.4f s   speedup %.2fx \
        (acceptance floor: 10x)\n"
     t_cold t_warm (t_cold /. t_warm);
   row "  cache counters: %d hits, %d misses, %d evictions, %d entries\n"
@@ -1608,7 +1609,7 @@ let e27 ?(min_time = 0.2) () =
     /. float_of_int pst.Kernel.p_comps_total
   in
   row "  wallace64 single-gate edit: full recompile %.4f s, patch %.5f s \
-       (%.0fx)\n"
+       (%.2fx)\n"
     t_full t_patch (t_full /. t_patch);
   row "  patch recompiled %d of %d components (%.1f%%; acceptance: < 10%%), \
        %d of %d ranks\n"

@@ -422,29 +422,9 @@ let faults_cmd =
             "retry transiently-failed campaign chunks up to N extra \
              times with exponential backoff")
   in
-  let max_lanes =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-lanes" ] ~docv:"LANES"
-          ~doc:
-            "admission budget in engine lanes: over-budget campaigns \
-             degrade to fewer slab words before being shed")
-  in
   let run targets all smoke json model cycles seed rate at max_faults domains
-      status verbose deadline retries max_lanes =
+      status verbose deadline retries =
     let module R = Hydra_engine.Resilience in
-    let admission =
-      Option.map
-        (fun n ->
-          try R.admission ~max_lanes:n ()
-          with Invalid_argument _ ->
-            Printf.eprintf
-              "faults: --max-lanes %d: budget must be at least one 62-lane \
-               word\n"
-              n;
-            exit 2)
-        max_lanes
-    in
     let targets = (if all || smoke then lint_catalogue else []) @ targets in
     if targets = [] then begin
       prerr_endline
@@ -519,21 +499,14 @@ let faults_cmd =
           let t0 = R.now () in
           let report =
             match
-              C.run ?domains ~status_outputs:status ?deadline ?retry
-                ?admission nl ~faults ~stimulus ~cycles
+              C.run ?domains ~status_outputs:status ?deadline ?retry nl
+                ~faults ~stimulus ~cycles
             with
             | r -> r
             | exception R.Deadline_exceeded _ ->
               Printf.eprintf
                 "faults: %s: deadline of %.3g s exceeded after %.3f s\n"
                 target (Option.value deadline ~default:0.0) (R.now () -. t0);
-              exit 1
-            | exception R.Shed _ ->
-              Printf.eprintf
-                "faults: %s: shed by the admission controller (budget %d \
-                 lanes is less than one 62-lane word free)\n"
-                target
-                (Option.value max_lanes ~default:0);
               exit 1
           in
           if json then
@@ -570,8 +543,7 @@ let faults_cmd =
           detected/latent/masked against a golden lane")
     Term.(
       const run $ targets $ all $ smoke $ json $ model $ cycles $ seed $ rate
-      $ at $ max_faults $ domains $ status $ verbose $ deadline $ retries
-      $ max_lanes)
+      $ at $ max_faults $ domains $ status $ verbose $ deadline $ retries)
 
 (* ---- lint ---- *)
 
@@ -934,17 +906,26 @@ let sim_cmd =
           ~doc:"stimulus: NAME=0101 (one bit per cycle, last value holds)")
   in
   let run file cycles drives =
-    let nl = Hydra_netlist.Serial.of_file file in
+    let usage fmt =
+      Printf.ksprintf (fun m -> prerr_endline ("sim: " ^ m); exit 2) fmt
+    in
+    if cycles < 1 then usage "--cycles %d: must be at least 1" cycles;
+    let nl = load_target ~cmd:"sim" file in
     let stimuli =
       List.map
         (fun spec ->
           match String.index_opt spec '=' with
-          | None -> failwith ("bad --drive " ^ spec)
+          | None -> usage "--drive %s: expected NAME=BITS" spec
           | Some i ->
             let name = String.sub spec 0 i in
+            if not (List.mem_assoc name nl.N.inputs) then
+              usage "--drive %s: %s: no input of that name" spec name;
             let bits =
-              String.sub spec (i + 1) (String.length spec - i - 1)
-              |> Hydra_core.Bitvec.of_string
+              try
+                Hydra_core.Bitvec.of_string
+                  (String.sub spec (i + 1) (String.length spec - i - 1))
+              with Invalid_argument _ ->
+                usage "--drive %s: BITS must be 0s and 1s" spec
             in
             Hydra_engine.Testbench.Bit_values (name, bits))
         drives

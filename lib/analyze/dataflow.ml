@@ -14,9 +14,9 @@
 
    - reaching-X ({!reaching_x}): ternary values under the information
      order (X at the bottom).  Inputs held at 0, flip flops starting at
-     X, the least fixpoint is exactly the limit of Xsim's synchronous
-     iteration (the per-cycle state sequence ascends the information
-     order, so it converges within #dffs ticks); an output that is X in
+     X, the least fixpoint is exactly the limit of the ternary
+     simulator's synchronous iteration (the per-cycle state sequence
+     ascends the information order, so it converges within #dffs ticks); an output that is X in
      the fixpoint depends on power-up state *forever* — a definitive
      verdict where the lint rule's bounded [xsim_cycles] check was only
      suggestive.  {!crosscheck} verifies the two formulations agree.
@@ -547,7 +547,7 @@ let crosscheck ?(passes = 2) ?(cycles = 16) ?(seed = 0xdf1) t =
   let exception Fail of string in
   try
     (* reaching-X: the worklist least fixpoint must equal the limit of
-       synchronous Xsim iteration — the state sequence ascends the
+       synchronous ternary simulation — the state sequence ascends the
        information order, so #dffs + 1 cycles reach the limit *)
     let ndffs =
       Array.fold_left

@@ -4,10 +4,11 @@
    [Hydra_engine] in the dependency order so the engines themselves can
    be *checked* against them:
 
-   - a ternary abstract evaluator (Kleene 0/1/X over
-     {!Hydra_core.Ternary}) used by the lint rules: constants propagate,
-     inputs and flip-flop state are parameters, components left
-     unleveled by a combinational cycle stay X;
+   - a stepping ternary simulator (Kleene 0/1/X over
+     {!Hydra_core.Ternary}) for power-up and reset analysis, and the
+     abstract evaluator of the lint rules: constants propagate, inputs
+     and flip-flop state are parameters, components left unleveled by a
+     combinational cycle stay X;
 
    - a packed (62-lane) concrete simulator used by {!Certify} as the
      independent oracle for transform translation-validation.  It shares
@@ -24,9 +25,9 @@ module P = Hydra_core.Packed
 
 (* THE ternary abstract transfer function over netlist components: one
    Kleene gate evaluation, reading fanin values through [fi].  This is the
-   single shared implementation behind the lint rules' abstract
-   evaluation ({!ternary_values}) and every {!Dataflow} forward domain —
-   a soundness bug here would poison both, which is why test_dataflow
+   single shared implementation behind the ternary simulator (and so
+   the lint rules' {!ternary_values}) and every {!Dataflow} forward
+   domain — a soundness bug here would poison both, which is why test_dataflow
    checks the gate laws (monotonicity w.r.t. {!T.leq}) by QCheck.
    [None] for components that are not combinational functions of their
    fanin (ports, constants, flip flops): their values are boundary
@@ -40,50 +41,104 @@ let ternary_gate (c : Netlist.component) (fi : int -> T.t) : T.t option =
   | Netlist.Outport _ -> Some (fi 0)
   | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> None
 
-(* Settled component values after [cycles] clock ticks, with every input
-   port held at [inputs] and flip flops powered up at X (or their declared
-   value with [respect_init]).  Components on combinational cycles are
-   never evaluated and read X. *)
-let ternary_values ?(inputs = T.X) ?(respect_init = false) ?(cycles = 0) nl =
-  let n = Netlist.size nl in
-  let lv = Levelize.compute nl in
-  let values = Array.make n T.X in
-  let state = Array.make n T.X in
+(* Indices of the flip flops, ascending. *)
+let dff_indices nl =
+  let dffs = ref [] in
   Array.iteri
-    (fun i c ->
-      match c with
-      | Netlist.Dffc init ->
-        state.(i) <- (if respect_init then T.of_bool init else T.X)
-      | _ -> ())
+    (fun i c -> match c with Netlist.Dffc _ -> dffs := i :: !dffs | _ -> ())
     nl.Netlist.components;
-  let settle () =
-    Array.iteri
-      (fun i c ->
-        match c with
-        | Netlist.Inport _ -> values.(i) <- inputs
-        | Netlist.Constant b -> values.(i) <- T.of_bool b
-        | Netlist.Dffc _ -> values.(i) <- state.(i)
-        | _ -> ())
-      nl.Netlist.components;
+  Array.of_list (List.rev !dffs)
+
+(* The stepping ternary simulator: flip flops power up at X (or their
+   declared value with [respect_init]) and gates settle through
+   {!ternary_gate} in levelized order; components on combinational
+   cycles are never evaluated and read X.  A dff's value lives in its
+   own [values] slot and changes only at a step.  Every other value is
+   recomputed by the next settle, which a read or a step runs when an
+   input or the state has changed since the last one. *)
+type ternary = {
+  nl : Netlist.t;
+  order : int array;
+  values : T.t array;
+  dffs : int array;
+  next : T.t array;  (* latch buffer, one slot per dff *)
+  mutable settled : bool;
+}
+
+let ternary_create ?(respect_init = false) nl =
+  let values =
+    Array.map
+      (function
+        | Netlist.Constant b -> T.of_bool b
+        | Netlist.Dffc init when respect_init -> T.of_bool init
+        | _ -> T.X)
+      nl.Netlist.components
+  in
+  let dffs = dff_indices nl in
+  {
+    nl;
+    order = (Levelize.compute nl).Levelize.order;
+    values;
+    dffs;
+    next = Array.make (Array.length dffs) T.X;
+    settled = false;
+  }
+
+let ternary_settle t =
+  if not t.settled then begin
+    let nl = t.nl in
     Array.iter
       (fun i ->
-        let fi k = values.(nl.Netlist.fanin.(i).(k)) in
+        let fi k = t.values.(nl.Netlist.fanin.(i).(k)) in
         match ternary_gate nl.Netlist.components.(i) fi with
-        | Some v -> values.(i) <- v
+        | Some v -> t.values.(i) <- v
         | None -> ())
-      lv.Levelize.order
-  in
-  settle ();
+      t.order;
+    t.settled <- true
+  end
+
+let ternary_set_input t name v =
+  match List.assoc_opt name t.nl.Netlist.inputs with
+  | Some i ->
+    t.values.(i) <- v;
+    t.settled <- false
+  | None -> invalid_arg ("Sim.ternary_set_input: unknown input " ^ name)
+
+let ternary_step t =
+  ternary_settle t;
+  Array.iteri
+    (fun j i -> t.next.(j) <- t.values.(t.nl.Netlist.fanin.(i).(0)))
+    t.dffs;
+  Array.iteri (fun j i -> t.values.(i) <- t.next.(j)) t.dffs;
+  t.settled <- false
+
+let ternary_value t i =
+  ternary_settle t;
+  t.values.(i)
+
+let ternary_output t name =
+  match List.assoc_opt name t.nl.Netlist.outputs with
+  | Some i -> ternary_value t i
+  | None -> invalid_arg ("Sim.ternary_output: unknown output " ^ name)
+
+let ternary_unknown_dffs t =
+  Array.fold_left
+    (fun n i -> if t.values.(i) = T.X then n + 1 else n)
+    0 t.dffs
+
+(* Settled component values after [cycles] clock ticks, with every input
+   port held at [inputs]: the stepper run to completion, its value array
+   handed over. *)
+let ternary_values ?(inputs = T.X) ?respect_init ?(cycles = 0) nl =
+  let t = ternary_create ?respect_init nl in
+  Array.iteri
+    (fun i c -> match c with Netlist.Inport _ -> t.values.(i) <- inputs | _ -> ())
+    nl.Netlist.components;
   for _ = 1 to cycles do
-    Array.iteri
-      (fun i c ->
-        match c with
-        | Netlist.Dffc _ -> state.(i) <- values.(nl.Netlist.fanin.(i).(0))
-        | _ -> ())
-      nl.Netlist.components;
-    settle ()
+    ternary_step t
   done;
-  values
+  ternary_settle t;
+  t.values
 
 (* Packed reference simulator -------------------------------------------- *)
 
@@ -102,11 +157,7 @@ let packed_create nl =
   let n = Netlist.size nl in
   let input_index = Hashtbl.create 16 in
   List.iter (fun (s, i) -> Hashtbl.replace input_index s i) nl.Netlist.inputs;
-  let dffs = ref [] in
-  Array.iteri
-    (fun i c -> match c with Netlist.Dffc _ -> dffs := i :: !dffs | _ -> ())
-    nl.Netlist.components;
-  let dffs = Array.of_list (List.rev !dffs) in
+  let dffs = dff_indices nl in
   let dff_init =
     Array.map
       (fun i ->
@@ -171,9 +222,6 @@ let packed_output t name =
   match List.assoc_opt name t.nl.Netlist.outputs with
   | Some i -> t.values.(i)
   | None -> invalid_arg ("Sim.packed_output: unknown output " ^ name)
-
-let packed_outputs t =
-  List.map (fun (s, i) -> (s, t.values.(i))) t.nl.Netlist.outputs
 
 (* Settled word of any component, by index — Dataflow's cross-check reads
    every component, not just ports, to compare analysis verdicts against

@@ -1,21 +1,46 @@
-(** Reference netlist evaluators for the analyses: a ternary (0/1/X)
-    abstract evaluator for the lint rules, and a deliberately simple
-    packed 62-lane concrete simulator that {!Certify} uses as the
-    independent oracle when validating transforms — it shares no code
-    with the compiled engines, so a bug in their optimizer or re-layout
-    passes cannot hide in the checker. *)
+(** Reference netlist evaluators for the analyses: a stepping ternary
+    (0/1/X) simulator for power-up analysis and the lint rules, and a
+    deliberately simple packed 62-lane concrete simulator that
+    {!Certify} uses as the independent oracle when validating
+    transforms — it shares no code with the compiled engines, so a bug
+    in their optimizer or re-layout passes cannot hide in the checker. *)
 
 val ternary_gate :
   Hydra_netlist.Netlist.component ->
   (int -> Hydra_core.Ternary.t) ->
   Hydra_core.Ternary.t option
-(** The one ternary abstract transfer function, shared by
-    {!ternary_values} and every forward {!Dataflow} domain.  Evaluates a
-    combinational component (gate or outport) over Kleene logic, reading
-    fanin slot [k]'s value through the callback; [None] for components
-    that are not combinational functions of their fanin (inports,
-    constants, flip flops) — their values are boundary conditions of the
-    calling analysis. *)
+(** The one ternary abstract transfer function, shared by the
+    {!ternary} simulator and every forward {!Dataflow} domain.  Evaluates
+    a combinational component (gate or outport) over Kleene logic,
+    reading fanin slot [k]'s value through the callback; [None] for
+    components that are not combinational functions of their fanin
+    (inports, constants, flip flops) — their values are boundary
+    conditions of the calling analysis. *)
+
+type ternary
+(** A stepping ternary simulator for power-up and reset analysis: flip
+    flops start unknown, so an output that reads 0/1 is provably
+    independent of the power-up state, and a dff that becomes known has
+    been initialized by the reset sequence.  Components on combinational
+    cycles read X. *)
+
+val ternary_create : ?respect_init:bool -> Hydra_netlist.Netlist.t -> ternary
+(** Every input and flip flop starts at X; with [respect_init] (default
+    false) flip flops power up to their declared values instead. *)
+
+val ternary_set_input : ternary -> string -> Hydra_core.Ternary.t -> unit
+
+val ternary_step : ternary -> unit
+(** Settle the cycle and latch: ternary values propagate into state. *)
+
+val ternary_output : ternary -> string -> Hydra_core.Ternary.t
+(** Settled value of an output port under the current inputs. *)
+
+val ternary_value : ternary -> int -> Hydra_core.Ternary.t
+(** Settled value of component [i] (any component, not just a port). *)
+
+val ternary_unknown_dffs : ternary -> int
+(** How many flip flops are still X. *)
 
 val ternary_values :
   ?inputs:Hydra_core.Ternary.t ->
@@ -24,9 +49,8 @@ val ternary_values :
   Hydra_netlist.Netlist.t ->
   Hydra_core.Ternary.t array
 (** Settled per-component values after [cycles] clock ticks (default 0:
-    the first settle), every input port held at [inputs] (default X) and
-    flip flops powered up at X unless [respect_init] (default false).
-    Components on combinational cycles read X. *)
+    the first settle) of a {!ternary} simulator with every input port
+    held at [inputs] (default X). *)
 
 type packed
 
@@ -39,7 +63,6 @@ val packed_set_input : packed -> string -> int -> unit
 val packed_settle : packed -> unit
 val packed_tick : packed -> unit
 val packed_output : packed -> string -> int
-val packed_outputs : packed -> (string * int) list
 
 val packed_value : packed -> int -> int
 (** Settled word of component [i] (any component, not just a port) —

@@ -6,9 +6,10 @@
    inputs force it (0 on an and gate, 1 on an or gate), and X otherwise —
    Kleene's strong three-valued logic.
 
-   The main use is power-up analysis (see {!Hydra_engine.Xsim}): flip
-   flops whose value after reset should not matter start as X, and any
-   output that settles to 0/1 is provably independent of them. *)
+   The main use is power-up analysis (see {!Hydra_analyze.Sim}'s ternary
+   simulator): flip flops whose value after reset should not matter
+   start as X, and any output that settles to 0/1 is provably
+   independent of them. *)
 
 type t = F | T | X
 

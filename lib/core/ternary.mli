@@ -1,7 +1,7 @@
 (** Three-valued combinational semantics: 0, 1 and X (unknown), under
     Kleene's strong logic.  Executing a circuit at this instance performs
-    X-propagation; {!Hydra_engine.Xsim} uses it for power-up and reset
-    analysis. *)
+    X-propagation; {!Hydra_analyze.Sim}'s ternary simulator uses it for
+    power-up and reset analysis. *)
 
 type t = F | T | X
 

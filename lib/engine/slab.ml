@@ -193,6 +193,25 @@ let of_program prog =
   in
   check_len "dff_src" (Array.length prog.Kernel.dff_src);
   check_len "dff_init" (Array.length prog.Kernel.dff_init);
+  (* a gate's level picks its force slot and its cone rank *)
+  let levels = prog.Kernel.levels.Levelize.levels in
+  let n_ranks = Kernel.n_ranks prog in
+  if Array.length levels <> Kernel.size prog then
+    invalid_arg
+      (Printf.sprintf "Slab.of_program: levels has %d entries, netlist has %d"
+         (Array.length levels) (Kernel.size prog));
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Netlist.Invc | Netlist.And2c | Netlist.Or2c | Netlist.Xor2c
+      | Netlist.Outport _
+        when levels.(i) < 0 || levels.(i) >= n_ranks ->
+        invalid_arg
+          (Printf.sprintf
+             "Slab.of_program: component %d has level %d, outside the %d ranks"
+             i levels.(i) n_ranks)
+      | _ -> ())
+    prog.Kernel.netlist.Netlist.components;
   let simd_desc = Array.mapi (simd_descriptor prog) prog.Kernel.ranks in
   Array.iter (fun (i, _) -> check_index prog "consts" i) prog.Kernel.consts;
   Array.iter (check_index prog "dffs") prog.Kernel.dffs;

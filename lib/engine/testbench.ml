@@ -1,5 +1,6 @@
 (* A test-bench DSL: declarative stimulus and expectations over named
-   ports, runnable against any netlist engine.
+   ports, run on the compiled engine ({!run}) or batched over the lanes
+   of any word-parallel engine handle ({!run_batched}).
 
    Paper section 6.4: "Hydra provides a set of tools for defining
    simulation drivers — functions that take inputs in a convenient form
@@ -59,24 +60,8 @@ let value_at stim t =
   | Word_fun (_, w, f) -> Hydra_core.Bitvec.of_int ~width:w (f t)
 
 (* Run on the compiled engine. *)
-let run ?(engine = `Compiled) ~cycles ~stimuli ~expectations netlist =
-  let sim =
-    match engine with
-    | `Compiled -> `C (Compiled.create netlist)
-    | `Interp -> `I (Interp.create netlist)
-  in
-  let set name v =
-    match sim with
-    | `C s -> Compiled.set_input s name v
-    | `I s -> Interp.set_input s name v
-  in
-  let settle () = match sim with `C s -> Compiled.settle s | `I _ -> () in
-  let outputs () =
-    match sim with `C s -> Compiled.outputs s | `I s -> Interp.outputs s
-  in
-  let tick () =
-    match sim with `C s -> Compiled.tick s | `I s -> Interp.step s
-  in
+let run ~cycles ~stimuli ~expectations netlist =
+  let sim = Compiled.create netlist in
   let out_names = List.map fst netlist.Netlist.outputs in
   let traces = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.replace traces n []) out_names;
@@ -84,10 +69,11 @@ let run ?(engine = `Compiled) ~cycles ~stimuli ~expectations netlist =
   for t = 0 to cycles - 1 do
     List.iter
       (fun stim ->
-        List.iter2 set (bit_port_names stim) (value_at stim t))
+        List.iter2 (Compiled.set_input sim) (bit_port_names stim)
+          (value_at stim t))
       stimuli;
-    settle ();
-    let outs = outputs () in
+    Compiled.settle sim;
+    let outs = Compiled.outputs sim in
     List.iter
       (fun (n, v) -> Hashtbl.replace traces n (v :: Hashtbl.find traces n))
       outs;
@@ -139,7 +125,7 @@ let run ?(engine = `Compiled) ~cycles ~stimuli ~expectations netlist =
                   :: !failures)
         | Expect_bit _ | Expect_word _ -> ())
       expectations;
-    tick ()
+    Compiled.tick sim
   done;
   {
     cycles_run = cycles;

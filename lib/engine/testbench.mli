@@ -32,12 +32,12 @@ type report = {
 val passed : report -> bool
 
 val run :
-  ?engine:[ `Compiled | `Interp ] ->
   cycles:int ->
   stimuli:stimulus list ->
   expectations:expectation list ->
   Hydra_netlist.Netlist.t ->
   report
+(** Run the bench for [cycles] cycles on the scalar {!Compiled} engine. *)
 
 val run_batched :
   ?scheduler:Scheduler.t ->

@@ -10,8 +10,8 @@
      time-dilated.
    - [insert_reset]: dff input becomes [mux reset input power_up]; pulsing
      the new input returns the machine synchronously to its power-up
-     state (useful after {!Hydra_engine.Xsim} shows a design relies on
-     power-up values). *)
+     state (useful after {!Hydra_analyze.Sim}'s ternary simulator shows a
+     design relies on power-up values). *)
 
 (* Append components to a netlist, returning the extended arrays and a
    fresh-index allocator. *)

@@ -181,90 +181,119 @@ let check_pair caller nl1 nl2 =
   same "output" nl1.Netlist.outputs nl2.Netlist.outputs;
   (names nl1.Netlist.inputs, names nl1.Netlist.outputs)
 
-let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
-    ?(seed = 0x5eed) ?(domains = 1) ?deadline nl1 nl2 =
-  let module Slab = Hydra_engine.Slab in
+(* The one random sequential-equivalence loop, over two word-parallel
+   engine handles.  Every pass draws a stimulus cube — [max words1
+   words2] packed words per input per cycle for [cycles] cycles — from
+   its own RNG seeded by ([seed], pass, [cycles]), so the stimulus of
+   pass [p] does not depend on which member runs it or in what order.
+   An engine with fewer words consumes the cube in several reset+replay
+   rounds, so every global lane of the wider engine is compared against
+   an independent simulation on the narrower one.  The passes are the
+   tasks of one {!Hydra_engine.Scheduler} job, each member on its own
+   replica pair: on [?scheduler]'s team, otherwise on a private
+   scheduler of [?domains] (default 1) members.  A pass that has not
+   started is skipped once a lower one has failed, and the reported
+   mismatch is the first in (cycle, output, word, lane) order of the
+   lowest failing pass, so it is the same at any team size. *)
+let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
+    ~seed (e1 : (module Hydra_engine.Engine_intf.S))
+    (e2 : (module Hydra_engine.Engine_intf.S)) nl1 nl2 =
   let module Scheduler = Hydra_engine.Scheduler in
-  let module Cache = Hydra_engine.Cache in
   let module P = Hydra_core.Packed in
-  let in_names, out_names = check_pair "wide_random_netlists" nl1 nl2 in
-  (* both sides' replicas are kept member-aligned by hand through the
-     fan-out's ~member index; [?cache] serves warm 62-lane engines (the
-     default compile flags) *)
-  let mk nl =
-    match cache with Some c -> Cache.slab c ~k:1 nl | None -> Slab.create ~k:1 nl
-  in
-  let base1 = mk nl1 in
-  let base2 = mk nl2 in
+  let in_names, out_names = check_pair caller nl1 nl2 in
+  let out_arr = Array.of_list out_names in
+  let nout = Array.length out_arr in
   let results = Array.make passes Seq_equivalent in
-  (* lowest pass index with a recorded mismatch; later passes that have
-     not started yet are skipped once a lower one is recorded, so the
-     reported mismatch is deterministic regardless of scheduling *)
   let best = Atomic.make max_int in
   let rec record_min pass =
     let cur = Atomic.get best in
     if pass < cur && not (Atomic.compare_and_set best cur pass) then
       record_min pass
   in
-  let run_pass s1 s2 pass =
-    (* an independent RNG per pass: the stimulus of pass [p] does not
-       depend on which member runs it or in what order *)
-    let st = Random.State.make [| seed; pass; cycles |] in
-    Slab.reset s1;
-    Slab.reset s2;
-    (* record the stimulus so a mismatch can report the failing lane's
-       input streams up to the failing cycle *)
-    let history = ref [] in
-    try
-      for c = 0 to cycles - 1 do
-        let row = List.map (fun name -> (name, P.random_word st)) in_names in
-        history := row :: !history;
-        List.iter
-          (fun (name, w) ->
-            Slab.set_input s1 name w;
-            Slab.set_input s2 name w)
-          row;
-        Slab.settle s1;
-        Slab.settle s2;
-        List.iter
-          (fun name ->
-            let w1 = Slab.output s1 name and w2 = Slab.output s2 name in
-            if w1 <> w2 then begin
-              let diff = w1 lxor w2 in
-              let rec first_lane l =
-                if P.lane diff l then l else first_lane (l + 1)
-              in
-              let lane = first_lane 0 in
-              let streams =
-                List.map
-                  (fun iname ->
-                    ( iname,
-                      List.rev_map
-                        (fun row -> P.lane (List.assoc iname row) lane)
-                        !history ))
-                  in_names
-              in
-              results.(pass) <-
-                Seq_mismatch { output = name; cycle = c; inputs = streams };
-              record_min pass;
-              raise Exit
-            end)
-          out_names;
-        Slab.tick s1;
-        Slab.tick s2
-      done
-    with Exit -> ()
-  in
-  let replicas base n =
-    Array.init n (fun i -> if i = 0 then base else Slab.replicate base)
-  in
   let run sch =
-    let n = Scheduler.domains sch in
-    let sims1 = replicas base1 n and sims2 = replicas base2 n in
-    Scheduler.run_tasks sch ~name:"equiv" ?deadline passes
-      (fun ~member pass ->
-        if pass < Atomic.get best then
-          run_pass sims1.(member) sims2.(member) pass)
+    (* one side: its words, and a replay of a stimulus cube on member
+       [member]'s replica into the output cube
+       [cube.(cycle).(out).(global_word)]; global words past the cube
+       are driven with 0 and ignored *)
+    let side (module E : Hydra_engine.Engine_intf.S) nl =
+      let base = E.create nl in
+      let sims =
+        Array.init (Scheduler.domains sch) (fun m ->
+            if m = 0 then base else E.replicate base)
+      in
+      let we = E.words base in
+      let collect ~member ~wmax stim =
+        let sim = sims.(member) in
+        let cube = Array.init cycles (fun _ -> Array.make_matrix nout wmax 0) in
+        for r = 0 to ((wmax + we - 1) / we) - 1 do
+          E.reset sim;
+          for c = 0 to cycles - 1 do
+            List.iter
+              (fun (name, ws) ->
+                for lw = 0 to we - 1 do
+                  let g = (r * we) + lw in
+                  E.set_input_word sim name lw (if g < wmax then ws.(g) else 0)
+                done)
+              stim.(c);
+            E.settle sim;
+            for o = 0 to nout - 1 do
+              for lw = 0 to we - 1 do
+                let g = (r * we) + lw in
+                if g < wmax then
+                  cube.(c).(o).(g) <- E.output_word sim out_arr.(o) lw
+              done
+            done;
+            E.tick sim
+          done
+        done;
+        cube
+      in
+      (we, collect)
+    in
+    let w1, collect1 = side e1 nl1 in
+    let w2, collect2 = side e2 nl2 in
+    let wmax = max w1 w2 in
+    let run_pass ~member pass =
+      let st = Random.State.make [| seed; pass; cycles |] in
+      let stim =
+        Array.init cycles (fun _ ->
+            List.map
+              (fun name -> (name, Array.init wmax (fun _ -> P.random_word st)))
+              in_names)
+      in
+      let cube1 = collect1 ~member ~wmax stim in
+      let cube2 = collect2 ~member ~wmax stim in
+      try
+        for c = 0 to cycles - 1 do
+          for o = 0 to nout - 1 do
+            for g = 0 to wmax - 1 do
+              let diff = cube1.(c).(o).(g) lxor cube2.(c).(o).(g) in
+              if diff <> 0 then begin
+                let rec first_lane l =
+                  if P.lane diff l then l else first_lane (l + 1)
+                in
+                let lane = first_lane 0 in
+                let streams =
+                  List.map
+                    (fun iname ->
+                      ( iname,
+                        List.init (c + 1) (fun cyc ->
+                            P.lane (List.assoc iname stim.(cyc)).(g) lane) ))
+                    in_names
+                in
+                results.(pass) <-
+                  Seq_mismatch
+                    { output = out_arr.(o); cycle = c; inputs = streams };
+                record_min pass;
+                raise Exit
+              end
+            done
+          done
+        done
+      with Exit -> ()
+    in
+    Scheduler.run_tasks sch ~name:"equiv" ?deadline passes (fun ~member pass ->
+        if pass < Atomic.get best then run_pass ~member pass)
   in
   (match scheduler with
   | Some sch -> run sch
@@ -275,105 +304,30 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
   | p when p < max_int -> results.(p)
   | _ -> Seq_equivalent
 
-(* Engine-vs-engine sequential random equivalence: the same check as
-   {!wide_random_netlists}, but each side runs on an arbitrary
-   {!Hydra_engine.Engine_intf.S} handle, so a K-word {!Hydra_engine.Slab}
-   can be cross-checked against the 1-word reference oracle (or any two
-   engines against each other).  The stimulus cube is materialized up
-   front per pass — [max words1 words2] packed words per input per cycle
-   — and an engine with fewer words consumes it in multiple reset+replay
-   rounds, so every global lane of the wider engine is compared against a
-   genuinely independent simulation on the narrower one. *)
-let engine_random_netlists ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
-    (e1 : (module Hydra_engine.Engine_intf.S))
-    (e2 : (module Hydra_engine.Engine_intf.S)) nl1 nl2 =
-  let module P = Hydra_core.Packed in
-  let in_names, out_names = check_pair "engine_random_netlists" nl1 nl2 in
-  let nout = List.length out_names in
-  let out_arr = Array.of_list out_names in
-  let module Run (E : Hydra_engine.Engine_intf.S) = struct
-    (* Replay the whole stimulus cube on [sim], [words sim] global word
-       indices per round, and return the output cube
-       [cube.(cycle).(out).(global_word)].  Global words beyond the cube
-       (when [wmax mod words <> 0]) are driven with 0 and ignored. *)
-    let collect sim ~wmax ~stim =
-      let we = E.words sim in
-      let rounds = (wmax + we - 1) / we in
-      let cube =
-        Array.init cycles (fun _ -> Array.make_matrix nout wmax 0)
-      in
-      for r = 0 to rounds - 1 do
-        E.reset sim;
-        for c = 0 to cycles - 1 do
-          List.iter
-            (fun (name, ws) ->
-              for lw = 0 to we - 1 do
-                let g = (r * we) + lw in
-                E.set_input_word sim name lw (if g < wmax then ws.(g) else 0)
-              done)
-            stim.(c);
-          E.settle sim;
-          for o = 0 to nout - 1 do
-            for lw = 0 to we - 1 do
-              let g = (r * we) + lw in
-              if g < wmax then
-                cube.(c).(o).(g) <- E.output_word sim out_arr.(o) lw
-            done
-          done;
-          E.tick sim
-        done
-      done;
-      cube
-  end in
-  let (module E1) = e1 and (module E2) = e2 in
-  let module R1 = Run (E1) in
-  let module R2 = Run (E2) in
-  let s1 = E1.create nl1 and s2 = E2.create nl2 in
-  let wmax = max (E1.words s1) (E2.words s2) in
-  let result = ref Seq_equivalent in
-  (try
-     for pass = 0 to passes - 1 do
-       (* same per-pass RNG derivation as wide_random_netlists: at
-          wmax = 1 the stimulus is identical to the wide check's *)
-       let st = Random.State.make [| seed; pass; cycles |] in
-       let stim =
-         Array.init cycles (fun _ ->
-             List.map
-               (fun name ->
-                 (name, Array.init wmax (fun _ -> P.random_word st)))
-               in_names)
-       in
-       let cube1 = R1.collect s1 ~wmax ~stim in
-       let cube2 = R2.collect s2 ~wmax ~stim in
-       for c = 0 to cycles - 1 do
-         for o = 0 to nout - 1 do
-           for g = 0 to wmax - 1 do
-             let w1 = cube1.(c).(o).(g) and w2 = cube2.(c).(o).(g) in
-             if w1 <> w2 then begin
-               let diff = w1 lxor w2 in
-               let rec first_bit l =
-                 if P.lane diff l then l else first_bit (l + 1)
-               in
-               let bit = first_bit 0 in
-               let streams =
-                 List.map
-                   (fun iname ->
-                     ( iname,
-                       List.init (c + 1) (fun cyc ->
-                           P.lane (List.assoc iname stim.(cyc)).(g) bit) ))
-                   in_names
-               in
-               result :=
-                 Seq_mismatch
-                   { output = out_arr.(o); cycle = c; inputs = streams };
-               raise Exit
-             end
-           done
-         done
-       done
-     done
-   with Exit -> ());
-  !result
+let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
+    ?(seed = 0x5eed) ?domains ?deadline nl1 nl2 =
+  (* 62-lane engines on both sides; [?cache] serves them warm (the
+     default compile flags) *)
+  let slab1 : (module Hydra_engine.Engine_intf.S) =
+    match cache with
+    | None -> Hydra_engine.Slab.engine 1
+    | Some c ->
+      (module struct
+        include Hydra_engine.Slab
+
+        let name = "slab(k=1)"
+
+        let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ nl =
+          Hydra_engine.Cache.slab c ~k:1 nl
+      end)
+  in
+  random_passes ~caller:"wide_random_netlists" ?scheduler ?domains ?deadline
+    ~passes ~cycles ~seed slab1 slab1 nl1 nl2
+
+let engine_random_netlists ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed) e1 e2
+    nl1 nl2 =
+  random_passes ~caller:"engine_random_netlists" ~passes ~cycles ~seed e1 e2
+    nl1 nl2
 
 (* The acceptance check for the slab engine: K-word slab vs the 62-lane
    packed oracle ({!Hydra_engine.Engine_intf.oracle}), which shares no

@@ -108,19 +108,20 @@ val engine_random_netlists :
   Hydra_netlist.Netlist.t ->
   seq_result
 (** Random sequential equivalence with each side on an arbitrary
-    word-parallel engine handle — {!wide_random_netlists} generalized so
-    a K-word {!Hydra_engine.Slab} can be cross-checked against the
-    reference oracle (or any two engines against each other).  Each of [passes]
-    (default 4) passes materializes a stimulus cube of
+    word-parallel engine handle, so a K-word {!Hydra_engine.Slab} can be
+    cross-checked against the reference oracle (or any two engines
+    against each other).  It is the loop {!wide_random_netlists} runs on
+    two 62-lane slab handles, here on a private one-member scheduler.
+    Each of [passes] (default 4) passes draws a stimulus cube of
     [max words1 words2] packed words per input per cycle for [cycles]
     (default 32) cycles; an engine with fewer words consumes it in
     multiple reset+replay rounds, so every global lane of the wider
-    engine is compared against an independent simulation on the narrower
-    one.  Netlists are validated first, as in {!wide_random_netlists};
-    with 1-word engines on both sides the stimulus is identical to
-    {!wide_random_netlists} at the same [seed].  Passes run sequentially;
-    the reported mismatch is the first in (pass, cycle, output, word)
-    order. *)
+    engine is compared against an independent simulation on the
+    narrower one.  Netlists are validated first, as in
+    {!wide_random_netlists}; with 1-word engines on both sides the
+    stimulus is identical to {!wide_random_netlists} at the same
+    [seed].  The reported mismatch is the first in (pass, cycle, output,
+    word) order. *)
 
 val slab_vs_wide :
   ?passes:int ->

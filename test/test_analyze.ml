@@ -417,6 +417,56 @@ let suite =
       (fun nodes ->
         let nl = random_netlist nodes in
         Certify.certified (snd (Certify.optimize ~passes:1 ~cycles:8 nl)));
+    qc ~count:100 "ternary stepper = packed lane 0 under declared power-up"
+      QCheck2.Gen.(pair gen_nodes (int_bound 0xfffffff))
+      (fun (nodes, seed) ->
+        (* random declared power-up values, binary inputs: the ternary
+           stepper never sees X, so every output and dff must read the
+           bit lane 0 of the independent packed simulator reads *)
+        let nl = random_netlist nodes in
+        let nl =
+          {
+            nl with
+            N.components =
+              Array.mapi
+                (fun i c ->
+                  match c with
+                  | N.Dffc _ -> N.Dffc ((seed lsr (i mod 28)) land 1 = 1)
+                  | c -> c)
+                nl.N.components;
+          }
+        in
+        let dffs =
+          List.filter
+            (fun i -> match nl.N.components.(i) with N.Dffc _ -> true | _ -> false)
+            (List.init (N.size nl) Fun.id)
+        in
+        let t = Sim.ternary_create ~respect_init:true nl in
+        let p = Sim.packed_create nl in
+        let st = Random.State.make [| seed |] in
+        let lane0 w = T.of_bool (w land 1 = 1) in
+        List.for_all
+          (fun _ ->
+            List.iter
+              (fun (name, _) ->
+                let b = Random.State.bool st in
+                Sim.ternary_set_input t name (T.of_bool b);
+                Sim.packed_set_input p name (if b then 1 else 0))
+              nl.N.inputs;
+            Sim.packed_settle p;
+            let agree =
+              List.for_all
+                (fun (name, _) ->
+                  Sim.ternary_output t name = lane0 (Sim.packed_output p name))
+                nl.N.outputs
+              && List.for_all
+                   (fun i -> Sim.ternary_value t i = lane0 (Sim.packed_value p i))
+                   dffs
+            in
+            Sim.ternary_step t;
+            Sim.packed_tick p;
+            agree)
+          (List.init 12 Fun.id));
     tc "engines: ~certify smoke on ~optimize path" (fun () ->
         let nl = ripple_netlist 8 in
         let c = Hydra_engine.Compiled.create ~optimize:true ~certify:true nl in

@@ -71,7 +71,7 @@ let suite =
     tc "testbench: function stimulus and interp engine" (fun () ->
         let nl = adder_netlist 4 in
         let r =
-          Tb.run ~engine:`Interp ~cycles:5
+          Tb.run ~cycles:5
             ~stimuli:
               [ Tb.Word_fun ("x", 4, (fun t -> t)); Tb.Word_fun ("y", 4, (fun t -> t)) ]
             ~expectations:

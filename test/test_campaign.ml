@@ -360,12 +360,11 @@ let suite =
         let nl = two_stage () in
         (* establish the X window with the ternary simulator: both dffs
            unknown at power-up, known only after two steps *)
-        let xs = Hydra_engine.Xsim.create ~respect_init:false nl in
-        Hydra_engine.Xsim.set_input_bool xs "x" true;
-        check_int "both dffs X at cycle 0" 2 (Hydra_engine.Xsim.unknown_dffs xs);
-        Hydra_engine.Xsim.step xs;
-        check_int "stage 2 still X at cycle 1" 1
-          (Hydra_engine.Xsim.unknown_dffs xs);
+        let xs = Sim.ternary_create nl in
+        Sim.ternary_set_input xs "x" Hydra_core.Ternary.T;
+        check_int "both dffs X at cycle 0" 2 (Sim.ternary_unknown_dffs xs);
+        Sim.ternary_step xs;
+        check_int "stage 2 still X at cycle 1" 1 (Sim.ternary_unknown_dffs xs);
         (* the output dff is the outport's driver *)
         let out_dff = nl.N.fanin.(List.assoc "y" nl.N.outputs).(0) in
         let stimulus = [ ("x", [ true; true; true; true; true; true ]) ] in

@@ -8,7 +8,7 @@ module Packed = Hydra_core.Packed
 module S = Hydra_core.Stream_sim
 module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
-module Xsim = Hydra_engine.Xsim
+module Sim = Hydra_analyze.Sim
 module Fault = Hydra_verify.Fault
 module Equiv = Hydra_verify.Equiv
 module SE = Hydra_circuits.Seq_extras.Make (Hydra_core.Stream_sim)
@@ -57,31 +57,31 @@ let suite =
         (* q = dff x with input driven: q is X at cycle 0, known after *)
         let x = G.input "x" in
         let nl = N.of_graph ~outputs:[ ("q", G.dff x) ] in
-        let sim = Xsim.create nl in
-        Xsim.set_input_bool sim "x" true;
-        check_bool "cycle0 unknown" true (Xsim.output sim "q" = T.X);
-        Xsim.step sim;
-        check_bool "cycle1 known" true (Xsim.output sim "q" = T.T);
-        check_int "no unknown dffs left" 0 (Xsim.unknown_dffs sim));
+        let sim = Sim.ternary_create nl in
+        Sim.ternary_set_input sim "x" T.T;
+        check_bool "cycle0 unknown" true (Sim.ternary_output sim "q" = T.X);
+        Sim.ternary_step sim;
+        check_bool "cycle1 known" true (Sim.ternary_output sim "q" = T.T);
+        check_int "no unknown dffs left" 0 (Sim.ternary_unknown_dffs sim));
     tc "xsim: X is masked by controlling input" (fun () ->
         let x = G.input "x" in
         let q = G.dff x in
         let nl = N.of_graph ~outputs:[ ("y", G.and2 q (G.input "en")) ] in
-        let sim = Xsim.create nl in
-        Xsim.set_input_bool sim "x" true;
-        Xsim.set_input_bool sim "en" false;
-        check_bool "masked" true (Xsim.output sim "y" = T.F));
+        let sim = Sim.ternary_create nl in
+        Sim.ternary_set_input sim "x" T.T;
+        Sim.ternary_set_input sim "en" T.F;
+        check_bool "masked" true (Sim.ternary_output sim "y" = T.F));
     tc "xsim: respect_init uses power-up values" (fun () ->
         let x = G.input "x" in
         let nl = N.of_graph ~outputs:[ ("q", G.dff_init true x) ] in
-        let sim = Xsim.create ~respect_init:true nl in
-        check_bool "initial 1" true (Xsim.output sim "q" = T.T));
+        let sim = Sim.ternary_create ~respect_init:true nl in
+        check_bool "initial 1" true (Sim.ternary_output sim "q" = T.T));
     tc "xsim: control circuit depends on documented power-up values" (fun () ->
         (* the delay-element control assumes the paper's dff0 = 0 power-up
            (e.g. the sticky halt latch could wake up set); X-propagation
            flags that honestly: without initialization some state stays X,
            with the documented power-up everything is defined from the
-           start *)
+           start.  The per-cycle counts are the ones bench E17 prints. *)
         let module CC = Hydra_cpu.Control_circuit.Make (G) in
         let build () =
           let start = G.input "start" in
@@ -93,31 +93,32 @@ let suite =
           N.of_graph ~outputs:(("halted", outs.CC.halted) :: outs.CC.states)
         in
         let drive sim s =
-          Xsim.set_input_bool sim "start" s;
+          Sim.ternary_set_input sim "start" (T.of_bool s);
           for i = 0 to 3 do
-            Xsim.set_input_bool sim (Printf.sprintf "op%d" i) false
+            Sim.ternary_set_input sim (Printf.sprintf "op%d" i) T.F
           done;
-          Xsim.set_input_bool sim "cond" false
+          Sim.ternary_set_input sim "cond" T.F
         in
-        let sim_x = Xsim.create (build ()) in
-        drive sim_x true;
-        Xsim.step sim_x;
-        drive sim_x false;
-        for _ = 1 to 30 do
-          Xsim.step sim_x
-        done;
-        check_bool "uninitialized state remains unknown" true
-          (Xsim.unknown_dffs sim_x > 0);
-        let sim_i = Xsim.create ~respect_init:true (build ()) in
+        (* unknown dffs at cycles 0..7: start high for cycle 0 only *)
+        let counts sim =
+          List.init 8 (fun c ->
+              drive sim (c = 0);
+              let n = Sim.ternary_unknown_dffs sim in
+              Sim.ternary_step sim;
+              n)
+        in
+        let nl = build () in
+        Alcotest.(check (list int))
+          "X power-up" [ 26; 10; 5; 3; 3; 3; 3; 3 ]
+          (counts (Sim.ternary_create nl));
+        let sim_i = Sim.ternary_create ~respect_init:true nl in
         drive sim_i true;
         check_bool "with power-up values everything is defined" true
-          (Xsim.all_outputs_known sim_i);
-        Xsim.step sim_i;
-        drive sim_i false;
-        for _ = 1 to 10 do
-          Xsim.step sim_i
-        done;
-        check_int "no unknown dffs with init" 0 (Xsim.unknown_dffs sim_i));
+          (List.for_all
+             (fun (name, _) -> T.is_known (Sim.ternary_output sim_i name))
+             nl.N.outputs);
+        Alcotest.(check (list int))
+          "declared power-up" [ 0; 0; 0; 0; 0; 0; 0; 0 ] (counts sim_i));
     (* packed semantics *)
     tc "packed: constants and bitwise ops" (fun () ->
         check_int "zero" 0 Packed.zero;

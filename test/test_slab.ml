@@ -441,6 +441,36 @@ let suite =
           { sprog with Kernel.dff_init = [||] };
         rejects "k = 0" "Slab.of_program: k = 0, must be >= 1"
           { sprog with Kernel.k = 0 };
+        (* levels that disagree with the ranks: set_forces and the cone
+           settle index force slots and ranks by a gate's level *)
+        let lv = sprog.Kernel.levels in
+        let inv =
+          let rec find i =
+            if sprog.Kernel.netlist.N.components.(i) = N.Invc then i
+            else find (i + 1)
+          in
+          find 0
+        in
+        let nr = Kernel.n_ranks sprog in
+        rejects "short levels"
+          (Printf.sprintf "Slab.of_program: levels has 0 entries, netlist has %d"
+             (Kernel.size sprog))
+          { sprog with Kernel.levels = { lv with levels = [||] } };
+        rejects "level past the last rank"
+          (Printf.sprintf
+             "Slab.of_program: component %d has level %d, outside the %d ranks"
+             inv nr nr)
+          {
+            sprog with
+            Kernel.levels =
+              {
+                lv with
+                levels =
+                  Array.mapi
+                    (fun i l -> if i = inv then nr else l)
+                    lv.Hydra_netlist.Levelize.levels;
+              };
+          };
         (* the untouched programs still build and settle *)
         Slab.settle (Slab.of_program prog);
         Slab.settle (Slab.of_program sprog));

@@ -101,12 +101,14 @@ let suite =
         (* the paper's dff0 guarantee made checkable: with unknown power-up
            but a reset pulse, all state becomes defined *)
         let nl = T.insert_reset (counter_netlist ()) ~name:"rst" in
-        let module Xsim = Hydra_engine.Xsim in
-        let sim = Xsim.create nl in
-        Xsim.set_input_bool sim "en" false;
-        Xsim.set_input_bool sim "rst" true;
-        check_bool "unknown before" true (Xsim.unknown_dffs sim > 0);
-        Xsim.step sim;
-        Xsim.set_input_bool sim "rst" false;
-        check_int "all defined after one reset cycle" 0 (Xsim.unknown_dffs sim));
+        let module Sim = Hydra_analyze.Sim in
+        let module Tern = Hydra_core.Ternary in
+        let sim = Sim.ternary_create nl in
+        Sim.ternary_set_input sim "en" Tern.F;
+        Sim.ternary_set_input sim "rst" Tern.T;
+        check_bool "unknown before" true (Sim.ternary_unknown_dffs sim > 0);
+        Sim.ternary_step sim;
+        Sim.ternary_set_input sim "rst" Tern.F;
+        check_int "all defined after one reset cycle" 0
+          (Sim.ternary_unknown_dffs sim));
   ]
