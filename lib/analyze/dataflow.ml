@@ -16,8 +16,9 @@
      order (X at the bottom).  Inputs held at 0, flip flops starting at
      X, the least fixpoint is exactly the limit of the ternary
      simulator's synchronous iteration (the per-cycle state sequence
-     ascends the information order, so it converges within #dffs ticks); an output that is X in
-     the fixpoint depends on power-up state *forever* — a definitive
+     ascends the information order, so it converges within #dffs
+     ticks); an output that is X in the fixpoint depends on power-up
+     state *forever* — a definitive
      verdict where the lint rule's bounded [xsim_cycles] check was only
      suggestive.  {!crosscheck} verifies the two formulations agree.
 

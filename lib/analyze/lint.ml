@@ -214,9 +214,9 @@ let const_dff_rule =
 
 (* uninit-state: X-propagation (the {!Sim.ternary_values} run of the
    ternary simulator, with [respect_init:false]) with all inputs held
-   at 0.  An output still X after [xsim_cycles]
-   ticks can observe the power-up state of some flip flop — the design
-   depends on power-up values it never re-initializes. *)
+   at 0.  An output still X after [xsim_cycles] ticks can observe the
+   power-up state of some flip flop — the design depends on power-up
+   values it never re-initializes. *)
 let uninit_state_rule =
   {
     name = "uninit-state";

@@ -27,8 +27,9 @@ module P = Hydra_core.Packed
    Kleene gate evaluation, reading fanin values through [fi].  This is the
    single shared implementation behind the ternary simulator (and so
    the lint rules' {!ternary_values}) and every {!Dataflow} forward
-   domain — a soundness bug here would poison both, which is why test_dataflow
-   checks the gate laws (monotonicity w.r.t. {!T.leq}) by QCheck.
+   domain — a soundness bug here would poison both, which is why
+   test_dataflow checks the gate laws (monotonicity w.r.t. {!T.leq}) by
+   QCheck.
    [None] for components that are not combinational functions of their
    fanin (ports, constants, flip flops): their values are boundary
    conditions of whichever analysis is running. *)

@@ -203,12 +203,12 @@ let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
   let in_names, out_names = check_pair caller nl1 nl2 in
   let out_arr = Array.of_list out_names in
   let nout = Array.length out_arr in
-  let results = Array.make passes Seq_equivalent in
-  let best = Atomic.make max_int in
-  let rec record_min pass =
-    let cur = Atomic.get best in
-    if pass < cur && not (Atomic.compare_and_set best cur pass) then
-      record_min pass
+  (* the lowest failing pass so far and its mismatch *)
+  let best = Atomic.make (max_int, Seq_equivalent) in
+  let rec record pass r =
+    let ((p, _) as cur) = Atomic.get best in
+    if pass < p && not (Atomic.compare_and_set best cur (pass, r)) then
+      record pass r
   in
   let run sch =
     (* one side: its words, and a replay of a stimulus cube on member
@@ -281,10 +281,9 @@ let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
                             P.lane (List.assoc iname stim.(cyc)).(g) lane) ))
                     in_names
                 in
-                results.(pass) <-
-                  Seq_mismatch
-                    { output = out_arr.(o); cycle = c; inputs = streams };
-                record_min pass;
+                record pass
+                  (Seq_mismatch
+                     { output = out_arr.(o); cycle = c; inputs = streams });
                 raise Exit
               end
             done
@@ -293,16 +292,14 @@ let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
       with Exit -> ()
     in
     Scheduler.run_tasks sch ~name:"equiv" ?deadline passes (fun ~member pass ->
-        if pass < Atomic.get best then run_pass ~member pass)
+        if pass < fst (Atomic.get best) then run_pass ~member pass)
   in
   (match scheduler with
   | Some sch -> run sch
   | None ->
     let sch = Scheduler.create ~domains () in
     Fun.protect ~finally:(fun () -> Scheduler.shutdown sch) (fun () -> run sch));
-  match Atomic.get best with
-  | p when p < max_int -> results.(p)
-  | _ -> Seq_equivalent
+  snd (Atomic.get best)
 
 let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
     ?(seed = 0x5eed) ?domains ?deadline nl1 nl2 =
