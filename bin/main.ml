@@ -921,11 +921,13 @@ let sim_cmd =
             if not (List.mem_assoc name nl.N.inputs) then
               usage "--drive %s: %s: no input of that name" spec name;
             let bits =
-              try
+              match
                 Hydra_core.Bitvec.of_string
                   (String.sub spec (i + 1) (String.length spec - i - 1))
-              with Invalid_argument _ ->
-                usage "--drive %s: BITS must be 0s and 1s" spec
+              with
+              | _ :: _ as bits -> bits
+              | [] | (exception Invalid_argument _) ->
+                usage "--drive %s: BITS must be one or more 0s and 1s" spec
             in
             Hydra_engine.Testbench.Bit_values (name, bits))
         drives

@@ -108,9 +108,14 @@ let suite =
               n)
         in
         let nl = build () in
+        let sim_x = Sim.ternary_create nl in
         Alcotest.(check (list int))
-          "X power-up" [ 26; 10; 5; 3; 3; 3; 3; 3 ]
-          (counts (Sim.ternary_create nl));
+          "X power-up" [ 26; 10; 5; 3; 3; 3; 3; 3 ] (counts sim_x);
+        for _ = 1 to 23 do
+          Sim.ternary_step sim_x
+        done;
+        check_int "uninitialized state remains unknown" 3
+          (Sim.ternary_unknown_dffs sim_x);
         let sim_i = Sim.ternary_create ~respect_init:true nl in
         drive sim_i true;
         check_bool "with power-up values everything is defined" true
