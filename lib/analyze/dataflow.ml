@@ -93,7 +93,7 @@ let solve ?(frozen = fun _ -> false) ~n ~equal ~succs ~transfer ~init () =
 type t = {
   nl : Netlist.t;
   lv : Levelize.t;
-  fanout : (int * int) list array;
+  fanout : Netlist.fanout;
   cyclic : bool array;
   mutable constants_ : (T.t array * solve_stats) option;
   mutable reaching_ : (T.t array * solve_stats) option;
@@ -105,7 +105,7 @@ let create nl =
   (match Netlist.validate nl with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Dataflow.create: malformed netlist: " ^ reason));
-  let lv = Levelize.compute nl in
+  let lv = Levelize.of_netlist nl in
   let cyclic = Array.make (Netlist.size nl) false in
   List.iter (fun i -> cyclic.(i) <- true) lv.Levelize.cyclic;
   {
@@ -121,7 +121,9 @@ let create nl =
 
 let netlist t = t.nl
 let label t i = Netlist.describe t.nl i
-let forward_succs t i = List.map fst t.fanout.(i)
+let forward_succs t i =
+  let { Netlist.off; sink; _ } = t.fanout in
+  List.init (off.(i + 1) - off.(i)) (fun j -> sink.(off.(i) + j))
 
 (* Sequential constant propagation ---------------------------------------- *)
 
@@ -243,8 +245,12 @@ let observable_full t =
     (* a sink whose own value is a known sequential constant transmits
        nothing: whatever its fanin does, its output never moves *)
     let transmits j = not (T.is_known consts.(j)) in
+    let { Netlist.off; sink; _ } = t.fanout in
     let transfer get i =
-      is_outport i || List.exists (fun (j, _) -> transmits j && get j) t.fanout.(i)
+      let rec any e =
+        e < off.(i + 1) && ((transmits sink.(e) && get sink.(e)) || any (e + 1))
+      in
+      is_outport i || any off.(i)
     in
     let r =
       solve ~n ~equal:Bool.equal

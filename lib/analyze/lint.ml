@@ -7,8 +7,10 @@
    extraction pipeline can leave behind (constants feeding gates, logic
    reaching no output, inputs driving nothing).  Each rule inspects one
    obligation and reports structured {!Diagnostic.t}s; expensive shared
-   facts (levelization, fanout, ternary evaluations) are computed lazily
-   once per run and shared across rules.
+   facts (fanout, ternary evaluations) are computed lazily once per run
+   and shared across rules, and the levelization is the netlist's
+   memoized one ([Levelize.of_netlist]), which the ternary simulator and
+   the dataflow analyses read too.
 
    Severities: [Error] marks a netlist the engines must not trust
    (malformed structure, combinational cycle, a configured timing budget
@@ -33,8 +35,8 @@ let default_config =
 type ctx = {
   nl : Netlist.t;
   config : config;
-  lv : Levelize.t Lazy.t;
-  fanout : (int * int) list array Lazy.t;
+  lv : Levelize.t;
+  fanout : Netlist.fanout Lazy.t;
   tern_free : T.t array Lazy.t;
       (* inputs X, state X, cycle 0: known values are structural constants *)
   tern_zero : T.t array Lazy.t;
@@ -68,7 +70,7 @@ let comb_cycle_rule =
     about = "combinational feedback loop (forbidden by the synchronous model)";
     check =
       (fun ctx ->
-        let lv = Lazy.force ctx.lv in
+        let lv = ctx.lv in
         match lv.Levelize.cyclic with
         | [] -> []
         | cyclic ->
@@ -98,7 +100,9 @@ let floating_input_rule =
       (fun ctx ->
         let fanout = Lazy.force ctx.fanout in
         let dead =
-          List.filter (fun (_, i) -> fanout.(i) = []) ctx.nl.Netlist.inputs
+          List.filter
+            (fun (_, i) -> Netlist.fanout_degree fanout i = 0)
+            ctx.nl.Netlist.inputs
         in
         match dead with
         | [] -> []
@@ -277,11 +281,10 @@ let fanout_hotspot_rule =
       (fun ctx ->
         let fanout = Lazy.force ctx.fanout in
         let hot = ref [] in
-        Array.iteri
-          (fun i sinks ->
-            let d = List.length sinks in
-            if d > ctx.config.fanout_threshold then hot := (i, d) :: !hot)
-          fanout;
+        for i = 0 to Netlist.size ctx.nl - 1 do
+          let d = Netlist.fanout_degree fanout i in
+          if d > ctx.config.fanout_threshold then hot := (i, d) :: !hot
+        done;
         match List.sort (fun (_, a) (_, b) -> compare b a) !hot with
         | [] -> []
         | hot ->
@@ -315,7 +318,7 @@ let path_budget_rule =
         match ctx.config.path_budget with
         | None -> []
         | Some budget ->
-          let lv = Lazy.force ctx.lv in
+          let lv = ctx.lv in
           if lv.Levelize.cyclic <> [] then []
             (* meaningless under a cycle; comb-cycle already fired *)
           else if lv.Levelize.critical_path <= budget then []
@@ -428,7 +431,7 @@ let run ?(config = default_config) nl =
       {
         nl;
         config;
-        lv = lazy (Levelize.compute nl);
+        lv = Levelize.of_netlist nl;
         fanout = lazy (Netlist.fanout nl);
         tern_free = lazy (Sim.ternary_values ~inputs:T.X ~cycles:0 nl);
         tern_zero =

@@ -78,7 +78,7 @@ let ternary_create ?(respect_init = false) nl =
   let dffs = dff_indices nl in
   {
     nl;
-    order = (Levelize.compute nl).Levelize.order;
+    order = (Levelize.of_netlist nl).Levelize.order;
     values;
     dffs;
     next = Array.make (Array.length dffs) T.X;

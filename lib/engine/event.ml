@@ -69,7 +69,7 @@ type cycle_report = {
 
 type t = {
   netlist : Netlist.t;
-  fanout : (int * int) list array;
+  fanout : Netlist.fanout;
   values : bool array;
   state : bool array;          (* dff state *)
   is_dff : bool array;
@@ -148,12 +148,12 @@ let step t =
   Array.fill t.changes_this_cycle 0 (Array.length t.changes_this_cycle) 0;
   let heap = Heap.create () in
   let settle = ref 0 and transitions = ref 0 and glitches = ref 0 in
+  let { Netlist.off; sink; _ } = t.fanout in
   let schedule_fanouts time i =
-    List.iter
-      (fun (sink, _port) ->
-        if not t.is_dff.(sink) then
-          Heap.push heap (time + t.delay_of sink, sink))
-      t.fanout.(i)
+    for e = off.(i) to off.(i + 1) - 1 do
+      let s = sink.(e) in
+      if not t.is_dff.(s) then Heap.push heap (time + t.delay_of s, s)
+    done
   in
   (* bootstrap: on the very first cycle nothing has ever been evaluated,
      so schedule every combinational component once; transport-delay

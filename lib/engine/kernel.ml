@@ -297,7 +297,7 @@ let force_slot ~what p site =
 let relevel (nl : Netlist.t) (old : Levelize.t) ~seeds =
   let n = Netlist.size nl in
   let levels = Array.copy old.Levelize.levels in
-  let fanout = Netlist.fanout nl in
+  let { Netlist.off; sink; _ } = Netlist.fanout nl in
   let is_source i =
     match nl.Netlist.components.(i) with
     | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> true
@@ -328,12 +328,11 @@ let relevel (nl : Netlist.t) (old : Levelize.t) ~seeds =
          if !updates > budget then raise Exit;
          levels.(i) <- l;
          changed.(i) <- true;
-         List.iter
-           (fun (sink, _port) ->
-             match nl.Netlist.components.(sink) with
-             | Netlist.Dffc _ -> ()
-             | _ -> push sink)
-           fanout.(i)
+         for e = off.(i) to off.(i + 1) - 1 do
+           match nl.Netlist.components.(sink.(e)) with
+           | Netlist.Dffc _ -> ()
+           | _ -> push sink.(e)
+         done
        end
      done
    with Exit ->

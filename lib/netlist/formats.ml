@@ -60,23 +60,22 @@ let to_paper_string (nl : Netlist.t) =
     nl.Netlist.components;
   let internals = List.rev !internals in
   (* Wires, ordered by source id in the paper numbering. *)
-  let fanout = Netlist.fanout nl in
+  let { Netlist.off; sink; port } = Netlist.fanout nl in
   let wires = ref [] in
-  Array.iteri
-    (fun src sinks ->
-      if sinks <> [] then
-        let out_port = Netlist.input_arity nl.Netlist.components.(src) in
-        let sink_strs =
-          List.map
-            (fun (sink, port) -> Printf.sprintf "(%d,%d)" renum.(sink) port)
-            sinks
-        in
-        wires :=
-          ( renum.(src),
-            Printf.sprintf "((%d,%d), %s)" renum.(src) out_port
-              (list_str sink_strs) )
-          :: !wires)
-    fanout;
+  for src = 0 to Netlist.size nl - 1 do
+    if off.(src + 1) > off.(src) then
+      let out_port = Netlist.input_arity nl.Netlist.components.(src) in
+      let sink_strs =
+        List.init (off.(src + 1) - off.(src)) (fun j ->
+            let e = off.(src) + j in
+            Printf.sprintf "(%d,%d)" renum.(sink.(e)) port.(e))
+      in
+      wires :=
+        ( renum.(src),
+          Printf.sprintf "((%d,%d), %s)" renum.(src) out_port
+            (list_str sink_strs) )
+        :: !wires
+  done;
   let wires =
     List.sort (fun (a, _) (b, _) -> compare a b) !wires |> List.map snd
   in

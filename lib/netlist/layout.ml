@@ -41,7 +41,7 @@ let kind_order (c : Netlist.component) =
 let rank_major_permutation (nl : Netlist.t) =
   let n = Netlist.size nl in
   let identity () = Array.init n (fun i -> i) in
-  let lv = Levelize.compute nl in
+  let lv = Levelize.of_netlist nl in
   if lv.Levelize.cyclic <> [] then (nl, identity ())
   else begin
     let new_of_old = Array.make n (-1) in

@@ -19,52 +19,66 @@ type t = {
 
 exception Combinational_cycle of int list
 
+(* Kahn's algorithm on flat arrays: the CSR fanout and an int-array FIFO
+   (every component enters it at most once, so [n] slots suffice).  The
+   queue starts with the sources in index order and each popped
+   component releases its sinks in (sink, port) order, which fixes
+   [order] and so the within-rank order of [by_level]. *)
 let compute (nl : Netlist.t) =
   let n = Netlist.size nl in
+  let comps = nl.Netlist.components in
   let levels = Array.make n (-1) in
   let remaining = Array.make n 0 in
-  let fanout = Netlist.fanout nl in
+  let { Netlist.off; sink; _ } = Netlist.fanout nl in
   let is_source i =
-    match nl.Netlist.components.(i) with
+    match comps.(i) with
     | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> true
     | Netlist.Outport _ | Netlist.Invc | Netlist.And2c | Netlist.Or2c
     | Netlist.Xor2c -> false
   in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   for i = 0 to n - 1 do
     if is_source i then begin
       levels.(i) <- 0;
-      Queue.add i queue
+      queue.(!tail) <- i;
+      incr tail
     end
     else remaining.(i) <- Array.length nl.Netlist.fanin.(i)
   done;
-  let order = ref [] in
+  let sources = !tail in
   (* Every non-source occupies its own rank, one past its deepest driver —
      including outports, so that per-level parallel execution never
      schedules a port in the same rank as its driver.  (This does not
      affect the critical path, which is computed from the *drivers* of
-     outports and dffs below.) *)
-  let gate_delay _ = 1 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    if not (is_source i) then order := i :: !order;
-    List.iter
-      (fun (sink, _port) ->
-        (* edges into a dff do not constrain the dff's level *)
-        match nl.Netlist.components.(sink) with
-        | Netlist.Dffc _ -> ()
-        | _ ->
-          remaining.(sink) <- remaining.(sink) - 1;
-          let lvl = levels.(i) + gate_delay sink in
-          if lvl > levels.(sink) then levels.(sink) <- lvl;
-          if remaining.(sink) = 0 then Queue.add sink queue)
-      fanout.(i)
+     outports and dffs below.)  Edges into a dff do not constrain the
+     dff's level. *)
+  let head = ref 0 in
+  while !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    let lvl = levels.(i) + 1 in
+    for e = off.(i) to off.(i + 1) - 1 do
+      let s = sink.(e) in
+      match comps.(s) with
+      | Netlist.Dffc _ -> ()
+      | _ ->
+        let r = remaining.(s) - 1 in
+        remaining.(s) <- r;
+        if lvl > levels.(s) then levels.(s) <- lvl;
+        if r = 0 then begin
+          queue.(!tail) <- s;
+          incr tail
+        end
+    done
   done;
+  (* The non-sources popped, in pop order. *)
+  let order = Array.sub queue sources (!tail - sources) in
   (* Unleveled = never fully scheduled (a cycle member, or downstream of
      one).  Cannot be read off [levels] alone: the eager max-update above
      gives a cycle member with one acyclic driver a tentative level even
-     though it never entered the queue — reset those to -1.  Sorted
-     ascending so cycle reports are stable across runs and engines. *)
+     though it never entered the queue — reset those to -1.  Ascending,
+     so cycle reports are stable across runs and engines. *)
   let cyclic = ref [] in
   for i = n - 1 downto 0 do
     if (not (is_source i)) && remaining.(i) > 0 then begin
@@ -72,29 +86,30 @@ let compute (nl : Netlist.t) =
       cyclic := i :: !cyclic
     end
   done;
-  let cyclic = ref (List.sort_uniq compare !cyclic) in
   (* Critical path: deepest signal that must settle before the next tick —
      at an output port or at a dff input. *)
   let critical = ref 0 in
   for i = 0 to n - 1 do
-    match nl.Netlist.components.(i) with
+    match comps.(i) with
     | Netlist.Outport _ | Netlist.Dffc _ ->
       Array.iter
         (fun drv -> if levels.(drv) > !critical then critical := levels.(drv))
         nl.Netlist.fanin.(i)
     | _ -> ()
   done;
-  let order = Array.of_list (List.rev !order) in
+  (* Ranks by counting sort over [order], which keeps its order within
+     each rank. *)
   let max_level = Array.fold_left max 0 levels in
-  let buckets = Array.make (max_level + 1) [] in
+  let fill = Array.make (max_level + 1) 0 in
+  Array.iter (fun i -> fill.(levels.(i)) <- fill.(levels.(i)) + 1) order;
+  let by_level = Array.map (fun c -> Array.make c 0) fill in
+  Array.fill fill 0 (max_level + 1) 0;
   Array.iter
     (fun i ->
       let l = levels.(i) in
-      buckets.(l) <- i :: buckets.(l))
+      by_level.(l).(fill.(l)) <- i;
+      fill.(l) <- fill.(l) + 1)
     order;
-  let by_level =
-    Array.map (fun l -> Array.of_list (List.rev l)) buckets
-  in
   { levels; order; by_level; critical_path = !critical; cyclic = !cyclic }
 
 (* An ordered witness for the cycle report: walk driver edges inside the
@@ -143,9 +158,47 @@ let describe_cycle (nl : Netlist.t) cyc =
     String.concat " -> "
       (List.map (Netlist.describe nl) cyc @ [ Netlist.describe nl first ])
 
+(* Every engine and analysis levelizes the netlist it is handed, often
+   the same value several times over (lint, dataflow, compile, the
+   reference simulators), so memoize per physical netlist value.  As for
+   [Netlist.digest]'s memo: netlist values are only ever mutated while
+   being constructed (builders patch fresh arrays before publishing the
+   record), so physical identity implies content identity; the ephemeron
+   keeps the memo from outliving its netlist, and the lock makes it safe
+   from concurrent scheduler task bodies.  The result's arrays are
+   shared, so readers must not mutate them.
+
+   The memo is direct-mapped: one entry per slot of [Hashtbl.hash nl],
+   replaced by the next netlist that lands there.  An ephemeron hash
+   table keeps every entry whose netlist has the same bounded hash (all
+   copies of one circuit: rebuilt, fault-injected), and a lookup reads
+   the key of each, which marks it live for the current GC cycle; the
+   dead copies then never die.  With such a table, checking one
+   fault-injected wallace:64 copy per request on the reference
+   simulator took a process from 80 to 480 MB.  Here a lookup reads at
+   most one key. *)
+let slots = 64
+let memo : (int * (Netlist.t, t) Ephemeron.K1.t) option array = Array.make slots None
+let memo_lock = Mutex.create ()
+
+let of_netlist nl =
+  let h = Hashtbl.hash nl in
+  let slot = h land (slots - 1) in
+  let cached () =
+    match memo.(slot) with
+    | Some (h', e) when h' = h -> Ephemeron.K1.query e nl
+    | _ -> None
+  in
+  match Mutex.protect memo_lock cached with
+  | Some t -> t
+  | None ->
+    let t = compute nl in
+    Mutex.protect memo_lock (fun () -> memo.(slot) <- Some (h, Ephemeron.K1.make nl t));
+    t
+
 let check nl =
-  let t = compute nl in
+  let t = of_netlist nl in
   if t.cyclic <> [] then raise (Combinational_cycle t.cyclic);
   t
 
-let critical_path nl = (compute nl).critical_path
+let critical_path nl = (of_netlist nl).critical_path

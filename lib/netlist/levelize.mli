@@ -22,6 +22,21 @@ type t = {
 exception Combinational_cycle of int list
 
 val compute : Netlist.t -> t
+(** A fresh levelization, not memoized: to time the algorithm itself, or
+    where the result must not be shared with other readers.  Raises
+    [Invalid_argument] (from {!Netlist.fanout}) on an out-of-range fanin
+    index. *)
+
+val of_netlist : Netlist.t -> t
+(** {!compute}, memoized per physical netlist value: a second call on the
+    same value returns the same [t] ([==]) without levelizing again,
+    unless a netlist with a colliding hash was levelized in between (a
+    copy of the same circuit always collides), and the memo lives no
+    longer than the netlist.  Safe to call from several domains at once.
+    The netlist must not be mutated once it has been published (handed
+    to any reader), and the result's arrays are shared and must not be
+    mutated either.  A copy of the record, even one with equal fields,
+    is a different key. *)
 
 val cycle_witness : Netlist.t -> t -> int list option
 (** A concrete directed combinational cycle, when {!cyclic} is non-empty:
@@ -34,7 +49,8 @@ val describe_cycle : Netlist.t -> int list -> string
     ["and2#3(q) -> inv#4 -> and2#3(q)"]. *)
 
 val check : Netlist.t -> t
-(** As {!compute}, but raises {!Combinational_cycle} when the netlist has
-    one. *)
+(** As {!of_netlist}, but raises {!Combinational_cycle} when the netlist
+    has one. *)
 
 val critical_path : Netlist.t -> int
+(** [(of_netlist nl).critical_path]. *)

@@ -237,17 +237,46 @@ let stats t =
 
 let size t = Array.length t.components
 
-(* Fanout: for each component, the list of (sink component, sink input
-   port) pairs it drives. *)
+(* Fanout, in compressed sparse rows: driver [d]'s (sink, port) pairs are
+   entries [off.(d)] to [off.(d + 1) - 1] of [sink] and [port], ascending
+   by sink and then by port.  Built by counting each driver's edges,
+   prefix-summing the counts into offsets, then filling in sink order. *)
+type fanout = { off : int array; sink : int array; port : int array }
+
 let fanout t =
-  let out = Array.make (size t) [] in
+  let n = size t in
+  let off = Array.make (n + 1) 0 in
   Array.iteri
-    (fun sink drivers ->
+    (fun c drivers ->
       Array.iteri
-        (fun port driver -> out.(driver) <- (sink, port) :: out.(driver))
+        (fun p d ->
+          if d < 0 || d >= n then
+            invalid_arg
+              (Printf.sprintf
+                 "Netlist.fanout: component %d (%s) port %d: driver index %d \
+                  out of range 0..%d"
+                 c (component_name t.components.(c)) p d (n - 1));
+          off.(d + 1) <- off.(d + 1) + 1)
         drivers)
     t.fanin;
-  Array.map List.rev out
+  for d = 1 to n do
+    off.(d) <- off.(d) + off.(d - 1)
+  done;
+  let next = Array.sub off 0 n in
+  let sink = Array.make off.(n) 0 and port = Array.make off.(n) 0 in
+  Array.iteri
+    (fun c drivers ->
+      Array.iteri
+        (fun p d ->
+          let e = next.(d) in
+          sink.(e) <- c;
+          port.(e) <- p;
+          next.(d) <- e + 1)
+        drivers)
+    t.fanin;
+  { off; sink; port }
+
+let fanout_degree f d = f.off.(d + 1) - f.off.(d)
 
 (* Content digest ------------------------------------------------------- *)
 

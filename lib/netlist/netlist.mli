@@ -61,9 +61,18 @@ type stats = {
 val stats : t -> stats
 val size : t -> int
 
-val fanout : t -> (int * int) list array
-(** Per component: the (sink component, sink input port) pairs it
-    drives. *)
+type fanout = { off : int array; sink : int array; port : int array }
+(** The driver-to-sink edges in compressed sparse rows: driver [d]
+    drives input port [port.(e)] of component [sink.(e)] for every
+    [off.(d) <= e < off.(d + 1)], in ascending (sink, port) order.
+    [off] has [size t + 1] entries. *)
+
+val fanout : t -> fanout
+(** Raises [Invalid_argument], naming the component, the port and the
+    driver index, when a fanin index is negative or out of range. *)
+
+val fanout_degree : fanout -> int -> int
+(** Number of (sink, port) edges the component drives. *)
 
 val digest : t -> string
 (** Stable content hash (hex) of the observable circuit: components are

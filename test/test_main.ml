@@ -10,6 +10,7 @@ let () =
       ("arith", Test_arith.suite);
       ("regs", Test_regs.suite);
       ("netlist", Test_netlist.suite);
+      ("levelize", Test_netlist.memo_suite);
       ("parallel", Test_parallel.suite);
       ("engine", Test_engine.suite);
       ("wide", Test_wide.suite);

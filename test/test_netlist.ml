@@ -24,6 +24,118 @@ let ripple_netlist n =
       (("cout", cout)
       :: List.mapi (fun i s -> (Printf.sprintf "s%d" i, s)) sums)
 
+(* The list-and-[Queue] levelization that [Levelize.compute] replaced,
+   kept as the reference its flat-array rewrite must match field for
+   field. *)
+let reference_levelize (nl : N.t) =
+  let n = N.size nl in
+  let levels = Array.make n (-1) in
+  let remaining = Array.make n 0 in
+  let fanout = Array.make n [] in
+  Array.iteri
+    (fun sink drivers ->
+      Array.iteri (fun port d -> fanout.(d) <- (sink, port) :: fanout.(d)) drivers)
+    nl.N.fanin;
+  let fanout = Array.map List.rev fanout in
+  let is_source i =
+    match nl.N.components.(i) with
+    | N.Inport _ | N.Constant _ | N.Dffc _ -> true
+    | _ -> false
+  in
+  let queue = Queue.create () in
+  for i = 0 to n - 1 do
+    if is_source i then begin
+      levels.(i) <- 0;
+      Queue.add i queue
+    end
+    else remaining.(i) <- Array.length nl.N.fanin.(i)
+  done;
+  let order = ref [] in
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    if not (is_source i) then order := i :: !order;
+    List.iter
+      (fun (sink, _) ->
+        match nl.N.components.(sink) with
+        | N.Dffc _ -> ()
+        | _ ->
+          remaining.(sink) <- remaining.(sink) - 1;
+          if levels.(i) + 1 > levels.(sink) then levels.(sink) <- levels.(i) + 1;
+          if remaining.(sink) = 0 then Queue.add sink queue)
+      fanout.(i)
+  done;
+  let cyclic = ref [] in
+  for i = n - 1 downto 0 do
+    if (not (is_source i)) && remaining.(i) > 0 then begin
+      levels.(i) <- -1;
+      cyclic := i :: !cyclic
+    end
+  done;
+  let critical = ref 0 in
+  Array.iteri
+    (fun i c ->
+      match c with
+      | N.Outport _ | N.Dffc _ ->
+        Array.iter (fun d -> critical := max !critical levels.(d)) nl.N.fanin.(i)
+      | _ -> ())
+    nl.N.components;
+  let order = Array.of_list (List.rev !order) in
+  let buckets = Array.make (Array.fold_left max 0 levels + 1) [] in
+  Array.iter (fun i -> buckets.(levels.(i)) <- i :: buckets.(levels.(i))) order;
+  {
+    L.levels;
+    order;
+    by_level = Array.map (fun l -> Array.of_list (List.rev l)) buckets;
+    critical_path = !critical;
+    cyclic = List.sort_uniq compare !cyclic;
+  }
+
+let same_levelization (a : L.t) (b : L.t) =
+  a.L.levels = b.L.levels && a.L.order = b.L.order && a.L.by_level = b.L.by_level
+  && a.L.critical_path = b.L.critical_path && a.L.cyclic = b.L.cyclic
+
+(* Random raw netlists: [inputs] inports, then one component per node,
+   then an outport on each of the last three nodes.  [shape] 0 draws
+   every gate and dff driver from lower indices (acyclic); 1 draws gate
+   drivers from any non-outport, self included (combinational cycles);
+   2 keeps the gates acyclic but points every dff at itself or at any
+   non-outport (dff feedback and self-loops). *)
+let gen_raw =
+  QCheck2.Gen.(
+    triple (int_bound 2) (int_range 1 4)
+      (list_size (int_range 0 40) (triple (int_bound 5) nat nat)))
+
+let raw_netlist (shape, inputs, nodes) =
+  let nodes = Array.of_list nodes in
+  let internal = inputs + Array.length nodes in
+  let n_out = min 3 internal in
+  let pick i r =
+    match shape with 1 -> r mod internal | _ -> r mod i
+  in
+  let node i (kind, a, b) =
+    match kind with
+    | 0 -> (N.Invc, [| pick i a |])
+    | 1 -> (N.And2c, [| pick i a; pick i b |])
+    | 2 -> (N.Or2c, [| pick i a; pick i b |])
+    | 3 -> (N.Xor2c, [| pick i a; pick i b |])
+    | 4 when shape = 2 -> (N.Dffc (b land 1 = 1), [| (if a land 1 = 0 then i else a mod internal) |])
+    | 4 -> (N.Dffc (b land 1 = 1), [| pick i a |])
+    | _ -> (N.Constant (a land 1 = 1), [||])
+  in
+  let comps =
+    Array.init (internal + n_out) (fun i ->
+        if i < inputs then (N.Inport (Printf.sprintf "i%d" i), [||])
+        else if i < internal then node i nodes.(i - inputs)
+        else (N.Outport (Printf.sprintf "o%d" (i - internal)), [| internal - 1 - (i - internal) |]))
+  in
+  {
+    N.components = Array.map fst comps;
+    fanin = Array.map snd comps;
+    names = Array.make (Array.length comps) [];
+    inputs = List.init inputs (fun i -> (Printf.sprintf "i%d" i, i));
+    outputs = List.init n_out (fun j -> (Printf.sprintf "o%d" j, internal + j));
+  }
+
 let suite =
   [
     tc "fig1: component inventory" (fun () ->
@@ -88,15 +200,32 @@ let suite =
     tc "fanout is inverse of fanin" (fun () ->
         let nl = ripple_netlist 4 in
         let fo = N.fanout nl in
+        let drives drv sink port =
+          let found = ref false in
+          for e = fo.N.off.(drv) to fo.N.off.(drv + 1) - 1 do
+            if fo.N.sink.(e) = sink && fo.N.port.(e) = port then found := true
+          done;
+          !found
+        in
         let ok = ref true in
         Array.iteri
           (fun sink drivers ->
             Array.iteri
-              (fun port drv ->
-                if not (List.mem (sink, port) fo.(drv)) then ok := false)
+              (fun port drv -> if not (drives drv sink port) then ok := false)
               drivers)
           nl.N.fanin;
-        check_bool "consistent" true !ok);
+        check_bool "consistent" true !ok;
+        (* one edge per fanin entry, each row ascending by (sink, port) *)
+        let edges = Array.fold_left (fun a fi -> a + Array.length fi) 0 nl.N.fanin in
+        check_int "edges" edges (Array.length fo.N.sink);
+        check_int "offsets" (N.size nl + 1) (Array.length fo.N.off);
+        for d = 0 to N.size nl - 1 do
+          for e = fo.N.off.(d) + 1 to fo.N.off.(d + 1) - 1 do
+            if compare (fo.N.sink.(e - 1), fo.N.port.(e - 1)) (fo.N.sink.(e), fo.N.port.(e)) >= 0
+            then ok := false
+          done
+        done;
+        check_bool "rows ascending" true !ok);
     tc "dot output mentions every component" (fun () ->
         let nl = fig1_netlist () in
         let dot = F.to_dot nl in
@@ -167,4 +296,65 @@ let suite =
     tc "stats string" (fun () ->
         let s = F.stats_string (fig1_netlist ()) in
         check_bool "nonempty" true (String.length s > 0));
+    qc ~count:500 "levelize: flat-array compute = list-and-Queue reference; memo per value"
+      gen_raw (fun raw ->
+        let nl = raw_netlist raw in
+        let t = L.compute nl in
+        let copy = { nl with N.names = nl.N.names } in
+        N.validate nl = Ok ()
+        && same_levelization t (reference_levelize nl)
+        && L.of_netlist nl == L.of_netlist nl
+        && same_levelization (L.of_netlist nl) t
+        && L.of_netlist copy != L.of_netlist nl
+        && same_levelization (L.of_netlist copy) t);
+    tc "levelize: a bad fanin index names the component, port and driver" (fun () ->
+        let nl = fig1_netlist () in
+        let fanin = Array.map Array.copy nl.N.fanin in
+        let and2 = ref (-1) in
+        Array.iteri (fun i c -> if c = N.And2c then and2 := i) nl.N.components;
+        let bad = { nl with N.fanin } in
+        let expect what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument m ->
+            check_string what
+              (Printf.sprintf
+                 "Netlist.fanout: component %d (and2) port 1: driver index %d out of \
+                  range 0..4"
+                 !and2 fanin.(!and2).(1))
+              m
+        in
+        fanin.(!and2).(1) <- 7;
+        expect "fanout" (fun () -> N.fanout bad);
+        expect "compute" (fun () -> L.compute bad);
+        expect "check" (fun () -> L.check bad);
+        fanin.(!and2).(1) <- -1;
+        expect "negative index" (fun () -> N.fanout bad));
+  ]
+
+(* [Levelize.of_netlist] from every member of a team at once, on one
+   shared netlist and on fresh ones, each result equal to a direct
+   [compute].  Each round shares a new netlist, so the members race on
+   an empty memo entry, and the fresh copies evict each other's. *)
+let memo_suite =
+  [
+    tc "of_netlist from concurrent team members = compute" (fun () ->
+        let base = ripple_netlist 24 in
+        let want = L.compute base in
+        let pool = Hydra_parallel.Pool.create ~domains:4 () in
+        let members = Hydra_parallel.Pool.size pool in
+        Fun.protect
+          ~finally:(fun () -> Hydra_parallel.Pool.shutdown pool)
+          (fun () ->
+            for _ = 1 to 20 do
+              let shared = { base with N.names = base.N.names } in
+              let ok = Array.make members false in
+              Hydra_parallel.Pool.run_team pool (fun m ->
+                  let fresh = { base with N.names = base.N.names } in
+                  ok.(m) <-
+                    same_levelization (L.of_netlist shared) want
+                    && same_levelization (L.of_netlist fresh) want
+                    && same_levelization (L.of_netlist shared) want);
+              check_bool "every result = compute" true (Array.for_all Fun.id ok)
+            done));
   ]

@@ -606,7 +606,9 @@ let suite =
         let rec visit i =
           if not inside.(i) then begin
             inside.(i) <- true;
-            List.iter (fun (r, _) -> visit r) readers.(i)
+            for e = readers.N.off.(i) to readers.N.off.(i + 1) - 1 do
+              visit readers.N.sink.(e)
+            done
           end
         in
         Array.iter visit sites;
