@@ -2,23 +2,24 @@
 
    The robustness question the paper's section 4.2 motivates — how does
    the design behave under conditions you did not intend? — answered at
-   engine speed: lane 0 of a word-parallel engine runs the golden
-   circuit while every other lane runs a distinct fault, injected at
-   runtime through per-lane force masks instead of per-fault netlist
-   rewriting and recompilation.  The engine is a K-word {!Slab}: 61
-   faults per pass at the default k = 1 ([`Wide]), 62*K - 1 with
-   [~engine:(`Slab k)].  Fault lists larger than one engine pass chunk
-   over {!Scheduler.run_tasks}, so the peak rate is (lanes - 1) x
-   domains faults per settle pass.  A chunk starts at its first upset
-   and drops its faults part-way once their verdicts are final (see
-   "Fault dropping" below), and a chunk whose faults can reach only a
-   small part of the circuit settles just that part (see "Cone
-   restriction").
+   engine speed: lane 0 of a K-word {!Slab} runs the golden circuit
+   while each of its other 62*K - 1 lanes runs a distinct fault,
+   injected through per-lane force masks instead of per-fault netlist
+   rewriting and recompilation (K = 1 for [`Wide]).  Every fault is
+   classified against the golden lane: detected (an observable output
+   diverged, with detection latency), latent (outputs never diverged but
+   some dff's final state did) or masked (no divergence at all).
 
-   Every fault is classified against the golden lane:
-   - detected: an observable output diverged (with detection latency),
-   - latent: outputs never diverged but some dff's final state did,
-   - masked: no divergence at all.
+   [run] has four parts.  The planner ([plan]) validates the input and
+   fixes what no chunk changes.  The golden prefix ([golden_prefix])
+   runs the fault-free circuit once, for the state at each round-0
+   chunk's first upset and, when some chunk can settle as a cone, the
+   golden trace of the window.  A chunk ([run_chunk]) runs one job of up
+   to 62*K - 1 faults on the whole circuit or on its faults' cone (see
+   "Cone restriction") and stops part-way once half its verdicts are
+   final (see "Fault dropping").  The rounds fan each round's jobs out
+   over {!Scheduler.run_tasks}, (lanes - 1) x domains faults per settle
+   pass, and pack the survivors of stopped chunks into the next round.
 
    The engines are built with [~optimize:false ~relayout:false
    ~fuse:false] so component indices in force sites match the caller's
@@ -80,28 +81,20 @@ let fault_name nl fault =
    (site ascending, stuck-at-0 before stuck-at-1) so reports line up
    with the legacy coverage API. *)
 
-let all_stuck_at nl =
-  let fs = ref [] in
-  Array.iteri
-    (fun i comp ->
-      match comp with
-      | Netlist.Invc | Netlist.And2c | Netlist.Or2c | Netlist.Xor2c
-      | Netlist.Dffc _ ->
-        fs :=
-          Stuck_at { site = i; value = true }
-          :: Stuck_at { site = i; value = false }
-          :: !fs
-      | Netlist.Inport _ | Netlist.Outport _ | Netlist.Constant _ -> ())
-    nl.Netlist.components;
-  List.rev !fs
+(* the components [f] accepts, by ascending index *)
+let sites_where f nl =
+  List.filter (fun i -> f nl.Netlist.components.(i)) (List.init (Netlist.size nl) Fun.id)
 
-let dff_sites nl =
-  let ds = ref [] in
-  Array.iteri
-    (fun i comp ->
-      match comp with Netlist.Dffc _ -> ds := i :: !ds | _ -> ())
-    nl.Netlist.components;
-  List.rev !ds
+let all_stuck_at nl =
+  List.concat_map
+    (fun site -> [ Stuck_at { site; value = false }; Stuck_at { site; value = true } ])
+    (sites_where
+       (function
+         | Netlist.Invc | Netlist.And2c | Netlist.Or2c | Netlist.Xor2c | Netlist.Dffc _ -> true
+         | Netlist.Inport _ | Netlist.Outport _ | Netlist.Constant _ -> false)
+       nl)
+
+let dff_sites = sites_where (function Netlist.Dffc _ -> true | _ -> false)
 
 let all_seu ?(at_cycle = 0) nl =
   List.map (fun site -> Seu { site; at_cycle }) (dff_sites nl)
@@ -150,11 +143,7 @@ let random_stimulus ~seed ~cycles nl =
    chunks that resume from the migrated state.  The state that carries
    across a cycle boundary lives in the dffs and — because a flip mask
    on a site nothing re-drives accumulates — the constants; every other
-   component is recomputed by the next settle.
-
-   Round 0 skips the fault-free prefix too: a chunk of SEUs starts at
-   its earliest upset, from golden snapshots that one shared prefix run
-   takes before the round. *)
+   component is recomputed by the next settle. *)
 
 (* A chunk's work order: caller fault [j_faults.(k)] rides lane k+1.
    The chunk starts at cycle [j_start] with every state site at the
@@ -230,13 +219,64 @@ let pack ~per_chunk survivors =
   done;
   Array.of_list (List.rev !jobs)
 
-let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
-    ?(status_outputs = []) ?deadline ?retry ?admission ?chaos
-    nl ~faults ~stimulus ~cycles =
-  (match (scheduler, domains) with
-  | Some _, Some _ ->
-    invalid_arg "Campaign.run: pass either ?scheduler or ?domains, not both"
-  | _ -> ());
+(* Lane 0 is the golden lane: [golden w0] spreads bit 0 of a site's word
+   0 across a whole word, so [word lxor golden w0] marks the lanes that
+   differ from it. *)
+let golden w0 = -(w0 land 1)
+
+(* Lane [k] of a chunk is global lane [k + 1]. *)
+let word_of k = (k + 1) / Packed.lanes
+let bit_of k = 1 lsl ((k + 1) mod Packed.lanes)
+
+(* flip lane [k]'s bit of [site] *)
+let flip sim site k =
+  Slab.poke_word sim site (word_of k) (Slab.peek_word sim site (word_of k) lxor bit_of k)
+
+(* [search wit n w m bits] is the set of lanes in [m] (engine word [w])
+   for which [bits i w] has a set bit at some state site [i < n].  [wit]
+   remembers, per global lane, the site that last showed one: it is
+   tried first, and the sweep over the sites stops once every lane of
+   [m] is found, so a lane that stays different costs one probe per
+   call and only a lane that shows nothing costs a full sweep. *)
+let search wit n w m bits =
+  let found = ref 0 in
+  iter_lanes
+    (fun k ->
+      let i = wit.(k + 1) in
+      if i < n then found := !found lor (bits i w land bit_of k))
+    w m;
+  let rest = ref (m land lnot !found) and i = ref 0 in
+  while !rest <> 0 && !i < n do
+    let x = bits !i w land !rest in
+    if x <> 0 then begin
+      iter_lanes (fun k -> wit.(k + 1) <- !i) w x;
+      found := !found lor x;
+      rest := !rest lxor x
+    end;
+    incr i
+  done;
+  !found
+
+(* The planner's record: what no chunk changes.  [streams] holds one
+   broadcast word per cycle of each input; [state_sites] are the dffs,
+   then the constants, with their [power_up] words; [dff_inputs] drive
+   the dffs; [const_from] is the first cycle from which every input word
+   stays constant to the end of the [window]. *)
+type plan = {
+  nl : Netlist.t;
+  faults : fault array;
+  window : int;
+  streams : (int * int array) array;
+  compare_sites : (string * int) array;
+  status_sites : (string * int) array;
+  state_sites : int array;
+  power_up : int array;
+  dff_inputs : int array;
+  const_from : int;
+  droppable : bool;
+}
+
+let plan nl ~faults ~stimulus ~cycles ~status_outputs =
   if cycles < 0 then
     invalid_arg
       (Printf.sprintf "Campaign.run: ~cycles %d is negative" cycles);
@@ -269,7 +309,6 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
       if not (List.mem_assoc name nl.Netlist.inputs) then
         invalid_arg ("Campaign.run: stimulus for unknown input " ^ name))
     stimulus;
-  (* one broadcast word per cycle per declared input *)
   let streams =
     Array.of_list
       (List.map
@@ -293,438 +332,459 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
            | None -> invalid_arg ("Campaign.run: unknown status output " ^ name))
          status_outputs)
   in
-  let compare_sites =
-    Array.of_list
-      (List.filter
-         (fun (name, _) -> not (List.mem name status_outputs))
-         nl.Netlist.outputs)
-  in
-  let dffs = Array.of_list (dff_sites nl) in
-  let state_sites =
-    let consts = ref [] in
-    Array.iteri
-      (fun i c ->
-        match c with Netlist.Constant _ -> consts := i :: !consts | _ -> ())
-      nl.Netlist.components;
-    Array.append dffs (Array.of_list (List.rev !consts))
-  in
-  let power_up =
-    Array.map
-      (fun site ->
-        match nl.Netlist.components.(site) with
-        | Netlist.Dffc b | Netlist.Constant b -> -Bool.to_int b
-        | _ -> assert false)
-      state_sites
-  in
-  (* a status flag must be sampled over the whole window on every lane,
-     detected or not, so status campaigns never drop, resolve early or
-     skip the prefix *)
-  let droppable = status_sites = [||] in
-  let faults_arr = Array.of_list faults in
-  let nfaults = Array.length faults_arr in
-  let results = Array.make (max nfaults 1) None in
-  let chunk_cycles = ref 0 and chunks = ref 0 and cone_chunks = ref 0 in
-  let emit fi classification status =
-    let fault = faults_arr.(fi) in
-    results.(fi) <-
-      Some { fault; name = fault_name nl fault; classification; status }
-  in
-  let ndffs = Array.length dffs and nstate = Array.length state_sites in
-  let dff_inputs = Array.map (fun d -> nl.Netlist.fanin.(d).(0)) dffs in
-  (* the first cycle from which every input word stays constant to the
-     end of the window *)
-  let const_from =
-    Array.fold_left
-      (fun acc (_, svs) ->
-        let c = ref (cycles - 1) in
-        while !c > 0 && svs.(!c - 1) = svs.(cycles - 1) do
-          decr c
-        done;
-        max acc !c)
-      0 streams
-  in
-  let drive sim c =
-    for i = 0 to Array.length streams - 1 do
-      let site, svs = streams.(i) in
-      let v = svs.(c) in
-      for w = 0 to Slab.k sim - 1 do
-        Slab.poke_word sim site w v
-      done
-    done
-  in
-  (* every state site at the golden word [golden.(i)], no forces; a
-     settle recomputes every other component from the state, the inputs
-     and the forces *)
-  let load sim golden =
-    Slab.clear_forces sim;
-    Array.iteri
-      (fun i g ->
-        for w = 0 to Slab.k sim - 1 do
-          Slab.poke_word sim state_sites.(i) w g
-        done)
-      golden
-  in
-  (* Cone restriction.  A fault can change only the components in its
-     fanout cone (driver-to-reader edges, through dffs).  A chunk whose
-     seeds — its fault sites and the state sites where a migrated lane
-     differs — have a cone of at most n/8 components settles only the
-     cone ({!Slab.settle_cone}), taking the values it reads from outside
-     (its frontier) from a golden trace.  Outside the cone every lane
-     equals the golden lane: the rest of the circuit is closed under
-     fan-in and holds no fault or difference.  So the chunk reads only
-     the cone's outputs, state and dff inputs, and takes a status flag
-     or state bit outside it from the trace; verdicts are unchanged.
+  let dffs = dff_sites nl in
+  let consts = sites_where (function Netlist.Constant _ -> true | _ -> false) nl in
+  let state_sites = Array.of_list (dffs @ consts) in
+  {
+    nl;
+    faults = Array.of_list faults;
+    window = cycles;
+    streams;
+    compare_sites =
+      Array.of_list
+        (List.filter
+           (fun (name, _) -> not (List.mem name status_outputs))
+           nl.Netlist.outputs);
+    status_sites;
+    state_sites;
+    power_up =
+      Array.map
+        (fun site ->
+          match nl.Netlist.components.(site) with
+          | Netlist.Dffc b | Netlist.Constant b -> -Bool.to_int b
+          | _ -> assert false)
+        state_sites;
+    dff_inputs = Array.of_list (List.map (fun d -> nl.Netlist.fanin.(d).(0)) dffs);
+    const_from =
+      Array.fold_left
+        (fun acc (_, svs) ->
+          let c = ref (cycles - 1) in
+          while !c > 0 && svs.(!c - 1) = svs.(cycles - 1) do
+            decr c
+          done;
+          max acc !c)
+        0 streams;
+    (* a status flag must be sampled over the whole window on every lane,
+       detected or not, so status campaigns never drop, resolve early or
+       skip the prefix *)
+    droppable = status_sites = [||];
+  }
 
-     The trace holds every component's settled golden bit at each
-     cycle ({!Slab.record_row}), and [quiet.(c)] tells whether the
-     golden run latches no change at cycle [c]'s tick.  The prefix task
-     records it, running to the end of the window, when some round-0
-     chunk of a campaign with two or more runs as a cone. *)
-  let trace = ref None and quiet = ref [||] in
-  (* component [comp]'s golden word at cycle [c], from the trace *)
-  let gold c comp =
-    match !trace with
-    | Some tr when Slab.golden_bit tr c comp -> Packed.lane_mask
-    | _ -> 0
+let drive p sim c =
+  Array.iter
+    (fun (site, svs) ->
+      for w = 0 to Slab.k sim - 1 do
+        Slab.poke_word sim site w svs.(c)
+      done)
+    p.streams
+
+(* every state site at the golden word [state.(i)], no forces; a settle
+   recomputes every other component from the state, the inputs and the
+   forces *)
+let load p sim state =
+  Slab.clear_forces sim;
+  Array.iteri
+    (fun i g ->
+      for w = 0 to Slab.k sim - 1 do
+        Slab.poke_word sim p.state_sites.(i) w g
+      done)
+    state
+
+(* Cone restriction.  A fault can change only the components in its
+   fanout cone (driver-to-reader edges, through dffs).  A chunk whose
+   seeds — its fault sites and the state sites where a migrated lane
+   differs — have a cone of at most n/8 components settles only the
+   cone ({!Slab.settle_cone}), taking the values it reads from outside
+   (its frontier) from a golden trace.  Outside the cone every lane
+   equals the golden lane: the rest of the circuit is closed under
+   fan-in and holds no fault or difference.  So the chunk reads only
+   the cone's outputs, state and dff inputs, and takes a status flag
+   or state bit outside it from the trace; verdicts are unchanged.
+
+   The trace holds every component's settled golden bit at each cycle
+   ({!Slab.record_row}), and [quiet.(c)] tells whether the golden run
+   latches no change at cycle [c]'s tick.  The prefix task records it,
+   running to the end of the window, when some round-0 chunk of a
+   campaign with two or more runs as a cone. *)
+type golden_trace = { trace : Slab.trace; quiet : bool array }
+
+(* The shared fault-free prefix: from power-up, the golden state at the
+   top of each round-0 start cycle (indexed by cycle, up to the latest),
+   and with [~traced] the golden trace of the whole window. *)
+let golden_prefix p sim ~starts ~traced =
+  let last = Array.fold_left max 0 starts in
+  let snaps = Array.make (last + 1) p.power_up in
+  let needed = Array.make (last + 1) false in
+  Array.iter (fun s -> needed.(s) <- true) starts;
+  let trace = if traced then Some (Slab.trace sim ~cycles:p.window) else None in
+  load p sim p.power_up;
+  let snap c =
+    if c <= last && needed.(c) then
+      snaps.(c) <-
+        Array.map (fun site -> golden (Slab.peek_word sim site 0)) p.state_sites
   in
-  (* The shared fault-free prefix: the golden state at the top of every
-     cycle [c <= last] with [needed.(c)], from power-up; with a trace to
-     record, the run goes on to the end of the window. *)
-  let golden_prefix sim needed snaps last =
-    load sim power_up;
-    let snap c =
-      if c <= last && needed.(c) then
-        snaps.(c) <-
-          Array.map (fun site -> -(Slab.peek_word sim site 0 land 1)) state_sites
-    in
-    let upto = if Option.is_some !trace then cycles else last in
-    for c = 0 to upto - 1 do
-      snap c;
-      drive sim c;
-      Slab.settle sim;
-      Option.iter (fun tr -> Slab.record_row sim tr c) !trace;
-      Slab.tick sim
-    done;
-    snap upto;
-    if Option.is_some !trace then
-      quiet :=
-        Array.init cycles (fun c ->
-            Array.for_all2 (fun d i -> gold c d = gold c i) dffs dff_inputs)
+  let upto = if traced then p.window else last in
+  for c = 0 to upto - 1 do
+    snap c;
+    drive p sim c;
+    Slab.settle sim;
+    Option.iter (fun tr -> Slab.record_row sim tr c) trace;
+    Slab.tick sim
+  done;
+  snap upto;
+  let dffs = Array.sub p.state_sites 0 (Array.length p.dff_inputs) in
+  let quiet trace c =
+    Array.for_all2
+      (fun d i -> Slab.golden_bit trace c d = Slab.golden_bit trace c i)
+      dffs p.dff_inputs
   in
-  let all_state = Array.init nstate Fun.id in
-  let run_chunk sim job =
-    (* fault j_faults.(k) rides global lane k+1 — word (k+1)/62, bit
-       (k+1) mod 62 — while word 0 bit 0 stays golden *)
-    let words = Slab.k sim in
-    let lane_faults = job.j_faults in
-    let count = Array.length lane_faults in
-    (* with a trace, the chunk's cone, if small enough (see "Cone
-       restriction") *)
-    let cone =
-      if Option.is_none !trace then None
-      else
-        let seeds =
-          Array.append
-            (Array.map (fun fi -> site_of faults_arr.(fi)) lane_faults)
-            (Array.map (fun i -> state_sites.(i)) (Array.concat (Array.to_list job.j_diff)))
-        in
-        Slab.fanout_cone sim seeds
-    in
-    let inside site = match cone with None -> true | Some c -> Slab.in_cone sim c site in
-    (* the state sites the chunk reads (their indices, dffs first, then
-       the sites with their dff inputs), and its compared outputs *)
-    let st_idx, st_sites, st_inputs, compare_sites =
-      match cone with
-      | None -> (all_state, state_sites, dff_inputs, compare_sites)
-      | Some _ ->
-        let keep f a = Array.of_list (List.filter f (Array.to_list a)) in
-        let idx = keep (fun i -> inside state_sites.(i)) all_state in
-        let cone_dffs = keep (fun i -> i < ndffs) idx in
-        ( idx,
-          Array.map (fun i -> state_sites.(i)) idx,
-          Array.map (fun i -> dff_inputs.(i)) cone_dffs,
-          keep (fun (_, o) -> inside o) compare_sites )
-    in
-    let ndffs = Array.length st_inputs and nstate = Array.length st_idx in
-    let word_of k = (k + 1) / Packed.lanes in
-    let bit_of k = 1 lsl ((k + 1) mod Packed.lanes) in
-    let live = Array.make words 0 in
-    for k = 0 to count - 1 do
-      live.(word_of k) <- live.(word_of k) lor bit_of k
-    done;
-    let start = job.j_start in
-    (* migrated state: golden words on every state site, then each
-       lane's own differing bits *)
-    load sim job.j_golden;
-    Array.iteri
-      (fun k diff ->
-        let wk = word_of k and bit = bit_of k in
-        Array.iter
-          (fun i ->
-            let site = state_sites.(i) in
-            Slab.poke_word sim site wk (Slab.peek_word sim site wk lxor bit))
-          diff)
-      job.j_diff;
-    (* a fault's masks accumulate in a force record (one word per engine
-       word) installed once; the slab keeps the arrays by reference, so
-       an intermittent fault re-seeds its flip mask per cycle in place *)
-    let forces = ref [] and seus = ref [] and inters = ref [] in
-    let force site =
-      {
-        Slab.f_site = site;
-        force0 = Array.make words 0;
-        force1 = Array.make words 0;
-        flip = Array.make words 0;
-      }
-    in
-    (* per word: SEU lanes, those whose upset is still to fire inside the
-       window, and intermittent lanes *)
-    let seu_lanes = Array.make words 0 in
-    let pending = Array.make words 0 in
-    let inter_lanes = Array.make words 0 in
-    (* stuck-at faults on one site (adjacent in [all_stuck_at] order)
-       share one force record: their lanes are disjoint *)
-    let last_stuck = ref None in
-    for k = 0 to count - 1 do
-      let wk = word_of k and bit = bit_of k in
-      match faults_arr.(lane_faults.(k)) with
-      | Stuck_at { site; value } ->
-        let p =
-          match !last_stuck with
-          | Some p when p.Slab.f_site = site -> p
-          | _ ->
-            let p = force site in
-            forces := p :: !forces;
-            last_stuck := Some p;
-            p
-        in
-        if value then p.Slab.force1.(wk) <- p.Slab.force1.(wk) lor bit
-        else p.Slab.force0.(wk) <- p.Slab.force0.(wk) lor bit
-      | Seu { site; at_cycle } ->
-        seu_lanes.(wk) <- seu_lanes.(wk) lor bit;
-        (* an upset before [start] is already in the migrated state, one
-           past the window never fires *)
-        if at_cycle >= start && at_cycle < cycles then begin
-          seus := (at_cycle, site, wk, bit) :: !seus;
-          pending.(wk) <- pending.(wk) lor bit
-        end
-      | Intermittent { site; rate; seed } ->
-        inter_lanes.(wk) <- inter_lanes.(wk) lor bit;
-        let p = force site in
-        forces := p :: !forces;
-        (* seeded per fault, not per chunk, so results are independent of
-           how faults land on chunks and members; a resumed chunk replays
-           the draws of the cycles already simulated *)
-        let st = Random.State.make [| seed; site |] in
-        for _ = 1 to start do
-          ignore (Random.State.float st 1.0)
-        done;
-        inters := (p, wk, bit, rate, st) :: !inters
-    done;
-    Slab.set_forces sim (Array.of_list (List.rev !forces));
-    let seus = !seus and inters = !inters in
-    let injection k =
-      match faults_arr.(lane_faults.(k)) with
-      | Seu { at_cycle; _ } -> at_cycle
-      | Stuck_at _ | Intermittent _ -> 0
-    in
-    let verdict = Array.make (max count 1) None in
-    let unres = Array.copy live in
-    let n_unres = ref count in
-    let status_acc = Array.make_matrix (max (Array.length status_sites) 1) words 0 in
-    (* [search wit n w m bits] is the set of lanes in [m] (engine word
-       [w]) for which [bits i w] has a set bit at some state site
-       [i < n].  [wit] remembers, per global lane, the site that last
-       showed one: it is tried first, and the sweep over the sites stops
-       once every lane of [m] is found, so a lane that stays different
-       costs one probe per call and only a lane that shows nothing costs
-       a full sweep. *)
-    let search wit n w m bits =
-      let found = ref 0 in
-      iter_lanes
-        (fun k ->
-          let i = wit.(k + 1) in
-          if i < n then found := !found lor (bits i w land bit_of k))
-        w m;
-      let rest = ref (m land lnot !found) and i = ref 0 in
-      while !rest <> 0 && !i < n do
-        let x = bits !i w land !rest in
-        if x <> 0 then begin
-          iter_lanes (fun k -> wit.(k + 1) <- !i) w x;
-          found := !found lor x;
-          rest := !rest lxor x
-        end;
-        incr i
-      done;
-      !found
-    in
-    (* lanes whose state site [i] differs from the golden lane's *)
-    let differs i w =
-      let site = st_sites.(i) in
-      Slab.peek_word sim site w lxor -(Slab.peek_word sim site 0 land 1)
-    in
-    (* after a settle: lanes whose dff [i] latches a new value at the tick *)
-    let latches i w =
-      Slab.peek_word sim st_sites.(i) w lxor Slab.peek_word sim st_inputs.(i) w
-    in
-    (* witnesses by global lane, the golden lane's at index 0 *)
-    let diff_wit = Array.make (Packed.lanes * words) 0 in
-    let latch_wit = Array.make (Packed.lanes * words) 0 in
-    (* The one verdict of an undetected lane whose outputs can no longer
-       diverge from the golden lane's — at the end of the window, or
-       earlier by reconvergence or a fixed point: latent if some dff's
-       state differs from the golden lane's, masked otherwise.  Only the
-       state counts — an upset that the circuit heals (e.g. an ECC
-       reload) is masked. *)
-    let resolve w mask =
-      let m = mask land unres.(w) in
-      if m <> 0 then begin
-        let latent = search diff_wit ndffs w m differs in
-        iter_lanes
-          (fun k ->
-            verdict.(k) <-
-              Some (if latent land bit_of k <> 0 then Latent else Masked);
-            decr n_unres)
-          w m;
-        unres.(w) <- unres.(w) lxor m
-      end
-    in
-    let fixed = Array.make words 0 in
-    let stop = ref (-1) and cycle = ref start in
-    while !cycle < cycles && !stop < 0 do
-      let c = !cycle in
-      drive sim c;
-      List.iter
-        (fun (at, site, wk, bit) ->
-          if at = c then begin
-            Slab.poke_word sim site wk (Slab.peek_word sim site wk lxor bit);
-            pending.(wk) <- pending.(wk) lxor bit
-          end)
-        seus;
-      List.iter
-        (fun (p, wk, bit, rate, st) ->
-          p.Slab.flip.(wk) <- (if Random.State.float st 1.0 < rate then bit else 0))
-        inters;
+  (snaps, Option.map (fun trace -> { trace; quiet = Array.init p.window (quiet trace) }) trace)
+
+(* What a chunk reads: the whole circuit or its seeds' cone (see "Cone
+   restriction").  [v_state] indexes the state sites inside, dffs first,
+   at [v_sites], with the dffs' [v_inputs].  [v_word c site w] is engine
+   word [w] of [site] at cycle [c]: the trace's outside the view, where
+   every lane is golden. *)
+type view = {
+  v_cone : bool;
+  v_settle : int -> unit;
+  v_state : int array;
+  v_sites : int array;
+  v_inputs : int array;
+  v_compared : (string * int) array;
+  v_word : int -> int -> int -> int;
+}
+
+let view p golden_trace sim job =
+  let cone =
+    Option.bind golden_trace (fun g ->
+        Slab.fanout_cone sim
+          (Array.append
+             (Array.map (fun fi -> site_of p.faults.(fi)) job.j_faults)
+             (Array.map (fun i -> p.state_sites.(i)) (Array.concat (Array.to_list job.j_diff))))
+        |> Option.map (fun cn -> (cn, g.trace)))
+  in
+  let inside site =
+    match cone with Some (cn, _) -> Slab.in_cone sim cn site | None -> true
+  in
+  let keep f a = Array.of_list (List.filter f (Array.to_list a)) in
+  let state =
+    keep (fun i -> inside p.state_sites.(i)) (Array.init (Array.length p.state_sites) Fun.id)
+  in
+  let ndffs = Array.length p.dff_inputs in
+  {
+    v_cone = Option.is_some cone;
+    v_settle =
       (match cone with
-      | Some cn -> Slab.settle_cone sim cn (Option.get !trace) c
-      | None -> Slab.settle sim);
-      (if !n_unres > 0 then
-         for o = 0 to Array.length compare_sites - 1 do
-           let oname, osite = compare_sites.(o) in
-           (* golden is word 0, bit 0, sign-extended across every word:
-              set bits = lanes that differ from the golden lane *)
-           let gext = -(Slab.peek_word sim osite 0 land 1) in
-           for w = 0 to words - 1 do
-             let diff = (Slab.peek_word sim osite w lxor gext) land unres.(w) in
-             if diff <> 0 then begin
-               iter_lanes
-                 (fun k ->
-                   verdict.(k) <-
-                     Some
-                       (Detected
-                          { latency = c - injection k; cycle = c; output = oname });
-                   decr n_unres)
-                 w diff;
-               unres.(w) <- unres.(w) lxor diff
-             end
-           done
-         done);
-      for si = 0 to Array.length status_sites - 1 do
-        let ssite = snd status_sites.(si) in
-        for w = 0 to words - 1 do
-          status_acc.(si).(w) <-
-            status_acc.(si).(w)
-            lor
-            if inside ssite then Slab.peek_word sim ssite w
-            else gold c ssite
-        done
-      done;
-      (* fixed point: the inputs stay constant to the end of the window
-         and neither the golden lane nor the lane latches a change, so
-         every later cycle repeats this one; an intermittent or a pending
-         upset could still break it *)
-      Array.fill fixed 0 words 0;
-      if droppable && c >= const_from && c + 1 < cycles
-         && (match cone with
-            | Some _ -> !quiet.(c)
-            | None -> search latch_wit ndffs 0 1 latches = 0)
-      then
-        for w = 0 to words - 1 do
-          let m = unres.(w) land lnot (pending.(w) lor inter_lanes.(w)) in
-          fixed.(w) <- m land lnot (search latch_wit ndffs w m latches)
-        done;
-      Slab.tick sim;
-      (* reconverged: a fired upset whose every state site again equals
-         the golden lane's, so the lane is the golden run from here on *)
-      for w = 0 to words - 1 do
-        let r =
-          if droppable then unres.(w) land seu_lanes.(w) land lnot pending.(w)
-          else 0
-        in
-        resolve w
-          (fixed.(w) lor (r land lnot (search diff_wit nstate w r differs)))
-      done;
-      (* drop at half: at most half the starting lanes still unresolved *)
-      if droppable && c + 1 < cycles && 2 * !n_unres <= count then stop := c;
-      cycle := c + 1
-    done;
-    (* end of the window: every lane still unresolved gets its verdict
-       from the final state *)
-    if !stop < 0 then
-      for w = 0 to words - 1 do
-        resolve w (-1)
-      done;
-    let status_of wk bit =
-      Array.to_list
-        (Array.mapi
-           (fun si (sname, _) -> (sname, status_acc.(si).(wk) land bit <> 0))
-           status_sites)
-    in
-    for k = 0 to count - 1 do
-      match verdict.(k) with
-      | Some cls -> emit lane_faults.(k) cls (status_of (word_of k) (bit_of k))
-      | None -> ()
-    done;
-    let survivors =
-      if !n_unres > 0 then begin
-        (* dropped: hand the unresolved lanes' state to the next round *)
-        let golden =
-          Array.map
-            (fun site ->
-              if inside site then -(Slab.peek_word sim site 0 land 1)
-              else -(gold (!stop + 1) site land 1))
-            state_sites
-        in
-        let diffs = Array.make count [] in
-        Array.iter
-          (fun i ->
-            let site = state_sites.(i) and gext = golden.(i) in
-            for w = 0 to words - 1 do
-              iter_lanes
-                (fun k -> diffs.(k) <- i :: diffs.(k))
-                w
-                ((Slab.peek_word sim site w lxor gext) land unres.(w))
-            done)
-          st_idx;
-        let acc = ref [] in
-        for k = count - 1 downto 0 do
-          if Option.is_none verdict.(k) then
-            acc :=
-              {
-                s_fault = lane_faults.(k);
-                s_stop = !stop;
-                s_golden = golden;
-                s_diff = Array.of_list diffs.(k);
-              }
-              :: !acc
-        done;
-        !acc
-      end
-      else []
-    in
-    Slab.clear_forces sim;
-    (survivors, !cycle - start, Option.is_some cone)
+      | Some (cn, trace) -> fun c -> Slab.settle_cone sim cn trace c
+      | None -> fun _ -> Slab.settle sim);
+    v_state = state;
+    v_sites = Array.map (fun i -> p.state_sites.(i)) state;
+    v_inputs = Array.map (fun i -> p.dff_inputs.(i)) (keep (fun i -> i < ndffs) state);
+    v_compared = keep (fun (_, o) -> inside o) p.compare_sites;
+    v_word =
+      (fun c site w ->
+        match cone with
+        | Some (_, trace) when not (inside site) ->
+          if Slab.golden_bit trace c site then Packed.lane_mask else 0
+        | _ -> Slab.peek_word sim site w);
+  }
+
+(* Load a job's migrated state and install its faults.  Fills in per
+   lane the cycle its fault [strikes] (an upset's, else 0), and per
+   engine word the [live] lanes, [seu_lanes], lanes with an upset
+   [pending] inside the window and [inter_lanes]; returns the pending
+   upsets (cycle, site, lane) and each intermittent fault's force,
+   word, bit, rate and coin.  A fault's masks accumulate in a force
+   record installed once; the slab keeps its arrays by reference, so an
+   intermittent fault re-seeds its flip mask per cycle in place. *)
+let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
+  let words = Slab.k sim and start = job.j_start in
+  load p sim job.j_golden;
+  Array.iteri
+    (fun k diff -> Array.iter (fun i -> flip sim p.state_sites.(i) k) diff)
+    job.j_diff;
+  let force site =
+    {
+      Slab.f_site = site;
+      force0 = Array.make words 0;
+      force1 = Array.make words 0;
+      flip = Array.make words 0;
+    }
   in
+  let forces = ref [] and upsets = ref [] and coins = ref [] in
+  (* stuck-at faults on one site (adjacent in [all_stuck_at] order)
+     share one force record: their lanes are disjoint *)
+  let last_stuck = ref None in
+  for k = 0 to Array.length job.j_faults - 1 do
+    let wk = word_of k and bit = bit_of k in
+    live.(wk) <- live.(wk) lor bit;
+    match p.faults.(job.j_faults.(k)) with
+    | Stuck_at { site; value } ->
+      let f =
+        match !last_stuck with
+        | Some f when f.Slab.f_site = site -> f
+        | _ ->
+          let f = force site in
+          forces := f :: !forces;
+          last_stuck := Some f;
+          f
+      in
+      if value then f.Slab.force1.(wk) <- f.Slab.force1.(wk) lor bit
+      else f.Slab.force0.(wk) <- f.Slab.force0.(wk) lor bit
+    | Seu { site; at_cycle } ->
+      strikes.(k) <- at_cycle;
+      seu_lanes.(wk) <- seu_lanes.(wk) lor bit;
+      (* an upset before [start] is already in the migrated state, one
+         past the window never fires *)
+      if at_cycle >= start && at_cycle < p.window then begin
+        upsets := (at_cycle, site, k) :: !upsets;
+        pending.(wk) <- pending.(wk) lor bit
+      end
+    | Intermittent { site; rate; seed } ->
+      inter_lanes.(wk) <- inter_lanes.(wk) lor bit;
+      let f = force site in
+      forces := f :: !forces;
+      (* seeded per fault, not per chunk, so results are independent of
+         how faults land on chunks and members; a resumed chunk replays
+         the draws of the cycles already simulated *)
+      let st = Random.State.make [| seed; site |] in
+      for _ = 1 to start do
+        ignore (Random.State.float st 1.0)
+      done;
+      coins := (f, wk, bit, rate, st) :: !coins
+  done;
+  Slab.set_forces sim (Array.of_list (List.rev !forces));
+  (!upsets, !coins)
+
+(* The golden state at the top of cycle [c], and per lane of [unres] the
+   state sites where the lane differs from it: only sites inside the
+   view can. *)
+let migrate p v sim ~unres c =
+  let state = Array.map (fun site -> golden (v.v_word c site 0)) p.state_sites in
+  let diffs = Array.make (Packed.lanes * Slab.k sim) [] in
+  Array.iter
+    (fun i ->
+      for w = 0 to Slab.k sim - 1 do
+        iter_lanes
+          (fun k -> diffs.(k) <- i :: diffs.(k))
+          w
+          ((Slab.peek_word sim p.state_sites.(i) w lxor state.(i)) land unres.(w))
+      done)
+    v.v_state;
+  (state, diffs)
+
+(* A chunk's result: the verdicts of the lanes it resolved, by caller
+   fault index, the survivors it hands to the next round, the cycles it
+   simulated and whether it settled as a cone. *)
+type outcome = {
+  resolved : (int * verdict) list;
+  survivors : survivor list;
+  simulated : int;
+  coned : bool;
+}
+
+(* Run one job on [sim] from cycle [j_start] until the window ends or
+   the chunk drops at half (see "Fault dropping"). *)
+let run_chunk p golden_trace sim job =
+  let words = Slab.k sim and count = Array.length job.j_faults in
+  let v = view p golden_trace sim job in
+  let strikes = Array.make count 0 and unres = Array.make words 0 in
+  let seu_lanes = Array.make words 0 and pending = Array.make words 0 in
+  let inter_lanes = Array.make words 0 in
+  let upsets, coins = arm p sim job ~strikes ~live:unres ~seu_lanes ~pending ~inter_lanes in
+  let ndffs = Array.length v.v_inputs and nstate = Array.length v.v_state in
+  let cls = Array.make count None and n_unres = ref count in
+  let status_acc = Array.make_matrix (Array.length p.status_sites) words 0 in
+  (* lanes whose state site [i] differs from the golden lane's *)
+  let differs i w =
+    let site = v.v_sites.(i) in
+    Slab.peek_word sim site w lxor golden (Slab.peek_word sim site 0)
+  in
+  (* after a settle: lanes whose dff [i] latches a new value at the tick *)
+  let latches i w =
+    Slab.peek_word sim v.v_sites.(i) w lxor Slab.peek_word sim v.v_inputs.(i) w
+  in
+  (* witnesses by global lane, the golden lane's at index 0 *)
+  let diff_wit = Array.make (Packed.lanes * words) 0 in
+  let latch_wit = Array.make (Packed.lanes * words) 0 in
+  let decide w m f =
+    iter_lanes (fun k -> cls.(k) <- Some (f k); decr n_unres) w m;
+    unres.(w) <- unres.(w) lxor m
+  in
+  (* The one verdict of an undetected lane whose outputs can no longer
+     diverge from the golden lane's — at the end of the window, or
+     earlier by reconvergence or a fixed point: latent if some dff's
+     state differs from the golden lane's, masked otherwise.  Only the
+     state counts — an upset that the circuit heals (e.g. an ECC
+     reload) is masked. *)
+  let resolve w mask =
+    let m = mask land unres.(w) in
+    if m <> 0 then begin
+      let latent = search diff_wit ndffs w m differs in
+      decide w m (fun k -> if latent land bit_of k <> 0 then Latent else Masked)
+    end
+  in
+  let fixed = Array.make words 0 in
+  let stop = ref (-1) and cycle = ref job.j_start in
+  while !cycle < p.window && !stop < 0 do
+    let c = !cycle in
+    drive p sim c;
+    List.iter
+      (fun (at, site, k) ->
+        if at = c then begin
+          flip sim site k;
+          pending.(word_of k) <- pending.(word_of k) lxor bit_of k
+        end)
+      upsets;
+    List.iter
+      (fun (f, wk, bit, rate, st) ->
+        f.Slab.flip.(wk) <- (if Random.State.float st 1.0 < rate then bit else 0))
+      coins;
+    v.v_settle c;
+    if !n_unres > 0 then
+      Array.iter
+        (fun (output, osite) ->
+          let g = golden (Slab.peek_word sim osite 0) in
+          for w = 0 to words - 1 do
+            let diff = (Slab.peek_word sim osite w lxor g) land unres.(w) in
+            if diff <> 0 then
+              decide w diff (fun k ->
+                  Detected { latency = c - strikes.(k); cycle = c; output })
+          done)
+        v.v_compared;
+    Array.iteri
+      (fun si (_, ssite) ->
+        for w = 0 to words - 1 do
+          status_acc.(si).(w) <- status_acc.(si).(w) lor v.v_word c ssite w
+        done)
+      p.status_sites;
+    (* fixed point: the inputs stay constant to the end of the window
+       and neither the golden lane nor the lane latches a change, so
+       every later cycle repeats this one; an intermittent or a pending
+       upset could still break it.  With a trace, the golden lane's
+       latches are read from it: a cone holds only some of the dffs. *)
+    Array.fill fixed 0 words 0;
+    if p.droppable && c >= p.const_from && c + 1 < p.window
+       && (match golden_trace with
+          | Some g -> g.quiet.(c)
+          | None -> search latch_wit ndffs 0 1 latches = 0)
+    then
+      for w = 0 to words - 1 do
+        let m = unres.(w) land lnot (pending.(w) lor inter_lanes.(w)) in
+        fixed.(w) <- m land lnot (search latch_wit ndffs w m latches)
+      done;
+    Slab.tick sim;
+    (* reconverged: a fired upset whose every state site again equals
+       the golden lane's, so the lane is the golden run from here on *)
+    for w = 0 to words - 1 do
+      let r =
+        if p.droppable then unres.(w) land seu_lanes.(w) land lnot pending.(w)
+        else 0
+      in
+      resolve w (fixed.(w) lor (r land lnot (search diff_wit nstate w r differs)))
+    done;
+    (* drop at half: at most half the starting lanes still unresolved *)
+    if p.droppable && c + 1 < p.window && 2 * !n_unres <= count then stop := c;
+    cycle := c + 1
+  done;
+  (* end of the window: every lane still unresolved gets its verdict
+     from the final state *)
+  if !stop < 0 then
+    for w = 0 to words - 1 do
+      resolve w (-1)
+    done;
+  (* a dropped chunk hands its unresolved lanes to the next round *)
+  let state, diffs =
+    if !n_unres > 0 then migrate p v sim ~unres (!stop + 1) else ([||], [||])
+  in
+  let resolved, survivors =
+    List.partition_map
+      (fun k ->
+        let fi = job.j_faults.(k) in
+        match cls.(k) with
+        | Some classification ->
+          let fault = p.faults.(fi) and wk = word_of k and bit = bit_of k in
+          let status =
+            Array.to_list
+              (Array.mapi
+                 (fun si (name, _) -> (name, status_acc.(si).(wk) land bit <> 0))
+                 p.status_sites)
+          in
+          Left (fi, { fault; name = fault_name p.nl fault; classification; status })
+        | None ->
+          Right { s_fault = fi; s_stop = !stop; s_golden = state; s_diff = Array.of_list diffs.(k) })
+      (List.init count Fun.id)
+  in
+  Slab.clear_forces sim;
+  { resolved; survivors; simulated = !cycle - job.j_start; coned = v.v_cone }
+
+(* Round 0: chunk [c] of [ch] starts at its earliest injection cycle,
+   from the prefix's golden state there.  The trace costs one more
+   full-width golden run, so it is recorded only for two or more chunks,
+   one of which runs as a cone (the walks stop at the first that does,
+   and each stops past the bound). *)
+let first_round p ch exemplar =
+  let starts =
+    Array.init ch.Scheduler.count (fun c ->
+        let lo, hi = ch.Scheduler.bounds c in
+        let s = ref (if p.droppable then max_int else 0) in
+        for fi = lo to hi - 1 do
+          s :=
+            min !s
+              (match p.faults.(fi) with
+              | Seu { at_cycle; _ } -> min at_cycle (p.window - 1)
+              | Stuck_at _ | Intermittent _ -> 0)
+        done;
+        max 0 !s)
+  in
+  let traced =
+    p.window > 0 && ch.Scheduler.count >= 2
+    && Seq.exists
+         (fun c ->
+           let lo, hi = ch.Scheduler.bounds c in
+           let sites = Array.init (hi - lo) (fun x -> site_of p.faults.(lo + x)) in
+           Option.is_some (Slab.fanout_cone exemplar sites))
+         (Seq.init ch.Scheduler.count Fun.id)
+  in
+  (starts, traced)
+
+(* every fault is resolved by exactly one of the [outcomes] *)
+let tally p ~stimulus ~prefix_cycles outcomes =
+  let verdicts =
+    match List.concat_map (fun o -> o.resolved) outcomes with
+    | [] -> []
+    | (_, v0) :: _ as resolved ->
+      let by_fault = Array.make (Array.length p.faults) v0 in
+      List.iter (fun (fi, v) -> by_fault.(fi) <- v) resolved;
+      Array.to_list by_fault
+  in
+  let count is =
+    List.length (List.filter (fun v -> is v.classification) verdicts)
+  in
+  {
+    netlist = p.nl;
+    stimulus;
+    cycles = p.window;
+    total = Array.length p.faults;
+    detected = count (function Detected _ -> true | _ -> false);
+    latent = count (function Latent -> true | _ -> false);
+    masked = count (function Masked -> true | _ -> false);
+    verdicts;
+    chunk_cycles =
+      List.fold_left (fun acc o -> acc + o.simulated) prefix_cycles outcomes;
+    chunks = List.length outcomes;
+    cone_chunks = List.length (List.filter (fun o -> o.coned) outcomes);
+  }
+
+let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
+    ?(status_outputs = []) ?deadline ?retry ?admission ?chaos
+    nl ~faults ~stimulus ~cycles =
+  (match (scheduler, domains) with
+  | Some _, Some _ ->
+    invalid_arg "Campaign.run: pass either ?scheduler or ?domains, not both"
+  | _ -> ());
+  let p = plan nl ~faults ~stimulus ~cycles ~status_outputs in
   let k =
     match engine with
     | `Wide -> 1
@@ -748,151 +808,87 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
       | `Granted g -> Some (a, g)
       | `Shed -> raise (Resilience.Shed { job = "campaign" }))
   in
-  let k =
-    match acquired with
-    | Some (_, g) when g < Packed.lanes * k ->
-      max 1 (g / Packed.lanes)  (* degraded, not rejected *)
-    | _ -> k
+  (* degraded, not rejected *)
+  let words =
+    match acquired with Some (_, g) -> max 1 (min k (g / Packed.lanes)) | None -> k
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match acquired with
-      | Some (a, g) -> Resilience.release a ~lanes:g
-      | None -> ())
-    (fun () ->
-      (* lane 0 of every chunk is the golden run, hence [~reserved:1] *)
-      let ch = Scheduler.chunking ~reserved:1 ~lanes:(Packed.lanes * k) nfaults in
-      let nchunks = ch.Scheduler.count in
-      (* round 0 covers the caller's list in order, after the golden
-         prefix task when some chunk starts past cycle 0; each later
-         round packs the previous round's survivors.  Task ids run on
-         across the prefix and the rounds, so every task rolls its own
-         chaos fate. *)
-      let first_task = ref 0 in
-      let rounds exemplar exec =
-        let rec go jobs =
-          let n = Array.length jobs in
-          if n > 0 then begin
-            let out = Array.make n ([], 0, false) in
-            exec n (fun sim c -> out.(c) <- run_chunk sim jobs.(c));
-            first_task := !first_task + n;
-            chunks := !chunks + n;
-            Array.iter
-              (fun (_, cs, coned) ->
-                chunk_cycles := !chunk_cycles + cs;
-                if coned then incr cone_chunks)
-              out;
-            go
-              (pack ~per_chunk:ch.Scheduler.per_chunk
-                 (List.concat_map (fun (s, _, _) -> s) (Array.to_list out)))
-          end
-        in
-        (* a round-0 chunk starts at its earliest injection cycle, from
-           the golden state there: one shared prefix task simulates the
-           fault-free run up to the latest such cycle *)
-        let starts =
-          Array.init nchunks (fun c ->
-              let lo, hi = ch.Scheduler.bounds c in
-              let s = ref (if droppable then max_int else 0) in
-              for fi = lo to hi - 1 do
-                s :=
-                  min !s
-                    (match faults_arr.(fi) with
-                    | Seu { at_cycle; _ } -> min at_cycle (cycles - 1)
-                    | Stuck_at _ | Intermittent _ -> 0)
-              done;
-              max 0 !s)
-        in
-        let last = Array.fold_left max 0 starts in
-        let snaps = Array.make (last + 1) power_up in
-        (* the trace costs one more full-width golden run, so it is
-           recorded only for two or more round-0 chunks, one of which
-           runs as a cone (the walks stop at the first that does, and
-           each stops past the bound) *)
-        let traced =
-          cycles > 0 && nchunks >= 2
-          && Seq.exists
-               (fun c ->
-                 let lo, hi = ch.Scheduler.bounds c in
-                 let sites = Array.init (hi - lo) (fun x -> site_of faults_arr.(lo + x)) in
-                 Option.is_some (Slab.fanout_cone exemplar sites))
-               (Seq.init nchunks Fun.id)
-        in
-        if last > 0 || traced then begin
-          let needed = Array.make (last + 1) false in
-          Array.iter (fun s -> needed.(s) <- true) starts;
-          if traced then trace := Some (Slab.trace exemplar ~cycles);
-          exec 1 (fun sim _ -> golden_prefix sim needed snaps last);
-          first_task := !first_task + 1;
-          chunk_cycles := !chunk_cycles + if traced then cycles else last
-        end;
-        go
-          (Array.init nchunks (fun c ->
-               let lo, hi = ch.Scheduler.bounds c in
-               {
-                 j_faults = Array.init (hi - lo) (fun k -> lo + k);
-                 j_start = starts.(c);
-                 j_golden = snaps.(starts.(c));
-                 j_diff = [||];
-               }))
-      in
-      (* engines always compile with the identity passes (force sites
-         are caller-netlist component indices); [?cache] serves warm
-         replicas *)
-      let base () =
-        match cache with
-        | Some c ->
-          Cache.slab c ~k ~optimize:false ~relayout:false ~fuse:false nl
-        | None -> Slab.create ~k ~optimize:false ~relayout:false ~fuse:false nl
-      in
-      (* each round is one job on the team, its chunks running on the
-         claiming member's replica; a chaos injection point dresses
-         every chunk (a retry re-rolls its fate, and a chunk recomputes
-         its result slice from its job alone, so a rerun is
-         bit-identical) *)
-      let on_team sch =
-        let exemplar = base () in
-        let sh = Sharded.of_base ~scheduler:sch exemplar in
-        rounds exemplar (fun n task ->
+  let prefix_cycles, outcomes =
+    Fun.protect
+      ~finally:(fun () -> Option.iter (fun (a, g) -> Resilience.release a ~lanes:g) acquired)
+      (fun () ->
+        (* lane 0 of every chunk is the golden run, hence [~reserved:1] *)
+        let ch = Scheduler.chunking ~reserved:1 ~lanes:(Packed.lanes * words) (Array.length p.faults) in
+        let on_team sch =
+          (* engines always compile with the identity passes (force sites
+             are caller-netlist component indices); [?cache] serves warm
+             replicas *)
+          let exemplar =
+            match cache with
+            | Some c -> Cache.slab c ~k:words ~optimize:false ~relayout:false ~fuse:false nl
+            | None -> Slab.create ~k:words ~optimize:false ~relayout:false ~fuse:false nl
+          in
+          let sh = Sharded.of_base ~scheduler:sch exemplar in
+          (* tasks [first, first + n) as one job, each on the claiming
+             member's replica and dressed by a chaos injection point with
+             its own fate (a retry re-rolls it; a task recomputes its
+             result from its job alone, so a rerun is bit-identical) *)
+          let exec ~first n task =
             Scheduler.run_tasks sch ~name:"campaign" ?deadline:(remaining ())
               ?retry n (fun ~member c ->
-                (match chaos with
-                | Some p ->
-                  Chaos.inject p ~label:"campaign" ~task:(!first_task + c)
-                | None -> ());
-                task (Sharded.replica sh member) c))
-      in
-      if nchunks > 0 then
-        match scheduler with
-        | Some sch -> on_team sch
-        | None ->
-          let domains = if nchunks = 1 then Some 1 else domains in
-          let sch = Scheduler.create ?domains () in
-          Fun.protect
-            ~finally:(fun () -> Scheduler.shutdown sch)
-            (fun () -> on_team sch));
-  let verdicts =
-    List.init nfaults (fun i ->
-        match results.(i) with
-        | Some v -> v
-        | None -> assert false (* every fault is classified by some round *))
+                Option.iter (fun pl -> Chaos.inject pl ~label:"campaign" ~task:(first + c)) chaos;
+                task (Sharded.replica sh member) c)
+          in
+          let starts, traced = first_round p ch exemplar in
+          let last = Array.fold_left max 0 starts in
+          let prefixed = last > 0 || traced in
+          let snaps, golden_trace =
+            if prefixed then begin
+              let out = ref ([||], None) in
+              exec ~first:0 1 (fun sim _ -> out := golden_prefix p sim ~starts ~traced);
+              !out
+            end
+            else ([| p.power_up |], None)
+          in
+          (* each round runs its jobs, then packs their survivors *)
+          let rec rounds first jobs acc =
+            let n = Array.length jobs in
+            if n = 0 then acc
+            else begin
+              let out =
+                Array.make n { resolved = []; survivors = []; simulated = 0; coned = false }
+              in
+              exec ~first n (fun sim c -> out.(c) <- run_chunk p golden_trace sim jobs.(c));
+              let out = Array.to_list out in
+              rounds (first + n)
+                (pack ~per_chunk:ch.Scheduler.per_chunk
+                   (List.concat_map (fun o -> o.survivors) out))
+                (out @ acc)
+            end
+          in
+          ( (if traced then cycles else if prefixed then last else 0),
+            rounds (Bool.to_int prefixed)
+              (Array.init ch.Scheduler.count (fun c ->
+                   let lo, hi = ch.Scheduler.bounds c in
+                   {
+                     j_faults = Array.init (hi - lo) (fun k -> lo + k);
+                     j_start = starts.(c);
+                     j_golden = snaps.(starts.(c));
+                     j_diff = [||];
+                   }))
+              [] )
+        in
+        if ch.Scheduler.count = 0 then (0, [])
+        else
+          match scheduler with
+          | Some sch -> on_team sch
+          | None ->
+            let domains = if ch.Scheduler.count = 1 then Some 1 else domains in
+            let sch = Scheduler.create ?domains () in
+            Fun.protect
+              ~finally:(fun () -> Scheduler.shutdown sch)
+              (fun () -> on_team sch))
   in
-  let count p =
-    List.length (List.filter (fun v -> p v.classification) verdicts)
-  in
-  {
-    netlist = nl;
-    stimulus;
-    cycles;
-    total = nfaults;
-    detected = count (function Detected _ -> true | _ -> false);
-    latent = count (function Latent -> true | _ -> false);
-    masked = count (function Masked -> true | _ -> false);
-    verdicts;
-    chunk_cycles = !chunk_cycles;
-    chunks = !chunks;
-    cone_chunks = !cone_chunks;
-  }
+  tally p ~stimulus ~prefix_cycles outcomes
 
 let replay report fault =
   let status_outputs =

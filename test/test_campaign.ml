@@ -1075,4 +1075,56 @@ let suite =
              (C.summary_string r
              :: List.map (fun v -> "  " ^ C.verdict_to_string v) r.C.verdicts))
           (C.to_string r));
+    tc "campaign: chunk counters and reports are pinned" (fun () ->
+        (* how rounds pack chunks, which run as cones and how many cycles
+           they simulate, recorded before the planner/prefix/chunk split:
+           a change to the packing passes every verdict law, not this *)
+        let wallace n =
+          let module Wl = Hydra_circuits.Wallace.Make (G) in
+          let xs = List.init n (fun i -> G.input (Printf.sprintf "x%d" i)) in
+          let ys = List.init n (fun i -> G.input (Printf.sprintf "y%d" i)) in
+          N.of_graph
+            ~outputs:
+              (List.mapi (fun i p -> (Printf.sprintf "p%d" i, G.dff p)) (Wl.multw xs ys))
+        in
+        let campaign ?domains ?engine ?status_outputs nl faults cycles =
+          C.run ?domains ?engine ?status_outputs nl ~faults
+            ~stimulus:(C.random_stimulus ~seed:1 ~cycles nl) ~cycles
+        in
+        let cases =
+          [
+            ( "wallace:16 stuck-at, 2 domains",
+              (fun () ->
+                let nl = wallace 16 in
+                campaign ~domains:2 nl (C.all_stuck_at nl) 32),
+              "chunks=99 cone_chunks=21 chunk_cycles=551 json=695a181cec3d9030668eb775fd8c8d3b" );
+            ( "cpu:6 SEU at cycle 40",
+              (fun () ->
+                let nl = Hydra_cpu.Driver.system_netlist ~mem_bits:6 () in
+                campaign nl (C.all_seu ~at_cycle:40 nl) 64),
+              "chunks=25 cone_chunks=0 chunk_cycles=580 json=e80d7d88a40146ec1b693905f15d7bb0" );
+            ( "secded with status outputs",
+              (fun () ->
+                let nl = secded () in
+                campaign ~status_outputs:[ "single"; "double" ] nl
+                  (C.all_stuck_at nl @ C.all_seu ~at_cycle:3 nl)
+                  8),
+              "chunks=3 cone_chunks=0 chunk_cycles=24 json=dc45ab7cab97f0274c2594366d9c5441" );
+            ( "wallace:8 on `Slab 4",
+              (fun () ->
+                let nl = wallace 8 in
+                campaign ~engine:(`Slab 4) nl
+                  (C.all_stuck_at nl @ C.all_seu ~at_cycle:2 nl)
+                  16),
+              "chunks=8 cone_chunks=0 chunk_cycles=38 json=50ff87d691a5a9b804a9181edcee49d0" );
+          ]
+        in
+        List.iter
+          (fun (name, run, expected) ->
+            let r = run () in
+            check_string name expected
+              (Printf.sprintf "chunks=%d cone_chunks=%d chunk_cycles=%d json=%s"
+                 r.C.chunks r.C.cone_chunks r.C.chunk_cycles
+                 (Digest.to_hex (Digest.string (C.to_json r)))))
+          cases);
   ]
