@@ -1,6 +1,7 @@
 (* A test-bench DSL: declarative stimulus and expectations over named
-   ports, run on the compiled engine ({!run}) or batched over the lanes
-   of any word-parallel engine handle ({!run_batched}).
+   ports, batched over the lanes of any word-parallel engine handle
+   ({!run_batched}); {!run} is its one-case form on the reference
+   oracle.
 
    Paper section 6.4: "Hydra provides a set of tools for defining
    simulation drivers — functions that take inputs in a convenient form
@@ -58,81 +59,6 @@ let value_at stim t =
     let v = if n = 0 then 0 else List.nth vs (min t (n - 1)) in
     Hydra_core.Bitvec.of_int ~width:w v
   | Word_fun (_, w, f) -> Hydra_core.Bitvec.of_int ~width:w (f t)
-
-(* Run on the compiled engine. *)
-let run ~cycles ~stimuli ~expectations netlist =
-  let sim = Compiled.create netlist in
-  let out_names = List.map fst netlist.Netlist.outputs in
-  let traces = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace traces n []) out_names;
-  let failures = ref [] in
-  for t = 0 to cycles - 1 do
-    List.iter
-      (fun stim ->
-        List.iter2 (Compiled.set_input sim) (bit_port_names stim)
-          (value_at stim t))
-      stimuli;
-    Compiled.settle sim;
-    let outs = Compiled.outputs sim in
-    List.iter
-      (fun (n, v) -> Hashtbl.replace traces n (v :: Hashtbl.find traces n))
-      outs;
-    List.iter
-      (fun exp ->
-        match exp with
-        | Expect_bit { cycle; port; value } when cycle = t -> (
-            match List.assoc_opt port outs with
-            | Some got when got = value -> ()
-            | Some got ->
-              failures :=
-                {
-                  at_cycle = t;
-                  what = port;
-                  expected = string_of_bool value;
-                  got = string_of_bool got;
-                }
-                :: !failures
-            | None ->
-              failures :=
-                { at_cycle = t; what = port; expected = "port"; got = "missing" }
-                :: !failures)
-        | Expect_word { cycle; prefix; width; value } when cycle = t -> (
-            let bits =
-              List.init width (fun i ->
-                  List.assoc_opt (Printf.sprintf "%s%d" prefix i) outs)
-            in
-            if List.exists Option.is_none bits then
-              failures :=
-                {
-                  at_cycle = t;
-                  what = prefix;
-                  expected = "word ports";
-                  got = "missing";
-                }
-                :: !failures
-            else
-              let got =
-                Hydra_core.Bitvec.to_int (List.map Option.get bits)
-              in
-              if got <> value then
-                failures :=
-                  {
-                    at_cycle = t;
-                    what = prefix;
-                    expected = string_of_int value;
-                    got = string_of_int got;
-                  }
-                  :: !failures)
-        | Expect_bit _ | Expect_word _ -> ())
-      expectations;
-    Compiled.tick sim
-  done;
-  {
-    cycles_run = cycles;
-    failures = List.rev !failures;
-    observed =
-      List.map (fun n -> (n, List.rev (Hashtbl.find traces n))) out_names;
-  }
 
 (* Batched test benches on a lane-packed engine: up to [62 x words]
    independent cases (each its own stimuli + expectations over the same
@@ -267,6 +193,10 @@ let run_batched ?scheduler ?engine ?deadline ~cycles ~cases netlist =
     let sch = Scheduler.create ~domains:1 () in
     Fun.protect ~finally:(fun () -> Scheduler.shutdown sch) (fun () -> run sch));
   reports
+
+(* One case on the packed reference oracle. *)
+let run ~cycles ~stimuli ~expectations netlist =
+  (run_batched ~engine:Engine_intf.oracle ~cycles ~cases:[| (stimuli, expectations) |] netlist).(0)
 
 let report_string r =
   if passed r then Printf.sprintf "PASS (%d cycles)" r.cycles_run

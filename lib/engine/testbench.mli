@@ -37,7 +37,8 @@ val run :
   expectations:expectation list ->
   Hydra_netlist.Netlist.t ->
   report
-(** Run the bench for [cycles] cycles on the scalar {!Compiled} engine. *)
+(** Run the bench for [cycles] cycles: {!run_batched} of this one case
+    on the packed reference oracle ({!Engine_intf.oracle}). *)
 
 val run_batched :
   ?scheduler:Scheduler.t ->
@@ -57,8 +58,7 @@ val run_batched :
     {!Scheduler} job: with [?scheduler], on its shared team, each member
     on its own replica of the engine; otherwise on a private one-member
     scheduler.  Results are bit-identical in every mode.  Report [k]
-    matches what {!run} would return for case [k] on the compiled
-    engine.
+    matches what {!run} returns for case [k].
 
     [?deadline] bounds the whole batch in wall-clock seconds: the job
     carries it and times out at a chunk boundary, raising

@@ -75,23 +75,3 @@ let render signals =
       Buffer.add_string buf (Printf.sprintf "%-*s %s\n" name_width name line))
     signals;
   Buffer.contents buf
-
-(* Convenience: render a compiled-simulator run directly. *)
-let of_compiled_run sim ~inputs ~cycles =
-  let rows = Compiled.run sim ~inputs ~cycles in
-  let out_names = List.map fst (List.hd rows) in
-  let outs =
-    List.mapi
-      (fun i name -> Bit (name, List.map (fun row -> snd (List.nth row i)) rows))
-      out_names
-  in
-  let ins =
-    List.map
-      (fun (name, vals) ->
-        Bit
-          ( name,
-            List.init cycles (fun c ->
-                match List.nth_opt vals c with Some b -> b | None -> false) ))
-      inputs
-  in
-  render (ins @ outs)

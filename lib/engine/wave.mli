@@ -13,7 +13,3 @@ val of_bool_rows : names:string list -> bool list list -> signal list
 (** Per-cycle rows (in [names] order) to one bit trace per name. *)
 
 val render : signal list -> string
-
-val of_compiled_run :
-  Compiled.t -> inputs:(string * bool list) list -> cycles:int -> string
-(** Run a compiled simulation and render its inputs and outputs. *)

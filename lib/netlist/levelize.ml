@@ -158,45 +158,7 @@ let describe_cycle (nl : Netlist.t) cyc =
     String.concat " -> "
       (List.map (Netlist.describe nl) cyc @ [ Netlist.describe nl first ])
 
-(* Every engine and analysis levelizes the netlist it is handed, often
-   the same value several times over (lint, dataflow, compile, the
-   reference simulators), so memoize per physical netlist value.  As for
-   [Netlist.digest]'s memo: netlist values are only ever mutated while
-   being constructed (builders patch fresh arrays before publishing the
-   record), so physical identity implies content identity; the ephemeron
-   keeps the memo from outliving its netlist, and the lock makes it safe
-   from concurrent scheduler task bodies.  The result's arrays are
-   shared, so readers must not mutate them.
-
-   The memo is direct-mapped: one entry per slot of [Hashtbl.hash nl],
-   replaced by the next netlist that lands there.  An ephemeron hash
-   table keeps every entry whose netlist has the same bounded hash (all
-   copies of one circuit: rebuilt, fault-injected), and a lookup reads
-   the key of each, which marks it live for the current GC cycle; the
-   dead copies then never die.  With such a table, checking one
-   fault-injected wallace:64 copy per request on the reference
-   simulator took a process from 80 to 480 MB.  Here a lookup reads at
-   most one key.  64 slots suffice: over the 40 circuits of the
-   design-loop benchmark, 703 of 1,648 calls hit, and an unbounded memo
-   hits 712. *)
-let slots = 64
-let memo : (int * (Netlist.t, t) Ephemeron.K1.t) option array = Array.make slots None
-let memo_lock = Mutex.create ()
-
-let of_netlist nl =
-  let h = Hashtbl.hash nl in
-  let slot = h land (slots - 1) in
-  let cached () =
-    match memo.(slot) with
-    | Some (h', e) when h' = h -> Ephemeron.K1.query e nl
-    | _ -> None
-  in
-  match Mutex.protect memo_lock cached with
-  | Some t -> t
-  | None ->
-    let t = compute nl in
-    Mutex.protect memo_lock (fun () -> memo.(slot) <- Some (h, Ephemeron.K1.make nl t));
-    t
+let of_netlist = Netlist.memo compute
 
 let check nl =
   let t = of_netlist nl in

@@ -74,6 +74,16 @@ val fanout : t -> fanout
 val fanout_degree : fanout -> int -> int
 (** Number of (sink, port) edges the component drives. *)
 
+val memo : (t -> 'a) -> t -> 'a
+(** [memo f] is [f] memoized per physical netlist value, in 64
+    direct-mapped slots keyed by [Hashtbl.hash]: a second call on the
+    same value returns the same result without calling [f] again, unless
+    a netlist with a colliding hash was seen in between (a copy of the
+    same circuit always collides), and an entry lives no longer than its
+    netlist.  Safe to call from several domains at once.  A netlist must
+    not be mutated once published, and the shared results must not be
+    mutated either. *)
+
 val digest : t -> string
 (** Stable content hash (hex) of the observable circuit: components are
     renumbered canonically by a fanin-order traversal rooted at the

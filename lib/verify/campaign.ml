@@ -370,25 +370,20 @@ let plan nl ~faults ~stimulus ~cycles ~status_outputs =
     droppable = status_sites = [||];
   }
 
-let drive p sim c =
-  Array.iter
-    (fun (site, svs) ->
-      for w = 0 to Slab.k sim - 1 do
-        Slab.poke_word sim site w svs.(c)
-      done)
-    p.streams
+(* word [v] in every engine word of [site] *)
+let broadcast sim site v =
+  for w = 0 to Slab.k sim - 1 do
+    Slab.poke_word sim site w v
+  done
+
+let drive p sim c = Array.iter (fun (site, svs) -> broadcast sim site svs.(c)) p.streams
 
 (* every state site at the golden word [state.(i)], no forces; a settle
    recomputes every other component from the state, the inputs and the
    forces *)
 let load p sim state =
   Slab.clear_forces sim;
-  Array.iteri
-    (fun i g ->
-      for w = 0 to Slab.k sim - 1 do
-        Slab.poke_word sim p.state_sites.(i) w g
-      done)
-    state
+  Array.iteri (fun i g -> broadcast sim p.state_sites.(i) g) state
 
 (* Cone restriction.  A fault can change only the components in its
    fanout cone (driver-to-reader edges, through dffs).  A chunk whose
@@ -410,16 +405,15 @@ type golden_trace = { trace : Slab.trace; quiet : bool array }
 
 (* The shared fault-free prefix: from power-up, the golden state at the
    top of each round-0 start cycle (indexed by cycle, up to the latest),
-   and with [~traced] the golden trace of the whole window. *)
+   with [~traced] the golden trace of the whole window, and the cycles
+   simulated. *)
 let golden_prefix p sim ~starts ~traced =
   let last = Array.fold_left max 0 starts in
   let snaps = Array.make (last + 1) p.power_up in
-  let needed = Array.make (last + 1) false in
-  Array.iter (fun s -> needed.(s) <- true) starts;
   let trace = if traced then Some (Slab.trace sim ~cycles:p.window) else None in
   load p sim p.power_up;
   let snap c =
-    if c <= last && needed.(c) then
+    if Array.mem c starts then
       snaps.(c) <-
         Array.map (fun site -> golden (Slab.peek_word sim site 0)) p.state_sites
   in
@@ -438,17 +432,16 @@ let golden_prefix p sim ~starts ~traced =
       (fun d i -> Slab.golden_bit trace c d = Slab.golden_bit trace c i)
       dffs p.dff_inputs
   in
-  (snaps, Option.map (fun trace -> { trace; quiet = Array.init p.window (quiet trace) }) trace)
+  (snaps, Option.map (fun trace -> { trace; quiet = Array.init p.window (quiet trace) }) trace, upto)
 
 (* What a chunk reads: the whole circuit or its seeds' cone (see "Cone
-   restriction").  [v_state] indexes the state sites inside, dffs first,
-   at [v_sites], with the dffs' [v_inputs].  [v_word c site w] is engine
-   word [w] of [site] at cycle [c]: the trace's outside the view, where
-   every lane is golden. *)
+   restriction").  [v_sites] are the state sites inside, dffs first,
+   with the dffs' [v_inputs].  [v_word c site w] is engine word [w] of
+   [site] at cycle [c]: the trace's outside the view, where every lane
+   is golden. *)
 type view = {
   v_cone : bool;
   v_settle : int -> unit;
-  v_state : int array;
   v_sites : int array;
   v_inputs : int array;
   v_compared : (string * int) array;
@@ -456,39 +449,44 @@ type view = {
 }
 
 let view p golden_trace sim job =
-  let cone =
-    Option.bind golden_trace (fun g ->
-        Slab.fanout_cone sim
-          (Array.append
-             (Array.map (fun fi -> site_of p.faults.(fi)) job.j_faults)
-             (Array.map (fun i -> p.state_sites.(i)) (Array.concat (Array.to_list job.j_diff))))
-        |> Option.map (fun cn -> (cn, g.trace)))
+  let full =
+    {
+      v_cone = false;
+      v_settle = (fun _ -> Slab.settle sim);
+      v_sites = p.state_sites;
+      v_inputs = p.dff_inputs;
+      v_compared = p.compare_sites;
+      v_word = (fun _ site w -> Slab.peek_word sim site w);
+    }
   in
-  let inside site =
-    match cone with Some (cn, _) -> Slab.in_cone sim cn site | None -> true
+  let cone g =
+    Slab.fanout_cone sim
+      (Array.append
+         (Array.map (fun fi -> site_of p.faults.(fi)) job.j_faults)
+         (Array.map (fun i -> p.state_sites.(i)) (Array.concat (Array.to_list job.j_diff))))
+    |> Option.map (fun cn -> (g.trace, cn))
   in
-  let keep f a = Array.of_list (List.filter f (Array.to_list a)) in
-  let state =
-    keep (fun i -> inside p.state_sites.(i)) (Array.init (Array.length p.state_sites) Fun.id)
-  in
-  let ndffs = Array.length p.dff_inputs in
-  {
-    v_cone = Option.is_some cone;
-    v_settle =
-      (match cone with
-      | Some (cn, trace) -> fun c -> Slab.settle_cone sim cn trace c
-      | None -> fun _ -> Slab.settle sim);
-    v_state = state;
-    v_sites = Array.map (fun i -> p.state_sites.(i)) state;
-    v_inputs = Array.map (fun i -> p.dff_inputs.(i)) (keep (fun i -> i < ndffs) state);
-    v_compared = keep (fun (_, o) -> inside o) p.compare_sites;
-    v_word =
-      (fun c site w ->
-        match cone with
-        | Some (_, trace) when not (inside site) ->
-          if Slab.golden_bit trace c site then Packed.lane_mask else 0
-        | _ -> Slab.peek_word sim site w);
-  }
+  match Option.bind golden_trace cone with
+  | None -> full
+  | Some (trace, cn) ->
+    let inside = Slab.in_cone sim cn in
+    let ndffs = Array.length p.dff_inputs in
+    let dffs = List.filter (fun i -> inside p.state_sites.(i)) (List.init ndffs Fun.id) in
+    let consts = Array.sub p.state_sites ndffs (Array.length p.state_sites - ndffs) in
+    {
+      v_cone = true;
+      v_settle = (fun c -> Slab.settle_cone sim cn trace c);
+      v_sites =
+        Array.of_list
+          (List.map (fun i -> p.state_sites.(i)) dffs @ List.filter inside (Array.to_list consts));
+      v_inputs = Array.of_list (List.map (fun i -> p.dff_inputs.(i)) dffs);
+      v_compared = Array.of_list (List.filter (fun (_, o) -> inside o) (Array.to_list p.compare_sites));
+      v_word =
+        (fun c site w ->
+          if inside site then Slab.peek_word sim site w
+          else if Slab.golden_bit trace c site then Packed.lane_mask
+          else 0);
+    }
 
 (* Load a job's migrated state and install its faults.  Fills in per
    lane the cycle its fault [strikes] (an upset's, else 0), and per
@@ -557,28 +555,33 @@ let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
   Slab.set_forces sim (Array.of_list (List.rev !forces));
   (!upsets, !coins)
 
-(* The golden state at the top of cycle [c], and per lane of [unres] the
-   state sites where the lane differs from it: only sites inside the
-   view can. *)
-let migrate p v sim ~unres c =
-  let state = Array.map (fun site -> golden (v.v_word c site 0)) p.state_sites in
-  let diffs = Array.make (Packed.lanes * Slab.k sim) [] in
-  Array.iter
-    (fun i ->
+(* The unresolved lanes ([cls.(k) = None]) of a chunk stopped after
+   cycle [stop]: the golden state at the top of the next cycle, shared
+   by all, and per lane the state sites where it differs (outside the
+   view, none does). *)
+let survivors p v sim job ~unres ~stop cls =
+  let state = Array.map (fun site -> golden (v.v_word (stop + 1) site 0)) p.state_sites in
+  let diffs = Array.make (Array.length cls) [] in
+  Array.iteri
+    (fun i site ->
       for w = 0 to Slab.k sim - 1 do
-        iter_lanes
-          (fun k -> diffs.(k) <- i :: diffs.(k))
-          w
-          ((Slab.peek_word sim p.state_sites.(i) w lxor state.(i)) land unres.(w))
+        let x = (v.v_word (stop + 1) site w lxor state.(i)) land unres.(w) in
+        if x <> 0 then iter_lanes (fun k -> diffs.(k) <- i :: diffs.(k)) w x
       done)
-    v.v_state;
-  (state, diffs)
+    p.state_sites;
+  List.filter_map
+    (fun k ->
+      if Option.is_some cls.(k) then None
+      else
+        Some { s_fault = job.j_faults.(k); s_stop = stop; s_golden = state; s_diff = Array.of_list diffs.(k) })
+    (List.init (Array.length cls) Fun.id)
 
-(* A chunk's result: the verdicts of the lanes it resolved, by caller
-   fault index, the survivors it hands to the next round, the cycles it
-   simulated and whether it settled as a cone. *)
+(* A chunk's result: per lane, its caller fault and its verdict, or
+   [None] for a lane it hands to the next round among its [survivors];
+   the cycles it simulated; whether it settled as a cone. *)
 type outcome = {
-  resolved : (int * verdict) list;
+  lane_faults : int array;
+  lane_verdicts : verdict option array;
   survivors : survivor list;
   simulated : int;
   coned : bool;
@@ -593,7 +596,7 @@ let run_chunk p golden_trace sim job =
   let seu_lanes = Array.make words 0 and pending = Array.make words 0 in
   let inter_lanes = Array.make words 0 in
   let upsets, coins = arm p sim job ~strikes ~live:unres ~seu_lanes ~pending ~inter_lanes in
-  let ndffs = Array.length v.v_inputs and nstate = Array.length v.v_state in
+  let ndffs = Array.length v.v_inputs and nstate = Array.length v.v_sites in
   let cls = Array.make count None and n_unres = ref count in
   let status_acc = Array.make_matrix (Array.length p.status_sites) words 0 in
   (* lanes whose state site [i] differs from the golden lane's *)
@@ -608,10 +611,6 @@ let run_chunk p golden_trace sim job =
   (* witnesses by global lane, the golden lane's at index 0 *)
   let diff_wit = Array.make (Packed.lanes * words) 0 in
   let latch_wit = Array.make (Packed.lanes * words) 0 in
-  let decide w m f =
-    iter_lanes (fun k -> cls.(k) <- Some (f k); decr n_unres) w m;
-    unres.(w) <- unres.(w) lxor m
-  in
   (* The one verdict of an undetected lane whose outputs can no longer
      diverge from the golden lane's — at the end of the window, or
      earlier by reconvergence or a fixed point: latent if some dff's
@@ -622,7 +621,12 @@ let run_chunk p golden_trace sim job =
     let m = mask land unres.(w) in
     if m <> 0 then begin
       let latent = search diff_wit ndffs w m differs in
-      decide w m (fun k -> if latent land bit_of k <> 0 then Latent else Masked)
+      iter_lanes
+        (fun k ->
+          cls.(k) <- Some (if latent land bit_of k <> 0 then Latent else Masked);
+          decr n_unres)
+        w m;
+      unres.(w) <- unres.(w) lxor m
     end
   in
   let fixed = Array.make words 0 in
@@ -648,9 +652,14 @@ let run_chunk p golden_trace sim job =
           let g = golden (Slab.peek_word sim osite 0) in
           for w = 0 to words - 1 do
             let diff = (Slab.peek_word sim osite w lxor g) land unres.(w) in
-            if diff <> 0 then
-              decide w diff (fun k ->
-                  Detected { latency = c - strikes.(k); cycle = c; output })
+            if diff <> 0 then begin
+              iter_lanes
+                (fun k ->
+                  cls.(k) <- Some (Detected { latency = c - strikes.(k); cycle = c; output });
+                  decr n_unres)
+                w diff;
+              unres.(w) <- unres.(w) lxor diff
+            end
           done)
         v.v_compared;
     Array.iteri
@@ -694,30 +703,23 @@ let run_chunk p golden_trace sim job =
     for w = 0 to words - 1 do
       resolve w (-1)
     done;
-  (* a dropped chunk hands its unresolved lanes to the next round *)
-  let state, diffs =
-    if !n_unres > 0 then migrate p v sim ~unres (!stop + 1) else ([||], [||])
-  in
-  let resolved, survivors =
-    List.partition_map
-      (fun k ->
-        let fi = job.j_faults.(k) in
-        match cls.(k) with
-        | Some classification ->
-          let fault = p.faults.(fi) and wk = word_of k and bit = bit_of k in
-          let status =
-            Array.to_list
-              (Array.mapi
-                 (fun si (name, _) -> (name, status_acc.(si).(wk) land bit <> 0))
-                 p.status_sites)
-          in
-          Left (fi, { fault; name = fault_name p.nl fault; classification; status })
-        | None ->
-          Right { s_fault = fi; s_stop = !stop; s_golden = state; s_diff = Array.of_list diffs.(k) })
-      (List.init count Fun.id)
+  let verdict k classification =
+    let fault = p.faults.(job.j_faults.(k)) and wk = word_of k and bit = bit_of k in
+    let status =
+      Array.to_list
+        (Array.mapi (fun si (name, _) -> (name, status_acc.(si).(wk) land bit <> 0)) p.status_sites)
+    in
+    { fault; name = fault_name p.nl fault; classification; status }
   in
   Slab.clear_forces sim;
-  { resolved; survivors; simulated = !cycle - job.j_start; coned = v.v_cone }
+  {
+    lane_faults = job.j_faults;
+    lane_verdicts = Array.mapi (fun k -> function Some c -> Some (verdict k c) | None -> None) cls;
+    (* a dropped chunk hands its unresolved lanes to the next round *)
+    survivors = (if !n_unres > 0 then survivors p v sim job ~unres ~stop:!stop cls else []);
+    simulated = !cycle - job.j_start;
+    coned = v.v_cone;
+  }
 
 (* Round 0: chunk [c] of [ch] starts at its earliest injection cycle,
    from the prefix's golden state there.  The trace costs one more
@@ -749,18 +751,23 @@ let first_round p ch exemplar =
   in
   (starts, traced)
 
-(* every fault is resolved by exactly one of the [outcomes] *)
 let tally p ~stimulus ~prefix_cycles outcomes =
   let verdicts =
-    match List.concat_map (fun o -> o.resolved) outcomes with
-    | [] -> []
-    | (_, v0) :: _ as resolved ->
+    match List.find_map (fun o -> Array.find_map Fun.id o.lane_verdicts) outcomes with
+    | None -> []
+    | Some v0 ->
+      (* every fault is resolved by exactly one chunk *)
       let by_fault = Array.make (Array.length p.faults) v0 in
-      List.iter (fun (fi, v) -> by_fault.(fi) <- v) resolved;
+      List.iter
+        (fun o ->
+          Array.iteri
+            (fun k -> function Some v -> by_fault.(o.lane_faults.(k)) <- v | None -> ())
+            o.lane_verdicts)
+        outcomes;
       Array.to_list by_fault
   in
   let count is =
-    List.length (List.filter (fun v -> is v.classification) verdicts)
+    List.fold_left (fun n v -> if is v.classification then n + 1 else n) 0 verdicts
   in
   {
     netlist = p.nl;
@@ -839,23 +846,19 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
                 task (Sharded.replica sh member) c)
           in
           let starts, traced = first_round p ch exemplar in
-          let last = Array.fold_left max 0 starts in
-          let prefixed = last > 0 || traced in
-          let snaps, golden_trace =
-            if prefixed then begin
-              let out = ref ([||], None) in
-              exec ~first:0 1 (fun sim _ -> out := golden_prefix p sim ~starts ~traced);
-              !out
-            end
-            else ([| p.power_up |], None)
-          in
+          (* a round that starts at power-up needs no prefix task *)
+          let prefix = ref ([| p.power_up |], None, 0) in
+          if traced || Array.exists (fun s -> s > 0) starts then
+            exec ~first:0 1 (fun sim _ -> prefix := golden_prefix p sim ~starts ~traced);
+          let snaps, golden_trace, prefix_cycles = !prefix in
           (* each round runs its jobs, then packs their survivors *)
           let rec rounds first jobs acc =
             let n = Array.length jobs in
             if n = 0 then acc
             else begin
               let out =
-                Array.make n { resolved = []; survivors = []; simulated = 0; coned = false }
+                Array.make n
+                  { lane_faults = [||]; lane_verdicts = [||]; survivors = []; simulated = 0; coned = false }
               in
               exec ~first n (fun sim c -> out.(c) <- run_chunk p golden_trace sim jobs.(c));
               let out = Array.to_list out in
@@ -865,8 +868,8 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
                 (out @ acc)
             end
           in
-          ( (if traced then cycles else if prefixed then last else 0),
-            rounds (Bool.to_int prefixed)
+          ( prefix_cycles,
+            rounds (Bool.to_int (prefix_cycles > 0))
               (Array.init ch.Scheduler.count (fun c ->
                    let lo, hi = ch.Scheduler.bounds c in
                    {

@@ -332,15 +332,18 @@ let suite =
         expect "negative index" (fun () -> N.fanout bad));
   ]
 
-(* [Levelize.of_netlist] from every member of a team at once, on one
-   shared netlist and on fresh ones, each result equal to a direct
-   [compute].  Each round shares a new netlist, so the members race on
-   an empty memo entry, and the fresh copies evict each other's. *)
+(* [Levelize.of_netlist] and [Netlist.digest] from every member of a
+   team at once, on one shared netlist and on fresh ones, each result
+   equal to an unmemoized one.  Each round shares a new netlist, so the
+   members race on an empty memo entry, and the fresh copies evict each
+   other's. *)
 let memo_suite =
   [
     tc "of_netlist from concurrent team members = compute" (fun () ->
         let base = ripple_netlist 24 in
         let want = L.compute base in
+        (* a copy nothing has digested yet misses the memo *)
+        let want_digest = N.digest { base with N.names = base.N.names } in
         let pool = Hydra_parallel.Pool.create ~domains:4 () in
         let members = Hydra_parallel.Pool.size pool in
         Fun.protect
@@ -354,7 +357,10 @@ let memo_suite =
                   ok.(m) <-
                     same_levelization (L.of_netlist shared) want
                     && same_levelization (L.of_netlist fresh) want
-                    && same_levelization (L.of_netlist shared) want);
+                    && same_levelization (L.of_netlist shared) want
+                    && N.digest shared = want_digest
+                    && N.digest fresh = want_digest
+                    && N.digest shared = want_digest);
               check_bool "every result = compute" true (Array.for_all Fun.id ok)
             done));
   ]

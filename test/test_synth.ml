@@ -280,16 +280,4 @@ let suite =
           String.fold_left (fun acc c -> if c = '|' then acc + 1 else acc) 0 s
         in
         check_int "two changes" 2 count_bars);
-    tc "wave: compiled run renders" (fun () ->
-        let x = G.input "x" in
-        let nl = N.of_graph ~outputs:[ ("q", G.dff x) ] in
-        let sim = Compiled.create nl in
-        let s =
-          Wave.of_compiled_run sim
-            ~inputs:[ ("x", [ true; false; true ]) ]
-            ~cycles:3
-        in
-        check_bool "has both signals" true
-          (String.length s > 0
-          && String.split_on_char '\n' s |> List.length >= 2));
   ]
