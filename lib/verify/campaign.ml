@@ -370,7 +370,7 @@ let plan nl ~faults ~stimulus ~cycles ~status_outputs =
     droppable = status_sites = [||];
   }
 
-(* word [v] in every engine word of [site] *)
+(* [v] in every engine word of [site] *)
 let broadcast sim site v =
   for w = 0 to Slab.k sim - 1 do
     Slab.poke_word sim site w v
@@ -576,19 +576,19 @@ let survivors p v sim job ~unres ~stop cls =
         Some { s_fault = job.j_faults.(k); s_stop = stop; s_golden = state; s_diff = Array.of_list diffs.(k) })
     (List.init (Array.length cls) Fun.id)
 
-(* A chunk's result: per lane, its caller fault and its verdict, or
-   [None] for a lane it hands to the next round among its [survivors];
-   the cycles it simulated; whether it settled as a cone. *)
+(* A chunk's result, besides its survivors: per lane, its caller fault
+   and its verdict ([None] for a survivor); the cycles it simulated;
+   whether it settled as a cone. *)
 type outcome = {
   lane_faults : int array;
   lane_verdicts : verdict option array;
-  survivors : survivor list;
   simulated : int;
   coned : bool;
 }
 
 (* Run one job on [sim] from cycle [j_start] until the window ends or
-   the chunk drops at half (see "Fault dropping"). *)
+   the chunk drops at half (see "Fault dropping"): its outcome and its
+   survivors. *)
 let run_chunk p golden_trace sim job =
   let words = Slab.k sim and count = Array.length job.j_faults in
   let v = view p golden_trace sim job in
@@ -711,15 +711,16 @@ let run_chunk p golden_trace sim job =
     in
     { fault; name = fault_name p.nl fault; classification; status }
   in
+  (* a dropped chunk hands its unresolved lanes to the next round *)
+  let survivors = if !n_unres > 0 then survivors p v sim job ~unres ~stop:!stop cls else [] in
   Slab.clear_forces sim;
-  {
-    lane_faults = job.j_faults;
-    lane_verdicts = Array.mapi (fun k -> function Some c -> Some (verdict k c) | None -> None) cls;
-    (* a dropped chunk hands its unresolved lanes to the next round *)
-    survivors = (if !n_unres > 0 then survivors p v sim job ~unres ~stop:!stop cls else []);
-    simulated = !cycle - job.j_start;
-    coned = v.v_cone;
-  }
+  ( {
+      lane_faults = job.j_faults;
+      lane_verdicts = Array.mapi (fun k -> function Some c -> Some (verdict k c) | None -> None) cls;
+      simulated = !cycle - job.j_start;
+      coned = v.v_cone;
+    },
+    survivors )
 
 (* Round 0: chunk [c] of [ch] starts at its earliest injection cycle,
    from the prefix's golden state there.  The trace costs one more
@@ -857,15 +858,13 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
             if n = 0 then acc
             else begin
               let out =
-                Array.make n
-                  { lane_faults = [||]; lane_verdicts = [||]; survivors = []; simulated = 0; coned = false }
+                Array.make n ({ lane_faults = [||]; lane_verdicts = [||]; simulated = 0; coned = false }, [])
               in
               exec ~first n (fun sim c -> out.(c) <- run_chunk p golden_trace sim jobs.(c));
-              let out = Array.to_list out in
+              let outcomes, survivors = List.split (Array.to_list out) in
               rounds (first + n)
-                (pack ~per_chunk:ch.Scheduler.per_chunk
-                   (List.concat_map (fun o -> o.survivors) out))
-                (out @ acc)
+                (pack ~per_chunk:ch.Scheduler.per_chunk (List.concat survivors))
+                (outcomes @ acc)
             end
           in
           ( prefix_cycles,
