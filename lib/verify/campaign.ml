@@ -67,6 +67,9 @@ type report = {
 let site_of = function
   | Stuck_at { site; _ } | Seu { site; _ } | Intermittent { site; _ } -> site
 
+(* the cycle a fault strikes: its upset's, or 0 for one present throughout *)
+let strike = function Seu { at_cycle; _ } -> at_cycle | Stuck_at _ | Intermittent _ -> 0
+
 (* One name per verdict, tens of thousands per campaign: built by
    concatenation rather than [Printf]. *)
 let fault_name nl fault =
@@ -83,7 +86,11 @@ let fault_name nl fault =
 
 (* the components [f] accepts, by ascending index *)
 let sites_where f nl =
-  List.filter (fun i -> f nl.Netlist.components.(i)) (List.init (Netlist.size nl) Fun.id)
+  let sites = ref [] in
+  for i = Netlist.size nl - 1 downto 0 do
+    if f nl.Netlist.components.(i) then sites := i :: !sites
+  done;
+  !sites
 
 let all_stuck_at nl =
   List.concat_map
@@ -489,13 +496,12 @@ let view p golden_trace sim job =
     }
 
 (* Load a job's migrated state and install its faults.  Fills in per
-   lane the cycle its fault [strikes] (an upset's, else 0), and per
-   engine word the [live] lanes, [seu_lanes], lanes with an upset
-   [pending] inside the window and [inter_lanes]; returns the pending
-   upsets (cycle, site, lane) and each intermittent fault's force,
-   word, bit, rate and coin.  A fault's masks accumulate in a force
-   record installed once; the slab keeps its arrays by reference, so an
-   intermittent fault re-seeds its flip mask per cycle in place. *)
+   lane the cycle its fault [strikes], and per engine word the [live],
+   [seu_lanes], [pending] (an upset still to fire) and [inter_lanes]
+   lanes; returns the pending upsets (cycle, site, lane) and each
+   intermittent fault's force, word, bit, rate and coin.  The slab keeps
+   a force record's arrays by reference, so an intermittent fault
+   re-seeds its flip mask per cycle in place. *)
 let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
   let words = Slab.k sim and start = job.j_start in
   load p sim job.j_golden;
@@ -555,10 +561,9 @@ let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
   Slab.set_forces sim (Array.of_list (List.rev !forces));
   (!upsets, !coins)
 
-(* The unresolved lanes ([cls.(k) = None]) of a chunk stopped after
-   cycle [stop]: the golden state at the top of the next cycle, shared
-   by all, and per lane the state sites where it differs (outside the
-   view, none does). *)
+(* The unresolved lanes of a chunk stopped after cycle [stop], with the
+   golden state at the top of the next cycle and the state sites where
+   each lane differs (outside the view, none does). *)
 let survivors p v sim job ~unres ~stop cls =
   let state = Array.map (fun site -> golden (v.v_word (stop + 1) site 0)) p.state_sites in
   let diffs = Array.make (Array.length cls) [] in
@@ -722,24 +727,19 @@ let run_chunk p golden_trace sim job =
     },
     survivors )
 
-(* Round 0: chunk [c] of [ch] starts at its earliest injection cycle,
-   from the prefix's golden state there.  The trace costs one more
-   full-width golden run, so it is recorded only for two or more chunks,
-   one of which runs as a cone (the walks stop at the first that does,
-   and each stops past the bound). *)
+(* Round 0: chunk [c] of [ch] starts at its earliest upset, from the
+   prefix's golden state there.  The trace costs one more golden run, so
+   it is recorded only for two or more chunks, one of which runs as a
+   cone (the walks stop at the first that does, and each past the bound). *)
 let first_round p ch exemplar =
   let starts =
     Array.init ch.Scheduler.count (fun c ->
         let lo, hi = ch.Scheduler.bounds c in
-        let s = ref (if p.droppable then max_int else 0) in
+        let first = ref (p.window - 1) in
         for fi = lo to hi - 1 do
-          s :=
-            min !s
-              (match p.faults.(fi) with
-              | Seu { at_cycle; _ } -> min at_cycle (p.window - 1)
-              | Stuck_at _ | Intermittent _ -> 0)
+          first := min !first (strike p.faults.(fi))
         done;
-        max 0 !s)
+        if p.droppable then max 0 !first else 0)
   in
   let traced =
     p.window > 0 && ch.Scheduler.count >= 2
