@@ -235,7 +235,6 @@ let golden w0 = -(w0 land 1)
 let word_of k = (k + 1) / Packed.lanes
 let bit_of k = 1 lsl ((k + 1) mod Packed.lanes)
 
-(* flip lane [k]'s bit of [site] *)
 let flip sim site k =
   Slab.poke_word sim site (word_of k) (Slab.peek_word sim site (word_of k) lxor bit_of k)
 
@@ -266,7 +265,8 @@ let search wit n w m bits =
 
 (* The planner's record: what no chunk changes.  [streams] holds one
    broadcast word per cycle of each input; [state_sites] are the dffs,
-   then the constants, with their [power_up] words; [dff_inputs] drive
+   then the constants, with their indices [all_state] and [power_up]
+   words; [dff_inputs] drive
    the dffs; [const_from] is the first cycle from which every input word
    stays constant to the end of the [window]. *)
 type plan = {
@@ -277,6 +277,7 @@ type plan = {
   compare_sites : (string * int) array;
   status_sites : (string * int) array;
   state_sites : int array;
+  all_state : int array;
   power_up : int array;
   dff_inputs : int array;
   const_from : int;
@@ -354,6 +355,7 @@ let plan nl ~faults ~stimulus ~cycles ~status_outputs =
            nl.Netlist.outputs);
     status_sites;
     state_sites;
+    all_state = Array.init (Array.length state_sites) Fun.id;
     power_up =
       Array.map
         (fun site ->
@@ -377,7 +379,6 @@ let plan nl ~faults ~stimulus ~cycles ~status_outputs =
     droppable = status_sites = [||];
   }
 
-(* [v] in every engine word of [site] *)
 let broadcast sim site v =
   for w = 0 to Slab.k sim - 1 do
     Slab.poke_word sim site w v
@@ -442,13 +443,14 @@ let golden_prefix p sim ~starts ~traced =
   (snaps, Option.map (fun trace -> { trace; quiet = Array.init p.window (quiet trace) }) trace, upto)
 
 (* What a chunk reads: the whole circuit or its seeds' cone (see "Cone
-   restriction").  [v_sites] are the state sites inside, dffs first,
-   with the dffs' [v_inputs].  [v_word c site w] is engine word [w] of
+   restriction").  [v_state] indexes the state sites inside, dffs first,
+   at [v_sites], with the dffs' [v_inputs].  [v_word c site w] is engine word [w] of
    [site] at cycle [c]: the trace's outside the view, where every lane
    is golden. *)
 type view = {
   v_cone : bool;
   v_settle : int -> unit;
+  v_state : int array;
   v_sites : int array;
   v_inputs : int array;
   v_compared : (string * int) array;
@@ -460,6 +462,7 @@ let view p golden_trace sim job =
     {
       v_cone = false;
       v_settle = (fun _ -> Slab.settle sim);
+      v_state = p.all_state;
       v_sites = p.state_sites;
       v_inputs = p.dff_inputs;
       v_compared = p.compare_sites;
@@ -477,17 +480,16 @@ let view p golden_trace sim job =
   | None -> full
   | Some (trace, cn) ->
     let inside = Slab.in_cone sim cn in
+    let keep f a = Array.of_list (List.filter f (Array.to_list a)) in
+    let state = keep (fun i -> inside p.state_sites.(i)) p.all_state in
     let ndffs = Array.length p.dff_inputs in
-    let dffs = List.filter (fun i -> inside p.state_sites.(i)) (List.init ndffs Fun.id) in
-    let consts = Array.sub p.state_sites ndffs (Array.length p.state_sites - ndffs) in
     {
       v_cone = true;
       v_settle = (fun c -> Slab.settle_cone sim cn trace c);
-      v_sites =
-        Array.of_list
-          (List.map (fun i -> p.state_sites.(i)) dffs @ List.filter inside (Array.to_list consts));
-      v_inputs = Array.of_list (List.map (fun i -> p.dff_inputs.(i)) dffs);
-      v_compared = Array.of_list (List.filter (fun (_, o) -> inside o) (Array.to_list p.compare_sites));
+      v_state = state;
+      v_sites = Array.map (fun i -> p.state_sites.(i)) state;
+      v_inputs = Array.map (fun i -> p.dff_inputs.(i)) (keep (fun i -> i < ndffs) state);
+      v_compared = keep (fun (_, o) -> inside o) p.compare_sites;
       v_word =
         (fun c site w ->
           if inside site then Slab.peek_word sim site w
@@ -563,17 +565,17 @@ let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
 
 (* The unresolved lanes of a chunk stopped after cycle [stop], with the
    golden state at the top of the next cycle and the state sites where
-   each lane differs (outside the view, none does). *)
+   each lane differs: only sites inside the view can. *)
 let survivors p v sim job ~unres ~stop cls =
   let state = Array.map (fun site -> golden (v.v_word (stop + 1) site 0)) p.state_sites in
   let diffs = Array.make (Array.length cls) [] in
-  Array.iteri
-    (fun i site ->
+  Array.iter
+    (fun i ->
       for w = 0 to Slab.k sim - 1 do
-        let x = (v.v_word (stop + 1) site w lxor state.(i)) land unres.(w) in
+        let x = (Slab.peek_word sim p.state_sites.(i) w lxor state.(i)) land unres.(w) in
         if x <> 0 then iter_lanes (fun k -> diffs.(k) <- i :: diffs.(k)) w x
       done)
-    p.state_sites;
+    v.v_state;
   List.filter_map
     (fun k ->
       if Option.is_some cls.(k) then None
@@ -735,11 +737,9 @@ let first_round p ch exemplar =
   let starts =
     Array.init ch.Scheduler.count (fun c ->
         let lo, hi = ch.Scheduler.bounds c in
-        let first = ref (p.window - 1) in
-        for fi = lo to hi - 1 do
-          first := min !first (strike p.faults.(fi))
-        done;
-        if p.droppable then max 0 !first else 0)
+        let faults = Array.sub p.faults lo (hi - lo) in
+        let first = Array.fold_left (fun m f -> min m (strike f)) (p.window - 1) faults in
+        if p.droppable then max 0 first else 0)
   in
   let traced =
     p.window > 0 && ch.Scheduler.count >= 2
