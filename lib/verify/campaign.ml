@@ -14,12 +14,11 @@
    fixes what no chunk changes.  The golden prefix ([golden_prefix])
    runs the fault-free circuit once, for the state at each round-0
    chunk's first upset and, when some chunk can settle as a cone, the
-   golden trace of the window.  A chunk ([run_chunk]) runs one job of up
-   to 62*K - 1 faults on the whole circuit or on its faults' cone (see
-   "Cone restriction") and stops part-way once half its verdicts are
-   final (see "Fault dropping").  The rounds fan each round's jobs out
-   over {!Scheduler.run_tasks}, (lanes - 1) x domains faults per settle
-   pass, and pack the survivors of stopped chunks into the next round.
+   golden trace.  A chunk ([run_chunk]) runs one job on the whole
+   circuit or on its faults' cone (see "Cone restriction") and stops
+   once half its verdicts are final (see "Fault dropping").  The rounds
+   fan each round's jobs out over {!Scheduler.run_tasks} and pack the
+   survivors of stopped chunks into the next round.
 
    The engines are built with [~optimize:false ~relayout:false
    ~fuse:false] so component indices in force sites match the caller's
@@ -84,7 +83,6 @@ let fault_name nl fault =
    (site ascending, stuck-at-0 before stuck-at-1) so reports line up
    with the legacy coverage API. *)
 
-(* the components [f] accepts, by ascending index *)
 let sites_where f nl =
   let sites = ref [] in
   for i = Netlist.size nl - 1 downto 0 do
@@ -265,10 +263,9 @@ let search wit n w m bits =
 
 (* The planner's record: what no chunk changes.  [streams] holds one
    broadcast word per cycle of each input; [state_sites] are the dffs,
-   then the constants, with their indices [all_state] and [power_up]
-   words; [dff_inputs] drive
-   the dffs; [const_from] is the first cycle from which every input word
-   stays constant to the end of the [window]. *)
+   then the constants, with indices [all_state] and [power_up] words;
+   [dff_inputs] drive the dffs; from [const_from] to the end of the
+   [window] every input word stays constant. *)
 type plan = {
   nl : Netlist.t;
   faults : fault array;
@@ -379,19 +376,26 @@ let plan nl ~faults ~stimulus ~cycles ~status_outputs =
     droppable = status_sites = [||];
   }
 
-let broadcast sim site v =
-  for w = 0 to Slab.k sim - 1 do
-    Slab.poke_word sim site w v
+let drive p sim c =
+  for i = 0 to Array.length p.streams - 1 do
+    let site, svs = p.streams.(i) in
+    let v = svs.(c) in
+    for w = 0 to Slab.k sim - 1 do
+      Slab.poke_word sim site w v
+    done
   done
-
-let drive p sim c = Array.iter (fun (site, svs) -> broadcast sim site svs.(c)) p.streams
 
 (* every state site at the golden word [state.(i)], no forces; a settle
    recomputes every other component from the state, the inputs and the
    forces *)
 let load p sim state =
   Slab.clear_forces sim;
-  Array.iteri (fun i g -> broadcast sim p.state_sites.(i) g) state
+  Array.iteri
+    (fun i g ->
+      for w = 0 to Slab.k sim - 1 do
+        Slab.poke_word sim p.state_sites.(i) w g
+      done)
+    state
 
 (* Cone restriction.  A fault can change only the components in its
    fanout cone (driver-to-reader edges, through dffs).  A chunk whose
@@ -412,9 +416,8 @@ let load p sim state =
 type golden_trace = { trace : Slab.trace; quiet : bool array }
 
 (* The shared fault-free prefix: from power-up, the golden state at the
-   top of each round-0 start cycle (indexed by cycle, up to the latest),
-   with [~traced] the golden trace of the whole window, and the cycles
-   simulated. *)
+   top of each round-0 start cycle (indexed by cycle), with [~traced] the
+   trace of the whole window, and the cycles simulated. *)
 let golden_prefix p sim ~starts ~traced =
   let last = Array.fold_left max 0 starts in
   let snaps = Array.make (last + 1) p.power_up in
@@ -444,9 +447,8 @@ let golden_prefix p sim ~starts ~traced =
 
 (* What a chunk reads: the whole circuit or its seeds' cone (see "Cone
    restriction").  [v_state] indexes the state sites inside, dffs first,
-   at [v_sites], with the dffs' [v_inputs].  [v_word c site w] is engine word [w] of
-   [site] at cycle [c]: the trace's outside the view, where every lane
-   is golden. *)
+   at [v_sites], with the dffs' [v_inputs].  [v_word c site w] is word
+   [w] of [site] at cycle [c], from the trace outside the view. *)
 type view = {
   v_cone : bool;
   v_settle : int -> unit;
@@ -499,11 +501,10 @@ let view p golden_trace sim job =
 
 (* Load a job's migrated state and install its faults.  Fills in per
    lane the cycle its fault [strikes], and per engine word the [live],
-   [seu_lanes], [pending] (an upset still to fire) and [inter_lanes]
-   lanes; returns the pending upsets (cycle, site, lane) and each
-   intermittent fault's force, word, bit, rate and coin.  The slab keeps
-   a force record's arrays by reference, so an intermittent fault
-   re-seeds its flip mask per cycle in place. *)
+   [seu_lanes], [pending] (upset still to fire) and [inter_lanes] lanes;
+   returns the pending upsets (cycle, site, lane) and each intermittent
+   fault's force, word, bit, rate and coin.  The slab keeps force arrays
+   by reference: an intermittent fault re-seeds its flip mask in place. *)
 let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
   let words = Slab.k sim and start = job.j_start in
   load p sim job.j_golden;
@@ -523,9 +524,10 @@ let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
      share one force record: their lanes are disjoint *)
   let last_stuck = ref None in
   for k = 0 to Array.length job.j_faults - 1 do
-    let wk = word_of k and bit = bit_of k in
+    let wk = word_of k and bit = bit_of k and fault = p.faults.(job.j_faults.(k)) in
     live.(wk) <- live.(wk) lor bit;
-    match p.faults.(job.j_faults.(k)) with
+    strikes.(k) <- strike fault;
+    match fault with
     | Stuck_at { site; value } ->
       let f =
         match !last_stuck with
@@ -539,7 +541,6 @@ let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
       if value then f.Slab.force1.(wk) <- f.Slab.force1.(wk) lor bit
       else f.Slab.force0.(wk) <- f.Slab.force0.(wk) lor bit
     | Seu { site; at_cycle } ->
-      strikes.(k) <- at_cycle;
       seu_lanes.(wk) <- seu_lanes.(wk) lor bit;
       (* an upset before [start] is already in the migrated state, one
          past the window never fires *)
@@ -563,9 +564,8 @@ let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
   Slab.set_forces sim (Array.of_list (List.rev !forces));
   (!upsets, !coins)
 
-(* The unresolved lanes of a chunk stopped after cycle [stop], with the
-   golden state at the top of the next cycle and the state sites where
-   each lane differs: only sites inside the view can. *)
+(* The unresolved lanes of a chunk stopped after cycle [stop]; only state
+   sites inside the view can differ from the golden state. *)
 let survivors p v sim job ~unres ~stop cls =
   let state = Array.map (fun site -> golden (v.v_word (stop + 1) site 0)) p.state_sites in
   let diffs = Array.make (Array.length cls) [] in
@@ -737,9 +737,11 @@ let first_round p ch exemplar =
   let starts =
     Array.init ch.Scheduler.count (fun c ->
         let lo, hi = ch.Scheduler.bounds c in
-        let faults = Array.sub p.faults lo (hi - lo) in
-        let first = Array.fold_left (fun m f -> min m (strike f)) (p.window - 1) faults in
-        if p.droppable then max 0 first else 0)
+        let first = ref (p.window - 1) in
+        for fi = lo to hi - 1 do
+          first := min !first (strike p.faults.(fi))
+        done;
+        if p.droppable then max 0 !first else 0)
   in
   let traced =
     p.window > 0 && ch.Scheduler.count >= 2
@@ -836,10 +838,9 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
             | None -> Slab.create ~k:words ~optimize:false ~relayout:false ~fuse:false nl
           in
           let sh = Sharded.of_base ~scheduler:sch exemplar in
-          (* tasks [first, first + n) as one job, each on the claiming
-             member's replica and dressed by a chaos injection point with
-             its own fate (a retry re-rolls it; a task recomputes its
-             result from its job alone, so a rerun is bit-identical) *)
+          (* tasks [first, first + n) as one job, on the claiming members'
+             replicas, each with its own chaos fate (a retry re-rolls it;
+             a task depends on its job alone, so a rerun is identical) *)
           let exec ~first n task =
             Scheduler.run_tasks sch ~name:"campaign" ?deadline:(remaining ())
               ?retry n (fun ~member c ->
