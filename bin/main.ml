@@ -331,6 +331,19 @@ let load_target ~cmd target =
     Printf.eprintf "%s: %s: %s\n" cmd target m;
     exit 1
 
+(* [load_target] for the commands that simulate.  A netlist with a
+   combinational cycle has no levelization, so it is an input error that
+   names the cycle, as [lint] reports it. *)
+let load_acyclic ~cmd target =
+  let nl = load_target ~cmd target in
+  let lv = L.of_netlist nl in
+  if lv.L.cyclic <> [] then begin
+    Printf.eprintf "%s: %s: combinational cycle: %s\n" cmd target
+      (L.describe_cycle nl (Option.value (L.cycle_witness nl lv) ~default:lv.L.cyclic));
+    exit 1
+  end;
+  nl
+
 let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
@@ -472,7 +485,7 @@ let faults_cmd =
     let json_blocks =
       List.map
         (fun target ->
-          let nl = load_target ~cmd:"faults" target in
+          let nl = load_acyclic ~cmd:"faults" target in
           let sites () =
             List.sort_uniq compare (List.map C.site_of (C.all_stuck_at nl))
           in
@@ -910,7 +923,7 @@ let sim_cmd =
       Printf.ksprintf (fun m -> prerr_endline ("sim: " ^ m); exit 2) fmt
     in
     if cycles < 1 then usage "--cycles %d: must be at least 1" cycles;
-    let nl = load_target ~cmd:"sim" file in
+    let nl = load_acyclic ~cmd:"sim" file in
     let stimuli =
       List.map
         (fun spec ->
@@ -1004,7 +1017,7 @@ let equiv_cmd =
     let failed = ref false in
     List.iter
       (fun target ->
-        let nl = load_target ~cmd:"equiv" target in
+        let nl = load_acyclic ~cmd:"equiv" target in
         let bad = ref [] in
         List.iter
           (fun k ->

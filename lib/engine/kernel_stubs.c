@@ -19,9 +19,15 @@
  * so tagged words load straight into vector lanes: one AVX2 register
  * holds 4 tagged 62-lane words, one NEON register holds 2.
  *
- * The stub never allocates, never touches the OCaml runtime and never
- * releases the domain lock ([@@noalloc] on the OCaml side), so the
- * arrays cannot move while it runs.  Vector paths are chosen at
+ * hydra_tick(values, next, dffs, srcs, k) latches every dff: it
+ * gathers each driver's k words into the staging array next, then
+ * copies them to the dffs, so a dff whose driver is a dff reads the
+ * pre-tick word.  dffs and srcs hold the pre-scaled slab bases, which
+ * Slab also range-checks once.
+ *
+ * The stubs never allocate, never touch the OCaml runtime and never
+ * release the domain lock ([@@noalloc] on the OCaml side), so the
+ * arrays cannot move while they run.  Vector paths are chosen at
  * compile time: -mavx2 comes from the dune probe rule (which requires the
  * host to both compile and *run* AVX2), NEON is baseline on aarch64;
  * HYDRA_SIMD=off at build time selects the portable scalar C.
@@ -43,10 +49,33 @@
  * the tag and the two top bits. */
 #define M2 ((value)0x7FFFFFFFFFFFFFFEULL)
 
+#if HYDRA_SIMD_KIND == 2
+#define VLOAD(a, w) _mm256_loadu_si256((const __m256i *)((a) + (w)))
+#define VSTORE(a, w, x) _mm256_storeu_si256((__m256i *)((a) + (w)), (x))
+#define VEC_STEP 4
+#elif HYDRA_SIMD_KIND == 1
+#define VLOAD(a, w) vld1q_s64((const int64_t *)((a) + (w)))
+#define VSTORE(a, w, x) vst1q_s64((int64_t *)((a) + (w)), (x))
+#define VEC_STEP 2
+#endif
+
 CAMLprim value hydra_simd_kind(value unit)
 {
   (void)unit;
   return Val_long(HYDRA_SIMD_KIND);
+}
+
+/* dst[0..k) = src[0..k): an outport's settle, or one dff's latch. */
+static inline __attribute__((always_inline)) void
+copy_k(value *dst, const value *src, const long k)
+{
+  long w = 0;
+#if HYDRA_SIMD_KIND >= 1
+  for (; w + VEC_STEP <= k; w += VEC_STEP)
+    VSTORE(dst, w, VLOAD(src, w));
+#endif
+  for (; w < k; w++)
+    dst[w] = src[w];
 }
 
 /* The rank kernel body, as a function of k.  Always inlined, so each
@@ -62,15 +91,9 @@ settle_block_k(value *vals, const value *d, const long k)
 #if HYDRA_SIMD_KIND == 2
   const __m256i vtag = _mm256_set1_epi64x(1);
   const __m256i vm2 = _mm256_set1_epi64x((long long)M2);
-#define VLOAD(a, w) _mm256_loadu_si256((const __m256i *)((a) + (w)))
-#define VSTORE(a, w, x) _mm256_storeu_si256((__m256i *)((a) + (w)), (x))
-#define VEC_STEP 4
 #elif HYDRA_SIMD_KIND == 1
   const int64x2_t vtag = vdupq_n_s64(1);
   const int64x2_t vm2 = vdupq_n_s64((long long)M2);
-#define VLOAD(a, w) vld1q_s64((const int64_t *)((a) + (w)))
-#define VSTORE(a, w, x) vst1q_s64((int64_t *)((a) + (w)), (x))
-#define VEC_STEP 2
 #endif
 
   /* inv: dst = (~src & M2) | 1 */
@@ -225,16 +248,8 @@ settle_block_k(value *vals, const value *d, const long k)
   /* outports: plain copies */
   n = Long_val(d[8]);
   for (j = 0; j < n; j++) {
-    value *dst = vals + Long_val(p[0]);
-    const value *src = vals + Long_val(p[1]);
+    copy_k(vals + Long_val(p[0]), vals + Long_val(p[1]), k);
     p += 2;
-    w = 0;
-#if HYDRA_SIMD_KIND >= 1
-    for (; w + VEC_STEP <= k; w += VEC_STEP)
-      VSTORE(dst, w, VLOAD(src, w));
-#endif
-    for (; w < k; w++)
-      dst[w] = src[w];
   }
 }
 
@@ -247,5 +262,33 @@ CAMLprim value hydra_settle_block(value v_values, value v_desc)
     settle_block_k(vals, d, 1);
   else
     settle_block_k(vals, d, k);
+  return Val_unit;
+}
+
+/* The tick body, as a function of k, specialised like settle_block_k. */
+static inline __attribute__((always_inline)) void
+tick_k(value *vals, value *next, const value *dffs, const value *srcs,
+       const long n, const long k)
+{
+  long j;
+  for (j = 0; j < n; j++)
+    copy_k(next + j * k, vals + Long_val(srcs[j]), k);
+  for (j = 0; j < n; j++)
+    copy_k(vals + Long_val(dffs[j]), next + j * k, k);
+}
+
+CAMLprim value hydra_tick(value v_values, value v_next, value v_dffs,
+                          value v_srcs, value v_k)
+{
+  value *vals = Op_val(v_values);
+  value *next = Op_val(v_next);
+  const value *dffs = Op_val(v_dffs);
+  const value *srcs = Op_val(v_srcs);
+  const long n = Wosize_val(v_dffs);
+  const long k = Long_val(v_k);
+  if (k == 1)
+    tick_k(vals, next, dffs, srcs, n, 1);
+  else
+    tick_k(vals, next, dffs, srcs, n, k);
   return Val_unit;
 }

@@ -22,7 +22,8 @@
    one kernel per rank, whose members are mutually independent, and the
    stub runs all of a rank's per-kind loops before the sweep moves on.
    A settle is one ascending sweep over the ranks, with force masks
-   applied at the rank boundaries; a tick latches every dff.
+   applied at the rank boundaries; a tick latches every dff through a
+   second C stub.
 
    A cone settle ([settle_cone]) runs the stub over per-rank descriptors
    of just a fanout-closed component set, built per instance in a
@@ -403,14 +404,19 @@ let apply_forces t slot =
     done
   done
 
-(* The C rank kernel ([kernel_stubs.c]).  [settle_block values desc]
+(* The C kernels ([kernel_stubs.c]).  [settle_block values desc]
    evaluates one rank over the value slab in place, from its
-   descriptor ([simd_descriptor]).  It trusts its arguments, so it stays
-   private here: every descriptor index is range-checked in
-   [of_program].  [@@noalloc]: the stub never allocates, touches the
-   OCaml runtime or releases the domain lock, so the arrays cannot move
-   under it. *)
+   descriptor ([simd_descriptor]); [tick_block values next dffs srcs k]
+   latches every dff ([tick]).  They trust their arguments, so they stay
+   private here: every index they read is range-checked in
+   [of_program].  [@@noalloc]: the stubs never allocate, touch the
+   OCaml runtime or release the domain lock, so the arrays cannot move
+   under them. *)
 external settle_block : int array -> int array -> unit = "hydra_settle_block"
+[@@noalloc]
+
+external tick_block : int array -> int array -> int array -> int array -> int -> unit
+  = "hydra_tick"
 [@@noalloc]
 
 external kernel_kind : unit -> int = "hydra_simd_kind" [@@noalloc]
@@ -737,39 +743,10 @@ let settle_cone t c tr cycle =
     if forced then apply_forces t (Array.unsafe_get slots (lvl + 1))
   done
 
-(* Latch every dff: drivers are staged into [dff_next] first, so dff
-   chains read pre-tick values. *)
+(* Latch every dff in the C stub: drivers are staged into [dff_next]
+   first, so dff chains read pre-tick values. *)
 let tick t =
-  if t.k = 1 then begin
-    (* one word per dff: the index arithmetic of the K-word loops below
-       would cost ~3x here *)
-    let values = t.values and next = t.dff_next in
-    let dffs = t.dffs_s and src = t.dff_src_s in
-    for j = 0 to Array.length dffs - 1 do
-      Array.unsafe_set next j (Array.unsafe_get values (Array.unsafe_get src j))
-    done;
-    for j = 0 to Array.length dffs - 1 do
-      Array.unsafe_set values (Array.unsafe_get dffs j) (Array.unsafe_get next j)
-    done
-  end
-  else begin
-    let values = t.values and next = t.dff_next and k = t.k in
-    let km1 = k - 1 in
-    let dffs = t.dffs_s and src = t.dff_src_s in
-    let n = Array.length dffs in
-    for j = 0 to n - 1 do
-      let s = Array.unsafe_get src j and base = j * k in
-      for w = 0 to km1 do
-        Array.unsafe_set next (base + w) (Array.unsafe_get values (s + w))
-      done
-    done;
-    for j = 0 to n - 1 do
-      let d = Array.unsafe_get dffs j and base = j * k in
-      for w = 0 to km1 do
-        Array.unsafe_set values (d + w) (Array.unsafe_get next (base + w))
-      done
-    done
-  end;
+  tick_block t.values t.dff_next t.dffs_s t.dff_src_s t.k;
   t.cycle <- t.cycle + 1
 
 let step t =

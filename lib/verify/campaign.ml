@@ -20,9 +20,13 @@
    fan each round's jobs out over {!Scheduler.run_tasks} and pack the
    survivors of stopped chunks into the next round.
 
-   The engines are built with [~optimize:false ~relayout:false
-   ~fuse:false] so component indices in force sites match the caller's
-   netlist unchanged. *)
+   The engines are built with [~optimize:false ~relayout:false], so
+   component indices match the caller's netlist unchanged.  A campaign
+   with a stuck-at or intermittent fault also builds them [~fuse:false],
+   because its force sites may be any gate.  An SEU-only campaign
+   installs no force and reads only dffs, their drivers, constants and
+   outports, none of which fusion consumes, so it runs on the fused
+   kernels; a fused engine has no cones (see "Cone restriction"). *)
 
 module Netlist = Hydra_netlist.Netlist
 module Packed = Hydra_core.Packed
@@ -412,7 +416,9 @@ let load p sim state =
    ({!Slab.record_row}), and [quiet.(c)] tells whether the golden run
    latches no change at cycle [c]'s tick.  The prefix task records it,
    running to the end of the window, when some round-0 chunk of a
-   campaign with two or more runs as a cone. *)
+   campaign with two or more runs as a cone.  A fused engine (an
+   SEU-only campaign on a circuit with fusable gates) builds no cone,
+   so it runs every chunk on the whole circuit, untraced. *)
 type golden_trace = { trace : Slab.trace; quiet : bool array }
 
 (* The shared fault-free prefix: from power-up, the golden state at the
@@ -561,7 +567,8 @@ let arm p sim job ~strikes ~live ~seu_lanes ~pending ~inter_lanes =
       done;
       coins := (f, wk, bit, rate, st) :: !coins
   done;
-  Slab.set_forces sim (Array.of_list (List.rev !forces));
+  (* [load] cleared the forces; a fused engine takes none *)
+  if !forces <> [] then Slab.set_forces sim (Array.of_list (List.rev !forces));
   (!upsets, !coins)
 
 (* The unresolved lanes of a chunk stopped after cycle [stop]; only state
@@ -745,6 +752,7 @@ let first_round p ch exemplar =
   in
   let traced =
     p.window > 0 && ch.Scheduler.count >= 2
+    && Slab.fused_gates exemplar = 0
     && Seq.exists
          (fun c ->
            let lo, hi = ch.Scheduler.bounds c in
@@ -829,13 +837,16 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
         (* lane 0 of every chunk is the golden run, hence [~reserved:1] *)
         let ch = Scheduler.chunking ~reserved:1 ~lanes:(Packed.lanes * words) (Array.length p.faults) in
         let on_team sch =
-          (* engines always compile with the identity passes (force sites
-             are caller-netlist component indices); [?cache] serves warm
+          (* engines compile without the index-changing passes, fused
+             only for SEUs (see the header); [?cache] serves warm
              replicas *)
+          let fuse =
+            Array.for_all (function Seu _ -> true | Stuck_at _ | Intermittent _ -> false) p.faults
+          in
           let exemplar =
             match cache with
-            | Some c -> Cache.slab c ~k:words ~optimize:false ~relayout:false ~fuse:false nl
-            | None -> Slab.create ~k:words ~optimize:false ~relayout:false ~fuse:false nl
+            | Some c -> Cache.slab c ~k:words ~optimize:false ~relayout:false ~fuse nl
+            | None -> Slab.create ~k:words ~optimize:false ~relayout:false ~fuse nl
           in
           let sh = Sharded.of_base ~scheduler:sch exemplar in
           (* tasks [first, first + n) as one job, on the claiming members'

@@ -121,9 +121,11 @@ val run :
     [?domains]), otherwise on a private scheduler of [?domains] members
     (one member when the list fits one chunk), shut down afterwards.
     Every member runs its chunks on its own replica of the campaign
-    engine.  With [?cache] the campaign engines come from the
-    compiled-circuit cache (identity-pass flavors), so repeated
-    campaigns on the same netlist skip recompilation.  Verdicts are
+    engine.  Campaign engines keep the caller's component indices (no
+    optimizer, no re-layout); an SEU-only fault list runs them fused,
+    any other unfused.  With [?cache] they come from the
+    compiled-circuit cache, so repeated campaigns on the same netlist
+    skip recompilation.  Verdicts are
     bit-identical in every mode.  [?gating] is accepted and ignored; it
     remains only until the workload benchmark stops passing it (ROADMAP
     item 1, the benchmark change, removes it).  Verdicts are the

@@ -17,6 +17,7 @@ module Chaos = Hydra_verify.Chaos
 module Lint = Hydra_analyze.Lint
 module Sim = Hydra_analyze.Sim
 module D = Hydra_analyze.Diagnostic
+module Kernel = Hydra_engine.Kernel
 
 let fig1 () =
   let a = G.input "a" and b = G.input "b" in
@@ -228,6 +229,19 @@ let slices_of nl =
 let past_two_chunks ~k faults =
   let reps = 1 + (2 * ((62 * k) - 1) / List.length faults) in
   List.concat (List.init reps (fun _ -> faults))
+
+(* A random sequential circuit with two fusable shapes planted on its
+   outputs: a fanout-1 and2 into an or2 and a fanout-1 xor2 into an
+   xor2, each registered, so an SEU-only campaign runs fused kernels. *)
+let fusable nodes =
+  let a = G.input "a" and b = G.input "b" and c = G.input "c" in
+  let outs = Test_analyze.build_random (module G) ~inputs:[ a; b; c ] nodes in
+  let o i = List.nth outs (i mod List.length outs) in
+  let q = G.dff (G.or2 (G.and2 (o 0) (o 1)) (o 2)) in
+  let r = G.dff (G.xor2 (G.xor2 (o 1) q) (o 3)) in
+  N.extract ~inputs:[ a; b; c ]
+    ~outputs:
+      (("q", q) :: ("r", r) :: List.mapi (fun i x -> (Printf.sprintf "o%d" i, x)) outs)
 
 let suite =
   [
@@ -1127,4 +1141,56 @@ let suite =
                  r.C.chunks r.C.cone_chunks r.C.chunk_cycles
                  (Digest.to_hex (Digest.string (C.to_json r)))))
           cases);
+    qc ~count:60 "campaign: SEU-only campaigns on fused kernels match the reference"
+      QCheck2.Gen.(
+        quad Test_analyze.gen_nodes (int_bound 1000) (int_bound 3) (int_range 2 12))
+      (fun (nodes, seed, flavor, cycles) ->
+        let nl = fusable nodes in
+        let st = Random.State.make [| seed |] in
+        let dffs = Array.of_list (C.dff_sites nl) in
+        (* random upsets, repeated past two k=4 chunks *)
+        let faults =
+          past_two_chunks ~k:4
+            (List.init 40 (fun _ ->
+                 C.Seu
+                   {
+                     site = dffs.(Random.State.int st (Array.length dffs));
+                     at_cycle = Random.State.int st (cycles + 1);
+                   }))
+        in
+        let stimulus =
+          List.map
+            (fun (name, bits) ->
+              let a = Array.of_list bits and hold = Random.State.int st (cycles + 1) in
+              (name, List.init cycles (fun c -> a.(min c hold))))
+            (C.random_stimulus ~seed ~cycles nl)
+        in
+        let engine = [| `Wide; `Slab 1; `Slab 2; `Slab 4 |].(flavor) in
+        (* every case plants fusable shapes: the law never runs unfused *)
+        (Kernel.compile ~relayout:false ~fuse:true nl).Kernel.fused > 0
+        && matches_reference (C.run ~engine nl ~faults ~stimulus ~cycles));
+    tc "campaign: fusion consumes no dff driver or outport source" (fun () ->
+        List.iter
+          (fun (name, nl) ->
+            let p = Kernel.compile ~relayout:false ~fuse:true nl in
+            check_bool (name ^ " fuses") true (p.Kernel.fused > 0);
+            Array.iteri
+              (fun i c ->
+                match c with
+                | N.Dffc _ | N.Outport _ ->
+                  if p.Kernel.consumed.(nl.N.fanin.(i).(0)) then
+                    Alcotest.failf "%s: component %d reads consumed gate %d" name i
+                      nl.N.fanin.(i).(0)
+                | _ -> ())
+              nl.N.components)
+          [
+            ("secded", secded ());
+            ( "regfile1:4",
+              let module R = Hydra_circuits.Regs.Make (G) in
+              let bits p = List.init 4 (fun i -> G.input (Printf.sprintf "%s%d" p i)) in
+              let a, b = R.regfile1 4 (G.input "ld") (bits "d") (bits "sa") (bits "sb") (G.input "x") in
+              N.of_graph ~outputs:[ ("a", a); ("b", b) ] );
+            ("cpu:6", Hydra_cpu.Driver.system_netlist ~mem_bits:6 ());
+            ("cpu:8", Hydra_cpu.Driver.system_netlist ~mem_bits:8 ());
+          ]);
   ]

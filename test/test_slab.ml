@@ -17,6 +17,7 @@ module Kernel = Hydra_engine.Kernel
 module Sharded = Hydra_engine.Sharded
 module Testbench = Hydra_engine.Testbench
 module Equiv = Hydra_verify.Equiv
+module Sim = Hydra_analyze.Sim
 
 (* k values covering each shape of the C kernel's word loop under AVX2:
    1 (the k = 1 specialisation), 2 and 3 (tail only), 4 and 8 (vector
@@ -111,8 +112,66 @@ let reset_lanes_law ~k nodes =
   done;
   !ok
 
+(* [nodes] with a three-dff chain behind its first output: a dff whose
+   driver is a dff, which the tick must latch from its pre-tick word. *)
+let chained_netlist nodes =
+  let a = G.input "a" and b = G.input "b" and c = G.input "c" in
+  let outs = Test_wide.build (module G) ~inputs:[ a; b; c ] nodes in
+  N.extract ~inputs:[ a; b; c ]
+    ~outputs:
+      (("chain", G.dff (G.dff (G.dff (List.hd outs))))
+      :: List.mapi (fun i o -> (Printf.sprintf "o%d" i, o)) outs)
+
+(* After each tick every dff's K words equal those of K packed reference
+   interpreters, one per word, run on the slab's own netlist (its
+   indices, relaid out or not) with the same random inputs. *)
+let tick_law ~k ~relayout nodes =
+  let slab = Slab.create ~k ~relayout (chained_netlist nodes) in
+  let nl = Slab.netlist slab in
+  let sims = Array.init k (fun _ -> Sim.packed_create nl) in
+  let dffs =
+    List.filter
+      (fun i -> match nl.N.components.(i) with N.Dffc _ -> true | _ -> false)
+      (List.init (N.size nl) Fun.id)
+  in
+  let chained = List.exists (fun d -> List.mem nl.N.fanin.(d).(0) dffs) dffs in
+  let st = Random.State.make [| 0x71c; k; List.length nodes |] in
+  let ok = ref chained in
+  for _cycle = 0 to 7 do
+    List.iter
+      (fun name ->
+        for w = 0 to k - 1 do
+          let v = random_word st in
+          Slab.set_input_word slab name w v;
+          Sim.packed_set_input sims.(w) name v
+        done)
+      [ "a"; "b"; "c" ];
+    Slab.settle slab;
+    Slab.tick slab;
+    Array.iter
+      (fun sim ->
+        Sim.packed_settle sim;
+        Sim.packed_tick sim;
+        (* a settle exposes the latched state as each dff's word *)
+        Sim.packed_settle sim)
+      sims;
+    List.iter
+      (fun d ->
+        for w = 0 to k - 1 do
+          if Slab.peek_word slab d w <> Sim.packed_value sims.(w) d then ok := false
+        done)
+      dffs
+  done;
+  !ok
+
 let suite =
   [
+    qc ~count:25 "tick = packed reference tick, dff chains included (all k, relayout)"
+      (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
+      (fun nodes ->
+        List.for_all
+          (fun k -> List.for_all (fun relayout -> tick_law ~k ~relayout nodes) [ true; false ])
+          ks);
     qc ~count:25 "reset_lanes = power-up in masked lanes, rest untouched"
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes -> List.for_all (fun k -> reset_lanes_law ~k nodes) [ 1; 2 ]);
@@ -426,6 +485,18 @@ let suite =
                  {
                    sprog with
                    Kernel.dff_src = Array.map (fun _ -> -1) sprog.Kernel.dff_src;
+                 }));
+        (* a dff past the end of the slab: the C tick would write there *)
+        Alcotest.check_raises "dffs"
+          (Invalid_argument
+             (Printf.sprintf "Slab.of_program: dffs index %d out of range [0, %d)"
+                (Kernel.size sprog) (Kernel.size sprog)))
+          (fun () ->
+            Slab.tick
+              (Slab.of_program
+                 {
+                   sprog with
+                   Kernel.dffs = Array.map (fun _ -> Kernel.size sprog) sprog.Kernel.dffs;
                  }));
         (* per-dff arrays shorter than [dffs], and a K below 1: the tick
            and the value slab would index past their arrays *)
