@@ -15,11 +15,11 @@ module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module L = Hydra_netlist.Levelize
 module F = Hydra_netlist.Formats
-module Compiled = Hydra_engine.Compiled
+module Compiled = Hydra_scalar.Compiled
 module Wide = Hydra_engine.Compiled_wide
-module Interp = Hydra_engine.Interp
-module Parallel_sim = Hydra_engine.Parallel_sim
-module Event = Hydra_engine.Event
+module Interp = Hydra_scalar.Interp
+module Parallel_sim = Hydra_scalar.Parallel_sim
+module Event = Hydra_scalar.Event
 module Pool = Hydra_parallel.Pool
 module Equiv = Hydra_verify.Equiv
 module Bdd = Hydra_verify.Bdd
@@ -508,15 +508,15 @@ let e10 () =
     domain_counts;
   List.iter
     (fun domains ->
-      let ssim = Hydra_engine.Spmd.create ~domains nl in
+      let ssim = Hydra_scalar.Spmd.create ~domains nl in
       let t_spmd =
         time_per_run (fun () ->
-            Hydra_engine.Spmd.reset ssim;
+            Hydra_scalar.Spmd.reset ssim;
             for _ = 1 to cycles do
-              Hydra_engine.Spmd.step ssim
+              Hydra_scalar.Spmd.step ssim
             done)
       in
-      Hydra_engine.Spmd.shutdown ssim;
+      Hydra_scalar.Spmd.shutdown ssim;
       record ~section:"E10"
         ~name:(Printf.sprintf "SPMD spin-barrier %d domains" domains)
         ~value:(float_of_int cycles /. t_spmd)

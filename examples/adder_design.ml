@@ -16,7 +16,7 @@ module Bitvec = Hydra_core.Bitvec
 module N = Hydra_netlist.Netlist
 module L = Hydra_netlist.Levelize
 module Equiv = Hydra_verify.Equiv
-module Compiled = Hydra_engine.Compiled
+module Compiled = Hydra_scalar.Compiled
 
 type variant = Ripple | Cla of P.prefix_network
 

@@ -15,7 +15,7 @@ module G = Hydra_core.Graph
 module Bitvec = Hydra_core.Bitvec
 module N = Hydra_netlist.Netlist
 module L = Hydra_netlist.Levelize
-module Event = Hydra_engine.Event
+module Event = Hydra_scalar.Event
 module P = Hydra_core.Patterns
 
 let adder_netlist ~variant n =

@@ -3,7 +3,8 @@
     deliberately simple packed 62-lane concrete simulator that
     {!Certify} uses as the independent oracle when validating
     transforms — it shares no code with the compiled engines, so a bug
-    in their optimizer or re-layout passes cannot hide in the checker. *)
+    in their optimizer or re-layout passes cannot hide in the checker.
+    [Bmc] and [Fault.response] run on it too, on lane 0. *)
 
 val ternary_gate :
   Hydra_netlist.Netlist.component ->

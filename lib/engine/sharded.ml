@@ -5,7 +5,7 @@
    levelized rank independent; {!Slab} exploits that within K
    consecutive machine words (62*K lanes per pass).  This module adds
    the second parallelism axis — domains — at *batch* granularity:
-   per-rank fork-join ({!Parallel_sim}) pays two barriers per rank per
+   per-rank fork-join ([Hydra_scalar.Parallel_sim]) pays two barriers per rank per
    cycle; sharding pays one synchronization per *job*.
 
    One base engine is compiled once; every scheduler member owns a

@@ -32,6 +32,16 @@ type t = {
 let v t i = Bytes.unsafe_get t.values i <> '\000'
 let setv t i b = Bytes.unsafe_set t.values i (if b then '\001' else '\000')
 
+(* Constants and dff power-up values; everything else reads 0. *)
+let reset t =
+  Bytes.fill t.values 0 (Bytes.length t.values) '\000';
+  Array.iteri
+    (fun i comp ->
+      match comp with Netlist.Constant b -> setv t i b | _ -> ())
+    t.netlist.Netlist.components;
+  Array.iteri (fun j i -> setv t i t.dff_init.(j)) t.dffs;
+  t.cycle <- 0
+
 (* [?optimize] runs the {!Hydra_netlist.Optimize} pre-pass (constant
    folding, dedup, dead elimination) before compilation: fewer components
    to evaluate per cycle, identical port-level behaviour.  [?certify]
@@ -101,24 +111,8 @@ let create ?(optimize = false) ?(certify = false) netlist =
       cycle = 0;
     }
   in
-  (* constants and dff power-up values *)
-  Array.iteri
-    (fun i comp ->
-      match comp with
-      | Netlist.Constant b -> setv t i b
-      | _ -> ())
-    netlist.Netlist.components;
-  Array.iteri (fun j i -> setv t i dff_init.(j)) dffs;
+  reset t;
   t
-
-let reset t =
-  Bytes.fill t.values 0 (Bytes.length t.values) '\000';
-  Array.iteri
-    (fun i comp ->
-      match comp with Netlist.Constant b -> setv t i b | _ -> ())
-    t.netlist.Netlist.components;
-  Array.iteri (fun j i -> setv t i t.dff_init.(j)) t.dffs;
-  t.cycle <- 0
 
 let set_input t name b =
   match Hashtbl.find_opt t.input_index name with
@@ -142,17 +136,28 @@ let settle t =
     eval_component t (Array.unsafe_get order k)
   done
 
+(* The latch phases, exposed so that {!Parallel_sim} and {!Spmd} can
+   parallelize them: [latch_one] computes dff [j]'s next state,
+   [commit_one] installs it, [bump_cycle] advances the clock. *)
+let latch_one t j =
+  Bytes.unsafe_set t.dff_next j
+    (if v t t.f0.(Array.unsafe_get t.dffs j) then '\001' else '\000')
+
+let commit_one t j =
+  Bytes.unsafe_set t.values (Array.unsafe_get t.dffs j)
+    (Bytes.unsafe_get t.dff_next j)
+
+let bump_cycle t = t.cycle <- t.cycle + 1
+
 (* Latch every dff from its input and advance to the next cycle. *)
 let tick t =
-  let dffs = t.dffs in
-  for j = 0 to Array.length dffs - 1 do
-    Bytes.unsafe_set t.dff_next j
-      (if v t t.f0.(Array.unsafe_get dffs j) then '\001' else '\000')
+  for j = 0 to Array.length t.dffs - 1 do
+    latch_one t j
   done;
-  for j = 0 to Array.length dffs - 1 do
-    Bytes.unsafe_set t.values (Array.unsafe_get dffs j) (Bytes.unsafe_get t.dff_next j)
+  for j = 0 to Array.length t.dffs - 1 do
+    commit_one t j
   done;
-  t.cycle <- t.cycle + 1
+  bump_cycle t
 
 let step t =
   settle t;
@@ -166,10 +171,8 @@ let output t name =
 let outputs t =
   List.map (fun (s, i) -> (s, v t i)) t.netlist.Netlist.outputs
 
+(* Read and overwrite one component's current value. *)
 let peek = v
-
-(* [poke] overwrites a component's current value — used by model checkers
-   to restore saved dff states. *)
 let poke = setv
 
 (* Checkpointing: snapshot and restore the full simulation state (all
@@ -188,33 +191,5 @@ let critical_path t = t.levels.Levelize.critical_path
 let levels t = t.levels
 let dff_indices t = t.dffs
 
-(* Fine-grained latch phases, exposed so that {!Parallel_sim} can
-   parallelize them: [latch_one] computes dff [j]'s next state,
-   [commit_one] installs it, [bump_cycle] advances the clock. *)
-let latch_one t j =
-  Bytes.unsafe_set t.dff_next j
-    (if v t t.f0.(Array.unsafe_get t.dffs j) then '\001' else '\000')
-
-let commit_one t j =
-  Bytes.unsafe_set t.values (Array.unsafe_get t.dffs j)
-    (Bytes.unsafe_get t.dff_next j)
-
-let bump_cycle t = t.cycle <- t.cycle + 1
-
-(* Run a whole simulation: per-input value streams (shorter streams are
-   padded with false), for [cycles] cycles; returns per-cycle output
-   rows. *)
 let run t ~inputs ~cycles =
-  reset t;
-  let rows = ref [] in
-  for c = 0 to cycles - 1 do
-    List.iter
-      (fun (name, vals) ->
-        let value = match List.nth_opt vals c with Some b -> b | None -> false in
-        set_input t name value)
-      inputs;
-    settle t;
-    rows := outputs t :: !rows;
-    tick t
-  done;
-  List.rev !rows
+  Run.loop ~reset ~set_input ~settle ~outputs ~tick t ~inputs ~cycles

@@ -46,7 +46,7 @@ val save : t -> snapshot
 val restore : t -> snapshot -> unit
 (** Return to a checkpoint of the same circuit. *)
 
-(** {1 Internals exposed for the parallel engines and model checkers} *)
+(** {1 Internals exposed for the parallel engines and the engine laws} *)
 
 val eval_component : t -> int -> unit
 val dff_indices : t -> int array

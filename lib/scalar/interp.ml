@@ -111,15 +111,5 @@ let step t =
 let cycle t = t.cycle
 
 let run t ~inputs ~cycles =
-  reset t;
-  let rows = ref [] in
-  for c = 0 to cycles - 1 do
-    List.iter
-      (fun (name, vals) ->
-        let value = match List.nth_opt vals c with Some b -> b | None -> false in
-        set_input t name value)
-      inputs;
-    rows := outputs t :: !rows;
-    step t
-  done;
-  List.rev !rows
+  Run.loop ~reset ~set_input ~settle:ignore ~outputs ~tick:step t
+    ~inputs ~cycles

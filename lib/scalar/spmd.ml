@@ -163,18 +163,4 @@ let output t = Compiled.output t.base
 let outputs t = Compiled.outputs t.base
 
 let run t ~inputs ~cycles =
-  reset t;
-  let rows = ref [] in
-  for c = 0 to cycles - 1 do
-    List.iter
-      (fun (name, vals) ->
-        let value =
-          match List.nth_opt vals c with Some b -> b | None -> false
-        in
-        set_input t name value)
-      inputs;
-    settle t;
-    rows := outputs t :: !rows;
-    tick t
-  done;
-  List.rev !rows
+  Run.loop ~reset ~set_input ~settle ~outputs ~tick t ~inputs ~cycles

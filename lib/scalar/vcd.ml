@@ -72,25 +72,25 @@ let to_file t path =
   output_string oc (contents t);
   close_out oc
 
-(* Convenience: run a compiled simulation and dump inputs + outputs. *)
+(* Convenience: run a compiled simulation and dump inputs + outputs,
+   sampling each cycle's driven inputs and settled outputs from inside
+   the run loop. *)
 let of_compiled_run sim ~inputs ~cycles =
-  let in_names = List.map fst inputs in
-  let out_names =
-    List.map fst (Compiled.outputs sim)
+  let t =
+    create ~signals:(List.map fst inputs @ List.map fst (Compiled.outputs sim))
   in
-  let t = create ~signals:(in_names @ out_names) in
-  Compiled.reset sim;
-  for c = 0 to cycles - 1 do
-    let in_vals =
-      List.map
-        (fun (name, vals) ->
-          let v = match List.nth_opt vals c with Some b -> b | None -> false in
-          Compiled.set_input sim name v;
-          (name, v))
-        inputs
-    in
-    Compiled.settle sim;
-    sample t (in_vals @ Compiled.outputs sim);
-    Compiled.tick sim
-  done;
+  let driven = ref [] in
+  let set_input sim name b =
+    driven := (name, b) :: !driven;
+    Compiled.set_input sim name b
+  in
+  let outputs sim =
+    let outs = Compiled.outputs sim in
+    sample t (List.rev_append !driven outs);
+    driven := [];
+    outs
+  in
+  ignore
+    (Run.loop ~reset:Compiled.reset ~set_input ~settle:Compiled.settle ~outputs
+       ~tick:Compiled.tick sim ~inputs ~cycles);
   t

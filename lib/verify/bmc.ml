@@ -2,12 +2,13 @@
 
    The synchronous model makes the whole circuit one state machine whose
    state vector is the flip-flop contents (paper section 3).  This module
-   explores that machine on the compiled engine: breadth-first reachability
-   over dff states (for circuits with few inputs/flip flops) and
-   bounded-depth checking of output invariants. *)
+   explores that machine on the packed reference simulator
+   ({!Hydra_analyze.Sim}), driving broadcast words and reading lane 0:
+   breadth-first reachability over dff states (for circuits with few
+   inputs/flip flops) and bounded-depth checking of output invariants. *)
 
 module Netlist = Hydra_netlist.Netlist
-module Compiled = Hydra_engine.Compiled
+module Sim = Hydra_analyze.Sim
 
 type violation = {
   depth : int;
@@ -19,9 +20,9 @@ type result = Holds | Violated of violation
 
 (* Invariant support: dff component indices proven stuck at their
    power-up value (e.g. by [Hydra_analyze.Dataflow.stuck_registers]) can
-   be assumed by the search.  Pinned dffs are omitted from snapshots —
+   be assumed by the search.  Pinned dffs are omitted from the state —
    collapsing states that differ only in provably-constant bits — and
-   re-checked at every snapshot: a pinned dff caught off its value means
+   re-checked at every successor: a pinned dff caught off its value means
    the supplied analysis was wrong and the pruning unsound, so the
    tripwire fails hard rather than silently exploring a wrong space. *)
 let validate_invariants netlist invariants =
@@ -41,35 +42,110 @@ let validate_invariants netlist invariants =
           (Printf.sprintf "Bmc: invariant index %d is not a flip flop" i))
     invariants
 
-(* State snapshot = dff values, minus the pinned ones (tripwired). *)
-let snapshot ?(invariants = []) sim =
-  let dffs = Compiled.dff_indices sim in
-  List.filter_map
-    (fun i ->
-      match List.assoc_opt i invariants with
-      | None -> Some (Compiled.peek sim i)
-      | Some b ->
-        if Compiled.peek sim i <> b then
-          failwith
-            (Printf.sprintf
-               "Bmc: invariant violated: dff %d left its pinned value %b" i b);
-        None)
-    (Array.to_list dffs)
+(* One circuit under search, its dffs as (index, driver, power-up value).
+   A state is the values of the unpinned ([free]) dffs, ascending by
+   index.  A pinned dff powers up at its pinned value and the search
+   never ticks, so its state is never written; it is tripwired instead,
+   at every successor. *)
+type machine = {
+  sim : Sim.packed;
+  names : string list;  (* the inputs an input row drives, in row order *)
+  outputs : (string * int) list;
+  free : (int * int * bool) list;
+  pinned : (int * int * bool) list;
+}
 
-let restore ?(invariants = []) sim state =
-  let dffs = Compiled.dff_indices sim in
-  let rest = ref state in
-  Array.iter
-    (fun i ->
-      match List.assoc_opt i invariants with
-      | Some b -> Compiled.poke sim i b
-      | None -> (
-        match !rest with
-        | b :: tl ->
-          rest := tl;
-          Compiled.poke sim i b
-        | [] -> assert false))
-    dffs
+let machine ?(invariants = []) nl =
+  validate_invariants nl invariants;
+  let dffs = ref [] in
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Netlist.Dffc init -> dffs := (i, nl.Netlist.fanin.(i).(0), init) :: !dffs
+      | _ -> ())
+    nl.Netlist.components;
+  let pinned, free =
+    List.partition (fun (i, _, _) -> List.mem_assoc i invariants) (List.rev !dffs)
+  in
+  {
+    sim = Sim.packed_create nl;
+    names = List.map fst nl.Netlist.inputs;
+    outputs = nl.Netlist.outputs;
+    free;
+    pinned;
+  }
+
+let start m = List.map (fun (_, _, init) -> init) m.free
+
+let lane0 m i = Sim.packed_value m.sim i land 1 = 1
+
+(* Load [state] into the dffs, drive input row [v] (broadcast words) and
+   settle. *)
+let settle m state v =
+  List.iter2 (fun (i, _, _) b -> Sim.packed_poke m.sim i (-Bool.to_int b)) m.free state;
+  List.iter2 (fun n b -> Sim.packed_set_input m.sim n (-Bool.to_int b)) m.names v;
+  Sim.packed_settle m.sim
+
+(* The state the clock edge would latch: each dff's settled driver. *)
+let successor m =
+  List.iter
+    (fun (i, d, b) ->
+      if lane0 m d <> b then
+        failwith
+          (Printf.sprintf
+             "Bmc: invariant violated: dff %d left its pinned value %b" i b))
+    m.pinned;
+  List.map (fun (_, d, _) -> lane0 m d) m.free
+
+let outputs m = List.map (fun (n, i) -> (n, lane0 m i)) m.outputs
+
+(* The one breadth-first search, over the product of [machines] driven
+   with the same input rows.  Each queued state below [depth] is
+   expanded under every row: restore it, drive the row, settle,
+   [observe] (which raises to end the search), read the successor, and
+   queue it if it is new and [admit] lets it in.  Returns the number of
+   states seen. *)
+let bfs ?(admit = fun _ -> true) ~observe ~depth machines =
+  let rows = Hydra_core.Bit.vectors (List.length (List.hd machines).names) in
+  let start = List.map start machines in
+  let seen = Hashtbl.create 256 and queue = Queue.create () in
+  Hashtbl.add seen start ();
+  Queue.add (start, 0, []) queue;
+  while not (Queue.is_empty queue) do
+    let state, d, history = Queue.pop queue in
+    if d < depth then
+      List.iter
+        (fun v ->
+          List.iter2 (fun m s -> settle m s v) machines state;
+          let history = v :: history in
+          observe ~depth:d ~history;
+          let s' = List.map successor machines in
+          if (not (Hashtbl.mem seen s')) && admit seen then begin
+            Hashtbl.add seen s' ();
+            Queue.add (s', d + 1, history) queue
+          end)
+        rows
+  done;
+  Hashtbl.length seen
+
+exception Found of violation
+
+let found ~depth ~history outputs =
+  Found { depth; inputs = List.rev history; outputs }
+
+(* The search of [check] and [equiv_sequential]: [observe] raises
+   {!found} on a violation; more than [max_states] expansions fail. *)
+let falsify who ~max_states ~depth ~observe machines =
+  if depth < 0 then invalid_arg (Printf.sprintf "%s: negative depth %d" who depth);
+  let explored = ref 0 in
+  let observe ~depth ~history =
+    incr explored;
+    if !explored > max_states then failwith (who ^ ": state budget exceeded");
+    observe ~depth ~history
+  in
+  match bfs ~observe ~depth machines with
+  | _ -> Holds
+  | exception Found v -> Violated v
 
 (* [check ~netlist ~property ~depth]: drive the circuit with every input
    sequence of length [depth] (exhaustive over the circuit's inputs per
@@ -78,131 +154,42 @@ let restore ?(invariants = []) sim state =
    violation is at the earliest possible depth.  Exponential in inputs:
    intended for control-style circuits with few inputs. *)
 let check ?(max_states = 200_000) ?(invariants = []) ~property ~depth netlist =
-  validate_invariants netlist invariants;
-  let sim = Compiled.create netlist in
-  let snapshot sim = snapshot ~invariants sim in
-  let restore sim st = restore ~invariants sim st in
-  let input_names = List.map fst netlist.Netlist.inputs in
-  let vectors = Hydra_core.Bit.vectors (List.length input_names) in
-  let seen = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let start = snapshot sim in
-  Hashtbl.add seen start ();
-  Queue.add (start, 0, []) queue;
-  let explored = ref 0 in
-  let exception Found of violation in
-  try
-    while not (Queue.is_empty queue) do
-      let state, d, history = Queue.pop queue in
-      if d < depth then
-        List.iter
-          (fun v ->
-            incr explored;
-            if !explored > max_states then
-              failwith "Bmc.check: state budget exceeded";
-            restore sim state;
-            List.iter2 (fun n b -> Compiled.set_input sim n b) input_names v;
-            Compiled.settle sim;
-            let outs = Compiled.outputs sim in
-            (match List.assoc_opt property outs with
-            | Some true -> ()
-            | Some false ->
-              raise
-                (Found
-                   { depth = d; inputs = List.rev (v :: history); outputs = outs })
-            | None -> invalid_arg ("Bmc.check: unknown output " ^ property));
-            Compiled.tick sim;
-            let s' = snapshot sim in
-            if not (Hashtbl.mem seen s') then begin
-              Hashtbl.add seen s' ();
-              Queue.add (s', d + 1, v :: history) queue
-            end)
-          vectors
-    done;
-    Holds
-  with Found v -> Violated v
+  let p =
+    match List.assoc_opt property netlist.Netlist.outputs with
+    | Some p -> p
+    | None -> invalid_arg ("Bmc.check: unknown output " ^ property)
+  in
+  let m = machine ~invariants netlist in
+  let observe ~depth ~history =
+    if not (lane0 m p) then raise (found ~depth ~history (outputs m))
+  in
+  falsify "Bmc.check" ~max_states ~depth ~observe [ m ]
 
 (* Reachable state count via BFS from the power-up state, driving all
    input combinations at every step.  For small sequential circuits. *)
 let reachable_states ?(limit = 100_000) ?(invariants = []) netlist =
-  validate_invariants netlist invariants;
-  let sim = Compiled.create netlist in
-  let snapshot sim = snapshot ~invariants sim in
-  let restore sim st = restore ~invariants sim st in
-  let input_names = List.map fst netlist.Netlist.inputs in
-  let vectors = Hydra_core.Bit.vectors (List.length input_names) in
-  let seen = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let start = snapshot sim in
-  Hashtbl.add seen start ();
-  Queue.add start queue;
   let truncated = ref false in
-  while not (Queue.is_empty queue) do
-    let state = Queue.pop queue in
-    List.iter
-      (fun v ->
-        restore sim state;
-        List.iter2 (fun n b -> Compiled.set_input sim n b) input_names v;
-        Compiled.settle sim;
-        Compiled.tick sim;
-        let s' = snapshot sim in
-        if not (Hashtbl.mem seen s') then
-          if Hashtbl.length seen >= limit then truncated := true
-          else begin
-            Hashtbl.add seen s' ();
-            Queue.add s' queue
-          end)
-      vectors
-  done;
-  (Hashtbl.length seen, !truncated)
+  let admit seen = Hashtbl.length seen < limit || (truncated := true; false) in
+  let count =
+    bfs ~admit ~observe:(fun ~depth:_ ~history:_ -> ()) ~depth:max_int
+      [ machine ~invariants netlist ]
+  in
+  (count, !truncated)
 
 (* Sequential equivalence up to [depth]: two netlists with identical input
-   port names produce identical output values on every input sequence of
-   length [depth].  Breadth-first over deduplicated product states, so a
-   reported difference is at the earliest possible depth. *)
+   and output port names produce identical output values on every input
+   sequence of length [depth].  Breadth-first over deduplicated product
+   states, so a reported difference is at the earliest possible depth. *)
 let equiv_sequential ?(max_states = 200_000) ~depth nl_a nl_b =
-  let sa = Compiled.create nl_a and sb = Compiled.create nl_b in
-  let names_a = List.map fst nl_a.Netlist.inputs in
-  let names_b = List.map fst nl_b.Netlist.inputs in
-  if List.sort compare names_a <> List.sort compare names_b then
+  let ports nl = List.sort compare (List.map fst nl) in
+  if ports nl_a.Netlist.inputs <> ports nl_b.Netlist.inputs then
     invalid_arg "Bmc.equiv_sequential: different input ports";
-  let vectors = Hydra_core.Bit.vectors (List.length names_a) in
-  let seen = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let start = (snapshot sa, snapshot sb) in
-  Hashtbl.add seen start ();
-  Queue.add (start, 0, []) queue;
-  let explored = ref 0 in
-  let exception Diff of violation in
-  try
-    while not (Queue.is_empty queue) do
-      let (state_a, state_b), d, history = Queue.pop queue in
-      if d < depth then
-        List.iter
-          (fun v ->
-            incr explored;
-            if !explored > max_states then
-              failwith "Bmc.equiv_sequential: state budget exceeded";
-            restore sa state_a;
-            restore sb state_b;
-            List.iter2 (fun n b -> Compiled.set_input sa n b) names_a v;
-            List.iter2 (fun n b -> Compiled.set_input sb n b) names_a v;
-            Compiled.settle sa;
-            Compiled.settle sb;
-            let oa = List.sort compare (Compiled.outputs sa) in
-            let ob = List.sort compare (Compiled.outputs sb) in
-            if oa <> ob then
-              raise
-                (Diff
-                   { depth = d; inputs = List.rev (v :: history); outputs = oa });
-            Compiled.tick sa;
-            Compiled.tick sb;
-            let s' = (snapshot sa, snapshot sb) in
-            if not (Hashtbl.mem seen s') then begin
-              Hashtbl.add seen s' ();
-              Queue.add (s', d + 1, v :: history) queue
-            end)
-          vectors
-    done;
-    Holds
-  with Diff v -> Violated v
+  if ports nl_a.Netlist.outputs <> ports nl_b.Netlist.outputs then
+    invalid_arg "Bmc.equiv_sequential: different output ports";
+  let ma = machine nl_a in
+  let mb = { (machine nl_b) with names = ma.names } in
+  let observe ~depth ~history =
+    let oa = List.sort compare (outputs ma) in
+    if oa <> List.sort compare (outputs mb) then raise (found ~depth ~history oa)
+  in
+  falsify "Bmc.equiv_sequential" ~max_states ~depth ~observe [ ma; mb ]

@@ -1,6 +1,7 @@
 (** Bounded model checking and reachability over netlist state machines —
     the whole circuit viewed as one synchronous state machine whose state
-    vector is the flip-flop contents (paper section 3). *)
+    vector is the flip-flop contents (paper section 3), explored on the
+    packed reference simulator ({!Hydra_analyze.Sim}). *)
 
 type violation = {
   depth : int;
@@ -20,7 +21,9 @@ val check :
 (** Drive every input sequence up to [depth] cycles (breadth-first over
     deduplicated states, so violations are found at minimal depth) and
     fail if the output named [property] is ever 0 after settling.
-    Exponential in the number of inputs.
+    Exponential in the number of inputs.  An unknown [property] or a
+    negative [depth] raises [Invalid_argument]; more than [max_states]
+    expansions raise [Failure].
 
     [invariants] assumes flip flops (by component index) stuck at a
     value — use [Hydra_analyze.Dataflow.stuck_registers] — shrinking
@@ -46,5 +49,7 @@ val equiv_sequential :
   Hydra_netlist.Netlist.t ->
   Hydra_netlist.Netlist.t ->
   result
-(** Two netlists with the same input port names produce identical outputs
-    on every input sequence of length [depth]. *)
+(** Two netlists with the same input and output port names produce
+    identical outputs on every input sequence of length [depth].
+    Different port names or a negative [depth] raise [Invalid_argument];
+    more than [max_states] expansions raise [Failure]. *)

@@ -116,7 +116,20 @@ let seu_sweep nl ~cycles =
 (* Stimulus: one bool stream per input port, consumed cycle by cycle
    (missing ports idle at false, short streams pad with false). *)
 
+(* A row must give each input one value: a short row would index past
+   its end, a long one would be cut without a word. *)
+let check_vectors nl vectors =
+  let inputs = List.length nl.Netlist.inputs in
+  List.iteri
+    (fun r row ->
+      let n = List.length row in
+      if n <> inputs then
+        invalid_arg
+          (Printf.sprintf "vector row %d has %d values, but the circuit has %d inputs" r n inputs))
+    vectors
+
 let stimulus_of_vectors ?(cycles_per_vector = 1) nl vectors =
+  check_vectors nl vectors;
   let names = List.map fst nl.Netlist.inputs in
   let rows = List.map Array.of_list vectors in
   ( List.mapi

@@ -76,6 +76,10 @@ val seu_sweep : Hydra_netlist.Netlist.t -> cycles:int -> fault list
 (** One SEU per dff per injection cycle in [0, cycles): the exhaustive
     single-upset space of a run window. *)
 
+val check_vectors : Hydra_netlist.Netlist.t -> bool list list -> unit
+(** Raises [Invalid_argument], naming the row index and both widths, if
+    a vector row does not give exactly one value per input port. *)
+
 val stimulus_of_vectors :
   ?cycles_per_vector:int ->
   Hydra_netlist.Netlist.t ->
@@ -83,7 +87,8 @@ val stimulus_of_vectors :
   (string * bool list) list * int
 (** Expand test vectors (rows in input-port order, each held
     [cycles_per_vector] cycles, default 1) into per-port stimulus
-    streams; also returns the total cycle count. *)
+    streams; also returns the total cycle count.  Rows are checked by
+    {!check_vectors}. *)
 
 val random_stimulus :
   seed:int -> cycles:int -> Hydra_netlist.Netlist.t -> (string * bool list) list

@@ -13,11 +13,13 @@
    than by rewriting and recompiling the netlist once per fault.
    [inject]/[response] keep the old rewriting semantics for callers that
    want a standalone faulty netlist, and [coverage_recompile] preserves
-   the historic per-fault-recompile loop as the bit-identity reference
-   (and benchmark baseline). *)
+   the historic per-fault rewrite loop as the bit-identity reference
+   (and benchmark baseline).  [response] runs on the packed reference
+   simulator ({!Hydra_analyze.Sim}), so that reference shares no code
+   with the campaign's slab kernels. *)
 
 module Netlist = Hydra_netlist.Netlist
-module Compiled = Hydra_engine.Compiled
+module Sim = Hydra_analyze.Sim
 
 type fault = { site : int; stuck : bool }
 
@@ -58,18 +60,23 @@ let inject nl { site; stuck } =
 
 (* Run [vectors] (rows of input values, in input-port order) on a
    combinational or sequential circuit for [cycles_per_vector] cycles each
-   and collect the output rows; used to compare good and faulty runs. *)
+   and collect the output rows; used to compare good and faulty runs.
+   Runs on the packed reference simulator: broadcast words in, lane 0
+   out. *)
 let response nl ~vectors ~cycles_per_vector =
-  let sim = Compiled.create nl in
+  Campaign.check_vectors nl vectors;
+  let sim = Sim.packed_create nl in
   let names = List.map fst nl.Netlist.inputs in
   List.map
     (fun vector ->
-      List.iter2 (fun n b -> Compiled.set_input sim n b) names vector;
+      List.iter2 (fun n b -> Sim.packed_set_input sim n (-Bool.to_int b)) names vector;
       let rows = ref [] in
       for _ = 1 to cycles_per_vector do
-        Compiled.settle sim;
-        rows := List.map snd (Compiled.outputs sim) :: !rows;
-        Compiled.tick sim
+        Sim.packed_settle sim;
+        rows :=
+          List.map (fun (_, i) -> Sim.packed_value sim i land 1 = 1) nl.Netlist.outputs
+          :: !rows;
+        Sim.packed_tick sim
       done;
       List.rev !rows)
     vectors
@@ -82,8 +89,8 @@ type coverage = {
 
 let ratio c = if c.total = 0 then 1.0 else float_of_int c.detected /. float_of_int c.total
 
-(* The historic per-fault netlist-rewrite-and-recompile loop, kept as the
-   bit-identity reference for [coverage] and as the benchmark baseline. *)
+(* The historic per-fault netlist-rewrite loop, kept as the bit-identity
+   reference for [coverage] and as the benchmark baseline. *)
 let coverage_recompile ?(cycles_per_vector = 1) nl ~vectors =
   let good = response nl ~vectors ~cycles_per_vector in
   let faults = all_faults nl in

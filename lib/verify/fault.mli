@@ -24,7 +24,9 @@ val response :
   cycles_per_vector:int ->
   bool list list list
 (** Output rows per vector per observation cycle (state carries across
-    vectors): the comparison record detection is defined over. *)
+    vectors): the comparison record detection is defined over.  Runs on
+    the packed reference simulator ({!Hydra_analyze.Sim}).  Rows are
+    checked by {!Campaign.check_vectors}. *)
 
 type coverage = { total : int; detected : int; undetected : fault list }
 
@@ -44,9 +46,9 @@ val coverage_recompile :
   Hydra_netlist.Netlist.t ->
   vectors:bool list list ->
   coverage
-(** The historic implementation — one netlist rewrite and engine
-    recompile per fault.  Kept as the bit-identity reference and the
-    benchmark baseline. *)
+(** The historic implementation — one netlist rewrite and {!response}
+    run per fault.  Kept as the bit-identity reference and the benchmark
+    baseline. *)
 
 val random_vectors : seed:int -> inputs:int -> int -> bool list list
 

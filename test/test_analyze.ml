@@ -469,8 +469,8 @@ let suite =
           (List.init 12 Fun.id));
     tc "engines: ~certify smoke on ~optimize path" (fun () ->
         let nl = ripple_netlist 8 in
-        let c = Hydra_engine.Compiled.create ~optimize:true ~certify:true nl in
-        ignore (Hydra_engine.Compiled.critical_path c);
+        let c = Hydra_scalar.Compiled.create ~optimize:true ~certify:true nl in
+        ignore (Hydra_scalar.Compiled.critical_path c);
         let w =
           Hydra_engine.Compiled_wide.create ~optimize:true ~certify:true nl
         in

@@ -6,7 +6,7 @@ open Util
 module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module S = Hydra_core.Stream_sim
-module Compiled = Hydra_engine.Compiled
+module Compiled = Hydra_scalar.Compiled
 module Tb = Hydra_engine.Testbench
 module Bmc = Hydra_verify.Bmc
 module AS = Hydra_circuits.Arith_seq.Make (Hydra_core.Stream_sim)

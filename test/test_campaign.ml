@@ -312,6 +312,25 @@ let suite =
         check_cov_equal "two_stage"
           (Fault.coverage_recompile nl ~vectors ~cycles_per_vector:2)
           (Fault.coverage nl ~vectors ~cycles_per_vector:2));
+    tc "fault: a row of the wrong width gives one error on both paths"
+      (fun () ->
+        let nl = fig1 () in
+        let error grade =
+          match grade nl with
+          | _ -> "no error"
+          | exception Invalid_argument m -> m
+        in
+        List.iter
+          (fun (vectors, want) ->
+            check_string "coverage" want
+              (error (fun nl -> Fault.coverage nl ~vectors));
+            check_string "coverage_recompile" want
+              (error (fun nl -> Fault.coverage_recompile nl ~vectors)))
+          [
+            ([ [ true ] ], "vector row 0 has 1 values, but the circuit has 2 inputs");
+            ( [ [ true; false ]; [ true; false; true ] ],
+              "vector row 1 has 3 values, but the circuit has 2 inputs" );
+          ]);
     tc "campaign: scheduler reuse matches one-shot runs" (fun () ->
         let nl = ripple 8 in
         let sch = Scheduler.create ~domains:2 () in

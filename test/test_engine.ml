@@ -7,11 +7,11 @@ open Util
 module S = Hydra_core.Stream_sim
 module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
-module Compiled = Hydra_engine.Compiled
-module Interp = Hydra_engine.Interp
-module Parallel_sim = Hydra_engine.Parallel_sim
-module Event = Hydra_engine.Event
-module Vcd = Hydra_engine.Vcd
+module Compiled = Hydra_scalar.Compiled
+module Interp = Hydra_scalar.Interp
+module Parallel_sim = Hydra_scalar.Parallel_sim
+module Event = Hydra_scalar.Event
+module Vcd = Hydra_scalar.Vcd
 
 (* A random synchronous circuit described abstractly: node i is
    (op, src1, src2) where sources index into inputs @ earlier nodes. *)
@@ -143,9 +143,9 @@ let suite =
     qc ~count:20 "spmd (2 domains) = stream semantics" gen_case
       (fun (nodes, rows, ()) ->
         let run nl ~inputs ~cycles =
-          let sim = Hydra_engine.Spmd.create ~domains:2 nl in
-          let out = Hydra_engine.Spmd.run sim ~inputs ~cycles in
-          Hydra_engine.Spmd.shutdown sim;
+          let sim = Hydra_scalar.Spmd.create ~domains:2 nl in
+          let out = Hydra_scalar.Spmd.run sim ~inputs ~cycles in
+          Hydra_scalar.Spmd.shutdown sim;
           out
         in
         stream_reference nodes rows
@@ -153,11 +153,11 @@ let suite =
     tc "spmd single domain runs inline" (fun () ->
         let x = G.input "x" in
         let nl = N.of_graph ~outputs:[ ("q", G.dff x) ] in
-        let sim = Hydra_engine.Spmd.create ~domains:1 nl in
+        let sim = Hydra_scalar.Spmd.create ~domains:1 nl in
         let rows =
-          Hydra_engine.Spmd.run sim ~inputs:[ ("x", [ true; false ]) ] ~cycles:2
+          Hydra_scalar.Spmd.run sim ~inputs:[ ("x", [ true; false ]) ] ~cycles:2
         in
-        Hydra_engine.Spmd.shutdown sim;
+        Hydra_scalar.Spmd.shutdown sim;
         Alcotest.(check (list (list (pair string bool))))
           "trace"
           [ [ ("q", false) ]; [ ("q", true) ] ]

@@ -11,7 +11,7 @@ open Util
 module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module P = Hydra_core.Packed
-module C = Hydra_engine.Compiled
+module C = Hydra_scalar.Compiled
 module W = Hydra_engine.Compiled_wide
 module Slab = Hydra_engine.Slab
 module Kernel = Hydra_engine.Kernel

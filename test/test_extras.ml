@@ -336,10 +336,10 @@ let suite =
         match Fault.all_faults nl with
         | { Fault.site; _ } :: _ ->
           let bad = Fault.inject nl { Fault.site; stuck = true } in
-          let sim = Hydra_engine.Compiled.create bad in
-          Hydra_engine.Compiled.set_input sim "a" true;
-          Hydra_engine.Compiled.settle sim;
-          check_bool "stuck at 1" true (Hydra_engine.Compiled.output sim "x")
+          let sim = Hydra_scalar.Compiled.create bad in
+          Hydra_scalar.Compiled.set_input sim "a" true;
+          Hydra_scalar.Compiled.settle sim;
+          check_bool "stuck at 1" true (Hydra_scalar.Compiled.output sim "x")
         | [] -> Alcotest.fail "no faults");
     tc "fault: generated tests reach full coverage on an adder" (fun () ->
         let module A = Hydra_circuits.Arith.Make (G) in

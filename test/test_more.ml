@@ -9,8 +9,8 @@ module N = Hydra_netlist.Netlist
 module O = Hydra_netlist.Optimize
 module S = Hydra_core.Stream_sim
 module Equiv = Hydra_verify.Equiv
-module Event = Hydra_engine.Event
-module Vcd = Hydra_engine.Vcd
+module Event = Hydra_scalar.Event
+module Vcd = Hydra_scalar.Vcd
 module Pool = Hydra_parallel.Pool
 
 let suite =
@@ -148,7 +148,7 @@ let suite =
     tc "vcd: writes a loadable file" (fun () ->
         let x = G.input "x" in
         let nl = N.of_graph ~outputs:[ ("q", G.dff x) ] in
-        let sim = Hydra_engine.Compiled.create nl in
+        let sim = Hydra_scalar.Compiled.create nl in
         let vcd =
           Vcd.of_compiled_run sim ~inputs:[ ("x", [ true; false ]) ] ~cycles:2
         in
@@ -197,19 +197,19 @@ let suite =
             ~outputs:(List.mapi (fun i b -> (Printf.sprintf "p%d" i, b)) out)
         in
         check_bool "thousands of gates" true ((N.stats nl).N.gates > 1500);
-        let sim = Hydra_engine.Compiled.create nl in
+        let sim = Hydra_scalar.Compiled.create nl in
         List.iter
           (fun (x, y) ->
             List.iteri
-              (fun i b -> Hydra_engine.Compiled.set_input sim (Printf.sprintf "x%d" i) b)
+              (fun i b -> Hydra_scalar.Compiled.set_input sim (Printf.sprintf "x%d" i) b)
               (Bitvec.of_int ~width:16 x);
             List.iteri
-              (fun i b -> Hydra_engine.Compiled.set_input sim (Printf.sprintf "y%d" i) b)
+              (fun i b -> Hydra_scalar.Compiled.set_input sim (Printf.sprintf "y%d" i) b)
               (Bitvec.of_int ~width:16 y);
-            Hydra_engine.Compiled.settle sim;
+            Hydra_scalar.Compiled.settle sim;
             let p =
               List.init 32 (fun i ->
-                  Hydra_engine.Compiled.output sim (Printf.sprintf "p%d" i))
+                  Hydra_scalar.Compiled.output sim (Printf.sprintf "p%d" i))
             in
             check_int (Printf.sprintf "%d*%d" x y) (x * y) (Bitvec.to_int p))
           [ (0, 0); (1, 1); (65535, 65535); (12345, 54321); (256, 256) ]);

@@ -270,8 +270,8 @@ let suite =
         check_bool "dffs preserved" true ((N.stats nl').N.dffs = 1);
         (* behaviour identical *)
         let run nl =
-          Hydra_engine.Compiled.run
-            (Hydra_engine.Compiled.create nl)
+          Hydra_scalar.Compiled.run
+            (Hydra_scalar.Compiled.create nl)
             ~inputs:[ ("ld", [ true; false ]); ("x", [ true; false ]) ]
             ~cycles:2
         in

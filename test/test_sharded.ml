@@ -10,7 +10,7 @@ module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module Layout = Hydra_netlist.Layout
 module Packed = Hydra_core.Packed
-module Compiled = Hydra_engine.Compiled
+module Compiled = Hydra_scalar.Compiled
 module Wide = Hydra_engine.Compiled_wide
 module Sharded = Hydra_engine.Sharded
 module Testbench = Hydra_engine.Testbench

@@ -10,7 +10,7 @@ open Util
 module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module Packed = Hydra_core.Packed
-module Compiled = Hydra_engine.Compiled
+module Compiled = Hydra_scalar.Compiled
 module Wide = Hydra_engine.Compiled_wide
 module Slab = Hydra_engine.Slab
 module Kernel = Hydra_engine.Kernel

@@ -8,7 +8,7 @@ module N = Hydra_netlist.Netlist
 module O = Hydra_netlist.Optimize
 module L = Hydra_netlist.Levelize
 module S = Hydra_core.Stream_sim
-module Compiled = Hydra_engine.Compiled
+module Compiled = Hydra_scalar.Compiled
 module Wave = Hydra_engine.Wave
 module W = Hydra_circuits.Wallace.Make (Hydra_core.Bit)
 module WD = Hydra_circuits.Wallace.Make (Hydra_core.Depth)

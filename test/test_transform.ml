@@ -4,7 +4,7 @@ open Util
 module G = Hydra_core.Graph
 module N = Hydra_netlist.Netlist
 module T = Hydra_netlist.Transform
-module Compiled = Hydra_engine.Compiled
+module Compiled = Hydra_scalar.Compiled
 
 (* a 3-bit counter with enable, as the guinea pig *)
 let counter_netlist () =

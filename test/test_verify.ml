@@ -61,6 +61,98 @@ let counter_netlist ~limit =
       (("prop", prop)
       :: List.mapi (fun i b -> (Printf.sprintf "c%d" i, b)) count)
 
+(* The search [Bmc] ran before it moved to the packed simulator, kept as
+   the reference for the port law: the scalar compiled engine, with the
+   dffs restored by [poke], then drive, settle, observe, tick, and the
+   next state read back by [peek].  Explores the product of [sims]
+   breadth-first, driving every one with [nl]'s input names; [observe]
+   may return a violation, which ends the search. *)
+module Ref_bmc = struct
+  module C = Hydra_scalar.Compiled
+
+  let snapshot sim = Array.to_list (Array.map (C.peek sim) (C.dff_indices sim))
+  let restore sim st = List.iteri (fun j b -> C.poke sim (C.dff_indices sim).(j) b) st
+
+  let bfs ?(limit = max_int) ~depth ~observe sims nl =
+    let names = List.map fst nl.N.inputs in
+    let rows = Hydra_core.Bit.vectors (List.length names) in
+    let seen = Hashtbl.create 64 and queue = Queue.create () in
+    let start = List.map snapshot sims in
+    Hashtbl.add seen start ();
+    Queue.add (start, 0, []) queue;
+    let truncated = ref false and found = ref None in
+    while !found = None && not (Queue.is_empty queue) do
+      let st, d, history = Queue.pop queue in
+      if d < depth then
+        List.iter
+          (fun v ->
+            if !found = None then begin
+              List.iter2 restore sims st;
+              List.iter
+                (fun sim ->
+                  List.iter2 (C.set_input sim) names v;
+                  C.settle sim)
+                sims;
+              found := observe d (v :: history) sims;
+              List.iter C.tick sims;
+              let s' = List.map snapshot sims in
+              if not (Hashtbl.mem seen s') then
+                if Hashtbl.length seen >= limit then truncated := true
+                else begin
+                  Hashtbl.add seen s' ();
+                  Queue.add (s', d + 1, v :: history) queue
+                end
+            end)
+          rows
+    done;
+    ( Hashtbl.length seen,
+      !truncated,
+      match !found with None -> Bmc.Holds | Some v -> Bmc.Violated v )
+
+  let violation d history outputs =
+    Some { Bmc.depth = d; inputs = List.rev history; outputs }
+
+  let reachable ?limit nl =
+    let n, truncated, _ =
+      bfs ?limit ~depth:max_int ~observe:(fun _ _ _ -> None) [ C.create nl ] nl
+    in
+    (n, truncated)
+
+  let check ~property ~depth nl =
+    let observe d history = function
+      | [ sim ] when not (C.output sim property) ->
+        violation d history (C.outputs sim)
+      | _ -> None
+    in
+    let _, _, r = bfs ~depth ~observe [ C.create nl ] nl in
+    r
+
+  let equiv ~depth a b =
+    let observe d history = function
+      | [ sa; sb ] ->
+        let oa = List.sort compare (C.outputs sa) in
+        if oa <> List.sort compare (C.outputs sb) then violation d history oa
+        else None
+      | _ -> None
+    in
+    let _, _, r = bfs ~depth ~observe [ C.create a; C.create b ] a in
+    r
+end
+
+(* Random sequential netlists over inputs a, b, c with at least one dff
+   (the last node), small enough for exhaustive search. *)
+let gen_bmc_netlist =
+  QCheck2.Gen.(
+    map
+      (fun (nodes, s) ->
+        Test_analyze.random_netlist (nodes @ [ (Test_analyze.Rdff, s, 0) ]))
+      (pair
+         (list_size (int_range 0 14)
+            (triple
+               (oneofl Test_analyze.[ Rinv; Rand; Ror; Rxor; Rdff ])
+               (int_bound 1000) (int_bound 1000)))
+         (int_bound 1000)))
+
 let suite =
   [
     (* BDD basics *)
@@ -246,4 +338,41 @@ let suite =
         match Bmc.equiv_sequential ~depth:6 a b with
         | Bmc.Holds -> Alcotest.fail "props differ"
         | Bmc.Violated v -> check_bool "depth sane" true (v.Bmc.depth <= 3));
+    tc "bmc: an unknown property is rejected at any depth" (fun () ->
+        List.iter
+          (fun depth ->
+            Alcotest.check_raises "unknown output"
+              (Invalid_argument "Bmc.check: unknown output nope") (fun () ->
+                ignore
+                  (Bmc.check ~property:"nope" ~depth (counter_netlist ~limit:7))))
+          [ 0; 3 ]);
+    tc "bmc: a negative depth is rejected" (fun () ->
+        let nl = counter_netlist ~limit:7 in
+        Alcotest.check_raises "check" (Invalid_argument "Bmc.check: negative depth -3")
+          (fun () -> ignore (Bmc.check ~property:"prop" ~depth:(-3) nl));
+        Alcotest.check_raises "equiv_sequential"
+          (Invalid_argument "Bmc.equiv_sequential: negative depth -1") (fun () ->
+            ignore (Bmc.equiv_sequential ~depth:(-1) nl nl)));
+    tc "bmc: equiv_sequential rejects different output ports" (fun () ->
+        let named o =
+          let a = G.input "a" in
+          N.of_graph ~outputs:[ (o, G.dff (G.inv a)) ]
+        in
+        Alcotest.check_raises "renamed output"
+          (Invalid_argument "Bmc.equiv_sequential: different output ports")
+          (fun () -> ignore (Bmc.equiv_sequential ~depth:2 (named "x") (named "y"))));
+    qc ~count:100 "bmc: packed search = compiled reference search" gen_bmc_netlist
+      (fun nl ->
+        let full = Ref_bmc.reachable nl in
+        let cut = max 1 (fst full / 2) in
+        Bmc.reachable_states nl = full
+        && Bmc.reachable_states ~limit:cut nl = Ref_bmc.reachable ~limit:cut nl
+        && List.for_all
+             (fun (property, _) ->
+               Bmc.check ~property ~depth:4 nl
+               = Ref_bmc.check ~property ~depth:4 nl)
+             nl.N.outputs
+        &&
+        let opt = Hydra_netlist.Optimize.optimize nl in
+        Bmc.equiv_sequential ~depth:4 nl opt = Ref_bmc.equiv ~depth:4 nl opt);
   ]
