@@ -151,6 +151,8 @@ type packed = {
   input_index : (string, int) Hashtbl.t;
   dffs : int array;
   dff_init : int array;  (* broadcast power-up words *)
+  consts : int array;
+  const_w : int array;  (* broadcast constant words *)
 }
 
 let packed_create nl =
@@ -167,6 +169,11 @@ let packed_create nl =
         | _ -> assert false)
       dffs
   in
+  let consts = ref [] in
+  Array.iteri
+    (fun i c -> match c with Netlist.Constant b -> consts := (i, b) :: !consts | _ -> ())
+    nl.Netlist.components;
+  let consts = Array.of_list (List.rev !consts) in
   let t =
     {
       nl;
@@ -176,6 +183,8 @@ let packed_create nl =
       input_index;
       dffs;
       dff_init;
+      consts = Array.map fst consts;
+      const_w = Array.map (fun (_, b) -> if b then P.lane_mask else 0) consts;
     }
   in
   Array.iteri (fun j i -> t.state.(i) <- dff_init.(j)) dffs;
@@ -191,27 +200,22 @@ let packed_set_input t name w =
   | Some i -> t.values.(i) <- w land P.lane_mask
   | None -> invalid_arg ("Sim.packed_set_input: unknown input " ^ name)
 
+(* Constants and dff states first, from their index arrays; then every
+   gate in levelized order, reading its fanin without a closure. *)
 let packed_settle t =
-  let nl = t.nl in
-  Array.iteri
-    (fun i c ->
-      match c with
-      | Netlist.Constant b -> t.values.(i) <- (if b then P.lane_mask else 0)
-      | Netlist.Dffc _ -> t.values.(i) <- t.state.(i)
-      | _ -> ())
-    nl.Netlist.components;
+  let nl = t.nl and v = t.values in
+  Array.iteri (fun j i -> v.(i) <- t.const_w.(j)) t.consts;
+  Array.iter (fun i -> v.(i) <- t.state.(i)) t.dffs;
   Array.iter
     (fun i ->
-      let fi k = t.values.(nl.Netlist.fanin.(i).(k)) in
-      t.values.(i) <-
-        (match nl.Netlist.components.(i) with
-        | Netlist.Invc -> lnot (fi 0) land P.lane_mask
-        | Netlist.And2c -> fi 0 land fi 1
-        | Netlist.Or2c -> fi 0 lor fi 1
-        | Netlist.Xor2c -> fi 0 lxor fi 1
-        | Netlist.Outport _ -> fi 0
-        | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ ->
-          t.values.(i)))
+      let fi = nl.Netlist.fanin.(i) in
+      match nl.Netlist.components.(i) with
+      | Netlist.Invc -> v.(i) <- lnot v.(fi.(0)) land P.lane_mask
+      | Netlist.And2c -> v.(i) <- v.(fi.(0)) land v.(fi.(1))
+      | Netlist.Or2c -> v.(i) <- v.(fi.(0)) lor v.(fi.(1))
+      | Netlist.Xor2c -> v.(i) <- v.(fi.(0)) lxor v.(fi.(1))
+      | Netlist.Outport _ -> v.(i) <- v.(fi.(0))
+      | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> ())
     t.order
 
 let packed_tick t =

@@ -1,4 +1,4 @@
-/* The C kernel of the Slab engine: every levelized rank runs here.
+/* The C kernels of the Slab engine: every levelized rank runs here.
  *
  * hydra_settle_block(values, desc) evaluates one levelized rank of the
  * shared Kernel program directly over the OCaml int-array slab: one
@@ -24,6 +24,18 @@
  * copies them to the dffs, so a dff whose driver is a dff reads the
  * pre-tick word.  dffs and srcs hold the pre-scaled slab bases, which
  * Slab also range-checks once.
+ *
+ * Two lane passes answer a fault campaign's per-cycle questions with
+ * one lane mask per slab word, written into the caller's k-word array
+ * out and masked to the 62 lanes:
+ *   - hydra_diff_lanes(values, sites, out): out[w] is the OR over the
+ *     sites of word w xor lane 0's bit broadcast, the lanes that differ
+ *     from lane 0 at some site;
+ *   - hydra_latch_lanes(values, dffs, srcs, out): out[w] is the OR over
+ *     the dffs of the dff's word w xor its driver's, after a settle the
+ *     lanes where some dff latches a change at the next tick.
+ * Their site arrays are pre-scaled slab bases too, range-checked once
+ * when Slab builds them (Slab.sites); Slab checks out's length per call.
  *
  * The stubs never allocate, never touch the OCaml runtime and never
  * release the domain lock ([@@noalloc] on the OCaml side), so the
@@ -290,5 +302,103 @@ CAMLprim value hydra_tick(value v_values, value v_next, value v_dffs,
     tick_k(vals, next, dffs, srcs, n, 1);
   else
     tick_k(vals, next, dffs, srcs, n, k);
+  return Val_unit;
+}
+
+/* The lane passes' bodies, specialised like settle_block_k.  Words go
+ * four at a time, then one at a time; each gathers its mask in a
+ * register over all the sites and is stored once.  The xor of two
+ * tagged words clears the tag, the OR into a tagged zero restores it,
+ * and the final mask drops the sign bit that a complemented word
+ * brings in. */
+#define MASKED(x) ((x) & (M2 | 1))
+
+static inline __attribute__((always_inline)) void
+diff_k(const value *vals, const value *sites, const long n, value *out,
+       const long k)
+{
+  long j, w = 0;
+  for (; w + 4 <= k; w += 4) {
+    value a0 = Val_long(0), a1 = a0, a2 = a0, a3 = a0;
+    for (j = 0; j < n; j++) {
+      const value *s = vals + Long_val(sites[j]);
+      /* lane 0's bit as an all-ones or all-zeros mask: s[w] ^ g holds a
+       * payload bit for every lane that differs from lane 0 */
+      const value g = -((s[0] >> 1) & 1);
+      a0 |= s[w] ^ g;
+      a1 |= s[w + 1] ^ g;
+      a2 |= s[w + 2] ^ g;
+      a3 |= s[w + 3] ^ g;
+    }
+    out[w] = MASKED(a0);
+    out[w + 1] = MASKED(a1);
+    out[w + 2] = MASKED(a2);
+    out[w + 3] = MASKED(a3);
+  }
+  for (; w < k; w++) {
+    value a0 = Val_long(0);
+    for (j = 0; j < n; j++) {
+      const value *s = vals + Long_val(sites[j]);
+      a0 |= s[w] ^ -((s[0] >> 1) & 1);
+    }
+    out[w] = MASKED(a0);
+  }
+}
+
+static inline __attribute__((always_inline)) void
+latch_k(const value *vals, const value *dffs, const value *srcs, const long n,
+        value *out, const long k)
+{
+  long j, w = 0;
+  for (; w + 4 <= k; w += 4) {
+    value a0 = Val_long(0), a1 = a0, a2 = a0, a3 = a0;
+    for (j = 0; j < n; j++) {
+      const value *d = vals + Long_val(dffs[j]);
+      const value *s = vals + Long_val(srcs[j]);
+      a0 |= d[w] ^ s[w];
+      a1 |= d[w + 1] ^ s[w + 1];
+      a2 |= d[w + 2] ^ s[w + 2];
+      a3 |= d[w + 3] ^ s[w + 3];
+    }
+    out[w] = MASKED(a0);
+    out[w + 1] = MASKED(a1);
+    out[w + 2] = MASKED(a2);
+    out[w + 3] = MASKED(a3);
+  }
+  for (; w < k; w++) {
+    value a0 = Val_long(0);
+    for (j = 0; j < n; j++)
+      a0 |= vals[Long_val(dffs[j]) + w] ^ vals[Long_val(srcs[j]) + w];
+    out[w] = MASKED(a0);
+  }
+}
+
+CAMLprim value hydra_diff_lanes(value v_values, value v_sites, value v_out)
+{
+  const value *vals = Op_val(v_values);
+  const value *sites = Op_val(v_sites);
+  value *out = Op_val(v_out);
+  const long n = Wosize_val(v_sites);
+  const long k = Wosize_val(v_out);
+  if (k == 1)
+    diff_k(vals, sites, n, out, 1);
+  else
+    diff_k(vals, sites, n, out, k);
+  return Val_unit;
+}
+
+CAMLprim value hydra_latch_lanes(value v_values, value v_dffs, value v_srcs,
+                                 value v_out)
+{
+  const value *vals = Op_val(v_values);
+  const value *dffs = Op_val(v_dffs);
+  const value *srcs = Op_val(v_srcs);
+  value *out = Op_val(v_out);
+  const long n = Wosize_val(v_dffs);
+  const long k = Wosize_val(v_out);
+  if (k == 1)
+    latch_k(vals, dffs, srcs, n, out, 1);
+  else
+    latch_k(vals, dffs, srcs, n, out, k);
   return Val_unit;
 }

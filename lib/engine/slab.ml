@@ -29,7 +29,8 @@
    of just a fanout-closed component set, built per instance in a
    reused scratch, after writing a golden trace's bits to the set's
    frontier: the fault campaign's way to settle only what its faults
-   can reach. *)
+   can reach.  Two more C passes ([diff_lanes], [latch_lanes]) answer
+   the campaign's per-cycle lane questions, one lane mask per word. *)
 
 module Netlist = Hydra_netlist.Netlist
 module Levelize = Hydra_netlist.Levelize
@@ -752,6 +753,49 @@ let tick t =
 let step t =
   settle t;
   tick t
+
+(* --- lane passes: which lanes differ from lane 0, which latch --- *)
+
+(* Scaled slab bases of some components, checked once against the
+   program they index, as [of_program] checks its own. *)
+type sites = { sites_prog : Kernel.program; bases : int array }
+
+let sites t a =
+  let n = Kernel.size t.prog in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= n then
+        invalid_arg (Printf.sprintf "Slab.sites: site %d out of range [0, %d)" i n))
+    a;
+  { sites_prog = t.prog; bases = Array.map (fun i -> i * t.k) a }
+
+external diff_block : int array -> int array -> int array -> unit = "hydra_diff_lanes"
+[@@noalloc]
+
+external latch_block : int array -> int array -> int array -> int array -> unit
+  = "hydra_latch_lanes"
+[@@noalloc]
+
+let check_pass what t s out =
+  if s.sites_prog != t.prog then
+    invalid_arg (what ^ ": the sites were made for another circuit");
+  if Array.length out <> t.k then
+    invalid_arg
+      (Printf.sprintf "%s: out has length %d, must be k = %d" what
+         (Array.length out) t.k)
+
+let diff_lanes t s out =
+  check_pass "Slab.diff_lanes" t s out;
+  diff_block t.values s.bases out
+
+let latch_lanes t ~dffs ~srcs out =
+  check_pass "Slab.latch_lanes" t dffs out;
+  check_pass "Slab.latch_lanes" t srcs out;
+  if Array.length srcs.bases <> Array.length dffs.bases then
+    invalid_arg
+      (Printf.sprintf "Slab.latch_lanes: srcs has %d sites, dffs has %d"
+         (Array.length srcs.bases) (Array.length dffs.bases));
+  latch_block t.values dffs.bases srcs.bases out
 
 let run_packed t ~inputs ~cycles =
   reset t;

@@ -232,6 +232,37 @@ val settle_cone : t -> cone -> trace -> int -> unit
     forces must sit on members.  Raises [Invalid_argument] when the cone is not [t]'s current
     one, or as {!record_row} on the trace and cycle. *)
 
+(** {2 Lane passes}
+
+    One C pass over a set of components answers, for every lane at
+    once, whether it differs from lane 0 or latches a change: a fault
+    campaign's per-cycle questions, one lane mask per slab word. *)
+
+type sites
+(** Components of one engine's circuit, range-checked and pre-scaled
+    once, for {!diff_lanes} and {!latch_lanes}. *)
+
+val sites : t -> int array -> sites
+(** [sites t a]: the components [a] (duplicates allowed), usable on [t]
+    and its replicas.  Raises [Invalid_argument] naming the site on an
+    index outside the netlist. *)
+
+val diff_lanes : t -> sites -> int array -> unit
+(** [diff_lanes t s out] sets [out.(w)], for every word [w < k], to the
+    lanes of word [w] that differ from lane 0 at some site of [s]: the
+    OR over the sites of word [w] xor lane 0's bit broadcast, masked to
+    {!lane_mask} (lane 0 itself never shows).  Raises [Invalid_argument]
+    when [out] does not have [k] words or [s] was made for another
+    circuit. *)
+
+val latch_lanes : t -> dffs:sites -> srcs:sites -> int array -> unit
+(** [latch_lanes t ~dffs ~srcs out] sets [out.(w)] to the OR over [j]
+    of word [w] of the [j]th dff xor word [w] of the [j]th source:
+    after a {!settle}, with the dffs' drivers as [srcs], the lanes where
+    some dff latches a change at the next {!tick}.  Raises
+    [Invalid_argument] as {!diff_lanes}, and when [srcs] and [dffs]
+    differ in length. *)
+
 val cycle : t -> int
 val critical_path : t -> int
 val fused_gates : t -> int

@@ -158,13 +158,18 @@ let random_stimulus ~seed ~cycles nl =
      cycle repeats this one.
    The last two, like every lane still unresolved at the end of the
    window, take their verdict from the state (latent or masked) in one
-   function, [resolve].  A chunk whose unresolved lanes fall to half its
-   starting lanes (or fewer) stops at that cycle boundary instead of
-   simulating on to the end of the window, and the survivors move to the
-   next round, where survivors sharing a stop cycle are packed into full
-   chunks that resume from the migrated state.  The state that carries
-   across a cycle boundary lives in the dffs and — because a flip mask
-   on a site nothing re-drives accumulates — the constants; every other
+   function, [resolve].  Two C lane passes over the chunk's dffs answer
+   these questions for all its lanes at once, one mask per slab word:
+   after the settle, which lanes latch a change ({!Slab.latch_lanes},
+   run only once the golden lane is known to be quiet); after the tick,
+   which differ from the golden lane ({!Slab.diff_lanes}).  A chunk
+   whose unresolved lanes fall to half its starting lanes (or fewer)
+   stops at that cycle boundary instead of simulating on to the end of
+   the window, and the survivors move to the next round, where
+   survivors sharing a stop cycle are packed into full chunks that
+   resume from the migrated state.  The state that carries across a
+   cycle boundary lives in the dffs and — because a flip mask on a site
+   nothing re-drives accumulates — the constants; every other
    component is recomputed by the next settle. *)
 
 (* A chunk's work order: caller fault [j_faults.(k)] rides lane k+1.
@@ -252,31 +257,6 @@ let bit_of k = 1 lsl ((k + 1) mod Packed.lanes)
 
 let flip sim site k =
   Slab.poke_word sim site (word_of k) (Slab.peek_word sim site (word_of k) lxor bit_of k)
-
-(* [search wit n w m bits] is the set of lanes in [m] (engine word [w])
-   for which [bits i w] has a set bit at some state site [i < n].  [wit]
-   remembers, per global lane, the site that last showed one: it is
-   tried first, and the sweep over the sites stops once every lane of
-   [m] is found, so a lane that stays different costs one probe per
-   call and only a lane that shows nothing costs a full sweep. *)
-let search wit n w m bits =
-  let found = ref 0 in
-  iter_lanes
-    (fun k ->
-      let i = wit.(k + 1) in
-      if i < n then found := !found lor (bits i w land bit_of k))
-    w m;
-  let rest = ref (m land lnot !found) and i = ref 0 in
-  while !rest <> 0 && !i < n do
-    let x = bits !i w land !rest in
-    if x <> 0 then begin
-      iter_lanes (fun k -> wit.(k + 1) <- !i) w x;
-      found := !found lor x;
-      rest := !rest lxor x
-    end;
-    incr i
-  done;
-  !found
 
 (* The planner's record: what no chunk changes.  [streams] holds one
    broadcast word per cycle of each input; [state_sites] are the dffs,
@@ -464,32 +444,31 @@ let golden_prefix p sim ~starts ~traced =
   in
   (snaps, Option.map (fun trace -> { trace; quiet = Array.init p.window (quiet trace) }) trace, upto)
 
+(* What the lane passes read: the dffs among the state sites indexed by
+   [state] and their drivers.  A whole-circuit chunk uses the
+   campaign's [whole] pair, built once: replicas share the program the
+   sites index. *)
+type lane_sites = { l_dffs : Slab.sites; l_inputs : Slab.sites }
+
+let lane_sites p sim state =
+  let dffs = List.filter (fun i -> i < Array.length p.dff_inputs) (Array.to_list state) in
+  let sites a = Slab.sites sim (Array.of_list (List.map (Array.get a) dffs)) in
+  { l_dffs = sites p.state_sites; l_inputs = sites p.dff_inputs }
+
 (* What a chunk reads: the whole circuit or its seeds' cone (see "Cone
    restriction").  [v_state] indexes the state sites inside, dffs first,
-   at [v_sites], with the dffs' [v_inputs].  [v_word c site w] is word
+   and [v_lanes] holds their lane-pass sites.  [v_word c site w] is word
    [w] of [site] at cycle [c], from the trace outside the view. *)
 type view = {
   v_cone : bool;
   v_settle : int -> unit;
   v_state : int array;
-  v_sites : int array;
-  v_inputs : int array;
+  v_lanes : lane_sites;
   v_compared : (string * int) array;
   v_word : int -> int -> int -> int;
 }
 
-let view p golden_trace sim job =
-  let full =
-    {
-      v_cone = false;
-      v_settle = (fun _ -> Slab.settle sim);
-      v_state = p.all_state;
-      v_sites = p.state_sites;
-      v_inputs = p.dff_inputs;
-      v_compared = p.compare_sites;
-      v_word = (fun _ site w -> Slab.peek_word sim site w);
-    }
-  in
+let view p golden_trace whole sim job =
   let cone g =
     Slab.fanout_cone sim
       (Array.append
@@ -498,18 +477,24 @@ let view p golden_trace sim job =
     |> Option.map (fun cn -> (g.trace, cn))
   in
   match Option.bind golden_trace cone with
-  | None -> full
+  | None ->
+    {
+      v_cone = false;
+      v_settle = (fun _ -> Slab.settle sim);
+      v_state = p.all_state;
+      v_lanes = whole;
+      v_compared = p.compare_sites;
+      v_word = (fun _ site w -> Slab.peek_word sim site w);
+    }
   | Some (trace, cn) ->
     let inside = Slab.in_cone sim cn in
     let keep f a = Array.of_list (List.filter f (Array.to_list a)) in
     let state = keep (fun i -> inside p.state_sites.(i)) p.all_state in
-    let ndffs = Array.length p.dff_inputs in
     {
       v_cone = true;
       v_settle = (fun c -> Slab.settle_cone sim cn trace c);
       v_state = state;
-      v_sites = Array.map (fun i -> p.state_sites.(i)) state;
-      v_inputs = Array.map (fun i -> p.dff_inputs.(i)) (keep (fun i -> i < ndffs) state);
+      v_lanes = lane_sites p sim state;
       v_compared = keep (fun (_, o) -> inside o) p.compare_sites;
       v_word =
         (fun c site w ->
@@ -616,47 +601,62 @@ type outcome = {
 (* Run one job on [sim] from cycle [j_start] until the window ends or
    the chunk drops at half (see "Fault dropping"): its outcome and its
    survivors. *)
-let run_chunk p golden_trace sim job =
+let run_chunk p golden_trace whole sim job =
   let words = Slab.k sim and count = Array.length job.j_faults in
-  let v = view p golden_trace sim job in
+  let v = view p golden_trace whole sim job in
   let strikes = Array.make count 0 and unres = Array.make words 0 in
   let seu_lanes = Array.make words 0 and pending = Array.make words 0 in
   let inter_lanes = Array.make words 0 in
   let upsets, coins = arm p sim job ~strikes ~live:unres ~seu_lanes ~pending ~inter_lanes in
-  let ndffs = Array.length v.v_inputs and nstate = Array.length v.v_sites in
   let cls = Array.make count None and n_unres = ref count in
   let status_acc = Array.make_matrix (Array.length p.status_sites) words 0 in
-  (* lanes whose state site [i] differs from the golden lane's *)
-  let differs i w =
-    let site = v.v_sites.(i) in
-    Slab.peek_word sim site w lxor golden (Slab.peek_word sim site 0)
-  in
-  (* after a settle: lanes whose dff [i] latches a new value at the tick *)
-  let latches i w =
-    Slab.peek_word sim v.v_sites.(i) w lxor Slab.peek_word sim v.v_inputs.(i) w
-  in
-  (* witnesses by global lane, the golden lane's at index 0 *)
-  let diff_wit = Array.make (Packed.lanes * words) 0 in
-  let latch_wit = Array.make (Packed.lanes * words) 0 in
+  (* per word: lanes at a fixed point, fired upsets, lanes that differ
+     from the golden lane at a dff, lanes that latch a change *)
+  let fixed = Array.make words 0 and reconv = Array.make words 0 in
+  let latent = Array.make words 0 and found = Array.make words 0 in
   (* The one verdict of an undetected lane whose outputs can no longer
      diverge from the golden lane's — at the end of the window, or
      earlier by reconvergence or a fixed point: latent if some dff's
-     state differs from the golden lane's, masked otherwise.  Only the
-     state counts — an upset that the circuit heals (e.g. an ECC
-     reload) is masked. *)
-  let resolve w mask =
-    let m = mask land unres.(w) in
-    if m <> 0 then begin
-      let latent = search diff_wit ndffs w m differs in
-      iter_lanes
-        (fun k ->
-          cls.(k) <- Some (if latent land bit_of k <> 0 then Latent else Masked);
-          decr n_unres)
-        w m;
-      unres.(w) <- unres.(w) lxor m
-    end
+     state differs from the golden lane's ([latent], filled after the
+     tick), masked otherwise.  Only the state counts — an upset that the
+     circuit heals (e.g. an ECC reload) is masked. *)
+  let resolve due =
+    for w = 0 to words - 1 do
+      let m = due.(w) land unres.(w) in
+      if m <> 0 then begin
+        iter_lanes
+          (fun k ->
+            cls.(k) <- Some (if latent.(w) land bit_of k <> 0 then Latent else Masked);
+            decr n_unres)
+          w m;
+        unres.(w) <- unres.(w) lxor m
+      end
+    done
   in
-  let fixed = Array.make words 0 in
+  (* Whether the golden lane latches no change at this tick: from the
+     trace if there is one, else on the whole circuit's dffs, trying
+     [gwit], the dff last seen latching in lane 0, before a sweep.  The
+     sweep stops at the first dff that latches, which is cheaper than a
+     latch pass whenever the golden lane is busy. *)
+  let ndffs = Array.length p.dff_inputs and gwit = ref 0 in
+  let golden_latches i =
+    (Slab.peek_word sim p.state_sites.(i) 0 lxor Slab.peek_word sim p.dff_inputs.(i) 0)
+    land 1 <> 0
+  in
+  let golden_quiet c =
+    match golden_trace with
+    | Some g -> g.quiet.(c)
+    | None ->
+      (not (!gwit < ndffs && golden_latches !gwit))
+      &&
+      let i = ref 0 in
+      while !i < ndffs && not (golden_latches !i) do
+        incr i
+      done;
+      if !i < ndffs then gwit := !i;
+      !i = ndffs
+  in
+  let any (a : int array) = Array.exists (fun x -> x <> 0) a in
   let stop = ref (-1) and cycle = ref job.j_start in
   while !cycle < p.window && !stop < 0 do
     let c = !cycle in
@@ -698,38 +698,47 @@ let run_chunk p golden_trace sim job =
     (* fixed point: the inputs stay constant to the end of the window
        and neither the golden lane nor the lane latches a change, so
        every later cycle repeats this one; an intermittent or a pending
-       upset could still break it.  With a trace, the golden lane's
-       latches are read from it: a cone holds only some of the dffs. *)
+       upset could still break it.  One latch pass over the view's dffs
+       (a cone chunk ticks stale dffs outside it too) finds the lanes
+       that latch. *)
     Array.fill fixed 0 words 0;
-    if p.droppable && c >= p.const_from && c + 1 < p.window
-       && (match golden_trace with
-          | Some g -> g.quiet.(c)
-          | None -> search latch_wit ndffs 0 1 latches = 0)
-    then
+    if p.droppable && c >= p.const_from && c + 1 < p.window && golden_quiet c then begin
       for w = 0 to words - 1 do
-        let m = unres.(w) land lnot (pending.(w) lor inter_lanes.(w)) in
-        fixed.(w) <- m land lnot (search latch_wit ndffs w m latches)
+        fixed.(w) <- unres.(w) land lnot (pending.(w) lor inter_lanes.(w))
       done;
+      if any fixed then begin
+        Slab.latch_lanes sim ~dffs:v.v_lanes.l_dffs ~srcs:v.v_lanes.l_inputs found;
+        for w = 0 to words - 1 do
+          fixed.(w) <- fixed.(w) land lnot found.(w)
+        done
+      end
+    end;
     Slab.tick sim;
     (* reconverged: a fired upset whose every state site again equals
-       the golden lane's, so the lane is the golden run from here on *)
-    for w = 0 to words - 1 do
-      let r =
-        if p.droppable then unres.(w) land seu_lanes.(w) land lnot pending.(w)
-        else 0
-      in
-      resolve w (fixed.(w) lor (r land lnot (search diff_wit nstate w r differs)))
-    done;
+       the golden lane's, so the lane is the golden run from here on.
+       An SEU lane carries no force, so its constants equal the golden
+       lane's: one diff pass over the view's dffs decides. *)
+    if p.droppable then
+      for w = 0 to words - 1 do
+        reconv.(w) <- unres.(w) land seu_lanes.(w) land lnot pending.(w)
+      done;
+    if any fixed || any reconv then begin
+      Slab.diff_lanes sim v.v_lanes.l_dffs latent;
+      for w = 0 to words - 1 do
+        fixed.(w) <- fixed.(w) lor (reconv.(w) land lnot latent.(w))
+      done;
+      resolve fixed
+    end;
     (* drop at half: at most half the starting lanes still unresolved *)
     if p.droppable && c + 1 < p.window && 2 * !n_unres <= count then stop := c;
     cycle := c + 1
   done;
   (* end of the window: every lane still unresolved gets its verdict
      from the final state *)
-  if !stop < 0 then
-    for w = 0 to words - 1 do
-      resolve w (-1)
-    done;
+  if !stop < 0 && !n_unres > 0 then begin
+    Slab.diff_lanes sim v.v_lanes.l_dffs latent;
+    resolve (Array.make words (-1))
+  end;
   let verdict k classification =
     let fault = p.faults.(job.j_faults.(k)) and wk = word_of k and bit = bit_of k in
     let status =
@@ -872,6 +881,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
                 task (Sharded.replica sh member) c)
           in
           let starts, traced = first_round p ch exemplar in
+          let whole = lane_sites p exemplar p.all_state in
           (* a round that starts at power-up needs no prefix task *)
           let prefix = ref ([| p.power_up |], None, 0) in
           if traced || Array.exists (fun s -> s > 0) starts then
@@ -885,7 +895,7 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
               let out =
                 Array.make n ({ lane_faults = [||]; lane_verdicts = [||]; simulated = 0; coned = false }, [])
               in
-              exec ~first n (fun sim c -> out.(c) <- run_chunk p golden_trace sim jobs.(c));
+              exec ~first n (fun sim c -> out.(c) <- run_chunk p golden_trace whole sim jobs.(c));
               let outcomes, survivors = List.split (Array.to_list out) in
               rounds (first + n)
                 (pack ~per_chunk:ch.Scheduler.per_chunk (List.concat survivors))

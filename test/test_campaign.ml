@@ -1150,6 +1150,34 @@ let suite =
                   (C.all_stuck_at nl @ C.all_seu ~at_cycle:2 nl)
                   16),
               "chunks=8 cone_chunks=0 chunk_cycles=38 json=50ff87d691a5a9b804a9181edcee49d0" );
+            (* the cpu-seu-gated request shape: reconvergence and fixed
+               points decide where its chunks drop *)
+            ( "cpu:6 program, every dff upset twice, `Slab 4 on 2 domains",
+              (fun () ->
+                let module Driver = Hydra_cpu.Driver in
+                let program =
+                  Hydra_cpu.Asm.assemble
+                    "  ldval R1,1234[R0]\n\
+                    \  ldval R2,77[R0]\n\
+                    \  ldval R3,4096[R0]\n\
+                    \  add R4,R1,R2\n\
+                    \  sub R5,R3,R4\n\
+                    \  xor R6,R5,R1\n\
+                    \  cmplt R7,R2,R3\n\
+                    \  store R6,x[R0]\n\
+                    \  load R8,x[R0]\n\
+                    \  halt\n\
+                     x: data 0\n"
+                in
+                let stimulus, cycles =
+                  Driver.program_stimulus ~mem_bits:6 ~max_cycles:300 program
+                in
+                let nl = Driver.system_netlist ~mem_bits:6 () in
+                let faults =
+                  List.concat_map (fun at_cycle -> C.all_seu ~at_cycle nl) [ 30; 55 ]
+                in
+                C.run ~domains:2 ~engine:(`Slab 4) nl ~faults ~stimulus ~cycles),
+              "chunks=13 cone_chunks=0 chunk_cycles=209 json=1a4a8bae7dedfebc86259c40522066f2" );
           ]
         in
         List.iter

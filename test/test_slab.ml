@@ -164,6 +164,68 @@ let tick_law ~k ~relayout nodes =
   done;
   !ok
 
+(* The lane passes against a [peek_word] reference: a slab of golden
+   broadcast words with a few single-lane differences, half of them in
+   the last word and many at lane 0 or the last lane, and site sets of
+   up to five random components (empty and duplicate sets included) that
+   often end at a changed one, so a pass that skips a site or a word
+   shows. *)
+let lane_pass_law seed =
+  let st = Random.State.make [| 0x1a9e; seed |] in
+  let nl = ripple_netlist 4 in
+  let n = N.size nl in
+  List.for_all
+    (fun k ->
+      let s = Slab.create ~k nl in
+      for i = 0 to n - 1 do
+        let g = if Random.State.bool st then Packed.lane_mask else 0 in
+        for w = 0 to k - 1 do
+          Slab.poke_word s i w g
+        done
+      done;
+      let changed =
+        Array.init
+          (1 + Random.State.int st 3)
+          (fun _ ->
+            let i = Random.State.int st n in
+            let w = if Random.State.bool st then k - 1 else Random.State.int st k in
+            let lane =
+              match Random.State.int st 3 with
+              | 0 -> 0
+              | 1 -> Packed.lanes - 1
+              | _ -> Random.State.int st Packed.lanes
+            in
+            Slab.poke_word s i w (Slab.peek_word s i w lxor (1 lsl lane));
+            i)
+      in
+      let pick len =
+        let a = Array.init len (fun _ -> Random.State.int st n) in
+        if len > 0 && Random.State.bool st then
+          a.(len - 1) <- changed.(Random.State.int st (Array.length changed));
+        if len > 1 && Random.State.int st 4 = 0 then a.(0) <- a.(len - 1);
+        a
+      in
+      let reference f sites =
+        Array.init k (fun w ->
+            Array.fold_left (fun acc j -> acc lor f j w) 0 sites land Packed.lane_mask)
+      in
+      let diff i w = Slab.peek_word s i w lxor -(Slab.peek_word s i 0 land 1) in
+      let out = Array.make k (-1) in
+      List.for_all
+        (fun _ ->
+          let len = Random.State.int st 6 in
+          let sites = pick len and srcs = pick len in
+          Slab.diff_lanes s (Slab.sites s sites) out;
+          let diff_ok = out = reference diff sites in
+          Slab.latch_lanes s ~dffs:(Slab.sites s sites) ~srcs:(Slab.sites s srcs) out;
+          diff_ok
+          && out
+             = reference
+                 (fun j w -> Slab.peek_word s sites.(j) w lxor Slab.peek_word s srcs.(j) w)
+                 (Array.init len Fun.id))
+        [ 1; 2; 3; 4 ])
+    ks
+
 let suite =
   [
     qc ~count:25 "tick = packed reference tick, dff chains included (all k, relayout)"
@@ -545,6 +607,27 @@ let suite =
         (* the untouched programs still build and settle *)
         Slab.settle (Slab.of_program prog);
         Slab.settle (Slab.of_program sprog));
+    qc ~count:200 "lane passes = peek_word reference (all k)" QCheck2.Gen.int lane_pass_law;
+    tc "lane passes: range and length errors name the field" (fun () ->
+        let nl = ripple_netlist 4 in
+        let s = Slab.create ~k:2 nl in
+        let raises name msg f = Alcotest.check_raises name (Invalid_argument msg) f in
+        raises "site past the end" "Slab.sites: site 34 out of range [0, 34)" (fun () ->
+            ignore (Slab.sites s [| 0; 34 |]));
+        raises "negative site" "Slab.sites: site -1 out of range [0, 34)" (fun () ->
+            ignore (Slab.sites s [| -1 |]));
+        let two = Slab.sites s [| 0; 33 |] and one = Slab.sites s [| 5 |] in
+        raises "diff out too long" "Slab.diff_lanes: out has length 3, must be k = 2"
+          (fun () -> Slab.diff_lanes s two (Array.make 3 0));
+        raises "latch out too short" "Slab.latch_lanes: out has length 1, must be k = 2"
+          (fun () -> Slab.latch_lanes s ~dffs:two ~srcs:two (Array.make 1 0));
+        raises "srcs shorter than dffs" "Slab.latch_lanes: srcs has 1 sites, dffs has 2"
+          (fun () -> Slab.latch_lanes s ~dffs:two ~srcs:one (Array.make 2 0));
+        raises "another circuit's sites"
+          "Slab.diff_lanes: the sites were made for another circuit" (fun () ->
+            Slab.diff_lanes (Slab.create ~k:2 nl) two (Array.make 2 0));
+        (* a replica shares the program the sites index *)
+        Slab.diff_lanes (Slab.replicate s) two (Array.make 2 0));
     tc "word index range errors are descriptive" (fun () ->
         let a = G.input "a" in
         let nl = N.extract ~inputs:[ a ] ~outputs:[ ("y", G.inv a) ] in
