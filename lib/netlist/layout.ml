@@ -22,7 +22,12 @@
 
    The result is behaviourally identical (it is a pure index permutation;
    the equivalence suite checks it), but the compiled engines' inner loops
-   become near-sequential sweeps of the value array. *)
+   become near-sequential sweeps of the value array.
+
+   A rank is sorted by (kind, s0, s1, index), -1 standing for a missing
+   source, on two int keys per component computed once per rank:
+   [major = kind * (n+1) + s0 + 1] and [minor = s1], the index breaking
+   ties — no tuple per comparison. *)
 
 let kind_order (c : Netlist.component) =
   match c with
@@ -52,30 +57,35 @@ let rank_major_permutation (nl : Netlist.t) =
     in
     (* level 0: inports in declaration order, then constants, then the
        dff block *)
-    let consts = ref [] and dffs = ref [] in
-    Array.iteri
-      (fun i c ->
-        match c with
-        | Netlist.Constant _ -> consts := i :: !consts
-        | Netlist.Dffc _ -> dffs := i :: !dffs
-        | _ -> ())
-      nl.Netlist.components;
+    let assign_all pick =
+      Array.iteri (fun i c -> if pick c then assign i) nl.Netlist.components
+    in
     List.iter (fun (_, i) -> assign i) nl.Netlist.inputs;
-    List.iter assign (List.rev !consts);
-    List.iter assign (List.rev !dffs);
+    assign_all (function Netlist.Constant _ -> true | _ -> false);
+    assign_all (function Netlist.Dffc _ -> true | _ -> false);
     (* combinational ranks, kind-grouped and source-clustered.  Sources of
        a rank's members live at strictly lower ranks, so their new indices
-       are already assigned when the rank is sorted. *)
-    let key i =
-      let fi = nl.Netlist.fanin.(i) in
-      let s0 = if Array.length fi > 0 then new_of_old.(fi.(0)) else -1 in
-      let s1 = if Array.length fi > 1 then new_of_old.(fi.(1)) else -1 in
-      (kind_order nl.Netlist.components.(i), s0, s1, i)
+       are already assigned when the rank's keys are computed. *)
+    let major = Array.make n 0 and minor = Array.make n 0 in
+    let src fi k = if Array.length fi > k then new_of_old.(fi.(k)) else -1 in
+    let cmp a b =
+      let c = Int.compare major.(a) major.(b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare minor.(a) minor.(b) in
+        if c <> 0 then c else Int.compare a b
     in
     Array.iter
       (fun rank ->
+        Array.iter
+          (fun i ->
+            let fi = nl.Netlist.fanin.(i) in
+            major.(i) <-
+              (kind_order nl.Netlist.components.(i) * (n + 1)) + src fi 0 + 1;
+            minor.(i) <- src fi 1)
+          rank;
         let sorted = Array.copy rank in
-        Array.sort (fun a b -> compare (key a) (key b)) sorted;
+        Array.stable_sort cmp sorted;
         Array.iter assign sorted)
       lv.Levelize.by_level;
     assert (!next = n);

@@ -344,34 +344,35 @@ let compute_digest t =
   let n = size t in
   let canon = Array.make n (-1) in
   let on_stack = Array.make n false in
-  let next = ref 0 in
-  let rev_order = ref [] in
-  let visit root =
-    if canon.(root) < 0 && not on_stack.(root) then begin
-      on_stack.(root) <- true;
-      let stack = ref [ (root, 0) ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | (i, port) :: rest ->
-          let fi = t.fanin.(i) in
-          if port < Array.length fi then begin
-            stack := (i, port + 1) :: rest;
-            let c = fi.(port) in
-            if canon.(c) < 0 && not on_stack.(c) then begin
-              on_stack.(c) <- true;
-              stack := (c, 0) :: !stack
-            end
-          end
-          else begin
-            on_stack.(i) <- false;
-            canon.(i) <- !next;
-            incr next;
-            rev_order := i :: !rev_order;
-            stack := rest
-          end
-      done
+  (* an array DFS stack that holds each component at most once, with
+     [port.(i)] the next fanin of [i] to follow; [order.(k)] is the
+     component numbered [k] *)
+  let stack = Array.make n 0 and sp = ref 0 and port = Array.make n 0 in
+  let order = Array.make n 0 and next = ref 0 in
+  let push c =
+    if canon.(c) < 0 && not on_stack.(c) then begin
+      on_stack.(c) <- true;
+      stack.(!sp) <- c;
+      incr sp
     end
+  in
+  let visit root =
+    push root;
+    while !sp > 0 do
+      let i = stack.(!sp - 1) in
+      let fi = t.fanin.(i) in
+      if port.(i) < Array.length fi then begin
+        port.(i) <- port.(i) + 1;
+        push fi.(port.(i) - 1)
+      end
+      else begin
+        on_stack.(i) <- false;
+        canon.(i) <- !next;
+        order.(!next) <- i;
+        incr next;
+        decr sp
+      end
+    done
   in
   let by_name l = List.stable_sort (fun (a, _) (b, _) -> compare a b) l in
   List.iter (fun (_, i) -> visit i) (by_name t.outputs);
@@ -380,32 +381,37 @@ let compute_digest t =
     | Dffc b -> if b then "dff1" else "dff0"
     | c -> component_name c
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "hydra-digest 1\n";
-  List.iter
-    (fun i ->
-      Buffer.add_string buf (token t.components.(i));
-      Array.iter
-        (fun c ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int canon.(c)))
-        t.fanin.(i);
-      List.iter
-        (fun nm ->
-          Buffer.add_string buf " !";
-          Buffer.add_string buf nm)
-        t.names.(i);
-      Buffer.add_char buf '\n')
-    (List.rev !rev_order);
-  let port label l =
-    List.iter
-      (fun (s, i) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s %s %d\n" label s canon.(i)))
-      (by_name l)
+  let buf = Buffer.create (16 * n + 64) in
+  (* a non-negative int goes straight into [buf], digit by digit *)
+  let rec add_int k =
+    if k >= 10 then add_int (k / 10);
+    Buffer.add_char buf (Char.chr (48 + (k mod 10)))
   in
-  port "input" t.inputs;
-  port "output" t.outputs;
+  Buffer.add_string buf "hydra-digest 1\n";
+  for k = 0 to !next - 1 do
+    let i = order.(k) in
+    Buffer.add_string buf (token t.components.(i));
+    Array.iter
+      (fun c ->
+        Buffer.add_char buf ' ';
+        add_int canon.(c))
+      t.fanin.(i);
+    List.iter
+      (fun nm ->
+        Buffer.add_string buf " !";
+        Buffer.add_string buf nm)
+      t.names.(i);
+    Buffer.add_char buf '\n'
+  done;
+  let line label s k =
+    Buffer.add_string buf label;
+    Buffer.add_string buf s;
+    Buffer.add_char buf ' ';
+    add_int k;
+    Buffer.add_char buf '\n'
+  in
+  List.iter (fun (s, i) -> line "input " s canon.(i)) (by_name t.inputs);
+  List.iter (fun (s, i) -> line "output " s canon.(i)) (by_name t.outputs);
   let orphans = Hashtbl.create 8 in
   Array.iteri
     (fun i c ->
@@ -416,8 +422,7 @@ let compute_digest t =
       end)
     t.components;
   List.iter
-    (fun (tok, count) ->
-      Buffer.add_string buf (Printf.sprintf "orphan %s %d\n" tok count))
+    (fun (tok, count) -> line "orphan " tok count)
     (List.sort compare
        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) orphans []));
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -20,144 +20,147 @@
 
 type alias = Self | To of int | Const of bool
 
+(* Internally an alias map is an int array, [target.(i)] being [self],
+   [cfalse], [ctrue] or the index of the component [i] is aliased to, and
+   a resolved driver is an int too: a component index or one of the two
+   constant codes. *)
+let self = -1
+let cfalse = -2
+let ctrue = -3
+let of_bool b = if b then ctrue else cfalse
+
+(* [resolve nl target i]: the canonical driver of [i], following alias
+   chains with path compression.  A chain longer than the netlist is a
+   [To] loop and raises rather than spinning. *)
+let resolve (nl : Netlist.t) target =
+  let n = Array.length target in
+  let rec go fuel i =
+    if fuel < 0 then invalid_arg "Optimize: alias cycle"
+    else
+      let t = target.(i) in
+      if t = self then
+        match nl.Netlist.components.(i) with
+        | Netlist.Constant b -> of_bool b
+        | _ -> i
+      else if t < 0 then t
+      else
+        let r = go (fuel - 1) t in
+        if r >= 0 && r <> t then target.(i) <- r;
+        r
+  in
+  go n
+
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Dedup keys: [(tag * r + a) * r + b], with tags 0..4 for const, inv,
+   and, or, xor, [r = n + 1] and [a, b < r], is one int per (tag, a, b),
+   collision-free while [5 * r * r] fits an int: up to about 9.6e8
+   components on a 64-bit host, 1.4e4 on a 32-bit one. *)
 let fold_and_dedup (nl : Netlist.t) =
   let n = Netlist.size nl in
-  (* alias.(i): what component i's output is equivalent to *)
-  let alias = Array.make n Self in
-  let rec resolve i =
-    match alias.(i) with
-    | Self -> (
-        match nl.Netlist.components.(i) with
-        | Netlist.Constant b -> `Const b
-        | _ -> `Comp i)
-    | Const b -> `Const b
-    | To j -> (
-        match resolve j with
-        | `Comp k as r ->
-          if k <> j then alias.(i) <- To k;
-          r
-        | `Const _ as r -> r)
-  in
-  let dedup : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let r = n + 1 in
+  if r > max_int / 5 / r then
+    invalid_arg
+      (Printf.sprintf "Optimize: %d components overflow the dedup key" n);
+  let key tag a b = (((tag * r) + a) * r) + b in
+  let target = Array.make n self in
+  let resolve = resolve nl target in
+  let dedup = Int_tbl.create n in
   let changed = ref false in
+  let set i t =
+    target.(i) <- t;
+    changed := true
+  in
+  (* the first gate with a key stays, later ones become aliases of it *)
+  let share i k =
+    match Int_tbl.find dedup k with
+    | j -> set i j
+    | exception Not_found -> Int_tbl.add dedup k i
+  in
+  (* a two-input gate over drivers [x], [y]; [unit] and [absorb] are its
+     identity and absorbing constants *)
+  let fold i x y ~unit ~absorb ~tag =
+    if x = absorb || y = absorb then set i absorb
+    else if x = unit && y = unit then set i unit
+    else if x = unit then set i y
+    else if y = unit then set i x
+    else if x = y then set i x
+    else share i (key tag (min x y) (max x y))
+  in
   (* process in topological-ish order: index order works because the
      extraction emits children first except across feedback, where dffs
      stop folding anyway *)
   for i = 0 to n - 1 do
-    let comp = nl.Netlist.components.(i) in
-    let driver k =
-      resolve nl.Netlist.fanin.(i).(k)
-    in
-    let set a =
-      alias.(i) <- a;
-      changed := true
-    in
-    (match comp with
+    let fi = nl.Netlist.fanin.(i) in
+    match nl.Netlist.components.(i) with
     | Netlist.Constant b ->
       (* canonicalize multiple constants *)
-      let key = Printf.sprintf "const%b" b in
-      (match Hashtbl.find_opt dedup key with
-      | Some j when j <> i -> set (To j)
-      | _ -> Hashtbl.replace dedup key i)
-    | Netlist.Invc -> (
-        match driver 0 with
-        | `Const b -> set (Const (not b))
-        | `Comp d -> (
-            (* inv (inv x) = x *)
-            match nl.Netlist.components.(d) with
-            | Netlist.Invc when (match resolve nl.Netlist.fanin.(d).(0) with
-                                 | `Comp _ -> true
-                                 | `Const _ -> false) -> (
-                match resolve nl.Netlist.fanin.(d).(0) with
-                | `Comp x -> set (To x)
-                | `Const b -> set (Const b))
-            | _ ->
-              let key = Printf.sprintf "inv:%d" d in
-              (match Hashtbl.find_opt dedup key with
-              | Some j when j <> i -> set (To j)
-              | _ -> Hashtbl.replace dedup key i)))
-    | Netlist.And2c | Netlist.Or2c | Netlist.Xor2c -> (
-        let commutative_key tag a b =
-          if a <= b then Printf.sprintf "%s:%d,%d" tag a b
-          else Printf.sprintf "%s:%d,%d" tag b a
+      share i (key 0 (Bool.to_int b) 0)
+    | Netlist.Invc ->
+      let d = resolve fi.(0) in
+      if d < 0 then set i (of_bool (d = cfalse))
+      else
+        (* inv (inv x) = x *)
+        let x =
+          match nl.Netlist.components.(d) with
+          | Netlist.Invc -> resolve nl.Netlist.fanin.(d).(0)
+          | _ -> -1
         in
-        match (comp, driver 0, driver 1) with
-        (* and *)
-        | Netlist.And2c, `Const false, _ | Netlist.And2c, _, `Const false ->
-          set (Const false)
-        | Netlist.And2c, `Const true, `Const true -> set (Const true)
-        | Netlist.And2c, `Const true, `Comp x
-        | Netlist.And2c, `Comp x, `Const true ->
-          set (To x)
-        | Netlist.And2c, `Comp x, `Comp y when x = y -> set (To x)
-        (* or *)
-        | Netlist.Or2c, `Const true, _ | Netlist.Or2c, _, `Const true ->
-          set (Const true)
-        | Netlist.Or2c, `Const false, `Const false -> set (Const false)
-        | Netlist.Or2c, `Const false, `Comp x
-        | Netlist.Or2c, `Comp x, `Const false ->
-          set (To x)
-        | Netlist.Or2c, `Comp x, `Comp y when x = y -> set (To x)
-        (* xor *)
-        | Netlist.Xor2c, `Const a, `Const b -> set (Const (a <> b))
-        | Netlist.Xor2c, `Const false, `Comp x
-        | Netlist.Xor2c, `Comp x, `Const false ->
-          set (To x)
-        | Netlist.Xor2c, `Comp x, `Comp y when x = y -> set (Const false)
-        (* dedup on normalized drivers *)
-        | (Netlist.And2c | Netlist.Or2c | Netlist.Xor2c), `Comp x, `Comp y ->
-          let tag =
-            match comp with
-            | Netlist.And2c -> "and"
-            | Netlist.Or2c -> "or"
-            | _ -> "xor"
-          in
-          let key = commutative_key tag x y in
-          (match Hashtbl.find_opt dedup key with
-          | Some j when j <> i -> alias.(i) <- To j
-          | _ -> Hashtbl.replace dedup key i)
-        | _ -> ())
-    | Netlist.Inport _ | Netlist.Outport _ | Netlist.Dffc _ -> ());
-    ()
+        if x >= 0 then set i x else share i (key 1 d 0)
+    | (Netlist.And2c | Netlist.Or2c | Netlist.Xor2c) as comp -> (
+        let x = resolve fi.(0) and y = resolve fi.(1) in
+        match comp with
+        | Netlist.And2c -> fold i x y ~unit:ctrue ~absorb:cfalse ~tag:2
+        | Netlist.Or2c -> fold i x y ~unit:cfalse ~absorb:ctrue ~tag:3
+        | _ ->
+          if x < 0 && y < 0 then set i (of_bool (x <> y))
+          else if x = cfalse then set i y
+          else if y = cfalse then set i x
+          (* xor with constant one is an inverter, left as it is *)
+          else if x < 0 || y < 0 then ()
+          else if x = y then set i cfalse
+          else share i (key 4 (min x y) (max x y)))
+    | Netlist.Inport _ | Netlist.Outport _ | Netlist.Dffc _ -> ()
   done;
-  (alias, resolve, !changed)
+  (resolve, !changed)
 
-(* Rebuild a netlist applying an alias map and dropping dead components. *)
+(* Rebuild a netlist applying a resolver and dropping dead components. *)
 let rebuild (nl : Netlist.t) resolve =
   let n = Netlist.size nl in
-  (* We may need fresh constant components for Const aliases. *)
-  let const_idx = [| None; None |] in
-  let live = Array.make n false in
+  (* fresh constant components for constant drivers, at indices 0/1 *)
   let need_const = [| false; false |] in
   let canonical i =
-    match resolve i with
-    | `Comp j -> `Comp j
-    | `Const b ->
-      need_const.(Bool.to_int b) <- true;
-      `Const b
+    let j = resolve i in
+    if j < 0 then need_const.(Bool.to_int (j = ctrue)) <- true;
+    j
   in
-  (* mark live from outputs, walking canonical drivers *)
-  let rec mark i =
-    match canonical i with
-    | `Const _ -> ()
-    | `Comp j ->
-      if not live.(j) then begin
-        live.(j) <- true;
-        Array.iter mark nl.Netlist.fanin.(j)
-      end
+  (* mark live from outputs, walking canonical drivers; every component
+     is pushed at most once *)
+  let live = Array.make n false in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let push d =
+    let j = canonical d in
+    if j >= 0 && not live.(j) then begin
+      live.(j) <- true;
+      stack.(!sp) <- j;
+      incr sp
+    end
   in
   List.iter (fun (_, i) -> live.(i) <- true) nl.Netlist.outputs;
-  List.iter
-    (fun (_, i) -> Array.iter mark nl.Netlist.fanin.(i))
-    nl.Netlist.outputs;
+  List.iter (fun (_, i) -> Array.iter push nl.Netlist.fanin.(i)) nl.Netlist.outputs;
+  while !sp > 0 do
+    decr sp;
+    Array.iter push nl.Netlist.fanin.(stack.(!sp))
+  done;
   (* keep declared inputs *)
   List.iter (fun (_, i) -> live.(i) <- true) nl.Netlist.inputs;
   (* assign new indices *)
   let remap = Array.make n (-1) in
+  let const_idx = [| -1; -1 |] in
   let count = ref 0 in
   for b = 0 to 1 do
     if need_const.(b) then begin
-      const_idx.(b) <- Some !count;
+      const_idx.(b) <- !count;
       incr count
     end
   done;
@@ -172,14 +175,11 @@ let rebuild (nl : Netlist.t) resolve =
   let fanin = Array.make total [||] in
   let names = Array.make total [] in
   for b = 0 to 1 do
-    match const_idx.(b) with
-    | Some idx -> components.(idx) <- Netlist.Constant (b = 1)
-    | None -> ()
+    if const_idx.(b) >= 0 then components.(const_idx.(b)) <- Netlist.Constant (b = 1)
   done;
   let tr i =
-    match canonical i with
-    | `Comp j -> remap.(j)
-    | `Const b -> Option.get const_idx.(Bool.to_int b)
+    let j = canonical i in
+    if j >= 0 then remap.(j) else const_idx.(Bool.to_int (j = ctrue))
   in
   for i = 0 to n - 1 do
     if live.(i) then begin
@@ -211,37 +211,18 @@ let apply_aliases (nl : Netlist.t) (alias : alias array) =
       (Printf.sprintf
          "Optimize.apply_aliases: %d aliases for %d components"
          (Array.length alias) n);
-  let alias = Array.copy alias in
-  let rec resolve ?(fuel = n) i =
-    if fuel < 0 then
-      invalid_arg "Optimize.apply_aliases: alias cycle"
-    else
-      match alias.(i) with
-      | Self -> (
-          match nl.Netlist.components.(i) with
-          | Netlist.Constant b -> `Const b
-          | _ -> `Comp i)
-      | Const b -> `Const b
-      | To j -> (
-          match resolve ~fuel:(fuel - 1) j with
-          | `Comp k as r ->
-            if k <> j then alias.(i) <- To k;
-            r
-          | `Const _ as r -> r)
+  List.iter
+    (fun (name, i) ->
+      if alias.(i) <> Self then
+        invalid_arg ("Optimize.apply_aliases: port component " ^ name ^ " is aliased"))
+    (nl.Netlist.inputs @ nl.Netlist.outputs);
+  let target =
+    Array.map (function Self -> self | Const b -> of_bool b | To j -> j) alias
   in
-  (match
-     List.find_opt
-       (fun (_, i) -> alias.(i) <> Self)
-       (nl.Netlist.inputs @ nl.Netlist.outputs)
-   with
-  | Some (name, _) ->
-    invalid_arg
-      ("Optimize.apply_aliases: port component " ^ name ^ " is aliased")
-  | None -> ());
-  rebuild nl (fun i -> resolve i)
+  rebuild nl (resolve nl target)
 
 let once nl =
-  let _alias, resolve, changed = fold_and_dedup nl in
+  let resolve, changed = fold_and_dedup nl in
   (rebuild nl resolve, changed)
 
 (* Iterate to a fixed point (size strictly decreases or aliasing stops). *)

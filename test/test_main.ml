@@ -11,6 +11,7 @@ let () =
       ("regs", Test_regs.suite);
       ("netlist", Test_netlist.suite);
       ("levelize", Test_netlist.memo_suite);
+      ("passes", Test_passes.suite);
       ("parallel", Test_parallel.suite);
       ("engine", Test_engine.suite);
       ("wide", Test_wide.suite);
