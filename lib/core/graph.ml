@@ -19,11 +19,12 @@ and def =
   | Dff of bool * t
   | Forward of t option ref
 
-let counter = ref 0
+(* Node ids are drawn atomically, so graphs built on several domains at
+   once never share an id: extraction keys on ids, and two nodes with one
+   id would be merged into one component. *)
+let counter = Atomic.make 1
 
-let node def =
-  incr counter;
-  { id = !counter; def; names = [] }
+let node def = { id = Atomic.fetch_and_add counter 1; def; names = [] }
 
 let input name = node (Input name)
 let constant b = node (Const b)

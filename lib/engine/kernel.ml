@@ -293,11 +293,12 @@ let force_slot ~what p site =
    levels.  Returns the rebuilt {!Levelize.t} plus a per-component
    changed flag; [by_level] ranks list members in index order, a valid
    (and behaviorally equivalent) alternative to the full algorithm's
-   queue order. *)
+   queue order.  The fanout is built only once a level moves: an edit
+   that keeps every edited site's fanin moves none. *)
 let relevel (nl : Netlist.t) (old : Levelize.t) ~seeds =
   let n = Netlist.size nl in
   let levels = Array.copy old.Levelize.levels in
-  let { Netlist.off; sink; _ } = Netlist.fanout nl in
+  let fanout = lazy (Netlist.fanout nl) in
   let is_source i =
     match nl.Netlist.components.(i) with
     | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> true
@@ -328,6 +329,7 @@ let relevel (nl : Netlist.t) (old : Levelize.t) ~seeds =
          if !updates > budget then raise Exit;
          levels.(i) <- l;
          changed.(i) <- true;
+         let { Netlist.off; sink; _ } = Lazy.force fanout in
          for e = off.(i) to off.(i + 1) - 1 do
            match nl.Netlist.components.(sink.(e)) with
            | Netlist.Dffc _ -> ()
@@ -434,12 +436,21 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
              (Netlist.component_name nl'.Netlist.components.(e))));
       in_edit.(e) <- true)
     edited;
+  (* physical equality first: an edit copies the component array and
+     shares every fanin array it does not touch *)
+  let same_fanin a b =
+    a == b
+    || Array.length a = Array.length b
+       && (let rec go j = j < 0 || (a.(j) = b.(j) && go (j - 1)) in
+           go (Array.length a - 1))
+  in
   Array.iteri
     (fun i c ->
+      let c' = nl'.Netlist.components.(i) in
       if
         (not in_edit.(i))
-        && (c <> nl'.Netlist.components.(i)
-           || nl.Netlist.fanin.(i) <> nl'.Netlist.fanin.(i))
+        && ((c != c' && c <> c')
+           || not (same_fanin nl.Netlist.fanin.(i) nl'.Netlist.fanin.(i)))
       then
         invalid_arg
           (Printf.sprintf

@@ -49,83 +49,102 @@ let input_arity = function
 let extract ~inputs ~outputs =
   (* Post-order emission — children before parents, which reproduces the
      paper's component numbering — with an on-stack marker so that the
-     circular graphs produced by feedback terminate: a back edge simply
-     records the target's graph id, and every fanin is translated to a
-     component index once all nodes have been emitted. *)
-  let index : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let comps = ref [] and fanins = ref [] and names = ref [] in
-  let count = ref 0 in
-  let add comp fanin_ids nms =
+     circular graphs produced by feedback terminate.  One int table maps
+     a graph id to its component index, or to [on_stack] while the
+     node's children are being visited.  [visit] returns the index, so a
+     fanin is known as soon as its child returns, except on a back edge,
+     which records [-1 - id] (ids are positive).  Fanins go into one
+     flat int array, each component's right after its predecessor's,
+     and the per-component fanin arrays are built once all nodes have
+     been emitted, back edges translated, in one burst: later passes
+     walk them in index order, and so find them next to each other. *)
+  let on_stack = -2 in
+  let index = Int_table.create 256 in
+  let comps = ref (Array.make 256 (Constant false)) in
+  let labelled = ref [] in
+  let flat = ref (Array.make 512 0) in
+  let count = ref 0 and edges = ref 0 in
+  let grow a fill =
+    let a' = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  in
+  let edge d =
+    if !edges = Array.length !flat then flat := grow !flat 0;
+    !flat.(!edges) <- d;
+    incr edges
+  in
+  (* the edge to child [a] whose visit returned [i] *)
+  let fan a i = edge (if i <> on_stack then i else -1 - a.Graph.id) in
+  let add comp =
     let idx = !count in
-    incr count;
-    comps := comp :: !comps;
-    fanins := fanin_ids :: !fanins;
-    names := nms :: !names;
+    if idx = Array.length !comps then comps := grow !comps (Constant false);
+    !comps.(idx) <- comp;
+    count := idx + 1;
     idx
   in
   let rec visit node =
     let node = Graph.resolve node in
-    if
-      not
-        (Hashtbl.mem index node.Graph.id
-        || Hashtbl.mem on_stack node.Graph.id)
-    then begin
-      Hashtbl.add on_stack node.Graph.id ();
-      let children = Graph.children node in
-      List.iter visit children;
+    let seen = Int_table.find_or_add index node.Graph.id on_stack in
+    if seen <> -1 then seen
+    else
+      (* children first, so the node's edges are recorded after theirs *)
       let comp =
         match node.Graph.def with
         | Graph.Input s -> Inport s
         | Graph.Const b -> Constant b
-        | Graph.Inv _ -> Invc
-        | Graph.And2 _ -> And2c
-        | Graph.Or2 _ -> Or2c
-        | Graph.Xor2 _ -> Xor2c
-        | Graph.Dff (init, _) -> Dffc init
+        | Graph.Inv a -> child a; Invc
+        | Graph.Dff (init, a) -> child a; Dffc init
+        | Graph.And2 (a, b) -> two a b; And2c
+        | Graph.Or2 (a, b) -> two a b; Or2c
+        | Graph.Xor2 (a, b) -> two a b; Xor2c
         | Graph.Forward _ -> assert false
       in
-      let child_ids = List.map Graph.id children in
-      let idx = add comp child_ids (List.rev node.Graph.names) in
-      Hashtbl.remove on_stack node.Graph.id;
-      Hashtbl.add index node.Graph.id idx
-    end
+      let idx = add comp in
+      if node.Graph.names <> [] then labelled := (idx, List.rev node.Graph.names) :: !labelled;
+      Int_table.replace index node.Graph.id idx;
+      idx
+  (* a child's edge is recorded once the whole child is done *)
+  and child a =
+    let a = Graph.resolve a in
+    fan a (visit a)
+  (* left child first; both edges follow both subtrees *)
+  and two a b =
+    let a = Graph.resolve a in
+    let i = visit a in
+    let b = Graph.resolve b in
+    let j = visit b in
+    fan a i;
+    fan b j
   in
   (* Declared inputs come first (even when no gate reads them), so that a
      circuit's port list does not depend on which inputs happen to be
      used. *)
-  List.iter visit inputs;
-  let out_entries =
+  List.iter (fun node -> ignore (visit node)) inputs;
+  let outputs =
     List.map
       (fun (name, node) ->
-        visit node;
-        let idx = add (Outport name) [ Graph.id node ] [] in
-        (name, idx))
+        edge (visit node);
+        (name, add (Outport name)))
       outputs
   in
-  let n = !count in
-  let components = Array.make n (Constant false) in
-  let fanin = Array.make n [||] in
-  let names_arr = Array.make n [] in
-  List.iteri (fun i comp -> components.(n - 1 - i) <- comp) !comps;
-  List.iteri
-    (fun i ids ->
-      fanin.(n - 1 - i) <-
-        Array.of_list (List.map (fun gid -> Hashtbl.find index gid) ids))
-    !fanins;
-  List.iteri (fun i nm -> names_arr.(n - 1 - i) <- nm) !names;
+  let n = !count and comps = !comps and flat = !flat in
+  let next = ref 0 in
+  let fanin =
+    Array.init n (fun c ->
+        let e = !next in
+        next := e + input_arity comps.(c);
+        Array.init (input_arity comps.(c)) (fun p ->
+            let d = flat.(e + p) in
+            if d >= 0 then d else Int_table.find index (-1 - d)))
+  in
+  let names = Array.make n [] in
+  List.iter (fun (i, nms) -> names.(i) <- nms) !labelled;
   let inputs = ref [] in
-  Array.iteri
-    (fun i comp ->
-      match comp with Inport s -> inputs := (s, i) :: !inputs | _ -> ())
-    components;
-  {
-    components;
-    fanin;
-    names = names_arr;
-    inputs = List.rev !inputs;
-    outputs = out_entries;
-  }
+  for i = n - 1 downto 0 do
+    match comps.(i) with Inport s -> inputs := (s, i) :: !inputs | _ -> ()
+  done;
+  { components = Array.sub comps 0 n; fanin; names; inputs = !inputs; outputs }
 
 (* Validation ----------------------------------------------------------- *)
 

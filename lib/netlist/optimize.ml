@@ -50,8 +50,6 @@ let resolve (nl : Netlist.t) target =
   in
   go n
 
-module Int_tbl = Hashtbl.Make (Int)
-
 (* Dedup keys: [(tag * r + a) * r + b], with tags 0..4 for const, inv,
    and, or, xor, [r = n + 1] and [a, b < r], is one int per (tag, a, b),
    collision-free while [5 * r * r] fits an int: up to about 9.6e8
@@ -65,7 +63,7 @@ let fold_and_dedup (nl : Netlist.t) =
   let key tag a b = (((tag * r) + a) * r) + b in
   let target = Array.make n self in
   let resolve = resolve nl target in
-  let dedup = Int_tbl.create n in
+  let dedup = Int_table.create n in
   let changed = ref false in
   let set i t =
     target.(i) <- t;
@@ -73,9 +71,8 @@ let fold_and_dedup (nl : Netlist.t) =
   in
   (* the first gate with a key stays, later ones become aliases of it *)
   let share i k =
-    match Int_tbl.find dedup k with
-    | j -> set i j
-    | exception Not_found -> Int_tbl.add dedup k i
+    let j = Int_table.find_or_add dedup k i in
+    if j >= 0 then set i j
   in
   (* a two-input gate over drivers [x], [y]; [unit] and [absorb] are its
      identity and absorbing constants *)

@@ -158,51 +158,57 @@ type seq_result =
   | Seq_equivalent
   | Seq_mismatch of { output : string; cycle : int; inputs : (string * bool list) list }
 
-(* Certify both netlists before simulating them, so a falsified run
-   means "the engines disagree" and never "the generator emitted a
-   malformed netlist that the engines mis-indexed"; then check that
-   their port names agree.  Returns [nl1]'s input and output names;
-   errors name [caller]. *)
-let check_pair caller nl1 nl2 =
-  List.iter
-    (fun (which, nl) ->
-      match Hydra_analyze.Certify.validate nl with
-      | Ok () -> ()
-      | Error reason ->
-        invalid_arg
-          (Printf.sprintf "Equiv.%s: invalid netlist %s (%s)" caller which reason))
-    [ ("nl1", nl1); ("nl2", nl2) ];
+(* The error for a netlist that fails {!Hydra_analyze.Certify.validate}:
+   both netlists are validated before any engine touches them, so a
+   falsified run means "the engines disagree" and never "the generator
+   emitted a malformed netlist that the engines mis-indexed". *)
+let invalid_netlist caller which reason =
+  Invalid_argument
+    (Printf.sprintf "Equiv.%s: invalid netlist %s (%s)" caller which reason)
+
+(* Check that the port names of [nl1] and [nl2] agree; errors name
+   [caller]. *)
+let check_ports caller nl1 nl2 =
   let names ports = List.map fst ports in
   let same what p1 p2 =
     if List.sort compare (names p1) <> List.sort compare (names p2) then
       invalid_arg (Printf.sprintf "Equiv.%s: %s ports differ" caller what)
   in
   same "input" nl1.Netlist.inputs nl2.Netlist.inputs;
-  same "output" nl1.Netlist.outputs nl2.Netlist.outputs;
-  (names nl1.Netlist.inputs, names nl1.Netlist.outputs)
+  same "output" nl1.Netlist.outputs nl2.Netlist.outputs
 
 (* The one random sequential-equivalence loop, over two word-parallel
-   engine handles.  Every pass draws a stimulus cube — [max words1
-   words2] packed words per input per cycle for [cycles] cycles — from
-   its own RNG seeded by ([seed], pass, [cycles]), so the stimulus of
-   pass [p] does not depend on which member runs it or in what order.
-   An engine with fewer words consumes the cube in several reset+replay
-   rounds, so every global lane of the wider engine is compared against
-   an independent simulation on the narrower one.  The passes are the
-   tasks of one {!Hydra_engine.Scheduler} job, each member on its own
-   replica pair: on [?scheduler]'s team, otherwise on a private
-   scheduler of [?domains] (default 1) members.  A pass that has not
-   started is skipped once a lower one has failed, and the reported
-   mismatch is the first in (cycle, output, word, lane) order of the
-   lowest failing pass, so it is the same at any team size. *)
-let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
-    ~seed (e1 : (module Hydra_engine.Engine_intf.S))
+   engine handles.  It runs two {!Hydra_engine.Scheduler} jobs on one
+   team: on [?scheduler]'s, otherwise on a private scheduler of
+   [?domains] (default 1) members.
+
+   The first job prepares the two sides as two tasks.  A side validates
+   its netlist (the second only when it is not physically the first, and
+   neither when the caller has [~validated] them), creates its base
+   engine (digest and cache lookup, or compile) and replicates it once
+   per member.  Each task leaves its result or exception in its own
+   slot, and the slots are read in a fixed order — [nl1]'s validation,
+   [nl2]'s, the port check, [nl1]'s engine, [nl2]'s — so the error
+   raised does not depend on the team size.
+
+   The second job runs the passes, each member on its own replica pair.
+   Every pass draws a stimulus cube — [max words1 words2] packed words
+   per input per cycle for [cycles] cycles — from its own RNG seeded by
+   ([seed], pass, [cycles]), so the stimulus of pass [p] does not depend
+   on which member runs it or in what order.  An engine with fewer words
+   consumes the cube in several reset+replay rounds, so every global
+   lane of the wider engine is compared against an independent
+   simulation on the narrower one.  A pass that has not started is
+   skipped once a lower one has failed, and the reported mismatch is the
+   first in (cycle, output, word, lane) order of the lowest failing
+   pass, so it is the same at any team size.  [?deadline] is one budget
+   over both jobs: the passes get what the sides left. *)
+let random_passes ~caller ?scheduler ?(domains = 1) ?deadline
+    ?(validated = false) ~passes ~cycles ~seed
+    (e1 : (module Hydra_engine.Engine_intf.S))
     (e2 : (module Hydra_engine.Engine_intf.S)) nl1 nl2 =
   let module Scheduler = Hydra_engine.Scheduler in
   let module P = Hydra_core.Packed in
-  let in_names, out_names = check_pair caller nl1 nl2 in
-  let out_arr = Array.of_list out_names in
-  let nout = Array.length out_arr in
   (* the lowest failing pass so far and its mismatch *)
   let best = Atomic.make (max_int, Seq_equivalent) in
   let rec record pass r =
@@ -211,11 +217,12 @@ let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
       record pass r
   in
   let run sch =
+    let start = Hydra_engine.Resilience.now () in
     (* one side: its words, and a replay of a stimulus cube on member
        [member]'s replica into the output cube
        [cube.(cycle).(out).(global_word)]; global words past the cube
        are driven with 0 and ignored *)
-    let side (module E : Hydra_engine.Engine_intf.S) nl =
+    let side (module E : Hydra_engine.Engine_intf.S) nl ~nout ~out_arr =
       let base = E.create nl in
       let sims =
         Array.init (Scheduler.domains sch) (fun m ->
@@ -250,8 +257,31 @@ let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
       in
       (we, collect)
     in
-    let w1, collect1 = side e1 nl1 in
-    let w2, collect2 = side e2 nl2 in
+    (* [nl1]'s output names index both cubes, whatever order [nl2]
+       lists its ports in *)
+    let out_arr = Array.of_list (List.map fst nl1.Netlist.outputs) in
+    let nout = Array.length out_arr in
+    let sides = [| (e1, nl1, "nl1"); (e2, nl2, "nl2") |] in
+    (* slot [i]: side [i]'s result, or [Error (failed_validation, exn)] *)
+    let slots = Array.make 2 (Error (false, Exit)) in
+    Scheduler.run_tasks sch ~name:"equiv" ?deadline 2 (fun ~member:_ i ->
+        let e, nl, which = sides.(i) in
+        slots.(i) <-
+          (match
+             if validated || (i = 1 && nl2 == nl1) then Ok ()
+             else Hydra_analyze.Certify.validate nl
+           with
+          | Error reason -> Error (true, invalid_netlist caller which reason)
+          | Ok () -> (
+            match side e nl ~nout ~out_arr with
+            | r -> Ok r
+            | exception ex -> Error (false, ex))));
+    Array.iter (function Error (true, ex) -> raise ex | _ -> ()) slots;
+    check_ports caller nl1 nl2;
+    let in_names = List.map fst nl1.Netlist.inputs in
+    let prepared i = match slots.(i) with Ok r -> r | Error (_, ex) -> raise ex in
+    let w1, collect1 = prepared 0 in
+    let w2, collect2 = prepared 1 in
     let wmax = max w1 w2 in
     let run_pass ~member pass =
       let st = Random.State.make [| seed; pass; cycles |] in
@@ -290,6 +320,11 @@ let random_passes ~caller ?scheduler ?(domains = 1) ?deadline ~passes ~cycles
           done
         done
       with Exit -> ()
+    in
+    let deadline =
+      Option.map
+        (fun d -> d -. (Hydra_engine.Resilience.now () -. start))
+        deadline
     in
     Scheduler.run_tasks sch ~name:"equiv" ?deadline passes (fun ~member pass ->
         if pass < fst (Atomic.get best) then run_pass ~member pass)
@@ -362,9 +397,10 @@ let certify_patch ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
           Hydra_engine.Slab.of_program prog
       end)
     in
+    (* [nl] is validated above: the loop need not validate it again *)
     match
-      engine_random_netlists ~passes ~cycles ~seed patched
-        (Hydra_engine.Slab.engine 1) nl nl
+      random_passes ~caller:"engine_random_netlists" ~validated:true ~passes
+        ~cycles ~seed patched (Hydra_engine.Slab.engine 1) nl nl
     with
     | Seq_equivalent ->
       C.Certified

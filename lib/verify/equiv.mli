@@ -88,15 +88,22 @@ val wide_random_netlists :
     ([seed], pass index), so the stimulus — and the reported mismatch,
     always the lowest-index failing pass — is the same at any team size.
     With [?cache] the two base engines come from the compiled-circuit
-    cache ([Cache.slab ~k:1]).  [?deadline] bounds the whole sweep in
-    wall-clock seconds: the job carries it and times out between passes
-    with {!Hydra_engine.Resilience.Deadline_exceeded}.
+    cache ([Cache.slab ~k:1]).  Before the passes, the two sides are
+    prepared as one two-task job on the same team: each validates its
+    netlist, creates its engine (digest and cache lookup, or compile)
+    and replicates it per member.  [?deadline] bounds both jobs
+    together in wall-clock seconds: the pass job gets what the sides
+    left, and either times out between tasks with
+    {!Hydra_engine.Resilience.Deadline_exceeded}.
 
     Both netlists are validated ({!Hydra_analyze.Certify.validate})
-    before any engine touches them; a malformed one raises
-    [Invalid_argument] naming the defect, so a [Seq_mismatch] always
-    means the engines genuinely disagree and never that a generator
-    emitted a corrupt netlist. *)
+    before any engine simulates them ([nl2] only when it is not
+    physically [nl1]); a malformed one raises [Invalid_argument] naming
+    the defect, so a [Seq_mismatch] always means the engines genuinely
+    disagree and never that a generator emitted a corrupt netlist.  The
+    error raised is the same at any team size: [nl1]'s invalidity
+    first, then [nl2]'s, then differing port names, then a failure to
+    create [nl1]'s engine, then [nl2]'s. *)
 
 val engine_random_netlists :
   ?passes:int ->
@@ -148,9 +155,9 @@ val certify_patch :
 (** Translation-validate an incrementally patched program (the output of
     {!Hydra_engine.Kernel.patch}): validate its netlist, then run the
     patched kernel (a {!Hydra_engine.Slab} of the program's [k]) against
-    an independent fresh full compile of the same netlist at [k = 1] with
-    {!engine_random_netlists} ([?passes] default 4, [?cycles] default
-    32).  [Certified] names the checks performed; a behavioural
+    an independent fresh full compile of the same netlist at [k = 1] on
+    the loop of {!engine_random_netlists} ([?passes] default 4,
+    [?cycles] default 32), which does not validate the netlist again.  [Certified] names the checks performed; a behavioural
     divergence is [Refuted] with a replayable counterexample, exactly
     like the compile-time pass certificates. *)
 

@@ -12,6 +12,7 @@ let () =
       ("netlist", Test_netlist.suite);
       ("levelize", Test_netlist.memo_suite);
       ("passes", Test_passes.suite);
+      ("extract", Test_extract.suite);
       ("parallel", Test_parallel.suite);
       ("engine", Test_engine.suite);
       ("wide", Test_wide.suite);

@@ -279,6 +279,26 @@ let patch_tests =
             let prog', _ = Kernel.patch prog nl' ~edited:[ site ] in
             Certify.ensure (Equiv.certify_patch prog'))
           [ true; false ]);
+    tc "patch re-levels the sinks of a site an edit deepens" (fun () ->
+        (* x = a & b feeds y = inv x and z = y & a; the edit rewires x to
+           read w, three inverters deep, which moves x, y and z down *)
+        let a = G.input "a" and b = G.input "b" and c = G.input "c" in
+        let w = G.inv (G.inv (G.inv c)) in
+        let x = G.label "x" (G.and2 a b) in
+        let nl = N.of_graph ~outputs:[ ("z", G.and2 (G.inv x) a); ("w", w) ] in
+        let index s = snd (List.find (fun (name, _) -> name = s) nl.N.outputs) in
+        let site = ref (-1) in
+        Array.iteri (fun i nms -> if nms = [ "x" ] then site := i) nl.N.names;
+        let prog = Kernel.compile ~relayout:false ~fuse:false nl in
+        let fanin = Array.copy nl.N.fanin in
+        fanin.(!site) <- [| nl.N.fanin.(!site).(0); nl.N.fanin.(index "w").(0) |];
+        let nl' = { nl with N.fanin } in
+        let prog', _ = Kernel.patch prog nl' ~edited:[ !site ] in
+        let full = Hydra_netlist.Levelize.compute nl' in
+        check_int "x moved below w" 4 full.Hydra_netlist.Levelize.levels.(!site);
+        check_bool "levels = full levelization" true
+          (prog'.Kernel.levels.Hydra_netlist.Levelize.levels = full.Hydra_netlist.Levelize.levels);
+        Certify.ensure (Equiv.certify_patch prog'));
     tc "patch rejects undeclared edits and non-gate sites" (fun () ->
         let nl = ripple_netlist 4 in
         let prog = Kernel.compile nl in
