@@ -14,13 +14,8 @@ module type S = sig
   val name : string
   (** Display name for reports ("slab(k=8)", "oracle", ...). *)
 
-  val create :
-    ?optimize:bool ->
-    ?relayout:bool ->
-    ?fuse:bool ->
-    ?certify:bool ->
-    Hydra_netlist.Netlist.t ->
-    t
+  val create : Hydra_netlist.Netlist.t -> t
+  (** An engine over the netlist; the handle fixes how it compiles. *)
 
   val words : t -> int
   (** Words per signal; total lanes = [62 * words t]. *)
@@ -50,7 +45,7 @@ end
    (words = 1).  It interprets the netlist as given and shares no code
    with {!Kernel} — no pre-passes, no re-layout, no fused or blocked
    kernels — so it is the independent reference the compiled engines
-   are checked against.  [create] ignores the compile flags. *)
+   are checked against. *)
 let oracle : (module S) =
   (module struct
     module Sim = Hydra_analyze.Sim
@@ -61,7 +56,7 @@ let oracle : (module S) =
 
     let name = "oracle"
 
-    let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ nl =
+    let create nl =
       { sim = Sim.packed_create nl; nl; cycle = 0 }
 
     let words _ = 1

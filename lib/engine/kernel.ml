@@ -1,58 +1,22 @@
 (* Compile-time plumbing of the word-parallel engine: pre-pass,
-   levelize, fusion planning and per-op index-array splitting.  See the
-   interface for the contract; {!Slab} compiles through here at every K,
-   so all widths agree on layout, fusion and force-slot placement. *)
+   levelize, fusion planning and one flat descriptor per rank.  See the
+   interface for the contract and the descriptor layout; {!Slab}
+   compiles through here at every K, so all widths agree on layout,
+   fusion and force-slot placement. *)
 
 module Netlist = Hydra_netlist.Netlist
 module Levelize = Hydra_netlist.Levelize
 module Layout = Hydra_netlist.Layout
 
-type kernel = {
-  inv_dst : int array;
-  inv_src : int array;
-  and_dst : int array;
-  and_s0 : int array;
-  and_s1 : int array;
-  or_dst : int array;
-  or_s0 : int array;
-  or_s1 : int array;
-  xor_dst : int array;
-  xor_s0 : int array;
-  xor_s1 : int array;
-  andor_dst : int array;
-  andor_a : int array;
-  andor_b : int array;
-  andor_c : int array;
-  andor_d : int array;
-  orand_dst : int array;
-  orand_a : int array;
-  orand_b : int array;
-  orand_c : int array;
-  xor3_dst : int array;
-  xor3_a : int array;
-  xor3_b : int array;
-  xor3_c : int array;
-  out_dst : int array;
-  out_src : int array;
-}
-
-(* How the outer gate at [dst] absorbs a fanout-1 inner gate. *)
-type fusion =
-  | Andor of int * int * int * int
-  | Orand of int * int * int
-  | Xor3 of int * int * int
-
 type program = {
   netlist : Netlist.t;
   levels : Levelize.t;
-  ranks : kernel array;
+  ranks : int array array;
   consts : (int * bool) array;
   dffs : int array;
   dff_src : int array;
   dff_init : bool array;
   fused : int;
-  fusion : fusion option array;
-  consumed : bool array;
   consumed_by : int array;
   k : int;
   input_index : (string, int) Hashtbl.t;
@@ -61,69 +25,95 @@ type program = {
 
 let n_ranks p = Array.length p.ranks
 
-(* One rank's kernel: its gates and outports, split by kind.  Inports,
-   constants and dffs settle outside the kernels; consumed inner gates
-   are evaluated inside their outer fused kernel and never stored. *)
-let build_kernel (nl : Netlist.t) (fusion : fusion option array)
-    (consumed : bool array) rank =
-  let invs = ref [] and ands = ref [] and ors = ref [] and xors = ref []
-  and andors = ref [] and orands = ref [] and xor3s = ref []
-  and outs = ref [] in
+(* The rank descriptor (see the interface for the layout). *)
+let kind_names = [| "inv"; "and"; "or"; "xor"; "andor"; "orand"; "xor3"; "out" |]
+let arity = [| 1; 2; 2; 2; 4; 3; 3; 1 |]
+let n_kinds = Array.length kind_names
+let header = 1 + n_kinds
+
+(* indices into [kind_names] *)
+let inv = 0 and and2 = 1 and or2 = 2 and xor2 = 3
+let andor = 4 and orand = 5 and xor3 = 6 and out = 7
+
+let plain_kind = function
+  | Netlist.Invc -> inv
+  | Netlist.And2c -> and2
+  | Netlist.Or2c -> or2
+  | Netlist.Xor2c -> xor2
+  | Netlist.Outport _ -> out
+  | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> -1
+
+(* The kind of [i]'s tuple, -1 if it has none: a source, or an inner
+   gate evaluated inside its outer's tuple.  An outer's kind follows
+   from which of its inputs it consumed, by [plan_fusion]'s rules. *)
+let kind_of (nl : Netlist.t) consumed_by i =
+  let c = nl.Netlist.components.(i) in
+  if consumed_by.(i) >= 0 then -1
+  else
+    match c with
+    | Netlist.Or2c | Netlist.Xor2c ->
+      let fi = nl.Netlist.fanin.(i) in
+      let x = consumed_by.(fi.(0)) = i and y = consumed_by.(fi.(1)) = i in
+      if not (x || y) then plain_kind c
+      else if c = Netlist.Xor2c then xor3
+      else if x && y then andor
+      else orand
+    | _ -> plain_kind c
+
+(* Write [i]'s tuple of kind [kind] at [pos]: the destination, then
+   either its fanin or, for a fused outer, the consumed inners' sources
+   and (orand, xor3) the other input. *)
+let write_tuple (nl : Netlist.t) consumed_by d pos i kind =
+  let fi = nl.Netlist.fanin.(i) in
+  d.(pos) <- i;
+  if kind = andor then begin
+    Array.blit nl.Netlist.fanin.(fi.(0)) 0 d (pos + 1) 2;
+    Array.blit nl.Netlist.fanin.(fi.(1)) 0 d (pos + 3) 2
+  end
+  else if kind = orand || kind = xor3 then begin
+    let x, y = if consumed_by.(fi.(0)) = i then (fi.(0), fi.(1)) else (fi.(1), fi.(0)) in
+    Array.blit nl.Netlist.fanin.(x) 0 d (pos + 1) 2;
+    d.(pos + 3) <- y
+  end
+  else Array.blit fi 0 d (pos + 1) arity.(kind)
+
+(* The descriptor of the tuples of [members], kind by kind, each kind in
+   member order: one pass counts, one fills. *)
+let descriptor (nl : Netlist.t) consumed_by members =
+  let counts = Array.make n_kinds 0 in
   Array.iter
     (fun i ->
-      if not consumed.(i) then
-        let fi = nl.Netlist.fanin.(i) in
-        match fusion.(i) with
-        | Some (Andor (a, b, c, d)) -> andors := (i, a, b, c, d) :: !andors
-        | Some (Orand (a, b, c)) -> orands := (i, a, b, c) :: !orands
-        | Some (Xor3 (a, b, c)) -> xor3s := (i, a, b, c) :: !xor3s
-        | None -> (
-            match nl.Netlist.components.(i) with
-            | Netlist.Invc -> invs := (i, fi.(0)) :: !invs
-            | Netlist.And2c -> ands := (i, fi.(0), fi.(1)) :: !ands
-            | Netlist.Or2c -> ors := (i, fi.(0), fi.(1)) :: !ors
-            | Netlist.Xor2c -> xors := (i, fi.(0), fi.(1)) :: !xors
-            | Netlist.Outport _ -> outs := (i, fi.(0)) :: !outs
-            | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> ()))
-    rank;
-  let arr1 l = Array.of_list (List.rev_map fst l)
-  and arr2 l = Array.of_list (List.rev_map snd l) in
-  let a3 sel l = Array.of_list (List.rev_map sel l) in
-  {
-    inv_dst = arr1 !invs;
-    inv_src = arr2 !invs;
-    and_dst = a3 (fun (i, _, _) -> i) !ands;
-    and_s0 = a3 (fun (_, a, _) -> a) !ands;
-    and_s1 = a3 (fun (_, _, b) -> b) !ands;
-    or_dst = a3 (fun (i, _, _) -> i) !ors;
-    or_s0 = a3 (fun (_, a, _) -> a) !ors;
-    or_s1 = a3 (fun (_, _, b) -> b) !ors;
-    xor_dst = a3 (fun (i, _, _) -> i) !xors;
-    xor_s0 = a3 (fun (_, a, _) -> a) !xors;
-    xor_s1 = a3 (fun (_, _, b) -> b) !xors;
-    andor_dst = a3 (fun (i, _, _, _, _) -> i) !andors;
-    andor_a = a3 (fun (_, a, _, _, _) -> a) !andors;
-    andor_b = a3 (fun (_, _, b, _, _) -> b) !andors;
-    andor_c = a3 (fun (_, _, _, c, _) -> c) !andors;
-    andor_d = a3 (fun (_, _, _, _, d) -> d) !andors;
-    orand_dst = a3 (fun (i, _, _, _) -> i) !orands;
-    orand_a = a3 (fun (_, a, _, _) -> a) !orands;
-    orand_b = a3 (fun (_, _, b, _) -> b) !orands;
-    orand_c = a3 (fun (_, _, _, c) -> c) !orands;
-    xor3_dst = a3 (fun (i, _, _, _) -> i) !xor3s;
-    xor3_a = a3 (fun (_, a, _, _) -> a) !xor3s;
-    xor3_b = a3 (fun (_, _, b, _) -> b) !xor3s;
-    xor3_c = a3 (fun (_, _, _, c) -> c) !xor3s;
-    out_dst = arr1 !outs;
-    out_src = arr2 !outs;
-  }
+      let kd = kind_of nl consumed_by i in
+      if kd >= 0 then counts.(kd) <- counts.(kd) + 1)
+    members;
+  let cursor = Array.make n_kinds 0 and len = ref header in
+  for kd = 0 to n_kinds - 1 do
+    cursor.(kd) <- !len;
+    len := !len + (counts.(kd) * (1 + arity.(kd)))
+  done;
+  let d = Array.make !len 0 in
+  Array.blit counts 0 d 1 n_kinds;
+  Array.iter
+    (fun i ->
+      let kd = kind_of nl consumed_by i in
+      if kd >= 0 then begin
+        write_tuple nl consumed_by d cursor.(kd) i kd;
+        cursor.(kd) <- cursor.(kd) + 1 + arity.(kd)
+      end)
+    members;
+  d
 
-(* Decide which fanout-1 inner gates each or/xor absorbs.  Processed rank
-   by rank, ascending, so an inner candidate's own fusion status is final
-   when its sink is examined: a gate that already absorbed something
-   ([fusion.(x) <> None]) is not consumable — consuming it would discard
-   its kernel and leave its (possibly consumed) sources dangling.  The
-   sources of a consumed gate are therefore always materialized. *)
+let count_fused consumed_by =
+  Array.fold_left (fun a o -> if o >= 0 then a + 1 else a) 0 consumed_by
+
+(* Decide which fanout-1 inner gates each or/xor absorbs: an or both
+   and-inputs it can (andor) or one (orand), a xor its first xor-input
+   it can, else its second (xor3).  Processed rank by rank, ascending,
+   so an inner candidate's own fusion status is final when its sink is
+   examined: a gate that already absorbed something is not consumable —
+   consuming it would discard its tuple and leave its (possibly
+   consumed) sources dangling.  The sources of a consumed gate are
+   therefore always materialized. *)
 let plan_fusion (nl : Netlist.t) (levels : Levelize.t) =
   let n = Netlist.size nl in
   let fanout_count = Array.make n 0 in
@@ -131,18 +121,12 @@ let plan_fusion (nl : Netlist.t) (levels : Levelize.t) =
     (fun fi ->
       Array.iter (fun d -> fanout_count.(d) <- fanout_count.(d) + 1) fi)
     nl.Netlist.fanin;
-  let fusion : fusion option array = Array.make n None in
-  let consumed = Array.make n false in
   let consumed_by = Array.make n (-1) in
-  let inner kind x =
-    fanout_count.(x) = 1
-    && (not consumed.(x))
-    && fusion.(x) = None
-    &&
-    match (kind, nl.Netlist.components.(x)) with
-    | `And, Netlist.And2c -> true
-    | `Xor, Netlist.Xor2c -> true
-    | _ -> false
+  let inner c x =
+    nl.Netlist.components.(x) = c
+    && fanout_count.(x) = 1
+    && consumed_by.(x) < 0
+    && not (Array.exists (fun s -> consumed_by.(s) = x) nl.Netlist.fanin.(x))
   in
   Array.iter
     (fun rank ->
@@ -152,44 +136,16 @@ let plan_fusion (nl : Netlist.t) (levels : Levelize.t) =
           match nl.Netlist.components.(i) with
           | Netlist.Or2c ->
             let x = fi.(0) and y = fi.(1) in
-            if inner `And x && inner `And y then begin
-              let fx = nl.Netlist.fanin.(x) and fy = nl.Netlist.fanin.(y) in
-              fusion.(i) <- Some (Andor (fx.(0), fx.(1), fy.(0), fy.(1)));
-              consumed.(x) <- true;
-              consumed_by.(x) <- i;
-              consumed.(y) <- true;
-              consumed_by.(y) <- i
-            end
-            else if inner `And x then begin
-              let fx = nl.Netlist.fanin.(x) in
-              fusion.(i) <- Some (Orand (fx.(0), fx.(1), y));
-              consumed.(x) <- true;
-              consumed_by.(x) <- i
-            end
-            else if inner `And y then begin
-              let fy = nl.Netlist.fanin.(y) in
-              fusion.(i) <- Some (Orand (fy.(0), fy.(1), x));
-              consumed.(y) <- true;
-              consumed_by.(y) <- i
-            end
+            if inner Netlist.And2c x then consumed_by.(x) <- i;
+            if inner Netlist.And2c y then consumed_by.(y) <- i
           | Netlist.Xor2c ->
             let x = fi.(0) and y = fi.(1) in
-            if inner `Xor x then begin
-              let fx = nl.Netlist.fanin.(x) in
-              fusion.(i) <- Some (Xor3 (fx.(0), fx.(1), y));
-              consumed.(x) <- true;
-              consumed_by.(x) <- i
-            end
-            else if inner `Xor y then begin
-              let fy = nl.Netlist.fanin.(y) in
-              fusion.(i) <- Some (Xor3 (fy.(0), fy.(1), x));
-              consumed.(y) <- true;
-              consumed_by.(y) <- i
-            end
+            if inner Netlist.Xor2c x then consumed_by.(x) <- i
+            else if inner Netlist.Xor2c y then consumed_by.(y) <- i
           | _ -> ())
         rank)
     levels.Levelize.by_level;
-  (fusion, consumed, consumed_by)
+  consumed_by
 
 let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     ?(certify = false) ?(k = 1) netlist =
@@ -222,11 +178,10 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
   if k < 1 then invalid_arg "Kernel.compile: ~k must be >= 1";
   let levels = Levelize.check netlist in
   let n = Netlist.size netlist in
-  let fusion, consumed, consumed_by =
-    if fuse then plan_fusion netlist levels
-    else (Array.make n None, Array.make n false, Array.make n (-1))
+  let consumed_by =
+    if fuse then plan_fusion netlist levels else Array.make n (-1)
   in
-  let ranks = Array.map (build_kernel netlist fusion consumed) levels.Levelize.by_level in
+  let ranks = Array.map (descriptor netlist consumed_by) levels.Levelize.by_level in
   let consts = ref [] and dffs = ref [] in
   Array.iteri
     (fun i comp ->
@@ -248,7 +203,7 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
   let input_index = Hashtbl.create 16 and output_index = Hashtbl.create 16 in
   List.iter (fun (s, i) -> Hashtbl.replace input_index s i) netlist.Netlist.inputs;
   List.iter (fun (s, i) -> Hashtbl.replace output_index s i) netlist.Netlist.outputs;
-  let fused = Array.fold_left (fun a c -> if c then a + 1 else a) 0 consumed in
+  let fused = count_fused consumed_by in
   {
     netlist;
     levels;
@@ -258,8 +213,6 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     dff_src;
     dff_init;
     fused;
-    fusion;
-    consumed;
     consumed_by;
     k;
     input_index;
@@ -363,38 +316,29 @@ let relevel (nl : Netlist.t) (old : Levelize.t) ~seeds =
   ( { Levelize.levels; order; by_level; critical_path = !critical; cyclic = [] },
     changed )
 
-let kinds kn =
-  [|
-    ("inv", kn.inv_dst, [| kn.inv_src |]);
-    ("and", kn.and_dst, [| kn.and_s0; kn.and_s1 |]);
-    ("or", kn.or_dst, [| kn.or_s0; kn.or_s1 |]);
-    ("xor", kn.xor_dst, [| kn.xor_s0; kn.xor_s1 |]);
-    ("andor", kn.andor_dst, [| kn.andor_a; kn.andor_b; kn.andor_c; kn.andor_d |]);
-    ("orand", kn.orand_dst, [| kn.orand_a; kn.orand_b; kn.orand_c |]);
-    ("xor3", kn.xor3_dst, [| kn.xor3_a; kn.xor3_b; kn.xor3_c |]);
-    ("out", kn.out_dst, [| kn.out_src |]);
-  |]
+(* [old]'s tuples whose destination satisfies [keep], then [fresh]'s,
+   kind by kind. *)
+let splice old ~keep fresh =
+  let d = Array.make (Array.length old + Array.length fresh - header) 0 in
+  let o = ref header and f = ref header and w = ref header in
+  for kd = 0 to n_kinds - 1 do
+    let t = 1 + arity.(kd) and w0 = !w in
+    for _ = 1 to old.(kd + 1) do
+      if keep old.(!o) then begin
+        Array.blit old !o d !w t;
+        w := !w + t
+      end;
+      o := !o + t
+    done;
+    let m = fresh.(kd + 1) * t in
+    Array.blit fresh !f d !w m;
+    f := !f + m;
+    w := !w + m;
+    d.(kd + 1) <- (!w - w0) / t
+  done;
+  Array.sub d 0 !w
 
-(* [kn]'s entries whose destination satisfies [keep], then [fresh]'s. *)
-let splice kn ~keep fresh =
-  let kind (_, dst, srcs) (_, fdst, fsrcs) =
-    let idx = List.filter (fun j -> keep dst.(j)) (List.init (Array.length dst) Fun.id) in
-    let pick a fa = Array.append (Array.of_list (List.map (Array.get a) idx)) fa in
-    (pick dst fdst, Array.map2 pick srcs fsrcs)
-  in
-  match Array.map2 kind (kinds kn) (kinds fresh) with
-  | [| (inv_dst, [| inv_src |]); (and_dst, [| and_s0; and_s1 |]);
-       (or_dst, [| or_s0; or_s1 |]); (xor_dst, [| xor_s0; xor_s1 |]);
-       (andor_dst, [| andor_a; andor_b; andor_c; andor_d |]);
-       (orand_dst, [| orand_a; orand_b; orand_c |]);
-       (xor3_dst, [| xor3_a; xor3_b; xor3_c |]); (out_dst, [| out_src |]) |] ->
-    { inv_dst; inv_src; and_dst; and_s0; and_s1; or_dst; or_s0; or_s1;
-      xor_dst; xor_s0; xor_s1; andor_dst; andor_a; andor_b; andor_c; andor_d;
-      orand_dst; orand_a; orand_b; orand_c; xor3_dst; xor3_a; xor3_b; xor3_c;
-      out_dst; out_src }
-  | _ -> assert false
-
-let entries kn = Array.fold_left (fun n (_, dst, _) -> n + Array.length dst) 0 (kinds kn)
+let entries d = Array.fold_left ( + ) 0 (Array.sub d 1 n_kinds)
 
 type patch_stats = {
   p_edited : int;
@@ -461,37 +405,28 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
   (* Fusion repair: an edited site invalidates any fusion it participates
      in.  If the edit turned the site into (or away from) something a
      fused outer absorbed, or gave a consumed inner a second reader, the
-     outer's kernel would compute a stale function — so un-fuse: the
-     outer falls back to its plain kernel and every inner it absorbed is
+     outer's tuple would compute a stale function — so un-fuse: the
+     outer falls back to its plain tuple and every inner it absorbed is
      materialized again.  Patching never *adds* fusion; a full recompile
-     re-fuses. *)
-  let fusion' = Array.copy p.fusion in
-  let consumed' = Array.copy p.consumed in
+     re-fuses.  An outer's inners are among its fanin in [nl]: they
+     were at compile time, and a patch releases every inner of an
+     outer whose fanin it changes. *)
   let consumed_by' = Array.copy p.consumed_by in
   let dirty = Array.make n false in
   let defused = ref 0 in
-  let outer_inners =
-    lazy
-      (let acc = Array.make n [] in
-       Array.iteri (fun i o -> if o >= 0 then acc.(o) <- i :: acc.(o))
-         p.consumed_by;
-       acc)
-  in
   let defuse o =
-    match fusion'.(o) with
-    | None -> ()
-    | Some _ ->
-      fusion'.(o) <- None;
+    let fi = nl.Netlist.fanin.(o) in
+    if Array.exists (fun i -> consumed_by'.(i) = o) fi then begin
       incr defused;
       dirty.(o) <- true;
-      List.iter
+      Array.iter
         (fun i ->
           if consumed_by'.(i) = o then begin
-            consumed'.(i) <- false;
             consumed_by'.(i) <- -1;
             dirty.(i) <- true
           end)
-        (Lazy.force outer_inners).(o)
+        fi
+    end
   in
   List.iter
     (fun e ->
@@ -507,10 +442,10 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
     edited;
   Array.iteri (fun i c -> if c then dirty.(i) <- true) level_changed;
   (* Ranks needing a rebuild: every dirty component taints both its old
-     and its new rank (membership or kernel content changed there); all
-     other ranks reuse their kernels by reference.  A rebuilt rank keeps
-     the entries of its clean members and compiles only its dirty ones:
-     a clean member's entry cannot have changed (its kind, fanin, rank
+     and its new rank (membership or tuples changed there); all other
+     ranks reuse their descriptors by reference.  A rebuilt rank keeps
+     the tuples of its clean members and compiles only its dirty ones:
+     a clean member's tuple cannot have changed (its kind, fanin, rank
      and fusion are untouched, and a source whose materialization
      flipped implies a dirty reader), and every member of a new rank
      moved there, so is dirty. *)
@@ -533,7 +468,7 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
         else begin
           let members = levels'.Levelize.by_level.(r) in
           let fresh =
-            build_kernel nl' fusion' consumed'
+            descriptor nl' consumed_by'
               (Array.of_seq (Seq.filter (Array.get dirty) (Array.to_seq members)))
           in
           incr ranks_rebuilt;
@@ -543,17 +478,12 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
           else fresh
         end)
   in
-  let fused' =
-    Array.fold_left (fun a c -> if c then a + 1 else a) 0 consumed'
-  in
   ( {
       p with
       netlist = nl';
       levels = levels';
       ranks;
-      fused = fused';
-      fusion = fusion';
-      consumed = consumed';
+      fused = count_fused consumed_by';
       consumed_by = consumed_by';
     },
     {

@@ -1,84 +1,82 @@
 (** Compile-time plumbing of the word-parallel engine.
 
     {!Slab} (K consecutive 62-lane words per signal; k = 1 is the
-    62-lane {!Compiled_wide}) runs branch-free per-op loops over
-    pre-split index arrays; this module is the front end that builds
-    them.  [compile] runs the optional
+    62-lane {!Compiled_wide}) runs every levelized rank through one C
+    stub that walks a flat descriptor; this module is the front end that
+    writes those descriptors.  [compile] runs the optional
     [?optimize]/[?relayout] pre-passes (optionally translation-validated
     by {!Hydra_analyze.Certify}), levelizes, plans kernel fusion, and
-    splits every levelized rank into one {!kernel} of flat per-gate-kind
-    (dst, src) index arrays.  Every member of a rank is independent of
-    the others, so a rank is the unit of evaluation: an engine runs one
-    kernel per rank, in rank order.  The resulting {!program} is
-    immutable and engine-agnostic: engines layer their own value state
-    (one word or K words per component) on top of it and may share one
-    program between many replicas. *)
+    writes one descriptor per levelized rank.  Every member of a rank is
+    independent of the others, so a rank is the unit of evaluation: an
+    engine runs one descriptor per rank, in rank order.  The resulting
+    {!program} is immutable and engine-agnostic: engines layer their own
+    value state (one word or K words per component) on top of it and may
+    share one program between many replicas.
 
-(** One levelized rank, pre-split by gate kind: [x_dst.(j)] is evaluated
-    from [x_src*.(j)] for every [j], in any order (all sources settle at
-    strictly lower ranks; fused kernels read the consumed inner gate's
-    sources, which settle earlier still). *)
-type kernel = {
-  inv_dst : int array;
-  inv_src : int array;
-  and_dst : int array;
-  and_s0 : int array;
-  and_s1 : int array;
-  or_dst : int array;
-  or_s0 : int array;
-  or_s1 : int array;
-  xor_dst : int array;
-  xor_s0 : int array;
-  xor_s1 : int array;
-  andor_dst : int array;  (** dst = (a & b) | (c & d) *)
-  andor_a : int array;
-  andor_b : int array;
-  andor_c : int array;
-  andor_d : int array;
-  orand_dst : int array;  (** dst = (a & b) | c *)
-  orand_a : int array;
-  orand_b : int array;
-  orand_c : int array;
-  xor3_dst : int array;  (** dst = a ^ b ^ c *)
-  xor3_a : int array;
-  xor3_b : int array;
-  xor3_c : int array;
-  out_dst : int array;  (** outports: plain word copies *)
-  out_src : int array;
-}
+    {2 The rank descriptor}
 
-val kinds : kernel -> (string * int array * int array array) array
-(** A kernel's gate kinds in the C stub's order (inv, and, or, xor,
-    andor, orand, xor3, out): name, destinations, and the source arrays,
-    indexed like the destinations. *)
+    This is the one definition of the layout the C stub
+    ([kernel_stubs.c]) walks.  A rank descriptor is an [int array]:
 
-(** How the outer gate at [dst] absorbed a fanout-1 inner gate (the
-    fusion plan is carried in the program so {!patch} can undo it
-    locally). *)
-type fusion =
-  | Andor of int * int * int * int  (** dst = (a & b) | (c & d) *)
-  | Orand of int * int * int  (** dst = (a & b) | c *)
-  | Xor3 of int * int * int  (** dst = a ^ b ^ c *)
+    {v
+    [ slot 0 | n_inv n_and n_or n_xor n_andor n_orand n_xor3 n_out |
+      n_inv (dst, src) | n_and (dst, s0, s1) | ... | n_out (dst, src) ]
+    v}
+
+    Slot 0 belongs to the engine (0 in a {!program}; {!Slab} writes its
+    K there).  Slots [1 .. n_kinds] hold one tuple count per kind, in
+    {!kind_names} order.  From slot {!header} on come the tuples, kind
+    by kind in that order, each a destination followed by
+    [arity.(kind)] sources:
+
+    - [inv]: dst = not src; [and], [or], [xor]: dst = s0 op s1;
+    - [andor]: dst = (a & b) | (c & d);
+    - [orand]: dst = (a & b) | c;
+    - [xor3]: dst = a ^ b ^ c;
+    - [out]: an outport, dst = src (a word copy).
+
+    Indices are component numbers of {!program.netlist}; {!Slab}'s copy
+    scales them by K.  A descriptor holds exactly
+    [header + sum (count * (1 + arity))] words.  Every source of a
+    rank's tuple settles at a strictly lower rank (a fused tuple reads
+    the consumed inner gate's sources, which settle earlier still), so
+    the tuples may run in any order. *)
+
+val kind_names : string array
+(** The tuple kinds in descriptor order: inv, and, or, xor, andor,
+    orand, xor3, out.  Kind [x]'s count is slot [x + 1]. *)
+
+val arity : int array
+(** Sources per tuple, indexed like {!kind_names}. *)
+
+val n_kinds : int
+(** [Array.length kind_names]. *)
+
+val header : int
+(** [1 + n_kinds]: the slot of a descriptor's first tuple. *)
+
+val plain_kind : Hydra_netlist.Netlist.component -> int
+(** The kind of an unfused gate's or outport's tuple, whose sources are
+    its fanin in order; -1 for an inport, constant or dff, which have
+    none. *)
 
 type program = {
   netlist : Hydra_netlist.Netlist.t;
       (** the netlist actually compiled (post-optimize, post-relayout) *)
   levels : Hydra_netlist.Levelize.t;
-  ranks : kernel array;
-      (** one kernel per levelized rank, empty ranks included: rank [r]
-          is [ranks.(r)], and force slot [r + 1] follows it *)
+  ranks : int array array;
+      (** one descriptor per levelized rank, empty ranks included: rank
+          [r] is [ranks.(r)], and force slot [r + 1] follows it *)
   consts : (int * bool) array;  (** component index, constant value *)
   dffs : int array;
   dff_src : int array;  (** driver of each dff, indexed like [dffs] *)
   dff_init : bool array;  (** power-up values, indexed like [dffs] *)
   fused : int;  (** gates evaluated inside a fused kernel (never stored) *)
-  fusion : fusion option array;
-      (** per component: the fusion its kernel entry uses, if any *)
-  consumed : bool array;
-      (** per component: absorbed into an outer fused kernel, never
-          stored *)
   consumed_by : int array;
-      (** per component: the outer gate that absorbed it, or -1 *)
+      (** per component: the outer gate that absorbed it into its fused
+          tuple (it is never stored), or -1.  An or that absorbed both
+          and-inputs is an [andor] tuple, one that absorbed one an
+          [orand]; a xor that absorbed a xor-input is a [xor3]. *)
   k : int;  (** the words-per-signal of the engine it was compiled for *)
   input_index : (string, int) Hashtbl.t;
   output_index : (string, int) Hashtbl.t;
@@ -112,8 +110,8 @@ val size : program -> int
 (** Component count of the compiled netlist. *)
 
 (** What {!patch} actually did, for perf accounting: the edit set size,
-    fusions undone, ranks rebuilt vs reused, and kernel entries
-    recompiled vs the component total. *)
+    fusions undone, ranks rebuilt vs reused, and tuples recompiled vs
+    the component total. *)
 type patch_stats = {
   p_edited : int;
   p_defused : int;
@@ -131,13 +129,13 @@ val patch :
     [~edited] identical (kind and fanin), and every edited site a
     combinational gate ([Invc]/[And2c]/[Or2c]/[Xor2c]) on both sides —
     because the edit is expressed against [program.netlist] (the
-    post-optimize/post-relayout netlist the kernels index into).
-    Re-levelizes incrementally from the edit, un-fuses any fused kernel
+    post-optimize/post-relayout netlist the descriptors index into).
+    Re-levelizes incrementally from the edit, un-fuses any fused tuple
     the edit touches (fusion is never *added* by a patch), and rebuilds
-    exactly the ranks whose membership or kernel content changed: a
-    rebuilt rank keeps its unchanged entries and compiles only the
-    components the edit touched.  Every other rank's kernel is reused by
-    reference.  Raises
+    exactly the ranks whose membership or tuples changed: a rebuilt
+    rank's descriptor keeps its clean members' tuples, kind by kind, and
+    appends tuples for only the components the edit touched.  Every
+    other rank's descriptor is reused by reference.  Raises
     [Invalid_argument] on contract violations and
     {!Hydra_netlist.Levelize.Combinational_cycle} (with witness) when
     the edit closes a combinational loop.  The patched program is a

@@ -4,12 +4,10 @@
  * shared Kernel program directly over the OCaml int-array slab: one
  * descriptor per rank, or per rank of a cone.  A rank's members are
  * mutually independent, so the stub runs them kind by kind in
- * descriptor order.  The descriptor is a flat OCaml int array:
- * [k | n_inv n_and n_or n_xor n_andor n_orand n_xor3 n_out | per-kind
- * (dst, src...) tuples], with every index pre-scaled by k, so a gate's
- * K words live at consecutive addresses and the inner w-loops
- * vectorize.  Slab range-checks every index when it builds the
- * descriptor; the stub trusts them.
+ * descriptor order.  The descriptor layout is Kernel's rank descriptor
+ * (kernel.mli, "The rank descriptor"), in Slab's copy: slot 0 holds k
+ * and every index is pre-scaled by k, so a gate's K words live at
+ * consecutive addresses and the inner w-loops vectorize.
  *
  * All arithmetic runs on the tagged representation (t = 2v + 1):
  *   - and/or preserve the tag:   (2a+1) & (2b+1) = 2(a&b) + 1
@@ -22,8 +20,7 @@
  * hydra_tick(values, next, dffs, srcs, k) latches every dff: it
  * gathers each driver's k words into the staging array next, then
  * copies them to the dffs, so a dff whose driver is a dff reads the
- * pre-tick word.  dffs and srcs hold the pre-scaled slab bases, which
- * Slab also range-checks once.
+ * pre-tick word.  dffs and srcs hold the pre-scaled slab bases.
  *
  * Two lane passes answer a fault campaign's per-cycle questions with
  * one lane mask per slab word, written into the caller's k-word array
@@ -34,8 +31,44 @@
  *   - hydra_latch_lanes(values, dffs, srcs, out): out[w] is the OR over
  *     the dffs of the dff's word w xor its driver's, after a settle the
  *     lanes where some dff latches a change at the next tick.
- * Their site arrays are pre-scaled slab bases too, range-checked once
- * when Slab builds them (Slab.sites); Slab checks out's length per call.
+ *
+ * Preconditions.  The stubs check nothing; every bound they rely on is
+ * established once, in OCaml, by the function named.  Throughout, size
+ * is the program's component count, k its words per signal, and values
+ * holds size * k words plus a pad (Slab.fresh); "a base" is i * k with
+ * 0 <= i < size, so words base .. base + k - 1 lie in values.
+ *
+ *   entry point, array      bound relied on           established by
+ *   hydra_settle_block
+ *     desc                  desc[0] = the slab's k;   Slab.of_program (it
+ *                           desc[1..8] >= 0 and desc    checks the counts
+ *                           holds the words they        against the length);
+ *                           count                       the cone builder
+ *                                                       (writes the counts
+ *                                                       of what it writes)
+ *     values via desc       every tuple word a base   Slab.of_program (each
+ *                                                       index); the cone
+ *                                                       builder (members
+ *                                                       checked by Slab.cone
+ *                                                       or found by the
+ *                                                       fanout walk, sources
+ *                                                       read through its
+ *                                                       size-n mark bytes)
+ *   hydra_tick
+ *     dffs, srcs            same length, each entry   Slab.of_program (length
+ *                           a base                      and check_index, on
+ *                                                       its own copies)
+ *     next                  >= Wosize(dffs) * k       Slab.fresh
+ *     k                     the slab's k              Slab.tick
+ *   hydra_diff_lanes
+ *     sites                 each entry a base of      Slab.sites, check_pass
+ *                           this slab's program
+ *     out                   Wosize(out) = k           check_pass
+ *   hydra_latch_lanes
+ *     dffs, srcs            each entry a base of      Slab.sites, check_pass
+ *                           this slab's program;
+ *                           same length               Slab.latch_lanes
+ *     out                   Wosize(out) = k           check_pass
  *
  * The stubs never allocate, never touch the OCaml runtime and never
  * release the domain lock ([@@noalloc] on the OCaml side), so the

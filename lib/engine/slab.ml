@@ -7,20 +7,22 @@
    over the whole K-word run before moving on — 62*K lanes per settle
    pass, with the per-gate dst/src index loads (the bottleneck at
    k = 1) amortized K ways and the K value words streaming from
-   consecutive addresses.  The compile pipeline is {!Kernel}; the only
-   addition here is pre-scaling every index by [k] so the hot loops
-   never multiply.
+   consecutive addresses.  The compile pipeline is {!Kernel}, which
+   writes one flat descriptor per rank in the layout the C stub walks;
+   the only addition here is a checked copy of each with every index
+   pre-scaled by [k], so the hot loops never multiply.
 
    Every levelized rank runs through one kernel, the C stub in
-   [kernel_stubs.c], from a flat per-rank descriptor built (and
-   bounds-checked) at create time.  The stub specialises k = 1 and uses
-   AVX2/NEON vector loads when the build enabled them (tagged ints
-   vectorize directly: and/or preserve the tag, xor re-ors it, inv masks
-   against [lane_mask lsl 1]), so no gate-evaluation loop is OCaml.
+   [kernel_stubs.c], from that copy of its descriptor.  The stub
+   specialises k = 1 and uses AVX2/NEON vector loads when the build
+   enabled them (tagged ints vectorize directly: and/or preserve the
+   tag, xor re-ors it, inv masks against [lane_mask lsl 1]), so no
+   gate-evaluation loop is OCaml.
 
    The unit of iteration is the levelized rank: {!Kernel.program} holds
-   one kernel per rank, whose members are mutually independent, and the
-   stub runs all of a rank's per-kind loops before the sweep moves on.
+   one descriptor per rank, whose members are mutually independent, and
+   the stub runs all of a rank's per-kind loops before the sweep moves
+   on.
    A settle is one ascending sweep over the ranks, with force masks
    applied at the rank boundaries; a tick latches every dff through a
    second C stub.
@@ -84,8 +86,8 @@ type t = {
   mutable scratch : scratch option;
       (* this instance's cone scratch and current cone, built on first
          use *)
-  simd_desc : int array array;
-      (* per rank: the flat descriptor the C stub runs *)
+  rank_desc : int array array;
+      (* per rank: the scaled descriptor the C stub runs *)
   consts_s : (int * int) array;  (* scaled base index, broadcast word *)
   dffs_s : int array;  (* scaled dff bases *)
   dff_src_s : int array;  (* scaled driver bases *)
@@ -120,7 +122,7 @@ let apply_initial t =
 (* Cache-line slack at the end of the hot arrays (see [fresh]). *)
 let pad = 8
 
-(* [Kernel.program] is a public record and the kernels write through its
+(* [Kernel.program] is a public record and the stubs write through its
    indices unchecked, so every index is range-checked once, here. *)
 let check_index prog what i =
   let size = Kernel.size prog in
@@ -129,36 +131,45 @@ let check_index prog what i =
       (Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)" what i
          size)
 
-(* The flat rank descriptor the C stub walks: [k] then the
-   eight kind counts, then (dst, src...) index tuples per kind in stub
-   order, every index checked and pre-scaled by [k]. *)
-let simd_descriptor prog r (kn : Kernel.kernel) =
-  let k = prog.Kernel.k in
-  let kinds = Kernel.kinds kn in
-  let len =
-    Array.fold_left
-      (fun n (_, dst, srcs) -> n + (Array.length dst * (1 + Array.length srcs)))
-      9 kinds
+(* This slab's copy of rank [r]'s descriptor [d], the one the C stub
+   runs: [k] in slot 0 and every index scaled by [k].  The header counts
+   are checked against [d]'s length first, then every index against
+   [0, size) as it is copied. *)
+let scaled_rank prog r d =
+  let k = prog.Kernel.k and size = Kernel.size prog and len = Array.length d in
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Slab.of_program: rank " ^ m)) fmt
   in
-  let d = Array.make len 0 in
-  d.(0) <- k;
-  let pos = ref 9 in
-  Array.iteri
-    (fun x (name, dst, srcs) ->
-      d.(x + 1) <- Array.length dst;
-      let what = Printf.sprintf "rank %d %s gate" r name in
-      let push i =
-        check_index prog what i;
-        d.(!pos) <- i * k;
-        incr pos
-      in
-      Array.iteri
-        (fun j i ->
-          push i;
-          Array.iter (fun src -> push src.(j)) srcs)
-        dst)
-    kinds;
-  d
+  if len < Kernel.header then
+    fail "%d descriptor has %d words, shorter than its %d-word header" r len
+      Kernel.header;
+  let need = ref Kernel.header in
+  for kd = 0 to Kernel.n_kinds - 1 do
+    let c = d.(kd + 1) in
+    if c < 0 || c > len then
+      fail "%d %s count %d outside [0, %d]" r Kernel.kind_names.(kd) c len;
+    need := !need + (c * (1 + Kernel.arity.(kd)))
+  done;
+  if !need <> len then
+    fail "%d descriptor has %d words, its header (%s) needs %d" r len
+      (String.concat ", "
+         (List.init Kernel.n_kinds (fun kd ->
+              Printf.sprintf "%s %d" Kernel.kind_names.(kd) d.(kd + 1))))
+      !need;
+  let s = Array.make len k in
+  Array.blit d 1 s 1 Kernel.n_kinds;
+  let pos = ref Kernel.header in
+  for kd = 0 to Kernel.n_kinds - 1 do
+    for _ = 1 to d.(kd + 1) * (1 + Kernel.arity.(kd)) do
+      let i = d.(!pos) in
+      if i < 0 || i >= size then
+        fail "%d %s gate index %d out of range [0, %d)" r Kernel.kind_names.(kd) i
+          size;
+      s.(!pos) <- i * k;
+      incr pos
+    done
+  done;
+  s
 
 (* Fresh per-instance state over [t]'s compiled arrays: a power-up
    value slab.  Hot arrays are padded so instances allocated back to
@@ -178,10 +189,9 @@ let fresh t =
   r
 
 (* Build an engine over an already-compiled program (the slab's K is the
-   program's k): no compile-time pass re-runs.  The rank descriptors
-   are built, and every index and array length of the program checked,
-   here once; replicas share them.  At k = 1 the scaled dff indices are
-   the program's own arrays, shared rather than copied. *)
+   program's k): no compile-time pass re-runs.  Every array the stubs
+   index is copied here, scaled and checked once, at every k, so a later
+   write to the program cannot reach them; replicas share the copies. *)
 let of_program prog =
   let k = prog.Kernel.k in
   if k < 1 then
@@ -214,18 +224,18 @@ let of_program prog =
              i levels.(i) n_ranks)
       | _ -> ())
     prog.Kernel.netlist.Netlist.components;
-  let simd_desc = Array.mapi (simd_descriptor prog) prog.Kernel.ranks in
+  let rank_desc = Array.mapi (scaled_rank prog) prog.Kernel.ranks in
   Array.iter (fun (i, _) -> check_index prog "consts" i) prog.Kernel.consts;
   Array.iter (check_index prog "dffs") prog.Kernel.dffs;
   Array.iter (check_index prog "dff_src") prog.Kernel.dff_src;
-  let scale a = if k = 1 then a else Array.map (fun i -> i * k) a in
+  let scale a = Array.map (fun i -> i * k) a in
   fresh
     {
       prog;
       k;
       fanout = Atomic.make None;
       scratch = None;
-      simd_desc;
+      rank_desc;
       consts_s =
         Array.map (fun (i, b) -> (i * k, Packed.broadcast b)) prog.Kernel.consts;
       dffs_s = scale prog.Kernel.dffs;
@@ -407,7 +417,7 @@ let apply_forces t slot =
 
 (* The C kernels ([kernel_stubs.c]).  [settle_block values desc]
    evaluates one rank over the value slab in place, from its
-   descriptor ([simd_descriptor]); [tick_block values next dffs srcs k]
+   descriptor ([scaled_rank]); [tick_block values next dffs srcs k]
    latches every dff ([tick]).  They trust their arguments, so they stay
    private here: every index they read is range-checked in
    [of_program].  [@@noalloc]: the stubs never allocate, touch the
@@ -428,7 +438,7 @@ let kernel_flavor () =
 (* The rank sweep: every rank through the C kernel, force slots at the
    rank boundaries. *)
 let settle t =
-  let values = t.values and desc = t.simd_desc in
+  let values = t.values and desc = t.rank_desc in
   let slots = t.force_slots in
   let forced = Array.length slots > 0 in
   if forced then apply_forces t (Array.unsafe_get slots 0);
@@ -479,7 +489,7 @@ let scratch t =
     let s =
       {
         s_mark = Bytes.make n '\000';
-        s_slots = Array.make (nranks * 8) 0;
+        s_slots = Array.make (nranks * Kernel.n_kinds) 0;
         s_queue = [||];
         s_desc = Array.make nranks [||];
         s_live = Bytes.make nranks '\000';
@@ -510,18 +520,15 @@ let build_cone t sc nu =
   let fanin = prog.Kernel.netlist.Netlist.fanin in
   let levels = prog.Kernel.levels.Levelize.levels in
   let counts = sc.s_slots and mark = sc.s_mark in
-  (* a gate's or outport's descriptor slot, [rank * 8 + kind] with kind
-     in stub order (inv, and, or, xor, ..., out); -1 for a dff, -2 for
-     an inport or constant (never on the frontier) *)
+  let nk = Kernel.n_kinds and hd = Kernel.header in
+  (* a gate's or outport's count slot, [rank * n_kinds + kind] (an
+     unfused tuple: its own kind, its fanin as sources); -1 for a dff,
+     -2 for an inport or constant (never on the frontier) *)
   let slot i =
     match comps.(i) with
-    | Netlist.Invc -> levels.(i) * 8
-    | Netlist.And2c -> (levels.(i) * 8) + 1
-    | Netlist.Or2c -> (levels.(i) * 8) + 2
-    | Netlist.Xor2c -> (levels.(i) * 8) + 3
-    | Netlist.Outport _ -> (levels.(i) * 8) + 7
     | Netlist.Dffc _ -> -1
     | Netlist.Inport _ | Netlist.Constant _ -> -2
+    | c -> (levels.(i) * nk) + Kernel.plain_kind c
   in
   let nf = ref nu in
   for x = 0 to nu - 1 do
@@ -542,22 +549,22 @@ let build_cone t sc nu =
   let q = sc.s_queue in
   (* per rank: size the descriptor and write its header, then turn each
      count into the write cursor of its kind's tuples *)
-  let tuple kd = if kd = 0 || kd = 7 then 2 else 3 in
+  let tuple kd = 1 + Kernel.arity.(kd) in
   for r = 0 to Array.length sc.s_desc - 1 do
-    let len = ref 9 in
-    for kd = 0 to 7 do
-      len := !len + (counts.((r * 8) + kd) * tuple kd)
+    let len = ref hd in
+    for kd = 0 to nk - 1 do
+      len := !len + (counts.((r * nk) + kd) * tuple kd)
     done;
-    Bytes.set sc.s_live r (if !len > 9 then '\001' else '\000');
-    if !len > 9 then begin
+    Bytes.set sc.s_live r (if !len > hd then '\001' else '\000');
+    if !len > hd then begin
       let d = room sc.s_desc.(r) (!len - 1) in
       sc.s_desc.(r) <- d;
       d.(0) <- k;
-      let pos = ref 9 in
-      for kd = 0 to 7 do
-        let c = counts.((r * 8) + kd) in
+      let pos = ref hd in
+      for kd = 0 to nk - 1 do
+        let c = counts.((r * nk) + kd) in
         d.(kd + 1) <- c;
-        counts.((r * 8) + kd) <- !pos;
+        counts.((r * nk) + kd) <- !pos;
         pos := !pos + (c * tuple kd)
       done
     end
@@ -570,11 +577,12 @@ let build_cone t sc nu =
     set.(w) <- set.(w) lor (1 lsl (i mod lanes_per_word));
     let sl = slot i in
     if sl >= 0 then begin
-      let d = sc.s_desc.(sl lsr 3) and p = counts.(sl) and fi = fanin.(i) in
+      let d = sc.s_desc.(sl / nk) and p = counts.(sl) and fi = fanin.(i) in
       d.(p) <- i * k;
-      d.(p + 1) <- fi.(0) * k;
-      if tuple (sl land 7) = 3 then d.(p + 2) <- fi.(1) * k;
-      counts.(sl) <- p + tuple (sl land 7)
+      for a = 0 to Array.length fi - 1 do
+        d.(p + 1 + a) <- fi.(a) * k
+      done;
+      counts.(sl) <- p + 1 + Array.length fi
     end
   done;
   Array.fill counts 0 (Array.length counts) 0;
@@ -866,8 +874,7 @@ let engine kk : (module Engine_intf.S) =
 
     let name = Printf.sprintf "slab(k=%d)" kk
 
-    let create ?optimize ?relayout ?fuse ?certify nl =
-      create ~k:kk ?optimize ?relayout ?fuse ?certify nl
+    let create nl = create ~k:kk nl
 
     let words = words
     let replicate = replicate

@@ -8,11 +8,11 @@
     {!Compiled_wide}), 496 at the default [k = 8], 992 at [k = 16] —
     while the per-gate index traffic (the dst/src loads that bound the
     k = 1 pass) is amortized over the whole K-word run.  Each levelized
-    rank is pre-split at compile time ({!Kernel}) into per-gate-kind
-    index arrays, so the inner loops are branch-free; the netlist is
+    rank is compiled ({!Kernel}) into one flat descriptor of per-kind
+    index tuples, so the inner loops are branch-free; the netlist is
     re-laid-out rank-major, and common 2-level patterns (and-or, or-and,
-    xor chains) run as fused kernels.  The engine only scales the index
-    arrays by [k] at creation.
+    xor chains) run as fused tuples.  The engine only checks the
+    descriptors and scales a copy of them by [k] at creation.
 
     A {!settle} runs the compiled kernel of every levelized rank once,
     in rank order, and a {!tick} latches every dff: the circuit is one
@@ -61,12 +61,15 @@ val of_program : Kernel.program -> t
 (** Build an engine over an already-compiled {!Kernel.program} (from
     {!Kernel.compile}, {!Kernel.patch} or {!Cache}), skipping every
     compile-time pass; the slab's K is the program's [k].  Only the
-    per-instance value state and the rank descriptors are built.  Every
-    rank kernel index and every [consts], [dffs] and [dff_src] entry
-    must lie in [[0, Kernel.size prog)], [dff_src] and [dff_init] must
-    have one entry per dff, and [k] must be >= 1; otherwise raises
-    [Invalid_argument] naming the offending field (for a kernel index:
-    the rank, the gate kind and the index). *)
+    per-instance value state and the engine's own scaled copies of the
+    rank descriptors and dff indices are built, so later writes to the
+    program do not reach the engine.  Every rank descriptor's header
+    counts must match its length, every index in a descriptor and every
+    [consts], [dffs] and [dff_src] entry must lie in
+    [[0, Kernel.size prog)], [dff_src] and [dff_init] must have one
+    entry per dff, and [k] must be >= 1; otherwise raises
+    [Invalid_argument] naming the offending field (for a descriptor: the
+    rank, and the gate kind with the index or the header counts). *)
 
 val program : t -> Kernel.program
 (** The shared compiled program this engine runs. *)
@@ -282,6 +285,7 @@ val run_vectors : t -> bool array array -> bool array array
     vector [j] of a pass rides word [j / 62], bit [j mod 62]. *)
 
 val engine : int -> (module Engine_intf.S)
-(** [engine k]: this engine as a first-class {!Engine_intf.S} with [k]
-    baked into [create] — the handle {!Testbench}/{!Equiv} entry points
-    take.  The handle's [name] is ["slab(k=N)"]. *)
+(** [engine k]: this engine as a first-class {!Engine_intf.S} whose
+    [create] is [create ~k] with the default compile options — the
+    handle {!Testbench}/{!Equiv} entry points take.  The handle's [name]
+    is ["slab(k=N)"]. *)

@@ -349,8 +349,7 @@ let wide_random_netlists ?scheduler ?cache ?(passes = 8) ?(cycles = 32)
 
         let name = "slab(k=1)"
 
-        let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ nl =
-          Hydra_engine.Cache.slab c ~k:1 nl
+        let create nl = Hydra_engine.Cache.slab c ~k:1 nl
       end)
   in
   random_passes ~caller:"wide_random_netlists" ?scheduler ?domains ?deadline
@@ -393,8 +392,7 @@ let certify_patch ?(passes = 4) ?(cycles = 32) ?(seed = 0x5eed)
 
         let name = "patched"
 
-        let create ?optimize:_ ?relayout:_ ?fuse:_ ?certify:_ _ =
-          Hydra_engine.Slab.of_program prog
+        let create _ = Hydra_engine.Slab.of_program prog
       end)
     in
     (* [nl] is validated above: the loop need not validate it again *)

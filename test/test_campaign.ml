@@ -1225,7 +1225,7 @@ let suite =
               (fun i c ->
                 match c with
                 | N.Dffc _ | N.Outport _ ->
-                  if p.Kernel.consumed.(nl.N.fanin.(i).(0)) then
+                  if p.Kernel.consumed_by.(nl.N.fanin.(i).(0)) >= 0 then
                     Alcotest.failf "%s: component %d reads consumed gate %d" name i
                       nl.N.fanin.(i).(0)
                 | _ -> ())

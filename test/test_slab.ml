@@ -42,6 +42,25 @@ let ripple_netlist n =
   N.of_graph
     ~outputs:(("cout", cout) :: List.mapi (fun i s -> (Printf.sprintf "s%d" i, s)) sums)
 
+(* A circuit whose fused compile emits every tuple kind: andor, orand
+   and xor3 outers, a plain inv, and, or and xor, outports, and a dff. *)
+let every_kind_netlist () =
+  let a = G.input "a" and b = G.input "b" and c = G.input "c" in
+  let d = G.input "d" and e = G.input "e" in
+  let andor = G.or2 (G.and2 a b) (G.and2 c d) in
+  N.of_graph
+    ~outputs:
+      [
+        ("andor", andor);
+        ("orand", G.or2 (G.and2 a e) c);
+        ("xor3", G.xor2 (G.xor2 a b) c);
+        ("inv", G.inv a);
+        ("and", G.and2 b c);
+        ("or", G.or2 a d);
+        ("xor", G.xor2 d e);
+        ("q", G.dff andor);
+      ]
+
 (* Drive every word of a slab and one wide engine per word with the same
    per-word random streams; all outputs must agree word-for-word each
    cycle. *)
@@ -494,43 +513,112 @@ let suite =
              only *)
           [ 1; 2; 3; 5; 8 ]);
     tc "of_program range-checks every descriptor index" (fun () ->
-        let module A = Hydra_circuits.Arith.Make (G) in
-        let xs = List.init 8 (fun i -> G.input (Printf.sprintf "x%d" i)) in
-        let ys = List.init 8 (fun i -> G.input (Printf.sprintf "y%d" i)) in
-        let cout, sums = A.ripple_add G.zero (List.combine xs ys) in
-        let nl =
-          N.extract ~inputs:(xs @ ys)
-            ~outputs:
-              (("cout", cout)
-              :: List.mapi (fun i s -> (Printf.sprintf "s%d" i, s)) sums)
-        in
-        let prog = Kernel.compile ~fuse:false ~k:1 nl in
+        let prog = Kernel.compile ~k:1 (every_kind_netlist ()) in
         let size = Kernel.size prog in
-        let bad = 50_000_000 in
-        (* every and-gate destination far outside the value slab: the
-           unchecked C kernel would write there on the first settle *)
-        let corrupt =
-          {
-            prog with
-            Kernel.ranks =
-              Array.map
-                (fun (kn : Kernel.kernel) ->
-                  { kn with and_dst = Array.map (fun _ -> bad) kn.and_dst })
-                prog.Kernel.ranks;
-          }
+        (* each kind's first rank and the position of its first tuple *)
+        let first kd =
+          let rec go r =
+            let d = prog.Kernel.ranks.(r) in
+            if d.(kd + 1) > 0 then begin
+              let pos = ref Kernel.header in
+              for j = 0 to kd - 1 do
+                pos := !pos + (d.(j + 1) * (1 + Kernel.arity.(j)))
+              done;
+              (r, !pos)
+            end
+            else go (r + 1)
+          in
+          go 0
         in
-        let rec first r =
-          if Array.length prog.Kernel.ranks.(r).Kernel.and_dst > 0 then r
-          else first (r + 1)
+        (* [prog] with rank [r]'s descriptor replaced by [f] of a copy *)
+        let corrupt r f =
+          let ranks = Array.copy prog.Kernel.ranks in
+          ranks.(r) <- f (Array.copy ranks.(r));
+          { prog with Kernel.ranks }
         in
-        let msg what i =
-          Invalid_argument
-            (Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)"
-               what i size)
+        let names_rank_and what r frag p =
+          match Slab.of_program p with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument m ->
+            let prefix = Printf.sprintf "Slab.of_program: rank %d " r in
+            if not (String.starts_with ~prefix m && Test_extract.contains m frag)
+            then Alcotest.failf "%s: %S does not name rank %d and %S" what m r frag
         in
-        Alcotest.check_raises "and_dst"
-          (msg (Printf.sprintf "rank %d and gate" (first 0)) bad)
-          (fun () -> Slab.settle (Slab.of_program corrupt));
+        Array.iteri
+          (fun kd name ->
+            let r, pos = first kd in
+            (* every tuple position, one word below and at the end of
+               the index range *)
+            for j = 0 to Kernel.arity.(kd) do
+              List.iter
+                (fun bad ->
+                  let what = Printf.sprintf "%s word %d = %d" name j bad in
+                  Alcotest.check_raises what
+                    (Invalid_argument
+                       (Printf.sprintf
+                          "Slab.of_program: rank %d %s gate index %d out of range [0, %d)"
+                          r name bad size))
+                    (fun () ->
+                      ignore
+                        (Slab.of_program
+                           (corrupt r (fun d ->
+                                d.(pos + j) <- bad;
+                                d)))))
+                [ -1; size ]
+            done;
+            (* the kind's header count one too high and one too low *)
+            List.iter
+              (fun delta ->
+                let c = prog.Kernel.ranks.(r).(kd + 1) + delta in
+                names_rank_and
+                  (Printf.sprintf "%s count %+d" name delta)
+                  r
+                  (Printf.sprintf "%s %d" name c)
+                  (corrupt r (fun d ->
+                       d.(kd + 1) <- c;
+                       d)))
+              [ 1; -1 ])
+          Kernel.kind_names;
+        (* counts whose words add up to the length: and = -1 with or
+           one higher per and tuple (both have 3 words), and an orand
+           count 2^61 higher, whose 4 * 2^61 extra words wrap to 0 *)
+        let r, _ = first 1 in
+        names_rank_and "negative count" r "and count -1"
+          (corrupt r (fun d ->
+               d.(3) <- d.(3) + d.(2) + 1;
+               d.(2) <- -1;
+               d));
+        let r, _ = first 5 in
+        let huge = prog.Kernel.ranks.(r).(6) + (1 lsl 61) in
+        names_rank_and "wrapping count" r (Printf.sprintf "orand count %d" huge)
+          (corrupt r (fun d ->
+               d.(6) <- huge;
+               d));
+        (* a word too many or too few: one appended, the last word of the
+           last kind's tuples cut off, a descriptor shorter than its
+           header *)
+        let r, _ = first (Kernel.n_kinds - 1) in
+        let out = Printf.sprintf "out %d" prog.Kernel.ranks.(r).(Kernel.n_kinds) in
+        names_rank_and "extra word" r out
+          (corrupt r (fun d -> Array.append d [| 0 |]));
+        names_rank_and "cut tuple" r out
+          (corrupt r (fun d -> Array.sub d 0 (Array.length d - 1)));
+        names_rank_and "cut header" r "shorter than its"
+          (corrupt r (fun d -> Array.sub d 0 (Kernel.header - 1)));
+        (* the untouched program still settles like the reference *)
+        let untouched : (module Hydra_engine.Engine_intf.S) =
+          (module struct
+            include Slab
+
+            let name = "untouched"
+            let create _ = Slab.of_program prog
+          end)
+        in
+        check_bool "untouched = oracle" true
+          (Equiv.seq_equivalent
+             (Equiv.engine_random_netlists ~passes:2 ~cycles:8 untouched
+                Hydra_engine.Engine_intf.oracle prog.Kernel.netlist
+                prog.Kernel.netlist));
         let seq =
           let x = G.input "x" in
           N.extract ~inputs:[ x ] ~outputs:[ ("q", G.dff (G.inv x)) ]
@@ -604,9 +692,28 @@ let suite =
                     lv.Hydra_netlist.Levelize.levels;
               };
           };
-        (* the untouched programs still build and settle *)
-        Slab.settle (Slab.of_program prog);
-        Slab.settle (Slab.of_program sprog));
+        (* the untouched program still builds and ticks *)
+        Slab.tick (Slab.of_program sprog));
+    tc "of_program copies the arrays the stubs index, also at k = 1" (fun () ->
+        let seq =
+          let x = G.input "x" in
+          N.extract ~inputs:[ x ] ~outputs:[ ("q", G.dff (G.inv x)) ]
+        in
+        let prog = Kernel.compile ~k:1 seq in
+        let s = Slab.of_program prog in
+        (* writes into the program after the engine exists, far outside
+           the slab: the stubs must not see them *)
+        let bad = 50_000_000 in
+        prog.Kernel.dffs.(0) <- bad;
+        prog.Kernel.dff_src.(0) <- bad;
+        Array.iter
+          (fun d -> Array.fill d Kernel.header (Array.length d - Kernel.header) bad)
+          prog.Kernel.ranks;
+        Slab.set_input_bool s "x" false;
+        Slab.settle s;
+        Slab.tick s;
+        Slab.settle s;
+        check_int "q = not x" Slab.lane_mask (Slab.output s "q"));
     qc ~count:200 "lane passes = peek_word reference (all k)" QCheck2.Gen.int lane_pass_law;
     tc "lane passes: range and length errors name the field" (fun () ->
         let nl = ripple_netlist 4 in
