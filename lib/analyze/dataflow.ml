@@ -351,28 +351,28 @@ let comb_ids t consts dff_class =
           | _ -> ()))
     nl.Netlist.components;
   Array.iter
-    (fun i ->
-      if ids.(i) < 0 then begin
-        let fi k = ids.(nl.Netlist.fanin.(i).(k)) in
-        let key =
-          match nl.Netlist.components.(i) with
-          | Netlist.Invc -> KInv (fi 0)
-          | Netlist.And2c ->
-            let a = fi 0 and b = fi 1 in
-            KAnd (min a b, max a b)
-          | Netlist.Or2c ->
-            let a = fi 0 and b = fi 1 in
-            KOr (min a b, max a b)
-          | Netlist.Xor2c ->
-            let a = fi 0 and b = fi 1 in
-            KXor (min a b, max a b)
-          | Netlist.Outport _ -> KUniq i
-          | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ ->
-            assert false
-        in
-        ids.(i) <- id_of key
-      end)
-    t.lv.Levelize.order;
+    (Array.iter (fun i ->
+         if ids.(i) < 0 then begin
+           let fi k = ids.(nl.Netlist.fanin.(i).(k)) in
+           let key =
+             match nl.Netlist.components.(i) with
+             | Netlist.Invc -> KInv (fi 0)
+             | Netlist.And2c ->
+               let a = fi 0 and b = fi 1 in
+               KAnd (min a b, max a b)
+             | Netlist.Or2c ->
+               let a = fi 0 and b = fi 1 in
+               KOr (min a b, max a b)
+             | Netlist.Xor2c ->
+               let a = fi 0 and b = fi 1 in
+               KXor (min a b, max a b)
+             | Netlist.Outport _ -> KUniq i
+             | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ ->
+               assert false
+           in
+           ids.(i) <- id_of key
+         end))
+    t.lv.Levelize.by_level;
   (* anything levelization didn't order and the source pass didn't key
      stays unmergeable — unique is always sound *)
   for i = 0 to n - 1 do

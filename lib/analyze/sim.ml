@@ -59,7 +59,7 @@ let dff_indices nl =
    input or the state has changed since the last one. *)
 type ternary = {
   nl : Netlist.t;
-  order : int array;
+  ranks : int array array;
   values : T.t array;
   dffs : int array;
   next : T.t array;  (* latch buffer, one slot per dff *)
@@ -78,7 +78,7 @@ let ternary_create ?(respect_init = false) nl =
   let dffs = dff_indices nl in
   {
     nl;
-    order = (Levelize.of_netlist nl).Levelize.order;
+    ranks = (Levelize.of_netlist nl).Levelize.by_level;
     values;
     dffs;
     next = Array.make (Array.length dffs) T.X;
@@ -89,12 +89,12 @@ let ternary_settle t =
   if not t.settled then begin
     let nl = t.nl in
     Array.iter
-      (fun i ->
-        let fi k = t.values.(nl.Netlist.fanin.(i).(k)) in
-        match ternary_gate nl.Netlist.components.(i) fi with
-        | Some v -> t.values.(i) <- v
-        | None -> ())
-      t.order;
+      (Array.iter (fun i ->
+           let fi k = t.values.(nl.Netlist.fanin.(i).(k)) in
+           match ternary_gate nl.Netlist.components.(i) fi with
+           | Some v -> t.values.(i) <- v
+           | None -> ()))
+      t.ranks;
     t.settled <- true
   end
 
@@ -145,7 +145,7 @@ let ternary_values ?(inputs = T.X) ?respect_init ?(cycles = 0) nl =
 
 type packed = {
   nl : Netlist.t;
-  order : int array;
+  ranks : int array array;
   values : int array;
   state : int array;  (* indexed like components; only dffs used *)
   input_index : (string, int) Hashtbl.t;
@@ -177,7 +177,7 @@ let packed_create nl =
   let t =
     {
       nl;
-      order = lv.Levelize.order;
+      ranks = lv.Levelize.by_level;
       values = Array.make n 0;
       state = Array.make n 0;
       input_index;
@@ -207,16 +207,16 @@ let packed_settle t =
   Array.iteri (fun j i -> v.(i) <- t.const_w.(j)) t.consts;
   Array.iter (fun i -> v.(i) <- t.state.(i)) t.dffs;
   Array.iter
-    (fun i ->
-      let fi = nl.Netlist.fanin.(i) in
-      match nl.Netlist.components.(i) with
-      | Netlist.Invc -> v.(i) <- lnot v.(fi.(0)) land P.lane_mask
-      | Netlist.And2c -> v.(i) <- v.(fi.(0)) land v.(fi.(1))
-      | Netlist.Or2c -> v.(i) <- v.(fi.(0)) lor v.(fi.(1))
-      | Netlist.Xor2c -> v.(i) <- v.(fi.(0)) lxor v.(fi.(1))
-      | Netlist.Outport _ -> v.(i) <- v.(fi.(0))
-      | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> ())
-    t.order
+    (Array.iter (fun i ->
+         let fi = nl.Netlist.fanin.(i) in
+         match nl.Netlist.components.(i) with
+         | Netlist.Invc -> v.(i) <- lnot v.(fi.(0)) land P.lane_mask
+         | Netlist.And2c -> v.(i) <- v.(fi.(0)) land v.(fi.(1))
+         | Netlist.Or2c -> v.(i) <- v.(fi.(0)) lor v.(fi.(1))
+         | Netlist.Xor2c -> v.(i) <- v.(fi.(0)) lxor v.(fi.(1))
+         | Netlist.Outport _ -> v.(i) <- v.(fi.(0))
+         | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> ()))
+    t.ranks
 
 let packed_tick t =
   Array.iter

@@ -206,8 +206,7 @@ let slab t ?(k = 8) ?gating:_ ?(optimize = false) ?(relayout = true)
   | Slab s -> Slab.replicate s
   | Program _ -> assert false
 
-let wide t ?optimize ?relayout ?fuse ?certify nl =
-  slab t ~k:1 ?optimize ?relayout ?fuse ?certify nl
+let wide t nl = slab t ~k:1 nl
 
 (* One process-wide cache for clients without their own plumbing
    (Fault.generate_tests, the CLI).  Created at module init, so no

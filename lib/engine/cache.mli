@@ -47,19 +47,13 @@ val compile :
   Kernel.program
 (** As {!Kernel.compile} (same defaults), through the cache. *)
 
-val wide :
-  t ->
-  ?optimize:bool ->
-  ?relayout:bool ->
-  ?fuse:bool ->
-  ?certify:bool ->
-  Hydra_netlist.Netlist.t ->
-  Slab.t
-(** The 62-lane engine ({!Compiled_wide.create}, same defaults) through
-    the cache: [slab ~k:1], so it shares that flavor's entries.  No library code calls it (use [slab ~k:1]); it
-    remains only for the workload benchmark ([bench/workloads/]) until
-    that benchmark moves to [slab ~k:1].  A replica of the cached exemplar, at power-up,
-    safe to run concurrently with every other replica.  The underlying
+val wide : t -> Hydra_netlist.Netlist.t -> Slab.t
+(** The 62-lane engine ({!Compiled_wide.create} with its defaults)
+    through the cache: [slab ~k:1], so it shares that flavor's entries.
+    No library code calls it (use [slab ~k:1]); it remains only for the
+    workload benchmark ([bench/workloads/]) until that benchmark moves
+    to [slab ~k:1].  A replica of the cached exemplar, at power-up, safe
+    to run concurrently with every other replica.  The underlying
     program is cached under the "program" flavor and shared with
     {!compile} calls using the same flags, so each counts its own
     hit/miss. *)

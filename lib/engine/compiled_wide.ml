@@ -4,8 +4,8 @@ type t = Slab.t
 
 let lanes = Slab.lanes_per_word
 
-let create ?optimize ?relayout ?fuse ?certify nl =
-  Slab.create ~k:1 ?optimize ?relayout ?fuse ?certify nl
+let create ?optimize ?relayout ?fuse nl =
+  Slab.create ~k:1 ?optimize ?relayout ?fuse nl
 
 let of_program prog =
   if prog.Kernel.k <> 1 then

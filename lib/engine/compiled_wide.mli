@@ -12,8 +12,8 @@ val lanes : int
 (** 62, see {!Hydra_core.Packed.lanes}. *)
 
 val create :
-  ?optimize:bool -> ?relayout:bool -> ?fuse:bool -> ?certify:bool ->
-  Hydra_netlist.Netlist.t -> t
+  ?optimize:bool -> ?relayout:bool -> ?fuse:bool -> Hydra_netlist.Netlist.t ->
+  t
 (** [Slab.create ~k:1] with the same compile defaults. *)
 
 val of_program : Kernel.program -> t

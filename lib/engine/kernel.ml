@@ -1,8 +1,9 @@
-(* Compile-time plumbing of the word-parallel engine: pre-pass,
-   levelize, fusion planning and one flat descriptor per rank.  See the
-   interface for the contract and the descriptor layout; {!Slab}
-   compiles through here at every K, so all widths agree on layout,
-   fusion and force-slot placement. *)
+(* Compile-time plumbing of the word-parallel engine: pre-passes,
+   fusion planning and one flat descriptor per rank, over the ranks
+   {!Levelize} computes (once per compile; {!Levelize.relevel} for a
+   patch).  See the interface for the contract and the descriptor
+   layout; {!Slab} compiles through here at every K, so all widths agree
+   on layout, fusion and force-slot placement. *)
 
 module Netlist = Hydra_netlist.Netlist
 module Levelize = Hydra_netlist.Levelize
@@ -149,6 +150,7 @@ let plan_fusion (nl : Netlist.t) (levels : Levelize.t) =
 
 let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     ?(certify = false) ?(k = 1) netlist =
+  if k < 1 then invalid_arg "Kernel.compile: ~k must be >= 1";
   (* [?certify] translation-validates each pre-pass run
      ({!Hydra_analyze.Certify}): packed-random I/O equivalence for the
      optimizer's rewrites, a complete permutation proof for the
@@ -163,7 +165,10 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
     end
     else netlist
   in
-  let netlist =
+  let levels = Levelize.check netlist in
+  (* the re-layout reads the memoized [levels]; its ranks are those
+     levels scattered through the permutation *)
+  let netlist, levels =
     if relayout then begin
       let post, perm = Layout.rank_major_permutation netlist in
       if certify then
@@ -171,12 +176,12 @@ let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
           ensure
             (check_permutation ~transform:"Layout.rank_major" ~pre:netlist
                ~post ~perm));
-      post
+      let lv = Array.make (Array.length perm) 0 in
+      Array.iteri (fun i l -> lv.(perm.(i)) <- l) levels.Levelize.levels;
+      (post, Levelize.of_levels post lv ~cyclic:[])
     end
-    else netlist
+    else (netlist, levels)
   in
-  if k < 1 then invalid_arg "Kernel.compile: ~k must be >= 1";
-  let levels = Levelize.check netlist in
   let n = Netlist.size netlist in
   let consumed_by =
     if fuse then plan_fusion netlist levels else Array.make n (-1)
@@ -236,85 +241,6 @@ let force_slot ~what p site =
     p.levels.Levelize.levels.(site) + 1
 
 (* Incremental recompilation ------------------------------------------- *)
-
-(* Re-levelize after a small edit: recompute levels only along paths
-   reachable from the edited sites, by chaotic iteration to the unique
-   fixpoint (the level equations on an acyclic graph have exactly one
-   solution).  If levels refuse to settle — the edit plausibly closed a
-   combinational cycle — defer to the full algorithm, which either
-   raises the proper [Combinational_cycle] witness or supplies exact
-   levels.  Returns the rebuilt {!Levelize.t} plus a per-component
-   changed flag; [by_level] ranks list members in index order, a valid
-   (and behaviorally equivalent) alternative to the full algorithm's
-   queue order.  The fanout is built only once a level moves: an edit
-   that keeps every edited site's fanin moves none. *)
-let relevel (nl : Netlist.t) (old : Levelize.t) ~seeds =
-  let n = Netlist.size nl in
-  let levels = Array.copy old.Levelize.levels in
-  let fanout = lazy (Netlist.fanout nl) in
-  let is_source i =
-    match nl.Netlist.components.(i) with
-    | Netlist.Inport _ | Netlist.Constant _ | Netlist.Dffc _ -> true
-    | _ -> false
-  in
-  let level_of i =
-    1 + Array.fold_left (fun a d -> max a levels.(d)) (-1) nl.Netlist.fanin.(i)
-  in
-  let changed = Array.make n false in
-  let q = Queue.create () in
-  let inq = Array.make n false in
-  let updates = ref 0 in
-  let budget = (4 * n) + 16 in
-  let push i =
-    if not (inq.(i) || is_source i) then begin
-      inq.(i) <- true;
-      Queue.add i q
-    end
-  in
-  List.iter push seeds;
-  (try
-     while not (Queue.is_empty q) do
-       let i = Queue.pop q in
-       inq.(i) <- false;
-       let l = level_of i in
-       if l <> levels.(i) then begin
-         incr updates;
-         if !updates > budget then raise Exit;
-         levels.(i) <- l;
-         changed.(i) <- true;
-         let { Netlist.off; sink; _ } = Lazy.force fanout in
-         for e = off.(i) to off.(i + 1) - 1 do
-           match nl.Netlist.components.(sink.(e)) with
-           | Netlist.Dffc _ -> ()
-           | _ -> push sink.(e)
-         done
-       end
-     done
-   with Exit ->
-     let full = Levelize.check nl in
-     Array.iteri
-       (fun i l ->
-         if levels.(i) <> l then changed.(i) <- true;
-         levels.(i) <- l)
-       full.Levelize.levels);
-  let max_level = Array.fold_left max 0 levels in
-  let buckets = Array.make (max_level + 1) [] in
-  for i = n - 1 downto 0 do
-    if not (is_source i) then buckets.(levels.(i)) <- i :: buckets.(levels.(i))
-  done;
-  let by_level = Array.map Array.of_list buckets in
-  let order = Array.concat (Array.to_list by_level) in
-  let critical = ref 0 in
-  for i = 0 to n - 1 do
-    match nl.Netlist.components.(i) with
-    | Netlist.Outport _ | Netlist.Dffc _ ->
-      Array.iter
-        (fun drv -> if levels.(drv) > !critical then critical := levels.(drv))
-        nl.Netlist.fanin.(i)
-    | _ -> ()
-  done;
-  ( { Levelize.levels; order; by_level; critical_path = !critical; cyclic = [] },
-    changed )
 
 (* [old]'s tuples whose destination satisfies [keep], then [fresh]'s,
    kind by kind. *)
@@ -401,7 +327,7 @@ let patch (p : program) (nl' : Netlist.t) ~edited =
              "Kernel.patch: component %d differs but is not listed in ~edited"
              i))
     nl.Netlist.components;
-  let levels', level_changed = relevel nl' p.levels ~seeds:edited in
+  let levels', level_changed = Levelize.relevel nl' p.levels ~seeds:edited in
   (* Fusion repair: an edited site invalidates any fusion it participates
      in.  If the edit turned the site into (or away from) something a
      fused outer absorbed, or gave a consumed inner a second reader, the

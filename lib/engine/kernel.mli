@@ -5,8 +5,9 @@
     stub that walks a flat descriptor; this module is the front end that
     writes those descriptors.  [compile] runs the optional
     [?optimize]/[?relayout] pre-passes (optionally translation-validated
-    by {!Hydra_analyze.Certify}), levelizes, plans kernel fusion, and
-    writes one descriptor per levelized rank.  Every member of a rank is
+    by {!Hydra_analyze.Certify}), levelizes once (a re-layout's ranks
+    are the pre-pass output's levels carried through its permutation),
+    plans kernel fusion, and writes one descriptor per levelized rank.  Every member of a rank is
     independent of the others, so a rank is the unit of evaluation: an
     engine runs one descriptor per rank, in rank order.  The resulting
     {!program} is immutable and engine-agnostic: engines layer their own
@@ -130,7 +131,8 @@ val patch :
     combinational gate ([Invc]/[And2c]/[Or2c]/[Xor2c]) on both sides —
     because the edit is expressed against [program.netlist] (the
     post-optimize/post-relayout netlist the descriptors index into).
-    Re-levelizes incrementally from the edit, un-fuses any fused tuple
+    Re-levelizes incrementally from the edit
+    ({!Hydra_netlist.Levelize.relevel}), un-fuses any fused tuple
     the edit touches (fusion is never *added* by a patch), and rebuilds
     exactly the ranks whose membership or tuples changed: a rebuilt
     rank's descriptor keeps its clean members' tuples, kind by kind, and

@@ -38,9 +38,8 @@ let of_base ?domains ?scheduler base =
   in
   { scheduler; owns; replicas }
 
-let create ?optimize ?relayout ?fuse ?certify ?domains ?scheduler netlist =
-  of_base ?domains ?scheduler
-    (Slab.create ~k:1 ?optimize ?relayout ?fuse ?certify netlist)
+let create ?domains ?scheduler netlist =
+  of_base ?domains ?scheduler (Slab.create ~k:1 netlist)
 
 let domains t = Array.length t.replicas
 let replica t m = t.replicas.(m)

@@ -13,19 +13,12 @@
 type t
 
 val create :
-  ?optimize:bool ->
-  ?relayout:bool ->
-  ?fuse:bool ->
-  ?certify:bool ->
-  ?domains:int ->
-  ?scheduler:Scheduler.t ->
-  Hydra_netlist.Netlist.t ->
-  t
-(** Compile once at k = 1 (the 62-lane configuration), replicate per
-    scheduler member.  [?optimize] / [?relayout] / [?fuse] / [?certify]
-    as in {!Slab.create} (the base engine is compiled — and its
-    pre-passes certified — once; replicas share it).  Scheduler options
-    as in {!of_base}. *)
+  ?domains:int -> ?scheduler:Scheduler.t -> Hydra_netlist.Netlist.t -> t
+(** Compile once at k = 1 (the 62-lane configuration, {!Slab.create}'s
+    compile defaults), replicate per scheduler member; replicas share
+    the base engine's program.  For other compile flags, wrap a
+    {!Slab.create} result with {!of_base}.  Scheduler options as in
+    {!of_base}. *)
 
 val of_base : ?domains:int -> ?scheduler:Scheduler.t -> Slab.t -> t
 (** Wrap a compiled base engine of any [k]: replica 0 {e is} the base;

@@ -41,7 +41,7 @@ let kind_order (c : Netlist.component) =
 (* [rank_major_permutation nl] is the re-laid-out netlist together with
    the permutation it applied: [new_of_old.(i)] is the new index of old
    component [i].  Netlists with combinational cycles are returned
-   unchanged (identity permutation) — the engines' own [Levelize.check]
+   unchanged (identity permutation), so a [Levelize.check] of the result
    reports the cycle against the original indices. *)
 let rank_major_permutation (nl : Netlist.t) =
   let n = Netlist.size nl in

@@ -2,15 +2,18 @@
     a clock tick at which its output is valid.  Flip-flop inputs do not
     constrain the flip flop (the synchronous model breaks loops at
     registers), so purely combinational cycles — which the model forbids —
-    are detected and reported. *)
+    are detected and reported.  Every [t] is built by {!of_levels}, so
+    ranks and the critical path have one definition whichever algorithm
+    found the levels. *)
 
 type t = {
   levels : int array;  (** per component; -1 inside a combinational cycle *)
-  order : int array;  (** combinational evaluation order (topological) *)
   by_level : int array array;
-      (** combinational components grouped by rank; every rank's members
-          are mutually independent, which is what the parallel engines
-          exploit *)
+      (** combinational components grouped by rank, each rank in
+          ascending index order; every rank's members are mutually
+          independent, which is what the parallel engines exploit, and
+          running the ranks in ascending order is a topological
+          evaluation order *)
   critical_path : int;
       (** deepest signal that must settle before the next tick (at an
           output port or a dff input) *)
@@ -20,6 +23,12 @@ type t = {
 }
 
 exception Combinational_cycle of int list
+
+val of_levels : Netlist.t -> int array -> cyclic:int list -> t
+(** The levelization with these per-component levels: [by_level] buckets
+    every non-source of level [>= 0] by level, in ascending index order,
+    and [critical_path] is the deepest driver of an outport or a dff.
+    The level array is not copied.  [cyclic] is stored as given. *)
 
 val compute : Netlist.t -> t
 (** A fresh levelization, not memoized: to time the algorithm itself, or
@@ -54,3 +63,12 @@ val check : Netlist.t -> t
 
 val critical_path : Netlist.t -> int
 (** [(of_netlist nl).critical_path]. *)
+
+val relevel : Netlist.t -> t -> seeds:int list -> t * bool array
+(** [relevel nl old ~seeds] levelizes [nl], where [old] levelizes an
+    acyclic netlist that [nl] differs from only at the components
+    [seeds]; only what the edit can reach is re-levelled.  Returns the
+    result, equal to [compute nl] field for field, and a per-component
+    flag, set on every component whose level the re-levelling moved.
+    Raises {!Combinational_cycle} (with [compute nl]'s [cyclic]) when
+    the edit closed a combinational cycle. *)

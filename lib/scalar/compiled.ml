@@ -19,7 +19,6 @@ type t = {
   ops : op array;
   f0 : int array;  (* first fanin, -1 if none *)
   f1 : int array;  (* second fanin, -1 if none *)
-  order : int array;  (* combinational evaluation order *)
   dffs : int array;
   dff_init : bool array;
   values : Bytes.t;
@@ -44,20 +43,10 @@ let reset t =
 
 (* [?optimize] runs the {!Hydra_netlist.Optimize} pre-pass (constant
    folding, dedup, dead elimination) before compilation: fewer components
-   to evaluate per cycle, identical port-level behaviour.  [?certify]
-   translation-validates that pre-pass run ({!Hydra_analyze.Certify}):
-   structural invariants plus packed-random I/O equivalence against the
-   unoptimized netlist on an independent reference simulator. *)
-let create ?(optimize = false) ?(certify = false) netlist =
+   to evaluate per cycle, identical port-level behaviour. *)
+let create ?(optimize = false) netlist =
   let netlist =
-    if optimize then begin
-      let post = Hydra_netlist.Optimize.optimize netlist in
-      if certify then
-        Hydra_analyze.Certify.(
-          ensure (check ~transform:"Optimize.optimize" ~pre:netlist ~post ()));
-      post
-    end
-    else netlist
+    if optimize then Hydra_netlist.Optimize.optimize netlist else netlist
   in
   let levels = Levelize.check netlist in
   let n = Netlist.size netlist in
@@ -101,7 +90,6 @@ let create ?(optimize = false) ?(certify = false) netlist =
       ops;
       f0;
       f1;
-      order = levels.Levelize.order;
       dffs;
       dff_init;
       values = Bytes.make n '\000';
@@ -131,10 +119,12 @@ let eval_component t i =
 (* Evaluate the combinational logic for the current cycle (after the inputs
    have been set); outputs become readable. *)
 let settle t =
-  let order = t.order in
-  for k = 0 to Array.length order - 1 do
-    eval_component t (Array.unsafe_get order k)
-  done
+  Array.iter
+    (fun rank ->
+      for k = 0 to Array.length rank - 1 do
+        eval_component t (Array.unsafe_get rank k)
+      done)
+    t.levels.Levelize.by_level
 
 (* The latch phases, exposed so that {!Parallel_sim} and {!Spmd} can
    parallelize them: [latch_one] computes dff [j]'s next state,

@@ -4,15 +4,11 @@
 
 type t
 
-val create : ?optimize:bool -> ?certify:bool -> Hydra_netlist.Netlist.t -> t
+val create : ?optimize:bool -> Hydra_netlist.Netlist.t -> t
 (** Raises {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
     circuit.  [~optimize:true] (default false) runs the
     {!Hydra_netlist.Optimize} pre-pass before compilation — identical
-    port-level behaviour, fewer components per cycle.  [~certify:true]
-    (default false) translation-validates that pre-pass run with
-    {!Hydra_analyze.Certify} and raises
-    {!Hydra_analyze.Certify.Certification_failed} if the optimizer
-    changed behaviour. *)
+    port-level behaviour, fewer components per cycle. *)
 
 val reset : t -> unit
 (** Restore power-up values. *)

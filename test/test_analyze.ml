@@ -469,10 +469,8 @@ let suite =
           (List.init 12 Fun.id));
     tc "engines: ~certify smoke on ~optimize path" (fun () ->
         let nl = ripple_netlist 8 in
-        let c = Hydra_scalar.Compiled.create ~optimize:true ~certify:true nl in
-        ignore (Hydra_scalar.Compiled.critical_path c);
         let w =
-          Hydra_engine.Compiled_wide.create ~optimize:true ~certify:true nl
+          Hydra_engine.Slab.create ~k:1 ~optimize:true ~certify:true nl
         in
         ignore (Hydra_engine.Slab.critical_path w));
     tc "equiv: invalid generated netlist is reported as such" (fun () ->

@@ -26,7 +26,7 @@ let ripple_netlist n =
 
 (* The list-and-[Queue] levelization that [Levelize.compute] replaced,
    kept as the reference its flat-array rewrite must match field for
-   field. *)
+   field.  Ranks list their members in ascending index order. *)
 let reference_levelize (nl : N.t) =
   let n = N.size nl in
   let levels = Array.make n (-1) in
@@ -50,10 +50,8 @@ let reference_levelize (nl : N.t) =
     end
     else remaining.(i) <- Array.length nl.N.fanin.(i)
   done;
-  let order = ref [] in
   while not (Queue.is_empty queue) do
     let i = Queue.pop queue in
-    if not (is_source i) then order := i :: !order;
     List.iter
       (fun (sink, _) ->
         match nl.N.components.(sink) with
@@ -79,20 +77,19 @@ let reference_levelize (nl : N.t) =
         Array.iter (fun d -> critical := max !critical levels.(d)) nl.N.fanin.(i)
       | _ -> ())
     nl.N.components;
-  let order = Array.of_list (List.rev !order) in
   let buckets = Array.make (Array.fold_left max 0 levels + 1) [] in
-  Array.iter (fun i -> buckets.(levels.(i)) <- i :: buckets.(levels.(i))) order;
+  for i = n - 1 downto 0 do
+    if (not (is_source i)) && levels.(i) >= 0 then
+      buckets.(levels.(i)) <- i :: buckets.(levels.(i))
+  done;
   {
     L.levels;
-    order;
-    by_level = Array.map (fun l -> Array.of_list (List.rev l)) buckets;
+    by_level = Array.map Array.of_list buckets;
     critical_path = !critical;
     cyclic = List.sort_uniq compare !cyclic;
   }
 
-let same_levelization (a : L.t) (b : L.t) =
-  a.L.levels = b.L.levels && a.L.order = b.L.order && a.L.by_level = b.L.by_level
-  && a.L.critical_path = b.L.critical_path && a.L.cyclic = b.L.cyclic
+let same_levelization (a : L.t) (b : L.t) = a = b
 
 (* Random raw netlists: [inputs] inports, then one component per node,
    then an outport on each of the last three nodes.  [shape] 0 draws
@@ -135,6 +132,41 @@ let raw_netlist (shape, inputs, nodes) =
     inputs = List.init inputs (fun i -> (Printf.sprintf "i%d" i, i));
     outputs = List.init n_out (fun j -> (Printf.sprintf "o%d" j, internal + j));
   }
+
+(* One gate of [nl] edited: [kind] 0 makes it an inverter, 1..3 an
+   and, or or xor; a two-input gate keeps its fanin when [a] is even and
+   the new kind has two inputs (a kind-only edit), otherwise its fanin is
+   redrawn from every non-outport, itself and its own fanout included,
+   so the edit may close a combinational cycle.  [None] when [nl] has no
+   gate. *)
+let edit_gate (nl : N.t) (r, kind, a, b) =
+  let gates =
+    List.filter
+      (fun i ->
+        match nl.N.components.(i) with
+        | N.Invc | N.And2c | N.Or2c | N.Xor2c -> true
+        | _ -> false)
+      (List.init (N.size nl) Fun.id)
+  in
+  match gates with
+  | [] -> None
+  | _ ->
+    let e = List.nth gates (r mod List.length gates) in
+    (* raw netlists put their outports last *)
+    let drivers = N.size nl - List.length nl.N.outputs in
+    let old = nl.N.fanin.(e) in
+    let c, fi =
+      match kind with
+      | 0 -> (N.Invc, [| a mod drivers |])
+      | k ->
+        let c = [| N.And2c; N.Or2c; N.Xor2c |].(k - 1) in
+        if a land 1 = 0 && Array.length old = 2 then (c, old)
+        else (c, [| a mod drivers; b mod drivers |])
+    in
+    let components = Array.copy nl.N.components and fanin = Array.copy nl.N.fanin in
+    components.(e) <- c;
+    fanin.(e) <- fi;
+    Some ({ nl with N.components; fanin }, e)
 
 let suite =
   [
@@ -307,6 +339,30 @@ let suite =
         && same_levelization (L.of_netlist nl) t
         && L.of_netlist copy != L.of_netlist nl
         && same_levelization (L.of_netlist copy) t);
+    qc ~count:500 "levelize: of_levels rebuilds compute; relevel after a gate edit = compute"
+      QCheck2.Gen.(pair gen_raw (quad nat (int_bound 3) nat nat))
+      (fun ((shape, inputs, nodes), edit) ->
+        let any = raw_netlist (shape, inputs, nodes) in
+        let t = L.compute any in
+        (* relevel starts from an acyclic levelization *)
+        let nl = raw_netlist ((if shape = 1 then 0 else shape), inputs, nodes) in
+        let old = L.compute nl in
+        same_levelization (L.of_levels any t.L.levels ~cyclic:t.L.cyclic) t
+        && old.L.cyclic = []
+        &&
+        match edit_gate nl edit with
+        | None -> true
+        | Some (nl', e) -> (
+          let full = L.compute nl' in
+          match L.relevel nl' old ~seeds:[ e ] with
+          | t', changed ->
+            full.L.cyclic = []
+            && same_levelization t' full
+            && Array.for_all Fun.id
+                 (Array.mapi
+                    (fun i l -> l = old.L.levels.(i) || changed.(i))
+                    full.L.levels)
+          | exception L.Combinational_cycle c -> c <> [] && c = full.L.cyclic));
     tc "levelize: a bad fanin index names the component, port and driver" (fun () ->
         let nl = fig1_netlist () in
         let fanin = Array.map Array.copy nl.N.fanin in

@@ -61,6 +61,22 @@ let every_kind_netlist () =
         ("q", G.dff andor);
       ]
 
+(* The fused re-layout compile against the fused compile in the
+   caller's indices: the re-layout's levels are a fresh levelization of
+   its netlist, and its fusion plan is the other's carried through the
+   permutation. *)
+let relayout_law nl =
+  let laid = Kernel.compile ~relayout:true nl in
+  let plain = Kernel.compile ~relayout:false nl in
+  let _, perm = Hydra_netlist.Layout.rank_major_permutation nl in
+  let moved = Array.make (Array.length perm) 0 in
+  Array.iteri
+    (fun i o -> moved.(perm.(i)) <- (if o < 0 then o else perm.(o)))
+    plain.Kernel.consumed_by;
+  laid.Kernel.levels = Hydra_netlist.Levelize.compute laid.Kernel.netlist
+  && laid.Kernel.consumed_by = moved
+  && laid.Kernel.fused = plain.Kernel.fused
+
 (* Drive every word of a slab and one wide engine per word with the same
    per-word random streams; all outputs must agree word-for-word each
    cycle. *)
@@ -512,6 +528,18 @@ let suite =
              loop only, 5 one vector body plus the tail, 8 vector bodies
              only *)
           [ 1; 2; 3; 5; 8 ]);
+    qc ~count:300 "compile: re-layout levels = compute, fusion plan carried through perm"
+      Test_netlist.gen_raw
+      (fun (shape, inputs, nodes) ->
+        relayout_law
+          (Test_netlist.raw_netlist ((if shape = 1 then 0 else shape), inputs, nodes)));
+    tc "compile: re-layout law on fused circuits" (fun () ->
+        List.iter
+          (fun (what, nl) ->
+            check_bool (what ^ " fuses") true
+              ((Kernel.compile nl).Kernel.fused > 0);
+            check_bool what true (relayout_law nl))
+          [ ("ripple:8", ripple_netlist 8); ("every kind", every_kind_netlist ()) ]);
     tc "of_program range-checks every descriptor index" (fun () ->
         let prog = Kernel.compile ~k:1 (every_kind_netlist ()) in
         let size = Kernel.size prog in
