@@ -939,7 +939,7 @@ let e20 ?(min_time = 0.2) () =
     in
     let wide_rate = per_run *. float_of_int Wide.lanes /. t_wide in
     ignore (entry ~lanes:Wide.lanes "compiled_wide (62 lanes)" wide_rate base);
-    let wide_opt = Wide.create ~optimize:true nl in
+    let wide_opt = Wide.create (Hydra_netlist.Optimize.optimize nl) in
     let t_wide_opt =
       time_per_run ~min_time (fun () ->
           Wide.reset wide_opt;

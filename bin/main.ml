@@ -314,10 +314,8 @@ let lint_catalogue =
     "regfile1:4"; "sorter:4x4"; "secded"; "cpu:6"; "cpu:8";
   ]
 
-(* ---- faults ---- *)
-
-(* Load a target the way lint does: a saved netlist file if the path
-   exists, a named catalogue circuit otherwise. *)
+(* Load a target: a saved netlist file if the path exists, a named
+   catalogue circuit otherwise. *)
 let load_target ~cmd target =
   try
     if Sys.file_exists target then Hydra_netlist.Serial.of_file target
@@ -343,6 +341,8 @@ let load_acyclic ~cmd target =
     exit 1
   end;
   nl
+
+(* ---- faults ---- *)
 
 let rec take n = function
   | [] -> []
@@ -628,20 +628,7 @@ let lint_cmd =
     let json_blocks =
       List.map
         (fun target ->
-          let nl =
-            try
-              if Sys.file_exists target then
-                Hydra_netlist.Serial.of_file target
-              else circuit_of_name target
-            with
-            | Hydra_netlist.Serial.Parse_error { line; message } ->
-              Printf.eprintf "lint: %s: parse error at line %d: %s\n" target
-                line message;
-              exit 1
-            | Failure m ->
-              Printf.eprintf "lint: %s: %s\n" target m;
-              exit 1
-          in
+          let nl = load_target ~cmd:"lint" target in
           let diags = Lint.run ~config nl in
           let certs =
             if certify then

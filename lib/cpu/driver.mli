@@ -98,9 +98,11 @@ val run_many :
     depend on lane placement, program order or domain count.
     [?sharded] reuses an engine already created from [system_netlist
     ~mem_bits] (and is not shut down) — it must be a k = 1 engine
-    ([Sharded.create], or [Sharded.of_base] of a [Slab.create ~k:1];
-    the workload benchmark still passes the equivalent
-    [Compiled_wide.of_program], which remains only for it), otherwise
+    ([Sharded.create], or [Sharded.of_base] of a k = 1 slab:
+    [Slab.create ~k:1], or [Slab.of_program] of a program compiled with
+    [~k:1] and any flags; the workload benchmark still passes the
+    equivalent [Compiled_wide.of_program], which remains only for it),
+    otherwise
     [Invalid_argument]; without it one is created with [?domains] and
     shut down on return.  Either way the streams are one
     {!Hydra_engine.Sharded.dispatch} job on the engine's scheduler.

@@ -1,11 +1,11 @@
 (* Compiled-circuit cache: compile once, serve many.
 
-   Keyed by {!Netlist.digest} × engine flavor × compile flags (certify
-   included) × k.  The digest is a content hash, so two netlists
-   that differ only in component numbering or port-list order share a
-   key — but engine clients (force sites, poke/peek by index) need the
-   *exact* index space they asked for, so a hit additionally verifies
-   structural equality against the stored netlist; digest collisions and
+   Keyed by {!Netlist.digest} × engine flavor × compile flags × k.  The
+   digest is a content hash, so two netlists that differ only in
+   component numbering or port-list order share a key — but engine
+   clients (force sites, poke/peek by index) need the *exact* index
+   space they asked for, so a hit additionally verifies structural
+   equality against the stored netlist; digest collisions and
    index-permuted twins land in separate entries of the same bucket.  A
    collision therefore costs a duplicate entry, never a wrong program.
 
@@ -30,7 +30,6 @@ type key = {
   optimize : bool;
   relayout : bool;
   fuse : bool;
-  certify : bool;
   k : int;
 }
 
@@ -171,37 +170,25 @@ let get t key nl build =
     Mutex.unlock t.lock;
     p
 
-let mk_key ~flavor ~optimize ~relayout ~fuse ~certify ~k nl =
-  {
-    digest = Netlist.digest nl;
-    flavor;
-    optimize;
-    relayout;
-    fuse;
-    certify;
-    k;
-  }
+let mk_key ~flavor ~optimize ~relayout ~fuse ~k nl =
+  { digest = Netlist.digest nl; flavor; optimize; relayout; fuse; k }
 
-let compile t ?(optimize = false) ?(relayout = true) ?(fuse = true)
-    ?(certify = false) ?(k = 1) nl =
-  let key = mk_key ~flavor:"program" ~optimize ~relayout ~fuse ~certify ~k nl in
-  match
-    get t key nl (fun () ->
-        Program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~k nl))
-  with
+let compile t ?(relayout = true) ?(fuse = true) ?(k = 1) nl =
+  let key = mk_key ~flavor:"program" ~optimize:false ~relayout ~fuse ~k nl in
+  match get t key nl (fun () -> Program (Kernel.compile ~relayout ~fuse ~k nl)) with
   | Program p -> p
   | Slab _ -> assert false
 
-(* [?gating] is accepted and ignored, like {!Slab.create}'s. *)
+(* [?gating] is accepted and ignored, like {!Slab.create}'s.  An
+   optimized slab's program is cached under the optimized netlist. *)
 let slab t ?(k = 8) ?gating:_ ?(optimize = false) ?(relayout = true)
-    ?(fuse = true) ?(certify = false) nl =
+    ?(fuse = true) nl =
   if k < 1 then invalid_arg "Cache.slab: k must be >= 1";
-  let key = mk_key ~flavor:"slab" ~optimize ~relayout ~fuse ~certify ~k nl in
+  let key = mk_key ~flavor:"slab" ~optimize ~relayout ~fuse ~k nl in
   match
     get t key nl (fun () ->
-        Slab
-          (Slab.of_program
-             (compile t ~optimize ~relayout ~fuse ~certify ~k nl)))
+        let nl = if optimize then Hydra_netlist.Optimize.optimize nl else nl in
+        Slab (Slab.of_program (compile t ~relayout ~fuse ~k nl)))
   with
   | Slab s -> Slab.replicate s
   | Program _ -> assert false

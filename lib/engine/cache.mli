@@ -3,18 +3,12 @@
     Entries are keyed by {!Hydra_netlist.Netlist.digest} (a content
     hash, stable across serialization round-trips and component
     renumberings) × engine flavor × the compile flags that shape the
-    program or vouch for it
-    ([optimize]/[relayout]/[fuse]/[certify]/[k]).
+    program ([optimize] for {!slab}, [relayout], [fuse], [k]).
     Because engine clients address components by index, a digest hit is
     additionally verified by structural equality against the stored
     netlist — index-permuted twins (and hash collisions) get separate
     entries, so a collision can cost a duplicate entry but never a wrong
     program.
-
-    [?certify] is part of the key, so a [~certify:true] request is
-    served only a program whose pre-passes were translation-validated:
-    after an uncertified compile of the same netlist it misses and
-    compiles (and certifies) again, and the reverse order misses too.
 
     The slab flavor caches one pristine exemplar per key and returns
     replicas (fresh power-up value state over the shared compiled
@@ -37,13 +31,7 @@ val shared : unit -> t
     own plumbing. *)
 
 val compile :
-  t ->
-  ?optimize:bool ->
-  ?relayout:bool ->
-  ?fuse:bool ->
-  ?certify:bool ->
-  ?k:int ->
-  Hydra_netlist.Netlist.t ->
+  t -> ?relayout:bool -> ?fuse:bool -> ?k:int -> Hydra_netlist.Netlist.t ->
   Kernel.program
 (** As {!Kernel.compile} (same defaults), through the cache. *)
 
@@ -65,13 +53,15 @@ val slab :
   ?optimize:bool ->
   ?relayout:bool ->
   ?fuse:bool ->
-  ?certify:bool ->
   Hydra_netlist.Netlist.t ->
   Slab.t
-(** As {!Slab.create} (same defaults), through the cache.  [?gating] is
-    accepted and ignored, like {!Slab.create}'s; it remains only until
-    the workload benchmark stops passing it (ROADMAP item 1, the
-    benchmark change, removes it). *)
+(** [Slab.of_program] of {!compile} with the same flags ([?k] default
+    8), through the cache.  [~optimize:true] (default false) compiles
+    [Hydra_netlist.Optimize.optimize nl] instead, whose program is then
+    cached under the optimized netlist.  [?gating] is accepted and
+    ignored, like {!Slab.create}'s.  [?optimize] and [?gating] remain
+    only until the workload benchmark stops passing them (ROADMAP item
+    1, the benchmark change, removes them). *)
 
 val stats : t -> stats
 (** Cumulative counters plus the current entry count.  Note {!wide} and

@@ -2,10 +2,9 @@
 
 type t = Slab.t
 
-let lanes = Slab.lanes_per_word
+let lanes = Hydra_core.Packed.lanes
 
-let create ?optimize ?relayout ?fuse nl =
-  Slab.create ~k:1 ?optimize ?relayout ?fuse nl
+let create nl = Slab.create ~k:1 nl
 
 let of_program prog =
   if prog.Kernel.k <> 1 then

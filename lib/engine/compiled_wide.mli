@@ -11,10 +11,9 @@ type t = Slab.t
 val lanes : int
 (** 62, see {!Hydra_core.Packed.lanes}. *)
 
-val create :
-  ?optimize:bool -> ?relayout:bool -> ?fuse:bool -> Hydra_netlist.Netlist.t ->
-  t
-(** [Slab.create ~k:1] with the same compile defaults. *)
+val create : Hydra_netlist.Netlist.t -> t
+(** [Slab.create ~k:1]: the default compile flags.  For others, use
+    {!of_program}. *)
 
 val of_program : Kernel.program -> t
 (** {!Slab.of_program} on a program compiled with [k = 1]; raises

@@ -1,4 +1,4 @@
-(* Compile-time plumbing of the word-parallel engine: pre-passes,
+(* Compile-time plumbing of the word-parallel engine: the re-layout,
    fusion planning and one flat descriptor per rank, over the ranks
    {!Levelize} computes (once per compile; {!Levelize.relevel} for a
    patch).  See the interface for the contract and the descriptor
@@ -148,34 +148,14 @@ let plan_fusion (nl : Netlist.t) (levels : Levelize.t) =
     levels.Levelize.by_level;
   consumed_by
 
-let compile ?(optimize = false) ?(relayout = true) ?(fuse = true)
-    ?(certify = false) ?(k = 1) netlist =
+let compile ?(relayout = true) ?(fuse = true) ?(k = 1) netlist =
   if k < 1 then invalid_arg "Kernel.compile: ~k must be >= 1";
-  (* [?certify] translation-validates each pre-pass run
-     ({!Hydra_analyze.Certify}): packed-random I/O equivalence for the
-     optimizer's rewrites, a complete permutation proof for the
-     re-layout. *)
-  let netlist =
-    if optimize then begin
-      let post = Hydra_netlist.Optimize.optimize netlist in
-      if certify then
-        Hydra_analyze.Certify.(
-          ensure (check ~transform:"Optimize.optimize" ~pre:netlist ~post ()));
-      post
-    end
-    else netlist
-  in
   let levels = Levelize.check netlist in
   (* the re-layout reads the memoized [levels]; its ranks are those
      levels scattered through the permutation *)
   let netlist, levels =
     if relayout then begin
       let post, perm = Layout.rank_major_permutation netlist in
-      if certify then
-        Hydra_analyze.Certify.(
-          ensure
-            (check_permutation ~transform:"Layout.rank_major" ~pre:netlist
-               ~post ~perm));
       let lv = Array.make (Array.length perm) 0 in
       Array.iteri (fun i l -> lv.(perm.(i)) <- l) levels.Levelize.levels;
       (post, Levelize.of_levels post lv ~cyclic:[])

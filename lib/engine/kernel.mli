@@ -3,11 +3,10 @@
     {!Slab} (K consecutive 62-lane words per signal; k = 1 is the
     62-lane {!Compiled_wide}) runs every levelized rank through one C
     stub that walks a flat descriptor; this module is the front end that
-    writes those descriptors.  [compile] runs the optional
-    [?optimize]/[?relayout] pre-passes (optionally translation-validated
-    by {!Hydra_analyze.Certify}), levelizes once (a re-layout's ranks
-    are the pre-pass output's levels carried through its permutation),
-    plans kernel fusion, and writes one descriptor per levelized rank.  Every member of a rank is
+    writes those descriptors.  [compile] runs the optional [?relayout]
+    pre-pass, levelizes once (a re-layout's ranks are its input's levels
+    carried through its permutation), plans kernel fusion, and writes
+    one descriptor per levelized rank.  Every member of a rank is
     independent of the others, so a rank is the unit of evaluation: an
     engine runs one descriptor per rank, in rank order.  The resulting
     {!program} is immutable and engine-agnostic: engines layer their own
@@ -63,7 +62,7 @@ val plain_kind : Hydra_netlist.Netlist.component -> int
 
 type program = {
   netlist : Hydra_netlist.Netlist.t;
-      (** the netlist actually compiled (post-optimize, post-relayout) *)
+      (** the netlist actually compiled (post-relayout) *)
   levels : Hydra_netlist.Levelize.t;
   ranks : int array array;
       (** one descriptor per levelized rank, empty ranks included: rank
@@ -84,25 +83,17 @@ type program = {
 }
 
 val compile :
-  ?optimize:bool ->
-  ?relayout:bool ->
-  ?fuse:bool ->
-  ?certify:bool ->
-  ?k:int ->
-  Hydra_netlist.Netlist.t ->
-  program
+  ?relayout:bool -> ?fuse:bool -> ?k:int -> Hydra_netlist.Netlist.t -> program
 (** Raises {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
-    circuit.  [~optimize:true] (default false) runs the
-    {!Hydra_netlist.Optimize} pre-pass; [~relayout] (default true)
-    applies the {!Hydra_netlist.Layout.rank_major} memory re-layout;
-    [~fuse] (default true) absorbs fanout-1 inner gates into fused
-    and-or / or-and / xor-chain kernels; [~certify:true] (default
-    false) translation-validates each pre-pass run with
-    {!Hydra_analyze.Certify} and raises
-    {!Hydra_analyze.Certify.Certification_failed} on a lie.
-    [~k] (the engine's words-per-signal, default 1, must be >= 1) only
-    tags the program for {!Slab.of_program}; it never changes what is
-    compiled. *)
+    circuit.  [~relayout] (default true) applies the
+    {!Hydra_netlist.Layout.rank_major} memory re-layout; [~fuse]
+    (default true) absorbs fanout-1 inner gates into fused and-or /
+    or-and / xor-chain kernels.  [~k] (the engine's words-per-signal,
+    default 1, must be >= 1) only tags the program for
+    {!Slab.of_program}; it never changes what is compiled.  Other
+    netlist passes compose in front: [compile (Optimize.optimize nl)]
+    compiles the optimized circuit, and {!Hydra_analyze.Certify.optimize}
+    and {!Hydra_analyze.Certify.rank_major} check such a pass's run. *)
 
 val n_ranks : program -> int
 (** [Array.length program.ranks]. *)
@@ -130,7 +121,7 @@ val patch :
     [~edited] identical (kind and fanin), and every edited site a
     combinational gate ([Invc]/[And2c]/[Or2c]/[Xor2c]) on both sides —
     because the edit is expressed against [program.netlist] (the
-    post-optimize/post-relayout netlist the descriptors index into).
+    post-relayout netlist the descriptors index into).
     Re-levelizes incrementally from the edit
     ({!Hydra_netlist.Levelize.relevel}), un-fuses any fused tuple
     the edit touches (fusion is never *added* by a patch), and rebuilds

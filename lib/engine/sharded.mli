@@ -14,11 +14,11 @@ type t
 
 val create :
   ?domains:int -> ?scheduler:Scheduler.t -> Hydra_netlist.Netlist.t -> t
-(** Compile once at k = 1 (the 62-lane configuration, {!Slab.create}'s
-    compile defaults), replicate per scheduler member; replicas share
-    the base engine's program.  For other compile flags, wrap a
-    {!Slab.create} result with {!of_base}.  Scheduler options as in
-    {!of_base}. *)
+(** Compile once at k = 1 (the 62-lane configuration, [Slab.create
+    ~k:1]: the default compile flags), replicate per scheduler member;
+    replicas share the base engine's program.  For other compile flags,
+    wrap [Slab.of_program (Kernel.compile ...)] with {!of_base}.
+    Scheduler options as in {!of_base}. *)
 
 val of_base : ?domains:int -> ?scheduler:Scheduler.t -> Slab.t -> t
 (** Wrap a compiled base engine of any [k]: replica 0 {e is} the base;

@@ -48,17 +48,6 @@ type force = {
   flip : int array;
 }
 
-(* The driver-to-reader graph of a program's netlist, dff inputs
-   included, for fanout closures (see [build_fanout]).  Kept off the
-   OCaml heap as 32-bit entries: it lives as long as the engine's
-   program, and on the heap its size would be paid again in the GC's
-   headroom.  [wide] marks components whose closure alone was found
-   past the cone bound, so a later closure holding one fails without
-   a walk; replicas set bytes concurrently, only ever from 0 to 1. *)
-type index = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type fanout = { rd_off : index; rd : index; wide : Bytes.t }
-
 (* Per-instance cone scratch, built on first use, which also holds the
    instance's current cone: component marks and per (rank, gate kind)
    counts, both all clear between builds; a work queue; per rank a
@@ -81,8 +70,13 @@ type scratch = {
 type t = {
   prog : Kernel.program;
   k : int;
-  fanout : fanout option Atomic.t;
-      (* built on the first [fanout_cone], shared by replicas *)
+  readers : (int array * int array * Bytes.t) option Atomic.t;
+      (* built on the first [fanout_cone], shared by replicas: the
+         [off] and [sink] rows of {!Netlist.fanout} (readers, dff inputs
+         included), and per component whether its closure alone was
+         found past the cone bound, so a later closure holding it fails
+         without a walk (replicas set bytes concurrently, only ever from
+         0 to 1) *)
   mutable scratch : scratch option;
       (* this instance's cone scratch and current cone, built on first
          use *)
@@ -233,7 +227,7 @@ let of_program prog =
     {
       prog;
       k;
-      fanout = Atomic.make None;
+      readers = Atomic.make None;
       scratch = None;
       rank_desc;
       consts_s =
@@ -250,10 +244,9 @@ let of_program prog =
 (* [?gating] is accepted and ignored: every engine settles with one full
    sweep.  It stays only until the workload benchmark stops passing it
    (ROADMAP item 1). *)
-let create ?(k = 8) ?gating:_ ?(optimize = false) ?(relayout = true)
-    ?(fuse = true) ?(certify = false) netlist =
+let create ?(k = 8) ?gating:_ netlist =
   if k < 1 then invalid_arg "Slab.create: k must be >= 1";
-  of_program (Kernel.compile ~optimize ~relayout ~fuse ~certify ~k netlist)
+  of_program (Kernel.compile ~k netlist)
 
 let replicate = fresh
 
@@ -296,13 +289,6 @@ let set_input_word t name w v =
   write_word t (input_comp "Slab.set_input_word" t name) w v
 
 let set_input t name v = write_word t (input_comp "Slab.set_input" t name) 0 v
-
-let set_input_bool t name b =
-  let comp = input_comp "Slab.set_input_bool" t name in
-  let w = Packed.broadcast b in
-  for j = 0 to t.k - 1 do
-    write_word t comp j w
-  done
 
 let set_input_lane t name lane b =
   if lane < 0 || lane >= lanes t then
@@ -372,7 +358,6 @@ let outputs t =
 
 let cycle t = t.cycle
 let netlist t = t.prog.Kernel.netlist
-let critical_path t = t.prog.Kernel.levels.Levelize.critical_path
 let fused_gates t = t.prog.Kernel.fused
 
 let check_fusion what t =
@@ -449,35 +434,15 @@ let settle t =
 
 (* --- cones: settle a fanout-closed subset against a golden trace --- *)
 
-(* The driver-to-reader CSR: component [c]'s readers are entries
-   [rd_off.{c}] to [rd_off.{c + 1} - 1] of [rd]. *)
-let build_fanout (nl : Netlist.t) =
-  let n = Netlist.size nl and fanin = nl.Netlist.fanin in
-  let index len = Bigarray.(Array1.create int32 c_layout) len in
-  let off = Array.make (n + 1) 0 in
-  Array.iter (Array.iter (fun s -> off.(s + 1) <- off.(s + 1) + 1)) fanin;
-  for i = 1 to n do
-    off.(i) <- off.(i) + off.(i - 1)
-  done;
-  let rd_off = index (n + 1) and rd = index off.(n) in
-  Array.iteri (fun i o -> rd_off.{i} <- Int32.of_int o) off;
-  Array.iteri
-    (fun r fi ->
-      Array.iter
-        (fun s ->
-          rd.{off.(s)} <- Int32.of_int r;
-          off.(s) <- off.(s) + 1)
-        fi)
-    fanin;
-  { rd_off; rd; wide = Bytes.make n '\000' }
-
-let fanout t =
-  match Atomic.get t.fanout with
-  | Some f -> f
+let readers t =
+  match Atomic.get t.readers with
+  | Some r -> r
   | None ->
-    let f = build_fanout t.prog.Kernel.netlist in
-    Atomic.set t.fanout (Some f);
-    f
+    let nl = t.prog.Kernel.netlist in
+    let { Netlist.off; sink; _ } = Netlist.fanout nl in
+    let r = (off, sink, Bytes.make (Netlist.size nl) '\000') in
+    Atomic.set t.readers (Some r);
+    r
 
 type cone = { c_scratch : scratch; c_gen : int }
 
@@ -595,34 +560,6 @@ let build_cone t sc nu =
   sc.s_gen <- sc.s_gen + 1;
   { c_scratch = sc; c_gen = sc.s_gen }
 
-let cone t members =
-  check_fusion "Slab.cone" t;
-  let n = Kernel.size t.prog and fanin = t.prog.Kernel.netlist.Netlist.fanin in
-  let check what i =
-    if i < 0 || i >= n then
-      invalid_arg (Printf.sprintf "Slab.cone: %s %d out of range [0, %d)" what i n)
-  in
-  Array.iter
-    (fun i ->
-      check "member" i;
-      let fi = fanin.(i) in
-      for a = 0 to Array.length fi - 1 do
-        check "source" fi.(a)
-      done)
-    members;
-  let sc = scratch t in
-  let nu = ref 0 in
-  Array.iter
-    (fun i ->
-      if Bytes.get sc.s_mark i = '\000' then begin
-        Bytes.set sc.s_mark i '\001';
-        sc.s_queue <- room sc.s_queue !nu;
-        sc.s_queue.(!nu) <- i;
-        incr nu
-      end)
-    members;
-  build_cone t sc !nu
-
 (* The closure walks breadth-first through the scratch queue, whose
    head then holds the members, already marked, for [build_cone].  A
    walk that passes the bound from several seeds walks again from the
@@ -631,7 +568,7 @@ let cone t members =
 let fanout_cone t seeds =
   check_fusion "Slab.fanout_cone" t;
   Array.iter (check_comp "Slab.fanout_cone" t) seeds;
-  let f = fanout t and sc = scratch t in
+  let off, sink, wide = readers t and sc = scratch t in
   let limit = Kernel.size t.prog / 8 in
   let seen = sc.s_mark and len = ref 0 in
   let add i =
@@ -657,8 +594,8 @@ let fanout_cone t seeds =
       while !head < !len do
         let c = sc.s_queue.(!head) in
         incr head;
-        for e = Int32.to_int f.rd_off.{c} to Int32.to_int f.rd_off.{c + 1} - 1 do
-          add (Int32.to_int f.rd.{e})
+        for e = off.(c) to off.(c + 1) - 1 do
+          add sink.(e)
         done
       done
     with
@@ -667,12 +604,12 @@ let fanout_cone t seeds =
       clear ();
       false
   in
-  if Array.exists (fun s -> Bytes.get f.wide s = '\001') seeds then None
+  if Array.exists (fun s -> Bytes.get wide s = '\001') seeds then None
   else if walk seeds then Some (build_cone t sc !len)
   else begin
     (* a failed walk had at least one seed *)
     if Array.length seeds = 1 || not (walk [| seeds.(0) |]) then
-      Bytes.set f.wide seeds.(0) '\001'
+      Bytes.set wide seeds.(0) '\001'
     else clear ();
     None
   end

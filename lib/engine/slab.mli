@@ -30,32 +30,14 @@
 
 type t
 
-val lanes_per_word : int
-(** 62, see {!Hydra_core.Packed.lanes}. *)
-
-val lane_mask : int
-
-val create :
-  ?k:int ->
-  ?gating:bool ->
-  ?optimize:bool ->
-  ?relayout:bool ->
-  ?fuse:bool ->
-  ?certify:bool ->
-  Hydra_netlist.Netlist.t ->
-  t
-(** [?k] (default 8, must be >= 1) words per signal — [62 * k] lanes per
+val create : ?k:int -> ?gating:bool -> Hydra_netlist.Netlist.t -> t
+(** [of_program (Kernel.compile ~k nl)]: the default compile flags.
+    [?k] (default 8, must be >= 1) words per signal — [62 * k] lanes per
     settle pass.  [?gating] is accepted and ignored; it remains only
     until the workload benchmark stops passing it (ROADMAP item 1, the
-    benchmark change, removes it).  The compile options go to {!Kernel.compile}: [~optimize:true] (default false)
-    runs the {!Hydra_netlist.Optimize} pre-pass, [~relayout] (default
-    true) the {!Hydra_netlist.Layout.rank_major} re-layout, [~fuse]
-    (default true) absorbs fanout-1 inner gates into fused kernels, and
-    [~certify:true] (default false) translation-validates each pre-pass
-    with {!Hydra_analyze.Certify} (raising
-    {!Hydra_analyze.Certify.Certification_failed} on a lie).  Raises
-    {!Hydra_netlist.Levelize.Combinational_cycle} on an invalid
-    circuit. *)
+    benchmark change, removes it).  For other compile flags, build with
+    {!of_program}.  Raises {!Hydra_netlist.Levelize.Combinational_cycle}
+    on an invalid circuit. *)
 
 val of_program : Kernel.program -> t
 (** Build an engine over an already-compiled {!Kernel.program} (from
@@ -101,15 +83,12 @@ val reset_lanes : t -> word:int -> int -> unit
     [Invalid_argument] unless [0 <= word < k]. *)
 
 val set_input : t -> string -> int -> unit
-(** Set word 0 of an input (lane [l] = bit [l]; masked to
-    {!lane_mask}). *)
+(** Set word 0 of an input (lane [l] = bit [l]; masked to the 62
+    lanes). *)
 
 val set_input_word : t -> string -> int -> int -> unit
 (** [set_input_word t name w v]: set word [w] (0-based, [< k]) of an
     input to the packed word [v]. *)
-
-val set_input_bool : t -> string -> bool -> unit
-(** Broadcast one value to every lane of every word. *)
 
 val set_input_lane : t -> string -> int -> bool -> unit
 (** Set one global lane ([0 <= lane < 62 * k]): word [lane / 62], bit
@@ -126,11 +105,8 @@ val output_word : t -> string -> int -> int
 val output_lane : t -> string -> int -> bool
 (** Global lane of an output, [0 <= lane < 62 * k]. *)
 
-val outputs : t -> (string * int) list
-(** Word-0 view of every output. *)
-
 val peek : t -> int -> int
-(** Word 0 of a component by its post-optimize, post-relayout index
+(** Word 0 of a component by its post-relayout index
     (see {!netlist}).  The word of a gate absorbed into a fused kernel
     (see {!fused_gates}) is never written and reads as stale; every
     other component is exact.  {!peek}, {!peek_word}, {!poke} and
@@ -166,7 +142,7 @@ val set_forces : t -> force array -> unit
     last value stays until its site is recomputed: a gate at the next
     {!settle}, a dff at the next {!tick}, an input when it is next
     written, a constant at {!reset}.  Raises [Invalid_argument] on a fused
-    engine (build with [~fuse:false]), on a mask array whose length is
+    engine (compile with [~fuse:false]), on a mask array whose length is
     not [k], and — descriptively — on an out-of-range site. *)
 
 val clear_forces : t -> unit
@@ -191,20 +167,16 @@ type cone
     instance builds its next one; building needs an engine compiled
     with [~fuse:false]. *)
 
-val cone : t -> int array -> cone
-(** The cone of exactly the given members.  Raises [Invalid_argument]
-    on an out-of-range member and on a fused engine. *)
-
 val fanout_cone : t -> int array -> cone option
 (** [fanout_cone t seeds]: the cone of the components reachable from
     [seeds] along driver-to-reader edges of {!netlist}, dff inputs
     included (the seeds themselves included), or [None] when there are
     more than an eighth of the circuit's components — a fixed bound, so
-    a cone always costs a small share of a full settle.  The reader
-    index behind it is built on the first call and shared by every
-    replica of the engine, and so is a memo of single seeds whose
-    closure alone is too large: a set containing one is refused without
-    a walk.  Raises [Invalid_argument] on an out-of-range seed and on a
+    a cone always costs a small share of a full settle.  The walk reads
+    {!Hydra_netlist.Netlist.fanout}, built on the first call and shared
+    by every replica of the engine, and so is a memo of single seeds
+    whose closure alone is too large: a set containing one is refused
+    without a walk.  Raises [Invalid_argument] on an out-of-range seed and on a
     fused engine. *)
 
 val in_cone : t -> cone -> int -> bool
@@ -254,7 +226,7 @@ val diff_lanes : t -> sites -> int array -> unit
 (** [diff_lanes t s out] sets [out.(w)], for every word [w < k], to the
     lanes of word [w] that differ from lane 0 at some site of [s]: the
     OR over the sites of word [w] xor lane 0's bit broadcast, masked to
-    {!lane_mask} (lane 0 itself never shows).  Raises [Invalid_argument]
+    the 62 lanes (lane 0 itself never shows).  Raises [Invalid_argument]
     when [out] does not have [k] words or [s] was made for another
     circuit. *)
 
@@ -267,11 +239,10 @@ val latch_lanes : t -> dffs:sites -> srcs:sites -> int array -> unit
     differ in length. *)
 
 val cycle : t -> int
-val critical_path : t -> int
 val fused_gates : t -> int
 
 val netlist : t -> Hydra_netlist.Netlist.t
-(** The netlist actually compiled (post-optimize, post-relayout). *)
+(** The netlist actually compiled (post-relayout). *)
 
 val run_packed :
   t -> inputs:(string * int list) list -> cycles:int -> (string * int) list list

@@ -20,7 +20,7 @@
    fan each round's jobs out over {!Scheduler.run_tasks} and pack the
    survivors of stopped chunks into the next round.
 
-   The engines are built with [~optimize:false ~relayout:false], so
+   The engines are compiled unoptimized and [~relayout:false], so
    component indices match the caller's netlist unchanged.  A campaign
    with a stuck-at or intermittent fault also builds them [~fuse:false],
    because its force sites may be any gate.  An SEU-only campaign
@@ -31,6 +31,7 @@
 module Netlist = Hydra_netlist.Netlist
 module Packed = Hydra_core.Packed
 module Slab = Hydra_engine.Slab
+module Kernel = Hydra_engine.Kernel
 module Sharded = Hydra_engine.Sharded
 module Scheduler = Hydra_engine.Scheduler
 module Cache = Hydra_engine.Cache
@@ -867,8 +868,8 @@ let run ?scheduler ?cache ?domains ?(engine = `Wide) ?gating:_
           in
           let exemplar =
             match cache with
-            | Some c -> Cache.slab c ~k:words ~optimize:false ~relayout:false ~fuse nl
-            | None -> Slab.create ~k:words ~optimize:false ~relayout:false ~fuse nl
+            | Some c -> Cache.slab c ~k:words ~relayout:false ~fuse nl
+            | None -> Slab.of_program (Kernel.compile ~k:words ~relayout:false ~fuse nl)
           in
           let sh = Sharded.of_base ~scheduler:sch exemplar in
           (* tasks [first, first + n) as one job, on the claiming members'

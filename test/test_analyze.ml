@@ -467,12 +467,15 @@ let suite =
             Sim.packed_tick p;
             agree)
           (List.init 12 Fun.id));
-    tc "engines: ~certify smoke on ~optimize path" (fun () ->
+    tc "engines: certified pre-passes compose with compile" (fun () ->
         let nl = ripple_netlist 8 in
-        let w =
-          Hydra_engine.Slab.create ~k:1 ~optimize:true ~certify:true nl
-        in
-        ignore (Hydra_engine.Slab.critical_path w));
+        let opt, c1 = Certify.optimize nl in
+        let post, c2 = Certify.rank_major opt in
+        check_bool "optimize certified" true (Certify.certified c1);
+        check_bool "rank_major certified" true (Certify.certified c2);
+        let s = Hydra_engine.Slab.of_program (Hydra_engine.Kernel.compile post) in
+        check_int "the engine runs the certified netlist" (N.size post)
+          (N.size (Hydra_engine.Slab.netlist s)));
     tc "equiv: invalid generated netlist is reported as such" (fun () ->
         match
           Hydra_verify.Equiv.wide_random_netlists ~passes:1 ~cycles:2

@@ -275,7 +275,7 @@ let suite =
           (Invalid_argument
              "Slab.set_forces: requires an engine built with ~fuse:false")
           (fun () -> Slab.set_forces fused [| force 1 |]);
-        let sim = W.create ~optimize:false ~relayout:false ~fuse:false nl in
+        let sim = slab_of ~k:1 ~relayout:false ~fuse:false nl in
         let n = N.size nl in
         Alcotest.check_raises "site range"
           (Invalid_argument
@@ -560,17 +560,18 @@ let suite =
           Driver.program_stimulus ~mem_bits:6 ~max_cycles:200 program
         in
         let nl = Driver.system_netlist ~mem_bits:6 () in
-        let sim = W.create ~optimize:false ~relayout:false ~fuse:false nl in
+        let sim = slab_of ~k:1 ~relayout:false ~fuse:false nl in
         let first_halt = ref (-1) in
         List.iteri
           (fun cycle _ ->
             if !first_halt < 0 && cycle < cycles then begin
               List.iter
                 (fun (port, bits) ->
-                  Slab.set_input_bool sim port
-                    (match List.nth_opt bits cycle with
-                    | Some b -> b
-                    | None -> false))
+                  W.set_input sim port
+                    (Hydra_core.Packed.broadcast
+                       (match List.nth_opt bits cycle with
+                       | Some b -> b
+                       | None -> false)))
                 stimulus;
               W.settle sim;
               if Slab.output_lane sim "halted" 0 then first_halt := cycle;

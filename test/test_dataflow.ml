@@ -95,7 +95,7 @@ let random_word rs =
    Dataflow.crosscheck uses. *)
 let wide_falsify ?(cycles = 16) ?(seed = 0xbead) df =
   let nl = Dataflow.netlist df in
-  let w = Wide.create ~optimize:false ~relayout:false ~fuse:false nl in
+  let w = slab_of ~k:1 ~relayout:false ~fuse:false nl in
   let rs = Random.State.make [| seed |] in
   let consts = Dataflow.constant_components df in
   let classes = Dataflow.classes df in

@@ -16,11 +16,12 @@ module W = Hydra_engine.Compiled_wide
 module Slab = Hydra_engine.Slab
 module Kernel = Hydra_engine.Kernel
 
-(* The lane-level face the laws are written against.  [create] compiles
-   without optimization passes so component indices are the caller's
-   (the force law names raw sites); [poke_lane]/[peek_lane] address one
-   lane of one component; [set_force] stuck-forces a site on every
-   lane.  Engines without runtime forces say so via [has_forces]. *)
+(* The lane-level face the laws are written against.  [poke_lane] and
+   [peek_lane] address one lane of one component by the caller's index
+   (the force law names raw sites, so an engine with forces compiles
+   without the index-changing passes); [set_force] stuck-forces a site
+   on every lane.  Engines without runtime forces say so via
+   [has_forces]. *)
 module type LANE_ENGINE = sig
   type t
 
@@ -63,7 +64,7 @@ module Wide_adapter : LANE_ENGINE = struct
   type t = W.t
 
   let name = "wide"
-  let create nl = W.create ~optimize:false ~relayout:false ~fuse:false nl
+  let create nl = slab_of ~k:1 ~relayout:false ~fuse:false nl
   let lanes _ = W.lanes
   let set_input_lane = Slab.set_input_lane
   let reset = W.reset
@@ -89,51 +90,61 @@ module Wide_adapter : LANE_ENGINE = struct
   let clear_forces = Slab.clear_forces
 end
 
-(* [gating] passes [~gating:true] to {!Slab.create}, which accepts and
-   ignores it (bench workloads still pass it): such a flavor must obey
-   every law like any other. *)
+(* [gating] builds through [Slab.create ~gating:true], which ignores the
+   flag (bench workloads still pass it) and compiles with the default
+   flags: re-laid-out, so the caller's component [i] is the engine's
+   [perm.(i)], and fused, so it takes no force.  Such a flavor must obey
+   every other law like any other. *)
 module Slab_adapter (K : sig
   val k : int
   val gating : bool
 end) : LANE_ENGINE = struct
-  type t = Slab.t
+  type t = { s : Slab.t; perm : int array }
 
   let name = Printf.sprintf "slab(k=%d%s)" K.k (if K.gating then ",gated" else "")
 
   let create nl =
-    Slab.create ~k:K.k ~gating:K.gating ~optimize:false ~relayout:false
-      ~fuse:false nl
+    if K.gating then
+      {
+        s = Slab.create ~k:K.k ~gating:true nl;
+        perm = snd (Hydra_netlist.Layout.rank_major_permutation nl);
+      }
+    else
+      {
+        s = slab_of ~k:K.k ~relayout:false ~fuse:false nl;
+        perm = Array.init (N.size nl) Fun.id;
+      }
 
-  let lanes = Slab.lanes
-  let reset = Slab.reset
-  let set_input_lane = Slab.set_input_lane
-  let settle = Slab.settle
-  let step = Slab.step
-  let output_lane = Slab.output_lane
+  let lanes t = Slab.lanes t.s
+  let reset t = Slab.reset t.s
+  let set_input_lane t = Slab.set_input_lane t.s
+  let settle t = Slab.settle t.s
+  let step t = Slab.step t.s
+  let output_lane t = Slab.output_lane t.s
 
   let peek_lane t i l =
-    P.lane (Slab.peek_word t i (l / P.lanes)) (l mod P.lanes)
+    P.lane (Slab.peek_word t.s t.perm.(i) (l / P.lanes)) (l mod P.lanes)
 
   let poke_lane t i l v =
-    let w = l / P.lanes in
-    Slab.poke_word t i w (P.set_lane (Slab.peek_word t i w) (l mod P.lanes) v)
+    let i = t.perm.(i) and w = l / P.lanes in
+    Slab.poke_word t.s i w (P.set_lane (Slab.peek_word t.s i w) (l mod P.lanes) v)
 
-  let cycle = Slab.cycle
+  let cycle t = Slab.cycle t.s
 
-  let has_forces = true
+  let has_forces = not K.gating
 
   let set_force t ~site ~value =
-    Slab.set_forces t
+    Slab.set_forces t.s
       [|
         {
           Slab.f_site = site;
-          force0 = Array.make K.k (if value then 0 else Slab.lane_mask);
-          force1 = Array.make K.k (if value then Slab.lane_mask else 0);
+          force0 = Array.make K.k (if value then 0 else P.lane_mask);
+          force1 = Array.make K.k (if value then P.lane_mask else 0);
           flip = Array.make K.k 0;
         };
       |]
 
-  let clear_forces = Slab.clear_forces
+  let clear_forces t = Slab.clear_forces t.s
 end
 
 module Slab1_adapter = Slab_adapter (struct

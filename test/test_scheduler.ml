@@ -200,26 +200,22 @@ let cache_tests =
            slab reuses the k=4 program (hit) and adds its own entry *)
         check_int "entries" 4 s.Cache.entries;
         check_int "slab program reuse" 1 s.Cache.hits);
-    tc "certify is part of the key: neither order is served the other"
+    tc "optimize is part of the slab key: neither order is served the other"
       (fun () ->
         let cache = Cache.create () in
         let nl = ripple_netlist 4 in
-        let plain = Cache.compile cache ~optimize:true nl in
-        let certified = Cache.compile cache ~optimize:true ~certify:true nl in
-        let s = Cache.stats cache in
-        check_int "certified after uncertified misses" 2 s.Cache.misses;
-        check_int "no hit" 0 s.Cache.hits;
-        check_bool "a fresh, certified program" true (plain != certified);
-        let cache = Cache.create () in
-        let _ = Cache.slab cache ~k:2 ~optimize:true ~certify:true nl in
-        let _ = Cache.slab cache ~k:2 ~optimize:true nl in
+        let opt = Cache.slab cache ~k:2 ~optimize:true nl in
+        let plain = Cache.slab cache ~k:2 nl in
         let s = Cache.stats cache in
         (* slab + program misses per request *)
-        check_int "uncertified after certified misses" 4 s.Cache.misses;
-        check_int "no hit either way" 0 s.Cache.hits;
+        check_int "plain after optimized misses" 4 s.Cache.misses;
+        check_int "no hit" 0 s.Cache.hits;
+        check_bool "the optimized engine is smaller" true
+          (N.size (Hydra_engine.Slab.netlist opt)
+          < N.size (Hydra_engine.Slab.netlist plain));
         (* each flag value then hits its own entry *)
-        let _ = Cache.compile cache ~k:2 ~optimize:true ~certify:true nl in
-        let _ = Cache.compile cache ~k:2 ~optimize:true nl in
+        let _ = Cache.slab cache ~k:2 ~optimize:true nl in
+        let _ = Cache.slab cache ~k:2 nl in
         check_int "same flags hit" 2 (Cache.stats cache).Cache.hits);
     tc "LRU eviction evicts the stalest entry" (fun () ->
         let cache = Cache.create ~capacity:2 () in

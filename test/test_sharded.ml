@@ -341,8 +341,8 @@ let suite =
             [ "a"; "b"; "c" ]
         in
         let run sim = Hydra_engine.Slab.run_packed sim ~inputs:packed_inputs ~cycles in
-        let plain = run (Wide.create ~relayout:false ~fuse:false nl) in
+        let plain = run (slab_of ~k:1 ~relayout:false ~fuse:false nl) in
         run (Wide.create nl) = plain
-        && run (Wide.create ~relayout:true ~fuse:false nl) = plain
-        && run (Wide.create ~relayout:false ~fuse:true nl) = plain);
+        && run (slab_of ~k:1 ~relayout:true ~fuse:false nl) = plain
+        && run (slab_of ~k:1 ~relayout:false ~fuse:true nl) = plain);
   ]

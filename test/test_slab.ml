@@ -116,7 +116,7 @@ let words_independent ~k nodes =
    is off so every component's word is written by settle. *)
 let reset_lanes_law ~k nodes =
   let nl = Test_wide.netlist_of nodes in
-  let mk () = Slab.create ~k ~fuse:false nl in
+  let mk () = slab_of ~k ~fuse:false nl in
   let slab = mk () and twin = mk () and fresh = mk () in
   let st = Random.State.make [| 0x2e5e7; k; List.length nodes |] in
   for _cycle = 1 to 1 + Random.State.int st 6 do
@@ -161,7 +161,7 @@ let chained_netlist nodes =
    interpreters, one per word, run on the slab's own netlist (its
    indices, relaid out or not) with the same random inputs. *)
 let tick_law ~k ~relayout nodes =
-  let slab = Slab.create ~k ~relayout (chained_netlist nodes) in
+  let slab = slab_of ~k ~relayout (chained_netlist nodes) in
   let nl = Slab.netlist slab in
   let sims = Array.init k (fun _ -> Sim.packed_create nl) in
   let dffs =
@@ -338,7 +338,7 @@ let suite =
         let a = G.input "a" in
         let nl = N.extract ~inputs:[ a ] ~outputs:[ ("y", G.inv a) ] in
         let s = Slab.create ~k:3 nl in
-        let lane = (2 * Slab.lanes_per_word) + 17 in
+        let lane = (2 * Packed.lanes) + 17 in
         Slab.set_input_lane s "a" lane true;
         Slab.settle s;
         check_bool "set lane reads back inverted" false
@@ -350,7 +350,7 @@ let suite =
         Alcotest.check_raises "lane range"
           (Invalid_argument
              "Slab.set_input_lane: lane 186 out of range (engine has 186 lanes)")
-          (fun () -> Slab.set_input_lane s "a" (3 * Slab.lanes_per_word) true));
+          (fun () -> Slab.set_input_lane s "a" (3 * Packed.lanes) true));
     tc "set_forces: rejections and descriptive range error" (fun () ->
         let nl =
           let x = G.input "x" in
@@ -370,7 +370,7 @@ let suite =
           (Invalid_argument
              "Slab.set_forces: requires an engine built with ~fuse:false")
           (fun () -> Slab.set_forces fused [| zero_force 0 |]);
-        let plain = Slab.create ~k:3 ~fuse:false ~relayout:false nl in
+        let plain = slab_of ~k:3 ~fuse:false ~relayout:false nl in
         Alcotest.check_raises "mask arity"
           (Invalid_argument "Slab.set_forces: mask arrays must have k = 3 words")
           (fun () -> Slab.set_forces plain [| zero_force 0 |]);
@@ -395,8 +395,8 @@ let suite =
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
         let nl = Test_wide.netlist_of nodes in
-        let mk_wide () = Wide.create ~relayout:false ~fuse:false nl in
-        let slab = Slab.create ~k:2 ~relayout:false ~fuse:false nl in
+        let mk_wide () = slab_of ~k:1 ~relayout:false ~fuse:false nl in
+        let slab = slab_of ~k:2 ~relayout:false ~fuse:false nl in
         let wide_plain = mk_wide () and wide_forced = mk_wide () in
         (* flip a mid-netlist site in word 1 only *)
         let site = N.size nl / 2 in
@@ -442,7 +442,7 @@ let suite =
       (Test_wide.gen_nodes Test_wide.dff_heavy_ops)
       (fun nodes ->
         let nl = Test_wide.netlist_of nodes in
-        let mk () = Slab.create ~k:2 ~fuse:false ~relayout:false nl in
+        let mk () = slab_of ~k:2 ~fuse:false ~relayout:false nl in
         (* [inplace] keeps one registered force and edits its masks in
            place (the Campaign intermittent-fault path); [fresh]
            re-registers a copy after every edit *)
@@ -722,6 +722,77 @@ let suite =
           };
         (* the untouched program still builds and ticks *)
         Slab.tick (Slab.of_program sprog));
+    (* the dff arrays, the constants and the site sets, on a circuit
+       whose arrays leave OCaml's pooled heap (the CPU has more than 128
+       dffs): one entry at -1 or at the size, or an array cut short, is
+       refused naming the field, and the untouched program settles like
+       the reference *)
+    (let prog =
+       lazy (Kernel.compile ~k:2 (Hydra_cpu.Driver.system_netlist ~mem_bits:6 ()))
+     in
+     let untouched =
+       lazy
+         (let prog = Lazy.force prog in
+          let e : (module Hydra_engine.Engine_intf.S) =
+            (module struct
+              include Slab
+
+              let name = "untouched"
+              let create _ = Slab.of_program prog
+            end)
+          in
+          Equiv.seq_equivalent
+            (Equiv.engine_random_netlists ~passes:1 ~cycles:8 e
+               Hydra_engine.Engine_intf.oracle prog.Kernel.netlist
+               prog.Kernel.netlist))
+     in
+     qc ~count:60 "of_program and sites range-check the dff arrays and constants (cpu)"
+       QCheck2.Gen.(triple (int_bound 5) (int_bound 1_000_000) bool)
+       (fun (field, pos, past) ->
+         let prog = Lazy.force prog in
+         let size = Kernel.size prog and ndffs = Array.length prog.Kernel.dffs in
+         let bad = if past then size else -1 in
+         let set a =
+           let a = Array.copy a in
+           a.(pos mod Array.length a) <- bad;
+           a
+         in
+         let consts () =
+           Array.mapi
+             (fun j (i, b) -> ((if j = pos mod Array.length prog.Kernel.consts then bad else i), b))
+             prog.Kernel.consts
+         in
+         let index what =
+           Printf.sprintf "Slab.of_program: %s index %d out of range [0, %d)" what bad size
+         in
+         let cut what =
+           Printf.sprintf "Slab.of_program: %s has %d entries, dffs has %d" what
+             (pos mod ndffs) ndffs
+         in
+         let refused msg f =
+           match f () with
+           | () -> false
+           | exception Invalid_argument m -> m = msg
+         in
+         let build p () = ignore (Slab.of_program p) in
+         ndffs > 128
+         && Lazy.force untouched
+         &&
+         match field with
+         | 0 -> refused (index "dffs") (build { prog with Kernel.dffs = set prog.Kernel.dffs })
+         | 1 ->
+           refused (index "dff_src") (build { prog with Kernel.dff_src = set prog.Kernel.dff_src })
+         | 2 -> refused (index "consts") (build { prog with Kernel.consts = consts () })
+         | 3 ->
+           refused (cut "dff_src")
+             (build { prog with Kernel.dff_src = Array.sub prog.Kernel.dff_src 0 (pos mod ndffs) })
+         | 4 ->
+           refused (cut "dff_init")
+             (build { prog with Kernel.dff_init = Array.sub prog.Kernel.dff_init 0 (pos mod ndffs) })
+         | _ ->
+           refused
+             (Printf.sprintf "Slab.sites: site %d out of range [0, %d)" bad size)
+             (fun () -> ignore (Slab.sites (Slab.of_program prog) [| 0; bad |]))));
     tc "of_program copies the arrays the stubs index, also at k = 1" (fun () ->
         let seq =
           let x = G.input "x" in
@@ -737,11 +808,11 @@ let suite =
         Array.iter
           (fun d -> Array.fill d Kernel.header (Array.length d - Kernel.header) bad)
           prog.Kernel.ranks;
-        Slab.set_input_bool s "x" false;
+        Slab.set_input s "x" 0;
         Slab.settle s;
         Slab.tick s;
         Slab.settle s;
-        check_int "q = not x" Slab.lane_mask (Slab.output s "q"));
+        check_int "q = not x" Packed.lane_mask (Slab.output s "q"));
     qc ~count:200 "lane passes = peek_word reference (all k)" QCheck2.Gen.int lane_pass_law;
     tc "lane passes: range and length errors name the field" (fun () ->
         let nl = ripple_netlist 4 in
@@ -811,31 +882,41 @@ let suite =
         (* the last component is still in range *)
         Slab.poke_word s 33 3 0;
         ignore (Slab.peek s 33));
-    tc "Slab.cone rejects out-of-range members and fused engines" (fun () ->
-        let nl = ripple_netlist 4 in
-        let s = Slab.create ~k:2 ~relayout:false ~fuse:false nl in
-        Alcotest.check_raises "member past the end"
-          (Invalid_argument "Slab.cone: member 34 out of range [0, 34)")
-          (fun () -> ignore (Slab.cone s [| 3; 34 |]));
-        Alcotest.check_raises "negative member"
-          (Invalid_argument "Slab.cone: member -1 out of range [0, 34)")
-          (fun () -> ignore (Slab.cone s [| -1 |]));
-        Alcotest.check_raises "negative seed"
-          (Invalid_argument
-             "Slab.fanout_cone: component -1 out of range (netlist has 34 \
-              components)")
-          (fun () -> ignore (Slab.fanout_cone s [| -1 |]));
-        let fused = Slab.create ~k:2 nl in
+    tc "fanout_cone rejects bad seeds, fused engines and stale cones" (fun () ->
+        (* sixteen independent inverters: every closure is an inport, its
+           inverter and its outport, inside the n/8 bound *)
+        let nl =
+          N.of_graph
+            ~outputs:
+              (List.init 16 (fun i ->
+                   (Printf.sprintf "y%d" i, G.inv (G.input (Printf.sprintf "a%d" i)))))
+        in
+        let n = N.size nl in
+        let s = slab_of ~k:2 ~relayout:false ~fuse:false nl in
+        let range i =
+          Invalid_argument
+            (Printf.sprintf
+               "Slab.fanout_cone: component %d out of range (netlist has %d \
+                components)"
+               i n)
+        in
+        Alcotest.check_raises "seed past the end" (range n) (fun () ->
+            ignore (Slab.fanout_cone s [| 3; n |]));
+        Alcotest.check_raises "negative seed" (range (-1)) (fun () ->
+            ignore (Slab.fanout_cone s [| -1 |]));
+        let fused = Slab.create ~k:2 (ripple_netlist 4) in
         check_bool "ripple fuses" true (Slab.fused_gates fused > 0);
         Alcotest.check_raises "fused"
-          (Invalid_argument "Slab.cone: requires an engine built with ~fuse:false")
-          (fun () -> ignore (Slab.cone fused [| 3 |]));
-        Alcotest.check_raises "fused closure"
           (Invalid_argument
              "Slab.fanout_cone: requires an engine built with ~fuse:false")
           (fun () -> ignore (Slab.fanout_cone fused [| 3 |]));
+        let cone seeds =
+          match Slab.fanout_cone s seeds with
+          | Some c -> c
+          | None -> Alcotest.fail "a cone inside the bound was refused"
+        in
         (* a cone belongs to the instance that built it, until its next *)
-        let c = Slab.cone s [| 3 |] in
+        let c = cone [| 3 |] in
         let tr = Slab.trace s ~cycles:1 in
         let other = Slab.replicate s in
         Alcotest.check_raises "another instance"
@@ -843,7 +924,7 @@ let suite =
              "Slab.settle_cone: the cone belongs to another engine instance \
               or was replaced")
           (fun () -> Slab.settle_cone other c tr 0);
-        ignore (Slab.cone s [| 4 |]);
+        ignore (cone [| 4 |]);
         Alcotest.check_raises "replaced"
           (Invalid_argument
              "Slab.in_cone: the cone belongs to another engine instance or \
@@ -851,7 +932,7 @@ let suite =
           (fun () -> ignore (Slab.in_cone s c 3));
         Alcotest.check_raises "cycle past the trace"
           (Invalid_argument "Slab.settle_cone: cycle 1 outside the trace (1 cycles)")
-          (fun () -> Slab.settle_cone s (Slab.cone s [| 3 |]) tr 1);
+          (fun () -> Slab.settle_cone s (cone [| 3 |]) tr 1);
         Alcotest.check_raises "another circuit's trace"
           (Invalid_argument "Slab.record_row: the trace was made for another circuit")
           (fun () -> Slab.record_row s (Slab.trace (Slab.create (ripple_netlist 3)) ~cycles:1) 0));
@@ -861,21 +942,61 @@ let suite =
         triple (Test_wide.gen_nodes Test_wide.dff_heavy_ops) (int_bound 1000)
           (oneofl [ 1; 4 ]))
       (fun (nodes, seed, k) ->
-        let nl = Test_wide.netlist_of nodes in
-        let mk () = Slab.create ~k ~relayout:false ~fuse:false nl in
+        (* sixteen copies of the random circuit on shared inputs, so the
+           closure of a gate inside one copy fits the n/8 bound *)
+        let nl =
+          let ins = [ G.input "a"; G.input "b"; G.input "c" ] in
+          N.extract ~inputs:ins
+            ~outputs:
+              (List.concat
+                 (List.init 16 (fun j ->
+                      List.mapi
+                        (fun i o -> (Printf.sprintf "o%d_%d" j i, o))
+                        (Test_wide.build (module G) ~inputs:ins nodes))))
+        in
+        let mk () = slab_of ~k ~relayout:false ~fuse:false nl in
         (* [full] settles everything, [coned] only the cone of the forced
            sites, from [golden]'s rows; both carry the same forces *)
         let golden = mk () and full = mk () and coned = mk () in
         let st = Random.State.make [| seed |] in
         let n = N.size nl in
-        let sites = Array.init 2 (fun _ -> Random.State.int st n) in
-        let sites =
-          Array.of_list
-            (List.filter
-               (fun i -> match nl.N.components.(i) with N.Outport _ -> false | _ -> true)
-               (Array.to_list sites))
+        (* the closure, walked here over [N.fanout]; [fanout_cone] must
+           find the same set, or refuse one past n/8 *)
+        let readers = N.fanout nl in
+        let closure sites =
+          let inside = Array.make n false in
+          let rec visit i =
+            if not inside.(i) then begin
+              inside.(i) <- true;
+              for e = readers.N.off.(i) to readers.N.off.(i + 1) - 1 do
+                visit readers.N.sink.(e)
+              done
+            end
+          in
+          Array.iter visit sites;
+          inside
         in
-        let forces () =
+        let size inside = Array.fold_left (fun a b -> if b then a + 1 else a) 0 inside in
+        let agrees sites =
+          let inside = closure sites in
+          match Slab.fanout_cone coned sites with
+          | None -> size inside > n / 8
+          | Some c ->
+            size inside <= n / 8
+            && List.for_all (fun i -> Slab.in_cone coned c i = inside.(i)) (List.init n Fun.id)
+        in
+        let gates =
+          List.filter
+            (fun i -> match nl.N.components.(i) with N.Outport _ -> false | _ -> true)
+            (List.init n Fun.id)
+        in
+        let pick m l = Array.init m (fun _ -> List.nth l (Random.State.int st (List.length l))) in
+        let any = pick (1 + Random.State.int st 6) gates in
+        (* forced sites whose closures fit the bound together, where the
+           circuit has such sites *)
+        let small = List.filter (fun i -> size (closure [| i |]) <= n / 16) gates in
+        let sites = if small = [] then any else pick 2 small in
+        let fs =
           Array.map
             (fun site ->
               {
@@ -886,49 +1007,40 @@ let suite =
               })
             sites
         in
-        let fs = forces () in
         Slab.set_forces full fs;
         Slab.set_forces coned fs;
-        (* the closure, walked here over [N.fanout]; [fanout_cone] must
-           find the same set, or refuse one past n/8 *)
-        let inside = Array.make n false and readers = N.fanout nl in
-        let rec visit i =
-          if not inside.(i) then begin
-            inside.(i) <- true;
-            for e = readers.N.off.(i) to readers.N.off.(i + 1) - 1 do
-              visit readers.N.sink.(e)
-            done
-          end
-        in
-        Array.iter visit sites;
-        let members = List.filter (fun i -> inside.(i)) (List.init n Fun.id) in
-        let same =
-          match Slab.fanout_cone coned sites with
-          | Some c -> List.for_all (fun i -> Slab.in_cone coned c i = inside.(i)) (List.init n Fun.id)
-          | None -> List.length members > n / 8
-        in
-        let cone = Slab.cone coned (Array.of_list members) in
-        let tr = Slab.trace golden ~cycles:6 in
-        let ok = ref true in
-        for c = 0 to 5 do
-          List.iter
-            (fun name ->
-              let b = Random.State.bool st in
-              List.iter (fun s -> Slab.set_input_bool s name b) [ golden; full; coned ])
-            [ "a"; "b"; "c" ];
-          Slab.settle golden;
-          Slab.record_row golden tr c;
-          Slab.settle full;
-          Slab.settle_cone coned cone tr c;
-          for i = 0 to n - 1 do
-            if Slab.in_cone coned cone i then
-              for w = 0 to k - 1 do
-                if Slab.peek_word full i w <> Slab.peek_word coned i w then ok := false
-              done
+        let inside = closure sites in
+        agrees any && agrees sites
+        &&
+        match Slab.fanout_cone coned sites with
+        | None -> true
+        | Some cone ->
+          let tr = Slab.trace golden ~cycles:6 in
+          let ok = ref true in
+          for c = 0 to 5 do
+            List.iter
+              (fun name ->
+                let w = Packed.broadcast (Random.State.bool st) in
+                List.iter
+                  (fun s ->
+                    for j = 0 to k - 1 do
+                      Slab.set_input_word s name j w
+                    done)
+                  [ golden; full; coned ])
+              [ "a"; "b"; "c" ];
+            Slab.settle golden;
+            Slab.record_row golden tr c;
+            Slab.settle full;
+            Slab.settle_cone coned cone tr c;
+            for i = 0 to n - 1 do
+              if inside.(i) then
+                for w = 0 to k - 1 do
+                  if Slab.peek_word full i w <> Slab.peek_word coned i w then ok := false
+                done
+            done;
+            List.iter Slab.tick [ golden; full; coned ]
           done;
-          List.iter Slab.tick [ golden; full; coned ]
-        done;
-        same && !ok);
+          !ok);
     (* ---- the engine-polymorphic entry points, slab-instantiated ---- *)
     tc "Slab_sharded: run_batches / run_vectors / step_batches match wide"
       (fun () ->

@@ -82,8 +82,9 @@ let compiled_rows ?optimize nodes rows =
 
 (* Run all [lane_rows] stimulus streams at once in the wide engine (lane l
    carries stream l), return the per-lane output rows. *)
-let wide_lane_rows ?optimize nodes lane_rows =
+let wide_lane_rows ?(optimize = false) nodes lane_rows =
   let nl = netlist_of nodes in
+  let nl = if optimize then Hydra_netlist.Optimize.optimize nl else nl in
   let cycles = List.length (List.hd lane_rows) in
   let packed_inputs =
     List.mapi
@@ -95,7 +96,7 @@ let wide_lane_rows ?optimize nodes lane_rows =
         ))
       [ "a"; "b"; "c" ]
   in
-  let rows = Slab.run_packed (Wide.create ?optimize nl) ~inputs:packed_inputs ~cycles in
+  let rows = Slab.run_packed (Wide.create nl) ~inputs:packed_inputs ~cycles in
   List.init (List.length lane_rows) (fun l ->
       List.map (List.map (fun (_, w) -> Packed.lane w l)) rows)
 

@@ -13,6 +13,10 @@ let check_rows = Alcotest.(check (list (list bool)))
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* A slab engine compiled with the given flags. *)
+let slab_of ?relayout ?fuse ~k nl =
+  Hydra_engine.Slab.of_program (Hydra_engine.Kernel.compile ?relayout ?fuse ~k nl)
+
 let qc ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
